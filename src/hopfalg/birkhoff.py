@@ -16,10 +16,12 @@ from typing import Dict, List, Optional, Tuple
 from .algebra import Element, Monomial
 from .duals import (
     Character,
-    ConvolutionProduct,
     InfinitesimalCharacter,
     TableFunctional,
-    convolution_power_value,
+    convolution_powers,
+    convolve_tables,
+    materialize,
+    tabulate,
 )
 from .errors import DomainError, TruncationError, VerificationError
 from .exp_integrals import finite_simplex_integral
@@ -56,20 +58,10 @@ class BirkhoffPair:
     report: dict = field(default_factory=dict)
 
     def phi_minus(self) -> Character:
-        values = {}
-        for g in self.ctx.schema.generators_up_to(self.max_degree):
-            v = self.minus_table[Monomial.of(g)]
-            if not self.ring.is_zero(v):
-                values[g] = v
-        return Character(self.ctx, self.ring, values, cutoff=self.max_degree)
+        return materialize(self.ctx, self.ring, self.minus_table, self.max_degree)
 
     def phi_plus(self) -> Character:
-        values = {}
-        for g in self.ctx.schema.generators_up_to(self.max_degree):
-            v = self.plus_table[Monomial.of(g)]
-            if not self.ring.is_zero(v):
-                values[g] = v
-        return Character(self.ctx, self.ring, values, cutoff=self.max_degree)
+        return materialize(self.ctx, self.ring, self.plus_table, self.max_degree)
 
     def minus_on_element(self, h: Element) -> LaurentSeries:
         total = self.ring.zero()
@@ -209,13 +201,10 @@ def birkhoff_verification_report(ctx: HopfAlgebra, phi: Character, pair: Birkhof
     }
 
     witness = None
+    minus_inverse = {m: pair.minus_on_element(ctx.antipode_monomial(m)) for m in basis}
+    got = convolve_tables(ctx, ring, minus_inverse, pair.plus_table, basis)
     for m in basis:
-        got = ring.zero()
-        for (m1, m2), c in ctx.coproduct_monomial(m).terms.items():
-            left = pair.minus_on_element(ctx.antipode_monomial(m1))
-            term = ring.mul(left, pair.plus_table[m2])
-            got = ring.add(got, ring.scale(c, term))
-        if not ring.eq(got, phi.value_on(m)):
+        if not ring.eq(got.get(m, ring.zero()), phi.value_on(m)):
             witness = str(m)
             break
     checks["reconstruction"] = {
@@ -269,9 +258,7 @@ def beta_data(ctx: HopfAlgebra, f, max_order: int, max_degree: int) -> BetaData:
         raise DomainError("max_order must be >= 1")
     beta, violations = beta_functional(ctx, f, max_degree)
     base = beta.ring
-    towers = [residue(ctx, f, max_degree)]
-    for n in range(2, max_order + 1):
-        towers.append(dn_recursive(ctx, beta, n, max_degree))
+    towers = [residue(ctx, f, max_degree)] + counterterm_tower(ctx, beta, max_order, max_degree)[1:]
     for d in towers:
         if not base.is_zero(d.value_on(Monomial.unit())):
             raise VerificationError("a tower entry fails to kill the unit")
@@ -310,44 +297,38 @@ def beta_functional(ctx: HopfAlgebra, f, max_degree: int) -> Tuple[Infinitesimal
     """
     d1 = residue(ctx, f, max_degree)
     base = d1.ring
-    values = {}
-    for g in ctx.schema.generators_up_to(max_degree):
-        v = d1.value_on(Monomial.of(g))
-        if not base.is_zero(v):
-            values[g] = base.scale(Fraction(g.degree), v)
+    scaled = {m: base.scale(Fraction(m.y_degree), v) for m, v in d1.table.items()}
     violations = [
         str(m)
         for m, v in d1.table.items()
         if m.single_generator() is None and not m.is_unit
     ]
-    return InfinitesimalCharacter(ctx, base, values, cutoff=max_degree), violations
+    return materialize(ctx, base, scaled, max_degree, InfinitesimalCharacter), violations
+
+
+def counterterm_tower(ctx: HopfAlgebra, beta: InfinitesimalCharacter, max_order: int, max_degree: int) -> List[TableFunctional]:
+    """d_1, ..., d_max_order by the grading recursion, each built from the last:
+    d_1 divides beta by the degree; d_(k+1) = Y_*^(-1) (d_k * beta)."""
+    if max_order < 1:
+        raise DomainError("the tower is indexed by n >= 1")
+    base = beta.ring
+    basis = [m for m in ctx.basis_up_to(max_degree) if not m.is_unit]
+    beta_table = tabulate(beta, basis)
+
+    def unscaled(table: dict) -> TableFunctional:
+        return TableFunctional(
+            ctx, base, {m: base.scale(Fraction(1, m.y_degree), v) for m, v in table.items()}
+        )
+
+    towers = [unscaled(beta_table)]
+    while len(towers) < max_order:
+        towers.append(unscaled(convolve_tables(ctx, base, towers[-1].table, beta_table, basis)))
+    return towers
 
 
 def dn_recursive(ctx: HopfAlgebra, beta: InfinitesimalCharacter, n: int, max_degree: int) -> TableFunctional:
-    """The counterterm tower by the grading recursion:
-    d_1 divides beta by the degree; d_(k+1) = Y_*^(-1) (d_k * beta)."""
-    if n < 1:
-        raise DomainError("the tower is indexed by n >= 1")
-    base = beta.ring
-    table: Dict[Monomial, object] = {}
-    for m in ctx.basis_up_to(max_degree):
-        if m.is_unit:
-            continue
-        v = beta.value_on(m)
-        if not base.is_zero(v):
-            table[m] = base.scale(Fraction(1, m.y_degree), v)
-    current = TableFunctional(ctx, base, table)
-    for _ in range(n - 1):
-        conv = ConvolutionProduct([current, beta])
-        table = {}
-        for m in ctx.basis_up_to(max_degree):
-            if m.is_unit:
-                continue
-            v = conv.value_on(m)
-            if not base.is_zero(v):
-                table[m] = base.scale(Fraction(1, m.y_degree), v)
-        current = TableFunctional(ctx, base, table)
-    return current
+    """d_n of the counterterm tower built by the grading recursion."""
+    return counterterm_tower(ctx, beta, n, max_degree)[n - 1]
 
 
 def simplex_weight(leg_degrees: Tuple[int, ...]) -> Fraction:
@@ -409,9 +390,9 @@ def build_special_loop(
         )
     base = beta.ring
     ring = eps_ring if eps_ring is not None else LaurentRing(base, "eps")
-    towers = [dn_recursive(ctx, beta, n, max_degree) for n in range(1, max_order + 1)]
-
-    def expansion_value(m: Monomial) -> LaurentSeries:
+    towers = counterterm_tower(ctx, beta, max_order, max_degree)
+    expansion = {}
+    for m in ctx.basis_up_to(max_degree):
         coeffs = {}
         if m.is_unit:
             coeffs[0] = base.one()
@@ -419,20 +400,9 @@ def build_special_loop(
             v = d.value_on(m)
             if not base.is_zero(v):
                 coeffs[-(idx + 1)] = v
-        return ring.make(coeffs, None)
-
-    values = {}
-    for g in ctx.schema.generators_up_to(max_degree):
-        v = expansion_value(Monomial.of(g))
-        if not ring.is_zero(v):
-            values[g] = v
-    loop = Character(ctx, ring, values, cutoff=max_degree)
-    for m in ctx.basis_up_to(max_degree):
-        if not ring.eq(loop.value_on(m), expansion_value(m)):
-            raise VerificationError(
-                f"assembled loop is not multiplicative on {m}", witness=str(m)
-            )
-    return loop
+        expansion[m] = ring.make(coeffs, None)
+    return materialize(ctx, ring, expansion, max_degree,
+                       failure="assembled loop is not multiplicative on {}")
 
 
 # -- the renormalization-group limit -------------------------------------------
@@ -502,14 +472,15 @@ def rg_limit_check(ctx: HopfAlgebra, phi: Character, max_degree: int, eps_margin
             total = ring.add(total, ring.scale(c, phi_vals[m]))
         return total
 
+    thetas = [theta_factor(d) for d in range(max_degree + 1)]
+    phi_inverse = {m: lift(phi_on_element(ctx.antipode_monomial(m))) for m in basis}
+    phi_scaled = {m: work.mul(thetas[m.y_degree], lift(phi_vals[m])) for m in basis}
+    values = convolve_tables(ctx, work, phi_inverse, phi_scaled, basis)
+
     witnesses: List[dict] = []
     flow: Dict[Monomial, tuple] = {}
     for m in basis:
-        value = work.zero()
-        for (m1, m2), c in ctx.coproduct_monomial(m).terms.items():
-            left = lift(phi_on_element(ctx.antipode_monomial(m1)))
-            right = work.mul(theta_factor(m2.y_degree), lift(phi_vals[m2]))
-            value = work.add(value, work.scale(c, work.mul(left, right)))
+        value = values.get(m, work.zero())
         for k, coeff in value.coeffs:
             if k < 0:
                 witnesses.append(
@@ -523,12 +494,8 @@ def rg_limit_check(ctx: HopfAlgebra, phi: Character, max_degree: int, eps_margin
 
     special = not witnesses
 
-    beta_values = {}
-    for g in ctx.schema.generators_up_to(max_degree):
-        v = poly_t.coefficient(flow[Monomial.of(g)], 1)
-        if not base.is_zero(v):
-            beta_values[g] = v
-    beta = InfinitesimalCharacter(ctx, base, beta_values, cutoff=max_degree)
+    linear = {m: poly_t.coefficient(p, 1) for m, p in flow.items()}
+    beta = materialize(ctx, base, linear, max_degree, InfinitesimalCharacter)
 
     flow_additive = _flow_is_additive(ctx, poly_t, base, flow, basis)
     flow_is_exponential = _flow_matches_exponential(ctx, poly_t, base, flow, beta, basis)
@@ -559,6 +526,9 @@ def rg_limit_check(ctx: HopfAlgebra, phi: Character, max_degree: int, eps_margin
 def _flow_is_additive(ctx, poly_t, base, flow, basis) -> bool:
     # F_(t+s) = F_t * F_s as an identity of polynomials in two variables.
     poly_s = PolynomialRing(poly_t, "s")
+    in_s = {m: poly_s.constant(p) for m, p in flow.items()}
+    in_t = {m: tuple(poly_t.constant(c) for c in p) for m, p in flow.items()}
+    rhs = convolve_tables(ctx, poly_s, in_s, in_t, basis)
     for m in basis:
         p = flow[m]
         shifted_coeffs = []
@@ -573,28 +543,22 @@ def _flow_is_additive(ctx, poly_t, base, flow, basis) -> bool:
         while lhs and poly_t.is_zero(lhs[-1]):
             lhs = lhs[:-1]
 
-        rhs = poly_s.zero()
-        for (m1, m2), c in ctx.coproduct_monomial(m).terms.items():
-            left = poly_s.constant(flow[m1])
-            right = tuple(poly_t.constant(ck) for ck in flow[m2])
-            while right and poly_t.is_zero(right[-1]):
-                right = right[:-1]
-            term = poly_s.mul(left, right)
-            rhs = poly_s.add(rhs, poly_s.scale(c, term))
-        if not poly_s.eq(lhs, rhs):
+        if not poly_s.eq(lhs, rhs.get(m, poly_s.zero())):
             return False
     return True
 
 
 def _flow_matches_exponential(ctx, poly_t, base, flow, beta, basis) -> bool:
     # F_t(m) = sum_n t^n beta^(*n)(m) / n! with the series stopping at the degree.
+    top = max(m.y_degree for m in basis)
+    powers = convolution_powers(ctx, base, tabulate(beta, basis), top, basis)
     for m in basis:
         expected = poly_t.zero()
         if m.is_unit:
             expected = poly_t.one()
         for n in range(1, m.y_degree + 1):
-            v = convolution_power_value(beta, m, n)
-            if base.is_zero(v):
+            v = powers[n - 1].get(m)
+            if v is None or base.is_zero(v):
                 continue
             expected = poly_t.add(
                 expected, poly_t.monomial(n, base.scale(Fraction(1, factorial(n)), v))
@@ -606,17 +570,15 @@ def _flow_matches_exponential(ctx, poly_t, base, flow, beta, basis) -> bool:
 
 def _residue_identity_holds(ctx, ring, phi_vals, beta, basis) -> bool:
     # Y_* phi = phi * (beta / eps), coefficientwise on the basis.
-    base = ring.base
+    over_eps = {}
+    for m in basis:
+        bv = beta.value_on(m)
+        if not ring.base.is_zero(bv):
+            over_eps[m] = ring.make({-1: bv}, None)
+    rhs = convolve_tables(ctx, ring, phi_vals, over_eps, basis)
     for m in basis:
         lhs = ring.scale(Fraction(m.y_degree), phi_vals[m])
-        rhs = ring.zero()
-        for (m1, m2), c in ctx.coproduct_monomial(m).terms.items():
-            bv = beta.value_on(m2)
-            if base.is_zero(bv):
-                continue
-            term = ring.mul(phi_vals[m1], ring.make({-1: bv}, None))
-            rhs = ring.add(rhs, ring.scale(c, term))
-        if not ring.eq(lhs, rhs):
+        if not ring.eq(lhs, rhs.get(m, ring.zero())):
             return False
     return True
 
@@ -648,8 +610,9 @@ def scattering_check(ctx: HopfAlgebra, beta: InfinitesimalCharacter, max_order: 
         raise DomainError("max_order must be >= 1")
     base = beta.ring
     orders: List[dict] = []
+    towers = counterterm_tower(ctx, beta, max_order, max_degree)
     for n in range(1, max_order + 1):
-        expected = dn_recursive(ctx, beta, n, max_degree)
+        expected = towers[n - 1]
         mismatches: List[str] = []
         rates_ok = True
         for m in ctx.basis_up_to(max_degree):

@@ -21,12 +21,15 @@ from .birkhoff import (
     scattering_check,
 )
 from .duals import (
+    NOT_MULTIPLICATIVE,
     Character,
     InfinitesimalCharacter,
     TableFunctional,
-    convolve,
+    convolve_tables,
     exp_star,
     log_star,
+    materialize,
+    tabulate,
 )
 from .errors import HopfError, TruncationError, VerificationError
 from .exprparse import parse_element
@@ -118,19 +121,13 @@ def cmd_convolve(args) -> int:
     ctx = build_context(args)
     f = load_functional(ctx, args.functionals[0])
     g = load_functional(ctx, args.functionals[1])
-    conv = convolve(f, g)
+    f._check_compatible(g)
+    basis = ctx.basis_up_to(args.max_degree)
+    table = convolve_tables(ctx, f.ring, tabulate(f, basis), tabulate(g, basis), basis)
     if isinstance(f, Character) and isinstance(g, Character):
-        from .duals import materialize_character
-
-        result = materialize_character(ctx, conv, args.max_degree, verify=True)
-        emit(args, functional_to_json(result))
-        return EXIT_OK
-    table = {}
-    for m in ctx.basis_up_to(args.max_degree):
-        v = conv.value_on(m)
-        if not conv.ring.is_zero(v):
-            table[m] = v
-    result = TableFunctional(ctx, conv.ring, table)
+        result = materialize(ctx, f.ring, table, args.max_degree, failure=NOT_MULTIPLICATIVE)
+    else:
+        result = TableFunctional(ctx, f.ring, table)
     emit(args, functional_to_json(result))
     return EXIT_OK
 

@@ -3,16 +3,19 @@
 Functionals are closed-form evaluation rules rather than infinite tables:
 characters are determined by generator values (multiplicativity), and
 infinitesimal characters vanish on the unit and on every product of two
-augmentation-ideal elements.  Convolutions evaluate lazily through iterated
-coproducts and are materialized back to closed forms only when the result
-type is known.
+augmentation-ideal elements.  The convolution calculus (powers, exp, log,
+brackets) runs through one binary kernel over tables keyed by basis monomial,
+(a * b)(m) = sum over the coproduct of m of c a(m') b(m''), and one helper
+reads a table back into closed form on the generators, verifying it on the
+whole basis where the caller asks.  The flat ``ConvolutionProduct`` over
+iterated coproducts is an independent oracle for the tests and the suites.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Generator, Monomial
 from .errors import (
@@ -59,15 +62,9 @@ class Functional:
             )
 
 
-class CounitFunctional(Functional):
-    """The convolution unit: h -> counit(h)."""
-
-    def value_on(self, m: Monomial):
-        return self.ring.one() if m.is_unit else self.ring.zero()
-
-
-def counit_functional(ctx: HopfAlgebra, ring: Ring) -> CounitFunctional:
-    return CounitFunctional(ctx, ring)
+def counit_functional(ctx: HopfAlgebra, ring: Ring) -> Character:
+    """The convolution unit h -> counit(h): the character with no generator values."""
+    return Character(ctx, ring, {})
 
 
 class TableFunctional(Functional):
@@ -156,38 +153,98 @@ class ConvolutionProduct(Functional):
         if n == 1:
             return self.factors[0].value_on(m)
         tensor = self.ctx.iterated_coproduct_monomial(m, n - 1)
-        total = self.ring.zero()
+        zero = self.ring.zero()
+        total = zero
         for key, c in tensor.terms.items():
             prod = self.ring.from_rational(c)
             for f, leg in zip(self.factors, key):
-                if self.ring.is_zero(prod):
+                # Only an exact zero ends the product: a truncated zero times
+                # a pole of a later factor loses precision.
+                if prod == zero:
                     break
                 prod = self.ring.mul(prod, f.value_on(leg))
             total = self.ring.add(total, prod)
         return total
 
 
-class LinearCombination(Functional):
-    """A finite rational linear combination of functionals."""
-
-    def __init__(self, terms: Sequence[Tuple[Fraction, Functional]]):
-        if not terms:
-            raise DomainError("empty linear combination")
-        first = terms[0][1]
-        for _, f in terms:
-            first._check_compatible(f)
-        super().__init__(first.ctx, first.ring)
-        self.combo = tuple((Fraction(q), f) for q, f in terms)
-
-    def value_on(self, m: Monomial):
-        total = self.ring.zero()
-        for q, f in self.combo:
-            total = self.ring.add(total, self.ring.scale(q, f.value_on(m)))
-        return total
-
-
 def convolve(*factors: Functional) -> ConvolutionProduct:
     return ConvolutionProduct(factors)
+
+
+# -- the table kernel ------------------------------------------------------------
+#
+# A table maps basis monomials to ring values.  Values are canonical, so an
+# exact zero equals ``ring.zero()`` and is left out; a truncated Laurent zero
+# is not equal to it and stays, because it still narrows the sound window of
+# every sum it enters.
+
+
+def tabulate(f: Functional, monomials) -> Dict[Monomial, object]:
+    """f on the given monomials as a table (exact zeros left out)."""
+    zero = f.ring.zero()
+    table = {}
+    for m in monomials:
+        v = f.value_on(m)
+        if v != zero:
+            table[m] = v
+    return table
+
+
+def convolve_tables(ctx: HopfAlgebra, ring: Ring, a: dict, b: dict, monomials) -> Dict[Monomial, object]:
+    """The binary convolution kernel: (a * b)(m) = sum_{Delta m} c a(m') b(m'').
+
+    Evaluated on each of ``monomials``; the tables must hold every leg of
+    their coproducts, a missing entry being an exact zero.  A coproduct term
+    is skipped only when an operand is missing.
+    """
+    zero = ring.zero()
+    out = {}
+    for m in monomials:
+        total = zero
+        for (m1, m2), c in ctx.coproduct_monomial(m).terms.items():
+            x = a.get(m1)
+            if x is None:
+                continue
+            y = b.get(m2)
+            if y is None:
+                continue
+            total = ring.add(total, ring.scale(c, ring.mul(x, y)))
+        if total != zero:
+            out[m] = total
+    return out
+
+
+def convolution_powers(ctx: HopfAlgebra, ring: Ring, a: dict, n: int, monomials) -> List[dict]:
+    """The tables a, a*a, ..., a^(*n), by repeated binary steps."""
+    powers: List[dict] = []
+    for _ in range(n):
+        powers.append(convolve_tables(ctx, ring, powers[-1], a, monomials) if powers else a)
+    return powers
+
+
+def materialize(ctx: HopfAlgebra, ring: Ring, table: dict, max_degree: int, kind: type = Character,
+                failure: Optional[str] = None):
+    """Read a table back on the generators into ``kind`` with cutoff ``max_degree``.
+
+    With ``failure`` set, the result is checked against the table on the
+    whole basis up to the cutoff, and the first monomial where they differ
+    raises a VerificationError whose message is ``failure`` formatted with it.
+    """
+    values = {}
+    for g in ctx.schema.generators_up_to(max_degree):
+        v = table.get(Monomial.of(g))
+        if v is not None and not ring.is_zero(v):
+            values[g] = v
+    result = kind(ctx, ring, values, cutoff=max_degree)
+    if failure is not None:
+        zero = ring.zero()
+        for m in ctx.basis_up_to(max_degree):
+            if not ring.eq(result.value_on(m), table.get(m, zero)):
+                raise VerificationError(failure.format(m), witness=str(m))
+    return result
+
+
+NOT_MULTIPLICATIVE = "functional is not multiplicative; materialization as a character fails on {}"
 
 
 def character_inverse(chi: Character, max_degree: Optional[int] = None) -> Character:
@@ -206,55 +263,34 @@ def character_inverse(chi: Character, max_degree: Optional[int] = None) -> Chara
             "character_inverse needs a materialization bound (max_degree) for "
             "characters without a cutoff"
         )
-    values = {}
+    table = {}
     for g in ctx.schema.generators_up_to(bound):
-        v = chi(ctx.antipode_monomial(Monomial.of(g)))
-        if not ring.is_zero(v):
-            values[g] = v
-    return Character(ctx, ring, values, cutoff=bound)
+        m = Monomial.of(g)
+        table[m] = chi(ctx.antipode_monomial(m))
+    return materialize(ctx, ring, table, bound)
 
 
 def materialize_character(ctx: HopfAlgebra, f: Functional, max_degree: int, verify: bool = False) -> Character:
     """Read a known-multiplicative functional back into character closed form."""
-    ring = f.ring
-    values = {}
-    for g in ctx.schema.generators_up_to(max_degree):
-        v = f.value_on(Monomial.of(g))
-        if not ring.is_zero(v):
-            values[g] = v
-    chi = Character(ctx, ring, values, cutoff=max_degree)
     if verify:
-        for m in ctx.basis_up_to(max_degree):
-            if not ring.eq(chi.value_on(m), f.value_on(m)):
-                raise VerificationError(
-                    "functional is not multiplicative; materialization as a "
-                    f"character fails on {m}",
-                    witness=str(m),
-                )
-    return chi
+        return materialize(ctx, f.ring, tabulate(f, ctx.basis_up_to(max_degree)), max_degree,
+                           failure=NOT_MULTIPLICATIVE)
+    gens = [Monomial.of(g) for g in ctx.schema.generators_up_to(max_degree)]
+    return materialize(ctx, f.ring, tabulate(f, gens), max_degree)
 
 
 def lie_bracket(z1: InfinitesimalCharacter, z2: InfinitesimalCharacter, max_degree: int) -> InfinitesimalCharacter:
     """[Z1, Z2] = Z1 * Z2 - Z2 * Z1, materialized on generators."""
     z1._check_compatible(z2)
     ctx, ring = z1.ctx, z1.ring
-    forward = ConvolutionProduct([z1, z2])
-    backward = ConvolutionProduct([z2, z1])
-    values = {}
-    for g in ctx.schema.generators_up_to(max_degree):
-        m = Monomial.of(g)
-        v = ring.sub(forward.value_on(m), backward.value_on(m))
-        if not ring.is_zero(v):
-            values[g] = v
-    return InfinitesimalCharacter(ctx, ring, values, cutoff=max_degree)
-
-
-def convolution_power_value(f: Functional, m: Monomial, n: int):
-    """<f^{*n}, m> with the empty product the convolution unit."""
-    ring = f.ring
-    if n == 0:
-        return ring.one() if m.is_unit else ring.zero()
-    return ConvolutionProduct([f] * n).value_on(m)
+    basis = ctx.basis_up_to(max_degree)
+    a, b = tabulate(z1, basis), tabulate(z2, basis)
+    gens = [Monomial.of(g) for g in ctx.schema.generators_up_to(max_degree)]
+    forward = convolve_tables(ctx, ring, a, b, gens)
+    backward = convolve_tables(ctx, ring, b, a, gens)
+    zero = ring.zero()
+    bracket = {m: ring.sub(forward.get(m, zero), backward.get(m, zero)) for m in gens}
+    return materialize(ctx, ring, bracket, max_degree, InfinitesimalCharacter)
 
 
 def exp_star(z: InfinitesimalCharacter, max_degree: int) -> Character:
@@ -268,26 +304,18 @@ def exp_star(z: InfinitesimalCharacter, max_degree: int) -> Character:
     if max_degree < 1:
         raise DomainError("max_degree must be >= 1")
     ctx, ring = z.ctx, z.ring
-
-    def series_value(m: Monomial):
+    basis = ctx.basis_up_to(max_degree)
+    powers = convolution_powers(ctx, ring, tabulate(z, basis), max_degree, basis)
+    series = {}
+    for m in basis:
         total = ring.one() if m.is_unit else ring.zero()
         for n in range(1, m.y_degree + 1):
-            term = convolution_power_value(z, m, n)
-            total = ring.add(total, ring.scale(Fraction(1, factorial(n)), term))
-        return total
-
-    values = {}
-    for g in ctx.schema.generators_up_to(max_degree):
-        v = series_value(Monomial.of(g))
-        if not ring.is_zero(v):
-            values[g] = v
-    chi = Character(ctx, ring, values, cutoff=max_degree)
-    for m in ctx.basis_up_to(max_degree):
-        if not ring.eq(chi.value_on(m), series_value(m)):
-            raise VerificationError(
-                f"exponential failed multiplicativity on {m}", witness=str(m)
-            )
-    return chi
+            v = powers[n - 1].get(m)
+            if v is not None:
+                total = ring.add(total, ring.scale(Fraction(1, factorial(n)), v))
+        series[m] = total
+    return materialize(ctx, ring, series, max_degree,
+                       failure="exponential failed multiplicativity on {}")
 
 
 def log_star(chi: Character, max_degree: int) -> InfinitesimalCharacter:
@@ -298,40 +326,28 @@ def log_star(chi: Character, max_degree: int) -> InfinitesimalCharacter:
     to vanish on products (an infinitesimal character) up to the cutoff.
     """
     ctx, ring = chi.ctx, chi.ring
-    delta = LinearCombination(
-        [(Fraction(1), chi), (Fraction(-1), counit_functional(ctx, ring))]
-    )
-
-    def series_value(m: Monomial):
+    basis = ctx.basis_up_to(max_degree)
+    # chi - 1_* is chi off the unit, where a character takes the value 1.
+    delta = tabulate(chi, [m for m in basis if not m.is_unit])
+    powers = convolution_powers(ctx, ring, delta, max_degree + 1, basis)
+    series = {}
+    for m in basis:
         if m.is_unit:
-            return ring.zero()
-        total = ring.zero()
-        for n in range(1, m.y_degree + 1):
-            term = convolution_power_value(delta, m, n)
-            total = ring.add(total, ring.scale(Fraction((-1) ** (n + 1), n), term))
+            continue
         # One step beyond the degree must vanish (the termination argument).
-        beyond = convolution_power_value(delta, m, m.y_degree + 1)
-        if not ring.is_zero(beyond):
+        beyond = powers[m.y_degree].get(m)
+        if beyond is not None and not ring.is_zero(beyond):
             raise VerificationError(
                 f"logarithm series failed to terminate on {m}", witness=str(m)
             )
-        return total
-
-    values = {}
-    for g in ctx.schema.generators_up_to(max_degree):
-        v = series_value(Monomial.of(g))
-        if not ring.is_zero(v):
-            values[g] = v
-    result = InfinitesimalCharacter(ctx, ring, values, cutoff=max_degree)
-    for m in ctx.basis_up_to(max_degree):
-        if m.is_unit or m.single_generator() is not None:
-            continue
-        if not ring.is_zero(series_value(m)):
-            raise VerificationError(
-                f"logarithm is not infinitesimal: nonzero on the product {m}",
-                witness=str(m),
-            )
-    return result
+        total = ring.zero()
+        for n in range(1, m.y_degree + 1):
+            v = powers[n - 1].get(m)
+            if v is not None:
+                total = ring.add(total, ring.scale(Fraction((-1) ** (n + 1), n), v))
+        series[m] = total
+    return materialize(ctx, ring, series, max_degree, InfinitesimalCharacter,
+                       failure="logarithm is not infinitesimal: nonzero on the product {}")
 
 
 class GradingScaledFunctional(Functional):
@@ -416,19 +432,20 @@ def metric_distance(f1: Functional, f2: Functional, basis_cutoff: int) -> Tuple[
     if basis_cutoff < 1:
         raise DomainError("basis_cutoff must be >= 1")
     ctx = f1.ctx
+    schema = ctx.schema
+    # A generator of degree k yields monomials in every multiple of k, so the
+    # scan ends; without generators the unit is the whole basis.
+    has_generators = schema.max_degree is None or bool(schema.generators_up_to(schema.max_degree))
     total = Fraction(0)
     index = 0
-    # Any degree-k generator yields monomials in all multiples of k, so the
-    # first basis_cutoff monomials live within this degree bound.
-    max_scan = 4 * basis_cutoff + 4
-    for degree in range(max_scan + 1):
-        if index >= basis_cutoff:
-            break
+    degree = 0
+    while index < basis_cutoff and (degree == 0 or has_generators):
         for m in ctx.monomials_of_degree(degree):
             if index >= basis_cutoff:
                 break
             diff = abs(f1.value_on(m) - f2.value_on(m))
             total += Fraction(1, 2**index) * min(diff, Fraction(1))
             index += 1
+        degree += 1
     tail = Fraction(2) / Fraction(2**basis_cutoff)
     return total, tail

@@ -9,14 +9,13 @@ separators), so identical inputs produce byte-identical documents.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Optional
 
 from .algebra import Element, Monomial, TensorElement
 from .duals import Character, Functional, InfinitesimalCharacter, TableFunctional
 from .errors import HopfError
 from .hopf import HopfAlgebra
-from .rings import QQ, LaurentRing, Ring, format_rational
+from .rings import QQ, LaurentRing, Ring
 
 EPS_RING = LaurentRing(QQ, "eps")
 
@@ -160,7 +159,3 @@ def load_functional(ctx: HopfAlgebra, path: str) -> Functional:
 
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def pretty_rational(q: Fraction) -> str:
-    return format_rational(q)

@@ -13,6 +13,7 @@ from hopfalg.birkhoff import (
     birkhoff_decompose,
     birkhoff_verification_report,
     build_special_loop,
+    counterterm_tower,
     dn_recursive,
     dn_simplex,
     residue,
@@ -331,6 +332,39 @@ def test_dn_simplex_equals_recursive_trees(trees):
         simp = dn_simplex(trees, beta, n, 4)
         for m in trees.basis_up_to(4):
             assert rec.value_on(m) == simp.value_on(m)
+
+
+def test_counterterm_tower_against_simplex(ladder, trees):
+    # The incremental tower against the closed form, order by order.
+    rng = random.Random(101)
+    for ctx, degree in ((ladder, 5), (trees, 4)):
+        gens = ctx.schema.generators_up_to(degree)
+        beta = InfinitesimalCharacter(
+            ctx, QQ, {g: Fraction(rng.randint(-3, 3)) for g in gens}, cutoff=degree
+        )
+        towers = counterterm_tower(ctx, beta, 4, degree)
+        assert len(towers) == 4
+        for n, d in enumerate(towers, 1):
+            simp = dn_simplex(ctx, beta, n, degree)
+            for m in ctx.basis_up_to(degree):
+                assert d.value_on(m) == simp.value_on(m), (n, str(m))
+
+
+def test_renormalization_never_reaches_the_iterated_coproduct(monkeypatch):
+    from hopfalg.birkhoff import beta_data
+
+    def forbidden(*args):
+        raise AssertionError("the flat iterated coproduct is for the oracle only")
+
+    ctx = HopfAlgebra(ladder_schema(), validate_to=4)
+    monkeypatch.setattr(ctx, "iterated_coproduct_monomial", forbidden)
+    beta = ladder_beta(ctx, {1: 2, 2: -1}, cutoff=4)
+    loop = build_special_loop(ctx, beta, 4, 4)
+    assert rg_limit_check(ctx, loop, 4).passed
+    assert beta_data(ctx, loop, 4, 4).passed
+    assert scattering_check(ctx, beta, 3, 4).passed
+    phi = Character(ctx, L, {gen(ctx, 1): lau({-1: 1, 0: 2}), gen(ctx, 2): lau({-2: 1, 1: 3})})
+    assert birkhoff_decompose(ctx, phi, 4).report["passed"]
 
 
 def test_dn_on_low_degree_vanishes(ladder):

@@ -3,10 +3,12 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 
-from hopfalg.algebra import Monomial
+from hopfalg import cli
+from hopfalg.algebra import Generator, Monomial
 from hopfalg.duals import (
     Character,
     ConvolutionProduct,
@@ -14,18 +16,20 @@ from hopfalg.duals import (
     TableFunctional,
     character_inverse,
     convolve,
+    convolve_tables,
     counit_functional,
     exp_star,
     lie_bracket,
     log_star,
     materialize_character,
     metric_distance,
+    tabulate,
     theta_star,
     y_star,
     y_star_inverse,
 )
 from hopfalg.errors import CutoffExceededError, UnsupportedRingError
-from hopfalg.hopf import HopfAlgebra
+from hopfalg.hopf import HopfAlgebra, TableSchema
 from hopfalg.instances import ladder_schema, rooted_tree_schema
 from hopfalg.rings import QQ, LaurentRing
 
@@ -103,15 +107,148 @@ def test_convolution_of_infinitesimals(ladder):
     assert convolve(z1, z2).value_on(t(ladder, 1)) == 0
 
 
-def test_convolution_associativity(ladder):
-    rng = random.Random(5)
+def test_convolution_associativity(ladder, trees):
+    # The two bracketings go through the binary kernel as different
+    # computations; the flat product is the oracle for both.
     f = ladder_char(ladder, {1: 2, 2: 1})
     g = ladder_inf(ladder, {1: -1, 3: 2})
     h = ladder_char(ladder, {1: 1, 2: 3})
-    for m in ladder.basis_up_to(4):
-        v1 = convolve(convolve(f, g), h).value_on(m)
-        v2 = convolve(f, convolve(g, h)).value_on(m)
-        assert v1 == v2
+    rng = random.Random(5)
+    gens = trees.schema.generators_up_to(4)
+    cases = [(ladder, (f, g, h))]
+    cases.append((trees, tuple(
+        cls(trees, QQ, {x: Fraction(rng.randint(-3, 3)) for x in gens})
+        for cls in (Character, InfinitesimalCharacter, Character)
+    )))
+    for ctx, factors in cases:
+        basis = ctx.basis_up_to(4)
+        a, b, c = (tabulate(x, basis) for x in factors)
+        left = convolve_tables(ctx, QQ, convolve_tables(ctx, QQ, a, b, basis), c, basis)
+        right = convolve_tables(ctx, QQ, a, convolve_tables(ctx, QQ, b, c, basis), basis)
+        flat = convolve(*factors)
+        for m in basis:
+            assert left.get(m, 0) == right.get(m, 0) == flat.value_on(m)
+
+
+@pytest.mark.parametrize("which", ["ladder", "trees"])
+def test_kernel_matches_flat_product(which, ladder, trees):
+    ctx, degree = (ladder, 5) if which == "ladder" else (trees, 4)
+    rng = random.Random(23)
+    L = LaurentRing(QQ, "eps")
+    gens = ctx.schema.generators_up_to(degree)
+    basis = ctx.basis_up_to(degree)
+
+    def rational():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    def laurent():
+        trunc = rng.choice([None, -1, 0, 2])
+        if trunc is not None and rng.random() < 0.3:
+            return L.make({}, trunc)  # a truncated zero
+        return L.make({k: rational() for k in range(-2, 2)}, trunc)
+
+    for ring, value in ((QQ, rational), (L, laurent)):
+        functionals = [
+            Character(ctx, ring, {g: value() for g in gens}),
+            InfinitesimalCharacter(ctx, ring, {g: value() for g in gens}),
+            TableFunctional(ctx, ring, {m: value() for m in basis}),
+        ]
+        for f in functionals:
+            for g in functionals:
+                kernel = convolve_tables(ctx, ring, tabulate(f, basis), tabulate(g, basis), basis)
+                flat = convolve(f, g)
+                for m in basis:
+                    got, want = kernel.get(m, ring.zero()), flat.value_on(m)
+                    assert ring.eq(got, want), str(m)
+                    if ring is L and got.trunc is None:
+                        assert want.trunc is None, str(m)  # never wider than the oracle
+                    elif ring is L and want.trunc is not None:
+                        assert got.trunc <= want.trunc, str(m)
+
+
+def test_truncated_zero_narrows_the_window(ladder):
+    # f(t1) = O(eps) only; the t1 (x) t1 term of D(t1^2) meets the eps^-3
+    # pole of g(t1), so nothing above eps^-3 is sound.
+    L = LaurentRing(QQ, "eps")
+    f = Character(ladder, L, {gen(ladder, 1): L.make({}, 0)})
+    g = Character(ladder, L, {gen(ladder, 1): L.make({-3: Fraction(1)}, None)})
+    basis = ladder.basis_up_to(2)
+    m = t(ladder, 1, 2)
+    kernel = convolve_tables(ladder, L, tabulate(f, basis), tabulate(g, basis), basis)
+    assert kernel[m].trunc == -3
+    assert convolve(f, g).value_on(m).trunc == -3
+
+
+def test_exp_star_against_flat_power_series(ladder, trees):
+    rng = random.Random(3)
+    for ctx, degree in ((ladder, 5), (trees, 4)):
+        gens = ctx.schema.generators_up_to(degree)
+        z = InfinitesimalCharacter(
+            ctx, QQ, {g: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for g in gens}
+        )
+        chi = exp_star(z, degree)
+        for m in ctx.basis_up_to(degree):
+            series = Fraction(int(m.is_unit)) + sum(
+                ConvolutionProduct([z] * n).value_on(m) / factorial(n)
+                for n in range(1, m.y_degree + 1)
+            )
+            assert chi.value_on(m) == series, str(m)
+
+
+def tree_factorial(encoding):
+    """gamma(t) = |t| * prod gamma(children), read off the bracket encoding."""
+
+    def parse(i):
+        # encoding[i] opens a vertex; its children are the bracket groups inside.
+        size, gamma, i = 1, 1, i + 1
+        while encoding[i] == "[":
+            child_size, child_gamma, i = parse(i)
+            size, gamma = size + child_size, gamma * child_gamma
+        return size, gamma * size, i + 1
+
+    return parse(0)[1]
+
+
+def test_exp_of_one_vertex_indicator_is_inverse_tree_factorial():
+    # Butcher group: exp of the one-vertex indicator is the exact flow 1/gamma.
+    ctx = HopfAlgebra(rooted_tree_schema(6))
+    dot = ctx.schema.generator_by_name("[]")
+    chi = exp_star(InfinitesimalCharacter(ctx, QQ, {dot: Fraction(1)}), 6)
+    assert tree_factorial("[[][[]]]") == 8
+    for g in ctx.schema.generators_up_to(6):
+        assert chi.value_on(Monomial.of(g)) == Fraction(1, tree_factorial(g.name)), g.name
+
+
+def test_calculus_never_reaches_the_iterated_coproduct(monkeypatch, tmp_path):
+    def forbidden(*args):
+        raise AssertionError("the flat iterated coproduct is for the oracle only")
+
+    ctx = HopfAlgebra(rooted_tree_schema(4))
+    monkeypatch.setattr(ctx, "iterated_coproduct_monomial", forbidden)
+    gens = ctx.schema.generators_up_to(4)
+    z1 = InfinitesimalCharacter(ctx, QQ, {g: Fraction(i + 1) for i, g in enumerate(gens)})
+    z2 = InfinitesimalCharacter(ctx, QQ, {gens[0]: Fraction(2)})
+    chi = exp_star(z1, 4)
+    log_star(chi, 4)
+    lie_bracket(z1, z2, 4)
+    character_inverse(chi)
+    materialize_character(ctx, chi, 4, verify=True)
+
+    build = cli.build_context
+
+    def patched(args, validate=True):
+        built = build(args, validate)
+        monkeypatch.setattr(built, "iterated_coproduct_monomial", forbidden)
+        return built
+
+    monkeypatch.setattr(cli, "build_context", patched)
+    files = []
+    for name, kind in (("a", "character"), ("b", "infinitesimal")):
+        path = tmp_path / f"{name}.json"
+        path.write_text('{"kind": "%s", "values": {"[]": "2", "[[]]": "-1"}}' % kind)
+        files.append(str(path))
+    for pair in (files, files[:1] * 2):
+        assert cli.main(["convolve", *pair, "--schema", "trees:4", "--max-degree", "4"]) == 0
 
 
 def test_character_inverse_examples(ladder):
@@ -286,6 +423,18 @@ def test_metric_distance(ladder):
         h = TableFunctional(ladder, QQ, {})
         dfg = metric_distance(f, g, 8)[0]
         assert dfg <= metric_distance(f, h, 8)[0] + metric_distance(h, g, 8)[0]
+
+
+def test_metric_distance_reaches_high_degree_generators():
+    # The first three monomials of Q[x], deg x = 10, are 1, x, x^2.
+    x = Generator(10, "x")
+    ctx = HopfAlgebra(TableSchema("x10", [x], {}))
+    d, tail = metric_distance(Character(ctx, QQ, {x: Fraction(1)}), TableFunctional(ctx, QQ, {}), 3)
+    assert (d, tail) == (Fraction(7, 4), Fraction(1, 4))
+    # Without generators the unit is the whole basis and the scan stops.
+    bare = HopfAlgebra(TableSchema("bare", [], {}))
+    d, _ = metric_distance(Character(bare, QQ, {}), TableFunctional(bare, QQ, {}), 3)
+    assert d == 1
 
 
 def test_metric_needs_rationals(ladder):
