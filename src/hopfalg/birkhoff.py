@@ -185,8 +185,8 @@ def birkhoff_verification_report(ctx: HopfAlgebra, phi: Character, pair: Birkhof
             break
         if m1.is_unit:
             continue
-        for m2 in basis:
-            if m2.is_unit or m1.y_degree + m2.y_degree > pair.max_degree:
+        for m2 in ctx.basis_up_to(pair.max_degree - m1.y_degree):
+            if m2.is_unit:
                 continue
             if m2.sort_key() < m1.sort_key():
                 continue

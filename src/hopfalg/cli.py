@@ -73,11 +73,9 @@ def resolve_schema(selector: str):
     )
 
 
-def build_context(args, validate: bool = True) -> HopfAlgebra:
+def build_context(args) -> HopfAlgebra:
     schema = resolve_schema(args.schema)
-    validate_to = None if validate else 0
-    if validate and schema.max_degree is None:
-        validate_to = max(args.max_degree, 1)
+    validate_to = None if schema.max_degree is not None else max(args.max_degree, 1)
     return HopfAlgebra(schema, validate_to=validate_to)
 
 

@@ -9,13 +9,12 @@ JSON stays the canonical interchange form, this syntax is for humans.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import List, Tuple
 
 from .algebra import Element
 from .errors import HopfError
 from .hopf import HopfAlgebra
-from .rings import QQ
+from .rings import QQ, parse_rational
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_]\w*)|(?P<lbrack>\[)|(?P<op>[-+*^()])|(?P<end>$))"
@@ -131,7 +130,7 @@ class _Parser:
     def atom(self) -> Element:
         kind, value = self.take()
         if kind == "number":
-            return Element.unit(QQ).scale_rational(Fraction(value))
+            return Element.unit(QQ).scale_rational(parse_rational(value))
         if kind == "name":
             return self.ctx.element_from_generator_name(value)
         if kind == "tree":

@@ -498,7 +498,7 @@ class LaurentRing(Ring):
         }
 
     def value_from_json(self, data):
-        if not isinstance(data, dict) or "coeffs" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("coeffs"), dict):
             raise HopfError(f"not a Laurent series encoding: {data!r}")
         trunc = data.get("truncation")
         if trunc is not None and not isinstance(trunc, int):
@@ -506,7 +506,10 @@ class LaurentRing(Ring):
         min_exp = data.get("minExp")
         coeffs = {}
         for key, val in data["coeffs"].items():
-            k = int(key)
+            try:
+                k = int(key)
+            except ValueError:
+                raise HopfError(f"Laurent exponents must be integers, got {key!r}") from None
             if min_exp is not None and k < min_exp:
                 raise HopfError(f"stored exponent {k} below declared minExp {min_exp}")
             if trunc is not None and k > trunc:

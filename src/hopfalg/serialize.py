@@ -53,6 +53,8 @@ def monomial_from_json(ctx: HopfAlgebra, data, search_to: Optional[int] = None) 
         raise HopfError(f"monomial encoding must be a list of [name, exp]: {data!r}")
     powers = []
     for entry in data:
+        if not isinstance(entry, list) or len(entry) != 2 or not isinstance(entry[0], str):
+            raise HopfError(f"monomial factors are [name, exp] pairs, got {entry!r}")
         name, exp = entry
         if not isinstance(exp, int) or exp < 1:
             raise HopfError(f"monomial exponents must be integers >= 1, got {exp!r}")
@@ -68,10 +70,12 @@ def element_to_json(e: Element) -> dict:
 
 
 def element_from_json(ctx: HopfAlgebra, data, ring: Ring = QQ) -> Element:
-    if not isinstance(data, dict) or "terms" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise HopfError("element encoding must be an object with a 'terms' list")
     pairs = []
     for term in data["terms"]:
+        if not isinstance(term, dict) or not {"coeff", "monomial"} <= term.keys():
+            raise HopfError(f"element terms are objects with 'coeff' and 'monomial', got {term!r}")
         coeff = ring.value_from_json(term["coeff"])
         m = monomial_from_json(ctx, term["monomial"])
         pairs.append((m, coeff))
@@ -122,6 +126,8 @@ def functional_from_json(ctx: HopfAlgebra, data: dict) -> Functional:
     ring = ring_by_tag(data.get("ring", "rational"))
     cutoff = data.get("cutoff")
     values = data.get("values", {})
+    if not isinstance(values, dict):
+        raise HopfError(f"functional 'values' must be an object, got {values!r}")
     if kind in ("character", "infinitesimal"):
         gen_values = {}
         for name, raw in values.items():

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "hopfalg.cli"]
 
 
@@ -250,3 +252,55 @@ def test_determinism_across_runs():
     assert out1.stdout == out2.stdout
     out3 = run_cli("rg-check", "--schema", "ladder", "--max-degree", "2", "--help")
     assert out3.stdout  # help text exists; argparse exit 0
+
+
+def test_corrupted_schema_rejected_at_construction_and_reported_by_verify(tmp_path):
+    # The criterion-8 schema: t4 drops the t1 (x) t2 leg of the ladder's
+    # reduced coproduct, so coassociativity first fails on t4.
+    schema = {
+        "generators": [{"name": f"t{n}", "degree": n} for n in range(1, 5)],
+        "reducedCoproduct": {
+            "t3": [
+                {"left": [["t1", 1]], "right": "t2", "coeff": "1"},
+                {"left": [["t2", 1]], "right": "t1", "coeff": "1"},
+            ],
+            "t4": [
+                {"left": [["t1", 1]], "right": "t3", "coeff": "1"},
+                {"left": [["t2", 1]], "right": "t2", "coeff": "1"},
+                {"left": [["t3", 1]], "right": "t1", "coeff": "1"},
+            ],
+        },
+    }
+    selector = "--schema=custom:" + write(tmp_path, "corrupted.json", schema)
+    proc = run_cli("coproduct", selector, "--expr", "t1", expect=2)
+    err = json.loads(proc.stderr)
+    assert err["error"] == "SchemaError"
+    assert "'t4'" in err["message"] and "not coassociative" in err["message"]
+    proc = run_cli("verify", selector, "--max-degree", "4", expect=1)
+    checks = json.loads(proc.stdout)["axioms"]["checks"]
+    cdelta = next(c for c in checks if c["axiom"] == "CDelta")
+    assert not cdelta["passed"]
+    assert cdelta["counterexample"] == "t4"
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["coproduct", "--expr", "1/0"], None),
+        (["coproduct", "--file", "{}"], {"terms": [{"coeff": "1"}]}),
+        (["coproduct", "--file", "{}"], {"terms": [{"coeff": "1", "monomial": [["t1"]]}]}),
+        (["exp", "{}"], {"kind": "infinitesimal", "values": ["t1"]}),
+        (
+            ["birkhoff", "{}"],
+            {"kind": "character", "ring": "laurent", "values": {"t1": {"coeffs": {"x": "1"}}}},
+        ),
+    ],
+    ids=["zero-denominator", "term-without-monomial", "unpaired-factor", "values-list", "laurent-key"],
+)
+def test_malformed_input_exits_2_with_a_diagnostic(tmp_path, argv, payload):
+    if payload is not None:
+        path = write(tmp_path, "input.json", payload)
+        argv = [a.format(path) for a in argv]
+    proc = run_cli(*argv, "--schema", "ladder", expect=2)
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"]

@@ -223,8 +223,10 @@ def test_calculus_never_reaches_the_iterated_coproduct(monkeypatch, tmp_path):
     def forbidden(*args):
         raise AssertionError("the flat iterated coproduct is for the oracle only")
 
+    # Patched on the class before any context exists, so building a context
+    # (as every CLI command does) must not reach the oracle either.
+    monkeypatch.setattr(HopfAlgebra, "iterated_coproduct_monomial", forbidden)
     ctx = HopfAlgebra(rooted_tree_schema(4))
-    monkeypatch.setattr(ctx, "iterated_coproduct_monomial", forbidden)
     gens = ctx.schema.generators_up_to(4)
     z1 = InfinitesimalCharacter(ctx, QQ, {g: Fraction(i + 1) for i, g in enumerate(gens)})
     z2 = InfinitesimalCharacter(ctx, QQ, {gens[0]: Fraction(2)})
@@ -234,14 +236,6 @@ def test_calculus_never_reaches_the_iterated_coproduct(monkeypatch, tmp_path):
     character_inverse(chi)
     materialize_character(ctx, chi, 4, verify=True)
 
-    build = cli.build_context
-
-    def patched(args, validate=True):
-        built = build(args, validate)
-        monkeypatch.setattr(built, "iterated_coproduct_monomial", forbidden)
-        return built
-
-    monkeypatch.setattr(cli, "build_context", patched)
     files = []
     for name, kind in (("a", "character"), ("b", "infinitesimal")):
         path = tmp_path / f"{name}.json"

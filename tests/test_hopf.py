@@ -301,3 +301,12 @@ def test_corrupted_schema_rejected():
     )
     with pytest.raises(SchemaError):
         HopfAlgebra(bad)
+
+
+def test_building_a_context_never_reaches_the_iterated_coproduct(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("schema validation must not fill the iterated memo")
+
+    monkeypatch.setattr(HopfAlgebra, "iterated_coproduct_monomial", forbidden)
+    HopfAlgebra(ladder_schema())
+    HopfAlgebra(rooted_tree_schema(6))
