@@ -14,7 +14,7 @@ from typing import Callable, List, Optional
 
 from .algebra import Element, Monomial, TensorElement
 from .errors import HopfError, SchemaError
-from .hopf import HopfAlgebra, HopfSchema, validate_schema_structure
+from .hopf import HopfAlgebra, HopfSchema, theta_factors, validate_schema_structure
 from .rings import QQ, LaurentRing
 
 # Truncation order of the formal scale variable z in the theta checks.
@@ -317,16 +317,13 @@ def verify_axioms(schema: HopfSchema, max_degree: int) -> AxiomReport:
     run("Y-coderivation", "(Y (x) id + id (x) Y) D = D Y", check_y_coderivation)
 
     zring = LaurentRing(QQ, "z")
-    zvar = zring.monomial(1, trunc=THETA_ORDER)
-    theta_factors = [
-        zring.exp(zring.scale(Fraction(n), zvar)) for n in range(max_degree + 1)
-    ]
+    factors = theta_factors(zring, zring.monomial(1, trunc=THETA_ORDER), max_degree)
 
     def check_theta_algebra():
         for m1, m2 in pairs:
-            lhs = ctx.apply_theta(E(m1) * E(m2), zvar, zring)
-            rhs = ctx.apply_theta(E(m1), zvar, zring) * ctx.apply_theta(
-                E(m2), zvar, zring
+            lhs = ctx.apply_theta(E(m1) * E(m2), factors, zring)
+            rhs = ctx.apply_theta(E(m1), factors, zring) * ctx.apply_theta(
+                E(m2), factors, zring
             )
             if lhs != rhs:
                 return f"{m1} | {m2}"
@@ -341,7 +338,7 @@ def verify_axioms(schema: HopfSchema, max_degree: int) -> AxiomReport:
     def theta_of_tensor(d: TensorElement) -> TensorElement:
         out = TensorElement.zero(zring, 2)
         for (a, b), c in d.terms.items():
-            factor = theta_factors[a.y_degree + b.y_degree]
+            factor = factors[a.y_degree + b.y_degree]
             out = out + TensorElement(
                 zring, 2, {(a, b): zring.scale(c, factor)}
             )
@@ -351,7 +348,7 @@ def verify_axioms(schema: HopfSchema, max_degree: int) -> AxiomReport:
         for m in basis:
             lhs = theta_of_tensor(ctx.coproduct_monomial(m))
             rhs = TensorElement.zero(zring, 2)
-            for mm, c in ctx.apply_theta(E(m), zvar, zring).terms.items():
+            for mm, c in ctx.apply_theta(E(m), factors, zring).terms.items():
                 rhs = rhs + ctx.coproduct_monomial(mm).map_coefficients(
                     lambda q, c=c: zring.scale(q, c), zring
                 )
@@ -392,8 +389,8 @@ def verify_axioms(schema: HopfSchema, max_degree: int) -> AxiomReport:
 
     def check_s_commutes_theta():
         for m in basis:
-            lhs = ctx.apply_theta(ctx.antipode_monomial(m), zvar, zring)
-            rhs_src = ctx.apply_theta(E(m), zvar, zring)
+            lhs = ctx.apply_theta(ctx.antipode_monomial(m), factors, zring)
+            rhs_src = ctx.apply_theta(E(m), factors, zring)
             rhs = Element.zero(zring)
             for mm, c in rhs_src.terms.items():
                 rhs = rhs + ctx.antipode_monomial(mm).map_coefficients(

@@ -13,19 +13,22 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Element, Monomial
+from .algebra import Monomial
 from .duals import (
     Character,
     InfinitesimalCharacter,
     TableFunctional,
+    compose_antipode,
     convolution_powers,
     convolve_tables,
+    grading_transpose,
     materialize,
+    scale_by_degree,
     tabulate,
 )
 from .errors import DomainError, TruncationError, VerificationError
 from .exp_integrals import finite_simplex_integral
-from .hopf import HopfAlgebra
+from .hopf import HopfAlgebra, theta_factors
 from .rings import LaurentRing, LaurentSeries, PolynomialRing
 
 
@@ -62,12 +65,6 @@ class BirkhoffPair:
 
     def phi_plus(self) -> Character:
         return materialize(self.ctx, self.ring, self.plus_table, self.max_degree)
-
-    def minus_on_element(self, h: Element) -> LaurentSeries:
-        total = self.ring.zero()
-        for m, c in h.terms.items():
-            total = self.ring.add(total, self.ring.scale(c, self.minus_table[m]))
-        return total
 
 
 def character_pole_bound(ctx: HopfAlgebra, phi: Character, max_degree: int) -> int:
@@ -201,7 +198,7 @@ def birkhoff_verification_report(ctx: HopfAlgebra, phi: Character, pair: Birkhof
     }
 
     witness = None
-    minus_inverse = {m: pair.minus_on_element(ctx.antipode_monomial(m)) for m in basis}
+    minus_inverse = compose_antipode(ctx, ring, pair.minus_table, basis)
     got = convolve_tables(ctx, ring, minus_inverse, pair.plus_table, basis)
     for m in basis:
         if not ring.eq(got.get(m, ring.zero()), phi.value_on(m)):
@@ -297,7 +294,7 @@ def beta_functional(ctx: HopfAlgebra, f, max_degree: int) -> Tuple[Infinitesimal
     """
     d1 = residue(ctx, f, max_degree)
     base = d1.ring
-    scaled = {m: base.scale(Fraction(m.y_degree), v) for m, v in d1.table.items()}
+    scaled = grading_transpose(base, d1.table)
     violations = [
         str(m)
         for m, v in d1.table.items()
@@ -314,16 +311,11 @@ def counterterm_tower(ctx: HopfAlgebra, beta: InfinitesimalCharacter, max_order:
     base = beta.ring
     basis = [m for m in ctx.basis_up_to(max_degree) if not m.is_unit]
     beta_table = tabulate(beta, basis)
-
-    def unscaled(table: dict) -> TableFunctional:
-        return TableFunctional(
-            ctx, base, {m: base.scale(Fraction(1, m.y_degree), v) for m, v in table.items()}
-        )
-
-    towers = [unscaled(beta_table)]
-    while len(towers) < max_order:
-        towers.append(unscaled(convolve_tables(ctx, base, towers[-1].table, beta_table, basis)))
-    return towers
+    tables = [grading_transpose(base, beta_table, inverse=True)]
+    while len(tables) < max_order:
+        product = convolve_tables(ctx, base, tables[-1], beta_table, basis)
+        tables.append(grading_transpose(base, product, inverse=True))
+    return [TableFunctional(ctx, base, table) for table in tables]
 
 
 def dn_recursive(ctx: HopfAlgebra, beta: InfinitesimalCharacter, n: int, max_degree: int) -> TableFunctional:
@@ -342,6 +334,20 @@ def simplex_weight(leg_degrees: Tuple[int, ...]) -> Fraction:
     return weight
 
 
+def _beta_pairings(ctx: HopfAlgebra, beta: InfinitesimalCharacter, m: Monomial, n: int):
+    """The nonzero terms of beta tensor n paired with the augmentation-restricted
+    iterated coproduct of m, as (leg degrees, value) pairs."""
+    base = beta.ring
+    for legs, c in ctx.plus_iterated_monomial(m, n).terms.items():
+        prod = base.from_rational(c)
+        for leg in legs:
+            if base.is_zero(prod):
+                break
+            prod = base.mul(prod, beta.value_on(leg))
+        if not base.is_zero(prod):
+            yield tuple(leg.y_degree for leg in legs), prod
+
+
 def dn_simplex(ctx: HopfAlgebra, beta: InfinitesimalCharacter, n: int, max_degree: int) -> TableFunctional:
     """The same tower in closed form: pair beta tensor powers against the
     augmentation-restricted iterated coproduct with the simplex weights."""
@@ -353,16 +359,8 @@ def dn_simplex(ctx: HopfAlgebra, beta: InfinitesimalCharacter, n: int, max_degre
         if m.is_unit:
             continue
         total = base.zero()
-        for legs, c in ctx.plus_iterated_monomial(m, n).terms.items():
-            prod = base.from_rational(c)
-            for leg in legs:
-                if base.is_zero(prod):
-                    break
-                prod = base.mul(prod, beta.value_on(leg))
-            if base.is_zero(prod):
-                continue
-            weight = simplex_weight(tuple(leg.y_degree for leg in legs))
-            total = base.add(total, base.scale(weight, prod))
+        for degrees, prod in _beta_pairings(ctx, beta, m, n):
+            total = base.add(total, base.scale(simplex_weight(degrees), prod))
         if not base.is_zero(total):
             table[m] = total
     return TableFunctional(ctx, base, table)
@@ -455,26 +453,13 @@ def rg_limit_check(ctx: HopfAlgebra, phi: Character, max_degree: int, eps_margin
             tuple((k, poly_t.constant(c)) for k, c in v.coeffs), v.trunc
         )
 
-    pole = 0
     basis = ctx.basis_up_to(max_degree)
     phi_vals = {m: phi.value_on(m) for m in basis}
-    for v in phi_vals.values():
-        pole = max(pole, ring.pole_order(v))
-    exp_order = pole + eps_margin
-
-    def theta_factor(degree: int) -> LaurentSeries:
-        arg = work.make({1: poly_t.monomial(1, base.from_rational(Fraction(degree)))}, exp_order)
-        return work.exp(arg)
-
-    def phi_on_element(h: Element) -> LaurentSeries:
-        total = ring.zero()
-        for m, c in h.terms.items():
-            total = ring.add(total, ring.scale(c, phi_vals[m]))
-        return total
-
-    thetas = [theta_factor(d) for d in range(max_degree + 1)]
-    phi_inverse = {m: lift(phi_on_element(ctx.antipode_monomial(m))) for m in basis}
-    phi_scaled = {m: work.mul(thetas[m.y_degree], lift(phi_vals[m])) for m in basis}
+    pole = max(ring.pole_order(v) for v in phi_vals.values())
+    # theta_(t eps), with t eps carried as far as the poles of phi need.
+    thetas = theta_factors(work, work.make({1: poly_t.variable()}, pole + eps_margin), max_degree)
+    phi_inverse = {m: lift(v) for m, v in compose_antipode(ctx, ring, phi_vals, basis).items()}
+    phi_scaled = scale_by_degree(work, {m: lift(v) for m, v in phi_vals.items()}, thetas)
     values = convolve_tables(ctx, work, phi_inverse, phi_scaled, basis)
 
     witnesses: List[dict] = []
@@ -501,13 +486,9 @@ def rg_limit_check(ctx: HopfAlgebra, phi: Character, max_degree: int, eps_margin
     flow_is_exponential = _flow_matches_exponential(ctx, poly_t, base, flow, beta, basis)
     residue_identity = _residue_identity_holds(ctx, ring, phi_vals, beta, basis)
 
-    beta_matches_residue = True
-    for g in ctx.schema.generators_up_to(max_degree):
-        res = ring.coefficient(phi_vals[Monomial.of(g)], -1)
-        scaled = base.scale(Fraction(g.degree), res)
-        if not base.eq(scaled, beta.value_on(Monomial.of(g))):
-            beta_matches_residue = False
-            break
+    gens = [Monomial.of(g) for g in ctx.schema.generators_up_to(max_degree)]
+    scaled = grading_transpose(base, {m: ring.coefficient(phi_vals[m], -1) for m in gens})
+    beta_matches_residue = all(base.eq(scaled.get(m, base.zero()), beta.value_on(m)) for m in gens)
 
     return RgReport(
         max_degree=max_degree,
@@ -576,11 +557,9 @@ def _residue_identity_holds(ctx, ring, phi_vals, beta, basis) -> bool:
         if not ring.base.is_zero(bv):
             over_eps[m] = ring.make({-1: bv}, None)
     rhs = convolve_tables(ctx, ring, phi_vals, over_eps, basis)
-    for m in basis:
-        lhs = ring.scale(Fraction(m.y_degree), phi_vals[m])
-        if not ring.eq(lhs, rhs.get(m, ring.zero())):
-            return False
-    return True
+    lhs = grading_transpose(ring, phi_vals)
+    zero = ring.zero()
+    return all(ring.eq(lhs.get(m, zero), rhs.get(m, zero)) for m in basis)
 
 
 # -- the scattering-type limit ---------------------------------------------------
@@ -619,18 +598,8 @@ def scattering_check(ctx: HopfAlgebra, beta: InfinitesimalCharacter, max_order: 
             if m.is_unit:
                 continue
             combo: Dict[int, object] = {}
-            for legs, c in ctx.plus_iterated_monomial(m, n).terms.items():
-                prod = base.from_rational(c)
-                for leg in legs:
-                    if base.is_zero(prod):
-                        break
-                    prod = base.mul(prod, beta.value_on(leg))
-                if base.is_zero(prod):
-                    continue
-                integral = finite_simplex_integral(
-                    tuple(leg.y_degree for leg in legs)
-                )
-                for rate, q in integral.coeffs.items():
+            for degrees, prod in _beta_pairings(ctx, beta, m, n):
+                for rate, q in finite_simplex_integral(degrees).coeffs.items():
                     cur = combo.get(rate, base.zero())
                     combo[rate] = base.add(cur, base.scale(q, prod))
             if any(rate < 0 for rate in combo):

@@ -7,8 +7,10 @@ augmentation-ideal elements.  The convolution calculus (powers, exp, log,
 brackets) runs through one binary kernel over tables keyed by basis monomial,
 (a * b)(m) = sum over the coproduct of m of c a(m') b(m''), and one helper
 reads a table back into closed form on the generators, verifying it on the
-whole basis where the caller asks.  The flat ``ConvolutionProduct`` over
-iterated coproducts is an independent oracle for the tests and the suites.
+whole basis where the caller asks.  The transposes of the antipode and of
+the grading operators (f o S, Y_*, Y_*^-1, theta_*) are table maps beside the
+kernel.  The flat ``ConvolutionProduct`` over iterated coproducts is an
+independent oracle for the tests and the suites.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
     UnsupportedRingError,
     VerificationError,
 )
-from .hopf import HopfAlgebra
+from .hopf import HopfAlgebra, theta_factors
 from .rings import QQ, Ring
 
 
@@ -350,70 +352,81 @@ def log_star(chi: Character, max_degree: int) -> InfinitesimalCharacter:
                        failure="logarithm is not infinitesimal: nonzero on the product {}")
 
 
-class GradingScaledFunctional(Functional):
-    """<Y_* f, h> = <f, Y h>: scales the degree-n component by n (or 1/n)."""
+# -- transposes <T_* f, h> = <f, T h>, as maps on tables like the kernel --------
 
-    def __init__(self, f: Functional, inverse: bool = False):
-        super().__init__(f.ctx, f.ring)
-        self.f = f
-        self.inverse = inverse
 
-    def value_on(self, m: Monomial):
-        d = m.y_degree
-        if d == 0:
-            if self.inverse:
-                v = self.f.value_on(m)
-                if not self.ring.is_zero(v):
-                    raise DomainError(
-                        "inverse grading transpose is only defined on "
-                        "functionals vanishing at the unit"
-                    )
-            return self.ring.zero()
-        q = Fraction(1, d) if self.inverse else Fraction(d)
-        return self.ring.scale(q, self.f.value_on(m))
+def compose_antipode(ctx: HopfAlgebra, ring: Ring, table: dict, monomials) -> Dict[Monomial, object]:
+    """f o S on each of ``monomials``: the sum over S(m) of c table[m']."""
+    zero = ring.zero()
+    out = {}
+    for m in monomials:
+        total = zero
+        for m1, c in ctx.antipode_monomial(m).terms.items():
+            v = table.get(m1)
+            if v is not None:
+                total = ring.add(total, ring.scale(c, v))
+        if total != zero:
+            out[m] = total
+    return out
+
+
+def scale_by_degree(ring: Ring, table: dict, factors: Sequence) -> Dict[Monomial, object]:
+    """m -> factors[deg m] * table[m]: theta_* with exp(n z), Y_* with n, Y_*^-1 with 1/n."""
+    zero = ring.zero()
+    out = {}
+    for m, v in table.items():
+        w = ring.mul(factors[m.y_degree], v)
+        if w != zero:
+            out[m] = w
+    return out
+
+
+def grading_transpose(ring: Ring, table: dict, inverse: bool = False) -> Dict[Monomial, object]:
+    """Y_* of a table (degree-n values times n), or Y_*^-1 (times 1/n), which
+    is only defined on tables vanishing at the unit."""
+    if inverse and not ring.is_zero(table.get(Monomial.unit(), ring.zero())):
+        raise DomainError("inverse grading transpose is only defined on functionals vanishing at the unit")
+    top = max((m.y_degree for m in table), default=0)
+    factors = [ring.from_rational(Fraction(1, n) if inverse else Fraction(n)) for n in range(1, top + 1)]
+    return scale_by_degree(ring, table, [ring.zero()] + factors)
 
 
 def y_star(f: Functional) -> Functional:
-    if isinstance(f, InfinitesimalCharacter):
-        ring = f.ring
-        values = {
-            g: ring.scale(Fraction(g.degree), v) for g, v in f.gen_values.items()
-        }
-        return InfinitesimalCharacter(f.ctx, ring, values, cutoff=f.cutoff)
-    return GradingScaledFunctional(f)
+    """<Y_* f, h> = <f, Y h>, on an infinitesimal character or a table."""
+    return _grading(f, inverse=False)
 
 
 def y_star_inverse(f: Functional) -> Functional:
+    """Y_*^-1, on an infinitesimal character or a table vanishing at the unit."""
+    return _grading(f, inverse=True)
+
+
+def _grading(f: Functional, inverse: bool) -> Functional:
+    ring = f.ring
     if isinstance(f, InfinitesimalCharacter):
-        ring = f.ring
-        values = {
-            g: ring.scale(Fraction(1, g.degree), v) for g, v in f.gen_values.items()
-        }
+        values = {g: ring.scale(Fraction(1, g.degree) if inverse else Fraction(g.degree), v)
+                  for g, v in f.gen_values.items()}
         return InfinitesimalCharacter(f.ctx, ring, values, cutoff=f.cutoff)
-    return GradingScaledFunctional(f, inverse=True)
-
-
-class ThetaScaledFunctional(Functional):
-    """<theta_*z f, h> = <f, theta_z h>: degree-n values pick up exp(n z)."""
-
-    def __init__(self, f: Functional, z, ring):
-        super().__init__(f.ctx, ring)
-        self.f = f
-        self.z = z
-
-    def value_on(self, m: Monomial):
-        factor = self.ring.exp(self.ring.scale(Fraction(m.y_degree), self.z))
-        return self.ring.mul(factor, self.f.value_on(m))
+    if isinstance(f, TableFunctional):
+        return TableFunctional(f.ctx, ring, grading_transpose(ring, f.table, inverse))
+    raise DomainError(f"the grading transpose takes an infinitesimal character or a table, "
+                      f"not a {type(f).__name__}; tabulate it first")
 
 
 def theta_star(f: Functional, z) -> Functional:
-    """Transpose of theta_z; z must be a positive-valuation series in f's ring."""
-    if not hasattr(f.ring, "exp"):
-        raise UnsupportedRingError(
-            "the scaling transpose needs a truncated-series ring with an "
-            f"exponential; {f.ring.tag} has none"
-        )
-    return ThetaScaledFunctional(f, z, f.ring)
+    """<theta_*z f, h> = <f, theta_z h>: degree-n values times exp(n z), z a
+    positive-valuation series in f's ring.  theta_z is a Hopf automorphism, so
+    (infinitesimal) characters keep their kind, with generator values scaled."""
+    ring = f.ring
+    if isinstance(f, (Character, InfinitesimalCharacter)):
+        factors = theta_factors(ring, z, max((g.degree for g in f.gen_values), default=0))
+        values = {g: ring.mul(factors[g.degree], v) for g, v in f.gen_values.items()}
+        return type(f)(f.ctx, ring, values, cutoff=f.cutoff)
+    if isinstance(f, TableFunctional):
+        factors = theta_factors(ring, z, max((m.y_degree for m in f.table), default=0))
+        return TableFunctional(f.ctx, ring, scale_by_degree(ring, f.table, factors))
+    raise DomainError(f"the scaling transpose takes a character, an infinitesimal character "
+                      f"or a table, not a {type(f).__name__}; tabulate it first")
 
 
 def metric_distance(f1: Functional, f2: Functional, basis_cutoff: int) -> Tuple[Fraction, Fraction]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebra import Element, Generator, Monomial, TensorElement
-from .errors import CutoffExceededError, DomainError, SchemaError
+from .errors import CutoffExceededError, DomainError, SchemaError, UnsupportedRingError
 from .rings import QQ, LaurentRing, Ring
 
 DEFAULT_VALIDATE_DEGREE = 8
@@ -139,6 +139,14 @@ def validate_schema_structure(schema: HopfSchema, up_to: int) -> None:
                 )
             for lg in term.left.generators():
                 schema.generator_by_name(lg.name, search_to=up_to)
+
+
+def theta_factors(ring: LaurentRing, z, max_degree: int) -> list:
+    """exp(n z) for n = 0 .. max_degree, the factors of theta_z by degree; z is
+    a positive-valuation series in ``ring``, so each is exact to its truncation."""
+    if not hasattr(ring, "exp"):
+        raise UnsupportedRingError(f"theta_z needs a series ring with an exponential; {ring.tag} has none")
+    return [ring.exp(ring.scale(Fraction(n), z)) for n in range(max_degree + 1)]
 
 
 class HopfAlgebra:
@@ -383,15 +391,9 @@ class HopfAlgebra:
             [(m, self.ring.scale(Fraction(m.y_degree), c)) for m, c in h.terms.items()],
         )
 
-    def apply_theta(self, h: Element, z, ring: LaurentRing) -> Element:
-        """Scale each homogeneous component of degree n by exp(n z).
-
-        ``z`` is a truncated-series value of strictly positive valuation in
-        ``ring`` (the formal-variable case), so the exponential is exact to
-        the carried truncation order.
-        """
-        degrees = {m.y_degree for m in h.terms}
-        factors = {n: ring.exp(ring.scale(Fraction(n), z)) for n in degrees}
+    def apply_theta(self, h: Element, factors, ring: LaurentRing) -> Element:
+        """Scale each homogeneous component of degree n by ``factors[n]``,
+        the list exp(n z) from ``theta_factors``."""
         out = Element.zero(ring)
         for m, c in h.terms.items():
             out = out + Element.of_monomial(ring, m, ring.scale(c, factors[m.y_degree]))

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from .algebra import Generator, Monomial
 from .errors import DomainError, HopfError, SchemaError
 from .hopf import HopfSchema, ReducedTerm, TableSchema
-from .rings import parse_rational
+from .rings import QQ
 
 # -- the ladder schema --------------------------------------------------------
 
@@ -262,8 +262,8 @@ def schema_from_dict(data: dict, name: str = "custom") -> TableSchema:
     that failed (right leg a declared generator, gradedness, strictly
     positive left degree).
     """
-    if not isinstance(data, dict) or "generators" not in data:
-        raise SchemaError("schema JSON must be an object with a 'generators' list")
+    if not isinstance(data, dict) or not _is_list_of(data.get("generators"), dict):
+        raise SchemaError("schema JSON must be an object with a 'generators' list of objects")
     gens: Dict[str, Generator] = {}
     for entry in data["generators"]:
         gname = entry.get("name")
@@ -280,22 +280,29 @@ def schema_from_dict(data: dict, name: str = "custom") -> TableSchema:
         gens[gname] = Generator(degree=degree, name=gname)
 
     reduced: Dict[Generator, Tuple[ReducedTerm, ...]] = {}
-    for gname, terms in data.get("reducedCoproduct", {}).items():
+    table = data.get("reducedCoproduct", {})
+    if not isinstance(table, dict):
+        raise SchemaError(f"'reducedCoproduct' must be an object, got {table!r}")
+    for gname, terms in table.items():
         if gname not in gens:
             raise SchemaError(f"reducedCoproduct mentions unknown generator {gname!r}")
+        if not _is_list_of(terms, dict):
+            raise SchemaError(f"reduced coproduct of {gname!r} must be a list of term objects")
         g = gens[gname]
         built: List[ReducedTerm] = []
         for term in terms:
             right_name = term.get("right")
-            if right_name not in gens:
+            if not isinstance(right_name, str) or right_name not in gens:
                 raise SchemaError(
                     f"reduced coproduct of {gname!r}: right leg {right_name!r} "
                     "must be a single declared generator"
                 )
             powers = []
-            for pair in term.get("left", []):
-                lname, exp = pair
-                if lname not in gens:
+            pairs = term.get("left", [])
+            if not _is_list_of(pairs, list) or any(len(pair) != 2 for pair in pairs):
+                raise SchemaError(f"reduced coproduct of {gname!r}: left legs are lists of [name, exp] pairs")
+            for lname, exp in pairs:
+                if not isinstance(lname, str) or lname not in gens:
                     raise SchemaError(
                         f"reduced coproduct of {gname!r}: left factor {lname!r} "
                         "is not a declared generator"
@@ -306,7 +313,7 @@ def schema_from_dict(data: dict, name: str = "custom") -> TableSchema:
                     )
                 powers.append((gens[lname], exp))
             left = Monomial.from_powers(powers)
-            coeff = parse_rational(term.get("coeff", "1"))
+            coeff = QQ.value_from_json(term.get("coeff", "1"))
             if coeff == 0:
                 raise SchemaError(
                     f"reduced coproduct of {gname!r} stores a zero coefficient"
@@ -326,6 +333,10 @@ def schema_from_dict(data: dict, name: str = "custom") -> TableSchema:
         reduced[g] = tuple(built)
 
     return TableSchema(name=name, generators=gens.values(), reduced=reduced)
+
+
+def _is_list_of(value, kind: type) -> bool:
+    return isinstance(value, list) and all(isinstance(v, kind) for v in value)
 
 
 def load_schema(path: str) -> TableSchema:

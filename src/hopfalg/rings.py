@@ -504,6 +504,8 @@ class LaurentRing(Ring):
         if trunc is not None and not isinstance(trunc, int):
             raise HopfError(f"truncation must be an integer or null, got {trunc!r}")
         min_exp = data.get("minExp")
+        if min_exp is not None and not isinstance(min_exp, int):
+            raise HopfError(f"minExp must be an integer or null, got {min_exp!r}")
         coeffs = {}
         for key, val in data["coeffs"].items():
             try:

@@ -125,6 +125,8 @@ def functional_from_json(ctx: HopfAlgebra, data: dict) -> Functional:
     kind = data["kind"]
     ring = ring_by_tag(data.get("ring", "rational"))
     cutoff = data.get("cutoff")
+    if cutoff is not None and (not isinstance(cutoff, int) or cutoff < 0):
+        raise HopfError(f"functional 'cutoff' must be an integer >= 0, got {cutoff!r}")
     values = data.get("values", {})
     if not isinstance(values, dict):
         raise HopfError(f"functional 'values' must be an object, got {values!r}")

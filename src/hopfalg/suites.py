@@ -33,10 +33,10 @@ from .duals import (
     convolve_tables,
     counit_functional,
     exp_star,
+    grading_transpose,
     log_star,
     metric_distance,
     tabulate,
-    y_star,
 )
 from .errors import HopfError
 from .hopf import HopfAlgebra
@@ -236,13 +236,11 @@ def dual_convolution_suite(ctx: HopfAlgebra, max_degree: int, seed: int) -> Suit
     z1 = _random_infinitesimal(ctx, rng, degree)
     z2 = _random_infinitesimal(ctx, rng, degree)
     t1, t2 = tabulate(z1, basis), tabulate(z2, basis)
-    product = y_star(TableFunctional(ctx, QQ, kernel(t1, t2)))
-    first = kernel(tabulate(y_star(z1), basis), t2)
-    second = kernel(t1, tabulate(y_star(z2), basis))
+    product = grading_transpose(QQ, kernel(t1, t2))
+    first = kernel(grading_transpose(QQ, t1), t2)
+    second = kernel(t1, grading_transpose(QQ, t2))
     for m in basis:
-        lhs = product.value_on(m)
-        rhs = QQ.add(first.get(m, 0), second.get(m, 0))
-        if lhs != rhs:
+        if product.get(m, 0) != QQ.add(first.get(m, 0), second.get(m, 0)):
             witness = str(m)
             break
     add("grading-transpose-derivation", witness, "Y_* is a derivation for convolution")

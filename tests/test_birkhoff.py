@@ -22,7 +22,14 @@ from hopfalg.birkhoff import (
     scattering_check,
     simplex_weight,
 )
-from hopfalg.duals import Character, InfinitesimalCharacter
+from hopfalg.duals import (
+    Character,
+    InfinitesimalCharacter,
+    compose_antipode,
+    convolve_tables,
+    grading_transpose,
+    tabulate,
+)
 from hopfalg.errors import DomainError, TruncationError
 from hopfalg.exp_integrals import ExpSum, finite_simplex_integral, simplex_integral
 from hopfalg.hopf import HopfAlgebra
@@ -141,9 +148,10 @@ def test_birkhoff_worked_t2_example(ladder):
     assert pair.plus_table[t(ladder, 2)].as_dict() == {}
     report = pair.report
     assert report["checks"]["reconstruction"]["passed"]
+    minus_inverse = compose_antipode(ladder, L, pair.minus_table, ladder.basis_up_to(2))
     recon = L.zero()
     for (m1, m2), c in ladder.coproduct_monomial(t(ladder, 2)).terms.items():
-        left = pair.minus_on_element(ladder.antipode_monomial(m1))
+        left = minus_inverse.get(m1, L.zero())
         recon = L.add(recon, L.scale(c, L.mul(left, pair.plus_table[m2])))
     assert recon.as_dict() == {-2: 1}
 
@@ -439,6 +447,37 @@ def test_rg_detects_non_special_loop(ladder):
     assert any(
         w["monomial"] == "t1" and w["exponent"] == -1 for w in report.witnesses
     )
+
+
+def dynkin_mismatches(ctx, loop, max_degree):
+    """Basis monomials where (phi o S) * Y_* phi differs from beta / eps, with
+    beta read off the loop by ``beta_functional`` (Ebrahimi-Fard, Gracia-Bondia
+    and Patras: Y_* phi = phi * (phi o (S * Y)), the Dynkin relation)."""
+    basis = ctx.basis_up_to(max_degree)
+    ring = loop.ring
+    phi = tabulate(loop, basis)
+    lhs = convolve_tables(ctx, ring, compose_antipode(ctx, ring, phi, basis),
+                          grading_transpose(ring, phi), basis)
+    beta, _ = beta_functional(ctx, loop, max_degree)
+    zero = ring.zero()
+    return [
+        str(m) for m in basis
+        if not ring.eq(lhs.get(m, zero), ring.make({-1: beta.value_on(m)}, None))
+    ]
+
+
+def test_dynkin_relation_recovers_beta(ladder, trees):
+    rng = random.Random(77)
+    for ctx, degree in ((ladder, 5), (trees, 4)):
+        gens = ctx.schema.generators_up_to(degree)
+        beta = InfinitesimalCharacter(
+            ctx, QQ, {g: Fraction(rng.randint(-3, 3)) for g in gens}, cutoff=degree
+        )
+        loop = build_special_loop(ctx, beta, degree, degree)
+        assert dynkin_mismatches(ctx, loop, degree) == []
+    # An eps^-2 pole on t1 is not special: nothing of first order explains it.
+    bad = laurent_char(ladder, {1: lau({-2: 1})})
+    assert "t1" in dynkin_mismatches(ladder, bad, 3)
 
 
 def test_rg_trivial_loop(ladder):

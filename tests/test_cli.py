@@ -284,23 +284,35 @@ def test_corrupted_schema_rejected_at_construction_and_reported_by_verify(tmp_pa
 
 
 @pytest.mark.parametrize(
-    "argv, payload",
+    "argv, payload, schema",
     [
-        (["coproduct", "--expr", "1/0"], None),
-        (["coproduct", "--file", "{}"], {"terms": [{"coeff": "1"}]}),
-        (["coproduct", "--file", "{}"], {"terms": [{"coeff": "1", "monomial": [["t1"]]}]}),
-        (["exp", "{}"], {"kind": "infinitesimal", "values": ["t1"]}),
+        (["coproduct", "--expr", "1/0"], None, "ladder"),
+        (["coproduct", "--file", "{}"], {"terms": [{"coeff": "1"}]}, "ladder"),
+        (["coproduct", "--file", "{}"], {"terms": [{"coeff": "1", "monomial": [["t1"]]}]}, "ladder"),
+        (["exp", "{}"], {"kind": "infinitesimal", "values": ["t1"]}, "ladder"),
         (
             ["birkhoff", "{}"],
             {"kind": "character", "ring": "laurent", "values": {"t1": {"coeffs": {"x": "1"}}}},
+            "ladder",
         ),
+        (["exp", "{}"], {"kind": "infinitesimal", "values": {"t1": "1"}, "cutoff": "x"}, "ladder"),
+        (
+            ["birkhoff", "{}"],
+            {"kind": "character", "ring": "laurent",
+             "values": {"t1": {"minExp": "a", "coeffs": {"-1": "1"}}}},
+            "ladder",
+        ),
+        (["verify"], {"generators": "abc"}, "custom:{}"),
+        (["coproduct", "--expr", "x1"], {"generators": "abc"}, "custom:{}"),
     ],
-    ids=["zero-denominator", "term-without-monomial", "unpaired-factor", "values-list", "laurent-key"],
+    ids=["zero-denominator", "term-without-monomial", "unpaired-factor", "values-list", "laurent-key",
+         "cutoff-string", "min-exp-string", "generators-string-verify", "generators-string-coproduct"],
 )
-def test_malformed_input_exits_2_with_a_diagnostic(tmp_path, argv, payload):
+def test_malformed_input_exits_2_with_a_diagnostic(tmp_path, argv, payload, schema):
     if payload is not None:
         path = write(tmp_path, "input.json", payload)
         argv = [a.format(path) for a in argv]
-    proc = run_cli(*argv, "--schema", "ladder", expect=2)
+        schema = schema.format(path)
+    proc = run_cli(*argv, "--schema", schema, expect=2)
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["error"]

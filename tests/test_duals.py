@@ -28,7 +28,7 @@ from hopfalg.duals import (
     y_star,
     y_star_inverse,
 )
-from hopfalg.errors import CutoffExceededError, UnsupportedRingError
+from hopfalg.errors import CutoffExceededError, DomainError, UnsupportedRingError
 from hopfalg.hopf import HopfAlgebra, TableSchema
 from hopfalg.instances import ladder_schema, rooted_tree_schema
 from hopfalg.rings import QQ, LaurentRing
@@ -370,7 +370,8 @@ def test_y_star_derivation_property(ladder):
     rng = random.Random(12)
     z1, z2 = random_inf(ladder, rng), random_inf(ladder, rng)
     m = t(ladder, 3)
-    lhs = y_star(convolve(z1, z2)).value_on(m)
+    product = TableFunctional(ladder, QQ, tabulate(convolve(z1, z2), ladder.basis_up_to(3)))
+    lhs = y_star(product).value_on(m)
     rhs = QQ.add(
         convolve(y_star(z1), z2).value_on(m), convolve(z1, y_star(z2)).value_on(m)
     )
@@ -391,6 +392,37 @@ def test_theta_star(ladder):
         ring.exp(ring.scale(Fraction(2), z)), chi.value_on(t(ladder, 2))
     )
     assert ring.eq(shifted.value_on(t(ladder, 2)), expect)
+
+
+def test_transposes_on_tables_and_closed_forms(ladder):
+    basis = ladder.basis_up_to(4)
+    chi = ladder_char(ladder, {1: 2, 2: -1, 3: 5})
+    table = TableFunctional(ladder, QQ, tabulate(chi, basis))
+    scaled = y_star(table)
+    assert isinstance(scaled, TableFunctional)
+    for m in basis:
+        assert scaled.value_on(m) == m.y_degree * chi.value_on(m)
+    # Y_*^-1 needs a vanishing unit value; off the unit it undoes Y_*.
+    with pytest.raises(DomainError):
+        y_star_inverse(table)
+    assert y_star_inverse(scaled).table == {m: v for m, v in table.table.items() if not m.is_unit}
+    with pytest.raises(DomainError, match="tabulate"):
+        y_star(chi)
+    with pytest.raises(DomainError, match="tabulate"):
+        theta_star(convolve(chi, chi), Fraction(0))
+    # theta_* keeps the kind of an infinitesimal character and agrees with
+    # the scaled table of its values.
+    ring = LaurentRing(QQ, "z")
+    z = ring.monomial(1, trunc=4)
+    zinf = InfinitesimalCharacter(ladder, ring, {gen(ladder, n): ring.from_rational(Fraction(n + 1))
+                                                 for n in (1, 2, 4)})
+    shifted = theta_star(zinf, z)
+    assert isinstance(shifted, InfinitesimalCharacter)
+    as_table = theta_star(TableFunctional(ladder, ring, tabulate(zinf, basis)), z)
+    for m in basis:
+        assert ring.eq(shifted.value_on(m), as_table.value_on(m))
+    assert ring.eq(shifted.value_on(t(ladder, 4)),
+                   ring.scale(Fraction(5), ring.exp(ring.scale(Fraction(4), z))))
 
 
 def test_metric_distance(ladder):

@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 
 from hopfalg.algebra import Element, Monomial, TensorElement
+from hopfalg.axioms import verify_axioms
 from hopfalg.errors import DomainError, SchemaError
-from hopfalg.hopf import HopfAlgebra
+from hopfalg.hopf import HopfAlgebra, theta_factors
 from hopfalg.instances import ladder_schema, rooted_tree_schema
 from hopfalg.rings import QQ, LaurentRing
 
@@ -233,8 +234,9 @@ def test_theta_is_algebra_map(ladder):
     z = ring.monomial(1, trunc=4)
     a = ladder.monomial_element(t(ladder, 1))
     b = ladder.monomial_element(t(ladder, 2))
-    lhs = ladder.apply_theta(a * b, z, ring)
-    rhs = ladder.apply_theta(a, z, ring) * ladder.apply_theta(b, z, ring)
+    factors = theta_factors(ring, z, 3)
+    lhs = ladder.apply_theta(a * b, factors, ring)
+    rhs = ladder.apply_theta(a, factors, ring) * ladder.apply_theta(b, factors, ring)
     assert lhs == rhs
     # theta_z scales degree-n pieces by exp(n z)
     coeff = lhs.coefficient(t(ladder, 1) * t(ladder, 2))
@@ -266,13 +268,28 @@ def test_theta_commutes_with_coproduct(ladder):
                 for key, c in lhs.terms.items()
             ],
         )
-        rhs_elem = ladder.apply_theta(h, z, ring)
+        rhs_elem = ladder.apply_theta(h, theta_factors(ring, z, 4), ring)
         rhs = TensorElement.zero(ring, 2)
         for mm, c in rhs_elem.terms.items():
             rhs = rhs + ladder.coproduct_monomial(mm).map_coefficients(
                 lambda q, c=c: ring.scale(q, c), ring
             )
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("schema, degree", [(ladder_schema, 6), (lambda: rooted_tree_schema(5), 5)],
+                         ids=["ladder-6", "trees-5"])
+def test_verify_builds_each_theta_factor_once(monkeypatch, schema, degree):
+    calls = []
+    original = LaurentRing.exp
+
+    def counted(self, a):
+        calls.append(a)
+        return original(self, a)
+
+    monkeypatch.setattr(LaurentRing, "exp", counted)
+    assert verify_axioms(schema(), degree).passed
+    assert 0 < len(calls) <= degree + 1
 
 
 def test_trees_antipode_and_validation():

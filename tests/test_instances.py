@@ -196,6 +196,30 @@ def test_schema_gradedness_violation_named():
         )
 
 
+X12 = [{"name": "x1", "degree": 1}, {"name": "x2", "degree": 2}]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"generators": "abc"},
+        {"generators": ["x1"]},
+        {"generators": [{"name": "x1", "degree": 1}], "reducedCoproduct": []},
+        {"generators": [{"name": "x1", "degree": 1}], "reducedCoproduct": {"x1": "abc"}},
+        {"generators": [{"name": "x1", "degree": 1}], "reducedCoproduct": {"x1": [["x1"]]}},
+        {"generators": X12, "reducedCoproduct": {"x2": [{"left": [["x1"]], "right": "x1"}]}},
+        {"generators": X12, "reducedCoproduct": {"x2": [{"left": 1, "right": "x1"}]}},
+        {"generators": X12, "reducedCoproduct": {"x2": [{"left": [["x1", 1]], "right": ["x1"]}]}},
+        {"generators": X12, "reducedCoproduct": {"x2": [{"left": [["x1", 1]], "right": "x1", "coeff": 1}]}},
+    ],
+    ids=["generators-string", "generator-not-object", "table-list", "terms-string", "term-not-object",
+         "unpaired-left-factor", "left-not-list", "right-not-name", "coeff-not-string"],
+)
+def test_schema_shape_errors_are_input_errors(data):
+    with pytest.raises(HopfError):
+        schema_from_dict(data)
+
+
 def test_bad_tree_encodings_rejected():
     for bad in ["", "[", "[]]", "[]x", "x"]:
         with pytest.raises(HopfError):

@@ -1,0 +1,73 @@
+"""Laurent exp and invert_unit against sympy's series expansion.
+
+sympy expands the same functions by its own algorithms, so agreement here is
+independent of the ring's Maclaurin and geometric-series loops.  It is a
+development dependency only.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from hopfalg.hopf import theta_factors
+from hopfalg.rings import QQ, LaurentRing
+
+sympy = pytest.importorskip("sympy")
+
+Z = sympy.Symbol("z")
+L = LaurentRing(QQ, "z")
+
+
+def as_sympy(a):
+    return sum(sympy.Rational(c.numerator, c.denominator) * Z**k for k, c in a.coeffs)
+
+
+def assert_matches_series(got, expr, low, high):
+    """Every coefficient of ``got`` from z^low through z^high equals sympy's."""
+    expansion = sympy.series(expr, Z, 0, high + 1).removeO()
+    for k in range(low, high + 1):
+        expected = sympy.Rational(expansion.coeff(Z, k))
+        value = L.coefficient(got, k)
+        assert sympy.Rational(value.numerator, value.denominator) == expected, (k, value, expected)
+
+
+def test_theta_factors_match_sympy_exp():
+    order = 4
+    factors = theta_factors(L, L.monomial(1, trunc=order), 8)
+    assert len(factors) == 9
+    for n, factor in enumerate(factors):
+        assert factor.trunc == order
+        assert_matches_series(factor, sympy.exp(n * Z), 0, order)
+
+
+@pytest.mark.parametrize(
+    "coeffs, to_order",
+    [
+        ({0: 1, 1: 1}, 6),
+        ({-1: 2, 0: 3, 1: 1}, 5),
+        ({-2: Fraction(1, 3), 1: -4, 3: Fraction(5, 2)}, 4),
+    ],
+)
+def test_invert_exact_series_matches_sympy(coeffs, to_order):
+    a = L.make({k: Fraction(v) for k, v in coeffs.items()}, None)
+    inverse = L.invert_unit(a, to_order=to_order)
+    assert inverse.trunc == to_order
+    assert_matches_series(inverse, 1 / as_sympy(a), -a.min_exp(), to_order)
+
+
+@pytest.mark.parametrize(
+    "coeffs, trunc",
+    [
+        ({0: 2, 2: -1}, 5),
+        ({-1: 1, 0: Fraction(1, 2), 2: 7}, 3),
+        ({1: -3, 2: 1}, 6),
+    ],
+)
+def test_invert_truncated_series_matches_sympy(coeffs, trunc):
+    # Unknown terms above the truncation cannot reach the sound window of the
+    # inverse, so the exactly known part stands in for the series.
+    a = L.make({k: Fraction(v) for k, v in coeffs.items()}, trunc)
+    v = a.min_exp()
+    inverse = L.invert_unit(a)
+    assert inverse.trunc == trunc - 2 * v
+    assert_matches_series(inverse, 1 / as_sympy(a), -v, inverse.trunc)
