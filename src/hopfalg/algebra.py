@@ -7,7 +7,7 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, Tuple
 
@@ -15,16 +15,18 @@ from .errors import HopfError, RankMismatchError, RingMismatchError
 from .rings import Ring
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Generator:
     """A schema generator: homogeneous of strictly positive degree.
 
     Ordering is lexicographic on (degree, name), which fixes the canonical
-    monomial order used everywhere.
+    monomial order used everywhere.  The hash is computed once, at
+    construction; it takes no part in equality or ordering.
     """
 
     degree: int
     name: str
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.degree < 1:
@@ -32,13 +34,28 @@ class Generator:
                 f"generator {self.name!r} has degree {self.degree}; generators "
                 "must be homogeneous of degree >= 1"
             )
+        object.__setattr__(self, "_hash", hash((self.degree, self.name)))
+
+    def __hash__(self):
+        return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
-    """A commutative word in generators: sorted powers with exponents >= 1."""
+    """A commutative word in generators: sorted powers with exponents >= 1.
+
+    The hash is computed once, at construction, because monomials key every
+    table and memo.
+    """
 
     powers: Tuple[Tuple[Generator, int], ...]
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.powers,)))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def unit() -> "Monomial":

@@ -265,10 +265,9 @@ def character_inverse(chi: Character, max_degree: Optional[int] = None) -> Chara
             "character_inverse needs a materialization bound (max_degree) for "
             "characters without a cutoff"
         )
-    table = {}
-    for g in ctx.schema.generators_up_to(bound):
-        m = Monomial.of(g)
-        table[m] = chi(ctx.antipode_monomial(m))
+    gens = [Monomial.of(g) for g in ctx.schema.generators_up_to(bound)]
+    support = {m1 for m in gens for m1 in ctx.antipode_monomial(m).terms}
+    table = compose_antipode(ctx, ring, tabulate(chi, support), gens)
     return materialize(ctx, ring, table, bound)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .errors import (
@@ -75,6 +76,26 @@ class Ring:
         """Multiply by a rational scalar (every ring here is a Q-algebra)."""
         return self.mul(self.from_rational(q), a)
 
+    def convolve(self, xs, ys, n: int) -> dict:
+        """The product of two sparse coefficient lists, below exponent n.
+
+        ``xs`` and ``ys`` are (exponent, coefficient) pairs with increasing
+        exponents; the result maps every exponent below n that the product
+        reaches to its coefficient, which may be zero.  Work and memory follow
+        the stored terms, not the exponent range.
+        """
+        out = {}
+        for i, x in xs:
+            if self.is_zero(x):
+                continue
+            for j, y in ys:
+                k = i + j
+                if k >= n:
+                    break
+                cur = out.get(k)
+                out[k] = self.mul(x, y) if cur is None else self.add(cur, self.mul(x, y))
+        return out
+
     def value_to_json(self, a):
         raise NotImplementedError
 
@@ -108,8 +129,32 @@ class RationalField(Ring):
     def eq(self, a, b):
         return a == b
 
+    def is_zero(self, a):
+        return not a
+
     def from_rational(self, q):
         return Fraction(q)
+
+    def scale(self, q, a):
+        return q * a
+
+    def convolve(self, xs, ys, n):
+        """Ring.convolve in integers: each operand over one common
+        denominator, one normalized Fraction per output coefficient."""
+        dx = lcm(*(x.denominator for _, x in xs))
+        dy = lcm(*(y.denominator for _, y in ys))
+        iy = [(j, y.numerator * (dy // y.denominator)) for j, y in ys]
+        out = {}
+        for i, x in xs:
+            x = x.numerator * (dx // x.denominator)
+            if x:
+                for j, y in iy:
+                    k = i + j
+                    if k >= n:
+                        break
+                    out[k] = out.get(k, 0) + x * y
+        d = dx * dy
+        return {k: Fraction(c, d) for k, c in out.items()}
 
     def invert(self, a):
         if a == 0:
@@ -189,13 +234,10 @@ class PolynomialRing(Ring):
     def mul(self, a, b):
         if not a or not b:
             return ()
-        out = [self.base.zero()] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if self.base.is_zero(ca):
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = self.base.add(out[i + j], self.base.mul(ca, cb))
-        return _strip(list(out), self.base)
+        n = len(a) + len(b) - 1
+        out = self.base.convolve(list(enumerate(a)), list(enumerate(b)), n)
+        zero = self.base.zero()
+        return _strip([out.get(k, zero) for k in range(n)], self.base)
 
     def eq(self, a, b):
         return len(a) == len(b) and all(
@@ -360,16 +402,12 @@ class LaurentRing(Ring):
     def mul(self, a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
         floors = [f for f in (self._pollution_floor(a, b), self._pollution_floor(b, a)) if f is not None]
         trunc = min(floors) - 1 if floors else None
-        out: dict = {}
-        for ka, va in a.coeffs:
-            for kb, vb in b.coeffs:
-                k = ka + kb
-                if trunc is not None and k > trunc:
-                    continue
-                prod = self.base.mul(va, vb)
-                cur = out.get(k)
-                out[k] = prod if cur is None else self.base.add(cur, prod)
-        return self.make(out, trunc)
+        if not a.coeffs or not b.coeffs:
+            return LaurentSeries((), trunc)
+        top = a.coeffs[-1][0] + b.coeffs[-1][0] if trunc is None else trunc
+        out = self.base.convolve(a.coeffs, b.coeffs, top + 1)
+        is_zero = self.base.is_zero
+        return LaurentSeries(tuple((k, v) for k, v in sorted(out.items()) if not is_zero(v)), trunc)
 
     def eq(self, a: LaurentSeries, b: LaurentSeries) -> bool:
         """Agreement on the common sound window."""
@@ -467,6 +505,8 @@ class LaurentRing(Ring):
     def scale(self, q: Fraction, a: LaurentSeries) -> LaurentSeries:
         if q == 0:
             return LaurentSeries((), a.trunc)
+        if q == 1:
+            return a
         return LaurentSeries(
             tuple((k, self.base.scale(q, v)) for k, v in a.coeffs), a.trunc
         )

@@ -48,6 +48,26 @@ def test_monomial_canonical_order():
     assert str(m) == "t1^2*t3"
 
 
+def test_monomial_identity_ignores_the_cached_hash():
+    a = Monomial.from_powers([(T3, 1), (T1, 2), (T2, 1)])
+    b = Monomial.from_powers([(T2, 1), (T1, 1), (T3, 1), (T1, 1)])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert sorted([T3, T1, T2]) == [T1, T2, T3]
+    monomials = [Monomial.of(T2), a, Monomial.of(T1, 2), Monomial.unit()]
+    assert [str(m) for m in sorted(monomials, key=Monomial.sort_key)] == ["1", "t1^2", "t2", "t1^2*t2*t3"]
+    assert repr(T1) == "Generator(degree=1, name='t1')"
+    assert repr(Monomial.of(T1, 2)) == "Monomial(powers=((Generator(degree=1, name='t1'), 2),))"
+    assert str(T1) == repr(T1) and str(Monomial.unit()) == "1"
+    # A stale hash changes neither equality nor order.
+    g = Generator(1, "t1")
+    object.__setattr__(g, "_hash", hash(T1) + 1)
+    assert g == T1 and not g < T1 and not T1 < g
+    m = Monomial.of(T1, 2)
+    object.__setattr__(m, "_hash", hash(m) + 1)
+    assert m == Monomial.of(T1, 2)
+
+
 def test_symmetric_power():
     t1 = gen_elem(T1)
     assert t1 * t1 == elem((Monomial.of(T1, 2), 1))

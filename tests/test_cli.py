@@ -1,10 +1,14 @@
 """End-to-end CLI tests: encodings, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
+
+from hopfalg import cli
+from hopfalg.instances import rooted_tree_schema
 
 CLI = [sys.executable, "-m", "hopfalg.cli"]
 
@@ -316,3 +320,36 @@ def test_malformed_input_exits_2_with_a_diagnostic(tmp_path, argv, payload, sche
     proc = run_cli(*argv, "--schema", schema, expect=2)
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["error"]
+
+
+
+def _laurent_loop(names, pole, top, trunc):
+    """A fixed Laurent character: on the i-th generator, exponents -pole..top."""
+    values = {}
+    for i, name in enumerate(names, 1):
+        coeffs = {str(k): f"{(3 * i + k) % 7 - 3}/{1 + (i * i + k * k) % 5}" for k in range(-pole, top + 1)}
+        coeffs[str(-pole)] = str(i)  # the leading pole stays nonzero
+        coeffs = {k: v for k, v in coeffs.items() if not v.startswith("0/")}
+        values[name] = {"minExp": -pole, "truncation": trunc, "coeffs": coeffs}
+    return {"kind": "character", "ring": "laurent", "values": values}
+
+
+# sha256 of stdout, recorded before series products went through the
+# integer convolution kernel; a change of representation must not move them.
+@pytest.mark.parametrize(
+    "schema, degree, names, pole, truncated, digest",
+    [
+        ("ladder", 6, [f"t{n}" for n in range(1, 7)], 3, False,
+         "ed411214ec659e7477e971d4771a2f7e1c769850ce56ad86d7ebfa8682f97c02"),
+        ("trees:5", 5, [g.name for g in rooted_tree_schema(5).generators_up_to(5)], 2, True,
+         "ec43fd4954366e4c78324beccd90c4491927601077d9a64b3323347ab92d99c8"),
+    ],
+)
+def test_birkhoff_output_is_pinned(schema, degree, names, pole, truncated, digest, tmp_path, capsys):
+    budget = (degree - 1) * pole
+    loop = _laurent_loop(names, pole, budget if truncated else 2, budget if truncated else None)
+    phi = write(tmp_path, "phi.json", loop)
+    assert cli.main(["birkhoff", phi, "--schema", schema, "--max-degree", str(degree)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["report"]["passed"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

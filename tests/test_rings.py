@@ -11,6 +11,8 @@ from hopfalg.rings import (
     QQ,
     LaurentRing,
     PolynomialRing,
+    RationalField,
+    Ring,
     format_rational,
     parse_rational,
 )
@@ -99,6 +101,102 @@ def test_laurent_mul_truncated_agrees_with_exact_on_sound_window(a, b):
             assert L.coefficient(got, k) == v
     for k, v in got.coeffs:
         assert exact.as_dict().get(k, Fraction(0)) == v
+
+
+kernel_entries = st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=10**6))
+
+
+@st.composite
+def kernel_lists(draw):
+    exps = sorted(draw(st.lists(st.integers(min_value=-4, max_value=6), min_size=1, max_size=6, unique=True)))
+    return [(k, draw(kernel_entries)) for k in exps]
+
+
+@settings(max_examples=150)
+@given(xs=kernel_lists(), ys=kernel_lists(), data=st.data())
+def test_rational_convolve_matches_generic_kernel_and_schoolbook(xs, ys, data):
+    full = xs[-1][0] + ys[-1][0] + 1
+    n = data.draw(st.integers(min_value=xs[0][0] + ys[0][0], max_value=full))
+    expect = {}
+    for i, x in xs:
+        for j, y in ys:
+            if i + j < n:
+                expect[i + j] = expect.get(i + j, Fraction(0)) + x * y
+    expect = {k: c for k, c in expect.items() if c}
+    for got in (QQ.convolve(xs, ys, n), Ring.convolve(QQ, xs, ys, n)):
+        assert all(type(c) is Fraction and k < n for k, c in got.items())
+        assert {k: c for k, c in got.items() if c} == expect
+
+
+LT = LaurentRing(PT, "eps")
+
+
+@st.composite
+def laurent_poly_values(draw):
+    """Laurent series over Q[t] with their exact 2-d coefficient table."""
+    table = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        k = draw(st.integers(min_value=-3, max_value=3))
+        for j, c in enumerate(draw(st.lists(rationals, max_size=3))):
+            table[(k, j)] = c
+    trunc = draw(st.one_of(st.none(), st.integers(min_value=3, max_value=5)))
+    polys = {}
+    for (k, j), c in table.items():
+        polys[k] = PT.add(polys.get(k, PT.zero()), PT.monomial(j, c))
+    return LT.make(polys, trunc), {key: c for key, c in table.items() if c}
+
+
+def as_table(series):
+    return {(k, j): c for k, p in series.coeffs for j, c in enumerate(p) if c}
+
+
+@settings(max_examples=80)
+@given(a=laurent_poly_values(), b=laurent_poly_values())
+def test_laurent_over_polynomials_mul_matches_naive_convolution(a, b):
+    (a, ta), (b, tb) = a, b
+    expect = {}
+    for (ka, ja), va in ta.items():
+        for (kb, jb), vb in tb.items():
+            key = (ka + kb, ja + jb)
+            expect[key] = expect.get(key, Fraction(0)) + va * vb
+    expect = {key: c for key, c in expect.items() if c}
+    exact = LT.mul(type(a)(a.coeffs, None), type(b)(b.coeffs, None))
+    assert exact.trunc is None
+    assert as_table(exact) == expect
+    got = LT.mul(a, b)
+    sound = {key: c for key, c in expect.items() if got.trunc is None or key[0] <= got.trunc}
+    assert as_table(got) == sound
+
+
+def test_laurent_mul_over_rationals_never_calls_the_field_mul(monkeypatch):
+    calls = []
+    field_mul = RationalField.mul
+
+    def counting(self, a, b):
+        calls.append(1)
+        return field_mul(self, a, b)
+
+    monkeypatch.setattr(RationalField, "mul", counting)
+    a = laurent({k: Fraction(k + 5, 3) for k in range(-3, 7)})
+    b = laurent({k: Fraction(2 * k - 1, 7) for k in range(-2, 8)})
+    assert len(a.coeffs) == len(b.coeffs) == 10
+    product = L.mul(a, b)
+    assert calls == []
+    assert product.as_dict()[-5] == Fraction(2, 3) * Fraction(-5, 7)
+
+
+def test_laurent_mul_work_follows_the_stored_terms(monkeypatch):
+    seen = []
+    field_convolve = RationalField.convolve
+
+    def recording(self, xs, ys, n):
+        seen.append((len(xs), len(ys)))
+        return field_convolve(self, xs, ys, n)
+
+    monkeypatch.setattr(RationalField, "convolve", recording)
+    a = laurent({-1: 1, 10**6: 2})
+    assert L.mul(a, a).as_dict() == {-2: 1, 10**6 - 1: 4, 2 * 10**6: 4}
+    assert seen == [(2, 2)]
 
 
 def test_pole_times_eps_is_one():
