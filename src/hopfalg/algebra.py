@@ -236,13 +236,6 @@ class Element:
                 out[m] = v
         return Element(ring, out)
 
-    def graded_components(self) -> dict:
-        """Split into homogeneous pieces, keyed by degree."""
-        out: dict = {}
-        for m, c in self.terms.items():
-            out.setdefault(m.y_degree, {})[m] = c
-        return {d: Element(self.ring, t) for d, t in sorted(out.items())}
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

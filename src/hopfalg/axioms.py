@@ -49,9 +49,6 @@ class AxiomReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> List[AxiomCheck]:
-        return [c for c in self.checks if not c.passed]
-
     def to_json(self) -> dict:
         return {
             "schema": self.schema_name,

@@ -119,14 +119,15 @@ def birkhoff_decompose(ctx: HopfAlgebra, phi: Character, max_degree: int) -> Bir
             phi_vals[m] = v
         return v
 
-    minus: Dict[Monomial, LaurentSeries] = {Monomial.unit(): ring.one()}
-    plus: Dict[Monomial, LaurentSeries] = {Monomial.unit(): ring.one()}
+    one = ring.one()
+    minus: Dict[Monomial, LaurentSeries] = {Monomial.unit(): one}
+    plus: Dict[Monomial, LaurentSeries] = {Monomial.unit(): one}
     for degree in range(1, max_degree + 1):
         for m in ctx.monomials_of_degree(degree):
-            bracket = phi_value(m)
-            for (m1, m2), c in ctx.reduced_coproduct_monomial(m).terms.items():
-                term = ring.mul(minus[m1], phi_value(m2))
-                bracket = ring.add(bracket, ring.scale(c, term))
+            # phi(m) + sum c phi_-(m') phi(m'') over the reduced coproduct.
+            terms = [(c, minus[m1], phi_value(m2))
+                     for (m1, m2), c in ctx.reduced_coproduct_monomial(m).terms.items()]
+            bracket = ring.dot([(1, phi_value(m), one)] + terms)
             minus[m] = ring.neg(rota_baxter_T(ring, bracket))
             plus[m] = ring.regular_part(bracket)
 

@@ -4,13 +4,14 @@ Functionals are closed-form evaluation rules rather than infinite tables:
 characters are determined by generator values (multiplicativity), and
 infinitesimal characters vanish on the unit and on every product of two
 augmentation-ideal elements.  The convolution calculus (powers, exp, log,
-brackets) runs through one binary kernel over tables keyed by basis monomial,
-(a * b)(m) = sum over the coproduct of m of c a(m') b(m''), and one helper
-reads a table back into closed form on the generators, verifying it on the
-whole basis where the caller asks.  The transposes of the antipode and of
-the grading operators (f o S, Y_*, Y_*^-1, theta_*) are table maps beside the
-kernel.  The flat ``ConvolutionProduct`` over iterated coproducts is an
-independent oracle for the tests and the suites.
+brackets) runs on tables keyed by basis monomial: (a * b)(m) is the sum over
+the coproduct of m of c a(m') b(m''), the transposes f o S, Y_*, Y_*^-1 and
+theta_* are table maps, and each such sum is one call per monomial of the
+ring's one sum-of-products kernel, ``ring.dot``.  One helper reads a table
+back into closed form on the generators, verifying it on the whole basis
+where the caller asks.  The flat ``ConvolutionProduct`` over iterated
+coproducts adds its products one at a time, an independent oracle for the
+tests and the suites.
 """
 
 from __future__ import annotations
@@ -50,10 +51,8 @@ class Functional:
                 "functionals evaluate elements with rational coefficients; "
                 f"got an element over {h.ring.tag}"
             )
-        total = self.ring.zero()
-        for m, c in h.terms.items():
-            total = self.ring.add(total, self.ring.scale(c, self.value_on(m)))
-        return total
+        one = self.ring.one()
+        return self.ring.dot([(c, self.value_on(m), one) for m, c in h.terms.items()])
 
     def _check_compatible(self, other: "Functional"):
         if self.ctx is not other.ctx:
@@ -193,24 +192,17 @@ def tabulate(f: Functional, monomials) -> Dict[Monomial, object]:
 
 
 def convolve_tables(ctx: HopfAlgebra, ring: Ring, a: dict, b: dict, monomials) -> Dict[Monomial, object]:
-    """The binary convolution kernel: (a * b)(m) = sum_{Delta m} c a(m') b(m'').
+    """The binary convolution of tables: (a * b)(m) = sum_{Delta m} c a(m') b(m'').
 
-    Evaluated on each of ``monomials``; the tables must hold every leg of
-    their coproducts, a missing entry being an exact zero.  A coproduct term
-    is skipped only when an operand is missing.
+    Evaluated on each of ``monomials`` by one ``ring.dot`` call each; the
+    tables must hold every leg of their coproducts, a missing entry being an
+    exact zero.  A coproduct term is skipped only when an operand is missing.
     """
     zero = ring.zero()
     out = {}
     for m in monomials:
-        total = zero
-        for (m1, m2), c in ctx.coproduct_monomial(m).terms.items():
-            x = a.get(m1)
-            if x is None:
-                continue
-            y = b.get(m2)
-            if y is None:
-                continue
-            total = ring.add(total, ring.scale(c, ring.mul(x, y)))
+        total = ring.dot([(c, x, y) for (m1, m2), c in ctx.coproduct_monomial(m).terms.items()
+                          if (x := a.get(m1)) is not None and (y := b.get(m2)) is not None])
         if total != zero:
             out[m] = total
     return out
@@ -222,6 +214,14 @@ def convolution_powers(ctx: HopfAlgebra, ring: Ring, a: dict, n: int, monomials)
     for _ in range(n):
         powers.append(convolve_tables(ctx, ring, powers[-1], a, monomials) if powers else a)
     return powers
+
+
+def power_series(ring: Ring, powers: List[dict], m: Monomial, coeff):
+    """The sum over n = 1 .. deg m of coeff(n) a^(*n)(m), read from the tables
+    of ``convolution_powers`` in one ``ring.dot`` call."""
+    one = ring.one()
+    return ring.dot([(coeff(n), v, one) for n in range(1, m.y_degree + 1)
+                     if (v := powers[n - 1].get(m)) is not None])
 
 
 def materialize(ctx: HopfAlgebra, ring: Ring, table: dict, max_degree: int, kind: type = Character,
@@ -307,14 +307,8 @@ def exp_star(z: InfinitesimalCharacter, max_degree: int) -> Character:
     ctx, ring = z.ctx, z.ring
     basis = ctx.basis_up_to(max_degree)
     powers = convolution_powers(ctx, ring, tabulate(z, basis), max_degree, basis)
-    series = {}
-    for m in basis:
-        total = ring.one() if m.is_unit else ring.zero()
-        for n in range(1, m.y_degree + 1):
-            v = powers[n - 1].get(m)
-            if v is not None:
-                total = ring.add(total, ring.scale(Fraction(1, factorial(n)), v))
-        series[m] = total
+    series = {m: ring.one() if m.is_unit else power_series(ring, powers, m, lambda n: Fraction(1, factorial(n)))
+              for m in basis}
     return materialize(ctx, ring, series, max_degree,
                        failure="exponential failed multiplicativity on {}")
 
@@ -341,12 +335,7 @@ def log_star(chi: Character, max_degree: int) -> InfinitesimalCharacter:
             raise VerificationError(
                 f"logarithm series failed to terminate on {m}", witness=str(m)
             )
-        total = ring.zero()
-        for n in range(1, m.y_degree + 1):
-            v = powers[n - 1].get(m)
-            if v is not None:
-                total = ring.add(total, ring.scale(Fraction((-1) ** (n + 1), n), v))
-        series[m] = total
+        series[m] = power_series(ring, powers, m, lambda n: Fraction((-1) ** (n + 1), n))
     return materialize(ctx, ring, series, max_degree, InfinitesimalCharacter,
                        failure="logarithm is not infinitesimal: nonzero on the product {}")
 
@@ -355,15 +344,13 @@ def log_star(chi: Character, max_degree: int) -> InfinitesimalCharacter:
 
 
 def compose_antipode(ctx: HopfAlgebra, ring: Ring, table: dict, monomials) -> Dict[Monomial, object]:
-    """f o S on each of ``monomials``: the sum over S(m) of c table[m']."""
-    zero = ring.zero()
+    """f o S on each of ``monomials``: the sum over S(m) of c table[m'], one
+    ``ring.dot`` call each with the triples (c, table[m'], 1)."""
+    zero, one = ring.zero(), ring.one()
     out = {}
     for m in monomials:
-        total = zero
-        for m1, c in ctx.antipode_monomial(m).terms.items():
-            v = table.get(m1)
-            if v is not None:
-                total = ring.add(total, ring.scale(c, v))
+        total = ring.dot([(c, v, one) for m1, c in ctx.antipode_monomial(m).terms.items()
+                          if (v := table.get(m1)) is not None])
         if total != zero:
             out[m] = total
     return out

@@ -294,7 +294,18 @@ class HopfAlgebra:
         return full - correction
 
     def reduced_coproduct_monomial(self, m: Monomial) -> TensorElement:
-        return self.reduced_coproduct(self.monomial_element(m))
+        """D(m) - m(x)1 - 1(x)m, from the memoized D(m) in one dict copy."""
+        if m.is_unit:
+            return self.reduced_coproduct(self.unit_element())  # raises DomainError
+        one = Monomial.unit()
+        terms = dict(self.coproduct_monomial(m).terms)
+        for key in ((m, one), (one, m)):
+            c = terms.get(key, Fraction(0)) - 1
+            if c:
+                terms[key] = c
+            else:
+                del terms[key]
+        return TensorElement(self.ring, 2, terms)
 
     def iterated_coproduct_monomial(self, m: Monomial, n: int) -> TensorElement:
         """D^(n): rank n+1, with D^(0) the identity."""
@@ -348,10 +359,12 @@ class HopfAlgebra:
         else:
             # S(h) = -h - sum h' * S(h'') over the reduced coproduct; the
             # right legs have strictly smaller degree, so the recursion ends.
-            result = -self.monomial_element(m)
+            acc = {m: Fraction(-1)}
             for (left, right), c in self.reduced_coproduct_monomial(m).terms.items():
-                piece = Element.of_monomial(self.ring, left, c) * self.antipode_monomial(right)
-                result = result - piece
+                for m2, c2 in self.antipode_monomial(right).terms.items():
+                    key = left * m2
+                    acc[key] = acc.get(key, 0) - c * c2
+            result = Element(self.ring, {k: v for k, v in acc.items() if v})
         self._antipode_r[m] = result
         return result
 
@@ -375,12 +388,6 @@ class HopfAlgebra:
         out = Element.zero(self.ring)
         for m, c in h.terms.items():
             out = out + self.antipode_monomial(m).scale(c)
-        return out
-
-    def antipode_left(self, h: Element) -> Element:
-        out = Element.zero(self.ring)
-        for m, c in h.terms.items():
-            out = out + self.antipode_left_monomial(m).scale(c)
         return out
 
     # -- grading operators ---------------------------------------------------

@@ -66,9 +66,6 @@ class Ring:
     def is_zero(self, a) -> bool:
         return self.eq(a, self.zero())
 
-    def from_int(self, n: int):
-        return self.from_rational(Fraction(n))
-
     def from_rational(self, q: Fraction):
         raise NotImplementedError
 
@@ -76,25 +73,33 @@ class Ring:
         """Multiply by a rational scalar (every ring here is a Q-algebra)."""
         return self.mul(self.from_rational(q), a)
 
-    def convolve(self, xs, ys, n: int) -> dict:
-        """The product of two sparse coefficient lists, below exponent n.
+    def convolve(self, terms, n: int) -> dict:
+        """The ring's one product kernel: the sum of c xs ys over the (c, xs, ys)
+        triples of ``terms`` below exponent n, c a rational scalar and xs, ys
+        sparse (exponent, coefficient) lists with increasing exponents.
 
-        ``xs`` and ``ys`` are (exponent, coefficient) pairs with increasing
-        exponents; the result maps every exponent below n that the product
-        reaches to its coefficient, which may be zero.  Work and memory follow
-        the stored terms, not the exponent range.
+        The result maps every exponent below n that a product reaches to its
+        coefficient, which may be zero; work and memory follow the stored
+        terms, not the exponent range.
         """
         out = {}
-        for i, x in xs:
-            if self.is_zero(x):
-                continue
-            for j, y in ys:
-                k = i + j
-                if k >= n:
-                    break
-                cur = out.get(k)
-                out[k] = self.mul(x, y) if cur is None else self.add(cur, self.mul(x, y))
+        for c, xs, ys in terms:
+            for i, x in xs:
+                x = x if c == 1 else self.scale(c, x)
+                if self.is_zero(x):
+                    continue
+                for j, y in ys:
+                    k = i + j
+                    if k >= n:
+                        break
+                    cur = out.get(k)
+                    out[k] = self.mul(x, y) if cur is None else self.add(cur, self.mul(x, y))
         return out
+
+    def dot(self, terms):
+        """The sum of c x y over (c, x, y) triples: the kernel at exponent 0."""
+        out = self.convolve([(c, ((0, x),), ((0, y),)) for c, x, y in terms], 1)
+        return out.get(0, self.zero())
 
     def value_to_json(self, a):
         raise NotImplementedError
@@ -138,23 +143,25 @@ class RationalField(Ring):
     def scale(self, q, a):
         return q * a
 
-    def convolve(self, xs, ys, n):
-        """Ring.convolve in integers: each operand over one common
-        denominator, one normalized Fraction per output coefficient."""
-        dx = lcm(*(x.denominator for _, x in xs))
-        dy = lcm(*(y.denominator for _, y in ys))
-        iy = [(j, y.numerator * (dy // y.denominator)) for j, y in ys]
+    def convolve(self, terms, n):
+        """Ring.convolve in integers: each operand over one common denominator,
+        all triples over the lcm of theirs, one Fraction per output exponent."""
+        triples = [(c, lcm(*(x.denominator for _, x in xs)), lcm(*(y.denominator for _, y in ys)), xs, ys)
+                   for c, xs, ys in terms]
+        d = lcm(*(c.denominator * dx * dy for c, dx, dy, _, _ in triples))
         out = {}
-        for i, x in xs:
-            x = x.numerator * (dx // x.denominator)
-            if x:
-                for j, y in iy:
-                    k = i + j
-                    if k >= n:
-                        break
-                    out[k] = out.get(k, 0) + x * y
-        d = dx * dy
-        return {k: Fraction(c, d) for k, c in out.items()}
+        for c, dx, dy, xs, ys in triples:
+            f = c.numerator * (d // (c.denominator * dx * dy))
+            iy = [(j, y.numerator * (dy // y.denominator)) for j, y in ys]
+            for i, x in xs:
+                x = f * x.numerator * (dx // x.denominator)
+                if x:
+                    for j, y in iy:
+                        k = i + j
+                        if k >= n:
+                            break
+                        out[k] = out.get(k, 0) + x * y
+        return {k: Fraction(v, d) for k, v in out.items()}
 
     def invert(self, a):
         if a == 0:
@@ -231,13 +238,15 @@ class PolynomialRing(Ring):
     def neg(self, a):
         return tuple(self.base.neg(c) for c in a)
 
-    def mul(self, a, b):
-        if not a or not b:
-            return ()
-        n = len(a) + len(b) - 1
-        out = self.base.convolve(list(enumerate(a)), list(enumerate(b)), n)
+    def dot(self, terms):
+        """Sum of c a b over (c, a, b) triples, in one base-ring convolve."""
+        n = max((len(a) + len(b) - 1 for _, a, b in terms if a and b), default=0)
+        out = self.base.convolve([(c, tuple(enumerate(a)), tuple(enumerate(b))) for c, a, b in terms], n)
         zero = self.base.zero()
         return _strip([out.get(k, zero) for k in range(n)], self.base)
+
+    def mul(self, a, b):
+        return self.dot([(1, a, b)])
 
     def eq(self, a, b):
         return len(a) == len(b) and all(
@@ -399,15 +408,21 @@ class LaurentRing(Ring):
             return None  # b is exactly zero
         return a.trunc + 1 + b_floor
 
-    def mul(self, a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-        floors = [f for f in (self._pollution_floor(a, b), self._pollution_floor(b, a)) if f is not None]
+    def dot(self, terms) -> LaurentSeries:
+        """Sum of c a b over (c, a, b) triples, in one base-ring convolve, on
+        the narrowest sound window of any one product (empty and zero operands
+        included): exactly as sound as adding the products one at a time."""
+        floors = [f for _, a, b in terms for f in (self._pollution_floor(a, b), self._pollution_floor(b, a))
+                  if f is not None]
         trunc = min(floors) - 1 if floors else None
-        if not a.coeffs or not b.coeffs:
-            return LaurentSeries((), trunc)
-        top = a.coeffs[-1][0] + b.coeffs[-1][0] if trunc is None else trunc
-        out = self.base.convolve(a.coeffs, b.coeffs, top + 1)
+        tops = [a.coeffs[-1][0] + b.coeffs[-1][0] for _, a, b in terms if a.coeffs and b.coeffs]
+        n = (max(tops, default=0) if trunc is None else trunc) + 1
+        out = self.base.convolve([(c, a.coeffs, b.coeffs) for c, a, b in terms], n)
         is_zero = self.base.is_zero
         return LaurentSeries(tuple((k, v) for k, v in sorted(out.items()) if not is_zero(v)), trunc)
+
+    def mul(self, a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
+        return self.dot([(1, a, b)])
 
     def eq(self, a: LaurentSeries, b: LaurentSeries) -> bool:
         """Agreement on the common sound window."""

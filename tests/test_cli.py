@@ -353,3 +353,33 @@ def test_birkhoff_output_is_pinned(schema, degree, names, pole, truncated, diges
     out = capsys.readouterr().out
     assert json.loads(out)["report"]["passed"]
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of rg-check stdout, recorded before the fused sum-of-products kernel.
+# Its flow values are Laurent series over Q[t], so they pin the generic
+# (non-rational) kernel body the way the birkhoff pins pin the rational one.
+@pytest.mark.parametrize(
+    "special, code, digest",
+    [
+        (True, 0, "cf5c10452828ad7f7bc75cd89415a109063fd1c9562947a3e7b5cd2555169541"),
+        (False, 1, "08af3f422880f11f37b7209b44b1d082bcfad21acef9eff5581c696b5973fef3"),
+    ],
+    ids=["special", "non-special"],
+)
+def test_rg_check_output_is_pinned(special, code, digest, tmp_path, capsys):
+    degree = 6 if special else 4
+    common = ["--schema", "ladder", "--max-degree", str(degree)]
+    if special:
+        beta = write(tmp_path, "beta.json", {"kind": "infinitesimal", "ring": "rational",
+                                             "values": {"t1": "2", "t2": "-1/3", "t4": "5/7"}})
+        assert cli.main(["build-loop", beta] + common) == 0
+        loop = tmp_path / "loop.json"
+        loop.write_text(capsys.readouterr().out)
+        loop = str(loop)
+    else:
+        loop = write(tmp_path, "loop.json", _laurent_loop([f"t{n}" for n in range(1, 5)], 2, 2, None))
+    assert cli.main(["rg-check", loop] + common) == code
+    out = capsys.readouterr().out
+    data = json.loads(out)
+    assert data["special"] is special and bool(data["witnesses"]) is not special
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -327,3 +327,32 @@ def test_building_a_context_never_reaches_the_iterated_coproduct(monkeypatch):
     monkeypatch.setattr(HopfAlgebra, "iterated_coproduct_monomial", forbidden)
     HopfAlgebra(ladder_schema())
     HopfAlgebra(rooted_tree_schema(6))
+
+
+@pytest.mark.parametrize("schema, degree", [(ladder_schema, 8), (lambda: rooted_tree_schema(6), 6)],
+                         ids=["ladder-8", "trees-6"])
+def test_reduced_coproduct_monomial_matches_the_element_form(schema, degree):
+    ctx = HopfAlgebra(schema())
+    for m in ctx.basis_up_to(degree):
+        if m.is_unit:
+            with pytest.raises(DomainError):
+                ctx.reduced_coproduct_monomial(m)
+        else:
+            assert ctx.reduced_coproduct_monomial(m) == ctx.reduced_coproduct(ctx.monomial_element(m))
+
+
+@pytest.mark.parametrize("schema, degree", [(ladder_schema, 8), (lambda: rooted_tree_schema(7), 7)],
+                         ids=["ladder-8", "trees-7"])
+def test_antipode_fill_builds_one_dict_and_matches_the_left_recursion(monkeypatch, schema, degree):
+    ctx = HopfAlgebra(schema())
+    basis = ctx.basis_up_to(degree)
+
+    def forbidden(self, other):
+        raise AssertionError("the antipode fill must not go through Element arithmetic")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Element, "__sub__", forbidden)
+        patch.setattr(Element, "__mul__", forbidden)
+        right = [ctx.antipode_monomial(m) for m in basis]
+    for m, s in zip(basis, right):
+        assert s == ctx.antipode_left_monomial(m)

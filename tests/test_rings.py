@@ -107,8 +107,8 @@ kernel_entries = st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=10
 
 
 @st.composite
-def kernel_lists(draw):
-    exps = sorted(draw(st.lists(st.integers(min_value=-4, max_value=6), min_size=1, max_size=6, unique=True)))
+def kernel_lists(draw, min_size=1):
+    exps = sorted(draw(st.lists(st.integers(min_value=-4, max_value=6), min_size=min_size, max_size=6, unique=True)))
     return [(k, draw(kernel_entries)) for k in exps]
 
 
@@ -123,9 +123,34 @@ def test_rational_convolve_matches_generic_kernel_and_schoolbook(xs, ys, data):
             if i + j < n:
                 expect[i + j] = expect.get(i + j, Fraction(0)) + x * y
     expect = {k: c for k, c in expect.items() if c}
-    for got in (QQ.convolve(xs, ys, n), Ring.convolve(QQ, xs, ys, n)):
+    for got in (QQ.convolve([(1, xs, ys)], n), Ring.convolve(QQ, [(1, xs, ys)], n)):
         assert all(type(c) is Fraction and k < n for k, c in got.items())
         assert {k: c for k, c in got.items() if c} == expect
+
+
+
+@settings(max_examples=150)
+@given(terms=st.lists(st.tuples(kernel_entries, kernel_lists(0), kernel_lists(0)), max_size=4), data=st.data())
+def test_rational_kernel_sums_triples_like_the_generic_kernel_and_schoolbook(terms, data):
+    full = max((xs[-1][0] + ys[-1][0] + 1 for _, xs, ys in terms if xs and ys), default=0)
+    n = data.draw(st.integers(min_value=-8, max_value=full))
+    expect = {}
+    for c, xs, ys in terms:
+        for i, x in xs:
+            for j, y in ys:
+                if i + j < n:
+                    expect[i + j] = expect.get(i + j, Fraction(0)) + c * x * y
+    expect = {k: c for k, c in expect.items() if c}
+    for got in (QQ.convolve(terms, n), Ring.convolve(QQ, terms, n)):
+        assert all(type(c) is Fraction and k < n for k, c in got.items())
+        assert {k: c for k, c in got.items() if c} == expect
+
+
+@given(st.lists(st.tuples(kernel_entries, kernel_entries, kernel_entries), max_size=4))
+def test_rational_dot_is_the_exponent_zero_kernel(terms):
+    got = QQ.dot(terms)
+    assert type(got) is Fraction
+    assert got == sum((c * x * y for c, x, y in terms), Fraction(0)) == Ring.dot(QQ, terms)
 
 
 LT = LaurentRing(PT, "eps")
@@ -168,6 +193,47 @@ def test_laurent_over_polynomials_mul_matches_naive_convolution(a, b):
     assert as_table(got) == sound
 
 
+
+def schoolbook_mul(ring, a, b):
+    """a b term by term, sound below the lowest exponent that an unknown
+    coefficient of one factor reaches against the other factor."""
+    def lowest(x):  # the lowest exponent where x may be nonzero; None for an exact zero
+        return min([k for k, _ in x.coeffs[:1]] + ([x.trunc + 1] if x.trunc is not None else []), default=None)
+
+    reach = [x.trunc + 1 + lowest(y) for x, y in ((a, b), (b, a))
+             if x.trunc is not None and lowest(y) is not None]
+    base, out = ring.base, {}
+    for i, x in a.coeffs:
+        for j, y in b.coeffs:
+            out[i + j] = base.add(out.get(i + j, base.zero()), base.mul(x, y))
+    return ring.make(out, min(reach) - 1 if reach else None)
+
+
+def unfused_dot(ring, terms):
+    total = ring.zero()
+    for c, a, b in terms:
+        total = ring.add(total, ring.scale(c, schoolbook_mul(ring, a, b)))
+    return total
+
+
+scalars = st.one_of(st.just(Fraction(0)), st.just(Fraction(1)), st.fractions(max_denominator=10**6))
+
+
+@settings(max_examples=150)
+@given(terms=st.lists(st.tuples(scalars, laurent_values(), laurent_values()), max_size=4))
+def test_laurent_dot_matches_the_unfused_loop(terms):
+    got, want = L.dot(terms), unfused_dot(L, terms)
+    assert got.coeffs == want.coeffs and got.trunc == want.trunc
+
+
+@settings(max_examples=80)
+@given(terms=st.lists(st.tuples(scalars, laurent_poly_values(), laurent_poly_values()), max_size=3))
+def test_laurent_over_polynomials_dot_matches_the_unfused_loop(terms):
+    terms = [(c, a, b) for c, (a, _), (b, _) in terms]
+    got, want = LT.dot(terms), unfused_dot(LT, terms)
+    assert got.coeffs == want.coeffs and got.trunc == want.trunc
+
+
 def test_laurent_mul_over_rationals_never_calls_the_field_mul(monkeypatch):
     calls = []
     field_mul = RationalField.mul
@@ -189,9 +255,9 @@ def test_laurent_mul_work_follows_the_stored_terms(monkeypatch):
     seen = []
     field_convolve = RationalField.convolve
 
-    def recording(self, xs, ys, n):
-        seen.append((len(xs), len(ys)))
-        return field_convolve(self, xs, ys, n)
+    def recording(self, terms, n):
+        seen.extend((len(xs), len(ys)) for _, xs, ys in terms)
+        return field_convolve(self, terms, n)
 
     monkeypatch.setattr(RationalField, "convolve", recording)
     a = laurent({-1: 1, 10**6: 2})
