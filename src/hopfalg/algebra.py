@@ -91,11 +91,28 @@ class Monomial:
         return sum(e for _, e in self.powers)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        if self.is_unit:
+        """Merge the two sorted power tuples, adding exponents of shared generators."""
+        a, b = self.powers, other.powers
+        if not a:
             return other
-        if other.is_unit:
+        if not b:
             return self
-        return Monomial.from_powers(self.powers + other.powers)
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            g, e = a[i]
+            h, f = b[j]
+            if g is h or g == h:
+                out.append((g, e + f))
+                i += 1
+                j += 1
+            elif g < h:
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j])
+                j += 1
+        return Monomial(tuple(out) + a[i:] + b[j:])
 
     def sort_key(self):
         return (self.y_degree, self.powers)

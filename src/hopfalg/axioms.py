@@ -124,8 +124,8 @@ def verify_axioms(schema: HopfSchema, max_degree: int) -> AxiomReport:
     E = ctx.monomial_element
     one = ctx.unit_element()
 
-    def counit_of_monomial(m: Monomial) -> Fraction:
-        return Fraction(1) if m.is_unit else Fraction(0)
+    def counit_of_monomial(m: Monomial) -> int:
+        return 1 if m.is_unit else 0
 
     # -- algebra axioms -------------------------------------------------------
 

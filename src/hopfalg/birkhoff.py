@@ -512,19 +512,11 @@ def _flow_is_additive(ctx, poly_t, base, flow, basis) -> bool:
     in_t = {m: tuple(poly_t.constant(c) for c in p) for m, p in flow.items()}
     rhs = convolve_tables(ctx, poly_s, in_s, in_t, basis)
     for m in basis:
+        # F_(t+s)(m): its s^j coefficient is sum_k C(k, j) p_k t^(k-j); the top
+        # entry C(k, k) p_k of each is the leading p_k != 0, so all are stripped.
         p = flow[m]
-        shifted_coeffs = []
-        max_j = len(p) - 1
-        for j in range(max_j + 1):
-            coeff_j = poly_t.zero()
-            for k in range(j, len(p)):
-                contrib = poly_t.monomial(k - j, base.scale(Fraction(comb(k, j)), p[k]))
-                coeff_j = poly_t.add(coeff_j, contrib)
-            shifted_coeffs.append(coeff_j)
-        lhs = tuple(shifted_coeffs)
-        while lhs and poly_t.is_zero(lhs[-1]):
-            lhs = lhs[:-1]
-
+        lhs = tuple(tuple(base.scale(Fraction(comb(k, j)), p[k]) for k in range(j, len(p)))
+                    for j in range(len(p)))
         if not poly_s.eq(lhs, rhs.get(m, poly_s.zero())):
             return False
     return True

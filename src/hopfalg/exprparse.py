@@ -2,7 +2,8 @@
 
 Grammar:  expr := ['-'] term (('+'|'-') term)* ;  term := factor ('*' factor)*
 factor := atom ('^' nat)? ;  atom := rational | generator | tree | '(' expr ')'
-Generator names are identifiers; rooted trees are balanced bracket strings.
+Generator names are identifiers; rooted trees are balanced bracket strings;
+exponents are at most MAX_EXPONENT.
 JSON stays the canonical interchange form, this syntax is for humans.
 """
 
@@ -15,6 +16,10 @@ from .algebra import Element
 from .errors import HopfError
 from .hopf import HopfAlgebra
 from .rings import QQ, parse_rational
+
+# The largest N accepted in ``atom^N``, which is expanded by N - 1
+# multiplications before anything else can bound the work.
+MAX_EXPONENT = 64
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_]\w*)|(?P<lbrack>\[)|(?P<op>[-+*^()])|(?P<end>$))"
@@ -121,6 +126,9 @@ class _Parser:
             n = int(value)
             if n < 1:
                 raise HopfError("exponents must be >= 1")
+            if n > MAX_EXPONENT:
+                raise HopfError(f"exponent {n} exceeds the limit MAX_EXPONENT = {MAX_EXPONENT} "
+                                f"in {self.text!r}")
             acc = base
             for _ in range(n - 1):
                 acc = acc * base

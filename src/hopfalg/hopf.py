@@ -152,6 +152,11 @@ def theta_factors(ring: LaurentRing, z, max_degree: int) -> list:
 class HopfAlgebra:
     """A schema bound to computation caches; structure coefficients over Q.
 
+    Integral structure constants are stored as ``int`` (the schemas here all
+    have integer ones), so the coproduct, antipode and iterated-coproduct
+    memos fill in integer arithmetic; a rational schema coefficient stays a
+    ``Fraction`` and mixes exactly with them.
+
     Coproducts, antipodes and iterated coproducts are memoized per monomial;
     the memo fill is idempotent, so sharing an instance across threads only
     risks duplicated work, never wrong answers.  Construction checks the
@@ -190,22 +195,29 @@ class HopfAlgebra:
         the whole algebra.
         """
         for g in self.schema.generators_up_to(up_to):
-            d = self.coproduct_monomial(Monomial.of(g))
-            left = d.apply_to_leg(0, self.coproduct_monomial, 1)
-            if left != d.apply_to_leg(1, self.coproduct_monomial, 1):
+            left: dict = {}
+            right: dict = {}
+            for (a, b), c in self.coproduct_monomial(Monomial.of(g)).terms.items():
+                for (a1, a2), c1 in self.coproduct_monomial(a).terms.items():
+                    key = (a1, a2, b)
+                    left[key] = left.get(key, 0) + c * c1
+                for (b1, b2), c2 in self.coproduct_monomial(b).terms.items():
+                    key = (a, b1, b2)
+                    right[key] = right.get(key, 0) + c * c2
+            if {k: c for k, c in left.items() if c} != {k: c for k, c in right.items() if c}:
                 return g
         return None
 
     # -- element constructors ------------------------------------------------
 
     def unit_element(self) -> Element:
-        return Element.unit(self.ring)
+        return Element(self.ring, {Monomial.unit(): 1})
 
     def generator_element(self, gen: Generator) -> Element:
-        return Element.of_monomial(self.ring, Monomial.of(gen))
+        return Element(self.ring, {Monomial.of(gen): 1})
 
     def monomial_element(self, m: Monomial) -> Element:
-        return Element.of_monomial(self.ring, m)
+        return Element(self.ring, {m: 1})
 
     # -- basis enumeration -----------------------------------------------------
 
@@ -247,9 +259,10 @@ class HopfAlgebra:
     def coproduct_generator(self, gen: Generator) -> TensorElement:
         one = Monomial.unit()
         m = Monomial.of(gen)
-        terms = [((m, one), Fraction(1)), ((one, m), Fraction(1))]
+        terms = [((m, one), 1), ((one, m), 1)]
         for t in self.schema.reduced_terms(gen):
-            terms.append(((t.left, Monomial.of(t.right)), t.coeff))
+            c = t.coeff
+            terms.append(((t.left, Monomial.of(t.right)), c.numerator if c.denominator == 1 else c))
         return TensorElement.from_terms(self.ring, 2, terms)
 
     def coproduct_monomial(self, m: Monomial) -> TensorElement:
@@ -257,13 +270,18 @@ class HopfAlgebra:
         if cached is not None:
             return cached
         if m.is_unit:
-            result = TensorElement.unit(self.ring, 2)
+            result = TensorElement(self.ring, 2, {(m, m): 1})
         else:
+            # D(g) D(rest) in one coefficient dict, legs multiplied leg by leg.
             gen, exp = m.powers[0]
-            rest = Monomial.from_powers(
-                ((gen, exp - 1),) + m.powers[1:] if exp > 1 else m.powers[1:]
-            )
-            result = self.coproduct_generator(gen) * self.coproduct_monomial(rest)
+            rest = Monomial(((gen, exp - 1),) + m.powers[1:] if exp > 1 else m.powers[1:])
+            acc: dict = {}
+            tail = self.coproduct_monomial(rest).terms.items()
+            for (a1, b1), c1 in self.coproduct_generator(gen).terms.items():
+                for (a2, b2), c2 in tail:
+                    key = (a1 * a2, b1 * b2)
+                    acc[key] = acc.get(key, 0) + c1 * c2
+            result = TensorElement(self.ring, 2, {k: c for k, c in acc.items() if c})
         self._coproduct[m] = result
         return result
 
@@ -300,7 +318,7 @@ class HopfAlgebra:
         one = Monomial.unit()
         terms = dict(self.coproduct_monomial(m).terms)
         for key in ((m, one), (one, m)):
-            c = terms.get(key, Fraction(0)) - 1
+            c = terms.get(key, 0) - 1
             if c:
                 terms[key] = c
             else:
@@ -312,7 +330,7 @@ class HopfAlgebra:
         if n < 0:
             raise DomainError("iterated coproduct needs n >= 0")
         if n == 0:
-            return TensorElement(self.ring, 1, {(m,): self.ring.one()})
+            return TensorElement(self.ring, 1, {(m,): 1})
         key = (m, n)
         cached = self._iterated.get(key)
         if cached is not None:
@@ -336,7 +354,7 @@ class HopfAlgebra:
         if n == 1:
             if m.is_unit:
                 return TensorElement.zero(self.ring, 1)
-            return TensorElement(self.ring, 1, {(m,): self.ring.one()})
+            return TensorElement(self.ring, 1, {(m,): 1})
         key = (m, n)
         cached = self._plus_iterated.get(key)
         if cached is not None:
@@ -359,7 +377,7 @@ class HopfAlgebra:
         else:
             # S(h) = -h - sum h' * S(h'') over the reduced coproduct; the
             # right legs have strictly smaller degree, so the recursion ends.
-            acc = {m: Fraction(-1)}
+            acc = {m: -1}
             for (left, right), c in self.reduced_coproduct_monomial(m).terms.items():
                 for m2, c2 in self.antipode_monomial(right).terms.items():
                     key = left * m2

@@ -1,7 +1,7 @@
 """Exact coefficient rings: rationals, formal polynomials, truncated Laurent series.
 
 Every ring is a commutative unital Q-algebra with decidable, canonical
-equality.  Values are plain immutable data (Fraction, tuples, frozen
+equality.  Values are plain immutable data (int or Fraction, tuples, frozen
 dataclasses); the ring object knows how to combine them.  No floating point
 anywhere.
 """
@@ -112,7 +112,12 @@ class Ring:
 
 
 class RationalField(Ring):
-    """The field of exact rationals; values are fractions.Fraction."""
+    """The field of exact rationals; values are int or fractions.Fraction.
+
+    The ring's own operations return Fractions; structure constants that are
+    integers stay ints (see ``hopf.HopfAlgebra``), and Python's mixed
+    int/Fraction arithmetic keeps every result exact and equal-comparable.
+    """
 
     tag = "rational"
 
@@ -237,6 +242,46 @@ class PolynomialRing(Ring):
 
     def neg(self, a):
         return tuple(self.base.neg(c) for c in a)
+
+    def convolve(self, terms, n):
+        """Over a Q base, Ring.convolve in integers: each operand list over one
+        common denominator, all triples over the lcm of theirs, plain-int sums
+        in one row per series exponent indexed by t-exponent, and one Fraction
+        per output coefficient.  Other bases take the generic body."""
+        if not isinstance(self.base, RationalField):
+            return super().convolve(terms, n)
+
+        def den(ps):
+            return lcm(*(v.denominator for _, p in ps for v in p))
+
+        triples = [(c, den(xs), den(ys), xs, ys) for c, xs, ys in terms]
+        d = lcm(*(c.denominator * dx * dy for c, dx, dy, _, _ in triples))
+        rows = {}
+        for c, dx, dy, xs, ys in triples:
+            f = c.numerator * (d // (c.denominator * dx * dy))
+            if not f:
+                continue
+            iy = [(j, len(p), [(b, y.numerator * (dy // y.denominator)) for b, y in enumerate(p) if y])
+                  for j, p in ys]
+            for i, p in xs:
+                ix = [(a, f * x.numerator * (dx // x.denominator)) for a, x in enumerate(p) if x]
+                if not ix:
+                    continue
+                for j, ly, py in iy:
+                    k = i + j
+                    if k >= n:
+                        break
+                    row = rows.get(k)
+                    if row is None:
+                        row = rows[k] = []
+                    top = len(p) + ly - 1
+                    if len(row) < top:
+                        row.extend([0] * (top - len(row)))
+                    for a, x in ix:
+                        for b, y in py:
+                            row[a + b] += x * y
+        zero = self.base.zero()
+        return {k: _strip([Fraction(v, d) if v else zero for v in row], self.base) for k, row in rows.items()}
 
     def dot(self, terms):
         """Sum of c a b over (c, a, b) triples, in one base-ring convolve."""

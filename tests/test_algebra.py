@@ -1,9 +1,12 @@
 """Element and tensor arithmetic over the symmetric algebra."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfalg.algebra import (
     Element,
@@ -14,6 +17,7 @@ from hopfalg.algebra import (
     tensor_of_elements,
 )
 from hopfalg.errors import RankMismatchError, RingMismatchError
+from hopfalg.instances import ladder_schema, rooted_tree_schema
 from hopfalg.rings import QQ, LaurentRing
 
 T1 = Generator(1, "t1")
@@ -66,6 +70,32 @@ def test_monomial_identity_ignores_the_cached_hash():
     m = Monomial.of(T1, 2)
     object.__setattr__(m, "_hash", hash(m) + 1)
     assert m == Monomial.of(T1, 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _basis(name, degree):
+    from hopfalg.hopf import HopfAlgebra
+
+    schema = ladder_schema() if name == "ladder" else rooted_tree_schema(degree)
+    return HopfAlgebra(schema, validate_to=degree).basis_up_to(degree)
+
+
+def _copied(m):
+    """The same monomial over fresh, equal generator objects."""
+    return Monomial(tuple((Generator(g.degree, g.name), e) for g, e in m.powers))
+
+
+@pytest.mark.parametrize("name, degree", [("ladder", 8), ("trees", 6)], ids=["ladder-8", "trees-6"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_monomial_product_is_the_canonical_merge(name, degree, data):
+    monomials = _basis(name, degree)
+    a = data.draw(st.sampled_from(monomials))
+    b = data.draw(st.sampled_from(monomials))
+    for x, y in ((a, b), (b, a), (a, _copied(b)), (Monomial.unit(), b), (a, Monomial.unit())):
+        got, want = x * y, Monomial.from_powers(x.powers + y.powers)
+        assert got == want and got.powers == want.powers
+        assert hash(got) == hash(want) and str(got) == str(want) and got.sort_key() == want.sort_key()
 
 
 def test_symmetric_power():

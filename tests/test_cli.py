@@ -4,10 +4,12 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from hopfalg import cli
+from hopfalg.exprparse import MAX_EXPONENT
 from hopfalg.instances import rooted_tree_schema
 
 CLI = [sys.executable, "-m", "hopfalg.cli"]
@@ -50,6 +52,18 @@ def test_coproduct_tree_expression():
     assert (json.dumps([[["[]", 1]], [["[[]]", 1]]]), "2") in legs
     assert (json.dumps([[["[]", 2]], [["[]", 1]]]), "1") in legs
     assert len(data["terms"]) == 4
+
+
+def test_huge_exponent_is_rejected_before_any_multiplication(capsys):
+    argv = ["coproduct", "--schema", "ladder", "--expr", "t1^99999999", "--max-degree", "2"]
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().err)["error"] == "HopfError"
+    proc = run_cli(*argv, expect=2)
+    err = json.loads(proc.stderr)
+    assert "Traceback" not in proc.stderr and not proc.stdout
+    assert f"MAX_EXPONENT = {MAX_EXPONENT}" in err["message"] and "99999999" in err["message"]
 
 
 def test_unknown_generator_is_input_error():
@@ -355,23 +369,31 @@ def test_birkhoff_output_is_pinned(schema, degree, names, pole, truncated, diges
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# sha256 of rg-check stdout, recorded before the fused sum-of-products kernel.
-# Its flow values are Laurent series over Q[t], so they pin the generic
-# (non-rational) kernel body the way the birkhoff pins pin the rational one.
+# sha256 of rg-check stdout, recorded before the fused sum-of-products kernel
+# (special ladder d=6, non-special) and before the integer Q[t] kernel (special
+# ladder d=8, special trees:6 at d=5, where that kernel does most of the work).
+# Their flow values are Laurent series over Q[t] and the additivity check runs
+# over Q[t][s], so they pin the Q[t] kernel the way the birkhoff pins pin the
+# rational one.
+LADDER_BETA = {"t1": "2", "t2": "-1/3", "t4": "5/7"}
+TREES_BETA = {"[]": "2", "[[]]": "-1/3", "[[][]]": "5/7", "[[[]]]": "3/2"}
+
+
 @pytest.mark.parametrize(
-    "special, code, digest",
+    "schema, degree, beta, code, digest",
     [
-        (True, 0, "cf5c10452828ad7f7bc75cd89415a109063fd1c9562947a3e7b5cd2555169541"),
-        (False, 1, "08af3f422880f11f37b7209b44b1d082bcfad21acef9eff5581c696b5973fef3"),
+        ("ladder", 6, LADDER_BETA, 0, "cf5c10452828ad7f7bc75cd89415a109063fd1c9562947a3e7b5cd2555169541"),
+        ("ladder", 4, None, 1, "08af3f422880f11f37b7209b44b1d082bcfad21acef9eff5581c696b5973fef3"),
+        ("ladder", 8, LADDER_BETA, 0, "72b0926287562926bd74ed3386849091afadf1c233e26feeea731a57ec948dc6"),
+        ("trees:6", 5, TREES_BETA, 0, "126768c798da083767a52a3893419bfddf74c89502710fe98a1b378c9acbe28a"),
     ],
-    ids=["special", "non-special"],
+    ids=["special", "non-special", "special-ladder-8", "special-trees6-5"],
 )
-def test_rg_check_output_is_pinned(special, code, digest, tmp_path, capsys):
-    degree = 6 if special else 4
-    common = ["--schema", "ladder", "--max-degree", str(degree)]
+def test_rg_check_output_is_pinned(schema, degree, beta, code, digest, tmp_path, capsys):
+    special = beta is not None
+    common = ["--schema", schema, "--max-degree", str(degree)]
     if special:
-        beta = write(tmp_path, "beta.json", {"kind": "infinitesimal", "ring": "rational",
-                                             "values": {"t1": "2", "t2": "-1/3", "t4": "5/7"}})
+        beta = write(tmp_path, "beta.json", {"kind": "infinitesimal", "ring": "rational", "values": beta})
         assert cli.main(["build-loop", beta] + common) == 0
         loop = tmp_path / "loop.json"
         loop.write_text(capsys.readouterr().out)
@@ -383,3 +405,20 @@ def test_rg_check_output_is_pinned(special, code, digest, tmp_path, capsys):
     data = json.loads(out)
     assert data["special"] is special and bool(data["witnesses"]) is not special
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of coproduct and antipode stdout on a trees:5 expression with a
+# rational coefficient, recorded before the structure constants became ints.
+@pytest.mark.parametrize(
+    "command, output, digest",
+    [
+        ("coproduct", "json", "8c3c347e5656dd55302945d4ad1d8ba82395ac7c899b4a79482a4a1d0223598f"),
+        ("coproduct", "text", "58edf43fb91bab4f6c3185492908f999272a81b3a4138aa0d2ee7da0b9ba2023"),
+        ("antipode", "json", "a4bccc5efc71de37b1d7e2fda8cd73a942113c57ed010dd2198ea96e3351f9ab"),
+        ("antipode", "text", "0db7249261de7264fe2b7783e11fa14e42b27ae44eceb6b2c6f893d76ff80f87"),
+    ],
+)
+def test_structure_map_output_is_pinned(command, output, digest, capsys):
+    expr = "[[[]][]] + 3*[[][]]*[]^2 - 1/2*[[[[[]]]]] + 2*[[]]"
+    assert cli.main([command, "--schema", "trees:5", "--expr", expr, "--output", output]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -96,3 +96,13 @@ def test_errors(ladder):
 def test_unknown_generator_named(ladder):
     with pytest.raises(HopfError, match="q5"):
         parse_element(ladder, "q5")
+
+
+def test_exponents_are_capped(ladder):
+    from hopfalg.exprparse import MAX_EXPONENT
+
+    t1 = ladder.schema.generator_by_name("t1")
+    assert parse_element(ladder, f"t1^{MAX_EXPONENT}") == Element.from_terms(
+        QQ, [(Monomial.of(t1, MAX_EXPONENT), Fraction(1))])
+    with pytest.raises(HopfError, match=f"exponent {MAX_EXPONENT + 1} exceeds the limit MAX_EXPONENT"):
+        parse_element(ladder, f"(t1 + 1)^{MAX_EXPONENT + 1}")

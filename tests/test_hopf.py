@@ -4,7 +4,9 @@ Expected values marked "by hand" below were derived on paper from one or two
 steps of the defining recursions and frozen here.
 """
 
+import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -12,7 +14,7 @@ from hopfalg.algebra import Element, Monomial, TensorElement
 from hopfalg.axioms import verify_axioms
 from hopfalg.errors import DomainError, SchemaError
 from hopfalg.hopf import HopfAlgebra, theta_factors
-from hopfalg.instances import ladder_schema, rooted_tree_schema
+from hopfalg.instances import ladder_schema, rooted_tree_schema, schema_from_dict
 from hopfalg.rings import QQ, LaurentRing
 
 
@@ -356,3 +358,76 @@ def test_antipode_fill_builds_one_dict_and_matches_the_left_recursion(monkeypatc
         right = [ctx.antipode_monomial(m) for m in basis]
     for m, s in zip(basis, right):
         assert s == ctx.antipode_left_monomial(m)
+
+
+def binomial_schema(top):
+    """D x_n = sum_k C(n, k) x_k (x) x_(n-k), as a custom schema."""
+    return schema_from_dict({
+        "generators": [{"name": f"x{n}", "degree": n} for n in range(1, top + 1)],
+        "reducedCoproduct": {
+            f"x{n}": [{"left": [[f"x{k}", 1]], "right": f"x{n - k}", "coeff": str(comb(n, k))} for k in range(1, n)]
+            for n in range(2, top + 1)
+        },
+    }, name="binomial")
+
+
+# The ladder to degree 4 in the basis x1 = t1, y = t2 / 2, z = t3, w = t4: an
+# isomorphic Hopf algebra whose structure constants are 1/2, 1, 2 and 4.
+HALF_LADDER = {
+    "generators": [{"name": "x1", "degree": 1}, {"name": "y", "degree": 2},
+                   {"name": "z", "degree": 3}, {"name": "w", "degree": 4}],
+    "reducedCoproduct": {
+        "y": [{"left": [["x1", 1]], "right": "x1", "coeff": "1/2"}],
+        "z": [{"left": [["x1", 1]], "right": "y", "coeff": "2"},
+              {"left": [["y", 1]], "right": "x1", "coeff": "2"}],
+        "w": [{"left": [["x1", 1]], "right": "z"}, {"left": [["y", 1]], "right": "y", "coeff": "4"},
+              {"left": [["z", 1]], "right": "x1"}],
+    },
+}
+
+
+@pytest.mark.parametrize("schema, degree", [(ladder_schema, 8), (lambda: rooted_tree_schema(6), 6),
+                                            (lambda: binomial_schema(7), 7)],
+                         ids=["ladder-8", "trees-6", "binomial-7"])
+def test_integral_schemas_fill_their_memos_in_ints(schema, degree):
+    ctx = HopfAlgebra(schema())
+    basis = ctx.basis_up_to(degree)
+    for m in basis:
+        ctx.antipode_monomial(m)
+        if m.y_degree <= 5:
+            ctx.iterated_coproduct_monomial(m, 2)
+    memos = [ctx._coproduct, ctx._antipode_r, ctx._iterated]
+    assert all(len(memo) for memo in memos) and len(ctx._coproduct) == len(basis)
+    for memo in memos:
+        for value in memo.values():
+            assert all(type(c) is int for c in value.terms.values())
+
+
+def test_a_rational_schema_stays_exact_and_passes_verify(tmp_path):
+    from hopfalg import cli
+    from hopfalg.duals import Character, ConvolutionProduct, TableFunctional, compose_antipode, convolve_tables, tabulate
+
+    schema = schema_from_dict(HALF_LADDER, name="half-ladder")
+    assert verify_axioms(schema, 4).passed
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(HALF_LADDER))
+    assert cli.main(["verify", "--schema", f"custom:{path}", "--max-degree", "4", "--seed", "5"]) == 0
+
+    ctx = HopfAlgebra(schema)
+    basis = ctx.basis_up_to(4)
+    y = ctx.schema.generator_by_name("y")
+    x1 = Monomial.of(ctx.schema.generator_by_name("x1"))
+    assert ctx.coproduct_monomial(Monomial.of(y)).terms[x1, x1] == Fraction(1, 2)
+    for m in basis:
+        assert ctx.antipode_monomial(m) == ctx.antipode_left_monomial(m)
+    # The memos against the flat iterated-coproduct oracle: chi o S is the
+    # convolution inverse of chi, and the binary kernel is the flat product.
+    gens = ctx.schema.generators_up_to(4)
+    chi = Character(ctx, QQ, {g: Fraction(2 * i + 1, i + 3) for i, g in enumerate(gens)})
+    psi = Character(ctx, QQ, {g: Fraction(-i, 5) for i, g in enumerate(gens)})
+    table, other = tabulate(chi, basis), tabulate(psi, basis)
+    inverse = TableFunctional(ctx, QQ, compose_antipode(ctx, QQ, table, basis))
+    binary = convolve_tables(ctx, QQ, table, other, basis)
+    for m in basis:
+        assert ConvolutionProduct([chi, inverse]).value_on(m) == (1 if m.is_unit else 0)
+        assert ConvolutionProduct([chi, psi]).value_on(m) == binary.get(m, 0)

@@ -234,6 +234,95 @@ def test_laurent_over_polynomials_dot_matches_the_unfused_loop(terms):
     assert got.coeffs == want.coeffs and got.trunc == want.trunc
 
 
+def _strip_poly(cs):
+    while cs and not cs[-1]:
+        cs = cs[:-1]
+    return tuple(cs)
+
+
+poly_entries = st.lists(kernel_entries, max_size=4).map(_strip_poly)
+
+
+@st.composite
+def poly_kernel_lists(draw):
+    exps = sorted(draw(st.lists(st.integers(min_value=-4, max_value=6), max_size=5, unique=True)))
+    return [(k, draw(poly_entries)) for k in exps]
+
+
+@settings(max_examples=100)
+@given(terms=st.lists(st.tuples(scalars, poly_kernel_lists(), poly_kernel_lists()), max_size=4), data=st.data())
+def test_polynomial_kernel_matches_the_generic_kernel_and_a_2d_schoolbook(terms, data):
+    full = max((xs[-1][0] + ys[-1][0] + 1 for _, xs, ys in terms if xs and ys), default=0)
+    n = data.draw(st.integers(min_value=-8, max_value=full))
+    expect = {}
+    for c, xs, ys in terms:
+        for i, x in xs:
+            for j, y in ys:
+                for a, xa in enumerate(x):
+                    for b, yb in enumerate(y):
+                        if i + j < n:
+                            key = (i + j, a + b)
+                            expect[key] = expect.get(key, Fraction(0)) + c * xa * yb
+    expect = {key: c for key, c in expect.items() if c}
+    got = PT.convolve(terms, n)
+    assert got == Ring.convolve(PT, terms, n)  # same reached exponents, zeros included
+    assert all(k < n and (not p or p[-1]) and all(type(v) is Fraction for v in p) for k, p in got.items())
+    assert {(k, j): v for k, p in got.items() for j, v in enumerate(p) if v} == expect
+
+
+PS = PolynomialRing(PT, "s")
+
+
+@st.composite
+def nested_poly_values(draw):
+    """A value of Q[t][s] with its exact (s-exponent, t-exponent) table."""
+    value = _strip_poly(tuple(draw(st.lists(st.lists(rationals, max_size=3).map(_strip_poly), max_size=3))))
+    return value, {(j, k): c for j, p in enumerate(value) for k, c in enumerate(p) if c}
+
+
+@settings(max_examples=60)
+@given(terms=st.lists(st.tuples(scalars, nested_poly_values(), nested_poly_values()), max_size=4))
+def test_nested_polynomial_dot_matches_the_unfused_loop(terms):
+    got = PS.dot([(c, a, b) for c, (a, _), (b, _) in terms])
+    total = PS.zero()
+    for c, (a, _), (b, _) in terms:
+        product = PS.zero()
+        for j, p in enumerate(a):
+            for k, q in enumerate(b):
+                product = PS.add(product, PS.monomial(j + k, PT.mul(p, q)))
+        total = PS.add(total, PS.scale(c, product))
+    assert PS.eq(got, total) and got == total
+    expect = {}
+    for c, (_, ta), (_, tb) in terms:
+        for (ja, ka), va in ta.items():
+            for (jb, kb), vb in tb.items():
+                key = (ja + jb, ka + kb)
+                expect[key] = expect.get(key, Fraction(0)) + c * va * vb
+    assert {(j, k): v for j, p in enumerate(got) for k, v in enumerate(p) if v} == \
+        {key: v for key, v in expect.items() if v}
+
+
+def test_laurent_over_polynomials_product_makes_no_polynomial_mul_or_add(monkeypatch):
+    calls = []
+
+    def forbidden(name):
+        def record(self, a, b):
+            calls.append(name)
+            raise AssertionError(f"PolynomialRing.{name} called")
+        return record
+
+    a = LT.make({k: tuple(Fraction(k + j, 3) for j in range(1, 4)) for k in range(-2, 3)}, 4)
+    b = LT.make({k: tuple(Fraction(2 * j - k, 7) for j in range(1, 3)) for k in range(-1, 4)}, None)
+    with monkeypatch.context() as patch:
+        patch.setattr(PolynomialRing, "mul", forbidden("mul"))
+        patch.setattr(PolynomialRing, "add", forbidden("add"))
+        product = LT.mul(a, b)
+        fused = LT.dot([(Fraction(1, 2), a, b), (3, b, b)])
+    assert calls == []
+    assert product.coeffs == schoolbook_mul(LT, a, b).coeffs
+    assert fused.coeffs == unfused_dot(LT, [(Fraction(1, 2), a, b), (3, b, b)]).coeffs
+
+
 def test_laurent_mul_over_rationals_never_calls_the_field_mul(monkeypatch):
     calls = []
     field_mul = RationalField.mul
