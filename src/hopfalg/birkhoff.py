@@ -110,29 +110,22 @@ def birkhoff_decompose(ctx: HopfAlgebra, phi: Character, max_degree: int) -> Bir
     ring: LaurentRing = phi.ring
     check_truncation_budget(ctx, phi, max_degree)
 
-    phi_vals: Dict[Monomial, LaurentSeries] = {}
-
-    def phi_value(m: Monomial) -> LaurentSeries:
-        v = phi_vals.get(m)
-        if v is None:
-            v = phi.value_on(m)
-            phi_vals[m] = v
-        return v
-
-    one = ring.one()
+    phi_table = tabulate(phi, ctx.basis_up_to(max_degree))
+    one, zero = ring.one(), ring.zero()
     minus: Dict[Monomial, LaurentSeries] = {Monomial.unit(): one}
     plus: Dict[Monomial, LaurentSeries] = {Monomial.unit(): one}
     for degree in range(1, max_degree + 1):
         for m in ctx.monomials_of_degree(degree):
-            # phi(m) + sum c phi_-(m') phi(m'') over the reduced coproduct.
-            terms = [(c, minus[m1], phi_value(m2))
-                     for (m1, m2), c in ctx.reduced_coproduct_monomial(m).terms.items()]
-            bracket = ring.dot([(1, phi_value(m), one)] + terms)
+            # phi(m) + sum c phi_-(m') phi(m'') over the reduced coproduct; an
+            # exact zero phi(m'') adds nothing.
+            terms = [(c, minus[m1], y) for (m1, m2), c in ctx.reduced_coproduct_monomial(m).terms.items()
+                     if (y := phi_table.get(m2)) is not None]
+            bracket = ring.dot([(1, phi_table.get(m, zero), one)] + terms)
             minus[m] = ring.neg(rota_baxter_T(ring, bracket))
             plus[m] = ring.regular_part(bracket)
 
     pair = BirkhoffPair(ctx, ring, max_degree, minus, plus)
-    report = birkhoff_verification_report(ctx, phi, pair)
+    report = birkhoff_verification_report(ctx, phi, pair, phi_table)
     pair.report = report
     failed = [name for name, entry in report["checks"].items() if not entry["passed"]]
     if failed:
@@ -143,13 +136,18 @@ def birkhoff_decompose(ctx: HopfAlgebra, phi: Character, max_degree: int) -> Bir
     return pair
 
 
-def birkhoff_verification_report(ctx: HopfAlgebra, phi: Character, pair: BirkhoffPair) -> dict:
+def birkhoff_verification_report(ctx: HopfAlgebra, phi: Character, pair: BirkhoffPair,
+                                 phi_table: Optional[dict] = None) -> dict:
     """Range, multiplicativity and reconstruction checks on a candidate pair.
 
     Exposed separately so a deliberately perturbed pair can be shown to break
-    the reconstruction identity.
+    the reconstruction identity.  ``phi_table`` is phi tabulated on the basis
+    up to the pair's degree, when the caller has it.
     """
     ring = pair.ring
+    basis = ctx.basis_up_to(pair.max_degree)
+    if phi_table is None:
+        phi_table = tabulate(phi, basis)
     checks: Dict[str, dict] = {}
 
     witness = None
@@ -177,7 +175,6 @@ def birkhoff_verification_report(ctx: HopfAlgebra, phi: Character, pair: Birkhof
     }
 
     witness = None
-    basis = ctx.basis_up_to(pair.max_degree)
     for m1 in basis:
         if witness:
             break
@@ -201,8 +198,9 @@ def birkhoff_verification_report(ctx: HopfAlgebra, phi: Character, pair: Birkhof
     witness = None
     minus_inverse = compose_antipode(ctx, ring, pair.minus_table, basis)
     got = convolve_tables(ctx, ring, minus_inverse, pair.plus_table, basis)
+    zero = ring.zero()
     for m in basis:
-        if not ring.eq(got.get(m, ring.zero()), phi.value_on(m)):
+        if not ring.eq(got.get(m, zero), phi_table.get(m, zero)):
             witness = str(m)
             break
     checks["reconstruction"] = {
@@ -280,8 +278,8 @@ def residue(ctx: HopfAlgebra, f, max_degree: int) -> TableFunctional:
     ring: LaurentRing = f.ring
     base = ring.base
     table = {}
-    for m in ctx.basis_up_to(max_degree):
-        v = ring.coefficient(f.value_on(m), -1)
+    for m, value in tabulate(f, ctx.basis_up_to(max_degree)).items():
+        v = ring.coefficient(value, -1)
         if not base.is_zero(v):
             table[m] = v
     return TableFunctional(ctx, base, table)
@@ -455,7 +453,7 @@ def rg_limit_check(ctx: HopfAlgebra, phi: Character, max_degree: int, eps_margin
         )
 
     basis = ctx.basis_up_to(max_degree)
-    phi_vals = {m: phi.value_on(m) for m in basis}
+    phi_vals = tabulate(phi, basis)
     pole = max(ring.pole_order(v) for v in phi_vals.values())
     # theta_(t eps), with t eps carried as far as the poles of phi need.
     thetas = theta_factors(work, work.make({1: poly_t.variable()}, pole + eps_margin), max_degree)
@@ -488,7 +486,7 @@ def rg_limit_check(ctx: HopfAlgebra, phi: Character, max_degree: int, eps_margin
     residue_identity = _residue_identity_holds(ctx, ring, phi_vals, beta, basis)
 
     gens = [Monomial.of(g) for g in ctx.schema.generators_up_to(max_degree)]
-    scaled = grading_transpose(base, {m: ring.coefficient(phi_vals[m], -1) for m in gens})
+    scaled = grading_transpose(base, {m: ring.coefficient(phi_vals.get(m, ring.zero()), -1) for m in gens})
     beta_matches_residue = all(base.eq(scaled.get(m, base.zero()), beta.value_on(m)) for m in gens)
 
     return RgReport(

@@ -7,11 +7,11 @@ augmentation-ideal elements.  The convolution calculus (powers, exp, log,
 brackets) runs on tables keyed by basis monomial: (a * b)(m) is the sum over
 the coproduct of m of c a(m') b(m''), the transposes f o S, Y_*, Y_*^-1 and
 theta_* are table maps, and each such sum is one call per monomial of the
-ring's one sum-of-products kernel, ``ring.dot``.  One helper reads a table
-back into closed form on the generators, verifying it on the whole basis
-where the caller asks.  The flat ``ConvolutionProduct`` over iterated
-coproducts adds its products one at a time, an independent oracle for the
-tests and the suites.
+ring's one sum-of-products kernel, ``ring.dot``.  A character tabulates with
+one ring product per monomial.  One helper reads a table back into closed
+form on the generators, verifying it on the whole basis where the caller
+asks.  The flat ``ConvolutionProduct`` over iterated coproducts adds its
+products one at a time, an independent oracle for the tests and the suites.
 """
 
 from __future__ import annotations
@@ -41,6 +41,16 @@ class Functional:
 
     def value_on(self, m: Monomial):
         raise NotImplementedError
+
+    def tabulate(self, monomials) -> Dict[Monomial, object]:
+        """The values on the given monomials as a table, exact zeros left out."""
+        zero = self.ring.zero()
+        table = {}
+        for m in monomials:
+            v = self.value_on(m)
+            if v != zero:
+                table[m] = v
+        return table
 
     def __call__(self, h):
         """Evaluate on an Element (over Q) or a single Monomial."""
@@ -92,20 +102,60 @@ class Character(Functional):
         self.gen_values = dict(gen_values)
         self.cutoff = cutoff
 
-    def value_on(self, m: Monomial):
+    def _check_cutoff(self, m: Monomial):
         if self.cutoff is not None and m.y_degree > self.cutoff:
             raise CutoffExceededError(
                 f"character materialized to degree {self.cutoff}; "
                 f"value on degree-{m.y_degree} monomial requested"
             )
-        acc = self.ring.one()
+
+    def value_on(self, m: Monomial):
+        self._check_cutoff(m)
+        acc = None
         for g, e in m.powers:
             v = self.gen_values.get(g)
             if v is None:
                 return self.ring.zero()
             for _ in range(e):
-                acc = self.ring.mul(acc, v)
-        return acc
+                acc = v if acc is None else self.ring.mul(acc, v)
+        return self.ring.one() if acc is None else acc
+
+    def tabulate(self, monomials) -> Dict[Monomial, object]:
+        """``value_on`` of each monomial, built as table[m / g] chi(g) with g the
+        first generator of m: one product per monomial that is not a
+        generator.  Cofactors outside ``monomials`` are computed once and kept
+        out of the table; an exact zero cofactor gives an exact zero without a
+        product, as a missing generator does in ``value_on``.  Values equal
+        ``value_on``'s: the truncation of a product of series does not depend
+        on the order of its factors."""
+        ring = self.ring
+        zero = ring.zero()
+        values = {Monomial.unit(): ring.one()}
+
+        def value(m):
+            v = values.get(m)
+            if v is None:
+                (g, e), rest = m.powers[0], m.powers[1:]
+                x = self.gen_values.get(g)
+                if x is None:
+                    v = zero
+                else:
+                    cofactor = Monomial(((g, e - 1),) + rest if e > 1 else rest)
+                    if cofactor.is_unit:
+                        v = x
+                    else:
+                        y = value(cofactor)
+                        v = zero if y == zero else ring.mul(y, x)
+                values[m] = v
+            return v
+
+        table = {}
+        for m in monomials:
+            self._check_cutoff(m)
+            v = value(m)
+            if v != zero:
+                table[m] = v
+        return table
 
 
 class InfinitesimalCharacter(Functional):
@@ -182,13 +232,7 @@ def convolve(*factors: Functional) -> ConvolutionProduct:
 
 def tabulate(f: Functional, monomials) -> Dict[Monomial, object]:
     """f on the given monomials as a table (exact zeros left out)."""
-    zero = f.ring.zero()
-    table = {}
-    for m in monomials:
-        v = f.value_on(m)
-        if v != zero:
-            table[m] = v
-    return table
+    return f.tabulate(monomials)
 
 
 def convolve_tables(ctx: HopfAlgebra, ring: Ring, a: dict, b: dict, monomials) -> Dict[Monomial, object]:
@@ -240,8 +284,10 @@ def materialize(ctx: HopfAlgebra, ring: Ring, table: dict, max_degree: int, kind
     result = kind(ctx, ring, values, cutoff=max_degree)
     if failure is not None:
         zero = ring.zero()
-        for m in ctx.basis_up_to(max_degree):
-            if not ring.eq(result.value_on(m), table.get(m, zero)):
+        basis = ctx.basis_up_to(max_degree)
+        closed = tabulate(result, basis)
+        for m in basis:
+            if not ring.eq(closed.get(m, zero), table.get(m, zero)):
                 raise VerificationError(failure.format(m), witness=str(m))
     return result
 

@@ -3,13 +3,15 @@
 Grammar:  expr := ['-'] term (('+'|'-') term)* ;  term := factor ('*' factor)*
 factor := atom ('^' nat)? ;  atom := rational | generator | tree | '(' expr ')'
 Generator names are identifiers; rooted trees are balanced bracket strings;
-exponents are at most MAX_EXPONENT.
+exponents are at most MAX_EXPONENT, and a power may expand to at most
+MAX_POWER_TERMS terms.
 JSON stays the canonical interchange form, this syntax is for humans.
 """
 
 from __future__ import annotations
 
 import re
+from math import comb
 from typing import List, Tuple
 
 from .algebra import Element
@@ -20,6 +22,9 @@ from .rings import QQ, parse_rational
 # The largest N accepted in ``atom^N``, which is expanded by N - 1
 # multiplications before anything else can bound the work.
 MAX_EXPONENT = 64
+# The most terms a power may expand to: a k-term base to the power N has at
+# most C(k + N - 1, N) of them, one per monomial of degree N in k letters.
+MAX_POWER_TERMS = 10_000
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_]\w*)|(?P<lbrack>\[)|(?P<op>[-+*^()])|(?P<end>$))"
@@ -129,6 +134,11 @@ class _Parser:
             if n > MAX_EXPONENT:
                 raise HopfError(f"exponent {n} exceeds the limit MAX_EXPONENT = {MAX_EXPONENT} "
                                 f"in {self.text!r}")
+            k = len(base.terms)
+            bound = comb(k + n - 1, n)
+            if bound > MAX_POWER_TERMS:
+                raise HopfError(f"a {k}-term base to the power {n} may expand to {bound} terms, "
+                                f"above the limit MAX_POWER_TERMS = {MAX_POWER_TERMS} in {self.text!r}")
             acc = base
             for _ in range(n - 1):
                 acc = acc * base

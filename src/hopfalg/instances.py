@@ -128,15 +128,46 @@ def parse_forest(text: str) -> Tuple[RootedTree, ...]:
     return tuple(parse_tree(p) for p in parts)
 
 
+# The most rooted trees one request may build.  Enumerating the trees with n
+# vertices builds every tree with at most n vertices, and the trees:n schema
+# has one generator per such tree; 5000 admits n = 11 (3047 trees).
+MAX_TREES = 5000
+
+
+@lru_cache(maxsize=None)
+def rooted_tree_count(n: int) -> int:
+    """The number of rooted trees with n vertices (OEIS A000081), by the recurrence
+    (n - 1) a(n) = sum_{k < n} (sum_{d | k} d a(d)) a(n - k)."""
+    if n == 1:
+        return 1
+    return sum(sum(d * rooted_tree_count(d) for d in range(1, k + 1) if k % d == 0) * rooted_tree_count(n - k)
+               for k in range(1, n)) // (n - 1)
+
+
+def check_tree_budget(n: int) -> None:
+    """Reject building the rooted trees with at most n vertices when there are
+    more than MAX_TREES of them, before any is built.  The count stops at
+    the first size past the limit, so a huge n costs no more than a small one."""
+    total = 0
+    for k in range(1, n + 1):
+        total += rooted_tree_count(k)
+        if total > MAX_TREES:
+            count = f"{total}" if k == n else f"at least {total} (those with at most {k} vertices)"
+            raise DomainError(f"the rooted trees with at most {n} vertices number {count}, "
+                              f"above the limit MAX_TREES = {MAX_TREES}")
+
+
 @lru_cache(maxsize=None)
 def enumerate_trees(n: int) -> Tuple[RootedTree, ...]:
     """All isomorphism classes of rooted trees with n vertices.
 
     Canonical, deterministic order (sorted by encoding).  The counts follow
-    the classical sequence 1, 1, 2, 4, 9, 20, ...
+    the classical sequence 1, 1, 2, 4, 9, 20, ...; sizes whose trees exceed
+    MAX_TREES are rejected first.
     """
     if n < 1:
         raise DomainError("trees have at least one vertex")
+    check_tree_budget(n)
     if n == 1:
         return (RootedTree.leaf(),)
     out = [RootedTree.make(forest) for forest in _forests(n - 1)]
@@ -225,6 +256,7 @@ def rooted_tree_schema(max_vertices: int) -> TableSchema:
     """
     if max_vertices < 1:
         raise DomainError("max_vertices must be >= 1")
+    check_tree_budget(max_vertices)
     generators: List[Generator] = []
     reduced: Dict[Generator, Tuple[ReducedTerm, ...]] = {}
     for n in range(1, max_vertices + 1):

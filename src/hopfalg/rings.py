@@ -8,7 +8,7 @@ anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Optional
@@ -73,6 +73,13 @@ class Ring:
         """Multiply by a rational scalar (every ring here is a Q-algebra)."""
         return self.mul(self.from_rational(q), a)
 
+    def operand(self, xs):
+        """A sparse (exponent, coefficient) list in the form ``convolve_operands``
+        reads: the list itself here.  Rings with an integer kernel convert it,
+        and a value that enters many products keeps its form (see
+        ``LaurentSeries.operand``), so it is converted once."""
+        return xs
+
     def convolve(self, terms, n: int) -> dict:
         """The ring's one product kernel: the sum of c xs ys over the (c, xs, ys)
         triples of ``terms`` below exponent n, c a rational scalar and xs, ys
@@ -95,6 +102,10 @@ class Ring:
                     cur = out.get(k)
                     out[k] = self.mul(x, y) if cur is None else self.add(cur, self.mul(x, y))
         return out
+
+    def convolve_operands(self, terms, n: int) -> dict:
+        """``convolve`` on triples whose lists are already in ``operand`` form."""
+        return self.convolve(terms, n)
 
     def dot(self, terms):
         """The sum of c x y over (c, x, y) triples: the kernel at exponent 0."""
@@ -148,20 +159,26 @@ class RationalField(Ring):
     def scale(self, q, a):
         return q * a
 
+    def operand(self, xs):
+        """xs over one common denominator: (d, ((exponent, integer numerator), ...))."""
+        d = lcm(*(x.denominator for _, x in xs))
+        return d, tuple((i, x.numerator * (d // x.denominator)) for i, x in xs)
+
     def convolve(self, terms, n):
-        """Ring.convolve in integers: each operand over one common denominator,
-        all triples over the lcm of theirs, one Fraction per output exponent."""
-        triples = [(c, lcm(*(x.denominator for _, x in xs)), lcm(*(y.denominator for _, y in ys)), xs, ys)
-                   for c, xs, ys in terms]
-        d = lcm(*(c.denominator * dx * dy for c, dx, dy, _, _ in triples))
+        """Ring.convolve in integers, on the operand form of each list."""
+        return self.convolve_operands([(c, self.operand(xs), self.operand(ys)) for c, xs, ys in terms], n)
+
+    def convolve_operands(self, terms, n):
+        """The integer loop: all triples over the lcm of their denominators,
+        one Fraction per output exponent."""
+        d = lcm(*(c.denominator * dx * dy for c, (dx, _), (dy, _) in terms))
         out = {}
-        for c, dx, dy, xs, ys in triples:
+        for c, (dx, xs), (dy, ys) in terms:
             f = c.numerator * (d // (c.denominator * dx * dy))
-            iy = [(j, y.numerator * (dy // y.denominator)) for j, y in ys]
             for i, x in xs:
-                x = f * x.numerator * (dx // x.denominator)
+                x *= f
                 if x:
-                    for j, y in iy:
+                    for j, y in ys:
                         k = i + j
                         if k >= n:
                             break
@@ -205,6 +222,7 @@ class PolynomialRing(Ring):
         self.base = base
         self.var = var
         self.tag = f"poly[{var}]:{base.tag}"
+        self.integral = isinstance(base, RationalField)  # the integer kernel applies
 
     def zero(self):
         return ()
@@ -243,41 +261,51 @@ class PolynomialRing(Ring):
     def neg(self, a):
         return tuple(self.base.neg(c) for c in a)
 
+    def operand(self, ps):
+        """Over a Q base, ps over one common denominator: (d, ((exponent, length,
+        ((t-exponent, integer numerator), ...)), ...)) without the zero
+        coefficients.  Other bases keep the list."""
+        if not self.integral:
+            return ps
+        d = lcm(*(v.denominator for _, p in ps for v in p))
+        return d, tuple((i, len(p), tuple((a, v.numerator * (d // v.denominator)) for a, v in enumerate(p) if v))
+                        for i, p in ps)
+
     def convolve(self, terms, n):
-        """Over a Q base, Ring.convolve in integers: each operand list over one
-        common denominator, all triples over the lcm of theirs, plain-int sums
-        in one row per series exponent indexed by t-exponent, and one Fraction
-        per output coefficient.  Other bases take the generic body."""
-        if not isinstance(self.base, RationalField):
+        """Over a Q base, Ring.convolve in integers, on the operand form of
+        each list.  Other bases take the generic body."""
+        if not self.integral:
             return super().convolve(terms, n)
+        return self.convolve_operands([(c, self.operand(xs), self.operand(ys)) for c, xs, ys in terms], n)
 
-        def den(ps):
-            return lcm(*(v.denominator for _, p in ps for v in p))
-
-        triples = [(c, den(xs), den(ys), xs, ys) for c, xs, ys in terms]
-        d = lcm(*(c.denominator * dx * dy for c, dx, dy, _, _ in triples))
+    def convolve_operands(self, terms, n):
+        """The integer loop over a Q base: all triples over the lcm of their
+        denominators, plain-int sums in one row per series exponent indexed
+        by t-exponent, and one Fraction per output coefficient."""
+        if not self.integral:
+            return super().convolve(terms, n)
+        d = lcm(*(c.denominator * dx * dy for c, (dx, _), (dy, _) in terms))
         rows = {}
-        for c, dx, dy, xs, ys in triples:
+        for c, (dx, xs), (dy, ys) in terms:
             f = c.numerator * (d // (c.denominator * dx * dy))
             if not f:
                 continue
-            iy = [(j, len(p), [(b, y.numerator * (dy // y.denominator)) for b, y in enumerate(p) if y])
-                  for j, p in ys]
-            for i, p in xs:
-                ix = [(a, f * x.numerator * (dx // x.denominator)) for a, x in enumerate(p) if x]
-                if not ix:
+            for i, lx, px in xs:
+                if not px:
                     continue
-                for j, ly, py in iy:
+                if f != 1:
+                    px = [(a, f * x) for a, x in px]
+                for j, ly, py in ys:
                     k = i + j
                     if k >= n:
                         break
                     row = rows.get(k)
                     if row is None:
                         row = rows[k] = []
-                    top = len(p) + ly - 1
+                    top = lx + ly - 1
                     if len(row) < top:
                         row.extend([0] * (top - len(row)))
-                    for a, x in ix:
+                    for a, x in px:
                         for b, y in py:
                             row[a + b] += x * y
         zero = self.base.zero()
@@ -350,9 +378,20 @@ class LaurentSeries:
 
     coeffs: tuple  # sorted tuple of (exponent, value)
     trunc: Optional[int]
+    # (base ring, coeffs in its operand form), built by the first product the
+    # series enters: table values enter hundreds of them.
+    _operand: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def min_exp(self) -> Optional[int]:
         return self.coeffs[0][0] if self.coeffs else None
+
+    def operand(self, base: Ring):
+        """The coefficients in ``base.operand`` form, built once per series and base ring."""
+        memo = self._operand
+        if memo is None or memo[0] is not base:
+            memo = (base, base.operand(self.coeffs))
+            object.__setattr__(self, "_operand", memo)
+        return memo[1]
 
     def as_dict(self) -> dict:
         return dict(self.coeffs)
@@ -462,8 +501,9 @@ class LaurentRing(Ring):
         trunc = min(floors) - 1 if floors else None
         tops = [a.coeffs[-1][0] + b.coeffs[-1][0] for _, a, b in terms if a.coeffs and b.coeffs]
         n = (max(tops, default=0) if trunc is None else trunc) + 1
-        out = self.base.convolve([(c, a.coeffs, b.coeffs) for c, a, b in terms], n)
-        is_zero = self.base.is_zero
+        base = self.base
+        out = base.convolve_operands([(c, a.operand(base), b.operand(base)) for c, a, b in terms], n)
+        is_zero = base.is_zero
         return LaurentSeries(tuple((k, v) for k, v in sorted(out.items()) if not is_zero(v)), trunc)
 
     def mul(self, a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:

@@ -1,6 +1,7 @@
 """Minimal subtraction, Birkhoff factorization, beta-function machinery."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -34,7 +35,7 @@ from hopfalg.errors import DomainError, TruncationError
 from hopfalg.exp_integrals import ExpSum, finite_simplex_integral, simplex_integral
 from hopfalg.hopf import HopfAlgebra
 from hopfalg.instances import ladder_schema, rooted_tree_schema
-from hopfalg.rings import QQ, LaurentRing
+from hopfalg.rings import QQ, LaurentRing, RationalField
 
 L = LaurentRing(QQ, "eps")
 
@@ -210,6 +211,34 @@ def test_perturbed_minus_breaks_reconstruction(ladder):
     report = birkhoff_verification_report(ladder, phi, bad)
     assert not report["checks"]["reconstruction"]["passed"]
     assert not report["passed"]
+
+
+
+def test_birkhoff_converts_each_series_to_integers_once(ladder, monkeypatch):
+    # The table values (phi, phi_-, phi_+, phi_- o S) enter hundreds of
+    # products; each is put over its common denominator once, on first use.
+    rng = random.Random(8)
+    phi = laurent_char(ladder, {n: lau({k: Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for k in range(-2, 3)})
+                                for n in range(1, 7)})
+    built, used = [], []
+    field_operand, field_loop = RationalField.operand, RationalField.convolve_operands
+
+    def operand(self, xs):
+        built.append(xs)  # kept alive, so no two of them share an id
+        return field_operand(self, xs)
+
+    def loop(self, terms, n):
+        used.extend(x for _, x, y in terms)
+        used.extend(y for _, x, y in terms)
+        return field_loop(self, terms, n)
+
+    monkeypatch.setattr(RationalField, "operand", operand)
+    monkeypatch.setattr(RationalField, "convolve_operands", loop)
+    assert birkhoff_decompose(ladder, phi, 6).report["passed"]
+    # Every zero series shares the empty tuple, so only nonzero ones are told apart.
+    builds = Counter(id(xs) for xs in built if xs)
+    assert builds and max(builds.values()) == 1
+    assert 4 * len(built) < len(used)
 
 
 # -- residue / beta / tower --------------------------------------------------------

@@ -235,6 +235,21 @@ def test_verify_corrupted_schema_fails(tmp_path):
     assert checks["CDelta"]["counterexample"] == "t4"
 
 
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["enumerate-trees", "18"], "MAX_TREES = 5000"),
+        (["enumerate-trees", "99999999"], "MAX_TREES = 5000"),
+        (["coproduct", "--schema", "trees:40", "--expr", "[]"], "MAX_TREES = 5000"),
+        (["coproduct", "--schema", "ladder", "--expr", "(t1+t2+t3+1)^64", "--max-degree", "2"],
+         "47905 terms, above the limit MAX_POWER_TERMS = 10000"),
+    ],
+    ids=["trees-18", "trees-huge", "schema-trees-40", "power-of-a-sum"],
+)
+def test_explosive_requests_are_priced_before_any_work(argv, limit, capsys):
+    assert cli.main(argv) == 2
+    assert limit in json.loads(capsys.readouterr().err)["message"]
+
 def test_enumerate_trees_counts():
     proc = run_cli("enumerate-trees", "6")
     data = json.loads(proc.stdout)
@@ -368,6 +383,27 @@ def test_birkhoff_output_is_pinned(schema, degree, names, pole, truncated, diges
     assert json.loads(out)["report"]["passed"]
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+
+# sha256 of birkhoff stdout at larger sizes (truncated trees:7 and exact ladder
+# d=10, pole order 2), recorded before series kept their integer operand form
+# and characters were tabulated one product per monomial.
+@pytest.mark.parametrize(
+    "schema, degree, truncated, digest",
+    [
+        ("trees:7", 7, True, "b35c5940530723fec0654643a2a753c35540c07f2018b6d85858bf40606d1ff5"),
+        ("ladder", 10, False, "68c994f4f028a6a67f9785f9546764716a92440c5f77081a4c9abedc7740f91b"),
+    ],
+    ids=["trees7-truncated", "ladder10-exact"],
+)
+def test_birkhoff_output_is_pinned_at_scale(schema, degree, truncated, digest, tmp_path, capsys):
+    names = ([g.name for g in rooted_tree_schema(7).generators_up_to(7)] if schema == "trees:7"
+             else [f"t{n}" for n in range(1, 11)])
+    budget = (degree - 1) * 2
+    phi = write(tmp_path, "phi.json", _laurent_loop(names, 2, budget if truncated else 2, budget if truncated else None))
+    assert cli.main(["birkhoff", phi, "--schema", schema, "--max-degree", str(degree)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["report"]["passed"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 # sha256 of rg-check stdout, recorded before the fused sum-of-products kernel
 # (special ladder d=6, non-special) and before the integer Q[t] kernel (special

@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfalg import cli
 from hopfalg.algebra import Generator, Monomial
@@ -574,3 +577,73 @@ def test_group_like_and_primitive_characterizations(ladder):
             lhs = z.value_on(m1 * m2)
             rhs = z.value_on(m1) * eps.value_on(m2) + eps.value_on(m1) * z.value_on(m2)
             assert lhs == rhs
+
+
+# -- character tabulation against value_on ----------------------------------------
+
+
+@lru_cache(maxsize=None)
+def tabulation_context(name):
+    from test_hopf import binomial_schema
+
+    schema, degree = {"ladder": (ladder_schema, 8), "trees": (lambda: rooted_tree_schema(6), 6),
+                      "binomial": (lambda: binomial_schema(6), 6)}[name]
+    return HopfAlgebra(schema(), validate_to=degree), degree
+
+
+LQ = LaurentRing(QQ, "eps")
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def generator_values(draw, ring):
+    """A generator value: over Q any rational, zero included; over Laurent an
+    exact or truncated series, exact and truncated zeros included."""
+    if ring is QQ:
+        return draw(small_rationals)
+    trunc = draw(st.one_of(st.none(), st.integers(min_value=-1, max_value=3)))
+    coeffs = draw(st.dictionaries(st.integers(min_value=-2, max_value=3), small_rationals, max_size=3))
+    return LQ.make(coeffs, trunc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["ladder", "trees", "binomial"]), ring=st.sampled_from([QQ, LQ]), data=st.data())
+def test_character_tabulation_equals_value_on(name, ring, data):
+    ctx, top = tabulation_context(name)
+    degree = data.draw(st.integers(min_value=1, max_value=top))
+    values = {}
+    for g in ctx.schema.generators_up_to(degree):
+        if data.draw(st.booleans()):  # otherwise the generator is missing: value zero
+            values[g] = data.draw(generator_values(ring))
+    cutoff = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=degree)))
+    chi = Character(ctx, ring, values, cutoff)
+    monomials = data.draw(st.lists(st.sampled_from(ctx.basis_up_to(degree)), unique=True))
+    want, raised = {}, None
+    try:
+        for m in monomials:
+            if (v := chi.value_on(m)) != ring.zero():
+                want[m] = v
+    except CutoffExceededError as exc:
+        raised = str(exc)
+    if raised is None:
+        assert tabulate(chi, monomials) == want
+    else:
+        with pytest.raises(CutoffExceededError) as exc:
+            tabulate(chi, monomials)
+        assert str(exc.value) == raised
+
+
+def test_character_tabulation_makes_one_product_per_monomial(ladder, monkeypatch):
+    chi = Character(ladder, LQ, {gen(ladder, n): LQ.make({-1: n, 2: 1}, 4) for n in range(1, 6)})
+    basis = ladder.basis_up_to(5)
+    products = []
+    ring_mul = LaurentRing.mul
+
+    def counting(self, a, b):
+        products.append(1)
+        return ring_mul(self, a, b)
+
+    monkeypatch.setattr(LaurentRing, "mul", counting)
+    table = tabulate(chi, reversed(basis))
+    assert len(products) == sum(1 for m in basis if m.poly_degree > 1)
+    assert table == {m: chi.value_on(m) for m in basis}

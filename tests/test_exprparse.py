@@ -106,3 +106,13 @@ def test_exponents_are_capped(ladder):
         QQ, [(Monomial.of(t1, MAX_EXPONENT), Fraction(1))])
     with pytest.raises(HopfError, match=f"exponent {MAX_EXPONENT + 1} exceeds the limit MAX_EXPONENT"):
         parse_element(ladder, f"(t1 + 1)^{MAX_EXPONENT + 1}")
+
+
+def test_powers_are_priced_before_expanding(ladder):
+    from hopfalg.exprparse import MAX_POWER_TERMS
+
+    # (t1 + t2 + 1)^N has exactly C(N + 2, 2) terms, the bound for a 3-term base.
+    assert len(parse_element(ladder, "(t1 + t2 + 1)^20").terms) == 231
+    with pytest.raises(HopfError, match=f"a 4-term base to the power 64 may expand to 47905 terms, "
+                                        f"above the limit MAX_POWER_TERMS = {MAX_POWER_TERMS}"):
+        parse_element(ladder, "(t1+t2+t3+1)^64")

@@ -9,13 +9,16 @@ from hopfalg.algebra import Monomial, TensorElement
 from hopfalg.errors import CutoffExceededError, DomainError, HopfError, SchemaError
 from hopfalg.hopf import HopfAlgebra
 from hopfalg.instances import (
+    MAX_TREES,
     admissible_cuts,
+    check_tree_budget,
     enumerate_trees,
     forest_monomial,
     ladder_schema,
     load_schema,
     parse_forest,
     parse_tree,
+    rooted_tree_count,
     rooted_tree_schema,
     schema_from_dict,
     schema_to_dict,
@@ -224,3 +227,18 @@ def test_bad_tree_encodings_rejected():
     for bad in ["", "[", "[]]", "[]x", "x"]:
         with pytest.raises(HopfError):
             parse_tree(bad)
+
+
+def test_tree_counts_follow_the_a000081_recurrence():
+    assert [rooted_tree_count(n) for n in range(1, 19)] == [
+        1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973, 87811, 235381, 634847, 1721159]
+    assert all(rooted_tree_count(n) == len(enumerate_trees(n)) for n in range(1, 9))
+
+
+def test_tree_requests_above_the_cap_are_rejected_before_enumerating():
+    assert sum(rooted_tree_count(n) for n in range(1, 12)) <= MAX_TREES
+    check_tree_budget(11)
+    with pytest.raises(DomainError, match=f"at most 12 vertices number 7813, above the limit MAX_TREES = {MAX_TREES}"):
+        check_tree_budget(12)
+    with pytest.raises(DomainError, match="at least 7813"):
+        rooted_tree_schema(10**6)

@@ -342,13 +342,14 @@ def test_laurent_mul_over_rationals_never_calls_the_field_mul(monkeypatch):
 
 def test_laurent_mul_work_follows_the_stored_terms(monkeypatch):
     seen = []
-    field_convolve = RationalField.convolve
+    field_loop = RationalField.convolve_operands
 
     def recording(self, terms, n):
-        seen.extend((len(xs), len(ys)) for _, xs, ys in terms)
-        return field_convolve(self, terms, n)
+        # Operands are (denominator, integer numerators): count the numerators.
+        seen.extend((len(xs), len(ys)) for _, (_, xs), (_, ys) in terms)
+        return field_loop(self, terms, n)
 
-    monkeypatch.setattr(RationalField, "convolve", recording)
+    monkeypatch.setattr(RationalField, "convolve_operands", recording)
     a = laurent({-1: 1, 10**6: 2})
     assert L.mul(a, a).as_dict() == {-2: 1, 10**6 - 1: 4, 2 * 10**6: 4}
     assert seen == [(2, 2)]
