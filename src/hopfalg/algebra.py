@@ -7,7 +7,6 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, Tuple
 
@@ -15,47 +14,93 @@ from .errors import HopfError, RankMismatchError, RingMismatchError
 from .rings import Ring
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Generator:
+# The intern tables: one object per generator (degree, name) and per monomial
+# powers tuple, kept for the life of the process.  Equality is identity and
+# the hash is object.__hash__; inserting with dict.setdefault means threads
+# racing on one value still end up sharing one object.
+_GENERATORS: dict = {}
+_MONOMIALS: dict = {}
+
+
+class Frozen:
+    """Slotted objects whose attributes are set once, in ``__new__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+
+class Generator(Frozen):
     """A schema generator: homogeneous of strictly positive degree.
 
     Ordering is lexicographic on (degree, name), which fixes the canonical
-    monomial order used everywhere.  The hash is computed once, at
-    construction; it takes no part in equality or ordering.
+    monomial order used everywhere.  Generators are interned:
+    ``Generator(degree, name)`` returns the one object for that pair, so
+    equality is identity and hashing is the C-level object hash.
     """
 
-    degree: int
-    name: str
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("degree", "name")
 
-    def __post_init__(self):
-        if self.degree < 1:
+    def __new__(cls, degree: int, name: str) -> "Generator":
+        g = _GENERATORS.get((degree, name))
+        if g is not None:
+            return g
+        if degree < 1:
             raise HopfError(
-                f"generator {self.name!r} has degree {self.degree}; generators "
+                f"generator {name!r} has degree {degree}; generators "
                 "must be homogeneous of degree >= 1"
             )
-        object.__setattr__(self, "_hash", hash((self.degree, self.name)))
+        g = object.__new__(cls)
+        object.__setattr__(g, "degree", degree)
+        object.__setattr__(g, "name", name)
+        return _GENERATORS.setdefault((degree, name), g)
 
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return (Generator, (self.degree, self.name))
+
+    # g > h and g >= h are answered by the reflected h < g and h <= g.
+    def __lt__(self, other):
+        if other.__class__ is not Generator:
+            return NotImplemented
+        return (self.degree, self.name) < (other.degree, other.name)
+
+    def __le__(self, other):
+        if other.__class__ is not Generator:
+            return NotImplemented
+        return (self.degree, self.name) <= (other.degree, other.name)
+
+    def __repr__(self) -> str:
+        return f"Generator(degree={self.degree!r}, name={self.name!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
+class Monomial(Frozen):
     """A commutative word in generators: sorted powers with exponents >= 1.
 
-    The hash is computed once, at construction, because monomials key every
-    table and memo.
+    Monomials key every table and memo, so they are interned:
+    ``Monomial(powers)`` returns the one object for that powers tuple, and
+    its Y-degree is computed once, when it is interned.
     """
 
-    powers: Tuple[Tuple[Generator, int], ...]
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("powers", "y_degree")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.powers,)))
+    def __new__(cls, powers: Tuple[Tuple[Generator, int], ...]) -> "Monomial":
+        m = _MONOMIALS.get(powers)
+        if m is not None:
+            return m
+        m = object.__new__(cls)
+        object.__setattr__(m, "powers", powers)
+        object.__setattr__(m, "y_degree", sum(e * g.degree for g, e in powers))
+        return _MONOMIALS.setdefault(powers, m)
 
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return (Monomial, (self.powers,))
+
+    def __repr__(self) -> str:
+        return f"Monomial(powers={self.powers!r})"
 
     @staticmethod
     def unit() -> "Monomial":
@@ -83,10 +128,6 @@ class Monomial:
         return not self.powers
 
     @property
-    def y_degree(self) -> int:
-        return sum(e * g.degree for g, e in self.powers)
-
-    @property
     def poly_degree(self) -> int:
         return sum(e for _, e in self.powers)
 
@@ -102,7 +143,7 @@ class Monomial:
         while i < len(a) and j < len(b):
             g, e = a[i]
             h, f = b[j]
-            if g is h or g == h:
+            if g is h:
                 out.append((g, e + f))
                 i += 1
                 j += 1

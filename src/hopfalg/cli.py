@@ -31,7 +31,7 @@ from .duals import (
     materialize,
     tabulate,
 )
-from .errors import HopfError, TruncationError, VerificationError
+from .errors import DomainError, HopfError, TruncationError, VerificationError
 from .exprparse import parse_element
 from .hopf import HopfAlgebra
 from .instances import enumerate_trees, ladder_schema, load_schema, rooted_tree_schema
@@ -48,6 +48,10 @@ from .suites import birkhoff_suite, dual_convolution_suite
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
+
+# The most terms ``coproduct`` may print: the request is priced by
+# ``HopfAlgebra.coproduct_term_bound`` before any coproduct is expanded.
+MAX_COPRODUCT_TERMS = 100_000
 
 
 def resolve_schema(selector: str):
@@ -102,6 +106,10 @@ def read_expression(ctx, args):
 def cmd_coproduct(args) -> int:
     ctx = build_context(args)
     h = read_expression(ctx, args)
+    bound = ctx.coproduct_term_bound(h)
+    if bound > MAX_COPRODUCT_TERMS:
+        raise DomainError(f"the coproduct of this element may have {bound} terms, "
+                          f"above the limit MAX_COPRODUCT_TERMS = {MAX_COPRODUCT_TERMS}")
     result = ctx.coproduct(h)
     emit(args, tensor_to_json(result), str(result))
     return EXIT_OK

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebra import Element, Generator, Monomial, TensorElement
@@ -290,6 +291,27 @@ class HopfAlgebra:
         for m, c in h.terms.items():
             out = out + self.coproduct_monomial(m).scale(c)
         return out
+
+    def coproduct_term_bound(self, h: Element) -> int:
+        """An upper bound on the number of terms of D(h), read off the exponents
+        before anything is expanded.
+
+        When D(g) has k terms, D(g)^e has at most C(e + k - 1, e): one per
+        multiset of e of them, the count ``exprparse.MAX_POWER_TERMS`` prices.
+        D is multiplicative, so a monomial is bounded by the product over its
+        generators, and an element by the sum over its monomials.
+        """
+        sizes: Dict[Generator, int] = {}
+        total = 0
+        for m in h.terms:
+            bound = 1
+            for g, e in m.powers:
+                k = sizes.get(g)
+                if k is None:
+                    k = sizes[g] = len(self.coproduct_generator(g).terms)
+                bound *= comb(e + k - 1, e)
+            total += bound
+        return total
 
     def counit(self, h: Element):
         return h.coefficient(Monomial.unit())

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Generator, Monomial
+from .algebra import Frozen, Generator, Monomial
 from .errors import DomainError, HopfError, SchemaError
 from .hopf import HopfSchema, ReducedTerm, TableSchema
 from .rings import QQ
@@ -26,23 +26,17 @@ class LadderSchema(HopfSchema):
     """Generators t_n of degree n with reduced coproduct sum_k t_k (x) t_(n-k).
 
     There is one generator in every positive degree, so the schema is
-    unbounded; generators are created on demand.
+    unbounded; generators are created on demand (and interned, so every
+    ladder schema shares them).
     """
 
     name = "ladder"
     max_degree = None
 
-    def __init__(self):
-        self._gens: Dict[int, Generator] = {}
-
     def generator(self, n: int) -> Generator:
         if n < 1:
             raise SchemaError("ladder generators are indexed by n >= 1")
-        g = self._gens.get(n)
-        if g is None:
-            g = Generator(degree=n, name=f"t{n}")
-            self._gens[n] = g
-        return g
+        return Generator(n, f"t{n}")
 
     def generators_of_degree(self, degree: int) -> Tuple[Generator, ...]:
         if degree < 1:
@@ -73,29 +67,54 @@ def ladder_schema() -> LadderSchema:
 # -- rooted trees ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootedTree:
-    """A rooted tree in canonical form: children sorted by their encoding."""
+# The intern table of rooted trees, keyed by the canonical (sorted) tuple of
+# children; like the generator and monomial tables it lives as long as the
+# process and is filled with dict.setdefault.
+_TREES: Dict[Tuple["RootedTree", ...], "RootedTree"] = {}
 
-    children: Tuple["RootedTree", ...]
 
-    @staticmethod
-    def make(children=()) -> "RootedTree":
-        return RootedTree(tuple(sorted(children, key=lambda t: t.encoding())))
+class RootedTree(Frozen):
+    """A rooted tree in canonical form: children sorted by their encoding.
+
+    Trees are interned: ``RootedTree(children)`` returns the one object for
+    that tree, so equality is identity and hashing is the object hash.  The
+    canonical encoding and the vertex count are computed once, when a tree is
+    first built.
+    """
+
+    __slots__ = ("children", "vertex_count", "_encoding")
+
+    def __new__(cls, children=()) -> "RootedTree":
+        key = tuple(sorted(children, key=RootedTree.encoding))
+        t = _TREES.get(key)
+        if t is not None:
+            return t
+        t = object.__new__(cls)
+        object.__setattr__(t, "children", key)
+        object.__setattr__(t, "vertex_count", 1 + sum(c.vertex_count for c in key))
+        object.__setattr__(t, "_encoding", _encode(key))
+        return _TREES.setdefault(key, t)
+
+    def __reduce__(self):
+        return (RootedTree, (self.children,))
 
     @staticmethod
     def leaf() -> "RootedTree":
         return RootedTree(())
 
     def encoding(self) -> str:
-        return "[" + "".join(c.encoding() for c in self.children) + "]"
+        return self._encoding
 
-    @property
-    def vertex_count(self) -> int:
-        return 1 + sum(c.vertex_count for c in self.children)
+    def __repr__(self) -> str:
+        return f"RootedTree(children={self.children!r})"
 
     def __str__(self) -> str:
-        return self.encoding()
+        return self._encoding
+
+
+def _encode(children: Tuple[RootedTree, ...]) -> str:
+    """The balanced-bracket encoding of a tree with these (sorted) children."""
+    return "[" + "".join(c._encoding for c in children) + "]"
 
 
 def parse_tree(text: str) -> RootedTree:
@@ -114,7 +133,7 @@ def parse_tree(text: str) -> RootedTree:
         if pos >= len(text) or text[pos] != "]":
             raise HopfError(f"bad tree encoding {text!r}: expected ']' at {pos}")
         pos += 1
-        return RootedTree.make(children)
+        return RootedTree(children)
 
     t = node()
     if pos != len(text):
@@ -170,7 +189,7 @@ def enumerate_trees(n: int) -> Tuple[RootedTree, ...]:
     check_tree_budget(n)
     if n == 1:
         return (RootedTree.leaf(),)
-    out = [RootedTree.make(forest) for forest in _forests(n - 1)]
+    out = [RootedTree(forest) for forest in _forests(n - 1)]
     uniq = {t.encoding(): t for t in out}
     return tuple(uniq[k] for k in sorted(uniq))
 
@@ -224,7 +243,7 @@ def _cuts_with_empty(tree: RootedTree) -> Tuple[Tuple[Tuple[RootedTree, ...], Ro
                     new_combos.append((pruned_acc + pruned, kept_next))
             combos = new_combos
         results = [
-            (pruned, RootedTree.make(kept)) for pruned, kept in combos
+            (pruned, RootedTree(kept)) for pruned, kept in combos
         ]
     return tuple(results)
 
@@ -236,12 +255,12 @@ def admissible_cuts(tree: RootedTree) -> Tuple[AdmissibleCut, ...]:
     for pruned, trunk in _cuts_with_empty(tree):
         if not pruned:
             continue
-        out.append(AdmissibleCut(pruned=tuple(sorted(pruned, key=lambda t: t.encoding())), trunk=trunk))
+        out.append(AdmissibleCut(pruned=tuple(sorted(pruned, key=RootedTree.encoding)), trunk=trunk))
     return tuple(out)
 
 
 def tree_generator(tree: RootedTree) -> Generator:
-    return Generator(degree=tree.vertex_count, name=tree.encoding())
+    return Generator(tree.vertex_count, tree._encoding)
 
 
 def forest_monomial(forest: Tuple[RootedTree, ...]) -> Monomial:
@@ -263,18 +282,17 @@ def rooted_tree_schema(max_vertices: int) -> TableSchema:
         for tree in enumerate_trees(n):
             g = tree_generator(tree)
             generators.append(g)
-            acc: Dict[Tuple[Monomial, Generator], Fraction] = {}
+            # Repeated cuts are equal (forest, trunk) pairs of interned trees:
+            # count them in ints, then build each term's legs once.
+            counts: Dict[Tuple[Tuple[RootedTree, ...], RootedTree], int] = {}
             for cut in admissible_cuts(tree):
-                left = forest_monomial(cut.pruned)
-                right = tree_generator(cut.trunk)
-                key = (left, right)
-                acc[key] = acc.get(key, Fraction(0)) + 1
-            reduced[g] = tuple(
-                ReducedTerm(left=left, right=right, coeff=c)
-                for (left, right), c in sorted(
-                    acc.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1])
-                )
-            )
+                key = (cut.pruned, cut.trunk)
+                counts[key] = counts.get(key, 0) + 1
+            terms = [
+                ReducedTerm(left=forest_monomial(pruned), right=tree_generator(trunk), coeff=Fraction(c))
+                for (pruned, trunk), c in counts.items()
+            ]
+            reduced[g] = tuple(sorted(terms, key=lambda t: (t.left.sort_key(), t.right)))
     return TableSchema(
         name=f"trees:{max_vertices}",
         generators=generators,

@@ -243,8 +243,13 @@ def test_verify_corrupted_schema_fails(tmp_path):
         (["coproduct", "--schema", "trees:40", "--expr", "[]"], "MAX_TREES = 5000"),
         (["coproduct", "--schema", "ladder", "--expr", "(t1+t2+t3+1)^64", "--max-degree", "2"],
          "47905 terms, above the limit MAX_POWER_TERMS = 10000"),
+        (["coproduct", "--schema", "ladder", "--expr", "(t1+t2+t3+1)^35", "--max-degree", "2"],
+         "708930508 terms, above the limit MAX_COPRODUCT_TERMS = 100000"),
+        (["coproduct", "--schema", "ladder", "--expr", "(t1+t2+t3+1)^11", "--max-degree", "2"],
+         "167960 terms, above the limit MAX_COPRODUCT_TERMS = 100000"),
     ],
-    ids=["trees-18", "trees-huge", "schema-trees-40", "power-of-a-sum"],
+    ids=["trees-18", "trees-huge", "schema-trees-40", "power-of-a-sum", "coproduct-of-a-power",
+         "coproduct-just-past-the-limit"],
 )
 def test_explosive_requests_are_priced_before_any_work(argv, limit, capsys):
     assert cli.main(argv) == 2
@@ -457,4 +462,25 @@ def test_rg_check_output_is_pinned(schema, degree, beta, code, digest, tmp_path,
 def test_structure_map_output_is_pinned(command, output, digest, capsys):
     expr = "[[[]][]] + 3*[[][]]*[]^2 - 1/2*[[[[[]]]]] + 2*[[]]"
     assert cli.main([command, "--schema", "trees:5", "--expr", expr, "--output", output]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# sha256 of coproduct stdout on trees:9 and antipode stdout on trees:8,
+# recorded before generators, monomials and rooted trees were interned.
+@pytest.mark.parametrize(
+    "command, schema, expr, output, digest",
+    [
+        ("coproduct", "trees:9", "[[[[]]][[][]][[]]] + 2*[[][]]*[[]] - 1/3*[[[[[[[[[]]]]]]]]]", "json",
+         "74926adffb4d3b60c6f7d4c04c7036e89fef21fa609cce41f81b23a098f1bbb2"),
+        ("coproduct", "trees:9", "[[[[]]][[][]][[]]] + 2*[[][]]*[[]] - 1/3*[[[[[[[[[]]]]]]]]]", "text",
+         "b266dc8e1f64d92bad290ed8664ceae95d327316fb3f77776aee29d4ba512b07"),
+        ("antipode", "trees:8", "[[[[]]][[][]][]] - 2*[[]]^2*[[[]][]]", "json",
+         "fe331f75728a3924de4922eefa7316975777a9609f2e698a61e1ae9b6fd34651"),
+        ("antipode", "trees:8", "[[[[]]][[][]][]] - 2*[[]]^2*[[[]][]]", "text",
+         "36f0ee0c04f0984d4d965b3877b1efeb0fefa88549d1df020ecea2cc53f650dc"),
+    ],
+    ids=["coproduct-trees9-json", "coproduct-trees9-text", "antipode-trees8-json", "antipode-trees8-text"],
+)
+def test_structure_maps_on_large_trees_are_pinned(command, schema, expr, output, digest, capsys):
+    assert cli.main([command, "--schema", schema, "--expr", expr, "--output", output]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

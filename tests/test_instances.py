@@ -1,6 +1,9 @@
 """Built-in schemas: ladder, rooted trees, loader."""
 
 import json
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -56,6 +59,40 @@ def test_tree_enumeration_canonical_and_deterministic():
         for t in trees:
             assert parse_tree(t.encoding()) == t
             assert t.vertex_count == n
+
+
+def _encoding_by_recursion(tree):
+    """The canonical encoding recomputed from the children on every call."""
+    return "[" + "".join(sorted(_encoding_by_recursion(c) for c in tree.children)) + "]"
+
+
+def test_cached_encoding_matches_a_recursive_encoder():
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            enc = _encoding_by_recursion(t)
+            assert t.encoding() == str(t) == enc
+            assert t.vertex_count == n == enc.count("[")
+            assert parse_tree(enc) is t
+
+
+def test_building_trees_8_encodes_each_tree_once():
+    # A fresh process, so that no tree is interned before the count starts.
+    code = textwrap.dedent("""
+        import collections
+        from hopfalg import instances
+        calls = collections.Counter()
+        encode = instances._encode
+        def counting(children):
+            enc = encode(children)
+            calls[enc] += 1
+            return enc
+        instances._encode = counting
+        instances.rooted_tree_schema(8)
+        print(len(calls), max(calls.values()))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(sum(rooted_tree_count(n) for n in range(1, 9))), "1"]
 
 
 def test_three_vertex_trees_by_hand():
