@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, Tuple
 
 from .errors import HopfError, RankMismatchError, RingMismatchError
-from .rings import Ring
+from .rings import Frozen, Ring
 
 
 # The intern tables: one object per generator (degree, name) and per monomial
@@ -20,18 +20,6 @@ from .rings import Ring
 # racing on one value still end up sharing one object.
 _GENERATORS: dict = {}
 _MONOMIALS: dict = {}
-
-
-class Frozen:
-    """Slotted objects whose attributes are set once, in ``__new__``."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
 
 
 class Generator(Frozen):

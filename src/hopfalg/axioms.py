@@ -8,9 +8,8 @@ CLI expression syntax can reproduce, never thrown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from .algebra import Element, Monomial, TensorElement
 from .errors import HopfError, SchemaError
@@ -21,8 +20,7 @@ from .rings import QQ, LaurentRing
 THETA_ORDER = 4
 
 
-@dataclass
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     name: str
     passed: bool
     max_degree: int
@@ -39,11 +37,10 @@ class AxiomCheck:
         }
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(NamedTuple):
     schema_name: str
     max_degree: int
-    checks: List[AxiomCheck] = field(default_factory=list)
+    checks: List[AxiomCheck]
 
     @property
     def passed(self) -> bool:
@@ -68,7 +65,7 @@ def verify_axioms(schema: HopfSchema, max_degree: int) -> AxiomReport:
     """
     if max_degree < 1:
         raise HopfError("max_degree must be >= 1")
-    report = AxiomReport(schema_name=schema.name, max_degree=max_degree)
+    report = AxiomReport(schema.name, max_degree, [])
 
     try:
         validate_schema_structure(schema, max_degree)

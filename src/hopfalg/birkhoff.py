@@ -8,10 +8,9 @@ loops from their first-order pole data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .algebra import Monomial
 from .duals import (
@@ -27,7 +26,6 @@ from .duals import (
     tabulate,
 )
 from .errors import DomainError, TruncationError, VerificationError
-from .exp_integrals import finite_simplex_integral
 from .hopf import HopfAlgebra, theta_factors
 from .rings import LaurentRing, LaurentSeries, PolynomialRing
 
@@ -44,21 +42,22 @@ def rota_baxter_T(ring: LaurentRing, x: LaurentSeries) -> LaurentSeries:
 # -- algebraic Birkhoff decomposition ------------------------------------------
 
 
-@dataclass
 class BirkhoffPair:
     """Pole/regular factorization of a Laurent-valued character.
 
     ``minus_table`` and ``plus_table`` hold the recursion values on every
     basis monomial up to ``max_degree``; the characters are the same data in
     generator-table closed form (safe once multiplicativity is verified).
+    ``report`` is the verification report, set once the pair is checked.
     """
 
-    ctx: HopfAlgebra
-    ring: LaurentRing
-    max_degree: int
-    minus_table: Dict[Monomial, LaurentSeries]
-    plus_table: Dict[Monomial, LaurentSeries]
-    report: dict = field(default_factory=dict)
+    __slots__ = ("ctx", "ring", "max_degree", "minus_table", "plus_table", "report")
+
+    def __init__(self, ctx: HopfAlgebra, ring: LaurentRing, max_degree: int,
+                 minus_table: Dict[Monomial, LaurentSeries], plus_table: Dict[Monomial, LaurentSeries]):
+        self.ctx, self.ring, self.max_degree = ctx, ring, max_degree
+        self.minus_table, self.plus_table = minus_table, plus_table
+        self.report: dict = {}
 
     def phi_minus(self) -> Character:
         return materialize(self.ctx, self.ring, self.minus_table, self.max_degree)
@@ -219,8 +218,7 @@ def birkhoff_verification_report(ctx: HopfAlgebra, phi: Character, pair: Birkhof
 # -- residue, beta, and the counterterm tower ----------------------------------
 
 
-@dataclass
-class BetaData:
+class BetaData(NamedTuple):
     """Residue tower of a loop: d_1, ..., d_maxOrder plus the beta-function.
 
     Built so that beta is the degree-scaled residue and each d_(n+1) is the
@@ -405,8 +403,7 @@ def build_special_loop(
 # -- the renormalization-group limit -------------------------------------------
 
 
-@dataclass
-class RgReport:
+class RgReport(NamedTuple):
     """Outcome of the scale-flow limit computation on a Laurent character."""
 
     max_degree: int
@@ -556,8 +553,7 @@ def _residue_identity_holds(ctx, ring, phi_vals, beta, basis) -> bool:
 # -- the scattering-type limit ---------------------------------------------------
 
 
-@dataclass
-class ScatteringReport:
+class ScatteringReport(NamedTuple):
     """Finite-time closed forms of the tower and their long-time limits."""
 
     max_order: int
@@ -576,6 +572,8 @@ def scattering_check(ctx: HopfAlgebra, beta: InfinitesimalCharacter, max_order: 
     exponential sum in t whose decaying part dies at large time and whose
     constant term must equal the recursive d_n exactly.
     """
+    from .exp_integrals import finite_simplex_integral
+
     if max_order < 1:
         raise DomainError("max_order must be >= 1")
     base = beta.ring

@@ -12,49 +12,24 @@ import json
 import os
 import sys
 
-from .axioms import verify_axioms
-from .birkhoff import (
-    beta_data,
-    birkhoff_decompose,
-    build_special_loop,
-    rg_limit_check,
-    scattering_check,
-)
-from .duals import (
-    NOT_MULTIPLICATIVE,
-    Character,
-    InfinitesimalCharacter,
-    TableFunctional,
-    convolve_tables,
-    exp_star,
-    log_star,
-    materialize,
-    tabulate,
-)
 from .errors import DomainError, HopfError, TruncationError, VerificationError
-from .exprparse import parse_element
-from .hopf import HopfAlgebra
-from .instances import enumerate_trees, ladder_schema, load_schema, rooted_tree_schema
-from .rings import QQ, PolynomialRing
-from .serialize import (
-    canonical_dumps,
-    element_to_json,
-    functional_to_json,
-    load_functional,
-    tensor_to_json,
-)
-from .suites import birkhoff_suite, dual_convolution_suite
+
+# Each command imports the engine modules it runs inside its own body, so a
+# process loads only the code of the command it was started for.
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 
-# The most terms ``coproduct`` may print: the request is priced by
-# ``HopfAlgebra.coproduct_term_bound`` before any coproduct is expanded.
+# The most terms the coproduct memo may fill for the element of ``coproduct``
+# or ``antipode``, priced by ``HopfAlgebra.coproduct_term_bound`` before any
+# coproduct is expanded.
 MAX_COPRODUCT_TERMS = 100_000
 
 
 def resolve_schema(selector: str):
+    from .instances import ladder_schema, load_schema, rooted_tree_schema
+
     if selector == "ladder":
         return ladder_schema()
     if selector.startswith("trees:"):
@@ -77,7 +52,9 @@ def resolve_schema(selector: str):
     )
 
 
-def build_context(args) -> HopfAlgebra:
+def build_context(args):
+    from .hopf import HopfAlgebra
+
     schema = resolve_schema(args.schema)
     validate_to = None if schema.max_degree is not None else max(args.max_degree, 1)
     return HopfAlgebra(schema, validate_to=validate_to)
@@ -87,43 +64,55 @@ def emit(args, payload: dict, text: str = None) -> None:
     if args.output == "text" and text is not None:
         sys.stdout.write(text + "\n")
     else:
+        from .serialize import canonical_dumps
+
         sys.stdout.write(canonical_dumps(payload))
 
 
 def read_expression(ctx, args):
+    """The element of --expr or --file, priced before any coproduct is filled."""
     if args.expr is not None:
-        return parse_element(ctx, args.expr)
-    with open(args.file, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    from .serialize import element_from_json
+        from .exprparse import parse_element
 
-    return element_from_json(ctx, data)
+        h = parse_element(ctx, args.expr)
+    else:
+        from .serialize import element_from_json
+
+        with open(args.file, "r", encoding="utf-8") as fh:
+            h = element_from_json(ctx, json.load(fh))
+    bound = ctx.coproduct_term_bound(h)
+    if bound > MAX_COPRODUCT_TERMS:
+        raise DomainError(f"the coproducts of this element may fill {bound} terms, "
+                          f"above the limit MAX_COPRODUCT_TERMS = {MAX_COPRODUCT_TERMS}")
+    return h
 
 
 # -- commands -------------------------------------------------------------------
 
 
 def cmd_coproduct(args) -> int:
+    from .serialize import tensor_to_json
+
     ctx = build_context(args)
-    h = read_expression(ctx, args)
-    bound = ctx.coproduct_term_bound(h)
-    if bound > MAX_COPRODUCT_TERMS:
-        raise DomainError(f"the coproduct of this element may have {bound} terms, "
-                          f"above the limit MAX_COPRODUCT_TERMS = {MAX_COPRODUCT_TERMS}")
-    result = ctx.coproduct(h)
+    result = ctx.coproduct(read_expression(ctx, args))
     emit(args, tensor_to_json(result), str(result))
     return EXIT_OK
 
 
 def cmd_antipode(args) -> int:
+    from .serialize import element_to_json
+
     ctx = build_context(args)
-    h = read_expression(ctx, args)
-    result = ctx.antipode(h)
+    result = ctx.antipode(read_expression(ctx, args))
     emit(args, element_to_json(result), str(result))
     return EXIT_OK
 
 
 def cmd_convolve(args) -> int:
+    from .duals import (NOT_MULTIPLICATIVE, Character, TableFunctional, convolve_tables,
+                        materialize, tabulate)
+    from .serialize import functional_to_json, load_functional
+
     ctx = build_context(args)
     f = load_functional(ctx, args.functionals[0])
     g = load_functional(ctx, args.functionals[1])
@@ -139,6 +128,9 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_exp(args) -> int:
+    from .duals import InfinitesimalCharacter, exp_star
+    from .serialize import functional_to_json, load_functional
+
     ctx = build_context(args)
     z = load_functional(ctx, args.functional)
     if not isinstance(z, InfinitesimalCharacter):
@@ -149,6 +141,9 @@ def cmd_exp(args) -> int:
 
 
 def cmd_log(args) -> int:
+    from .duals import Character, log_star
+    from .serialize import functional_to_json, load_functional
+
     ctx = build_context(args)
     chi = load_functional(ctx, args.functional)
     if not isinstance(chi, Character):
@@ -159,6 +154,10 @@ def cmd_log(args) -> int:
 
 
 def cmd_birkhoff(args) -> int:
+    from .birkhoff import birkhoff_decompose
+    from .duals import Character
+    from .serialize import functional_to_json, load_functional
+
     ctx = build_context(args)
     phi = load_functional(ctx, args.functional)
     if not isinstance(phi, Character):
@@ -184,6 +183,9 @@ def cmd_birkhoff(args) -> int:
 def cmd_beta(args) -> int:
     # Reads the eps-expansion of exactly the functional in the file (pass the
     # loop itself, or the counterterm part of a Birkhoff pair).
+    from .birkhoff import beta_data
+    from .serialize import functional_to_json, load_functional
+
     ctx = build_context(args)
     phi = load_functional(ctx, args.functional)
     max_order = args.max_order or args.max_degree
@@ -203,6 +205,10 @@ def cmd_beta(args) -> int:
 
 
 def cmd_build_loop(args) -> int:
+    from .birkhoff import build_special_loop
+    from .duals import InfinitesimalCharacter
+    from .serialize import functional_to_json, load_functional
+
     ctx = build_context(args)
     beta = load_functional(ctx, args.functional)
     if not isinstance(beta, InfinitesimalCharacter):
@@ -214,6 +220,11 @@ def cmd_build_loop(args) -> int:
 
 
 def cmd_rg_check(args) -> int:
+    from .birkhoff import rg_limit_check
+    from .duals import Character
+    from .rings import QQ, PolynomialRing
+    from .serialize import functional_to_json, load_functional
+
     ctx = build_context(args)
     phi = load_functional(ctx, args.functional)
     if not isinstance(phi, Character):
@@ -246,6 +257,10 @@ def cmd_rg_check(args) -> int:
 
 
 def cmd_scattering(args) -> int:
+    from .birkhoff import scattering_check
+    from .duals import InfinitesimalCharacter
+    from .serialize import load_functional
+
     ctx = build_context(args)
     beta = load_functional(ctx, args.functional)
     if not isinstance(beta, InfinitesimalCharacter):
@@ -263,6 +278,10 @@ def cmd_scattering(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .axioms import verify_axioms
+    from .hopf import HopfAlgebra
+    from .suites import birkhoff_suite, dual_convolution_suite
+
     schema = resolve_schema(args.schema)
     axiom_report = verify_axioms(schema, args.max_degree)
     payload = {
@@ -289,6 +308,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate_trees(args) -> int:
+    from .instances import enumerate_trees
+
     trees = enumerate_trees(args.vertices)
     payload = {
         "vertices": args.vertices,
@@ -410,26 +431,20 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except TruncationError as exc:
-        diagnostic = {"error": "TruncationError", "message": str(exc)}
+        code, diagnostic = EXIT_INPUT, {"error": "TruncationError", "message": str(exc)}
         if exc.required_order is not None:
             diagnostic["requiredOrder"] = exc.required_order
-        sys.stderr.write(canonical_dumps(diagnostic))
-        return EXIT_INPUT
     except VerificationError as exc:
-        sys.stderr.write(
-            canonical_dumps(
-                {"error": "VerificationError", "message": str(exc), "witness": exc.witness}
-            )
-        )
-        return EXIT_VERIFICATION
+        code = EXIT_VERIFICATION
+        diagnostic = {"error": "VerificationError", "message": str(exc), "witness": exc.witness}
     except HopfError as exc:
-        sys.stderr.write(
-            canonical_dumps({"error": type(exc).__name__, "message": str(exc)})
-        )
-        return EXIT_INPUT
+        code, diagnostic = EXIT_INPUT, {"error": type(exc).__name__, "message": str(exc)}
     except OSError as exc:
-        sys.stderr.write(canonical_dumps({"error": "OSError", "message": str(exc)}))
-        return EXIT_INPUT
+        code, diagnostic = EXIT_INPUT, {"error": "OSError", "message": str(exc)}
+    from .serialize import canonical_dumps
+
+    sys.stderr.write(canonical_dumps(diagnostic))
+    return code
 
 
 if __name__ == "__main__":

@@ -8,10 +8,9 @@ on the augmentation ideal and memoized per monomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .algebra import Element, Generator, Monomial, TensorElement
 from .errors import CutoffExceededError, DomainError, SchemaError, UnsupportedRingError
@@ -20,8 +19,7 @@ from .rings import QQ, LaurentRing, Ring
 DEFAULT_VALIDATE_DEGREE = 8
 
 
-@dataclass(frozen=True)
-class ReducedTerm:
+class ReducedTerm(NamedTuple):
     """One Sweedler term left (x) right of a generator's reduced coproduct."""
 
     left: Monomial
@@ -267,24 +265,30 @@ class HopfAlgebra:
         return TensorElement.from_terms(self.ring, 2, terms)
 
     def coproduct_monomial(self, m: Monomial) -> TensorElement:
-        cached = self._coproduct.get(m)
+        memo = self._coproduct
+        cached = memo.get(m)
         if cached is not None:
             return cached
-        if m.is_unit:
-            result = TensorElement(self.ring, 2, {(m, m): 1})
-        else:
-            # D(g) D(rest) in one coefficient dict, legs multiplied leg by leg.
+        # D(m) = D(g) D(m/g), g the first generator of m: walk that chain down
+        # to a memoized D, then fill it back up in one coefficient dict per step.
+        top, chain = m, []
+        while m not in memo:
+            if m.is_unit:
+                memo[m] = TensorElement(self.ring, 2, {(m, m): 1})
+                break
             gen, exp = m.powers[0]
             rest = Monomial(((gen, exp - 1),) + m.powers[1:] if exp > 1 else m.powers[1:])
+            chain.append((m, gen, rest))
+            m = rest
+        for m, gen, rest in reversed(chain):
             acc: dict = {}
-            tail = self.coproduct_monomial(rest).terms.items()
+            tail = memo[rest].terms.items()
             for (a1, b1), c1 in self.coproduct_generator(gen).terms.items():
                 for (a2, b2), c2 in tail:
                     key = (a1 * a2, b1 * b2)
                     acc[key] = acc.get(key, 0) + c1 * c2
-            result = TensorElement(self.ring, 2, {k: c for k, c in acc.items() if c})
-        self._coproduct[m] = result
-        return result
+            memo[m] = TensorElement(self.ring, 2, {k: c for k, c in acc.items() if c})
+        return memo[top]
 
     def coproduct(self, h: Element) -> TensorElement:
         out = TensorElement.zero(self.ring, 2)
@@ -293,25 +297,31 @@ class HopfAlgebra:
         return out
 
     def coproduct_term_bound(self, h: Element) -> int:
-        """An upper bound on the number of terms of D(h), read off the exponents
-        before anything is expanded.
+        """An upper bound on the terms the coproduct memo fills for D(h), read
+        off the exponents before anything is expanded.
 
         When D(g) has k terms, D(g)^e has at most C(e + k - 1, e): one per
         multiset of e of them, the count ``exprparse.MAX_POWER_TERMS`` prices.
         D is multiplicative, so a monomial is bounded by the product over its
-        generators, and an element by the sum over its monomials.
+        generators.  ``coproduct_monomial`` fills D(g^e r) from D(g^(e-1) r),
+        down to the unit, so each distinct (g, r) of h adds the sum over
+        j = 1..e of C(j + k - 1, j) times the bound of r, which is
+        C(e + k, e) - 1.  The bound is at least the number of terms of D(h).
         """
         sizes: Dict[Generator, int] = {}
-        total = 0
+        tops: Dict[tuple, list] = {}  # (g, powers after g) -> [highest e, k, bound of the rest]
         for m in h.terms:
-            bound = 1
-            for g, e in m.powers:
+            rest_bound = 1
+            for i in range(len(m.powers) - 1, -1, -1):
+                g, e = m.powers[i]
                 k = sizes.get(g)
                 if k is None:
                     k = sizes[g] = len(self.coproduct_generator(g).terms)
-                bound *= comb(e + k - 1, e)
-            total += bound
-        return total
+                top = tops.setdefault((g, m.powers[i + 1:]), [e, k, rest_bound])
+                top[0] = max(top[0], e)
+                rest_bound *= comb(e + k - 1, e)
+        fill = sum(r * (comb(e + k, e) - 1) for e, k, r in tops.values())
+        return fill + 1 if h.terms else 0  # every chain ends at D(1) = 1 (x) 1
 
     def counit(self, h: Element):
         return h.coefficient(Monomial.unit())
@@ -391,22 +401,33 @@ class HopfAlgebra:
     # -- antipode ---------------------------------------------------------------
 
     def antipode_monomial(self, m: Monomial) -> Element:
-        cached = self._antipode_r.get(m)
+        memo = self._antipode_r
+        cached = memo.get(m)
         if cached is not None:
             return cached
-        if m.is_unit:
-            result = self.unit_element()
-        else:
-            # S(h) = -h - sum h' * S(h'') over the reduced coproduct; the
-            # right legs have strictly smaller degree, so the recursion ends.
-            acc = {m: -1}
-            for (left, right), c in self.reduced_coproduct_monomial(m).terms.items():
-                for m2, c2 in self.antipode_monomial(right).terms.items():
-                    key = left * m2
-                    acc[key] = acc.get(key, 0) - c * c2
-            result = Element(self.ring, {k: v for k, v in acc.items() if v})
-        self._antipode_r[m] = result
-        return result
+        # S(h) = -h - sum h' * S(h'') over the reduced coproduct.  The right
+        # legs have strictly smaller degree, so filling the missing ones first,
+        # from a stack rather than the call stack, ends at any degree.
+        stack = [m]
+        while stack:
+            top = stack[-1]
+            if top in memo:
+                stack.pop()
+            elif top.is_unit:
+                memo[top] = self.unit_element()
+            else:
+                terms = self.reduced_coproduct_monomial(top).terms
+                missing = [right for _, right in terms if right not in memo]
+                if missing:
+                    stack.extend(missing)
+                    continue
+                acc = {top: -1}
+                for (left, right), c in terms.items():
+                    for m2, c2 in memo[right].terms.items():
+                        key = left * m2
+                        acc[key] = acc.get(key, 0) - c * c2
+                memo[top] = Element(self.ring, {k: v for k, v in acc.items() if v})
+        return memo[m]
 
     def antipode_left_monomial(self, m: Monomial) -> Element:
         cached = self._antipode_l.get(m)

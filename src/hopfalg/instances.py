@@ -9,15 +9,14 @@ rather than trusted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .algebra import Frozen, Generator, Monomial
+from .algebra import Generator, Monomial
 from .errors import DomainError, HopfError, SchemaError
 from .hopf import HopfSchema, ReducedTerm, TableSchema
-from .rings import QQ
+from .rings import QQ, Frozen
 
 # -- the ladder schema --------------------------------------------------------
 
@@ -214,8 +213,7 @@ def _forests(n: int, max_rank: Optional[Tuple[int, str]] = None) -> Tuple[Tuple[
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AdmissibleCut:
+class AdmissibleCut(NamedTuple):
     """A nonempty admissible edge cut: pruned forest plus the root's trunk."""
 
     pruned: Tuple[RootedTree, ...]

@@ -1,14 +1,13 @@
 """Exact coefficient rings: rationals, formal polynomials, truncated Laurent series.
 
 Every ring is a commutative unital Q-algebra with decidable, canonical
-equality.  Values are plain immutable data (int or Fraction, tuples, frozen
-dataclasses); the ring object knows how to combine them.  No floating point
-anywhere.
+equality.  Values are plain immutable data (int or Fraction, tuples,
+slotted ``Frozen`` objects); the ring object knows how to combine them.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Optional
@@ -20,6 +19,18 @@ from .errors import (
     TruncationError,
     UnsupportedRingError,
 )
+
+
+class Frozen:
+    """Slotted objects whose attributes are set once, at construction."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -122,6 +133,11 @@ class Ring:
         raise NotImplementedError
 
 
+# Fractions are immutable, so zero() and one() share these two.
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 class RationalField(Ring):
     """The field of exact rationals; values are int or fractions.Fraction.
 
@@ -133,10 +149,10 @@ class RationalField(Ring):
     tag = "rational"
 
     def zero(self):
-        return Fraction(0)
+        return _ZERO
 
     def one(self):
-        return Fraction(1)
+        return _ONE
 
     def add(self, a, b):
         return a + b
@@ -365,8 +381,7 @@ class PolynomialRing(Ring):
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
+class LaurentSeries(Frozen):
     """A truncated Laurent series value.
 
     ``coeffs`` maps exponent -> base-ring value, with no zero entries and no
@@ -374,13 +389,31 @@ class LaurentSeries:
     is known (inclusive); ``None`` means the series is exactly known (a
     Laurent polynomial). Coefficients below the smallest stored exponent are
     known to be zero; coefficients above ``trunc`` are unknown, never assumed.
+    Equality and hash are on (coeffs, trunc) only.
     """
 
-    coeffs: tuple  # sorted tuple of (exponent, value)
-    trunc: Optional[int]
-    # (base ring, coeffs in its operand form), built by the first product the
-    # series enters: table values enter hundreds of them.
-    _operand: tuple = field(default=None, init=False, compare=False, repr=False)
+    # _operand: (base ring, coeffs in its operand form), built by the first
+    # product the series enters: table values enter hundreds of them.
+    __slots__ = ("coeffs", "trunc", "_operand")
+
+    def __init__(self, coeffs: tuple, trunc: Optional[int]):
+        object.__setattr__(self, "coeffs", coeffs)  # sorted tuple of (exponent, value)
+        object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "_operand", None)
+
+    def __eq__(self, other):
+        if other.__class__ is not LaurentSeries:
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.trunc == other.trunc
+
+    def __hash__(self):
+        return hash((self.coeffs, self.trunc))
+
+    def __repr__(self):
+        return f"LaurentSeries(coeffs={self.coeffs!r}, trunc={self.trunc!r})"
+
+    def __reduce__(self):
+        return (LaurentSeries, (self.coeffs, self.trunc))
 
     def min_exp(self) -> Optional[int]:
         return self.coeffs[0][0] if self.coeffs else None

@@ -9,13 +9,15 @@ separators), so identical inputs produce byte-identical documents.
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .algebra import Element, Monomial, TensorElement
-from .duals import Character, Functional, InfinitesimalCharacter, TableFunctional
 from .errors import HopfError
 from .hopf import HopfAlgebra
 from .rings import QQ, LaurentRing, Ring
+
+if TYPE_CHECKING:  # element and tensor I/O runs without the dual calculus
+    from .duals import Functional
 
 EPS_RING = LaurentRing(QQ, "eps")
 
@@ -98,6 +100,8 @@ def tensor_to_json(t: TensorElement) -> dict:
 
 
 def functional_to_json(f: Functional) -> dict:
+    from .duals import Character, InfinitesimalCharacter, TableFunctional
+
     ring = f.ring
     tag = ring_tag(ring)
     if isinstance(f, Character) or isinstance(f, InfinitesimalCharacter):
@@ -120,6 +124,8 @@ def functional_to_json(f: Functional) -> dict:
 
 
 def functional_from_json(ctx: HopfAlgebra, data: dict) -> Functional:
+    from .duals import Character, InfinitesimalCharacter, TableFunctional
+
     if not isinstance(data, dict) or "kind" not in data:
         raise HopfError("functional encoding must be an object with a 'kind'")
     kind = data["kind"]

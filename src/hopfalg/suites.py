@@ -8,10 +8,9 @@ reports.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .algebra import Monomial
 from .birkhoff import (
@@ -43,8 +42,7 @@ from .hopf import HopfAlgebra
 from .rings import QQ, LaurentRing
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     counterexample: Optional[str] = None
@@ -59,12 +57,11 @@ class CheckResult:
         }
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     seed: int
     max_degree: int
-    checks: List[CheckResult] = field(default_factory=list)
+    checks: List[CheckResult]
 
     @property
     def passed(self) -> bool:
@@ -99,7 +96,7 @@ def _random_character(ctx, rng, max_degree) -> Character:
 def dual_convolution_suite(ctx: HopfAlgebra, max_degree: int, seed: int) -> SuiteReport:
     rng = random.Random(seed)
     degree = min(max_degree, 4)
-    report = SuiteReport("dual-convolution", seed, degree)
+    report = SuiteReport("dual-convolution", seed, degree, [])
     basis = ctx.basis_up_to(degree)
     one_star = counit_functional(ctx, QQ)
 
@@ -267,7 +264,7 @@ def dual_convolution_suite(ctx: HopfAlgebra, max_degree: int, seed: int) -> Suit
 def birkhoff_suite(ctx: HopfAlgebra, max_degree: int, seed: int) -> SuiteReport:
     rng = random.Random(seed)
     degree = min(max_degree, 4)
-    report = SuiteReport("birkhoff-renorm", seed, degree)
+    report = SuiteReport("birkhoff-renorm", seed, degree, [])
     L = LaurentRing(QQ, "eps")
 
     def add(name, witness, detail=""):

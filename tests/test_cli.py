@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
@@ -247,13 +248,38 @@ def test_verify_corrupted_schema_fails(tmp_path):
          "708930508 terms, above the limit MAX_COPRODUCT_TERMS = 100000"),
         (["coproduct", "--schema", "ladder", "--expr", "(t1+t2+t3+1)^11", "--max-degree", "2"],
          "167960 terms, above the limit MAX_COPRODUCT_TERMS = 100000"),
+        (["antipode", "--schema", "ladder", "--expr", "*".join(f"t{n}^64" for n in range(1, 17))],
+         "terms, above the limit MAX_COPRODUCT_TERMS = 100000"),
+        (["antipode", "--schema", "ladder", "--expr", "*".join(["t1^64"] * 16)],
+         "525825 terms, above the limit MAX_COPRODUCT_TERMS = 100000"),
     ],
     ids=["trees-18", "trees-huge", "schema-trees-40", "power-of-a-sum", "coproduct-of-a-power",
-         "coproduct-just-past-the-limit"],
+         "coproduct-just-past-the-limit", "antipode-of-sixteen-generators", "antipode-of-sixteen-factors-of-t1"],
 )
 def test_explosive_requests_are_priced_before_any_work(argv, limit, capsys):
     assert cli.main(argv) == 2
     assert limit in json.loads(capsys.readouterr().err)["message"]
+
+@pytest.mark.parametrize("command", ["coproduct", "antipode"])
+def test_a_large_exponent_from_a_file_is_priced(command, tmp_path, capsys):
+    # Filling D(t1^3000) recursed once per unit of exponent; the fill is now
+    # priced first: sum over j <= 3000 of (j + 1) terms, plus D(1).
+    path = write(tmp_path, "e.json", {"terms": [{"coeff": "1", "monomial": [["t1", 3000]]}]})
+    assert cli.main([command, "--schema", "ladder", "--file", path, "--max-degree", "2"]) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert "4504501 terms, above the limit MAX_COPRODUCT_TERMS = 100000" in message
+
+
+def test_the_largest_priced_power_fills_without_deep_recursion(tmp_path, capsys):
+    # t1^445 is the highest power of t1 inside the limit (99681 terms).
+    path = write(tmp_path, "e.json", {"terms": [{"coeff": "1", "monomial": [["t1", 445]]}]})
+    assert cli.main(["antipode", "--schema", "ladder", "--file", path]) == 0
+    assert json.loads(capsys.readouterr().out) == {"terms": [{"coeff": "-1", "monomial": [["t1", 445]]}]}
+    assert cli.main(["coproduct", "--schema", "ladder", "--file", path]) == 0
+    terms = json.loads(capsys.readouterr().out)["terms"]
+    assert len(terms) == 446
+    assert {"coeff": str(math.comb(445, 200)), "legs": [[["t1", 200]], [["t1", 245]]]} in terms
+
 
 def test_enumerate_trees_counts():
     proc = run_cli("enumerate-trees", "6")
@@ -483,4 +509,31 @@ def test_structure_map_output_is_pinned(command, output, digest, capsys):
 )
 def test_structure_maps_on_large_trees_are_pinned(command, schema, expr, output, digest, capsys):
     assert cli.main([command, "--schema", schema, "--expr", expr, "--output", output]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# sha256 of the report commands' stdout (verify's axiom and suite reports,
+# beta's tower, scattering's orders), recorded while those report records
+# were dataclasses.
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (["verify", "--schema", "ladder", "--max-degree", "4", "--seed", "3"], 0,
+         "bba12497a9bcfb82213dbf536be03f233ac9e98f10087aa67e62f365bff00a76"),
+        (["verify", "--schema", "trees:4", "--max-degree", "4", "--output", "text"], 0,
+         "8a2cd1cec9874f8215ad0eaa5cdb197370dfce6941ea8d78f83ef70b8cee28b7"),
+        (["beta", "{loop}", "--schema", "ladder", "--max-degree", "4", "--max-order", "3"], 1,
+         "b393ccd769ccb976eaa1a75798436ff831a74202b882d10b72c5dbde4a9da8ad"),
+        (["scattering", "{beta}", "--schema", "ladder", "--max-degree", "4", "--max-order", "3"], 0,
+         "77af129d215e06dd77d617d832d7ae6d4aff3f10fc33834b64f6667b32720c21"),
+    ],
+    ids=["verify-ladder-json", "verify-trees-text", "beta-ladder", "scattering-ladder"],
+)
+def test_report_output_is_pinned(argv, code, digest, tmp_path, capsys):
+    files = {
+        "loop": write(tmp_path, "loop.json", _laurent_loop([f"t{n}" for n in range(1, 5)], 2, 2, None)),
+        "beta": write(tmp_path, "beta.json", {"kind": "infinitesimal", "ring": "rational",
+                                              "values": {"t1": "1", "t2": "-1/2", "t4": "3"}}),
+    }
+    assert cli.main([a.format(**files) for a in argv]) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

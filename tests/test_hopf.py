@@ -5,6 +5,7 @@ steps of the defining recursions and frozen here.
 """
 
 import json
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -358,6 +359,34 @@ def test_antipode_fill_builds_one_dict_and_matches_the_left_recursion(monkeypatc
         right = [ctx.antipode_monomial(m) for m in basis]
     for m, s in zip(basis, right):
         assert s == ctx.antipode_left_monomial(m)
+
+
+def test_fills_are_iterative_and_match_the_left_recursion():
+    # Under a recursion limit a few dozen frames above the caller: D(t1^300)
+    # is a chain of 300 products, and asking for the top monomials first makes
+    # the antipode fill every right leg below them from its own stack.
+    ladder = HopfAlgebra(ladder_schema(), validate_to=2)
+    trees = HopfAlgebra(rooted_tree_schema(7))
+    t1 = ladder.schema.generator(1)
+    power = Monomial.of(t1, 300)
+    tops = [(ladder, Monomial.of(ladder.schema.generator(18)))]
+    tops += [(trees, m) for m in reversed(trees.basis_up_to(7))]
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        d = ladder.coproduct_monomial(power)
+        s = ladder.antipode_monomial(power)
+        right = [ctx.antipode_monomial(m) for ctx, m in tops]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(d.terms) == 301
+    assert d.terms[Monomial.of(t1, 100), Monomial.of(t1, 200)] == comb(300, 100)
+    assert s.terms == {power: 1}
+    for (ctx, m), value in zip(tops, right):
+        assert value == ctx.antipode_left_monomial(m)
 
 
 def binomial_schema(top):

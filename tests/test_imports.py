@@ -1,0 +1,95 @@
+"""Import footprint: a CLI command loads only the engine modules it runs.
+
+Each case runs in a fresh interpreter, so nothing the test process imported
+earlier can hide a module that the command pulls in.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import hopfalg
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Every command loads these: the package, the CLI and its error types.
+BASE = {"hopfalg", "hopfalg.cli", "hopfalg.errors"}
+# A schema context: what ``cli.build_context`` loads.
+CONTEXT = BASE | {"hopfalg.instances", "hopfalg.hopf", "hopfalg.algebra", "hopfalg.rings"}
+DUAL = CONTEXT | {"hopfalg.duals", "hopfalg.serialize"}
+
+INFINITESIMAL = {"kind": "infinitesimal", "ring": "rational", "values": {"t1": "1", "t2": "1/2"}}
+CHARACTER = {"kind": "character", "ring": "rational", "values": {"t1": "1", "t2": "-2"}}
+LOOP = {"kind": "character", "ring": "laurent",
+        "values": {"t1": {"minExp": -1, "truncation": None, "coeffs": {"-1": "1", "0": "1/2"}}}}
+
+
+def loaded_after(code):
+    """The hopfalg modules, and whether dataclasses is loaded, after ``code`` runs."""
+    probe = (
+        f"import json\nimport sys\n{code}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'hopfalg')))\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    *_, modules, dataclasses = proc.stdout.splitlines()
+    return set(json.loads(modules)), dataclasses == "True"
+
+
+def run_command(argv):
+    return f"from hopfalg import cli\nassert cli.main({argv!r}) == 0, 'command failed'"
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert loaded_after("import hopfalg") == ({"hopfalg"}, False)
+    assert loaded_after("from hopfalg import cli") == (BASE, False)
+
+
+def test_build_context_loads_only_the_schema_layers():
+    code = ("from types import SimpleNamespace\nfrom hopfalg import cli\n"
+            "cli.build_context(SimpleNamespace(schema='trees:4', max_degree=4))")
+    assert loaded_after(code) == (CONTEXT, False)
+
+
+@pytest.mark.parametrize(
+    "command, payload, loads",
+    [
+        ("exp", INFINITESIMAL, DUAL),
+        ("log", CHARACTER, DUAL),
+        ("convolve", CHARACTER, DUAL),
+        ("birkhoff", LOOP, DUAL | {"hopfalg.birkhoff"}),
+    ],
+)
+def test_functional_commands_load_only_what_they_run(command, payload, loads, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(payload))
+    files = [str(path)] * (2 if command == "convolve" else 1)
+    assert loaded_after(run_command([command, *files, "--max-degree", "3"])) == (loads, False)
+
+
+@pytest.mark.parametrize("command", ["coproduct", "antipode"])
+def test_structure_maps_load_neither_the_dual_calculus_nor_the_checks(command, tmp_path):
+    expr = CONTEXT | {"hopfalg.exprparse", "hopfalg.serialize"}
+    assert loaded_after(run_command([command, "--expr", "t1^2*t3"])) == (expr, False)
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"terms": [{"coeff": "1", "monomial": [["t2", 2]]}]}))
+    assert loaded_after(run_command([command, "--file", str(path)])) == (CONTEXT | {"hopfalg.serialize"}, False)
+
+
+def test_every_public_name_is_its_submodule_object():
+    assert len(hopfalg.__all__) == len(set(hopfalg.__all__)) == 59
+    for name in hopfalg.__all__:
+        value = getattr(hopfalg, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+        assert name in dir(hopfalg)
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hopfalg.no_such_name
+    with pytest.raises(ImportError):
+        from hopfalg import no_such_name  # noqa: F401

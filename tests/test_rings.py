@@ -429,3 +429,41 @@ def test_laurent_json_round_trip():
     assert L.eq(L.value_from_json(data), x)
     exact = laurent({-2: Fraction(1, 3)})
     assert L.eq(L.value_from_json(L.value_to_json(exact)), exact)
+
+
+def test_laurent_series_identity_ignores_the_operand_memo():
+    a = laurent({-1: Fraction(1, 2), 0: 3}, trunc=4)
+    b = laurent({-1: Fraction(1, 2), 0: 3}, trunc=4)
+    a.operand(QQ)
+    assert a._operand is not None and b._operand is None
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != laurent({-1: Fraction(1, 2), 0: 3}) and a != laurent({-1: Fraction(1, 2)}, trunc=4)
+    assert a.__eq__(((-1, Fraction(1, 2)), (0, 3))) is NotImplemented
+    assert repr(b) == "LaurentSeries(coeffs=((-1, Fraction(1, 2)), (0, Fraction(3, 1))), trunc=4)"
+
+
+def test_laurent_series_is_immutable():
+    a = laurent({0: 1}, trunc=2)
+    for name in ("coeffs", "trunc", "_operand", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a.coeffs == ((0, 1),) and a.trunc == 2
+
+
+def test_laurent_series_copies_and_pickles_equal():
+    import copy
+    import pickle
+
+    a = laurent({-2: Fraction(-1, 3), 1: 5}, trunc=3)
+    a.operand(QQ)
+    for clone in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert clone == a and hash(clone) == hash(a) and type(clone) is type(a)
+        assert clone.operand(QQ) == a.operand(QQ)
+
+
+def test_rational_zero_and_one_are_shared_constants():
+    assert QQ.zero() is QQ.zero() and QQ.one() is QQ.one()
+    assert type(QQ.zero()) is Fraction and QQ.zero() == 0
+    assert type(QQ.one()) is Fraction and QQ.one() == 1
