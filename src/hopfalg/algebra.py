@@ -168,14 +168,97 @@ class Monomial(Frozen):
 _UNIT = Monomial(())
 
 
-class Element:
-    """A finite linear combination of monomials over a coefficient ring."""
+def _summed(ring: Ring, acc: dict, pairs) -> dict:
+    """Add each (key, value) of ``pairs`` into ``acc`` and return its nonzero
+    entries: the one accumulator behind every sparse sum.  ``acc`` keeps the
+    keys whose values cancelled, for callers that check every key seen."""
+    add = ring.add
+    for key, c in pairs:
+        cur = acc.get(key)
+        acc[key] = c if cur is None else add(cur, c)
+    is_zero = ring.is_zero
+    return {k: c for k, c in acc.items() if not is_zero(c)}
+
+
+class SparseSum:
+    """A finite sum key -> ring value: no zero values, never mutated.
+
+    The arithmetic here never looks inside a key, so elements (keyed by
+    monomials) and tensors (keyed by monomial tuples) share it.  A subclass
+    supplies ``_like``, ``rank``, the ``_noun`` its errors name, and all
+    that reads its keys.
+    """
 
     __slots__ = ("ring", "terms")
+
+    def _like(self, ring: Ring, terms: dict):
+        """A sum of this class and rank with the given terms."""
+        raise NotImplementedError
+
+    def _check(self, other: "SparseSum"):
+        if self.rank != other.rank:
+            raise RankMismatchError(f"rank mismatch: {self.rank} vs {other.rank}")
+        if self.ring is not other.ring and self.ring.tag != other.ring.tag:
+            raise RingMismatchError(
+                f"{self._noun} over different rings: {self.ring.tag} vs {other.ring.tag}"
+            )
+
+    def __add__(self, other):
+        self._check(other)
+        return self._like(self.ring, _summed(self.ring, dict(self.terms), other.terms.items()))
+
+    def __neg__(self):
+        neg = self.ring.neg
+        return self._like(self.ring, {k: neg(c) for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, coeff):
+        ring = self.ring
+        if ring.is_zero(coeff):
+            return self._like(ring, {})
+        mul, is_zero = ring.mul, ring.is_zero
+        return self._like(ring, {k: v for k, c in self.terms.items() if not is_zero(v := mul(coeff, c))})
+
+    def scale_rational(self, q: Fraction):
+        return self.scale(self.ring.from_rational(q))
+
+    def map_coefficients(self, fn: Callable, ring: Ring):
+        is_zero = ring.is_zero
+        return self._like(ring, {k: v for k, c in self.terms.items() if not is_zero(v := fn(c))})
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.ring is not other.ring and self.ring.tag != other.ring.tag:
+            return False
+        if self.rank != other.rank or self.terms.keys() != other.terms.keys():
+            return False
+        eq, theirs = self.ring.eq, other.terms
+        return all(eq(c, theirs[k]) for k, c in self.terms.items())
+
+    def __hash__(self):
+        raise TypeError(f"{type(self).__name__} is not hashable")
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
+class Element(SparseSum):
+    """A finite linear combination of monomials over a coefficient ring."""
+
+    __slots__ = ()
+    rank = None  # not a tensor: an element has no legs
+    _noun = "elements"
 
     def __init__(self, ring: Ring, terms: dict):
         self.ring = ring
         self.terms = terms  # Monomial -> ring value, no zeros; never mutated
+
+    def _like(self, ring: Ring, terms: dict) -> "Element":
+        return Element(ring, terms)
 
     # -- constructors --------------------------------------------------------
 
@@ -189,11 +272,7 @@ class Element:
 
     @staticmethod
     def from_terms(ring: Ring, pairs: Iterable[Tuple[Monomial, object]]) -> "Element":
-        acc: dict = {}
-        for m, c in pairs:
-            cur = acc.get(m)
-            acc[m] = c if cur is None else ring.add(cur, c)
-        return Element(ring, {m: c for m, c in acc.items() if not ring.is_zero(c)})
+        return Element(ring, _summed(ring, {}, pairs))
 
     @staticmethod
     def of_monomial(ring: Ring, m: Monomial, coeff=None) -> "Element":
@@ -202,34 +281,10 @@ class Element:
             return Element(ring, {})
         return Element(ring, {m: c})
 
-    # -- ring structure ------------------------------------------------------
-
-    def _check_ring(self, other: "Element"):
-        if self.ring is not other.ring and self.ring.tag != other.ring.tag:
-            raise RingMismatchError(
-                f"elements over different rings: {self.ring.tag} vs {other.ring.tag}"
-            )
-
-    def __add__(self, other: "Element") -> "Element":
-        self._check_ring(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            cur = out.get(m)
-            s = c if cur is None else self.ring.add(cur, c)
-            if self.ring.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Element(self.ring, out)
-
-    def __neg__(self) -> "Element":
-        return Element(self.ring, {m: self.ring.neg(c) for m, c in self.terms.items()})
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
+    # -- what reads the monomial keys -----------------------------------------
 
     def __mul__(self, other: "Element") -> "Element":
-        self._check_ring(other)
+        self._check(other)
         acc: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -239,48 +294,11 @@ class Element:
                 acc[m] = c if cur is None else self.ring.add(cur, c)
         return Element(self.ring, {m: c for m, c in acc.items() if not self.ring.is_zero(c)})
 
-    def scale(self, coeff) -> "Element":
-        if self.ring.is_zero(coeff):
-            return Element(self.ring, {})
-        out = {}
-        for m, c in self.terms.items():
-            v = self.ring.mul(coeff, c)
-            if not self.ring.is_zero(v):
-                out[m] = v
-        return Element(self.ring, out)
-
-    def scale_rational(self, q: Fraction) -> "Element":
-        return self.scale(self.ring.from_rational(q))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Element):
-            return NotImplemented
-        if self.ring is not other.ring and self.ring.tag != other.ring.tag:
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.ring.eq(c, other.terms[m]) for m, c in self.terms.items())
-
-    def __hash__(self):
-        raise TypeError("Element is not hashable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, m: Monomial):
         return self.terms.get(m, self.ring.zero())
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def map_coefficients(self, fn: Callable, ring: Ring) -> "Element":
-        out = {}
-        for m, c in self.terms.items():
-            v = fn(c)
-            if not ring.is_zero(v):
-                out[m] = v
-        return Element(ring, out)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -302,15 +320,19 @@ class Element:
     __repr__ = __str__
 
 
-class TensorElement:
+class TensorElement(SparseSum):
     """A finite linear combination of rank-n monomial tensors."""
 
-    __slots__ = ("ring", "rank", "terms")
+    __slots__ = ("rank",)
+    _noun = "tensors"
 
     def __init__(self, ring: Ring, rank: int, terms: dict):
         self.ring = ring
         self.rank = rank
         self.terms = terms  # tuple[Monomial,...] -> value, no zeros
+
+    def _like(self, ring: Ring, terms: dict) -> "TensorElement":
+        return TensorElement(ring, self.rank, terms)
 
     @staticmethod
     def zero(ring: Ring, rank: int) -> "TensorElement":
@@ -324,40 +346,13 @@ class TensorElement:
     @staticmethod
     def from_terms(ring: Ring, rank: int, pairs) -> "TensorElement":
         acc: dict = {}
-        for key, c in pairs:
+        terms = _summed(ring, acc, pairs)
+        for key in acc:
             if len(key) != rank:
                 raise RankMismatchError(f"expected rank-{rank} keys, got {key}")
-            cur = acc.get(key)
-            acc[key] = c if cur is None else ring.add(cur, c)
-        return TensorElement(ring, rank, {k: c for k, c in acc.items() if not ring.is_zero(c)})
+        return TensorElement(ring, rank, terms)
 
-    def _check(self, other: "TensorElement"):
-        if self.rank != other.rank:
-            raise RankMismatchError(f"rank mismatch: {self.rank} vs {other.rank}")
-        if self.ring is not other.ring and self.ring.tag != other.ring.tag:
-            raise RingMismatchError(
-                f"tensors over different rings: {self.ring.tag} vs {other.ring.tag}"
-            )
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            cur = out.get(key)
-            s = c if cur is None else self.ring.add(cur, c)
-            if self.ring.is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return TensorElement(self.ring, self.rank, out)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(
-            self.ring, self.rank, {k: self.ring.neg(c) for k, c in self.terms.items()}
-        )
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
+    # -- what reads the legs --------------------------------------------------
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         """Componentwise product: legs multiply leg by leg."""
@@ -373,19 +368,6 @@ class TensorElement:
             self.ring, self.rank, {k: c for k, c in acc.items() if not self.ring.is_zero(c)}
         )
 
-    def scale(self, coeff) -> "TensorElement":
-        if self.ring.is_zero(coeff):
-            return TensorElement(self.ring, self.rank, {})
-        out = {}
-        for k, c in self.terms.items():
-            v = self.ring.mul(coeff, c)
-            if not self.ring.is_zero(v):
-                out[k] = v
-        return TensorElement(self.ring, self.rank, out)
-
-    def scale_rational(self, q: Fraction) -> "TensorElement":
-        return self.scale(self.ring.from_rational(q))
-
     def swap(self) -> "TensorElement":
         """Exchange the two legs of a rank-2 tensor (an involution)."""
         if self.rank != 2:
@@ -398,18 +380,9 @@ class TensorElement:
         """Concatenate legs: rank j x rank k -> rank j+k."""
         if self.ring is not other.ring and self.ring.tag != other.ring.tag:
             raise RingMismatchError("outer product needs a common ring")
-        acc: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = k1 + k2
-                c = self.ring.mul(c1, c2)
-                cur = acc.get(key)
-                acc[key] = c if cur is None else self.ring.add(cur, c)
-        return TensorElement(
-            self.ring,
-            self.rank + other.rank,
-            {k: c for k, c in acc.items() if not self.ring.is_zero(c)},
-        )
+        mul = self.ring.mul
+        pairs = ((k1 + k2, mul(c1, c2)) for k1, c1 in self.terms.items() for k2, c2 in other.terms.items())
+        return TensorElement(self.ring, self.rank + other.rank, _summed(self.ring, {}, pairs))
 
     def apply_to_leg(self, index: int, fn: Callable[[Monomial], "TensorElement"], rank_delta: int) -> "TensorElement":
         """Replace leg ``index`` by the tensor expansion ``fn(leg)``.
@@ -431,34 +404,10 @@ class TensorElement:
             {k: c for k, c in acc.items() if not self.ring.is_zero(c)},
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        if self.ring is not other.ring and self.ring.tag != other.ring.tag:
-            return False
-        if self.rank != other.rank or set(self.terms) != set(other.terms):
-            return False
-        return all(self.ring.eq(c, other.terms[k]) for k, c in self.terms.items())
-
-    def __hash__(self):
-        raise TypeError("TensorElement is not hashable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def sorted_terms(self):
         return sorted(
             self.terms.items(), key=lambda kv: tuple(m.sort_key() for m in kv[0])
         )
-
-    def map_coefficients(self, fn: Callable, ring: Ring) -> "TensorElement":
-        out = {}
-        for k, c in self.terms.items():
-            v = fn(c)
-            if not ring.is_zero(v):
-                out[k] = v
-        return TensorElement(ring, self.rank, out)
 
     def __str__(self) -> str:
         if not self.terms:

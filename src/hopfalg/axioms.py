@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional
 
-from .algebra import Element, Monomial, TensorElement
+from .algebra import Element, Monomial, TensorElement, tensor_of_elements
 from .errors import HopfError, SchemaError
 from .hopf import HopfAlgebra, HopfSchema, theta_factors, validate_schema_structure
 from .rings import QQ, LaurentRing
@@ -194,11 +194,12 @@ def verify_axioms(schema: HopfSchema, max_degree: int) -> AxiomReport:
     # -- Hopf axioms -------------------------------------------------------------
 
     def convolve_sides(m: Monomial):
-        left = Element.zero(QQ)
-        right = Element.zero(QQ)
-        for (a, b), c in ctx.coproduct_monomial(m).terms.items():
-            left = left + (E(a) * ctx.antipode_monomial(b)).scale(c)
-            right = right + (ctx.antipode_monomial(a) * E(b)).scale(c)
+        d = ctx.coproduct_monomial(m).terms.items()
+        S = ctx.antipode_monomial
+        left = Element.from_terms(QQ, ((k, c * v) for (a, b), c in d
+                                       for k, v in (E(a) * S(b)).terms.items()))
+        right = Element.from_terms(QQ, ((k, c * v) for (a, b), c in d
+                                        for k, v in (S(a) * E(b)).terms.items()))
         return left, right
 
     def check_h():
@@ -222,14 +223,14 @@ def verify_axioms(schema: HopfSchema, max_degree: int) -> AxiomReport:
     run("Hm", "S(ab) = S(b) S(a)", check_hm)
 
     def check_hdelta():
-        from .algebra import tensor_of_elements
-
+        S = ctx.antipode_monomial
         for m in basis:
-            lhs = ctx.coproduct(ctx.antipode_monomial(m))
-            rhs = TensorElement.zero(QQ, 2)
-            for (a, b), c in ctx.coproduct_monomial(m).swap().terms.items():
-                sa, sb = ctx.antipode_monomial(a), ctx.antipode_monomial(b)
-                rhs = rhs + tensor_of_elements(sa, sb).scale(c)
+            lhs = ctx.coproduct(S(m))
+            rhs = TensorElement.from_terms(QQ, 2, (
+                (k, c * v)
+                for (a, b), c in ctx.coproduct_monomial(m).swap().terms.items()
+                for k, v in tensor_of_elements(S(a), S(b)).terms.items()
+            ))
             if lhs != rhs:
                 return str(m)
         return None
@@ -330,22 +331,18 @@ def verify_axioms(schema: HopfSchema, max_degree: int) -> AxiomReport:
     )
 
     def theta_of_tensor(d: TensorElement) -> TensorElement:
-        out = TensorElement.zero(zring, 2)
-        for (a, b), c in d.terms.items():
-            factor = factors[a.y_degree + b.y_degree]
-            out = out + TensorElement(
-                zring, 2, {(a, b): zring.scale(c, factor)}
-            )
-        return out
+        return TensorElement.from_terms(zring, 2, (
+            ((a, b), zring.scale(c, factors[a.y_degree + b.y_degree])) for (a, b), c in d.terms.items()
+        ))
 
     def check_theta_coalgebra():
         for m in basis:
             lhs = theta_of_tensor(ctx.coproduct_monomial(m))
-            rhs = TensorElement.zero(zring, 2)
-            for mm, c in ctx.apply_theta(E(m), factors, zring).terms.items():
-                rhs = rhs + ctx.coproduct_monomial(mm).map_coefficients(
-                    lambda q, c=c: zring.scale(q, c), zring
-                )
+            rhs = TensorElement.from_terms(zring, 2, (
+                (k, zring.scale(q, c))
+                for mm, c in ctx.apply_theta(E(m), factors, zring).terms.items()
+                for k, q in ctx.coproduct_monomial(mm).terms.items()
+            ))
             if lhs != rhs:
                 return str(m)
         return None
@@ -384,12 +381,11 @@ def verify_axioms(schema: HopfSchema, max_degree: int) -> AxiomReport:
     def check_s_commutes_theta():
         for m in basis:
             lhs = ctx.apply_theta(ctx.antipode_monomial(m), factors, zring)
-            rhs_src = ctx.apply_theta(E(m), factors, zring)
-            rhs = Element.zero(zring)
-            for mm, c in rhs_src.terms.items():
-                rhs = rhs + ctx.antipode_monomial(mm).map_coefficients(
-                    lambda q, c=c: zring.scale(q, c), zring
-                )
+            rhs = Element.from_terms(zring, (
+                (k, zring.scale(q, c))
+                for mm, c in ctx.apply_theta(E(m), factors, zring).terms.items()
+                for k, q in ctx.antipode_monomial(mm).terms.items()
+            ))
             if lhs != rhs:
                 return str(m)
         return None

@@ -250,9 +250,10 @@ def beta_data(ctx: HopfAlgebra, f, max_order: int, max_degree: int) -> BetaData:
     """
     if max_order < 1:
         raise DomainError("max_order must be >= 1")
-    beta, violations = beta_functional(ctx, f, max_degree)
+    d1 = residue(ctx, f, max_degree)
+    beta, violations = _beta_of_residue(ctx, d1, max_degree)
     base = beta.ring
-    towers = [residue(ctx, f, max_degree)] + counterterm_tower(ctx, beta, max_order, max_degree)[1:]
+    towers = [d1] + counterterm_tower(ctx, beta, max_order, max_degree)[1:]
     for d in towers:
         if not base.is_zero(d.value_on(Monomial.unit())):
             raise VerificationError("a tower entry fails to kill the unit")
@@ -289,7 +290,10 @@ def beta_functional(ctx: HopfAlgebra, f, max_degree: int) -> Tuple[Infinitesimal
     Returns the generator-table form plus the list of basis products where
     the scaled residue fails to vanish (empty for genuinely special data).
     """
-    d1 = residue(ctx, f, max_degree)
+    return _beta_of_residue(ctx, residue(ctx, f, max_degree), max_degree)
+
+
+def _beta_of_residue(ctx: HopfAlgebra, d1: TableFunctional, max_degree: int):
     base = d1.ring
     scaled = grading_transpose(base, d1.table)
     violations = [

@@ -348,85 +348,63 @@ def add_expression_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--file", help="element JSON file")
 
 
-def make_parser() -> argparse.ArgumentParser:
+# The command table: name -> (help, the arguments the command adds to the
+# common ones).  ELEMENT marks the --expr | --file group of an element input.
+# Each name runs cmd_<name with - as _>.
+ELEMENT = "element"
+_MAX_ORDER = ("--max-order", {"type": int, "default": 0, "metavar": "N"})
+COMMANDS = {
+    "coproduct": ("coproduct of an element", ELEMENT),
+    "antipode": ("antipode of an element", ELEMENT),
+    "convolve": ("convolution of two functionals",
+                 [("functionals", {"nargs": 2, "metavar": "FUNCTIONAL_JSON"})]),
+    "exp": ("convolution exponential of an infinitesimal", [("functional", {"metavar": "Z_JSON"})]),
+    "log": ("convolution logarithm of a character", [("functional", {"metavar": "CHI_JSON"})]),
+    "birkhoff": ("Birkhoff decomposition of a Laurent character", [("functional", {"metavar": "PHI_JSON"})]),
+    "beta": ("residue, beta-function and pole tower of a Laurent character "
+             "(pass the loop, or the counterterm part of a Birkhoff pair)",
+             [("functional", {"metavar": "PHI_JSON"}), _MAX_ORDER]),
+    "build-loop": ("assemble the loop with a given beta-function",
+                   [("functional", {"metavar": "BETA_JSON"}), _MAX_ORDER]),
+    "rg-check": ("specialness and scale-flow limit of a loop", [("functional", {"metavar": "PHI_JSON"})]),
+    "scattering": ("finite-time limit certification of the tower",
+                   [("functional", {"metavar": "BETA_JSON"}), _MAX_ORDER]),
+    "verify": ("run the axiom and property suites", []),
+    "enumerate-trees": ("rooted trees with n vertices", [("vertices", {"type": int, "metavar": "N"})]),
+}
+
+
+def make_parser(command: str = None) -> argparse.ArgumentParser:
+    """The parser of every command, or only of ``command`` when it names one.
+
+    Each command's function is looked up when its subparser is built, so a
+    wrapper installed on the module attribute runs in its place.
+    """
     parser = argparse.ArgumentParser(
         prog="hopfalg",
         description="Exact coproducts, antipodes, convolution calculus and "
         "Birkhoff renormalization on graded connected Hopf algebras.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("coproduct", help="coproduct of an element")
-    add_common(p)
-    add_expression_args(p)
-    p.set_defaults(fn=cmd_coproduct)
-
-    p = sub.add_parser("antipode", help="antipode of an element")
-    add_common(p)
-    add_expression_args(p)
-    p.set_defaults(fn=cmd_antipode)
-
-    p = sub.add_parser("convolve", help="convolution of two functionals")
-    add_common(p)
-    p.add_argument("functionals", nargs=2, metavar="FUNCTIONAL_JSON")
-    p.set_defaults(fn=cmd_convolve)
-
-    p = sub.add_parser("exp", help="convolution exponential of an infinitesimal")
-    add_common(p)
-    p.add_argument("functional", metavar="Z_JSON")
-    p.set_defaults(fn=cmd_exp)
-
-    p = sub.add_parser("log", help="convolution logarithm of a character")
-    add_common(p)
-    p.add_argument("functional", metavar="CHI_JSON")
-    p.set_defaults(fn=cmd_log)
-
-    p = sub.add_parser("birkhoff", help="Birkhoff decomposition of a Laurent character")
-    add_common(p)
-    p.add_argument("functional", metavar="PHI_JSON")
-    p.set_defaults(fn=cmd_birkhoff)
-
-    p = sub.add_parser(
-        "beta",
-        help="residue, beta-function and pole tower of a Laurent character "
-        "(pass the loop, or the counterterm part of a Birkhoff pair)",
-    )
-    add_common(p)
-    p.add_argument("functional", metavar="PHI_JSON")
-    p.add_argument("--max-order", type=int, default=0, metavar="N")
-    p.set_defaults(fn=cmd_beta)
-
-    p = sub.add_parser("build-loop", help="assemble the loop with a given beta-function")
-    add_common(p)
-    p.add_argument("functional", metavar="BETA_JSON")
-    p.add_argument("--max-order", type=int, default=0, metavar="N")
-    p.set_defaults(fn=cmd_build_loop)
-
-    p = sub.add_parser("rg-check", help="specialness and scale-flow limit of a loop")
-    add_common(p)
-    p.add_argument("functional", metavar="PHI_JSON")
-    p.set_defaults(fn=cmd_rg_check)
-
-    p = sub.add_parser("scattering", help="finite-time limit certification of the tower")
-    add_common(p)
-    p.add_argument("functional", metavar="BETA_JSON")
-    p.add_argument("--max-order", type=int, default=0, metavar="N")
-    p.set_defaults(fn=cmd_scattering)
-
-    p = sub.add_parser("verify", help="run the axiom and property suites")
-    add_common(p)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("enumerate-trees", help="rooted trees with n vertices")
-    add_common(p)
-    p.add_argument("vertices", type=int, metavar="N")
-    p.set_defaults(fn=cmd_enumerate_trees)
-
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # With one subparser built, the usage line still lists every command.
+    usage = None if len(names) > 1 else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=usage)
+    for name in names:
+        help_text, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_common(p)
+        if arguments == ELEMENT:
+            add_expression_args(p)
+        else:
+            for flag, kwargs in arguments:
+                p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = make_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -71,12 +71,6 @@ class ExpSum:
             total += c / a
         return total
 
-    def constant_term(self) -> Fraction:
-        return self.coeffs.get(0, Fraction(0))
-
-    def decaying_part(self) -> "ExpSum":
-        return ExpSum({a: c for a, c in self.coeffs.items() if a > 0})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ExpSum) and self.coeffs == other.coeffs
 

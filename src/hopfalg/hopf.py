@@ -291,10 +291,12 @@ class HopfAlgebra:
         return memo[top]
 
     def coproduct(self, h: Element) -> TensorElement:
-        out = TensorElement.zero(self.ring, 2)
-        for m, c in h.terms.items():
-            out = out + self.coproduct_monomial(m).scale(c)
-        return out
+        mul = self.ring.mul
+        return TensorElement.from_terms(self.ring, 2, (
+            (key, mul(c, c2))
+            for m, c in h.terms.items()
+            for key, c2 in self.coproduct_monomial(m).terms.items()
+        ))
 
     def coproduct_term_bound(self, h: Element) -> int:
         """An upper bound on the terms the coproduct memo fills for D(h), read
@@ -372,12 +374,6 @@ class HopfAlgebra:
         self._iterated[key] = result
         return result
 
-    def iterated_coproduct(self, h: Element, n: int) -> TensorElement:
-        out = TensorElement.zero(self.ring, n + 1)
-        for m, c in h.terms.items():
-            out = out + self.iterated_coproduct_monomial(m, n).scale(c)
-        return out
-
     def plus_iterated_monomial(self, m: Monomial, n: int) -> TensorElement:
         """Projection of D^(n-1) to tensors with every leg in the augmentation
         ideal: rank n, n >= 1.  Vanishes when n exceeds the degree of m."""
@@ -446,10 +442,12 @@ class HopfAlgebra:
         return result
 
     def antipode(self, h: Element) -> Element:
-        out = Element.zero(self.ring)
-        for m, c in h.terms.items():
-            out = out + self.antipode_monomial(m).scale(c)
-        return out
+        mul = self.ring.mul
+        return Element.from_terms(self.ring, (
+            (m2, mul(c, c2))
+            for m, c in h.terms.items()
+            for m2, c2 in self.antipode_monomial(m).terms.items()
+        ))
 
     # -- grading operators ---------------------------------------------------
 
@@ -462,10 +460,7 @@ class HopfAlgebra:
     def apply_theta(self, h: Element, factors, ring: LaurentRing) -> Element:
         """Scale each homogeneous component of degree n by ``factors[n]``,
         the list exp(n z) from ``theta_factors``."""
-        out = Element.zero(ring)
-        for m, c in h.terms.items():
-            out = out + Element.of_monomial(ring, m, ring.scale(c, factors[m.y_degree]))
-        return out
+        return Element.from_terms(ring, ((m, ring.scale(c, factors[m.y_degree])) for m, c in h.terms.items()))
 
     # -- misc -----------------------------------------------------------------
 

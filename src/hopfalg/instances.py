@@ -140,12 +140,6 @@ def parse_tree(text: str) -> RootedTree:
     return t
 
 
-def parse_forest(text: str) -> Tuple[RootedTree, ...]:
-    """Space-separated trees."""
-    parts = text.split()
-    return tuple(parse_tree(p) for p in parts)
-
-
 # The most rooted trees one request may build.  Enumerating the trees with n
 # vertices builds every tree with at most n vertices, and the trees:n schema
 # has one generator per such tree; 5000 admits n = 11 (3047 trees).
@@ -395,28 +389,3 @@ def load_schema(path: str) -> TableSchema:
         except json.JSONDecodeError as exc:
             raise SchemaError(f"cannot parse schema file {path}: {exc}") from exc
     return schema_from_dict(data, name=f"custom:{path}")
-
-
-def schema_to_dict(schema: HopfSchema, up_to: Optional[int] = None) -> dict:
-    """Serialize a schema to the JSON contract (finite slice for unbounded ones)."""
-    bound = schema.max_degree if schema.max_degree is not None else up_to
-    if bound is None:
-        raise DomainError("serializing an unbounded schema needs an explicit degree bound")
-    gens = schema.generators_up_to(bound)
-    out = {
-        "generators": [{"name": g.name, "degree": g.degree} for g in gens],
-        "reducedCoproduct": {},
-    }
-    for g in gens:
-        terms = schema.reduced_terms(g)
-        if not terms:
-            continue
-        out["reducedCoproduct"][g.name] = [
-            {
-                "left": [[lg.name, e] for lg, e in t.left.powers],
-                "right": t.right.name,
-                "coeff": str(t.coeff),
-            }
-            for t in terms
-        ]
-    return out

@@ -1,6 +1,7 @@
 """Element and tensor arithmetic over the symmetric algebra."""
 
 import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -136,6 +137,11 @@ def test_ring_mismatch_rejected():
     b = Element.unit(other)
     with pytest.raises(RingMismatchError):
         a * b
+    # the shared sum arithmetic checks rings the same way, with each class's message
+    for x, y, noun in ((a, b, "elements"), (TensorElement.unit(QQ, 2), TensorElement.unit(other, 2), "tensors")):
+        for op in (operator.mul, operator.add, operator.sub):
+            with pytest.raises(RingMismatchError, match=f"^{noun} over different rings: rational vs laurent$"):
+                op(x, y)
 
 
 def test_tensor_componentwise_product():
@@ -180,6 +186,11 @@ def test_rank_mismatch_rejected():
     v = TensorElement.unit(QQ, 3)
     with pytest.raises(RankMismatchError):
         u * v
+    for op in (operator.add, operator.sub):
+        with pytest.raises(RankMismatchError, match="^rank mismatch: 2 vs 3$"):
+            op(u, v)
+    with pytest.raises(RankMismatchError, match=r"^expected rank-2 keys, got \(1,\)$"):
+        TensorElement.from_terms(QQ, 2, [((Monomial.unit(), Monomial.unit()), 1), ((1,), 1), ((2,), 0)])
 
 
 def test_pair_counit_on_unit():
@@ -204,3 +215,54 @@ def test_pair_linear_in_each_argument():
         ta, tb = tensor_of_elements(a, a), tensor_of_elements(b, b)
         lhs = pair([f, g], ta + tb, QQ)
         assert lhs == pair([f, g], ta, QQ) + pair([f, g], tb, QQ)
+
+
+# -- the arithmetic Element and TensorElement share, against a dict over Q ------
+
+POOL = (Monomial.unit(), Monomial.of(T1), Monomial.of(T2), Monomial.of(T1, 2))
+KINDS = (None, 1, 2, 3)  # None: Element; n: rank-n TensorElement
+EPS = LaurentRing(QQ, "eps")
+VALUES = st.one_of(st.integers(-2, 2), st.fractions(-3, 3, max_denominator=4))
+
+
+def build(kind, pairs, ring=QQ):
+    return Element.from_terms(ring, pairs) if kind is None else TensorElement.from_terms(ring, kind, pairs)
+
+
+def summed(pairs):
+    acc = {}
+    for k, c in pairs:
+        acc[k] = acc.get(k, 0) + c
+    return {k: c for k, c in acc.items() if c}
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=["element", "rank-1", "rank-2", "rank-3"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_shared_sum_arithmetic_matches_a_dict_oracle(kind, data):
+    key = st.sampled_from(POOL) if kind is None else st.tuples(*[st.sampled_from(POOL)] * kind)
+    ps = data.draw(st.lists(st.tuples(key, VALUES), max_size=8))  # small pool: repeated keys
+    qs = data.draw(st.lists(st.tuples(key, VALUES), max_size=8))
+    c = data.draw(VALUES)
+    a, b = build(kind, ps), build(kind, qs)
+    neg = [(k, -v) for k, v in qs]
+    assert a.terms == summed(ps) and a.is_zero == (not summed(ps))
+    assert (a + b).terms == summed(ps + qs)
+    assert (a - b).terms == summed(ps + neg) and (-b).terms == summed(neg)
+    assert (a + -a).is_zero and (a - a).terms == {} and a - a == build(kind, [])
+    assert (b + build(kind, neg)).is_zero  # a sum that cancels term by term
+    assert a.scale(c).terms == summed((k, c * v) for k, v in ps)
+    assert a.scale(0).is_zero and a.scale_rational(Fraction(c)) == a.scale(c)
+    assert (a == b) == (summed(ps) == summed(qs))
+    # into a Laurent ring: values map one by one, and a value sent to zero is dropped
+    mapped = a.map_coefficients(lambda v: EPS.monomial(-1, v) if v != 1 else EPS.zero(), EPS)
+    assert mapped.ring is EPS and mapped.terms.keys() == {k for k, v in a.terms.items() if v != 1}
+    assert all(EPS.eq(mapped.terms[k], EPS.monomial(-1, a.terms[k])) for k in mapped.terms)
+    assert mapped == build(kind, [(k, EPS.monomial(-1, v)) for k, v in ps if a.terms.get(k) != 1], EPS)
+    # equal terms over another ring, another rank or the other class are never equal
+    assert a.map_coefficients(EPS.from_rational, EPS) != a and build(kind, [], EPS) != build(kind, [])
+    for other in KINDS:
+        if other != kind:
+            assert build(other, []) != build(kind, [])
+    with pytest.raises(TypeError):
+        hash(a)

@@ -310,13 +310,22 @@ def test_beta_data_vs_rg_division_of_labor(ladder):
     assert any(w["monomial"] == "t2" for w in rg.witnesses)
 
 
-def test_beta_data_violations_from_product_residue(ladder):
-    from hopfalg.birkhoff import beta_data
+def test_beta_data_violations_from_product_residue(ladder, monkeypatch):
+    from hopfalg import birkhoff
 
+    residues = []
+
+    def recorded(*args):
+        residues.append(residue(*args))
+        return residues[-1]
+
+    monkeypatch.setattr(birkhoff, "residue", recorded)
     bad = Character(ladder, L, {gen(ladder, 1): lau({-1: 1, 0: 1})})
-    data = beta_data(ladder, bad, 2, 3)
+    data = birkhoff.beta_data(ladder, bad, 2, 3)
     assert not data.passed
     assert "t1^2" in data.violations
+    # d_1 is read off the loop once and seeds both beta and the tower
+    assert len(residues) == 1 and data.d(1) is residues[0]
 
 
 def test_dn_recursive_hand_example(ladder):

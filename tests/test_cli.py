@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -537,3 +539,26 @@ def test_report_output_is_pinned(argv, code, digest, tmp_path, capsys):
     }
     assert cli.main([a.format(**files) for a in argv]) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# The help text of `hopfalg --help` and of every `hopfalg <command> --help`,
+# recorded at 80 columns while make_parser still built each subparser by hand.
+HELP = json.loads((pathlib.Path(__file__).parent / "cli_help.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(HELP), ids=lambda a: a.replace(" ", "_"))
+def test_help_text_is_unchanged(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP[argv]
+
+
+def test_top_level_help_lists_every_command_and_a_command_builds_only_its_own():
+    listed = [line.split()[0] for line in HELP["--help"].splitlines() if re.match(r"    \S", line)]
+    assert listed == list(cli.COMMANDS) and len(listed) == 12
+    assert sorted(a.split()[0] for a in HELP if a != "--help") == sorted(cli.COMMANDS)
+    with pytest.raises(SystemExit):
+        cli.make_parser("verify").parse_args(["coproduct", "--expr", "t1"])
+    assert cli.make_parser().parse_args(["coproduct", "--expr", "t1"]).fn is cli.cmd_coproduct

@@ -102,11 +102,10 @@ def test_reduced_legs_strictly_positive(ladder):
 def test_iterated_coproduct(ladder):
     one = Monomial.unit()
     m1 = t(ladder, 1)
-    h = ladder.monomial_element(m1)
-    assert ladder.iterated_coproduct(h, 0) == TensorElement(
+    assert ladder.iterated_coproduct_monomial(m1, 0) == TensorElement(
         QQ, 1, {(m1,): Fraction(1)}
     )
-    d2 = ladder.iterated_coproduct(h, 2)
+    d2 = ladder.iterated_coproduct_monomial(m1, 2)
     assert d2 == TensorElement.from_terms(
         QQ,
         3,
@@ -127,7 +126,7 @@ def test_coassociativity_on_basis(ladder):
         right = ladder.coproduct(h).apply_to_leg(
             1, ladder.coproduct_monomial, 1
         )
-        assert left == right == ladder.iterated_coproduct(h, 2)
+        assert left == right == ladder.iterated_coproduct_monomial(m, 2)
 
 
 def test_antipode_examples(ladder):
@@ -278,6 +277,35 @@ def test_theta_commutes_with_coproduct(ladder):
                 lambda q, c=c: ring.scale(q, c), ring
             )
         assert lhs == rhs
+
+
+def test_linear_maps_build_each_sum_in_one_pass(ladder, monkeypatch):
+    def forbidden(self, other):
+        raise AssertionError("a linear combination must be summed in one pass, not with +")
+
+    monkeypatch.setattr(Element, "__add__", forbidden)
+    monkeypatch.setattr(TensorElement, "__add__", forbidden)
+    t1 = t(ladder, 1)
+    # h = t1^2 - 2 t2: the t1 (x) t1 terms of D(t1^2) and -2 D(t2) cancel
+    h = Element.from_terms(QQ, [(t(ladder, 1, 2), 1), (t(ladder, 2), -2)])
+    assert (t1, t1) in ladder.coproduct_monomial(t(ladder, 2)).terms
+    zring = LaurentRing(QQ, "z")
+    factors = theta_factors(zring, zring.monomial(1, trunc=4), 2)
+    cases = [
+        (ladder.coproduct(h), ladder.coproduct_monomial, QQ.mul),
+        (ladder.antipode(h), ladder.antipode_monomial, QQ.mul),
+        (ladder.apply_theta(h, factors, zring), lambda m: Element(zring, {m: factors[m.y_degree]}), zring.scale),
+    ]
+    for got, per_monomial, scale in cases:
+        ring = got.ring
+        assert not any(ring.is_zero(c) for c in got.terms.values())
+        expected = {}
+        for m, c in h.terms.items():
+            for key, v in per_monomial(m).terms.items():
+                expected[key] = ring.add(expected[key], scale(c, v)) if key in expected else scale(c, v)
+        assert got.terms.keys() == {k for k, v in expected.items() if not ring.is_zero(v)}
+        assert all(ring.eq(c, expected[k]) for k, c in got.terms.items())
+    assert (t1, t1) not in cases[0][0].terms
 
 
 @pytest.mark.parametrize("schema, degree", [(ladder_schema, 6), (lambda: rooted_tree_schema(5), 5)],

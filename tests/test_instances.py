@@ -19,14 +19,35 @@ from hopfalg.instances import (
     forest_monomial,
     ladder_schema,
     load_schema,
-    parse_forest,
     parse_tree,
     rooted_tree_count,
     rooted_tree_schema,
     schema_from_dict,
-    schema_to_dict,
 )
 from hopfalg.rings import QQ
+
+
+def parse_forest(text):
+    """Space-separated trees."""
+    return tuple(parse_tree(p) for p in text.split())
+
+
+def schema_to_dict(schema, up_to):
+    """A schema's generators and reduced coproducts to degree ``up_to``, in the
+    JSON contract that ``load_schema`` reads."""
+    gens = schema.generators_up_to(up_to)
+    out = {
+        "generators": [{"name": g.name, "degree": g.degree} for g in gens],
+        "reducedCoproduct": {},
+    }
+    for g in gens:
+        terms = schema.reduced_terms(g)
+        if terms:
+            out["reducedCoproduct"][g.name] = [
+                {"left": [[lg.name, e] for lg, e in t.left.powers], "right": t.right.name, "coeff": str(t.coeff)}
+                for t in terms
+            ]
+    return out
 
 
 def test_ladder_reduced_coproduct():
