@@ -10,8 +10,11 @@ theta_* are table maps, and each such sum is one call per monomial of the
 ring's one sum-of-products kernel, ``ring.dot``.  A character tabulates with
 one ring product per monomial.  One helper reads a table back into closed
 form on the generators, verifying it on the whole basis where the caller
-asks.  The flat ``ConvolutionProduct`` over iterated coproducts adds its
-products one at a time, an independent oracle for the tests and the suites.
+asks.  The flat ``ConvolutionProduct`` over iterated coproducts is an
+independent oracle for the tests and the suites: it evaluates each factor
+once per distinct leg, drops a term at its first exact-zero leg, and
+multiplies out and adds the other terms one at a time, never through
+``ring.dot`` or the tables.
 """
 
 from __future__ import annotations
@@ -178,6 +181,9 @@ class InfinitesimalCharacter(Functional):
         return self.gen_values.get(g, self.ring.zero())
 
 
+_UNSEEN = object()  # a leg not yet evaluated, in ConvolutionProduct.value_on
+
+
 class ConvolutionProduct(Functional):
     """Lazy convolution of finitely many functionals.
 
@@ -200,21 +206,38 @@ class ConvolutionProduct(Functional):
         self.factors: Tuple[Functional, ...] = tuple(flat)
 
     def value_on(self, m: Monomial):
+        """The sum over the iterated coproduct of m of c f1(m1) ... fn(mn),
+        each term multiplied out and added one at a time.  Each factor is
+        evaluated once per distinct leg, in the order the terms reach it; a
+        term ends at its first exact-zero leg, before any product, since an
+        exact zero times anything is the exact zero and adds nothing."""
         n = len(self.factors)
         if n == 1:
             return self.factors[0].value_on(m)
         tensor = self.ctx.iterated_coproduct_monomial(m, n - 1)
-        zero = self.ring.zero()
+        ring = self.ring
+        zero = ring.zero()
+        by_factor = {id(f): {} for f in self.factors}
+        memos = [(f, by_factor[id(f)]) for f in self.factors]
         total = zero
         for key, c in tensor.terms.items():
-            prod = self.ring.from_rational(c)
-            for f, leg in zip(self.factors, key):
-                # Only an exact zero ends the product: a truncated zero times
-                # a pole of a later factor loses precision.
-                if prod == zero:
+            values = []
+            for (f, memo), leg in zip(memos, key):
+                v = memo.get(leg, _UNSEEN)
+                if v is _UNSEEN:
+                    # None marks an exact zero.  Only an exact zero ends the
+                    # term: a truncated zero times a pole of a later factor
+                    # loses precision, so it multiplies through.
+                    v = f.value_on(leg)
+                    v = memo[leg] = None if v == zero else v
+                if v is None:
                     break
-                prod = self.ring.mul(prod, f.value_on(leg))
-            total = self.ring.add(total, prod)
+                values.append(v)
+            else:
+                prod = ring.from_rational(c)
+                for v in values:
+                    prod = ring.mul(prod, v)
+                total = ring.add(total, prod)
         return total
 
 

@@ -59,8 +59,9 @@ class ExpSum:
                     "constant term under a variable-bound integral would "
                     "leave a non-exponential factor"
                 )
-            out[0] = out.get(0, Fraction(0)) + c / a
-            out[a] = out.get(a, Fraction(0)) - c / a
+            q = Fraction(c, a)
+            out[0] = out.get(0, Fraction(0)) + q
+            out[a] = out.get(a, Fraction(0)) - q
         return ExpSum(out)
 
     def integrate_to_infinity(self) -> Fraction:
@@ -68,7 +69,7 @@ class ExpSum:
         for a, c in self.coeffs.items():
             if a == 0:
                 raise DomainError("the integral to infinity of a constant diverges")
-            total += c / a
+            total += Fraction(c, a)
         return total
 
     def __eq__(self, other) -> bool:

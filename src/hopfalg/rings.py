@@ -3,7 +3,9 @@
 Every ring is a commutative unital Q-algebra with decidable, canonical
 equality.  Values are plain immutable data (int or Fraction, tuples,
 slotted ``Frozen`` objects); the ring object knows how to combine them.  No
-floating point anywhere.
+floating point anywhere: division is exact.  Exact sums of products run in
+integers over one common denominator and build one Fraction per result; over
+Q, ``dot`` is that sum directly.
 """
 
 from __future__ import annotations
@@ -141,9 +143,10 @@ _ONE = Fraction(1)
 class RationalField(Ring):
     """The field of exact rationals; values are int or fractions.Fraction.
 
-    The ring's own operations return Fractions; structure constants that are
-    integers stay ints (see ``hopf.HopfAlgebra``), and Python's mixed
-    int/Fraction arithmetic keeps every result exact and equal-comparable.
+    The ring's own operations return Fractions (``from_rational`` returns a
+    Fraction argument itself); structure constants that are integers stay
+    ints (see ``hopf.HopfAlgebra``), and Python's mixed int/Fraction
+    arithmetic keeps every result exact and equal-comparable.
     """
 
     tag = "rational"
@@ -170,7 +173,7 @@ class RationalField(Ring):
         return not a
 
     def from_rational(self, q):
-        return Fraction(q)
+        return q if q.__class__ is Fraction else Fraction(q)
 
     def scale(self, q, a):
         return q * a
@@ -199,12 +202,25 @@ class RationalField(Ring):
                         if k >= n:
                             break
                         out[k] = out.get(k, 0) + x * y
+        if d == 1:
+            return {k: Fraction(v) for k, v in out.items()}
         return {k: Fraction(v, d) for k, v in out.items()}
+
+    def dot(self, terms):
+        """Ring.dot in integers: each c x y over the lcm of the triples'
+        denominators, summed as a plain int, and one Fraction for the sum.
+        c, x and y may each be an int or a Fraction."""
+        dens = [c.denominator * x.denominator * y.denominator for c, x, y in terms]
+        d = lcm(*dens)
+        total = 0
+        for (c, x, y), e in zip(terms, dens):
+            total += c.numerator * x.numerator * y.numerator * (d // e)
+        return Fraction(total) if d == 1 else Fraction(total, d)
 
     def invert(self, a):
         if a == 0:
             raise SingularInputError("division by zero in the rational field")
-        return 1 / a
+        return _ONE / a
 
     def value_to_json(self, a):
         return format_rational(a)
@@ -543,7 +559,11 @@ class LaurentRing(Ring):
         return self.dot([(1, a, b)])
 
     def eq(self, a: LaurentSeries, b: LaurentSeries) -> bool:
-        """Agreement on the common sound window."""
+        """Agreement on the common sound window.  With equal truncations that
+        window holds every stored coefficient, and canonical series agree on
+        it exactly when their coefficient tuples are equal."""
+        if a.trunc == b.trunc:
+            return a.coeffs == b.coeffs
         w = _min_trunc(a.trunc, b.trunc)
         da, db = a.as_dict(), b.as_dict()
         for k in set(da) | set(db):

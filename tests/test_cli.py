@@ -541,6 +541,35 @@ def test_report_output_is_pinned(argv, code, digest, tmp_path, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# sha256 of verify's JSON report at degree 6, on the binomial ladder
+# D x_n = sum_k C(n, k) x_k (x) x_(n-k) given as a custom schema file and on
+# trees:6, recorded under PYTHONHASHSEED 0 and 1 (the same bytes) while the
+# flat convolution oracle still multiplied every leg and QQ.dot still ran the
+# series kernel.
+BINOMIAL_6 = {
+    "generators": [{"name": f"x{n}", "degree": n} for n in range(1, 7)],
+    "reducedCoproduct": {
+        f"x{n}": [{"left": [[f"x{k}", 1]], "right": f"x{n - k}", "coeff": str(math.comb(n, k))} for k in range(1, n)]
+        for n in range(2, 7)
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "schema, seed, digest",
+    [
+        ("custom:binomial.json", 11, "b5de42d47cee87756e2182148a386e3c45e817e1700a01ad5997cf73739c49b7"),
+        ("trees:6", 12, "14b01f486f464c973f50b1a92aca82464ecdbb540c54271493ffc5b3cc5d778f"),
+    ],
+    ids=["verify-binomial-6-json", "verify-trees6-6-json"],
+)
+def test_verify_output_at_degree_6_is_pinned(schema, seed, digest, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the report names the schema file by this relative path
+    (tmp_path / "binomial.json").write_text(json.dumps(BINOMIAL_6))
+    assert cli.main(["verify", "--schema", schema, "--max-degree", "6", "--seed", str(seed)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 # The help text of `hopfalg --help` and of every `hopfalg <command> --help`,
 # recorded at 80 columns while make_parser still built each subparser by hand.
 HELP = json.loads((pathlib.Path(__file__).parent / "cli_help.json").read_text())

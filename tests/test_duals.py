@@ -1,6 +1,7 @@
 """Characters, infinitesimal characters, convolution calculus, dual metric."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -10,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfalg import cli
+from hopfalg import cli, duals
 from hopfalg.algebra import Generator, Monomial
 from hopfalg.duals import (
     Character,
     ConvolutionProduct,
+    Functional,
     InfinitesimalCharacter,
     TableFunctional,
     character_inverse,
@@ -34,7 +36,7 @@ from hopfalg.duals import (
 from hopfalg.errors import CutoffExceededError, DomainError, UnsupportedRingError
 from hopfalg.hopf import HopfAlgebra, TableSchema
 from hopfalg.instances import ladder_schema, rooted_tree_schema
-from hopfalg.rings import QQ, LaurentRing
+from hopfalg.rings import QQ, LaurentRing, RationalField, Ring
 
 
 @pytest.fixture(scope="module")
@@ -647,3 +649,137 @@ def test_character_tabulation_makes_one_product_per_monomial(ladder, monkeypatch
     table = tabulate(chi, reversed(basis))
     assert len(products) == sum(1 for m in basis if m.poly_degree > 1)
     assert table == {m: chi.value_on(m) for m in basis}
+
+
+# -- the flat oracle against its per-term loop ---------------------------------------
+
+
+def reference_value_on(conv, m):
+    """ConvolutionProduct.value_on as it multiplied every term out leg by leg,
+    calling each factor on every leg it reached, until the product was an
+    exact zero."""
+    n = len(conv.factors)
+    if n == 1:
+        return conv.factors[0].value_on(m)
+    tensor = conv.ctx.iterated_coproduct_monomial(m, n - 1)
+    zero = conv.ring.zero()
+    total = zero
+    for key, c in tensor.terms.items():
+        prod = conv.ring.from_rational(c)
+        for f, leg in zip(conv.factors, key):
+            if prod == zero:
+                break
+            prod = conv.ring.mul(prod, f.value_on(leg))
+        total = conv.ring.add(total, prod)
+    return total
+
+
+@lru_cache(maxsize=None)
+def oracle_context(name):
+    if name == "ladder":
+        return HopfAlgebra(ladder_schema(), validate_to=5), 5
+    return HopfAlgebra(rooted_tree_schema(4)), 4
+
+
+@contextmanager
+def fast_paths_forbidden():
+    """ring.dot, convolve_tables and tabulate raise; a Laurent product may
+    still reach LaurentRing.dot from inside LaurentRing.mul, its one-triple case."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the flat oracle reached a fast path")
+
+    in_mul = []
+    laurent_mul, laurent_dot = LaurentRing.mul, LaurentRing.dot
+
+    def mul(self, a, b):
+        in_mul.append(1)
+        try:
+            return laurent_mul(self, a, b)
+        finally:
+            in_mul.pop()
+
+    def dot(self, terms):
+        if not in_mul:
+            forbidden()
+        return laurent_dot(self, terms)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, name in ((duals, "convolve_tables"), (duals, "tabulate"), (Functional, "tabulate"),
+                            (Character, "tabulate"), (RationalField, "dot"), (Ring, "dot")):
+            mp.setattr(owner, name, forbidden)
+        mp.setattr(LaurentRing, "mul", mul)
+        mp.setattr(LaurentRing, "dot", dot)
+        yield
+
+
+def count_calls(f, calls):
+    """Count f.value_on per leg in ``calls``, on the instance only."""
+    value_on = f.value_on
+
+    def counted(leg):
+        calls[leg] = calls.get(leg, 0) + 1
+        return value_on(leg)
+
+    f.value_on = counted
+
+
+_coefficients = st.sampled_from(sorted({Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)}))
+_exact_series = st.dictionaries(st.integers(min_value=-3, max_value=2), _coefficients, min_size=1, max_size=3)
+_truncations = st.integers(min_value=-2, max_value=3)
+# A functional value: over Q an int or a Fraction, zero included; over
+# Laurent an exact zero, a truncated zero, or a series with a likely pole,
+# mostly exact so that a truncated zero sets the window of its sum.
+ORACLE_VALUES = {
+    QQ: st.one_of(st.integers(min_value=-3, max_value=3), _coefficients),
+    LQ: st.one_of(
+        st.just(LQ.zero()),
+        _truncations.map(lambda trunc: LQ.make({}, trunc)),
+        _truncations.map(lambda trunc: LQ.make({}, trunc)),
+        _exact_series.map(lambda coeffs: LQ.make(coeffs, None)),
+        _exact_series.map(lambda coeffs: LQ.make(coeffs, None)),
+        _exact_series.map(lambda coeffs: LQ.make(coeffs, None)),
+        st.builds(LQ.make, _exact_series, _truncations),
+    ),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(["ladder", "trees"]), ring=st.sampled_from([QQ, LQ]), data=st.data())
+def test_flat_oracle_matches_the_per_term_loop(name, ring, data):
+    ctx, degree = oracle_context(name)
+    gens = ctx.schema.generators_up_to(degree)
+    basis = ctx.basis_up_to(degree)
+    cutoffs = st.one_of(st.none(), st.none(), st.none(), st.integers(min_value=0, max_value=degree))
+    values = ORACLE_VALUES[ring]
+
+    pool = []
+    for kind in data.draw(st.lists(st.sampled_from(["character", "infinitesimal", "table"]), min_size=1, max_size=4)):
+        if kind == "table":
+            pool.append(TableFunctional(ctx, ring, data.draw(st.dictionaries(st.sampled_from(basis), values, max_size=8))))
+        else:
+            cls = Character if kind == "character" else InfinitesimalCharacter
+            gen_values = dict(zip(gens, data.draw(st.lists(values, min_size=len(gens), max_size=len(gens)))))
+            pool.append(cls(ctx, ring, gen_values, data.draw(cutoffs)))
+    # A functional may appear more than once; it is still evaluated once per leg.
+    factors = [pool[i] for i in data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=4))]
+    conv = ConvolutionProduct(factors)
+    m = data.draw(st.sampled_from(ctx.monomials_of_degree(data.draw(st.sampled_from(range(1, degree + 1))))))
+
+    want = raised = None
+    try:
+        want = reference_value_on(conv, m)
+    except CutoffExceededError as exc:
+        raised = str(exc)
+    calls = {id(f): {} for f in pool}
+    for f in pool:
+        count_calls(f, calls[id(f)])
+    with fast_paths_forbidden():
+        if raised is None:
+            got = conv.value_on(m)
+        else:
+            with pytest.raises(CutoffExceededError) as exc:
+                conv.value_on(m)
+            assert str(exc.value) == raised
+    if raised is None:
+        assert got == want  # a series compares its truncation too
+    assert all(n == 1 for per_leg in calls.values() for n in per_leg.values())

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfalg.errors import SingularInputError, TruncationError
+from hopfalg.exp_integrals import ExpSum
 from hopfalg.rings import (
     QQ,
     LaurentRing,
+    LaurentSeries,
     PolynomialRing,
     RationalField,
     Ring,
@@ -467,3 +469,117 @@ def test_rational_zero_and_one_are_shared_constants():
     assert QQ.zero() is QQ.zero() and QQ.one() is QQ.one()
     assert type(QQ.zero()) is Fraction and QQ.zero() == 0
     assert type(QQ.one()) is Fraction and QQ.one() == 1
+
+
+# -- exactness of division and of the integer dot ------------------------------------
+
+
+def _floats_in(value):
+    """Every float reachable from a ring value, series or exponential sum."""
+    if isinstance(value, float):
+        return [value]
+    if isinstance(value, LaurentSeries):
+        return [f for _, v in value.coeffs for f in _floats_in(v)]
+    if isinstance(value, ExpSum):
+        return [f for v in value.coeffs.values() for f in _floats_in(v)]
+    if isinstance(value, (tuple, list)):
+        return [f for v in value for f in _floats_in(v)]
+    if isinstance(value, dict):
+        return [f for v in value.values() for f in _floats_in(v)]
+    return []
+
+
+def test_exact_operations_never_return_a_float():
+    inputs = [3, -2, 1, Fraction(3), Fraction(-5, 7), Fraction(1, 2)]
+    results = [QQ.zero(), QQ.one(), QQ.dot([])]
+    for a in inputs:
+        results += [QQ.neg(a), QQ.invert(a), QQ.from_rational(a), QQ.operand([(0, a), (2, a)])]
+        for b in inputs:
+            results += [QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b), QQ.scale(a, b), QQ.dot([(a, b, a), (1, b, b)]),
+                        QQ.convolve([(a, [(0, a), (1, b)], [(0, b)])], 2),
+                        QQ.convolve_operands([(a, QQ.operand([(0, b)]), QQ.operand([(1, a)]))], 2)]
+        for trunc in (None, 3):
+            results += [L.invert_unit(L.make({0: a, 1: 1}, trunc), to_order=3),
+                        L.invert_unit(L.make({-1: a}, trunc)),
+                        L.invert_unit(L.make({-2: a, 0: Fraction(1, 3), 1: 2}, trunc), to_order=3)]
+        results += [ExpSum({2: a}).integrate_to_infinity(), ExpSum({1: 1, 3: a}).integrate_to_infinity(),
+                    ExpSum({2: a, 3: 1}).integrate_to_variable()]
+    assert not [r for r in results if _floats_in(r)]
+    assert QQ.invert(3) == Fraction(1, 3) and type(QQ.invert(3)) is Fraction
+    assert ExpSum({2: 1}).integrate_to_infinity() == Fraction(1, 2)
+    assert ExpSum({2: 1}).integrate_to_variable().coeffs == {0: Fraction(1, 2), 2: Fraction(-1, 2)}
+    a = L.make({0: 2, 1: 1}, 3)
+    inv = L.invert_unit(a)
+    assert inv == L.make({0: Fraction(1, 2), 1: Fraction(-1, 4), 2: Fraction(1, 8), 3: Fraction(-1, 16)}, 3)
+    assert L.eq(L.mul(a, inv), L.one())
+
+
+mixed_entries = st.one_of(st.just(0), st.just(Fraction(0)), st.just(1), st.integers(min_value=-10**6, max_value=10**6),
+                          st.fractions(max_denominator=10**6))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(mixed_entries, mixed_entries, mixed_entries), max_size=6))
+def test_rational_dot_sums_mixed_int_and_fraction_triples_exactly(terms):
+    want = Fraction(0)
+    for c, x, y in terms:
+        want += Fraction(c) * Fraction(x) * Fraction(y)
+    for got in (QQ.dot(terms), Ring.dot(QQ, terms)):
+        assert type(got) is Fraction and got == want
+
+
+def window_eq(ring, a, b):
+    """LaurentRing.eq as it compared every stored exponent of both series on
+    their common sound window, coefficient by coefficient."""
+    w = a.trunc if b.trunc is None else b.trunc if a.trunc is None else min(a.trunc, b.trunc)
+    da, db = a.as_dict(), b.as_dict()
+    for k in set(da) | set(db):
+        if w is not None and k > w:
+            continue
+        if not ring.base.eq(da.get(k, ring.base.zero()), db.get(k, ring.base.zero())):
+            return False
+    return True
+
+
+def _as_ints(value):
+    """The same value with every integral Fraction replaced by an int."""
+    if isinstance(value, tuple):
+        return tuple(_as_ints(v) for v in value)
+    return value.numerator if value.denominator == 1 else value
+
+
+small_coefficients = st.sampled_from(sorted({Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)}))
+
+
+@st.composite
+def series_pairs(draw):
+    """Two series over Q or Q[t]: the second is the first's coefficients,
+    possibly with integral Fractions as ints, one entry changed, dropped or
+    added, and an equal or a different truncation."""
+    ring = draw(st.sampled_from([L, LT]))
+    value = small_coefficients if ring is L else st.lists(small_coefficients, max_size=3).map(_strip_poly)
+    exps = st.integers(min_value=-3, max_value=4)
+    coeffs = draw(st.dictionaries(exps, value, max_size=4))
+    truncs = st.one_of(st.none(), st.integers(min_value=-3, max_value=5))
+    ta = draw(truncs)
+    a = ring.make(coeffs, ta)
+    other = dict(a.coeffs)
+    if draw(st.booleans()):
+        other = {k: _as_ints(v) for k, v in other.items()}
+    edit = draw(st.sampled_from(["none", "change", "drop", "add"]))
+    if edit == "change" and other:
+        other[draw(st.sampled_from(sorted(other)))] = draw(value)
+    elif edit == "drop" and other:
+        del other[draw(st.sampled_from(sorted(other)))]
+    elif edit == "add":
+        other[draw(exps)] = draw(value)
+    tb = ta if draw(st.booleans()) else draw(truncs)
+    return ring, a, ring.make(other, tb)
+
+
+@settings(max_examples=200)
+@given(series_pairs())
+def test_laurent_eq_matches_the_window_comparison(pair):
+    ring, a, b = pair
+    assert ring.eq(a, b) == window_eq(ring, a, b)
+    assert ring.eq(b, a) == window_eq(ring, b, a)
