@@ -66,27 +66,19 @@ class BirkhoffPair:
         return materialize(self.ctx, self.ring, self.plus_table, self.max_degree)
 
 
-def character_pole_bound(ctx: HopfAlgebra, phi: Character, max_degree: int) -> int:
-    ring: LaurentRing = phi.ring
-    bound = 0
-    for g in ctx.schema.generators_up_to(max_degree):
-        bound = max(bound, ring.pole_order(phi.value_on(Monomial.of(g))))
-    return bound
-
-
 def check_truncation_budget(ctx: HopfAlgebra, phi: Character, max_degree: int) -> int:
     """Reject under-resolved inputs before any computation starts.
 
     The recursion multiplies up to max_degree generator values, each with a
     pole of order at most p, so a finite input truncation must reach at least
     (max_degree - 1) * p for every pole part and constant term the recursion
-    reads to be sound.
+    reads to be sound.  Returns p.
     """
     ring: LaurentRing = phi.ring
-    pole = character_pole_bound(ctx, phi, max_degree)
+    values = [(g, phi.value_on(Monomial.of(g))) for g in ctx.schema.generators_up_to(max_degree)]
+    pole = max((ring.pole_order(v) for _, v in values), default=0)
     required = max(0, (max_degree - 1) * pole)
-    for g in ctx.schema.generators_up_to(max_degree):
-        v = phi.value_on(Monomial.of(g))
+    for g, v in values:
         if v.trunc is not None and v.trunc < required:
             raise TruncationError(
                 f"value on {g.name!r} is sound only through order {v.trunc}; "
@@ -149,64 +141,27 @@ def birkhoff_verification_report(ctx: HopfAlgebra, phi: Character, pair: Birkhof
         phi_table = tabulate(phi, basis)
     checks: Dict[str, dict] = {}
 
-    witness = None
-    for m, v in pair.minus_table.items():
-        if m.is_unit:
-            continue
-        if any(k >= 0 for k, _ in v.coeffs):
-            witness = str(m)
-            break
-    checks["minus_range"] = {
-        "passed": witness is None,
-        "witness": witness,
-        "detail": "counterterm values are pure pole parts on the augmentation ideal",
-    }
+    def check(name, witnesses, detail):
+        """Record the first witness ``witnesses`` yields under ``name``."""
+        witness = next(witnesses, None)
+        checks[name] = {"passed": witness is None, "witness": witness, "detail": detail}
 
-    witness = None
-    for m, v in pair.plus_table.items():
-        if any(k < 0 for k, _ in v.coeffs):
-            witness = str(m)
-            break
-    checks["plus_range"] = {
-        "passed": witness is None,
-        "witness": witness,
-        "detail": "renormalized values have no pole part",
-    }
-
-    witness = None
-    for m1 in basis:
-        if witness:
-            break
-        if m1.is_unit:
-            continue
-        for m2 in ctx.basis_up_to(pair.max_degree - m1.y_degree):
-            if m2.is_unit:
-                continue
-            if m2.sort_key() < m1.sort_key():
-                continue
-            prod = ring.mul(pair.minus_table[m1], pair.minus_table[m2])
-            if not ring.eq(pair.minus_table[m1 * m2], prod):
-                witness = f"{m1} | {m2}"
-                break
-    checks["minus_multiplicative"] = {
-        "passed": witness is None,
-        "witness": witness,
-        "detail": "counterterm character is multiplicative on products within budget",
-    }
-
-    witness = None
-    minus_inverse = compose_antipode(ctx, ring, pair.minus_table, basis)
-    got = convolve_tables(ctx, ring, minus_inverse, pair.plus_table, basis)
+    check("minus_range",
+          (str(m) for m, v in pair.minus_table.items() if not m.is_unit and any(k >= 0 for k, _ in v.coeffs)),
+          "counterterm values are pure pole parts on the augmentation ideal")
+    check("plus_range", (str(m) for m, v in pair.plus_table.items() if any(k < 0 for k, _ in v.coeffs)),
+          "renormalized values have no pole part")
+    minus = pair.minus_table
+    check("minus_multiplicative",
+          (f"{m1} | {m2}" for m1 in basis if not m1.is_unit
+           for m2 in ctx.basis_up_to(pair.max_degree - m1.y_degree)
+           if not m2.is_unit and m2.sort_key() >= m1.sort_key()
+           and not ring.eq(minus[m1 * m2], ring.mul(minus[m1], minus[m2]))),
+          "counterterm character is multiplicative on products within budget")
+    got = convolve_tables(ctx, ring, compose_antipode(ctx, ring, minus, basis), pair.plus_table, basis)
     zero = ring.zero()
-    for m in basis:
-        if not ring.eq(got.get(m, zero), phi_table.get(m, zero)):
-            witness = str(m)
-            break
-    checks["reconstruction"] = {
-        "passed": witness is None,
-        "witness": witness,
-        "detail": "phi equals (phi_minus inverse) * phi_plus on the whole basis",
-    }
+    check("reconstruction", (str(m) for m in basis if not ring.eq(got.get(m, zero), phi_table.get(m, zero))),
+          "phi equals (phi_minus inverse) * phi_plus on the whole basis")
 
     return {
         "certifiedOrder": pair.max_degree,

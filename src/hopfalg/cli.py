@@ -282,14 +282,13 @@ def cmd_verify(args) -> int:
     from .hopf import HopfAlgebra
     from .suites import birkhoff_suite, dual_convolution_suite
 
-    schema = resolve_schema(args.schema)
-    axiom_report = verify_axioms(schema, args.max_degree)
+    ctx = HopfAlgebra(resolve_schema(args.schema), validate_to=0)
+    axiom_report = verify_axioms(ctx, args.max_degree)
     payload = {
         "axioms": axiom_report.to_json(),
         "passed": axiom_report.passed,
     }
     if axiom_report.passed:
-        ctx = HopfAlgebra(schema, validate_to=0)
         dual = dual_convolution_suite(ctx, args.max_degree, args.seed)
         renorm = birkhoff_suite(ctx, args.max_degree, args.seed)
         payload["dualConvolution"] = dual.to_json()

@@ -12,9 +12,9 @@ one ring product per monomial.  One helper reads a table back into closed
 form on the generators, verifying it on the whole basis where the caller
 asks.  The flat ``ConvolutionProduct`` over iterated coproducts is an
 independent oracle for the tests and the suites: it evaluates each factor
-once per distinct leg, drops a term at its first exact-zero leg, and
-multiplies out and adds the other terms one at a time, never through
-``ring.dot`` or the tables.
+once per distinct leg over the life of the product, drops a term at its
+first exact-zero leg, and multiplies out and adds the other terms one at a
+time, never through ``ring.dot`` or the tables.
 """
 
 from __future__ import annotations
@@ -204,25 +204,26 @@ class ConvolutionProduct(Functional):
                 flat.append(f)
         super().__init__(first.ctx, first.ring)
         self.factors: Tuple[Functional, ...] = tuple(flat)
+        # Leg values per distinct factor, kept for the life of the product.
+        by_factor = {id(f): {} for f in flat}
+        self._memos = [(f, by_factor[id(f)]) for f in flat]
 
     def value_on(self, m: Monomial):
         """The sum over the iterated coproduct of m of c f1(m1) ... fn(mn),
         each term multiplied out and added one at a time.  Each factor is
-        evaluated once per distinct leg, in the order the terms reach it; a
-        term ends at its first exact-zero leg, before any product, since an
-        exact zero times anything is the exact zero and adds nothing."""
+        evaluated once per distinct leg over all calls, in the order the terms
+        reach it; a term ends at its first exact-zero leg, before any product,
+        since an exact zero times anything is the exact zero and adds nothing."""
         n = len(self.factors)
         if n == 1:
             return self.factors[0].value_on(m)
         tensor = self.ctx.iterated_coproduct_monomial(m, n - 1)
         ring = self.ring
         zero = ring.zero()
-        by_factor = {id(f): {} for f in self.factors}
-        memos = [(f, by_factor[id(f)]) for f in self.factors]
         total = zero
         for key, c in tensor.terms.items():
             values = []
-            for (f, memo), leg in zip(memos, key):
+            for (f, memo), leg in zip(self._memos, key):
                 v = memo.get(leg, _UNSEEN)
                 if v is _UNSEEN:
                     # None marks an exact zero.  Only an exact zero ends the

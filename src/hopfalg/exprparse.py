@@ -52,8 +52,6 @@ def _tokenize(text: str) -> List[Tuple[str, str]]:
                     depth -= 1
                     if depth == 0:
                         break
-                elif not text[i].isspace():
-                    pass
                 i += 1
             if depth != 0:
                 raise HopfError(f"unbalanced tree brackets in {text!r}")

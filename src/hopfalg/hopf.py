@@ -50,8 +50,8 @@ class HopfSchema:
             out.extend(self.generators_of_degree(d))
         return tuple(out)
 
-    def generator_by_name(self, name: str, search_to: Optional[int] = None) -> Generator:
-        bound = self.max_degree if self.max_degree is not None else (search_to or DEFAULT_VALIDATE_DEGREE)
+    def generator_by_name(self, name: str) -> Generator:
+        bound = self.max_degree if self.max_degree is not None else DEFAULT_VALIDATE_DEGREE
         for g in self.generators_up_to(bound):
             if g.name == name:
                 return g
@@ -103,7 +103,7 @@ class TableSchema(HopfSchema):
             raise SchemaError(f"unknown generator {gen.name!r} in schema {self.name!r}")
         return self._reduced.get(gen, ())
 
-    def generator_by_name(self, name: str, search_to: Optional[int] = None) -> Generator:
+    def generator_by_name(self, name: str) -> Generator:
         try:
             return self._by_name[name]
         except KeyError:
@@ -137,7 +137,7 @@ def validate_schema_structure(schema: HopfSchema, up_to: int) -> None:
                     "leg must have strictly positive degree"
                 )
             for lg in term.left.generators():
-                schema.generator_by_name(lg.name, search_to=up_to)
+                schema.generator_by_name(lg.name)
 
 
 def theta_factors(ring: LaurentRing, z, max_degree: int) -> list:

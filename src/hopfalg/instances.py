@@ -53,7 +53,7 @@ class LadderSchema(HopfSchema):
             for k in range(1, n)
         )
 
-    def generator_by_name(self, name: str, search_to: Optional[int] = None) -> Generator:
+    def generator_by_name(self, name: str) -> Generator:
         if name.startswith("t") and name[1:].isdigit() and int(name[1:]) >= 1:
             return self.generator(int(name[1:]))
         raise SchemaError(f"unknown generator {name!r} in the ladder schema")

@@ -280,9 +280,6 @@ class PolynomialRing(Ring):
             return p[k]
         return self.base.zero()
 
-    def degree(self, p) -> int:
-        return len(p) - 1  # -1 for the zero polynomial
-
     def add(self, a, b):
         n = max(len(a), len(b))
         out = []
@@ -363,13 +360,6 @@ class PolynomialRing(Ring):
 
     def from_rational(self, q):
         return self.constant(self.base.from_rational(q))
-
-    def evaluate(self, p, x):
-        """Evaluate at a base-ring point, Horner style."""
-        acc = self.base.zero()
-        for c in reversed(p):
-            acc = self.base.add(self.base.mul(acc, x), c)
-        return acc
 
     def value_to_json(self, a):
         return [self.base.value_to_json(c) for c in a]

@@ -9,7 +9,7 @@ separators), so identical inputs produce byte-identical documents.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .algebra import Element, Monomial, TensorElement
 from .errors import HopfError
@@ -50,7 +50,7 @@ def monomial_to_json(m: Monomial) -> list:
     return [[g.name, e] for g, e in m.powers]
 
 
-def monomial_from_json(ctx: HopfAlgebra, data, search_to: Optional[int] = None) -> Monomial:
+def monomial_from_json(ctx: HopfAlgebra, data) -> Monomial:
     if not isinstance(data, list):
         raise HopfError(f"monomial encoding must be a list of [name, exp]: {data!r}")
     powers = []
@@ -60,7 +60,7 @@ def monomial_from_json(ctx: HopfAlgebra, data, search_to: Optional[int] = None) 
         name, exp = entry
         if not isinstance(exp, int) or exp < 1:
             raise HopfError(f"monomial exponents must be integers >= 1, got {exp!r}")
-        powers.append((ctx.schema.generator_by_name(name, search_to=search_to), exp))
+        powers.append((ctx.schema.generator_by_name(name), exp))
     return Monomial.from_powers(powers)
 
 

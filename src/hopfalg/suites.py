@@ -100,163 +100,144 @@ def dual_convolution_suite(ctx: HopfAlgebra, max_degree: int, seed: int) -> Suit
     basis = ctx.basis_up_to(degree)
     one_star = counit_functional(ctx, QQ)
 
-    def add(name, witness, detail=""):
+    def add(name, witnesses, detail=""):
+        """Record the first witness a check yields; its draws stop there."""
+        witness = next(witnesses, None)
         report.checks.append(CheckResult(name, witness is None, witness, detail))
 
     def kernel(a, b):
         return convolve_tables(ctx, QQ, a, b, basis)
 
-    witness = None
-    for _ in range(5):
-        f = _random_character(ctx, rng, degree)
-        g = _random_infinitesimal(ctx, rng, degree)
-        h = _random_character(ctx, rng, degree)
-        # Two bracketings through the kernel, and the flat product as oracle.
-        tf, tg, th = tabulate(f, basis), tabulate(g, basis), tabulate(h, basis)
-        left, right = kernel(kernel(tf, tg), th), kernel(tf, kernel(tg, th))
-        flat = convolve(f, g, h)
-        for m in basis:
-            v = left.get(m, 0)
-            if v != right.get(m, 0) or v != flat.value_on(m):
-                witness = str(m)
-                break
-        if witness:
-            break
-    add("convolution-associative", witness, "three random functionals, full basis")
+    def associative():
+        for _ in range(5):
+            f = _random_character(ctx, rng, degree)
+            g = _random_infinitesimal(ctx, rng, degree)
+            h = _random_character(ctx, rng, degree)
+            # Two bracketings through the kernel, and the flat product as oracle.
+            tf, tg, th = tabulate(f, basis), tabulate(g, basis), tabulate(h, basis)
+            left, right = kernel(kernel(tf, tg), th), kernel(tf, kernel(tg, th))
+            flat = convolve(f, g, h)
+            for m in basis:
+                v = left.get(m, 0)
+                if v != right.get(m, 0) or v != flat.value_on(m):
+                    yield str(m)
 
-    witness = None
-    chi = _random_character(ctx, rng, degree)
-    for m in basis:
-        if (
-            convolve(chi, one_star).value_on(m) != chi.value_on(m)
-            or convolve(one_star, chi).value_on(m) != chi.value_on(m)
-        ):
-            witness = str(m)
-            break
-    add("convolution-unit", witness, "the counit is the convolution unit")
+    add("convolution-associative", associative(), "three random functionals, full basis")
 
-    witness = None
-    for _ in range(3):
+    def unit():
         chi = _random_character(ctx, rng, degree)
-        inv = character_inverse(chi, max_degree=degree)
+        right, left = convolve(chi, one_star), convolve(one_star, chi)
         for m in basis:
-            if (
-                convolve(inv, chi).value_on(m) != one_star.value_on(m)
-                or convolve(chi, inv).value_on(m) != one_star.value_on(m)
-            ):
-                witness = str(m)
-                break
-        if witness:
-            break
-    add("character-inverse", witness, "chi o S inverts chi on both sides")
+            if right.value_on(m) != chi.value_on(m) or left.value_on(m) != chi.value_on(m):
+                yield str(m)
 
-    witness = None
-    chi = _random_character(ctx, rng, degree)
-    z = _random_infinitesimal(ctx, rng, degree)
-    half = [m for m in basis if 2 * m.y_degree <= degree]
-    for m1 in half:
-        for m2 in half:
-            if chi.value_on(m1 * m2) != QQ.mul(chi.value_on(m1), chi.value_on(m2)):
-                witness = f"{m1} | {m2}"
-                break
-            lhs = z.value_on(m1 * m2)
-            rhs = QQ.add(
-                QQ.mul(z.value_on(m1), one_star.value_on(m2)),
-                QQ.mul(one_star.value_on(m1), z.value_on(m2)),
-            )
-            if lhs != rhs:
-                witness = f"{m1} | {m2}"
-                break
-        if witness:
-            break
+    add("convolution-unit", unit(), "the counit is the convolution unit")
+
+    def inverse():
+        for _ in range(3):
+            chi = _random_character(ctx, rng, degree)
+            inv = character_inverse(chi, max_degree=degree)
+            left, right = convolve(inv, chi), convolve(chi, inv)
+            for m in basis:
+                if left.value_on(m) != one_star.value_on(m) or right.value_on(m) != one_star.value_on(m):
+                    yield str(m)
+
+    add("character-inverse", inverse(), "chi o S inverts chi on both sides")
+
+    def classification():
+        chi = _random_character(ctx, rng, degree)
+        z = _random_infinitesimal(ctx, rng, degree)
+        half = [m for m in basis if 2 * m.y_degree <= degree]
+        for m1 in half:
+            for m2 in half:
+                if chi.value_on(m1 * m2) != QQ.mul(chi.value_on(m1), chi.value_on(m2)):
+                    yield f"{m1} | {m2}"
+                lhs = z.value_on(m1 * m2)
+                rhs = QQ.add(
+                    QQ.mul(z.value_on(m1), one_star.value_on(m2)),
+                    QQ.mul(one_star.value_on(m1), z.value_on(m2)),
+                )
+                if lhs != rhs:
+                    yield f"{m1} | {m2}"
+
     add(
         "character-classification",
-        witness,
+        classification(),
         "multiplicativity of characters, derivation law of infinitesimals",
     )
 
-    witness = None
-    for _ in range(10):
-        n = rng.randint(1, 3)
-        zs = [_random_infinitesimal(ctx, rng, degree) for _ in range(n + 1)]
-        conv = ConvolutionProduct(zs)
-        for m in ctx.basis_up_to(min(n, degree)):
-            if conv.value_on(m) != 0:
-                witness = f"n={n}, {m}"
-                break
-        if witness:
-            break
-    add("nilpotence", witness, "n+1 infinitesimals kill degree <= n")
+    def nilpotence():
+        for _ in range(10):
+            n = rng.randint(1, 3)
+            conv = ConvolutionProduct([_random_infinitesimal(ctx, rng, degree) for _ in range(n + 1)])
+            for m in ctx.basis_up_to(min(n, degree)):
+                if conv.value_on(m) != 0:
+                    yield f"n={n}, {m}"
 
-    witness = None
+    add("nilpotence", nilpotence(), "n+1 infinitesimals kill degree <= n")
+
     low_gens = [g for g in ctx.schema.generators_up_to(min(3, degree))]
-    for _ in range(6):
-        n = rng.randint(2, 3)
-        zs = [_random_infinitesimal(ctx, rng, degree) for _ in range(n)]
-        picks = [rng.choice(low_gens) for _ in range(n)]
-        m = Monomial.from_powers((g, 1) for g in picks)
-        brute = ConvolutionProduct(zs).value_on(m)
-        formula = Fraction(0)
-        for sigma in permutations(range(n)):
-            prod = Fraction(1)
-            for j, g in enumerate(picks):
-                prod *= zs[sigma[j]].value_on(Monomial.of(g))
-            formula += prod
-        if brute != formula:
-            witness = str(m)
-            break
-    add("permanent-formula", witness, "iterated coproduct vs permutation sum")
 
-    witness = None
-    g1 = low_gens[0]
-    for n in (1, 2):
-        zs = [_random_infinitesimal(ctx, rng, degree) for _ in range(n)]
-        m = Monomial.of(g1, n + 1)
-        if ConvolutionProduct(zs).value_on(m) != 0:
-            witness = f"n={n}, {m}"
-    add("vanishing-on-long-products", witness, "n infinitesimals kill m > n factors")
+    def permanent():
+        for _ in range(6):
+            n = rng.randint(2, 3)
+            zs = [_random_infinitesimal(ctx, rng, degree) for _ in range(n)]
+            picks = [rng.choice(low_gens) for _ in range(n)]
+            m = Monomial.from_powers((g, 1) for g in picks)
+            brute = ConvolutionProduct(zs).value_on(m)
+            formula = Fraction(0)
+            for sigma in permutations(range(n)):
+                prod = Fraction(1)
+                for j, g in enumerate(picks):
+                    prod *= zs[sigma[j]].value_on(Monomial.of(g))
+                formula += prod
+            if brute != formula:
+                yield str(m)
 
-    witness = None
-    for _ in range(3):
-        z = _random_infinitesimal(ctx, rng, degree)
-        chi = exp_star(z, degree)
-        back = log_star(chi, degree)
-        for g in ctx.schema.generators_up_to(degree):
-            if back.value_on(Monomial.of(g)) != z.value_on(Monomial.of(g)):
-                witness = g.name
-                break
-        if witness:
-            break
-    add("exp-log-round-trip", witness, "log recovers the infinitesimal generatorwise")
+    add("permanent-formula", permanent(), "iterated coproduct vs permutation sum")
 
-    witness = None
-    z1 = _random_infinitesimal(ctx, rng, degree)
-    z2 = _random_infinitesimal(ctx, rng, degree)
-    t1, t2 = tabulate(z1, basis), tabulate(z2, basis)
-    product = grading_transpose(QQ, kernel(t1, t2))
-    first = kernel(grading_transpose(QQ, t1), t2)
-    second = kernel(t1, grading_transpose(QQ, t2))
-    for m in basis:
-        if product.get(m, 0) != QQ.add(first.get(m, 0), second.get(m, 0)):
-            witness = str(m)
-            break
-    add("grading-transpose-derivation", witness, "Y_* is a derivation for convolution")
+    def long_products():
+        # Draws for both n, so it yields every failure; the report keeps the last.
+        for n in (1, 2):
+            zs = [_random_infinitesimal(ctx, rng, degree) for _ in range(n)]
+            m = Monomial.of(low_gens[0], n + 1)
+            if ConvolutionProduct(zs).value_on(m) != 0:
+                yield f"n={n}, {m}"
 
-    witness = None
-    for _ in range(3):
-        f = TableFunctional(
-            ctx, QQ, {m: Fraction(rng.randint(-3, 3)) for m in basis}
-        )
-        g = TableFunctional(
-            ctx, QQ, {m: Fraction(rng.randint(-3, 3)) for m in basis}
-        )
-        if metric_distance(f, g, 8) != metric_distance(g, f, 8):
-            witness = "symmetry"
-            break
-        if metric_distance(f, f, 8)[0] != 0:
-            witness = "identity"
-            break
-    add("dual-metric", witness, "distance symmetry and vanishing on the diagonal")
+    add("vanishing-on-long-products", reversed(list(long_products())), "n infinitesimals kill m > n factors")
+
+    def round_trip():
+        for _ in range(3):
+            z = _random_infinitesimal(ctx, rng, degree)
+            back = log_star(exp_star(z, degree), degree)
+            for g in ctx.schema.generators_up_to(degree):
+                if back.value_on(Monomial.of(g)) != z.value_on(Monomial.of(g)):
+                    yield g.name
+
+    add("exp-log-round-trip", round_trip(), "log recovers the infinitesimal generatorwise")
+
+    def derivation():
+        t1 = tabulate(_random_infinitesimal(ctx, rng, degree), basis)
+        t2 = tabulate(_random_infinitesimal(ctx, rng, degree), basis)
+        product = grading_transpose(QQ, kernel(t1, t2))
+        first = kernel(grading_transpose(QQ, t1), t2)
+        second = kernel(t1, grading_transpose(QQ, t2))
+        for m in basis:
+            if product.get(m, 0) != QQ.add(first.get(m, 0), second.get(m, 0)):
+                yield str(m)
+
+    add("grading-transpose-derivation", derivation(), "Y_* is a derivation for convolution")
+
+    def metric():
+        for _ in range(3):
+            f = TableFunctional(ctx, QQ, {m: Fraction(rng.randint(-3, 3)) for m in basis})
+            g = TableFunctional(ctx, QQ, {m: Fraction(rng.randint(-3, 3)) for m in basis})
+            if metric_distance(f, g, 8) != metric_distance(g, f, 8):
+                yield "symmetry"
+            if metric_distance(f, f, 8)[0] != 0:
+                yield "identity"
+
+    add("dual-metric", metric(), "distance symmetry and vanishing on the diagonal")
 
     return report
 
@@ -267,102 +248,94 @@ def birkhoff_suite(ctx: HopfAlgebra, max_degree: int, seed: int) -> SuiteReport:
     report = SuiteReport("birkhoff-renorm", seed, degree, [])
     L = LaurentRing(QQ, "eps")
 
-    def add(name, witness, detail=""):
+    def add(name, witnesses, detail=""):
+        """Record the first witness a check yields; its draws stop there."""
+        witness = next(witnesses, None)
         report.checks.append(CheckResult(name, witness is None, witness, detail))
 
-    witness = None
-    for i in range(100):
-        a = L.make({k: Fraction(rng.randint(-4, 4)) for k in range(-3, 3)}, None)
-        b = L.make({k: Fraction(rng.randint(-4, 4)) for k in range(-3, 3)}, None)
-        lhs = L.add(
-            rota_baxter_T(L, L.mul(a, b)),
-            L.mul(rota_baxter_T(L, a), rota_baxter_T(L, b)),
-        )
-        rhs = rota_baxter_T(
-            L, L.add(L.mul(rota_baxter_T(L, a), b), L.mul(a, rota_baxter_T(L, b)))
-        )
-        if lhs != rhs:
-            witness = f"pair {i}"
-            break
-    add("rota-baxter-identity", witness, "100 random Laurent pairs, exact")
+    def rota_baxter():
+        for i in range(100):
+            a = L.make({k: Fraction(rng.randint(-4, 4)) for k in range(-3, 3)}, None)
+            b = L.make({k: Fraction(rng.randint(-4, 4)) for k in range(-3, 3)}, None)
+            lhs = L.add(
+                rota_baxter_T(L, L.mul(a, b)),
+                L.mul(rota_baxter_T(L, a), rota_baxter_T(L, b)),
+            )
+            rhs = rota_baxter_T(
+                L, L.add(L.mul(rota_baxter_T(L, a), b), L.mul(a, rota_baxter_T(L, b)))
+            )
+            if lhs != rhs:
+                yield f"pair {i}"
 
-    witness = None
-    for i in range(3):
-        values = {}
-        for g in ctx.schema.generators_up_to(degree):
-            coeffs = {k: Fraction(rng.randint(-3, 3)) for k in range(-1, 2)}
-            values[g] = L.make(coeffs, None)
-        phi = Character(ctx, L, values)
-        try:
-            pair = birkhoff_decompose(ctx, phi, degree)
-        except HopfError as exc:
-            witness = f"loop {i}: {exc}"
-            break
-        if not pair.report["passed"]:
-            witness = f"loop {i}"
-            break
+    add("rota-baxter-identity", rota_baxter(), "100 random Laurent pairs, exact")
+
+    def decomposition():
+        for i in range(3):
+            values = {}
+            for g in ctx.schema.generators_up_to(degree):
+                coeffs = {k: Fraction(rng.randint(-3, 3)) for k in range(-1, 2)}
+                values[g] = L.make(coeffs, None)
+            try:
+                pair = birkhoff_decompose(ctx, Character(ctx, L, values), degree)
+            except HopfError as exc:
+                yield f"loop {i}: {exc}"
+            else:
+                if not pair.report["passed"]:
+                    yield f"loop {i}"
+
     add(
         "birkhoff-decomposition",
-        witness,
+        decomposition(),
         "ranges, counterterm multiplicativity, reconstruction on random loops",
     )
 
-    witness = None
-    for i in range(2):
-        beta = _random_infinitesimal(ctx, rng, degree)
-        for n in range(1, 4):
-            rec = dn_recursive(ctx, beta, n, degree)
-            simp = dn_simplex(ctx, beta, n, degree)
-            for m in ctx.basis_up_to(degree):
-                if rec.value_on(m) != simp.value_on(m):
-                    witness = f"n={n}, {m}"
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    add("tower-consistency", witness, "recursive and simplex towers agree")
+    def towers():
+        for i in range(2):
+            beta = _random_infinitesimal(ctx, rng, degree)
+            for n in range(1, 4):
+                rec = dn_recursive(ctx, beta, n, degree)
+                simp = dn_simplex(ctx, beta, n, degree)
+                for m in ctx.basis_up_to(degree):
+                    if rec.value_on(m) != simp.value_on(m):
+                        yield f"n={n}, {m}"
 
-    witness = None
-    for i in range(2):
-        beta = _random_infinitesimal(ctx, rng, degree)
-        loop = build_special_loop(ctx, beta, degree, degree)
-        rg = rg_limit_check(ctx, loop, degree)
-        if not rg.passed:
-            witness = f"loop {i}"
-            break
-        for g in ctx.schema.generators_up_to(degree):
-            if rg.beta.value_on(Monomial.of(g)) != beta.value_on(Monomial.of(g)):
-                witness = f"loop {i}: {g.name}"
-                break
-        if witness:
-            break
+    add("tower-consistency", towers(), "recursive and simplex towers agree")
+
+    def closed_loop():
+        for i in range(2):
+            beta = _random_infinitesimal(ctx, rng, degree)
+            loop = build_special_loop(ctx, beta, degree, degree)
+            rg = rg_limit_check(ctx, loop, degree)
+            if not rg.passed:
+                yield f"loop {i}"
+            for g in ctx.schema.generators_up_to(degree):
+                if rg.beta.value_on(Monomial.of(g)) != beta.value_on(Monomial.of(g)):
+                    yield f"loop {i}: {g.name}"
+
     add(
         "rg-closed-loop",
-        witness,
+        closed_loop(),
         "built loops are special and return their beta-function",
     )
 
-    witness = None
-    beta = _random_infinitesimal(ctx, rng, degree)
-    scat = scattering_check(ctx, beta, min(3, degree), degree)
-    if not scat.passed:
+    def scattering():
+        beta = _random_infinitesimal(ctx, rng, degree)
+        scat = scattering_check(ctx, beta, min(3, degree), degree)
         for entry in scat.orders:
             if not entry["passed"]:
-                witness = f"order {entry['order']}: {entry['mismatches']}"
-                break
-    add("scattering-limit", witness, "finite-time limits equal the tower")
+                yield f"order {entry['order']}: {entry['mismatches']}"
 
-    witness = None
-    bad = Character(ctx, L, {g: L.make({-2: Fraction(1)}, None)
-                             for g in ctx.schema.generators_of_degree(1)})
-    if ctx.schema.generators_of_degree(1):
-        rg = rg_limit_check(ctx, bad, 1)
-        if rg.special:
-            witness = "expected non-special loop was reported special"
+    add("scattering-limit", scattering(), "finite-time limits equal the tower")
+
+    def non_special():
+        bad = Character(ctx, L, {g: L.make({-2: Fraction(1)}, None)
+                                 for g in ctx.schema.generators_of_degree(1)})
+        if ctx.schema.generators_of_degree(1) and rg_limit_check(ctx, bad, 1).special:
+            yield "expected non-special loop was reported special"
+
     add(
         "non-special-detected",
-        witness,
+        non_special(),
         "a second-order pole on a degree-1 generator is flagged",
     )
 

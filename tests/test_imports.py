@@ -25,6 +25,13 @@ INFINITESIMAL = {"kind": "infinitesimal", "ring": "rational", "values": {"t1": "
 CHARACTER = {"kind": "character", "ring": "rational", "values": {"t1": "1", "t2": "-2"}}
 LOOP = {"kind": "character", "ring": "laurent",
         "values": {"t1": {"minExp": -1, "truncation": None, "coeffs": {"-1": "1", "0": "1/2"}}}}
+# The special loop that build-loop assembles from INFINITESIMAL at degree 3.
+SPECIAL = {"kind": "character", "ring": "laurent", "cutoff": 3, "values": {
+    "t1": {"minExp": -1, "truncation": None, "coeffs": {"-1": "1"}},
+    "t2": {"minExp": -2, "truncation": None, "coeffs": {"-2": "1/2", "-1": "1/4"}},
+    "t3": {"minExp": -3, "truncation": None, "coeffs": {"-3": "1/6", "-2": "1/4"}}}}
+# The layers of the renormalization commands, and what verify adds to them.
+RENORM = DUAL | {"hopfalg.birkhoff"}
 
 
 def loaded_after(code):
@@ -62,12 +69,17 @@ def test_build_context_loads_only_the_schema_layers():
         ("log", CHARACTER, DUAL),
         ("convolve", CHARACTER, DUAL),
         ("birkhoff", LOOP, DUAL | {"hopfalg.birkhoff"}),
+        ("build-loop", INFINITESIMAL, RENORM),
+        ("rg-check", SPECIAL, RENORM),
+        ("beta", SPECIAL, RENORM),
+        ("scattering", INFINITESIMAL, RENORM | {"hopfalg.exp_integrals"}),
+        ("verify", None, RENORM | {"hopfalg.exp_integrals", "hopfalg.axioms", "hopfalg.suites"}),
     ],
 )
 def test_functional_commands_load_only_what_they_run(command, payload, loads, tmp_path):
     path = tmp_path / "f.json"
     path.write_text(json.dumps(payload))
-    files = [str(path)] * (2 if command == "convolve" else 1)
+    files = [str(path)] * {"convolve": 2, "verify": 0}.get(command, 1)
     assert loaded_after(run_command([command, *files, "--max-degree", "3"])) == (loads, False)
 
 

@@ -1,0 +1,148 @@
+"""Failure paths of the checks: seeded faults and the witnesses they produce.
+
+Each case puts one fault into one map of the engine and pins what the checks
+report, so the search order, the witness strings and the random draws after
+an early stop are covered, not only the all-pass reports.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from hopfalg import birkhoff, cli, duals, suites
+from hopfalg.algebra import Element
+from hopfalg.hopf import HopfAlgebra
+
+AXIOMS = [
+    "schema-structure", "CDelta", "Am", "Ae", "Ceps", "Bm", "Be", "Beps", "Bepse", "H", "Hm", "HDelta",
+    "He", "Heps", "Hp", "grading-product", "grading-coproduct", "Y-derivation", "Y-coderivation",
+    "theta-algebra-map", "theta-coalgebra-map", "progressive", "S-commutes-Y", "S-commutes-theta",
+    "primitive-elements", "group-like-sanity",
+]
+
+
+def basis_monomial(schema, name):
+    """The basis monomial of degree <= 4 printed as ``name``."""
+    ctx = HopfAlgebra(cli.resolve_schema(schema), validate_to=0)
+    return next(m for m in ctx.basis_up_to(4) if str(m) == name)
+
+
+def faulty_map(name, target):
+    """A ``HopfAlgebra`` method that is wrong exactly where ``target`` enters it."""
+    original = getattr(HopfAlgebra, name)
+
+    def antipode_monomial(self, m):
+        out = original(self, m)
+        return out + self.monomial_element(m) if m is target else out
+
+    def apply_Y(self, h):
+        out = original(self, h)
+        return out + self.monomial_element(target) if target in h.terms else out
+
+    def apply_theta(self, h, factors, ring):
+        out = original(self, h, factors, ring)
+        return out + Element(ring, {target: ring.one()}) if target in h.terms else out
+
+    def counit(self, h):
+        return original(self, h) + (1 if target in h.terms else 0)
+
+    return locals()[name]
+
+
+# (schema, the map made wrong, the monomial it is wrong on) -> the failing
+# checks with their witnesses; every other check passes.
+AXIOM_FAULTS = [
+    ("ladder", "antipode_monomial", "t2", {"H": "t2", "Hm": "t1 | t2", "HDelta": "t2"}),
+    ("ladder", "apply_Y", "t1^2", {"Y-derivation": "t1 | t1", "Y-coderivation": "t1^2", "S-commutes-Y": "t2"}),
+    ("ladder", "apply_theta", "t1",
+     {"theta-algebra-map": "t1 | t1", "theta-coalgebra-map": "t1", "S-commutes-theta": "t1"}),
+    ("ladder", "counit", "1", {"Beps": "1 | 1", "Bepse": "1", "Heps": "1", "Hp": "1"}),
+    ("trees:4", "antipode_monomial", "[[]]", {"H": "[[]]", "Hm": "[] | [[]]", "HDelta": "[[]]"}),
+    ("trees:4", "apply_Y", "[]^2", {"Y-derivation": "[] | []", "Y-coderivation": "[]^2", "S-commutes-Y": "[[]]"}),
+    ("trees:4", "apply_theta", "[]",
+     {"theta-algebra-map": "[] | []", "theta-coalgebra-map": "[]", "S-commutes-theta": "[]"}),
+    ("trees:4", "counit", "1", {"Beps": "1 | 1", "Bepse": "1", "Heps": "1", "Hp": "1"}),
+]
+
+
+@pytest.mark.parametrize("schema, method, target, failures", AXIOM_FAULTS,
+                         ids=[f"{s}-{m}-{t}" for s, m, t, _ in AXIOM_FAULTS])
+def test_axiom_witnesses_under_a_faulty_map(schema, method, target, failures, monkeypatch, capsys):
+    monkeypatch.setattr(HopfAlgebra, method, faulty_map(method, basis_monomial(schema, target)))
+    assert cli.main(["verify", "--schema", schema, "--max-degree", "4"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert "dualConvolution" not in report and "birkhoff" not in report
+    got = [(c["axiom"], c["passed"], c["counterexample"]) for c in report["axioms"]["checks"]]
+    assert got == [(name, name not in failures, failures.get(name)) for name in AXIOMS]
+
+
+def faulty_convolve_tables(monkeypatch, target):
+    """``convolve_tables`` off by one on ``target`` wherever its value is nonzero,
+    in every module that imported it by name."""
+    original = duals.convolve_tables
+
+    def faulty(ctx, ring, a, b, monomials):
+        out = original(ctx, ring, a, b, monomials)
+        if target in out:
+            out[target] = ring.add(out[target], ring.one())
+        return out
+
+    for module in (duals, birkhoff, suites):
+        monkeypatch.setattr(module, "convolve_tables", faulty)
+
+
+def faulty_character_value(monkeypatch, target):
+    """``Character.value_on`` off by one on ``target``; ``tabulate`` stays right."""
+    original = duals.Character.value_on
+
+    def faulty(self, m):
+        out = original(self, m)
+        return self.ring.add(out, self.ring.one()) if m is target else out
+
+    monkeypatch.setattr(duals.Character, "value_on", faulty)
+
+
+# (fault, schema, the monomial it is wrong on) -> per suite, the failing checks
+# with their witnesses and the sha256 of the whole report, at seed 1.
+LOOP_0 = "loop 0: Birkhoff decomposition failed internal checks ['reconstruction']"
+SUITE_FAULTS = [
+    (faulty_convolve_tables, "ladder", "t4", {
+        "dual-convolution": (
+            [("convolution-associative", "t4"), ("exp-log-round-trip", "t4"), ("grading-transpose-derivation", "t4")],
+            "1149d19f0f1cc6e7f20ad233b0f8170fe9710892a5469a7d10ae6ef0e930cf98"),
+        "birkhoff-renorm": (
+            [("birkhoff-decomposition", LOOP_0), ("tower-consistency", "n=2, t4"), ("rg-closed-loop", "loop 0"),
+             ("scattering-limit", "order 2: ['t4']")],
+            "9a918e8baa537b976cfdeaffc37bb8210cffd9cb311627dcc254ece481c42121"),
+    }),
+    (faulty_character_value, "ladder", "t1*t2", {
+        "dual-convolution": (
+            [("convolution-associative", "t1*t3"), ("convolution-unit", "t1*t2"), ("character-inverse", "t1*t2"),
+             ("character-classification", "t1 | t2")],
+            "5b73aba2459330d01057e65a2e803702257fe86463bd951ba15248196e9de555"),
+        "birkhoff-renorm": ([], "e0e46795a735720e2816cd9c869c91f64c9aa1376a4bc8c16843d8affbc52dac"),
+    }),
+    (faulty_convolve_tables, "trees:4", "[[][][]]", {
+        "dual-convolution": (
+            [("convolution-associative", "[[][][]]"), ("exp-log-round-trip", "[[][][]]"),
+             ("grading-transpose-derivation", "[[][][]]")],
+            "fb4aa5fcc966906ff2fec3c2da23b169f2b6184e3ed248a4b29c8782ca8affea"),
+        "birkhoff-renorm": (
+            [("birkhoff-decomposition", LOOP_0), ("tower-consistency", "n=2, [[][][]]"), ("rg-closed-loop", "loop 0"),
+             ("scattering-limit", "order 2: ['[[][][]]']")],
+            "fd73bcb50742fa701d9104da938e355900e88130ecad87100e5ca010c383cf16"),
+    }),
+]
+
+
+@pytest.mark.parametrize("fault, schema, target, pins", SUITE_FAULTS,
+                         ids=[f"{f.__name__}-{s}-{t}" for f, s, t, _ in SUITE_FAULTS])
+def test_suite_witnesses_under_a_fault(fault, schema, target, pins, monkeypatch):
+    ctx = HopfAlgebra(cli.resolve_schema(schema), validate_to=0)
+    fault(monkeypatch, basis_monomial(schema, target))
+    for suite in (suites.dual_convolution_suite, suites.birkhoff_suite):
+        report = suite(ctx, 4, 1).to_json()
+        failures, digest = pins[report["suite"]]
+        assert [(c["check"], c["counterexample"]) for c in report["checks"] if not c["passed"]] == failures
+        assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
