@@ -2,13 +2,14 @@
 
 Exit codes form the contract CI consumes: 0 on success, 1 when an internal
 verification fails (axiom suite, reconstruction, specialness), 2 on input,
-parse or schema errors; diagnostics name the violated invariant.
+parse or schema errors; diagnostics name the violated invariant.  Each
+command returns its payload, and ``main`` alone writes it: a payload with
+``"passed": false`` exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -60,15 +61,6 @@ def build_context(args):
     return HopfAlgebra(schema, validate_to=validate_to)
 
 
-def emit(args, payload: dict, text: str = None) -> None:
-    if args.output == "text" and text is not None:
-        sys.stdout.write(text + "\n")
-    else:
-        from .serialize import canonical_dumps
-
-        sys.stdout.write(canonical_dumps(payload))
-
-
 def read_expression(ctx, args):
     """The element of --expr or --file, priced before any coproduct is filled."""
     if args.expr is not None:
@@ -76,10 +68,9 @@ def read_expression(ctx, args):
 
         h = parse_element(ctx, args.expr)
     else:
-        from .serialize import element_from_json
+        from .serialize import element_from_json, read_json
 
-        with open(args.file, "r", encoding="utf-8") as fh:
-            h = element_from_json(ctx, json.load(fh))
+        h = element_from_json(ctx, read_json(args.file, "element"))
     bound = ctx.coproduct_term_bound(h)
     if bound > MAX_COPRODUCT_TERMS:
         raise DomainError(f"the coproducts of this element may fill {bound} terms, "
@@ -87,149 +78,129 @@ def read_expression(ctx, args):
     return h
 
 
+def read_functionals(args) -> list:
+    """The functionals of the command's files on one schema context, each
+    checked against the command's input contract before any engine call."""
+    from .serialize import load_functional, ring_tag
+
+    kind, ring, noun = COMMANDS[args.command][2]
+    ctx = build_context(args)
+    out = []
+    for path in args.functional:
+        f = load_functional(ctx, path)
+        if kind not in (ANY, f.kind):
+            raise HopfError(f"{args.command} expects {noun} file")
+        tag = ring_tag(f.ring)
+        if ring not in (ANY, tag):
+            raise HopfError(f"{args.command} expects {noun} file with ring {ring!r}, got {tag!r}")
+        out.append(f)
+    return out
+
+
 # -- commands -------------------------------------------------------------------
+# Each returns its payload, or a (payload, text) pair for --output text.
 
 
-def cmd_coproduct(args) -> int:
+def cmd_coproduct(args):
     from .serialize import tensor_to_json
 
     ctx = build_context(args)
     result = ctx.coproduct(read_expression(ctx, args))
-    emit(args, tensor_to_json(result), str(result))
-    return EXIT_OK
+    return tensor_to_json(result), str(result)
 
 
-def cmd_antipode(args) -> int:
+def cmd_antipode(args):
     from .serialize import element_to_json
 
     ctx = build_context(args)
     result = ctx.antipode(read_expression(ctx, args))
-    emit(args, element_to_json(result), str(result))
-    return EXIT_OK
+    return element_to_json(result), str(result)
 
 
-def cmd_convolve(args) -> int:
+def cmd_convolve(args):
     from .duals import (NOT_MULTIPLICATIVE, Character, TableFunctional, convolve_tables,
                         materialize, tabulate)
-    from .serialize import functional_to_json, load_functional
+    from .serialize import functional_to_json
 
-    ctx = build_context(args)
-    f = load_functional(ctx, args.functionals[0])
-    g = load_functional(ctx, args.functionals[1])
+    f, g = read_functionals(args)
     f._check_compatible(g)
+    ctx = f.ctx
     basis = ctx.basis_up_to(args.max_degree)
     table = convolve_tables(ctx, f.ring, tabulate(f, basis), tabulate(g, basis), basis)
-    if isinstance(f, Character) and isinstance(g, Character):
+    if f.kind == g.kind == Character.kind:
         result = materialize(ctx, f.ring, table, args.max_degree, failure=NOT_MULTIPLICATIVE)
     else:
         result = TableFunctional(ctx, f.ring, table)
-    emit(args, functional_to_json(result))
-    return EXIT_OK
+    return functional_to_json(result)
 
 
-def cmd_exp(args) -> int:
-    from .duals import InfinitesimalCharacter, exp_star
-    from .serialize import functional_to_json, load_functional
+def cmd_exp(args):
+    from .duals import exp_star
+    from .serialize import functional_to_json
 
-    ctx = build_context(args)
-    z = load_functional(ctx, args.functional)
-    if not isinstance(z, InfinitesimalCharacter):
-        raise HopfError("exp expects an infinitesimal-character file")
-    result = exp_star(z, args.max_degree)
-    emit(args, functional_to_json(result))
-    return EXIT_OK
+    z, = read_functionals(args)
+    return functional_to_json(exp_star(z, args.max_degree))
 
 
-def cmd_log(args) -> int:
-    from .duals import Character, log_star
-    from .serialize import functional_to_json, load_functional
+def cmd_log(args):
+    from .duals import log_star
+    from .serialize import functional_to_json
 
-    ctx = build_context(args)
-    chi = load_functional(ctx, args.functional)
-    if not isinstance(chi, Character):
-        raise HopfError("log expects a character file")
-    result = log_star(chi, args.max_degree)
-    emit(args, functional_to_json(result))
-    return EXIT_OK
+    chi, = read_functionals(args)
+    return functional_to_json(log_star(chi, args.max_degree))
 
 
-def cmd_birkhoff(args) -> int:
+def cmd_birkhoff(args):
     from .birkhoff import birkhoff_decompose
-    from .duals import Character
-    from .serialize import functional_to_json, load_functional
+    from .serialize import functional_to_json
 
-    ctx = build_context(args)
-    phi = load_functional(ctx, args.functional)
-    if not isinstance(phi, Character):
-        raise HopfError("birkhoff expects a Laurent-valued character file")
+    phi, = read_functionals(args)
     try:
-        pair = birkhoff_decompose(ctx, phi, args.max_degree)
+        pair = birkhoff_decompose(phi.ctx, phi, args.max_degree)
     except VerificationError as exc:
-        emit(
-            args,
-            {"passed": False, "error": str(exc), "witness": exc.witness},
-            f"verification failed: {exc}",
-        )
-        return EXIT_VERIFICATION
-    payload = {
+        return {"passed": False, "error": str(exc), "witness": exc.witness}, f"verification failed: {exc}"
+    return {
         "phiMinus": functional_to_json(pair.phi_minus()),
         "phiPlus": functional_to_json(pair.phi_plus()),
         "report": pair.report,
     }
-    emit(args, payload)
-    return EXIT_OK
 
 
-def cmd_beta(args) -> int:
+def cmd_beta(args):
     # Reads the eps-expansion of exactly the functional in the file (pass the
     # loop itself, or the counterterm part of a Birkhoff pair).
     from .birkhoff import beta_data
-    from .serialize import functional_to_json, load_functional
+    from .serialize import functional_to_json
 
-    ctx = build_context(args)
-    phi = load_functional(ctx, args.functional)
+    phi, = read_functionals(args)
     max_order = args.max_order or args.max_degree
-    data = beta_data(ctx, phi, max_order, args.max_degree)
-    payload = {
+    data = beta_data(phi.ctx, phi, max_order, args.max_degree)
+    return {
         "beta": functional_to_json(data.beta),
-        "d": {
-            str(n): functional_to_json(data.d(n)) for n in range(1, max_order + 1)
-        },
+        "d": {str(n): functional_to_json(data.d(n)) for n in range(1, max_order + 1)},
         "maxOrder": data.max_order,
         "certifiedOrder": data.max_degree,
         "violations": data.violations,
         "passed": data.passed,
     }
-    emit(args, payload)
-    return EXIT_OK if data.passed else EXIT_VERIFICATION
 
 
-def cmd_build_loop(args) -> int:
+def cmd_build_loop(args):
     from .birkhoff import build_special_loop
-    from .duals import InfinitesimalCharacter
-    from .serialize import functional_to_json, load_functional
+    from .serialize import functional_to_json
 
-    ctx = build_context(args)
-    beta = load_functional(ctx, args.functional)
-    if not isinstance(beta, InfinitesimalCharacter):
-        raise HopfError("build-loop expects an infinitesimal-character file")
+    beta, = read_functionals(args)
     max_order = max(args.max_order or args.max_degree, args.max_degree)
-    loop = build_special_loop(ctx, beta, max_order, args.max_degree)
-    emit(args, functional_to_json(loop))
-    return EXIT_OK
+    return functional_to_json(build_special_loop(beta.ctx, beta, max_order, args.max_degree))
 
 
-def cmd_rg_check(args) -> int:
+def cmd_rg_check(args):
     from .birkhoff import rg_limit_check
-    from .duals import Character
     from .rings import QQ, PolynomialRing
-    from .serialize import functional_to_json, load_functional
+    from .serialize import functional_to_json
 
-    ctx = build_context(args)
-    phi = load_functional(ctx, args.functional)
-    if not isinstance(phi, Character):
-        raise HopfError("rg-check expects a Laurent-valued character file")
-    report = rg_limit_check(ctx, phi, args.max_degree, eps_margin=args.eps_order)
+    phi, = read_functionals(args)
+    report = rg_limit_check(phi.ctx, phi, args.max_degree, eps_margin=args.eps_order)
     poly_t = PolynomialRing(QQ, "t")
     flow = {
         str(m): poly_t.value_to_json(p)
@@ -248,75 +219,44 @@ def cmd_rg_check(args) -> int:
         "betaMatchesResidue": report.beta_matches_residue,
         "passed": report.passed,
     }
-    text = (
-        f"special: {report.special}"
-        + ("" if report.special else f", witness {report.witnesses[0]['monomial']}")
-    )
-    emit(args, payload, text)
-    return EXIT_OK if report.passed else EXIT_VERIFICATION
+    return payload, f"special: {report.special}" + (
+        "" if report.special else f", witness {report.witnesses[0]['monomial']}")
 
 
-def cmd_scattering(args) -> int:
+def cmd_scattering(args):
     from .birkhoff import scattering_check
-    from .duals import InfinitesimalCharacter
-    from .serialize import load_functional
 
-    ctx = build_context(args)
-    beta = load_functional(ctx, args.functional)
-    if not isinstance(beta, InfinitesimalCharacter):
-        raise HopfError("scattering expects an infinitesimal-character file")
+    beta, = read_functionals(args)
     max_order = args.max_order or min(args.max_degree, 3)
-    report = scattering_check(ctx, beta, max_order, args.max_degree)
-    payload = {
-        "maxOrder": report.max_order,
-        "maxDegree": report.max_degree,
-        "orders": report.orders,
-        "passed": report.passed,
-    }
-    emit(args, payload)
-    return EXIT_OK if report.passed else EXIT_VERIFICATION
+    report = scattering_check(beta.ctx, beta, max_order, args.max_degree)
+    return {"maxOrder": report.max_order, "maxDegree": report.max_degree, "orders": report.orders,
+            "passed": report.passed}
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     from .axioms import verify_axioms
     from .hopf import HopfAlgebra
     from .suites import birkhoff_suite, dual_convolution_suite
 
     ctx = HopfAlgebra(resolve_schema(args.schema), validate_to=0)
     axiom_report = verify_axioms(ctx, args.max_degree)
-    payload = {
-        "axioms": axiom_report.to_json(),
-        "passed": axiom_report.passed,
-    }
+    payload = {"axioms": axiom_report.to_json(), "passed": axiom_report.passed}
     if axiom_report.passed:
         dual = dual_convolution_suite(ctx, args.max_degree, args.seed)
         renorm = birkhoff_suite(ctx, args.max_degree, args.seed)
         payload["dualConvolution"] = dual.to_json()
         payload["birkhoff"] = renorm.to_json()
-        payload["passed"] = axiom_report.passed and dual.passed and renorm.passed
-    if args.output == "text":
-        lines = []
-        for check in axiom_report.checks:
-            status = "pass" if check.passed else f"FAIL ({check.counterexample})"
-            lines.append(f"{check.name}: {status}")
-        lines.append(f"overall: {'pass' if payload['passed'] else 'FAIL'}")
-        emit(args, payload, "\n".join(lines))
-    else:
-        emit(args, payload)
-    return EXIT_OK if payload["passed"] else EXIT_VERIFICATION
+        payload["passed"] = dual.passed and renorm.passed
+    lines = [f"{c.name}: {'pass' if c.passed else f'FAIL ({c.counterexample})'}" for c in axiom_report.checks]
+    lines.append(f"overall: {'pass' if payload['passed'] else 'FAIL'}")
+    return payload, "\n".join(lines)
 
 
-def cmd_enumerate_trees(args) -> int:
+def cmd_enumerate_trees(args):
     from .instances import enumerate_trees
 
-    trees = enumerate_trees(args.vertices)
-    payload = {
-        "vertices": args.vertices,
-        "count": len(trees),
-        "trees": [t.encoding() for t in trees],
-    }
-    emit(args, payload, " ".join(t.encoding() for t in trees))
-    return EXIT_OK
+    trees = [t.encoding() for t in enumerate_trees(args.vertices)]
+    return {"vertices": args.vertices, "count": len(trees), "trees": trees}, " ".join(trees)
 
 
 # -- argument plumbing ---------------------------------------------------------------
@@ -348,28 +288,42 @@ def add_expression_args(parser: argparse.ArgumentParser) -> None:
 
 
 # The command table: name -> (help, the arguments the command adds to the
-# common ones).  ELEMENT marks the --expr | --file group of an element input.
-# Each name runs cmd_<name with - as _>.
+# common ones, the input contract of its functional files or None).  ELEMENT
+# marks the --expr | --file group of an element input.  A contract is (kind,
+# ring tag, the noun its error message uses), where ANY accepts every kind or
+# ring; ``read_functionals`` checks each file against it.  Each name runs
+# cmd_<name with - as _>.
 ELEMENT = "element"
+ANY = "any"
 _MAX_ORDER = ("--max-order", {"type": int, "default": 0, "metavar": "N"})
+
+
+def _functional(metavar: str, nargs: int = 1) -> tuple:
+    return ("functional", {"nargs": nargs, "metavar": metavar})
+
+
 COMMANDS = {
-    "coproduct": ("coproduct of an element", ELEMENT),
-    "antipode": ("antipode of an element", ELEMENT),
-    "convolve": ("convolution of two functionals",
-                 [("functionals", {"nargs": 2, "metavar": "FUNCTIONAL_JSON"})]),
-    "exp": ("convolution exponential of an infinitesimal", [("functional", {"metavar": "Z_JSON"})]),
-    "log": ("convolution logarithm of a character", [("functional", {"metavar": "CHI_JSON"})]),
-    "birkhoff": ("Birkhoff decomposition of a Laurent character", [("functional", {"metavar": "PHI_JSON"})]),
+    "coproduct": ("coproduct of an element", ELEMENT, None),
+    "antipode": ("antipode of an element", ELEMENT, None),
+    "convolve": ("convolution of two functionals", [_functional("FUNCTIONAL_JSON", 2)],
+                 (ANY, ANY, "a functional")),
+    "exp": ("convolution exponential of an infinitesimal", [_functional("Z_JSON")],
+            ("infinitesimal", ANY, "an infinitesimal-character")),
+    "log": ("convolution logarithm of a character", [_functional("CHI_JSON")],
+            ("character", ANY, "a character")),
+    "birkhoff": ("Birkhoff decomposition of a Laurent character", [_functional("PHI_JSON")],
+                 ("character", "laurent", "a Laurent-valued character")),
     "beta": ("residue, beta-function and pole tower of a Laurent character "
              "(pass the loop, or the counterterm part of a Birkhoff pair)",
-             [("functional", {"metavar": "PHI_JSON"}), _MAX_ORDER]),
-    "build-loop": ("assemble the loop with a given beta-function",
-                   [("functional", {"metavar": "BETA_JSON"}), _MAX_ORDER]),
-    "rg-check": ("specialness and scale-flow limit of a loop", [("functional", {"metavar": "PHI_JSON"})]),
-    "scattering": ("finite-time limit certification of the tower",
-                   [("functional", {"metavar": "BETA_JSON"}), _MAX_ORDER]),
-    "verify": ("run the axiom and property suites", []),
-    "enumerate-trees": ("rooted trees with n vertices", [("vertices", {"type": int, "metavar": "N"})]),
+             [_functional("PHI_JSON"), _MAX_ORDER], (ANY, "laurent", "a Laurent-valued functional")),
+    "build-loop": ("assemble the loop with a given beta-function", [_functional("BETA_JSON"), _MAX_ORDER],
+                   ("infinitesimal", "rational", "an infinitesimal-character")),
+    "rg-check": ("specialness and scale-flow limit of a loop", [_functional("PHI_JSON")],
+                 ("character", "laurent", "a Laurent-valued character")),
+    "scattering": ("finite-time limit certification of the tower", [_functional("BETA_JSON"), _MAX_ORDER],
+                   ("infinitesimal", ANY, "an infinitesimal-character")),
+    "verify": ("run the axiom and property suites", [], None),
+    "enumerate-trees": ("rooted trees with n vertices", [("vertices", {"type": int, "metavar": "N"})], None),
 }
 
 
@@ -389,7 +343,7 @@ def make_parser(command: str = None) -> argparse.ArgumentParser:
     usage = None if len(names) > 1 else "{" + ",".join(COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=usage)
     for name in names:
-        help_text, arguments = COMMANDS[name]
+        help_text, arguments, _ = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         add_common(p)
         if arguments == ELEMENT:
@@ -402,11 +356,23 @@ def make_parser(command: str = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: its payload goes to stdout (exit 1 when it reports
+    ``"passed": false``), a diagnostic to stderr."""
     argv = sys.argv[1:] if argv is None else argv
     parser = make_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
+    from .serialize import canonical_dumps
+
     try:
-        return args.fn(args)
+        if args.max_degree < 0:
+            raise DomainError(f"--max-degree must be >= 0, got {args.max_degree}")
+        out = args.fn(args)
+        payload, text = out if isinstance(out, tuple) else (out, None)
+        if args.output == "text" and text is not None:
+            sys.stdout.write(text + "\n")
+        else:
+            sys.stdout.write(canonical_dumps(payload))
+        return EXIT_VERIFICATION if payload.get("passed") is False else EXIT_OK
     except TruncationError as exc:
         code, diagnostic = EXIT_INPUT, {"error": "TruncationError", "message": str(exc)}
         if exc.required_order is not None:
@@ -418,8 +384,6 @@ def main(argv=None) -> int:
         code, diagnostic = EXIT_INPUT, {"error": type(exc).__name__, "message": str(exc)}
     except OSError as exc:
         code, diagnostic = EXIT_INPUT, {"error": "OSError", "message": str(exc)}
-    from .serialize import canonical_dumps
-
     sys.stderr.write(canonical_dumps(diagnostic))
     return code
 

@@ -38,6 +38,8 @@ from .rings import QQ, Ring
 class Functional:
     """A linear form on H, valued in a coefficient ring."""
 
+    kind: Optional[str] = None  # the "kind" of its JSON encoding; None: not encodable
+
     def __init__(self, ctx: HopfAlgebra, ring: Ring):
         self.ctx = ctx
         self.ring = ring
@@ -84,6 +86,8 @@ def counit_functional(ctx: HopfAlgebra, ring: Ring) -> Character:
 class TableFunctional(Functional):
     """Explicit finite table with default value zero."""
 
+    kind = "table"
+
     def __init__(self, ctx, ring, table: Dict[Monomial, object]):
         super().__init__(ctx, ring)
         self.table = {m: v for m, v in table.items() if not ring.is_zero(v)}
@@ -99,6 +103,8 @@ class Character(Functional):
     is set, the character was only materialized up to that degree and
     evaluating beyond it is an error rather than a silent zero.
     """
+
+    kind = "character"
 
     def __init__(self, ctx, ring, gen_values: Dict[Generator, object], cutoff: Optional[int] = None):
         super().__init__(ctx, ring)
@@ -163,6 +169,8 @@ class Character(Functional):
 
 class InfinitesimalCharacter(Functional):
     """A derivation-like functional: zero on 1 and on products."""
+
+    kind = "infinitesimal"
 
     def __init__(self, ctx, ring, gen_values: Dict[Generator, object], cutoff: Optional[int] = None):
         super().__init__(ctx, ring)

@@ -28,22 +28,9 @@ class ExpSum:
     def one() -> "ExpSum":
         return ExpSum({0: Fraction(1)})
 
-    @staticmethod
-    def zero() -> "ExpSum":
-        return ExpSum({})
-
     def shift(self, k: int) -> "ExpSum":
         """Multiply by e^(-k s)."""
         return ExpSum({a + k: c for a, c in self.coeffs.items()})
-
-    def __add__(self, other: "ExpSum") -> "ExpSum":
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            out[a] = out.get(a, Fraction(0)) + c
-        return ExpSum(out)
-
-    def scale(self, q: Fraction) -> "ExpSum":
-        return ExpSum({a: q * c for a, c in self.coeffs.items()})
 
     def integrate_to_variable(self) -> "ExpSum":
         """int_0^S of the sum, as an exponential sum in the upper bound S.

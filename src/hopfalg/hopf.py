@@ -30,9 +30,9 @@ class ReducedTerm(NamedTuple):
 class HopfSchema:
     """Generator data of a graded connected commutative Hopf algebra.
 
-    Subclasses provide the generator enumeration per degree and the reduced
-    coproduct table.  ``max_degree`` is None for schemas with generators in
-    every degree.
+    Subclasses provide the generator enumeration per degree, the lookup by
+    name and the reduced coproduct table.  ``max_degree`` is None for schemas
+    with generators in every degree.
     """
 
     name = "schema"
@@ -44,18 +44,14 @@ class HopfSchema:
     def reduced_terms(self, gen: Generator) -> Tuple[ReducedTerm, ...]:
         raise NotImplementedError
 
+    def generator_by_name(self, name: str) -> Generator:
+        raise NotImplementedError
+
     def generators_up_to(self, degree: int) -> Tuple[Generator, ...]:
         out: List[Generator] = []
         for d in range(1, degree + 1):
             out.extend(self.generators_of_degree(d))
         return tuple(out)
-
-    def generator_by_name(self, name: str) -> Generator:
-        bound = self.max_degree if self.max_degree is not None else DEFAULT_VALIDATE_DEGREE
-        for g in self.generators_up_to(bound):
-            if g.name == name:
-                return g
-        raise SchemaError(f"unknown generator {name!r} in schema {self.name!r}")
 
 
 class TableSchema(HopfSchema):
@@ -125,16 +121,16 @@ def validate_schema_structure(schema: HopfSchema, up_to: int) -> None:
                     f"reduced coproduct of {g.name!r} stores a zero coefficient"
                 )
             left_deg = term.left.y_degree
+            if left_deg < 1:
+                raise SchemaError(
+                    f"reduced coproduct of {g.name!r} is not progressive: left "
+                    "leg must have strictly positive degree"
+                )
             if left_deg + term.right.degree != g.degree:
                 raise SchemaError(
                     "reduced coproduct of "
                     f"{g.name!r} is not graded: left degree {left_deg} + right "
                     f"degree {term.right.degree} != {g.degree}"
-                )
-            if left_deg < 1:
-                raise SchemaError(
-                    f"reduced coproduct of {g.name!r} is not progressive: left "
-                    "leg must have strictly positive degree"
                 )
             for lg in term.left.generators():
                 schema.generator_by_name(lg.name)

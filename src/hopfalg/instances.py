@@ -15,7 +15,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .algebra import Generator, Monomial
 from .errors import DomainError, HopfError, SchemaError
-from .hopf import HopfSchema, ReducedTerm, TableSchema
+from .hopf import HopfSchema, ReducedTerm, TableSchema, validate_schema_structure
 from .rings import QQ, Frozen
 
 # -- the ladder schema --------------------------------------------------------
@@ -354,27 +354,13 @@ def schema_from_dict(data: dict, name: str = "custom") -> TableSchema:
                         f"reduced coproduct of {gname!r}: exponents must be >= 1"
                     )
                 powers.append((gens[lname], exp))
-            left = Monomial.from_powers(powers)
             coeff = QQ.value_from_json(term.get("coeff", "1"))
-            if coeff == 0:
-                raise SchemaError(
-                    f"reduced coproduct of {gname!r} stores a zero coefficient"
-                )
-            left_deg = left.y_degree
-            if left_deg < 1:
-                raise SchemaError(
-                    f"reduced coproduct of {gname!r} is not progressive: left leg "
-                    "must have strictly positive degree"
-                )
-            if left_deg + gens[right_name].degree != g.degree:
-                raise SchemaError(
-                    f"reduced coproduct of {gname!r} is not graded: left degree "
-                    f"{left_deg} + right degree {gens[right_name].degree} != {g.degree}"
-                )
-            built.append(ReducedTerm(left=left, right=gens[right_name], coeff=coeff))
+            built.append(ReducedTerm(left=Monomial.from_powers(powers), right=gens[right_name], coeff=coeff))
         reduced[g] = tuple(built)
 
-    return TableSchema(name=name, generators=gens.values(), reduced=reduced)
+    schema = TableSchema(name=name, generators=gens.values(), reduced=reduced)
+    validate_schema_structure(schema, schema.max_degree)
+    return schema
 
 
 def _is_list_of(value, kind: type) -> bool:

@@ -100,27 +100,26 @@ def tensor_to_json(t: TensorElement) -> dict:
 
 
 def functional_to_json(f: Functional) -> dict:
-    from .duals import Character, InfinitesimalCharacter, TableFunctional
+    from .duals import TableFunctional
 
     ring = f.ring
     tag = ring_tag(ring)
-    if isinstance(f, Character) or isinstance(f, InfinitesimalCharacter):
-        kind = "character" if isinstance(f, Character) else "infinitesimal"
-        values = {
-            g.name: ring.value_to_json(v)
-            for g, v in sorted(f.gen_values.items(), key=lambda kv: kv[0])
-        }
-        out = {"kind": kind, "ring": tag, "values": values}
-        if f.cutoff is not None:
-            out["cutoff"] = f.cutoff
-        return out
-    if isinstance(f, TableFunctional):
+    if f.kind == TableFunctional.kind:
         values = {
             str(m): ring.value_to_json(v)
             for m, v in sorted(f.table.items(), key=lambda kv: kv[0].sort_key())
         }
-        return {"kind": "table", "ring": tag, "values": values}
-    raise HopfError(f"cannot serialize functional of type {type(f).__name__}")
+        return {"kind": f.kind, "ring": tag, "values": values}
+    if f.kind is None:
+        raise HopfError(f"cannot serialize functional of type {type(f).__name__}")
+    values = {
+        g.name: ring.value_to_json(v)
+        for g, v in sorted(f.gen_values.items(), key=lambda kv: kv[0])
+    }
+    out = {"kind": f.kind, "ring": tag, "values": values}
+    if f.cutoff is not None:
+        out["cutoff"] = f.cutoff
+    return out
 
 
 def functional_from_json(ctx: HopfAlgebra, data: dict) -> Functional:
@@ -136,14 +135,7 @@ def functional_from_json(ctx: HopfAlgebra, data: dict) -> Functional:
     values = data.get("values", {})
     if not isinstance(values, dict):
         raise HopfError(f"functional 'values' must be an object, got {values!r}")
-    if kind in ("character", "infinitesimal"):
-        gen_values = {}
-        for name, raw in values.items():
-            g = ctx.schema.generator_by_name(name)
-            gen_values[g] = ring.value_from_json(raw)
-        cls = Character if kind == "character" else InfinitesimalCharacter
-        return cls(ctx, ring, gen_values, cutoff=cutoff)
-    if kind == "table":
+    if kind == TableFunctional.kind:
         from .exprparse import parse_element
 
         table = {}
@@ -156,16 +148,26 @@ def functional_from_json(ctx: HopfAlgebra, data: dict) -> Functional:
                 raise HopfError(f"table keys must be bare monomials, got {expr!r}")
             table[m] = ring.value_from_json(raw)
         return TableFunctional(ctx, ring, table)
+    for cls in (Character, InfinitesimalCharacter):
+        if kind == cls.kind:
+            gen_values = {ctx.schema.generator_by_name(name): ring.value_from_json(raw)
+                          for name, raw in values.items()}
+            return cls(ctx, ring, gen_values, cutoff=cutoff)
     raise HopfError(f"unknown functional kind {kind!r}")
 
 
-def load_functional(ctx: HopfAlgebra, path: str) -> Functional:
+def read_json(path: str, what: str):
+    """The JSON document in the file ``path``; ``what`` names its content in
+    the error raised when the file does not parse."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise HopfError(f"cannot parse functional file {path}: {exc}") from exc
-    return functional_from_json(ctx, data)
+            raise HopfError(f"cannot parse {what} file {path}: {exc}") from exc
+
+
+def load_functional(ctx: HopfAlgebra, path: str) -> Functional:
+    return functional_from_json(ctx, read_json(path, "functional"))
 
 
 # -- canonical dumps ------------------------------------------------------------------

@@ -67,6 +67,18 @@ class SuiteReport(NamedTuple):
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    def add(self, name: str, witnesses, detail: str = "") -> None:
+        """Record the first witness a check yields; its draws stop there.
+
+        A ``HopfError`` raised by the code under check fails the check, with
+        its message as the witness, and the later checks still run.
+        """
+        try:
+            witness = next(witnesses, None)
+        except HopfError as exc:
+            witness = str(exc)
+        self.checks.append(CheckResult(name, witness is None, witness, detail))
+
     def to_json(self) -> dict:
         return {
             "suite": self.suite,
@@ -97,13 +109,9 @@ def dual_convolution_suite(ctx: HopfAlgebra, max_degree: int, seed: int) -> Suit
     rng = random.Random(seed)
     degree = min(max_degree, 4)
     report = SuiteReport("dual-convolution", seed, degree, [])
+    add = report.add
     basis = ctx.basis_up_to(degree)
     one_star = counit_functional(ctx, QQ)
-
-    def add(name, witnesses, detail=""):
-        """Record the first witness a check yields; its draws stop there."""
-        witness = next(witnesses, None)
-        report.checks.append(CheckResult(name, witness is None, witness, detail))
 
     def kernel(a, b):
         return convolve_tables(ctx, QQ, a, b, basis)
@@ -246,12 +254,8 @@ def birkhoff_suite(ctx: HopfAlgebra, max_degree: int, seed: int) -> SuiteReport:
     rng = random.Random(seed)
     degree = min(max_degree, 4)
     report = SuiteReport("birkhoff-renorm", seed, degree, [])
+    add = report.add
     L = LaurentRing(QQ, "eps")
-
-    def add(name, witnesses, detail=""):
-        """Record the first witness a check yields; its draws stop there."""
-        witness = next(witnesses, None)
-        report.checks.append(CheckResult(name, witness is None, witness, detail))
 
     def rota_baxter():
         for i in range(100):

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from hopfalg import cli
+from hopfalg import birkhoff, cli
 from hopfalg.exprparse import MAX_EXPONENT
 from hopfalg.instances import rooted_tree_schema
 
@@ -93,6 +93,20 @@ def test_exp_command_matches_closed_form(tmp_path):
     data = json.loads(proc.stdout)
     assert data["kind"] == "character"
     assert data["values"] == {"t1": "3", "t2": "9/2", "t3": "9/2"}
+
+
+def test_log_command_matches_closed_form(tmp_path):
+    # On the ladder a character is a power series 1 + sum chi(t_n) x^n, and
+    # log_* is its logarithm: log(1 + x - 2x^2) = x - 5/2 x^2 + 7/3 x^3 - ...
+    chi = write(
+        tmp_path,
+        "chi.json",
+        {"kind": "character", "ring": "rational", "values": {"t1": "1", "t2": "-2"}},
+    )
+    proc = run_cli("log", chi, "--schema", "ladder", "--max-degree", "3")
+    data = json.loads(proc.stdout)
+    assert data["kind"] == "infinitesimal"
+    assert data["values"] == {"t1": "1", "t2": "-5/2", "t3": "7/3"}
 
 
 def test_convolve_characters(tmp_path):
@@ -349,6 +363,10 @@ def test_corrupted_schema_rejected_at_construction_and_reported_by_verify(tmp_pa
     assert cdelta["counterexample"] == "t4"
 
 
+RATIONAL_CHARACTER = {"kind": "character", "ring": "rational", "values": {"t1": "1", "t2": "-2"}}
+LAURENT_ONE = {"minExp": -1, "truncation": None, "coeffs": {"-1": "1", "0": "1/2"}}
+
+
 @pytest.mark.parametrize(
     "argv, payload, schema",
     [
@@ -370,18 +388,41 @@ def test_corrupted_schema_rejected_at_construction_and_reported_by_verify(tmp_pa
         ),
         (["verify"], {"generators": "abc"}, "custom:{}"),
         (["coproduct", "--expr", "x1"], {"generators": "abc"}, "custom:{}"),
+        (["birkhoff", "{}"], RATIONAL_CHARACTER, "ladder"),
+        (["rg-check", "{}"], RATIONAL_CHARACTER, "ladder"),
+        (["beta", "{}"], RATIONAL_CHARACTER, "ladder"),
+        (["beta", "{}"], {"kind": "table", "ring": "rational", "values": {"t1": "1"}}, "ladder"),
+        (["build-loop", "{}"], {"kind": "infinitesimal", "ring": "laurent", "values": {"t1": LAURENT_ONE}}, "ladder"),
+        (["coproduct", "--file", "{}"], "{not json", "ladder"),
+        (["antipode", "--file", "{}"], "{not json", "ladder"),
+        (["rg-check", "{}", "--max-degree", "-1"], {"kind": "character", "ring": "laurent",
+                                                   "values": {"t1": LAURENT_ONE}}, "ladder"),
+        (["log", "{}", "--max-degree", "-1"], RATIONAL_CHARACTER, "ladder"),
+        (["convolve", "{}", "{}", "--max-degree", "-1"], RATIONAL_CHARACTER, "ladder"),
     ],
     ids=["zero-denominator", "term-without-monomial", "unpaired-factor", "values-list", "laurent-key",
-         "cutoff-string", "min-exp-string", "generators-string-verify", "generators-string-coproduct"],
+         "cutoff-string", "min-exp-string", "generators-string-verify", "generators-string-coproduct",
+         "rational-birkhoff", "rational-rg-check", "rational-beta", "rational-table-beta",
+         "laurent-build-loop", "non-json-coproduct", "non-json-antipode", "negative-degree-rg-check",
+         "negative-degree-log", "negative-degree-convolve"],
 )
-def test_malformed_input_exits_2_with_a_diagnostic(tmp_path, argv, payload, schema):
+def test_malformed_input_exits_2_with_a_diagnostic(tmp_path, argv, payload, schema, monkeypatch, capsys):
     if payload is not None:
-        path = write(tmp_path, "input.json", payload)
+        path = tmp_path / "input.json"
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         argv = [a.format(path) for a in argv]
         schema = schema.format(path)
     proc = run_cli(*argv, "--schema", schema, expect=2)
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["error"]
+    # In process the input is rejected before the engine does any work.
+    monkeypatch.setattr(birkhoff, "build_special_loop", no_work)
+    assert cli.main([*argv, "--schema", schema]) == 2
+    assert not capsys.readouterr().out
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("the engine ran on an input it should have rejected")
 
 
 
@@ -591,3 +632,10 @@ def test_top_level_help_lists_every_command_and_a_command_builds_only_its_own():
     with pytest.raises(SystemExit):
         cli.make_parser("verify").parse_args(["coproduct", "--expr", "t1"])
     assert cli.make_parser().parse_args(["coproduct", "--expr", "t1"]).fn is cli.cmd_coproduct
+
+
+def test_input_contracts_name_exactly_the_functional_commands():
+    reads = {name for name, (_, _, contract) in cli.COMMANDS.items() if contract is not None}
+    takes = {name for name, (_, arguments, _) in cli.COMMANDS.items()
+             if arguments != cli.ELEMENT and any(flag == "functional" for flag, _ in arguments)}
+    assert reads == takes == {"convolve", "exp", "log", "birkhoff", "beta", "build-loop", "rg-check", "scattering"}

@@ -1,6 +1,7 @@
 """Built-in schemas: ladder, rooted trees, loader."""
 
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -245,14 +246,30 @@ def test_schema_right_leg_must_be_generator():
         )
 
 
-def test_schema_gradedness_violation_named():
-    with pytest.raises(SchemaError, match="not graded"):
+# Each fault with the message schema_from_dict gave when it checked the
+# invariants itself; a term that is neither progressive nor graded is named
+# for progressiveness.
+@pytest.mark.parametrize(
+    "generators, reduced, message",
+    [
+        ([{"name": "x1", "degree": 1}, {"name": "x3", "degree": 3}],
+         {"x3": [{"left": [["x1", 1]], "right": "x1", "coeff": "1"}]},
+         "reduced coproduct of 'x3' is not graded: left degree 1 + right degree 1 != 3"),
+        ([{"name": "x1", "degree": 1}, {"name": "x2", "degree": 2}],
+         {"x2": [{"left": [["x1", 1]], "right": "x1", "coeff": "0"}]},
+         "reduced coproduct of 'x2' stores a zero coefficient"),
+        ([{"name": "x1", "degree": 1}, {"name": "x2", "degree": 2}],
+         {"x2": [{"left": [], "right": "x1"}]},
+         "reduced coproduct of 'x2' is not progressive: left leg must have strictly positive degree"),
+    ],
+    ids=["not-graded", "zero-coefficient", "not-progressive"],
+)
+def test_schema_gradedness_violation_named(generators, reduced, message):
+    with pytest.raises(SchemaError, match=re.escape(message)):
         schema_from_dict(
             {
-                "generators": [{"name": "x1", "degree": 1}, {"name": "x3", "degree": 3}],
-                "reducedCoproduct": {
-                    "x3": [{"left": [["x1", 1]], "right": "x1", "coeff": "1"}]
-                },
+                "generators": generators,
+                "reducedCoproduct": reduced,
             }
         )
 

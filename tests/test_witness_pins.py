@@ -116,6 +116,17 @@ SUITE_FAULTS = [
              ("scattering-limit", "order 2: ['t4']")],
             "9a918e8baa537b976cfdeaffc37bb8210cffd9cb311627dcc254ece481c42121"),
     }),
+    # Here the checked code itself raises: each check records the message as
+    # its witness, and the later checks still run.
+    (faulty_convolve_tables, "ladder", "t1^2", {
+        "dual-convolution": (
+            [("convolution-associative", "t1^2"), ("exp-log-round-trip", "exponential failed multiplicativity on t1^2")],
+            "83f50e7dd001d6b24ee077d580706a4f576768760c4f0c982ef7e78f70b24f3e"),
+        "birkhoff-renorm": (
+            [("birkhoff-decomposition", LOOP_0), ("tower-consistency", "n=2, t1^2"),
+             ("rg-closed-loop", "assembled loop is not multiplicative on t1^2"), ("scattering-limit", "order 2: ['t1^2']")],
+            "b73c39b0c87198669730525fcba742d07ea2d92096dc6b8707764de53289299c"),
+    }),
     (faulty_character_value, "ladder", "t1*t2", {
         "dual-convolution": (
             [("convolution-associative", "t1*t3"), ("convolution-unit", "t1*t2"), ("character-inverse", "t1*t2"),
@@ -146,3 +157,11 @@ def test_suite_witnesses_under_a_fault(fault, schema, target, pins, monkeypatch)
         failures, digest = pins[report["suite"]]
         assert [(c["check"], c["counterexample"]) for c in report["checks"] if not c["passed"]] == failures
         assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_verify_reports_a_check_that_raises(monkeypatch, capsys):
+    faulty_convolve_tables(monkeypatch, basis_monomial("ladder", "t1^2"))
+    assert cli.main(["verify", "--schema", "ladder", "--max-degree", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == "ef962d09c8323e377f46179a3f16eb926d6eb87c33951a559532bcb619fed4f5"
