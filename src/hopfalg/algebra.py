@@ -17,9 +17,11 @@ from .rings import Frozen, Ring
 # The intern tables: one object per generator (degree, name) and per monomial
 # powers tuple, kept for the life of the process.  Equality is identity and
 # the hash is object.__hash__; inserting with dict.setdefault means threads
-# racing on one value still end up sharing one object.
+# racing on one value still end up sharing one object.  _PRODUCTS memoizes
+# Monomial.__mul__ by the pair of interned factors, which live as long.
 _GENERATORS: dict = {}
 _MONOMIALS: dict = {}
+_PRODUCTS: dict = {}
 
 
 class Generator(Frozen):
@@ -120,12 +122,16 @@ class Monomial(Frozen):
         return sum(e for _, e in self.powers)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        """Merge the two sorted power tuples, adding exponents of shared generators."""
+        """Merge the two sorted power tuples, adding exponents of shared
+        generators; each pair of non-unit factors is merged once."""
         a, b = self.powers, other.powers
         if not a:
             return other
         if not b:
             return self
+        m = _PRODUCTS.get((self, other))
+        if m is not None:
+            return m
         out = []
         i = j = 0
         while i < len(a) and j < len(b):
@@ -141,7 +147,7 @@ class Monomial(Frozen):
             else:
                 out.append(b[j])
                 j += 1
-        return Monomial(tuple(out) + a[i:] + b[j:])
+        return _PRODUCTS.setdefault((self, other), Monomial(tuple(out) + a[i:] + b[j:]))
 
     def sort_key(self):
         return (self.y_degree, self.powers)

@@ -469,7 +469,7 @@ def _flow_is_additive(ctx, poly_t, base, flow, basis) -> bool:
         # F_(t+s)(m): its s^j coefficient is sum_k C(k, j) p_k t^(k-j); the top
         # entry C(k, k) p_k of each is the leading p_k != 0, so all are stripped.
         p = flow[m]
-        lhs = tuple(tuple(base.scale(Fraction(comb(k, j)), p[k]) for k in range(j, len(p)))
+        lhs = tuple(tuple(base.scale(comb(k, j), p[k]) for k in range(j, len(p)))
                     for j in range(len(p)))
         if not poly_s.eq(lhs, rhs.get(m, poly_s.zero())):
             return False

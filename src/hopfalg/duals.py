@@ -451,7 +451,7 @@ def grading_transpose(ring: Ring, table: dict, inverse: bool = False) -> Dict[Mo
     if inverse and not ring.is_zero(table.get(Monomial.unit(), ring.zero())):
         raise DomainError("inverse grading transpose is only defined on functionals vanishing at the unit")
     top = max((m.y_degree for m in table), default=0)
-    factors = [ring.from_rational(Fraction(1, n) if inverse else Fraction(n)) for n in range(1, top + 1)]
+    factors = [ring.from_rational(Fraction(1, n) if inverse else n) for n in range(1, top + 1)]
     return scale_by_degree(ring, table, [ring.zero()] + factors)
 
 
@@ -468,7 +468,7 @@ def y_star_inverse(f: Functional) -> Functional:
 def _grading(f: Functional, inverse: bool) -> Functional:
     ring = f.ring
     if isinstance(f, InfinitesimalCharacter):
-        values = {g: ring.scale(Fraction(1, g.degree) if inverse else Fraction(g.degree), v)
+        values = {g: ring.scale(Fraction(1, g.degree) if inverse else g.degree, v)
                   for g, v in f.gen_values.items()}
         return InfinitesimalCharacter(f.ctx, ring, values, cutoff=f.cutoff)
     if isinstance(f, TableFunctional):

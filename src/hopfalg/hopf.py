@@ -20,11 +20,12 @@ DEFAULT_VALIDATE_DEGREE = 8
 
 
 class ReducedTerm(NamedTuple):
-    """One Sweedler term left (x) right of a generator's reduced coproduct."""
+    """One Sweedler term left (x) right of a generator's reduced coproduct;
+    ``coeff`` is an int when it is integral (``parse_rational``'s form)."""
 
     left: Monomial
     right: Generator
-    coeff: Fraction
+    coeff: int | Fraction
 
 
 class HopfSchema:
@@ -141,16 +142,17 @@ def theta_factors(ring: LaurentRing, z, max_degree: int) -> list:
     a positive-valuation series in ``ring``, so each is exact to its truncation."""
     if not hasattr(ring, "exp"):
         raise UnsupportedRingError(f"theta_z needs a series ring with an exponential; {ring.tag} has none")
-    return [ring.exp(ring.scale(Fraction(n), z)) for n in range(max_degree + 1)]
+    return [ring.exp(ring.scale(n, z)) for n in range(max_degree + 1)]
 
 
 class HopfAlgebra:
     """A schema bound to computation caches; structure coefficients over Q.
 
-    Integral structure constants are stored as ``int`` (the schemas here all
-    have integer ones), so the coproduct, antipode and iterated-coproduct
-    memos fill in integer arithmetic; a rational schema coefficient stays a
-    ``Fraction`` and mixes exactly with them.
+    Integral structure constants are ``int`` (the schemas here all have
+    integer ones, and ``parse_rational`` reads integral JSON values as ints),
+    so the coproduct, antipode and iterated-coproduct memos fill in integer
+    arithmetic; a rational schema coefficient stays a ``Fraction`` and mixes
+    exactly with them.
 
     Coproducts, antipodes and iterated coproducts are memoized per monomial;
     the memo fill is idempotent, so sharing an instance across threads only
@@ -256,8 +258,7 @@ class HopfAlgebra:
         m = Monomial.of(gen)
         terms = [((m, one), 1), ((one, m), 1)]
         for t in self.schema.reduced_terms(gen):
-            c = t.coeff
-            terms.append(((t.left, Monomial.of(t.right)), c.numerator if c.denominator == 1 else c))
+            terms.append(((t.left, Monomial.of(t.right)), t.coeff))
         return TensorElement.from_terms(self.ring, 2, terms)
 
     def coproduct_monomial(self, m: Monomial) -> TensorElement:
@@ -450,7 +451,7 @@ class HopfAlgebra:
     def apply_Y(self, h: Element) -> Element:
         return Element.from_terms(
             self.ring,
-            [(m, self.ring.scale(Fraction(m.y_degree), c)) for m, c in h.terms.items()],
+            [(m, self.ring.scale(m.y_degree, c)) for m, c in h.terms.items()],
         )
 
     def apply_theta(self, h: Element, factors, ring: LaurentRing) -> Element:

@@ -9,7 +9,6 @@ rather than trusted.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -48,7 +47,7 @@ class LadderSchema(HopfSchema):
             ReducedTerm(
                 left=Monomial.of(self.generator(k)),
                 right=self.generator(n - k),
-                coeff=Fraction(1),
+                coeff=1,
             )
             for k in range(1, n)
         )
@@ -281,7 +280,7 @@ def rooted_tree_schema(max_vertices: int) -> TableSchema:
                 key = (cut.pruned, cut.trunk)
                 counts[key] = counts.get(key, 0) + 1
             terms = [
-                ReducedTerm(left=forest_monomial(pruned), right=tree_generator(trunk), coeff=Fraction(c))
+                ReducedTerm(left=forest_monomial(pruned), right=tree_generator(trunk), coeff=c)
                 for (pruned, trunk), c in counts.items()
             ]
             reduced[g] = tuple(sorted(terms, key=lambda t: (t.left.sort_key(), t.right)))

@@ -4,8 +4,9 @@ Every ring is a commutative unital Q-algebra with decidable, canonical
 equality.  Values are plain immutable data (int or Fraction, tuples,
 slotted ``Frozen`` objects); the ring object knows how to combine them.  No
 floating point anywhere: division is exact.  Exact sums of products run in
-integers over one common denominator and build one Fraction per result; over
-Q, ``dot`` is that sum directly.
+integers over one common denominator; a result is a plain int when it is
+integral and a Fraction only when its denominator is above 1.  Over Q,
+``dot`` is that sum directly.
 """
 
 from __future__ import annotations
@@ -35,12 +36,19 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a rational from its decimal-string form "p" or "p/q"."""
+def parse_rational(text: str):
+    """Parse a rational from its decimal-string form "p" or "p/q": an int
+    when the value is integral, else a Fraction."""
     try:
-        return Fraction(text.strip())
+        q = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise HopfError(f"not a rational number: {text!r}") from exc
+    return q.numerator if q.denominator == 1 else q
+
+
+def _over(v: int, d: int):
+    """v / d in canonical form: an int when d divides v, else a Fraction."""
+    return v // d if not v % d else Fraction(v, d)
 
 
 def format_rational(q: Fraction) -> str:
@@ -143,10 +151,14 @@ _ONE = Fraction(1)
 class RationalField(Ring):
     """The field of exact rationals; values are int or fractions.Fraction.
 
-    The ring's own operations return Fractions (``from_rational`` returns a
-    Fraction argument itself); structure constants that are integers stay
-    ints (see ``hopf.HopfAlgebra``), and Python's mixed int/Fraction
-    arithmetic keeps every result exact and equal-comparable.
+    The sum-of-products kernels (``convolve``, ``dot``) return an integral
+    value as a plain int and a Fraction only for a denominator above 1, so
+    integral data (structure constants, seeded characters, integral JSON
+    values) stays in C-level int arithmetic.  ``add`` and ``mul`` are
+    Python's own operators, ``from_rational`` returns an int or a Fraction
+    argument itself, ``invert`` returns a Fraction, and ``zero()`` and
+    ``one()`` are shared Fraction constants.  Mixed int/Fraction arithmetic
+    is exact, and equal values compare and hash equal whatever their type.
     """
 
     tag = "rational"
@@ -173,13 +185,16 @@ class RationalField(Ring):
         return not a
 
     def from_rational(self, q):
-        return q if q.__class__ is Fraction else Fraction(q)
+        return q if q.__class__ is int or q.__class__ is Fraction else Fraction(q)
 
     def scale(self, q, a):
         return q * a
 
     def operand(self, xs):
-        """xs over one common denominator: (d, ((exponent, integer numerator), ...))."""
+        """xs over one common denominator: (d, ((exponent, integer numerator), ...)),
+        which is (1, xs) itself when every value is an int."""
+        if all(x.__class__ is int for _, x in xs):
+            return 1, xs
         d = lcm(*(x.denominator for _, x in xs))
         return d, tuple((i, x.numerator * (d // x.denominator)) for i, x in xs)
 
@@ -189,7 +204,7 @@ class RationalField(Ring):
 
     def convolve_operands(self, terms, n):
         """The integer loop: all triples over the lcm of their denominators,
-        one Fraction per output exponent."""
+        one canonical value (int, or Fraction off the integers) per output exponent."""
         d = lcm(*(c.denominator * dx * dy for c, (dx, _), (dy, _) in terms))
         out = {}
         for c, (dx, xs), (dy, ys) in terms:
@@ -203,19 +218,19 @@ class RationalField(Ring):
                             break
                         out[k] = out.get(k, 0) + x * y
         if d == 1:
-            return {k: Fraction(v) for k, v in out.items()}
-        return {k: Fraction(v, d) for k, v in out.items()}
+            return out
+        return {k: _over(v, d) for k, v in out.items()}
 
     def dot(self, terms):
         """Ring.dot in integers: each c x y over the lcm of the triples'
-        denominators, summed as a plain int, and one Fraction for the sum.
+        denominators, summed as a plain int, and the sum in canonical form.
         c, x and y may each be an int or a Fraction."""
         dens = [c.denominator * x.denominator * y.denominator for c, x, y in terms]
         d = lcm(*dens)
         total = 0
         for (c, x, y), e in zip(terms, dens):
             total += c.numerator * x.numerator * y.numerator * (d // e)
-        return Fraction(total) if d == 1 else Fraction(total, d)
+        return total if d == 1 else _over(total, d)
 
     def invert(self, a):
         if a == 0:
@@ -310,7 +325,7 @@ class PolynomialRing(Ring):
     def convolve_operands(self, terms, n):
         """The integer loop over a Q base: all triples over the lcm of their
         denominators, plain-int sums in one row per series exponent indexed
-        by t-exponent, and one Fraction per output coefficient."""
+        by t-exponent, and one canonical value per output coefficient."""
         if not self.integral:
             return super().convolve(terms, n)
         d = lcm(*(c.denominator * dx * dy for c, (dx, _), (dy, _) in terms))
@@ -337,8 +352,9 @@ class PolynomialRing(Ring):
                     for a, x in px:
                         for b, y in py:
                             row[a + b] += x * y
-        zero = self.base.zero()
-        return {k: _strip([Fraction(v, d) if v else zero for v in row], self.base) for k, row in rows.items()}
+        if d == 1:
+            return {k: _strip(row, self.base) for k, row in rows.items()}
+        return {k: _strip([_over(v, d) for v in row], self.base) for k, row in rows.items()}
 
     def dot(self, terms):
         """Sum of c a b over (c, a, b) triples, in one base-ring convolve."""

@@ -8,7 +8,6 @@ reports.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import permutations
 from typing import List, NamedTuple, Optional
 
@@ -94,14 +93,14 @@ def _random_infinitesimal(ctx, rng, max_degree) -> InfinitesimalCharacter:
     for g in ctx.schema.generators_up_to(max_degree):
         c = rng.randint(-5, 5)
         if c:
-            values[g] = Fraction(c)
+            values[g] = c
     return InfinitesimalCharacter(ctx, QQ, values)
 
 
 def _random_character(ctx, rng, max_degree) -> Character:
     values = {}
     for g in ctx.schema.generators_up_to(max_degree):
-        values[g] = Fraction(rng.randint(-5, 5))
+        values[g] = rng.randint(-5, 5)
     return Character(ctx, QQ, values)
 
 
@@ -193,9 +192,9 @@ def dual_convolution_suite(ctx: HopfAlgebra, max_degree: int, seed: int) -> Suit
             picks = [rng.choice(low_gens) for _ in range(n)]
             m = Monomial.from_powers((g, 1) for g in picks)
             brute = ConvolutionProduct(zs).value_on(m)
-            formula = Fraction(0)
+            formula = 0
             for sigma in permutations(range(n)):
-                prod = Fraction(1)
+                prod = 1
                 for j, g in enumerate(picks):
                     prod *= zs[sigma[j]].value_on(Monomial.of(g))
                 formula += prod
@@ -238,8 +237,8 @@ def dual_convolution_suite(ctx: HopfAlgebra, max_degree: int, seed: int) -> Suit
 
     def metric():
         for _ in range(3):
-            f = TableFunctional(ctx, QQ, {m: Fraction(rng.randint(-3, 3)) for m in basis})
-            g = TableFunctional(ctx, QQ, {m: Fraction(rng.randint(-3, 3)) for m in basis})
+            f = TableFunctional(ctx, QQ, {m: rng.randint(-3, 3) for m in basis})
+            g = TableFunctional(ctx, QQ, {m: rng.randint(-3, 3) for m in basis})
             if metric_distance(f, g, 8) != metric_distance(g, f, 8):
                 yield "symmetry"
             if metric_distance(f, f, 8)[0] != 0:
@@ -259,8 +258,8 @@ def birkhoff_suite(ctx: HopfAlgebra, max_degree: int, seed: int) -> SuiteReport:
 
     def rota_baxter():
         for i in range(100):
-            a = L.make({k: Fraction(rng.randint(-4, 4)) for k in range(-3, 3)}, None)
-            b = L.make({k: Fraction(rng.randint(-4, 4)) for k in range(-3, 3)}, None)
+            a = L.make({k: rng.randint(-4, 4) for k in range(-3, 3)}, None)
+            b = L.make({k: rng.randint(-4, 4) for k in range(-3, 3)}, None)
             lhs = L.add(
                 rota_baxter_T(L, L.mul(a, b)),
                 L.mul(rota_baxter_T(L, a), rota_baxter_T(L, b)),
@@ -277,7 +276,7 @@ def birkhoff_suite(ctx: HopfAlgebra, max_degree: int, seed: int) -> SuiteReport:
         for i in range(3):
             values = {}
             for g in ctx.schema.generators_up_to(degree):
-                coeffs = {k: Fraction(rng.randint(-3, 3)) for k in range(-1, 2)}
+                coeffs = {k: rng.randint(-3, 3) for k in range(-1, 2)}
                 values[g] = L.make(coeffs, None)
             try:
                 pair = birkhoff_decompose(ctx, Character(ctx, L, values), degree)
@@ -332,7 +331,7 @@ def birkhoff_suite(ctx: HopfAlgebra, max_degree: int, seed: int) -> SuiteReport:
     add("scattering-limit", scattering(), "finite-time limits equal the tower")
 
     def non_special():
-        bad = Character(ctx, L, {g: L.make({-2: Fraction(1)}, None)
+        bad = Character(ctx, L, {g: L.make({-2: 1}, None)
                                  for g in ctx.schema.generators_of_degree(1)})
         if ctx.schema.generators_of_degree(1) and rg_limit_check(ctx, bad, 1).special:
             yield "expected non-special loop was reported special"

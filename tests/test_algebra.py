@@ -104,6 +104,19 @@ def test_monomial_product_is_the_canonical_merge(name, degree, data):
         assert hash(got) == hash(want) and str(got) == str(want) and got.sort_key() == want.sort_key()
 
 
+def test_memoized_monomial_products_are_the_merge_and_commute():
+    from hopfalg import algebra
+
+    monomials = _basis("trees", 5)
+    for a in monomials:
+        for b in monomials:
+            got = a * b
+            assert got is Monomial.from_powers(a.powers + b.powers)
+            assert got is b * a and got is a * b
+            if not (a.is_unit or b.is_unit):
+                assert algebra._PRODUCTS[a, b] is got
+
+
 def test_symmetric_power():
     t1 = gen_elem(T1)
     assert t1 * t1 == elem((Monomial.of(T1, 2), 1))

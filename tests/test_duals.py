@@ -612,18 +612,20 @@ def test_vanishing_on_longer_products(ladder):
 
 
 def test_separation(ladder):
-    # For each basis monomial, the dual-basis infinitesimal characters of its
-    # factors give a convolution product that does not vanish on it.
-    for m in ladder.basis_up_to(4):
-        if m.is_unit:
-            continue
-        factors = []
-        for g, e in m.powers:
-            factors.extend([g] * e)
-        zs = [
-            InfinitesimalCharacter(ladder, QQ, {g: Fraction(1)}) for g in factors
-        ]
-        assert ConvolutionProduct(zs).value_on(m) != 0
+    # For each basis monomial (each forest, on trees), the dual-basis
+    # infinitesimal characters of its factors give a convolution product that
+    # does not vanish on it.
+    for ctx in (ladder, HopfAlgebra(rooted_tree_schema(5))):
+        for m in ctx.basis_up_to(4):
+            if m.is_unit:
+                continue
+            factors = []
+            for g, e in m.powers:
+                factors.extend([g] * e)
+            zs = [
+                InfinitesimalCharacter(ctx, QQ, {g: Fraction(1)}) for g in factors
+            ]
+            assert ConvolutionProduct(zs).value_on(m) != 0
 
 
 def test_s_star_antihomomorphism(ladder):

@@ -460,6 +460,39 @@ def test_integral_schemas_fill_their_memos_in_ints(schema, degree):
             assert all(type(c) is int for c in value.terms.values())
 
 
+@pytest.mark.parametrize("schema", [ladder_schema, lambda: rooted_tree_schema(4)], ids=["ladder", "trees-4"])
+def test_integral_inputs_stay_ints_on_every_exact_path(schema):
+    # A Fraction(...) wrapper on any of these paths turns the integer
+    # arithmetic under it back into Python-level Fraction calls.
+    from hopfalg.duals import compose_antipode, convolve_tables, grading_transpose, tabulate
+    from hopfalg.serialize import functional_from_json
+
+    def ints(values):
+        return all(type(c) is int for c in values)
+
+    ctx = HopfAlgebra(schema())
+    basis = ctx.basis_up_to(4)
+    for m in basis:
+        assert ints(ctx.apply_Y(ctx.antipode(ctx.monomial_element(m))).terms.values())
+    assert all(ints(memo.terms.values()) for memo in ctx._coproduct.values())
+    assert all(ints(memo.terms.values()) for memo in ctx._antipode_r.values())
+    gens = ctx.schema.generators_up_to(4)
+    tables = []
+    for kind, values in (("character", {g.name: str(3 - 2 * i) for i, g in enumerate(gens)}),
+                         ("infinitesimal", {g.name: str(i - 4) for i, g in enumerate(gens)})):
+        f = functional_from_json(ctx, {"kind": kind, "ring": "rational", "values": values})
+        assert ints(f.gen_values.values())
+        table = tabulate(f, basis)
+        # A character's value on the unit is ring.one(), the shared constant.
+        assert ints(v for m, v in table.items() if not m.is_unit)
+        tables.append(table)
+    chi, z = tables
+    for a, b in ((chi, chi), (chi, z), (z, chi)):
+        assert ints(convolve_tables(ctx, QQ, a, b, basis).values())
+    assert ints(compose_antipode(ctx, QQ, chi, basis).values())
+    assert ints(grading_transpose(QQ, z).values())
+
+
 def test_a_rational_schema_stays_exact_and_passes_verify(tmp_path):
     from hopfalg import cli
     from hopfalg.duals import Character, ConvolutionProduct, TableFunctional, compose_antipode, convolve_tables, tabulate

@@ -22,6 +22,13 @@ from hopfalg.rings import (
 L = LaurentRing(QQ, "eps")
 PT = PolynomialRing(QQ, "t")
 
+
+def canonical(c) -> bool:
+    """A kernel's rational in canonical form: an int when it is integral, a
+    Fraction only when its denominator is above 1."""
+    return type(c) is (int if c.denominator == 1 else Fraction)
+
+
 rationals = st.fractions(max_denominator=40)
 
 
@@ -125,8 +132,10 @@ def test_rational_convolve_matches_generic_kernel_and_schoolbook(xs, ys, data):
             if i + j < n:
                 expect[i + j] = expect.get(i + j, Fraction(0)) + x * y
     expect = {k: c for k, c in expect.items() if c}
-    for got in (QQ.convolve([(1, xs, ys)], n), Ring.convolve(QQ, [(1, xs, ys)], n)):
-        assert all(type(c) is Fraction and k < n for k, c in got.items())
+    fast = QQ.convolve([(1, xs, ys)], n)
+    assert all(canonical(c) for c in fast.values())
+    for got in (fast, Ring.convolve(QQ, [(1, xs, ys)], n)):
+        assert all(k < n for k in got)
         assert {k: c for k, c in got.items() if c} == expect
 
 
@@ -143,15 +152,17 @@ def test_rational_kernel_sums_triples_like_the_generic_kernel_and_schoolbook(ter
                 if i + j < n:
                     expect[i + j] = expect.get(i + j, Fraction(0)) + c * x * y
     expect = {k: c for k, c in expect.items() if c}
-    for got in (QQ.convolve(terms, n), Ring.convolve(QQ, terms, n)):
-        assert all(type(c) is Fraction and k < n for k, c in got.items())
+    fast = QQ.convolve(terms, n)
+    assert all(canonical(c) for c in fast.values())
+    for got in (fast, Ring.convolve(QQ, terms, n)):
+        assert all(k < n for k in got)
         assert {k: c for k, c in got.items() if c} == expect
 
 
 @given(st.lists(st.tuples(kernel_entries, kernel_entries, kernel_entries), max_size=4))
 def test_rational_dot_is_the_exponent_zero_kernel(terms):
     got = QQ.dot(terms)
-    assert type(got) is Fraction
+    assert canonical(got)
     assert got == sum((c * x * y for c, x, y in terms), Fraction(0)) == Ring.dot(QQ, terms)
 
 
@@ -268,7 +279,7 @@ def test_polynomial_kernel_matches_the_generic_kernel_and_a_2d_schoolbook(terms,
     expect = {key: c for key, c in expect.items() if c}
     got = PT.convolve(terms, n)
     assert got == Ring.convolve(PT, terms, n)  # same reached exponents, zeros included
-    assert all(k < n and (not p or p[-1]) and all(type(v) is Fraction for v in p) for k, p in got.items())
+    assert all(k < n and (not p or p[-1]) and all(canonical(v) for v in p) for k, p in got.items())
     assert {(k, j): v for k, p in got.items() for j, v in enumerate(p) if v} == expect
 
 
@@ -504,6 +515,17 @@ def test_exact_operations_never_return_a_float():
                         L.invert_unit(L.make({-2: a, 0: Fraction(1, 3), 1: 2}, trunc), to_order=3)]
         results += [ExpSum({2: a}).integrate_to_infinity(), ExpSum({1: 1, 3: a}).integrate_to_infinity(),
                     ExpSum({2: a, 3: 1}).integrate_to_variable()]
+    # Int-valued operands through the Laurent-over-Q and Q[t] kernels.
+    ints = [a for a in inputs if type(a) is int]
+    for a in ints:
+        for b in ints:
+            x, y = L.make({-1: a, 0: b}, None), L.make({0: b, 2: a}, 3)
+            results += [L.mul(x, y), L.dot([(a, x, y), (b, y, y)]), L.scale(a, y), L.invert_unit(y),
+                        PT.mul((a, b), (b, 0, a)), PT.dot([(a, (b,), (a, b)), (b, (a, a), (b,))]),
+                        PT.convolve([(a, [(0, (a, b))], [(1, (b,)), (2, (a,))])], 3),
+                        LT.mul(LT.make({-1: (a, b)}, None), LT.make({0: (b,), 1: (0, a)}, 2))]
+    results += [parse_rational(text) for text in ("3", "-4/2", " 7 ", "1/2", "-6/4")]
+    results += [QQ.invert(a) for a in ints]
     assert not [r for r in results if _floats_in(r)]
     assert QQ.invert(3) == Fraction(1, 3) and type(QQ.invert(3)) is Fraction
     assert ExpSum({2: 1}).integrate_to_infinity() == Fraction(1, 2)
@@ -512,6 +534,33 @@ def test_exact_operations_never_return_a_float():
     inv = L.invert_unit(a)
     assert inv == L.make({0: Fraction(1, 2), 1: Fraction(-1, 4), 2: Fraction(1, 8), 3: Fraction(-1, 16)}, 3)
     assert L.eq(L.mul(a, inv), L.one())
+
+
+def test_kernel_results_are_canonical():
+    # Integral inputs (common denominator 1), fractions summing to integers
+    # (a denominator that divides the sum) and a proper fraction.
+    half = Fraction(1, 2)
+    cases = {
+        "ints": ([(2, 3, -4)], -24),
+        "divides": ([(1, half, 1), (half, 1, 1)], 1),
+        "divides-to-zero": ([(1, half, 1), (-1, half, 1)], 0),
+        "fraction": ([(3, half, 1)], Fraction(3, 2)),
+    }
+    for name, (terms, want) in cases.items():
+        rational = QQ.convolve([(c, [(0, x)], [(0, y)]) for c, x, y in terms], 1)
+        series = L.dot([(c, L.make({0: x}, None), L.make({0: y}, None)) for c, x, y in terms])
+        poly = PT.dot([(c, (x,), (y,)) for c, x, y in terms])
+        # The Q[t] row kernel, directly and under a Laurent series over Q[t].
+        rows = PT.convolve([(c, [(0, (0, x))], [(0, (y,))]) for c, x, y in terms], 1)
+        poly_series = LT.dot([(c, LT.make({0: (0, x)}, None), LT.make({0: (y,)}, None)) for c, x, y in terms])
+        values = [QQ.dot(terms), *rational.values(), *(v for _, v in series.coeffs), *poly, *rows[0],
+                  *(v for _, p in poly_series.coeffs for v in p)]
+        assert all(canonical(v) for v in values), (name, [type(v) for v in values])
+        assert QQ.dot(terms) == rational[0] == want, name
+        assert series == L.from_rational(want) and poly == PT.constant(want), name
+        assert rows[0] == PT.monomial(1, want) and poly_series == LT.monomial(0, PT.monomial(1, want)), name
+    assert parse_rational("6/3") == 2 and type(parse_rational("6/3")) is int
+    assert type(parse_rational("-5")) is int and type(parse_rational("5/3")) is Fraction
 
 
 mixed_entries = st.one_of(st.just(0), st.just(Fraction(0)), st.just(1), st.integers(min_value=-10**6, max_value=10**6),
@@ -524,8 +573,9 @@ def test_rational_dot_sums_mixed_int_and_fraction_triples_exactly(terms):
     want = Fraction(0)
     for c, x, y in terms:
         want += Fraction(c) * Fraction(x) * Fraction(y)
+    assert canonical(QQ.dot(terms))
     for got in (QQ.dot(terms), Ring.dot(QQ, terms)):
-        assert type(got) is Fraction and got == want
+        assert got == want
 
 
 def window_eq(ring, a, b):
