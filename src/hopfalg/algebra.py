@@ -18,7 +18,9 @@ from .rings import Frozen, Ring
 # powers tuple, kept for the life of the process.  Equality is identity and
 # the hash is object.__hash__; inserting with dict.setdefault means threads
 # racing on one value still end up sharing one object.  _PRODUCTS memoizes
-# Monomial.__mul__ by the pair of interned factors, which live as long.
+# Monomial.__mul__ by the pair of interned factors, which live as long; the
+# right antipode fill keeps its products in its context instead and forms
+# them with Monomial.merge, which bypasses this memo.
 _GENERATORS: dict = {}
 _MONOMIALS: dict = {}
 _PRODUCTS: dict = {}
@@ -122,16 +124,20 @@ class Monomial(Frozen):
         return sum(e for _, e in self.powers)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        """Merge the two sorted power tuples, adding exponents of shared
-        generators; each pair of non-unit factors is merged once."""
-        a, b = self.powers, other.powers
-        if not a:
+        """The product; each pair of non-unit factors is merged once."""
+        if not self.powers:
             return other
-        if not b:
+        if not other.powers:
             return self
         m = _PRODUCTS.get((self, other))
-        if m is not None:
-            return m
+        if m is None:
+            m = _PRODUCTS.setdefault((self, other), self.merge(other))
+        return m
+
+    def merge(self, other: "Monomial") -> "Monomial":
+        """The product without the process-lifetime memo: merge the two
+        sorted power tuples, adding exponents of shared generators."""
+        a, b = self.powers, other.powers
         out = []
         i = j = 0
         while i < len(a) and j < len(b):
@@ -147,7 +153,7 @@ class Monomial(Frozen):
             else:
                 out.append(b[j])
                 j += 1
-        return _PRODUCTS.setdefault((self, other), Monomial(tuple(out) + a[i:] + b[j:]))
+        return Monomial(tuple(out) + a[i:] + b[j:])
 
     def sort_key(self):
         return (self.y_degree, self.powers)

@@ -24,7 +24,8 @@ EXIT_INPUT = 2
 
 # The most terms the coproduct memo may fill for the element of ``coproduct``
 # or ``antipode``, priced by ``HopfAlgebra.coproduct_term_bound`` before any
-# coproduct is expanded.
+# coproduct is expanded, and the most the antipode memo may fill for the
+# element of ``antipode``, priced by ``HopfAlgebra.antipode_term_bound``.
 MAX_COPRODUCT_TERMS = 100_000
 
 # The highest ``rg-check --eps-order``, checked before the file is read.  The
@@ -77,11 +78,14 @@ def read_expression(ctx, args):
         from .serialize import element_from_json, read_json
 
         h = element_from_json(ctx, read_json(args.file, "element"))
-    bound = ctx.coproduct_term_bound(h)
-    if bound > MAX_COPRODUCT_TERMS:
-        raise DomainError(f"the coproducts of this element may fill {bound} terms, "
-                          f"above the limit MAX_COPRODUCT_TERMS = {MAX_COPRODUCT_TERMS}")
+    check_price(ctx.coproduct_term_bound(h), "coproducts")
     return h
+
+
+def check_price(bound: int, what: str) -> None:
+    if bound > MAX_COPRODUCT_TERMS:
+        raise DomainError(f"the {what} of this element may fill {bound} terms, "
+                          f"above the limit MAX_COPRODUCT_TERMS = {MAX_COPRODUCT_TERMS}")
 
 
 def read_functionals(args) -> list:
@@ -119,7 +123,9 @@ def cmd_antipode(args):
     from .serialize import element_to_json
 
     ctx = build_context(args)
-    result = ctx.antipode(read_expression(ctx, args))
+    h = read_expression(ctx, args)
+    check_price(ctx.antipode_term_bound(h), "antipode")
+    result = ctx.antipode(h)
     return element_to_json(result), str(result)
 
 

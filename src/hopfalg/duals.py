@@ -49,11 +49,11 @@ class Functional:
 
     def tabulate(self, monomials) -> Dict[Monomial, object]:
         """The values on the given monomials as a table, exact zeros left out."""
-        zero = self.ring.zero()
+        exact_zero = self.ring.is_exact_zero
         table = {}
         for m in monomials:
             v = self.value_on(m)
-            if v != zero:
+            if not exact_zero(v):
                 table[m] = v
         return table
 
@@ -138,7 +138,7 @@ class Character(Functional):
         ``value_on``'s: the truncation of a product of series does not depend
         on the order of its factors."""
         ring = self.ring
-        zero = ring.zero()
+        zero, exact_zero = ring.zero(), ring.is_exact_zero
         values = {Monomial.unit(): ring.one()}
 
         def value(m):
@@ -154,7 +154,7 @@ class Character(Functional):
                         v = x
                     else:
                         y = value(cofactor)
-                        v = zero if y == zero else ring.mul(y, x)
+                        v = zero if exact_zero(y) else ring.mul(y, x)
                 values[m] = v
             return v
 
@@ -162,7 +162,7 @@ class Character(Functional):
         for m in monomials:
             self._check_cutoff(m)
             v = value(m)
-            if v != zero:
+            if not exact_zero(v):
                 table[m] = v
         return table
 
@@ -256,10 +256,9 @@ def convolve(*factors: Functional) -> ConvolutionProduct:
 
 # -- the table kernel ------------------------------------------------------------
 #
-# A table maps basis monomials to ring values.  Values are canonical, so an
-# exact zero equals ``ring.zero()`` and is left out; a truncated Laurent zero
-# is not equal to it and stays, because it still narrows the sound window of
-# every sum it enters.
+# A table maps basis monomials to ring values.  An exact zero
+# (``ring.is_exact_zero``) is left out; a truncated Laurent zero is not exact
+# and stays, because it still narrows the sound window of every sum it enters.
 
 
 def tabulate(f: Functional, monomials) -> Dict[Monomial, object]:
@@ -274,12 +273,12 @@ def convolve_tables(ctx: HopfAlgebra, ring: Ring, a: dict, b: dict, monomials) -
     tables must hold every leg of their coproducts, a missing entry being an
     exact zero.  A coproduct term is skipped only when an operand is missing.
     """
-    zero = ring.zero()
+    exact_zero = ring.is_exact_zero
     out = {}
     for m in monomials:
         total = ring.dot([(c, x, y) for (m1, m2), c in ctx.coproduct_monomial(m).terms.items()
                           if (x := a.get(m1)) is not None and (y := b.get(m2)) is not None])
-        if total != zero:
+        if not exact_zero(total):
             out[m] = total
     return out
 
@@ -424,23 +423,23 @@ def log_star(chi: Character, max_degree: int) -> InfinitesimalCharacter:
 def compose_antipode(ctx: HopfAlgebra, ring: Ring, table: dict, monomials) -> Dict[Monomial, object]:
     """f o S on each of ``monomials``: the sum over S(m) of c table[m'], one
     ``ring.dot`` call each with the triples (c, table[m'], 1)."""
-    zero, one = ring.zero(), ring.one()
+    exact_zero, one = ring.is_exact_zero, ring.one()
     out = {}
     for m in monomials:
         total = ring.dot([(c, v, one) for m1, c in ctx.antipode_monomial(m).terms.items()
                           if (v := table.get(m1)) is not None])
-        if total != zero:
+        if not exact_zero(total):
             out[m] = total
     return out
 
 
 def scale_by_degree(ring: Ring, table: dict, factors: Sequence) -> Dict[Monomial, object]:
     """m -> factors[deg m] * table[m]: theta_* with exp(n z), Y_* with n, Y_*^-1 with 1/n."""
-    zero = ring.zero()
+    exact_zero = ring.is_exact_zero
     out = {}
     for m, v in table.items():
         w = ring.mul(factors[m.y_degree], v)
-        if w != zero:
+        if not exact_zero(w):
             out[m] = w
     return out
 

@@ -167,6 +167,7 @@ class HopfAlgebra:
         self._coproduct: Dict[Monomial, TensorElement] = {}
         self._antipode_r: Dict[Monomial, Element] = {}
         self._antipode_l: Dict[Monomial, Element] = {}
+        self._fill_products: Dict[Monomial, Dict[Monomial, Monomial]] = {}
         self._iterated: Dict[Tuple[Monomial, int], TensorElement] = {}
         self._plus_iterated: Dict[Tuple[Monomial, int], TensorElement] = {}
         self._basis: Dict[int, Tuple[Monomial, ...]] = {}
@@ -322,6 +323,57 @@ class HopfAlgebra:
         fill = sum(r * (comb(e + k, e) - 1) for e, k, r in tops.values())
         return fill + 1 if h.terms else 0  # every chain ends at D(1) = 1 (x) 1
 
+    def antipode_term_bound(self, h: Element) -> int:
+        """An upper bound on the terms the right antipode memo fills for S(h),
+        from the generator counts G(n) per degree, before anything is expanded.
+
+        The right legs of D(g) are 1, g and generators of lower degree, so each
+        monomial whose S the fill builds for a term prod g^e of h is a product,
+        over its factors g^e, of at most e generators of degree <= deg g.  S is
+        a graded algebra map, so S(prod k^f) has at most prod C(b(deg k) + f - 1, f)
+        terms, b(n) being the basis count of degree n (the Euler transform of
+        G).  Summed over those products, these weights are the coefficients of
+        prod over g^e of [y^0 .. y^e] prod_(n <= deg g) (1 - y q^n)^(-G(n) b(n));
+        degree k holds at most b(k) monomials of at most b(k) terms each.
+        """
+        if not h.terms:
+            return 0
+        top = max(m.y_degree for m in h.terms)
+        gen_top = max((g.degree for m in h.terms for g in m.generators()), default=0)
+        gens = [0] + [len(self.schema.generators_of_degree(n)) for n in range(1, gen_top + 1)]
+        # Monomials per degree in the generators of degree <= gen_top, which
+        # are all the generators any of these S values involve.
+        basis = [1] + [0] * top
+        for n in range(1, gen_top + 1):
+            for _ in range(gens[n]):
+                for k in range(n, top + 1):
+                    basis[k] += basis[k - n]
+        total = [0] * (top + 1)
+        for m in h.terms:
+            d = m.y_degree
+            poly = [1] + [0] * d
+            for g, e in m.powers:
+                weights = {(0, 0): 1}  # (generators, degree) -> summed weight
+                for n in range(1, g.degree + 1):
+                    s = gens[n] * basis[n]
+                    if not s:
+                        continue
+                    grown = dict(weights)
+                    for (j, k), w in weights.items():
+                        f = 1
+                        while j + f <= e and k + n * f <= d:
+                            key = (j + f, k + n * f)
+                            grown[key] = grown.get(key, 0) + w * comb(s + f - 1, f)
+                            f += 1
+                    weights = grown
+                factor = [0] * (d + 1)
+                for (_, k), w in weights.items():
+                    factor[k] += w
+                poly = [sum(poly[i] * factor[k - i] for i in range(k + 1)) for k in range(d + 1)]
+            for k in range(d + 1):
+                total[k] += poly[k]
+        return sum(min(t, b * b) for t, b in zip(total, basis))
+
     def counit(self, h: Element):
         return h.coefficient(Monomial.unit())
 
@@ -400,8 +452,12 @@ class HopfAlgebra:
             return cached
         # S(h) = -h - sum h' * S(h'') over the reduced coproduct.  The right
         # legs have strictly smaller degree, so filling the missing ones first,
-        # from a stack rather than the call stack, ends at any degree.
+        # from a stack rather than the call stack, ends at any degree.  The
+        # products h' * m2 go through this context's own memo, keyed by h':
+        # on trees they repeat across the monomials filled, on the ladder they
+        # do not, and they leave the process-lifetime one untouched.
         stack = [m]
+        products = self._fill_products
         while stack:
             top = stack[-1]
             if top in memo:
@@ -416,8 +472,13 @@ class HopfAlgebra:
                     continue
                 acc = {top: -1}
                 for (left, right), c in terms.items():
+                    by_left = products.get(left)
+                    if by_left is None:
+                        by_left = products[left] = {}
                     for m2, c2 in memo[right].terms.items():
-                        key = left * m2
+                        key = by_left.get(m2)
+                        if key is None:
+                            key = by_left[m2] = left.merge(m2)
                         acc[key] = acc.get(key, 0) - c * c2
                 memo[top] = Element(self.ring, {k: v for k, v in acc.items() if v})
         return memo[m]
@@ -448,16 +509,18 @@ class HopfAlgebra:
 
     # -- grading operators ---------------------------------------------------
 
+    # Y and theta_z scale each monomial of h on its own, so the result keeps
+    # the keys of h and needs no accumulator.
+
     def apply_Y(self, h: Element) -> Element:
-        return Element.from_terms(
-            self.ring,
-            [(m, self.ring.scale(m.y_degree, c)) for m, c in h.terms.items()],
-        )
+        ring = self.ring
+        return Element(ring, {m: v for m, c in h.terms.items() if not ring.is_zero(v := ring.scale(m.y_degree, c))})
 
     def apply_theta(self, h: Element, factors, ring: LaurentRing) -> Element:
         """Scale each homogeneous component of degree n by ``factors[n]``,
         the list exp(n z) from ``theta_factors``."""
-        return Element.from_terms(ring, ((m, ring.scale(c, factors[m.y_degree])) for m, c in h.terms.items()))
+        return Element(ring, {m: v for m, c in h.terms.items()
+                              if not ring.is_zero(v := ring.scale(c, factors[m.y_degree]))})
 
     # -- misc -----------------------------------------------------------------
 

@@ -11,8 +11,10 @@ integral and a Fraction only when its denominator is above 1.  Over Q,
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Optional
 
 from .errors import (
@@ -86,6 +88,12 @@ class Ring:
 
     def is_zero(self, a) -> bool:
         return self.eq(a, self.zero())
+
+    def is_exact_zero(self, a) -> bool:
+        """Whether a is the exact zero ``zero()``, which tables leave out.  A
+        truncated Laurent zero is not: it still narrows the sound window of
+        every sum it enters."""
+        return a == self.zero()
 
     def from_rational(self, q: Fraction):
         raise NotImplementedError
@@ -184,6 +192,8 @@ class RationalField(Ring):
     def is_zero(self, a):
         return not a
 
+    is_exact_zero = is_zero
+
     def from_rational(self, q):
         return q if q.__class__ is int or q.__class__ is Fraction else Fraction(q)
 
@@ -205,8 +215,14 @@ class RationalField(Ring):
     def convolve_operands(self, terms, n):
         """The integer loop: all triples over the lcm of their denominators,
         one canonical value (int, or Fraction off the integers) per output exponent."""
-        d = lcm(*(c.denominator * dx * dy for c, (dx, _), (dy, _) in terms))
+        for c, (dx, _), (dy, _) in terms:
+            if c.__class__ is not int or dx != 1 or dy != 1:
+                d = lcm(*(c.denominator * dx * dy for c, (dx, _), (dy, _) in terms))
+                break
+        else:
+            d = 1  # every scalar and operand integral: no lcm to take
         out = {}
+        get = out.get
         for c, (dx, xs), (dy, ys) in terms:
             f = c.numerator * (d // (c.denominator * dx * dy))
             for i, x in xs:
@@ -216,7 +232,7 @@ class RationalField(Ring):
                         k = i + j
                         if k >= n:
                             break
-                        out[k] = out.get(k, 0) + x * y
+                        out[k] = get(k, 0) + x * y
         if d == 1:
             return out
         return {k: _over(v, d) for k, v in out.items()}
@@ -225,6 +241,8 @@ class RationalField(Ring):
         """Ring.dot in integers: each c x y over the lcm of the triples'
         denominators, summed as a plain int, and the sum in canonical form.
         c, x and y may each be an int or a Fraction."""
+        if all(c.__class__ is int and x.__class__ is int and y.__class__ is int for c, x, y in terms):
+            return sum(c * x * y for c, x, y in terms)
         dens = [c.denominator * x.denominator * y.denominator for c, x, y in terms]
         d = lcm(*dens)
         total = 0
@@ -374,6 +392,8 @@ class PolynomialRing(Ring):
     def is_zero(self, a):
         return not a
 
+    is_exact_zero = is_zero
+
     def from_rational(self, q):
         return self.constant(self.base.from_rational(q))
 
@@ -419,9 +439,9 @@ class LaurentSeries(Frozen):
     __slots__ = ("coeffs", "trunc", "_operand")
 
     def __init__(self, coeffs: tuple, trunc: Optional[int]):
-        object.__setattr__(self, "coeffs", coeffs)  # sorted tuple of (exponent, value)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "_operand", None)
+        _set_coeffs(self, coeffs)  # sorted tuple of (exponent, value)
+        _set_trunc(self, trunc)
+        _set_operand(self, None)
 
     def __eq__(self, other):
         if other.__class__ is not LaurentSeries:
@@ -445,11 +465,27 @@ class LaurentSeries(Frozen):
         memo = self._operand
         if memo is None or memo[0] is not base:
             memo = (base, base.operand(self.coeffs))
-            object.__setattr__(self, "_operand", memo)
+            _set_operand(self, memo)
         return memo[1]
 
     def as_dict(self) -> dict:
         return dict(self.coeffs)
+
+
+# Every ring operation builds series: setting their slots through the slot
+# descriptors skips the attribute lookup of object.__setattr__.
+_set_coeffs = LaurentSeries.coeffs.__set__
+_set_trunc = LaurentSeries.trunc.__set__
+_set_operand = LaurentSeries._operand.__set__
+
+
+_exponent = itemgetter(0)
+_value = itemgetter(1)  # over Q, an (exponent, value) pair is kept exactly when this is truthy
+
+
+def _canonical(q):
+    """A rational as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def _min_trunc(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -474,17 +510,21 @@ class LaurentRing(Ring):
             self.tag = "laurent"
         else:
             self.tag = f"laurent[{var}]:{base.tag}"
+        # Over Q a value is an int or a Fraction: zero is exactly the falsy
+        # value and + and * are the field's operations, so the hot paths skip
+        # the base-ring method calls.
+        self.rational = isinstance(base, RationalField)
+        self._one = LaurentSeries(((0, base.one()),), None)  # one(), shared: series are immutable
 
     # -- construction ------------------------------------------------------
 
     def make(self, coeffs: dict, trunc: Optional[int]) -> LaurentSeries:
         """Canonicalize: drop zero values and anything beyond the truncation."""
-        items = []
-        for k, v in coeffs.items():
-            if trunc is not None and k > trunc:
-                continue
-            if not self.base.is_zero(v):
-                items.append((k, v))
+        if self.rational:
+            items = [(k, v) for k, v in coeffs.items() if v and (trunc is None or k <= trunc)]
+        else:
+            is_zero = self.base.is_zero
+            items = [(k, v) for k, v in coeffs.items() if not is_zero(v) and (trunc is None or k <= trunc)]
         items.sort()
         return LaurentSeries(tuple(items), trunc)
 
@@ -497,7 +537,7 @@ class LaurentRing(Ring):
         return LaurentSeries((), None)
 
     def one(self):
-        return self.monomial(0)
+        return self._one
 
     def from_rational(self, q):
         if q == 0:
@@ -528,38 +568,56 @@ class LaurentRing(Ring):
 
     def add(self, a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
         out = dict(a.coeffs)
-        for k, v in b.coeffs:
-            cur = out.get(k)
-            out[k] = v if cur is None else self.base.add(cur, v)
+        if self.rational:
+            for k, v in b.coeffs:
+                out[k] = out.get(k, 0) + v
+        else:
+            add = self.base.add
+            for k, v in b.coeffs:
+                cur = out.get(k)
+                out[k] = v if cur is None else add(cur, v)
         return self.make(out, _min_trunc(a.trunc, b.trunc))
 
     def neg(self, a: LaurentSeries) -> LaurentSeries:
         return LaurentSeries(tuple((k, self.base.neg(v)) for k, v in a.coeffs), a.trunc)
 
-    def _pollution_floor(self, a: LaurentSeries, b: LaurentSeries) -> Optional[int]:
-        # Smallest exponent of a*b that an unknown coefficient of a could touch.
-        if a.trunc is None:
-            return None
-        b_floor = b.min_exp()
-        if b.trunc is not None:
-            b_floor = b.trunc + 1 if b_floor is None else min(b_floor, b.trunc + 1)
-        if b_floor is None:
-            return None  # b is exactly zero
-        return a.trunc + 1 + b_floor
-
     def dot(self, terms) -> LaurentSeries:
         """Sum of c a b over (c, a, b) triples, in one base-ring convolve, on
         the narrowest sound window of any one product (empty and zero operands
         included): exactly as sound as adding the products one at a time."""
-        floors = [f for _, a, b in terms for f in (self._pollution_floor(a, b), self._pollution_floor(b, a))
-                  if f is not None]
-        trunc = min(floors) - 1 if floors else None
-        tops = [a.coeffs[-1][0] + b.coeffs[-1][0] for _, a, b in terms if a.coeffs and b.coeffs]
-        n = (max(tops, default=0) if trunc is None else trunc) + 1
+        if self.rational and len(terms) == 1 and terms[0][2] is self._one:
+            # c a one() is c a: no kernel pass, and with c = 1 each
+            # coefficient keeps its object.
+            c, a, _ = terms[0]
+            if not c:
+                return LaurentSeries((), a.trunc)
+            return LaurentSeries(tuple((k, _canonical(v if c == 1 else c * v)) for k, v in a.coeffs), a.trunc)
         base = self.base
-        out = base.convolve_operands([(c, a.operand(base), b.operand(base)) for c, a, b in terms], n)
+        trunc = top = None
+        operands = []
+        for c, a, b in terms:
+            ac, at, bc, bt = a.coeffs, a.trunc, b.coeffs, b.trunc
+            if at is not None or bt is not None:
+                # An unknown coefficient of a (above at) reaches exponent
+                # at + 1 + the lowest exponent where b may be nonzero: its
+                # first stored one, or bt + 1 when b is a truncated zero.
+                low_a = ac[0][0] if ac else (None if at is None else at + 1)
+                low_b = bc[0][0] if bc else (None if bt is None else bt + 1)
+                if at is not None and low_b is not None and (trunc is None or at + low_b < trunc):
+                    trunc = at + low_b
+                if bt is not None and low_a is not None and (trunc is None or bt + low_a < trunc):
+                    trunc = bt + low_a
+            if ac and bc:
+                if top is None or ac[-1][0] + bc[-1][0] > top:
+                    top = ac[-1][0] + bc[-1][0]
+                operands.append((c, a.operand(base), b.operand(base)))
+        if not operands:
+            return LaurentSeries((), trunc)
+        out = base.convolve_operands(operands, (top if trunc is None else trunc) + 1)
+        if self.rational:
+            return LaurentSeries(tuple(filter(_value, sorted(out.items()))), trunc)
         is_zero = base.is_zero
-        return LaurentSeries(tuple((k, v) for k, v in sorted(out.items()) if not is_zero(v)), trunc)
+        return LaurentSeries(tuple(sorted((k, v) for k, v in out.items() if not is_zero(v))), trunc)
 
     def mul(self, a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
         return self.dot([(1, a, b)])
@@ -583,6 +641,9 @@ class LaurentRing(Ring):
 
     def is_zero(self, a: LaurentSeries) -> bool:
         return not a.coeffs
+
+    def is_exact_zero(self, a: LaurentSeries) -> bool:
+        return not a.coeffs and a.trunc is None
 
     def invert_unit(self, a: LaurentSeries, to_order: Optional[int] = None) -> LaurentSeries:
         """Invert a series whose lowest-order coefficient is a unit.
@@ -645,8 +706,8 @@ class LaurentRing(Ring):
         if a.trunc is None:
             raise TruncationError("exp of an exact series needs a finite truncation order")
         order = a.trunc
-        acc = self.make({0: self.base.one()}, order)
-        term = self.make({0: self.base.one()}, order)
+        # 1 and each term a^k / k! in the kernel's canonical form.
+        acc = term = self.make({0: self.base.from_rational(1)}, order)
         k = 0
         while True:
             k += 1
@@ -654,8 +715,7 @@ class LaurentRing(Ring):
                 break
             if not a.coeffs:
                 break
-            term = self.mul(term, a)
-            term = self.scale(Fraction(1, k), term)
+            term = self.dot([(Fraction(1, k), term, a)])
             if self.is_zero(term):
                 break
             acc = self.add(acc, term)
@@ -666,9 +726,10 @@ class LaurentRing(Ring):
             return LaurentSeries((), a.trunc)
         if q == 1:
             return a
-        return LaurentSeries(
-            tuple((k, self.base.scale(q, v)) for k, v in a.coeffs), a.trunc
-        )
+        if self.rational:
+            return LaurentSeries(tuple((k, q * v) for k, v in a.coeffs), a.trunc)
+        scale = self.base.scale
+        return LaurentSeries(tuple((k, scale(q, v)) for k, v in a.coeffs), a.trunc)
 
     # -- the minimal-subtraction split --------------------------------------
 
@@ -680,11 +741,11 @@ class LaurentRing(Ring):
                 f"order {a.trunc}",
                 required_order=-1,
             )
-        return LaurentSeries(tuple((k, v) for k, v in a.coeffs if k < 0), None)
+        return LaurentSeries(a.coeffs[:bisect_left(a.coeffs, 0, key=_exponent)], None)
 
     def regular_part(self, a: LaurentSeries) -> LaurentSeries:
         """Exponents >= 0, keeping the input's truncation bound."""
-        return LaurentSeries(tuple((k, v) for k, v in a.coeffs if k >= 0), a.trunc)
+        return LaurentSeries(a.coeffs[bisect_left(a.coeffs, 0, key=_exponent):], a.trunc)
 
     # -- encoding ------------------------------------------------------------
 

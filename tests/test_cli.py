@@ -268,12 +268,16 @@ def test_verify_corrupted_schema_fails(tmp_path):
          "terms, above the limit MAX_COPRODUCT_TERMS = 100000"),
         (["antipode", "--schema", "ladder", "--expr", "*".join(["t1^64"] * 16)],
          "525825 terms, above the limit MAX_COPRODUCT_TERMS = 100000"),
+        # S(t45) would fill p(1) + ... + p(45) terms; priced before any of them.
+        (["antipode", "--schema", "ladder", "--expr", "t45"],
+         "the antipode of this element may fill 540635 terms, above the limit MAX_COPRODUCT_TERMS = 100000"),
         # Rejected before the (here missing) file is read.
         (["rg-check", "no-such-loop.json", "--schema", "ladder", "--eps-order", "101"],
          "--eps-order 101 is above the limit MAX_EPS_ORDER = 100"),
     ],
     ids=["trees-18", "trees-huge", "schema-trees-40", "power-of-a-sum", "coproduct-of-a-power",
          "coproduct-just-past-the-limit", "antipode-of-sixteen-generators", "antipode-of-sixteen-factors-of-t1",
+         "antipode-of-t45",
          "eps-order-past-the-limit"],
 )
 def test_explosive_requests_are_priced_before_any_work(argv, limit, capsys):

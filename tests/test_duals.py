@@ -184,6 +184,28 @@ def test_truncated_zero_narrows_the_window(ladder):
     assert convolve(f, g).value_on(m).trunc == -3
 
 
+def test_truncated_zeros_stay_in_every_table(ladder):
+    # A truncated zero is not the exact zero: tabulate, the binary kernel and
+    # f o S keep it, on generators and on products, with its truncation.
+    L = LaurentRing(QQ, "eps")
+    zero = L.make({}, 2)
+    square = L.mul(zero, zero)
+    assert square == L.make({}, 5)
+    f = Character(ladder, L, {gen(ladder, 1): zero, gen(ladder, 2): L.one()})
+    basis = ladder.basis_up_to(2)
+    table = tabulate(f, basis)
+    assert table[t(ladder, 1)] == zero and table[t(ladder, 1, 2)] == square
+    unit = tabulate(counit_functional(ladder, L), basis)
+    kernel = convolve_tables(ladder, L, table, unit, basis)
+    assert kernel[t(ladder, 1)] == zero and kernel[t(ladder, 1, 2)] == square
+    inverse = duals.compose_antipode(ladder, L, table, basis)
+    assert inverse[t(ladder, 1)] == zero and inverse[t(ladder, 1, 2)] == square
+    # Exact zeros are still left out.
+    exact = Character(ladder, L, {gen(ladder, 1): L.one()})
+    assert t(ladder, 2) not in tabulate(exact, basis)
+    assert t(ladder, 2) not in convolve_tables(ladder, L, tabulate(exact, basis), unit, basis)
+
+
 def test_exp_star_against_flat_power_series(ladder, trees):
     rng = random.Random(3)
     for ctx, degree in ((ladder, 5), (trees, 4)):

@@ -11,6 +11,7 @@ from math import comb
 
 import pytest
 
+from hopfalg import algebra
 from hopfalg.algebra import Element, Monomial, TensorElement
 from hopfalg.axioms import verify_axioms
 from hopfalg.errors import DomainError, SchemaError
@@ -415,6 +416,52 @@ def test_fills_are_iterative_and_match_the_left_recursion():
     assert s.terms == {power: 1}
     for (ctx, m), value in zip(tops, right):
         assert value == ctx.antipode_left_monomial(m)
+
+
+def test_the_antipode_fill_adds_no_product_memo_entries():
+    # The right antipode fill keeps its products in its own context, not in the
+    # process-lifetime memo of Monomial.__mul__.
+    ctx = HopfAlgebra(ladder_schema(), validate_to=2)
+    before = len(algebra._PRODUCTS)
+    s = ctx.antipode_monomial(t(ctx, 14))
+    assert len(algebra._PRODUCTS) == before
+    assert len(s.terms) == 135 and s == ctx.antipode_left_monomial(t(ctx, 14))
+
+
+def partitions(n):
+    """p(0), ..., p(n)."""
+    p = [1] + [0] * n
+    for part in range(1, n + 1):
+        for k in range(part, n + 1):
+            p[k] += p[k - part]
+    return p
+
+
+def test_the_antipode_price_bounds_the_memo_fill():
+    # Each element in a fresh context: the bound is at least the terms the
+    # right antipode memo holds once S of it is filled.
+    ladder = ladder_schema()
+    gens = [Monomial.of(ladder.generator(n)) for n in range(1, 21)]
+    g = ladder.generator
+    products = [Monomial.of(g(1), 9), Monomial.from_powers([(g(1), 1), (g(3), 2)]),
+                Monomial.from_powers([(g(2), 2), (g(5), 1), (g(7), 1)])]
+    trees = rooted_tree_schema(6)
+    forests = HopfAlgebra(trees).basis_up_to(6)
+    cases = [(ladder, m) for m in gens + products] + [(trees, m) for m in forests]
+    for schema, m in cases:
+        ctx = HopfAlgebra(schema, validate_to=0)
+        h = ctx.monomial_element(m)
+        bound = ctx.antipode_term_bound(h)
+        ctx.antipode(h)
+        assert sum(len(s.terms) for s in ctx._antipode_r.values()) <= bound, str(m)
+    # On the ladder S(t_n) fills S(t_1), ..., S(t_n), of p(k) terms each, and
+    # the bound counts them and S(1): t36 is inside MAX_COPRODUCT_TERMS, t37 is not.
+    ctx = HopfAlgebra(ladder, validate_to=0)
+    p = partitions(37)
+    for n in (1, 20, 36, 37):
+        assert ctx.antipode_term_bound(ctx.monomial_element(Monomial.of(ladder.generator(n)))) == sum(p[:n + 1])
+    assert sum(p[:37]) <= 100_000 < sum(p[:38])
+    assert ctx.antipode_term_bound(Element.zero(QQ)) == 0
 
 
 def binomial_schema(top):

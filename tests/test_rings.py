@@ -633,3 +633,97 @@ def test_laurent_eq_matches_the_window_comparison(pair):
     ring, a, b = pair
     assert ring.eq(a, b) == window_eq(ring, a, b)
     assert ring.eq(b, a) == window_eq(ring, b, a)
+
+
+# -- the Laurent-over-Q paths against products added one at a time ----------------
+
+int_or_fraction = st.one_of(st.integers(min_value=-30, max_value=30), st.fractions(max_denominator=12))
+
+
+@st.composite
+def raw_series(draw, values):
+    """A canonical series built without LaurentRing: exact or truncated, zero
+    or empty included, its values drawn from ``values``."""
+    trunc = draw(st.one_of(st.none(), st.integers(min_value=-5, max_value=7)))
+    coeffs = draw(st.dictionaries(st.integers(min_value=-4, max_value=6), values, max_size=5))
+    return LaurentSeries(tuple(sorted((k, v) for k, v in coeffs.items() if v and (trunc is None or k <= trunc))), trunc)
+
+
+# The exact unit series: the ring's own one(), and equal ones with the
+# coefficient as an int and as a Fraction.
+units = st.sampled_from([L.one(), LaurentSeries(((0, 1),), None), LaurentSeries(((0, Fraction(1)),), None)])
+
+
+@st.composite
+def laurent_triples(draw):
+    """(c, a, b) triples with int and Fraction mixes, or all-integer ones
+    (the integer kernel's path without a common denominator), and the exact
+    unit series among the operands."""
+    values = draw(st.sampled_from([int_or_fraction, st.integers(min_value=-30, max_value=30)]))
+    scalars = st.one_of(st.just(0), st.just(1), values)
+    series = st.one_of(raw_series(values), units)
+    return draw(st.lists(st.tuples(scalars, series, series), max_size=4))
+
+
+def lowest(x):
+    """The lowest exponent where x may be nonzero; None for an exact zero."""
+    if x.coeffs:
+        return x.coeffs[0][0]
+    return None if x.trunc is None else x.trunc + 1
+
+
+def products_one_at_a_time(terms):
+    """The sum of c a b as (coefficients, truncation): each product by the
+    generic Ring.convolve body over Q, sound below the lowest exponent an
+    unknown coefficient of one factor reaches against the other, the products
+    added one at a time in a plain dict."""
+    total, trunc = {}, None
+    for c, a, b in terms:
+        reach = [x.trunc + lowest(y) for x, y in ((a, b), (b, a)) if x.trunc is not None and lowest(y) is not None]
+        window = min(reach) if reach else None
+        top = a.coeffs[-1][0] + b.coeffs[-1][0] if a.coeffs and b.coeffs else 0
+        product = Ring.convolve(QQ, [(c, a.coeffs, b.coeffs)], (top if window is None else window) + 1)
+        for k, v in product.items():
+            total[k] = total.get(k, 0) + v
+        if window is not None and (trunc is None or window < trunc):
+            trunc = window
+    return {k: v for k, v in total.items() if v and (trunc is None or k <= trunc)}, trunc
+
+
+def assert_series(got, coeffs, trunc):
+    assert got.trunc == trunc
+    assert got.as_dict() == coeffs and [k for k, _ in got.coeffs] == sorted(coeffs)
+
+
+@settings(max_examples=150)
+@given(laurent_triples())
+def test_laurent_dot_over_q_matches_the_products_added_one_at_a_time(terms):
+    got = L.dot(terms)
+    assert_series(got, *products_one_at_a_time(terms))
+    assert all(canonical(v) for _, v in got.coeffs)
+    # Each product against its negative: every coefficient cancels to an exact zero.
+    cancelled = terms + [(-c, a, b) for c, a, b in terms]
+    assert_series(L.dot(cancelled), *products_one_at_a_time(cancelled))
+    if all(type(c) is int and all(type(v) is int for x in (a, b) for _, v in x.coeffs) for c, a, b in terms):
+        assert all(type(v) is int for _, v in got.coeffs)
+    for c, a, b in terms:
+        for alone in (L.mul(a, b), L.dot([(c, a, b)])):
+            assert all(canonical(v) for _, v in alone.coeffs)
+        assert_series(L.mul(a, b), *products_one_at_a_time([(1, a, b)]))
+        assert_series(L.dot([(c, a, b)]), *products_one_at_a_time([(c, a, b)]))
+
+
+@settings(max_examples=150)
+@given(raw_series(int_or_fraction), raw_series(int_or_fraction), int_or_fraction)
+def test_laurent_add_scale_and_split_over_q_match_the_plain_sums(a, b, q):
+    trunc = b.trunc if a.trunc is None else a.trunc if b.trunc is None else min(a.trunc, b.trunc)
+    total = dict(a.coeffs)
+    for k, v in b.coeffs:
+        total[k] = total.get(k, 0) + v
+    assert_series(L.add(a, b), {k: v for k, v in total.items() if v and (trunc is None or k <= trunc)}, trunc)
+    assert_series(L.scale(q, a), {k: q * v for k, v in a.coeffs if q}, a.trunc)
+    assert_series(L.make(dict(a.coeffs), b.trunc),
+                  {k: v for k, v in a.coeffs if b.trunc is None or k <= b.trunc}, b.trunc)
+    assert_series(L.regular_part(a), {k: v for k, v in a.coeffs if k >= 0}, a.trunc)
+    if a.trunc is None or a.trunc >= -1:
+        assert_series(L.pole_part(a), {k: v for k, v in a.coeffs if k < 0}, None)
