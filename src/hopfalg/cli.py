@@ -10,7 +10,6 @@ command returns its payload, and ``main`` alone writes it: a payload with
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .errors import DomainError, HopfError, TruncationError, VerificationError
@@ -48,13 +47,6 @@ def resolve_schema(selector: str):
         return rooted_tree_schema(n)
     if selector.startswith("custom:"):
         return load_schema(selector.split(":", 1)[1])
-    if selector == "custom":
-        path = os.environ.get("HOPF_SCHEMA_PATH")
-        if not path:
-            raise HopfError(
-                "schema selector 'custom' needs HOPF_SCHEMA_PATH in the environment"
-            )
-        return load_schema(path)
     raise HopfError(
         f"unknown schema selector {selector!r}; expected ladder, trees:<n> or custom:<path>"
     )
@@ -108,7 +100,7 @@ def read_functionals(args) -> list:
 
 
 # -- commands -------------------------------------------------------------------
-# Each returns its payload, or a (payload, text) pair for --output text.
+# Each returns its payload, or a (payload, text) pair when it declares --output.
 
 
 def cmd_coproduct(args):
@@ -170,7 +162,7 @@ def cmd_birkhoff(args):
     try:
         pair = birkhoff_decompose(phi.ctx, phi, args.max_degree)
     except VerificationError as exc:
-        return {"passed": False, "error": str(exc), "witness": exc.witness}, f"verification failed: {exc}"
+        return {"passed": False, "error": str(exc), "witness": exc.witness}
     return {
         "phiMinus": functional_to_json(pair.phi_minus()),
         "phiPlus": functional_to_json(pair.phi_plus()),
@@ -276,39 +268,29 @@ def cmd_enumerate_trees(args):
 # -- argument plumbing ---------------------------------------------------------------
 
 
-def add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--schema",
-        default=os.environ.get("HOPF_SCHEMA_PATH") and "custom" or "ladder",
-        help="ladder | trees:<maxVertices> | custom:<path> (default: ladder, "
-        "or custom via HOPF_SCHEMA_PATH)",
-    )
-    parser.add_argument("--max-degree", type=int, default=4, metavar="N")
-    parser.add_argument(
-        "--eps-order",
-        type=int,
-        default=1,
-        metavar="N",
-        help="extra positive series orders to certify",
-    )
-    parser.add_argument("--seed", type=int, default=0, metavar="N")
-    parser.add_argument("--output", choices=("json", "text"), default="json")
-
-
 def add_expression_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--expr", help="element expression, e.g. 't1^2*t2 + 3*t3'")
     group.add_argument("--file", help="element JSON file")
 
 
-# The command table: name -> (help, the arguments the command adds to the
-# common ones, the input contract of its functional files or None).  ELEMENT
-# marks the --expr | --file group of an element input.  A contract is (kind,
-# ring tag, the noun its error message uses), where ANY accepts every kind or
-# ring; ``read_functionals`` checks each file against it.  Each name runs
-# cmd_<name with - as _>.
+# The command table: name -> (help, every argument the command declares, the
+# input contract of its functional files or None).  An argument is a (flag,
+# add_argument keywords) pair, or ELEMENT for the --expr | --file group of an
+# element input; a command declares only the options it reads.  A contract is
+# (kind, ring tag, the noun its error message uses), where ANY accepts every
+# kind or ring; ``read_functionals`` checks each file against it.  Each name
+# runs cmd_<name with - as _>.
 ELEMENT = "element"
 ANY = "any"
+# The two options of every command that builds a schema context.
+_SCHEMA = [("--schema", {"default": "ladder",
+                         "help": "ladder | trees:<maxVertices> | custom:<path> (default: ladder)"}),
+           ("--max-degree", {"type": int, "default": 4, "metavar": "N"})]
+_EPS_ORDER = ("--eps-order", {"type": int, "default": 1, "metavar": "N",
+                              "help": "extra positive series orders to certify"})
+_SEED = ("--seed", {"type": int, "default": 0, "metavar": "N"})
+_OUTPUT = ("--output", {"choices": ("json", "text"), "default": "json"})
 _MAX_ORDER = ("--max-order", {"type": int, "default": 0, "metavar": "N"})
 
 
@@ -317,27 +299,32 @@ def _functional(metavar: str, nargs: int = 1) -> tuple:
 
 
 COMMANDS = {
-    "coproduct": ("coproduct of an element", ELEMENT, None),
-    "antipode": ("antipode of an element", ELEMENT, None),
-    "convolve": ("convolution of two functionals", [_functional("FUNCTIONAL_JSON", 2)],
+    "coproduct": ("coproduct of an element", [*_SCHEMA, _OUTPUT, ELEMENT], None),
+    "antipode": ("antipode of an element", [*_SCHEMA, _OUTPUT, ELEMENT], None),
+    "convolve": ("convolution of two functionals", [*_SCHEMA, _functional("FUNCTIONAL_JSON", 2)],
                  (ANY, ANY, "a functional")),
-    "exp": ("convolution exponential of an infinitesimal", [_functional("Z_JSON")],
+    "exp": ("convolution exponential of an infinitesimal", [*_SCHEMA, _functional("Z_JSON")],
             ("infinitesimal", ANY, "an infinitesimal-character")),
-    "log": ("convolution logarithm of a character", [_functional("CHI_JSON")],
+    "log": ("convolution logarithm of a character", [*_SCHEMA, _functional("CHI_JSON")],
             ("character", ANY, "a character")),
-    "birkhoff": ("Birkhoff decomposition of a Laurent character", [_functional("PHI_JSON")],
+    "birkhoff": ("Birkhoff decomposition of a Laurent character", [*_SCHEMA, _functional("PHI_JSON")],
                  ("character", "laurent", "a Laurent-valued character")),
     "beta": ("residue, beta-function and pole tower of a Laurent character "
              "(pass the loop, or the counterterm part of a Birkhoff pair)",
-             [_functional("PHI_JSON"), _MAX_ORDER], (ANY, "laurent", "a Laurent-valued functional")),
-    "build-loop": ("assemble the loop with a given beta-function", [_functional("BETA_JSON"), _MAX_ORDER],
+             [*_SCHEMA, _functional("PHI_JSON"), _MAX_ORDER],
+             (ANY, "laurent", "a Laurent-valued functional")),
+    "build-loop": ("assemble the loop with a given beta-function",
+                   [*_SCHEMA, _functional("BETA_JSON"), _MAX_ORDER],
                    ("infinitesimal", "rational", "an infinitesimal-character")),
-    "rg-check": ("specialness and scale-flow limit of a loop", [_functional("PHI_JSON")],
+    "rg-check": ("specialness and scale-flow limit of a loop",
+                 [*_SCHEMA, _EPS_ORDER, _OUTPUT, _functional("PHI_JSON")],
                  ("character", "laurent", "a Laurent-valued character")),
-    "scattering": ("finite-time limit certification of the tower", [_functional("BETA_JSON"), _MAX_ORDER],
+    "scattering": ("finite-time limit certification of the tower",
+                   [*_SCHEMA, _functional("BETA_JSON"), _MAX_ORDER],
                    ("infinitesimal", ANY, "an infinitesimal-character")),
-    "verify": ("run the axiom and property suites", [], None),
-    "enumerate-trees": ("rooted trees with n vertices", [("vertices", {"type": int, "metavar": "N"})], None),
+    "verify": ("run the axiom and property suites", [*_SCHEMA, _SEED, _OUTPUT], None),
+    "enumerate-trees": ("rooted trees with n vertices",
+                        [_OUTPUT, ("vertices", {"type": int, "metavar": "N"})], None),
 }
 
 
@@ -359,11 +346,11 @@ def make_parser(command: str = None) -> argparse.ArgumentParser:
     for name in names:
         help_text, arguments, _ = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        add_common(p)
-        if arguments == ELEMENT:
-            add_expression_args(p)
-        else:
-            for flag, kwargs in arguments:
+        for argument in arguments:
+            if argument == ELEMENT:
+                add_expression_args(p)
+            else:
+                flag, kwargs = argument
                 p.add_argument(flag, **kwargs)
         p.set_defaults(fn=globals()["cmd_" + name.replace("-", "_")])
     return parser
@@ -378,11 +365,11 @@ def main(argv=None) -> int:
     from .serialize import canonical_dumps
 
     try:
-        if args.max_degree < 0:
+        if getattr(args, "max_degree", 0) < 0:
             raise DomainError(f"--max-degree must be >= 0, got {args.max_degree}")
         out = args.fn(args)
         payload, text = out if isinstance(out, tuple) else (out, None)
-        if args.output == "text" and text is not None:
+        if text is not None and args.output == "text":
             sys.stdout.write(text + "\n")
         else:
             sys.stdout.write(canonical_dumps(payload))

@@ -90,7 +90,7 @@ class TableFunctional(Functional):
 
     def __init__(self, ctx, ring, table: Dict[Monomial, object]):
         super().__init__(ctx, ring)
-        self.table = {m: v for m, v in table.items() if not ring.is_zero(v)}
+        self.table = {m: v for m, v in table.items() if not ring.is_exact_zero(v)}
 
     def value_on(self, m: Monomial):
         return self.table.get(m, self.ring.zero())
@@ -310,7 +310,7 @@ def materialize(ctx: HopfAlgebra, ring: Ring, table: dict, max_degree: int, kind
     values = {}
     for g in ctx.schema.generators_up_to(max_degree):
         v = table.get(Monomial.of(g))
-        if v is not None and not ring.is_zero(v):
+        if v is not None and not ring.is_exact_zero(v):
             values[g] = v
     result = kind(ctx, ring, values, cutoff=max_degree)
     if failure is not None:

@@ -312,7 +312,7 @@ def test_enumerate_trees_counts():
     assert len(set(data["trees"])) == 20
 
 
-def test_custom_schema_env_var(tmp_path, monkeypatch_path=None):
+def test_custom_schema_is_named_by_its_path(tmp_path, monkeypatch, capsys):
     schema = {
         "generators": [{"name": "x1", "degree": 1}, {"name": "x2", "degree": 2}],
         "reducedCoproduct": {
@@ -320,18 +320,51 @@ def test_custom_schema_env_var(tmp_path, monkeypatch_path=None):
         },
     }
     path = write(tmp_path, "custom.json", schema)
-    import os
-    import subprocess as sp
-
-    env = dict(os.environ, HOPF_SCHEMA_PATH=path)
-    proc = sp.run(
-        CLI + ["antipode", "--schema", "custom", "--expr", "x2", "--output", "text"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0
+    proc = run_cli("antipode", "--schema", f"custom:{path}", "--expr", "x2", "--output", "text")
     assert proc.stdout.strip() == "x1^2 - x2"
+    # A bare `custom` names no file, and no environment variable supplies one.
+    monkeypatch.setenv("HOPF_SCHEMA_PATH", path)
+    assert cli.main(["antipode", "--schema", "custom", "--expr", "x2"]) == 2
+    assert "unknown schema selector 'custom'" in json.loads(capsys.readouterr().err)["message"]
+    assert cli.main(["antipode", "--expr", "t2", "--output", "text"]) == 0
+    assert capsys.readouterr().out == "t1^2 - t2\n"
+
+
+# The five common options, each with a value that parses, and the ones each
+# command reads (29 in all); a command rejects every other one.
+SHARED_FLAGS = {"--schema": "trees:3", "--max-degree": "3", "--eps-order": "2", "--seed": "1", "--output": "text"}
+SCHEMA_FLAGS = {"--schema", "--max-degree"}
+DECLARED_FLAGS = {
+    "coproduct": SCHEMA_FLAGS | {"--output"},
+    "antipode": SCHEMA_FLAGS | {"--output"},
+    "convolve": SCHEMA_FLAGS,
+    "exp": SCHEMA_FLAGS,
+    "log": SCHEMA_FLAGS,
+    "birkhoff": SCHEMA_FLAGS,
+    "beta": SCHEMA_FLAGS,
+    "build-loop": SCHEMA_FLAGS,
+    "rg-check": SCHEMA_FLAGS | {"--eps-order", "--output"},
+    "scattering": SCHEMA_FLAGS,
+    "verify": SCHEMA_FLAGS | {"--seed", "--output"},
+    "enumerate-trees": {"--output"},
+}
+REQUIRED_ARGS = {"coproduct": ["--expr", "t1"], "antipode": ["--expr", "t1"], "convolve": ["a.json", "b.json"],
+                 "verify": [], "enumerate-trees": ["3"]}
+
+
+@pytest.mark.parametrize("command", sorted(DECLARED_FLAGS))
+def test_each_command_parses_exactly_the_shared_flags_it_reads(command, capsys):
+    argv = [command, *REQUIRED_ARGS.get(command, ["f.json"])]
+    declared = DECLARED_FLAGS[command]
+    values = [a for flag in sorted(declared) for a in (flag, SHARED_FLAGS[flag])]
+    args = cli.make_parser(command).parse_args(argv + values)
+    assert {flag: str(getattr(args, flag[2:].replace("-", "_"))) for flag in declared} == \
+        {flag: SHARED_FLAGS[flag] for flag in declared}
+    for flag in sorted(SHARED_FLAGS.keys() - declared):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + [flag, SHARED_FLAGS[flag]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {SHARED_FLAGS[flag]}" in capsys.readouterr().err
 
 
 def test_determinism_across_runs():
@@ -620,7 +653,7 @@ def test_verify_output_at_degree_6_is_pinned(schema, seed, digest, tmp_path, mon
 
 
 # The help text of `hopfalg --help` and of every `hopfalg <command> --help`,
-# recorded at 80 columns while make_parser still built each subparser by hand.
+# recorded at 80 columns.
 HELP = json.loads((pathlib.Path(__file__).parent / "cli_help.json").read_text())
 
 
@@ -645,5 +678,5 @@ def test_top_level_help_lists_every_command_and_a_command_builds_only_its_own():
 def test_input_contracts_name_exactly_the_functional_commands():
     reads = {name for name, (_, _, contract) in cli.COMMANDS.items() if contract is not None}
     takes = {name for name, (_, arguments, _) in cli.COMMANDS.items()
-             if arguments != cli.ELEMENT and any(flag == "functional" for flag, _ in arguments)}
+             if any(argument[0] == "functional" for argument in arguments if argument != cli.ELEMENT)}
     assert reads == takes == {"convolve", "exp", "log", "birkhoff", "beta", "build-loop", "rg-check", "scattering"}

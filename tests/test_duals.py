@@ -200,6 +200,10 @@ def test_truncated_zeros_stay_in_every_table(ladder):
     assert kernel[t(ladder, 1)] == zero and kernel[t(ladder, 1, 2)] == square
     inverse = duals.compose_antipode(ladder, L, table, basis)
     assert inverse[t(ladder, 1)] == zero and inverse[t(ladder, 1, 2)] == square
+    # So do an explicit table and a character read back from one.
+    assert TableFunctional(ladder, L, {t(ladder, 1): zero}).value_on(t(ladder, 1)) == zero
+    chi = duals.materialize(ladder, L, {t(ladder, 1): zero}, 3)
+    assert chi.value_on(t(ladder, 1)) == zero and chi.value_on(t(ladder, 1, 2)) == square
     # Exact zeros are still left out.
     exact = Character(ladder, L, {gen(ladder, 1): L.one()})
     assert t(ladder, 2) not in tabulate(exact, basis)
