@@ -8,7 +8,7 @@ The public names below load their submodule on first access (PEP 562), so
 from importlib import import_module
 
 _EXPORTS = {
-    "algebra": ("Element", "Generator", "Monomial", "TensorElement", "pair"),
+    "algebra": ("Element", "Generator", "Monomial", "TensorElement"),
     "axioms": ("AxiomReport", "verify_axioms"),
     "birkhoff": ("BetaData", "BirkhoffPair", "beta_data", "beta_functional", "birkhoff_decompose",
                  "build_special_loop", "dn_recursive", "dn_simplex", "residue", "rg_limit_check",

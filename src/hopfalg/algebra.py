@@ -7,11 +7,10 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence, Tuple
+from typing import Callable, Iterable, Tuple
 
 from .errors import HopfError, RankMismatchError, RingMismatchError
-from .rings import Frozen, Ring
+from .rings import QQ, Frozen, Ring
 
 
 # The intern tables: one object per generator (degree, name) and per monomial
@@ -158,10 +157,6 @@ class Monomial(Frozen):
     def sort_key(self):
         return (self.y_degree, self.powers)
 
-    def generators(self) -> Iterator[Generator]:
-        for g, _ in self.powers:
-            yield g
-
     def single_generator(self):
         """The generator when this monomial is one, else None."""
         if len(self.powers) == 1 and self.powers[0][1] == 1:
@@ -182,8 +177,14 @@ _UNIT = Monomial(())
 
 def _summed(ring: Ring, acc: dict, pairs) -> dict:
     """Add each (key, value) of ``pairs`` into ``acc`` and return its nonzero
-    entries: the one accumulator behind every sparse sum.  ``acc`` keeps the
-    keys whose values cancelled, for callers that check every key seen."""
+    entries: the one accumulator behind every sparse sum and product.  Over Q
+    it adds with ``+`` and drops zeros by truthiness.  ``acc`` keeps the keys
+    whose values cancelled, for callers that check every key seen."""
+    if ring is QQ:
+        get = acc.get
+        for key, c in pairs:
+            acc[key] = get(key, 0) + c
+        return {k: c for k, c in acc.items() if c}
     add = ring.add
     for key, c in pairs:
         cur = acc.get(key)
@@ -227,18 +228,8 @@ class SparseSum:
         return self + (-other)
 
     def scale(self, coeff):
-        ring = self.ring
-        if ring.is_zero(coeff):
-            return self._like(ring, {})
-        mul, is_zero = ring.mul, ring.is_zero
-        return self._like(ring, {k: v for k, c in self.terms.items() if not is_zero(v := mul(coeff, c))})
-
-    def scale_rational(self, q: Fraction):
-        return self.scale(self.ring.from_rational(q))
-
-    def map_coefficients(self, fn: Callable, ring: Ring):
-        is_zero = ring.is_zero
-        return self._like(ring, {k: v for k, c in self.terms.items() if not is_zero(v := fn(c))})
+        mul, is_zero = self.ring.mul, self.ring.is_zero
+        return self._like(self.ring, {k: v for k, c in self.terms.items() if not is_zero(v := mul(coeff, c))})
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -297,14 +288,9 @@ class Element(SparseSum):
 
     def __mul__(self, other: "Element") -> "Element":
         self._check(other)
-        acc: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                c = self.ring.mul(c1, c2)
-                cur = acc.get(m)
-                acc[m] = c if cur is None else self.ring.add(cur, c)
-        return Element(self.ring, {m: c for m, c in acc.items() if not self.ring.is_zero(c)})
+        mul, theirs = self.ring.mul, other.terms.items()
+        return Element(self.ring, _summed(self.ring, {}, (
+            (m1 * m2, mul(c1, c2)) for m1, c1 in self.terms.items() for m2, c2 in theirs)))
 
     def coefficient(self, m: Monomial):
         return self.terms.get(m, self.ring.zero())
@@ -351,11 +337,6 @@ class TensorElement(SparseSum):
         return TensorElement(ring, rank, {})
 
     @staticmethod
-    def unit(ring: Ring, rank: int) -> "TensorElement":
-        key = tuple(Monomial.unit() for _ in range(rank))
-        return TensorElement(ring, rank, {key: ring.one()})
-
-    @staticmethod
     def from_terms(ring: Ring, rank: int, pairs) -> "TensorElement":
         acc: dict = {}
         terms = _summed(ring, acc, pairs)
@@ -369,32 +350,10 @@ class TensorElement(SparseSum):
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         """Componentwise product: legs multiply leg by leg."""
         self._check(other)
-        acc: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(a * b for a, b in zip(k1, k2))
-                c = self.ring.mul(c1, c2)
-                cur = acc.get(key)
-                acc[key] = c if cur is None else self.ring.add(cur, c)
-        return TensorElement(
-            self.ring, self.rank, {k: c for k, c in acc.items() if not self.ring.is_zero(c)}
-        )
-
-    def swap(self) -> "TensorElement":
-        """Exchange the two legs of a rank-2 tensor (an involution)."""
-        if self.rank != 2:
-            raise RankMismatchError("swap is defined for rank-2 tensors")
-        return TensorElement(
-            self.ring, 2, {(b, a): c for (a, b), c in self.terms.items()}
-        )
-
-    def outer(self, other: "TensorElement") -> "TensorElement":
-        """Concatenate legs: rank j x rank k -> rank j+k."""
-        if self.ring is not other.ring and self.ring.tag != other.ring.tag:
-            raise RingMismatchError("outer product needs a common ring")
-        mul = self.ring.mul
-        pairs = ((k1 + k2, mul(c1, c2)) for k1, c1 in self.terms.items() for k2, c2 in other.terms.items())
-        return TensorElement(self.ring, self.rank + other.rank, _summed(self.ring, {}, pairs))
+        mul, theirs = self.ring.mul, other.terms.items()
+        return TensorElement(self.ring, self.rank, _summed(self.ring, {}, (
+            (tuple(a * b for a, b in zip(k1, k2)), mul(c1, c2))
+            for k1, c1 in self.terms.items() for k2, c2 in theirs)))
 
     def apply_to_leg(self, index: int, fn: Callable[[Monomial], "TensorElement"], rank_delta: int) -> "TensorElement":
         """Replace leg ``index`` by the tensor expansion ``fn(leg)``.
@@ -402,19 +361,10 @@ class TensorElement(SparseSum):
         ``fn`` maps a monomial to a rank-(1+rank_delta) tensor; coefficients
         distribute multilinearly.
         """
-        acc: dict = {}
-        for key, c in self.terms.items():
-            expanded = fn(key[index])
-            for ekey, ec in expanded.terms.items():
-                new_key = key[:index] + ekey + key[index + 1 :]
-                v = self.ring.mul(c, ec)
-                cur = acc.get(new_key)
-                acc[new_key] = v if cur is None else self.ring.add(cur, v)
-        return TensorElement(
-            self.ring,
-            self.rank + rank_delta,
-            {k: c for k, c in acc.items() if not self.ring.is_zero(c)},
-        )
+        mul = self.ring.mul
+        return TensorElement(self.ring, self.rank + rank_delta, _summed(self.ring, {}, (
+            (key[:index] + ekey + key[index + 1:], mul(c, ec))
+            for key, c in self.terms.items() for ekey, ec in fn(key[index]).terms.items())))
 
     def sorted_terms(self):
         return sorted(
@@ -432,36 +382,3 @@ class TensorElement(SparseSum):
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-def tensor_of_elements(*elements: Element) -> TensorElement:
-    """Outer product of elements, as a rank-len(elements) tensor."""
-    if not elements:
-        raise RankMismatchError("need at least one element")
-    ring = elements[0].ring
-    acc = TensorElement(ring, 1, {(m,): c for m, c in elements[0].terms.items()})
-    for e in elements[1:]:
-        nxt = TensorElement(ring, 1, {(m,): c for m, c in e.terms.items()})
-        acc = acc.outer(nxt)
-    return acc
-
-
-def pair(functionals: Sequence[Callable[[Monomial], object]], tensor: TensorElement, ring: Ring):
-    """Multilinear duality contraction <f_1 (x) ... (x) f_n, tensor>.
-
-    Each functional maps a monomial to a ring value; the contraction is
-    sum_terms coeff * prod_i f_i(leg_i).
-    """
-    if len(functionals) != tensor.rank:
-        raise RankMismatchError(
-            f"{len(functionals)} functionals against a rank-{tensor.rank} tensor"
-        )
-    total = ring.zero()
-    for key, c in tensor.terms.items():
-        prod = c
-        for f, leg in zip(functionals, key):
-            if ring.is_zero(prod):
-                break
-            prod = ring.mul(prod, f(leg))
-        total = ring.add(total, prod)
-    return total

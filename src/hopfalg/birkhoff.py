@@ -322,13 +322,7 @@ def dn_simplex(ctx: HopfAlgebra, beta: InfinitesimalCharacter, n: int, max_degre
     return TableFunctional(ctx, base, table)
 
 
-def build_special_loop(
-    ctx: HopfAlgebra,
-    beta: InfinitesimalCharacter,
-    max_order: int,
-    max_degree: int,
-    eps_ring: Optional[LaurentRing] = None,
-) -> Character:
+def build_special_loop(ctx: HopfAlgebra, beta: InfinitesimalCharacter, max_order: int, max_degree: int) -> Character:
     """Assemble the loop 1_* + sum_n d_n / eps^n from its beta-function.
 
     The tower must cover every degree in range (max_order >= max_degree, and
@@ -343,7 +337,7 @@ def build_special_loop(
             f"max_order >= max_degree, got {max_order} < {max_degree}"
         )
     base = beta.ring
-    ring = eps_ring if eps_ring is not None else LaurentRing(base, "eps")
+    ring = LaurentRing(base, "eps")
     towers = counterterm_tower(ctx, beta, max_order, max_degree)
     expansion = {}
     for m in ctx.basis_up_to(max_degree):

@@ -328,13 +328,23 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Writes a usage error as a JSON diagnostic, with no usage text."""
+
+    def error(self, message):
+        from .serialize import canonical_dumps
+
+        sys.stderr.write(canonical_dumps({"error": "UsageError", "message": message}))
+        raise SystemExit(EXIT_INPUT)
+
+
 def make_parser(command: str = None) -> argparse.ArgumentParser:
     """The parser of every command, or only of ``command`` when it names one.
 
     Each command's function is looked up when its subparser is built, so a
     wrapper installed on the module attribute runs in its place.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hopfalg",
         description="Exact coproducts, antipodes, convolution calculus and "
         "Birkhoff renormalization on graded connected Hopf algebras.",

@@ -14,7 +14,7 @@ import re
 from math import comb
 from typing import List, Tuple
 
-from .algebra import Element
+from .algebra import Element, Monomial
 from .errors import HopfError
 from .hopf import HopfAlgebra
 from .rings import QQ, parse_rational
@@ -146,12 +146,10 @@ class _Parser:
     def atom(self) -> Element:
         kind, value = self.take()
         if kind == "number":
-            return Element.unit(QQ).scale_rational(parse_rational(value))
-        if kind == "name":
-            return self.ctx.element_from_generator_name(value)
-        if kind == "tree":
-            compact = "".join(value.split())
-            return self.ctx.element_from_generator_name(compact)
+            return Element.unit(QQ).scale(parse_rational(value))
+        if kind in ("name", "tree"):
+            gen = self.ctx.schema.generator_by_name("".join(value.split()))
+            return self.ctx.monomial_element(Monomial.of(gen))
         if kind == "op" and value == "(":
             inner = self.expr()
             self.expect_op(")")

@@ -133,7 +133,7 @@ def validate_schema_structure(schema: HopfSchema, up_to: int) -> None:
                     f"{g.name!r} is not graded: left degree {left_deg} + right "
                     f"degree {term.right.degree} != {g.degree}"
                 )
-            for lg in term.left.generators():
+            for lg, _ in term.left.powers:
                 schema.generator_by_name(lg.name)
 
 
@@ -210,9 +210,6 @@ class HopfAlgebra:
 
     def unit_element(self) -> Element:
         return Element(self.ring, {Monomial.unit(): 1})
-
-    def generator_element(self, gen: Generator) -> Element:
-        return Element(self.ring, {Monomial.of(gen): 1})
 
     def monomial_element(self, m: Monomial) -> Element:
         return Element(self.ring, {m: 1})
@@ -339,7 +336,7 @@ class HopfAlgebra:
         if not h.terms:
             return 0
         top = max(m.y_degree for m in h.terms)
-        gen_top = max((g.degree for m in h.terms for g in m.generators()), default=0)
+        gen_top = max((g.degree for m in h.terms for g, _ in m.powers), default=0)
         gens = [0] + [len(self.schema.generators_of_degree(n)) for n in range(1, gen_top + 1)]
         # Monomials per degree in the generators of degree <= gen_top, which
         # are all the generators any of these S values involve.
@@ -521,8 +518,3 @@ class HopfAlgebra:
         the list exp(n z) from ``theta_factors``."""
         return Element(ring, {m: v for m, c in h.terms.items()
                               if not ring.is_zero(v := ring.scale(c, factors[m.y_degree]))})
-
-    # -- misc -----------------------------------------------------------------
-
-    def element_from_generator_name(self, name: str) -> Element:
-        return self.generator_element(self.schema.generator_by_name(name))

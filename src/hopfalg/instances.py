@@ -15,7 +15,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .algebra import Generator, Monomial
 from .errors import DomainError, HopfError, SchemaError
 from .hopf import HopfSchema, ReducedTerm, TableSchema, validate_schema_structure
-from .rings import QQ, Frozen
+from .rings import QQ, Frozen, is_json_int
 
 # -- the ladder schema --------------------------------------------------------
 
@@ -311,7 +311,7 @@ def schema_from_dict(data: dict, name: str = "custom") -> TableSchema:
         degree = entry.get("degree")
         if not isinstance(gname, str) or not gname:
             raise SchemaError(f"generator entry {entry!r} needs a non-empty 'name'")
-        if not isinstance(degree, int) or degree < 1:
+        if not is_json_int(degree) or degree < 1:
             raise SchemaError(
                 f"generator {gname!r} has degree {degree!r}; generators must be "
                 "homogeneous of degree >= 1"
@@ -348,7 +348,7 @@ def schema_from_dict(data: dict, name: str = "custom") -> TableSchema:
                         f"reduced coproduct of {gname!r}: left factor {lname!r} "
                         "is not a declared generator"
                     )
-                if not isinstance(exp, int) or exp < 1:
+                if not is_json_int(exp) or exp < 1:
                     raise SchemaError(
                         f"reduced coproduct of {gname!r}: exponents must be >= 1"
                     )

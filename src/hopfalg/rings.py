@@ -38,6 +38,11 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
 
 
+def is_json_int(value) -> bool:
+    """Whether a decoded JSON value is an integer; ``true`` is a ``bool``, not 1."""
+    return value.__class__ is int
+
+
 def parse_rational(text: str):
     """Parse a rational from its decimal-string form "p" or "p/q": an int
     when the value is integral, else a Fraction."""
@@ -761,10 +766,10 @@ class LaurentRing(Ring):
         if not isinstance(data, dict) or not isinstance(data.get("coeffs"), dict):
             raise HopfError(f"not a Laurent series encoding: {data!r}")
         trunc = data.get("truncation")
-        if trunc is not None and not isinstance(trunc, int):
+        if trunc is not None and not is_json_int(trunc):
             raise HopfError(f"truncation must be an integer or null, got {trunc!r}")
         min_exp = data.get("minExp")
-        if min_exp is not None and not isinstance(min_exp, int):
+        if min_exp is not None and not is_json_int(min_exp):
             raise HopfError(f"minExp must be an integer or null, got {min_exp!r}")
         coeffs = {}
         for key, val in data["coeffs"].items():

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 from .algebra import Element, Monomial, TensorElement
 from .errors import HopfError
 from .hopf import HopfAlgebra
-from .rings import QQ, LaurentRing, Ring
+from .rings import QQ, LaurentRing, Ring, is_json_int
 
 if TYPE_CHECKING:  # element and tensor I/O runs without the dual calculus
     from .duals import Functional
@@ -58,7 +58,7 @@ def monomial_from_json(ctx: HopfAlgebra, data) -> Monomial:
         if not isinstance(entry, list) or len(entry) != 2 or not isinstance(entry[0], str):
             raise HopfError(f"monomial factors are [name, exp] pairs, got {entry!r}")
         name, exp = entry
-        if not isinstance(exp, int) or exp < 1:
+        if not is_json_int(exp) or exp < 1:
             raise HopfError(f"monomial exponents must be integers >= 1, got {exp!r}")
         powers.append((ctx.schema.generator_by_name(name), exp))
     return Monomial.from_powers(powers)
@@ -71,17 +71,17 @@ def element_to_json(e: Element) -> dict:
     return {"terms": terms}
 
 
-def element_from_json(ctx: HopfAlgebra, data, ring: Ring = QQ) -> Element:
+def element_from_json(ctx: HopfAlgebra, data) -> Element:
     if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise HopfError("element encoding must be an object with a 'terms' list")
     pairs = []
     for term in data["terms"]:
         if not isinstance(term, dict) or not {"coeff", "monomial"} <= term.keys():
             raise HopfError(f"element terms are objects with 'coeff' and 'monomial', got {term!r}")
-        coeff = ring.value_from_json(term["coeff"])
+        coeff = QQ.value_from_json(term["coeff"])
         m = monomial_from_json(ctx, term["monomial"])
         pairs.append((m, coeff))
-    return Element.from_terms(ring, pairs)
+    return Element.from_terms(QQ, pairs)
 
 
 def tensor_to_json(t: TensorElement) -> dict:
@@ -130,7 +130,7 @@ def functional_from_json(ctx: HopfAlgebra, data: dict) -> Functional:
     kind = data["kind"]
     ring = ring_by_tag(data.get("ring", "rational"))
     cutoff = data.get("cutoff")
-    if cutoff is not None and (not isinstance(cutoff, int) or cutoff < 0):
+    if cutoff is not None and (not is_json_int(cutoff) or cutoff < 0):
         raise HopfError(f"functional 'cutoff' must be an integer >= 0, got {cutoff!r}")
     values = data.get("values", {})
     if not isinstance(values, dict):

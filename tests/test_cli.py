@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from hopfalg import birkhoff, cli
+from hopfalg import birkhoff, cli, suites
 from hopfalg.exprparse import MAX_EXPONENT
 from hopfalg.instances import rooted_tree_schema
 
@@ -367,6 +367,28 @@ def test_each_command_parses_exactly_the_shared_flags_it_reads(command, capsys):
         assert f"unrecognized arguments: {flag} {SHARED_FLAGS[flag]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("exp z.json --seed 3", "unrecognized arguments: --seed 3"),
+        ("enumerate-trees 3 --schema ladder", "unrecognized arguments: --schema ladder"),
+        ("exp", "the following arguments are required: Z_JSON"),
+        ("coproduct --schema ladder", "one of the arguments --expr --file is required"),
+        ("verify --max-degree x", "argument --max-degree: invalid int value: 'x'"),
+        ("", "the following arguments are required: command"),
+    ],
+    ids=["undeclared-flag", "undeclared-flag-enumerate-trees", "missing-argument", "missing-element",
+         "non-integer-degree", "no-command"],
+)
+def test_usage_errors_exit_2_with_a_json_diagnostic(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert not out and "usage:" not in err
+    assert json.loads(err) == {"error": "UsageError", "message": message}
+
+
 def test_determinism_across_runs():
     out1 = run_cli("verify", "--schema", "ladder", "--max-degree", "4", "--seed", "7")
     out2 = run_cli("verify", "--schema", "ladder", "--max-degree", "4", "--seed", "7")
@@ -440,12 +462,26 @@ LAURENT_ONE = {"minExp": -1, "truncation": None, "coeffs": {"-1": "1", "0": "1/2
                                                    "values": {"t1": LAURENT_ONE}}, "ladder"),
         (["log", "{}", "--max-degree", "-1"], RATIONAL_CHARACTER, "ladder"),
         (["convolve", "{}", "{}", "--max-degree", "-1"], RATIONAL_CHARACTER, "ladder"),
+        # JSON true is not the integer 1
+        (["birkhoff", "{}", "--max-degree", "1"],
+         {"kind": "character", "ring": "laurent",
+          "values": {"t1": {"minExp": -1, "truncation": True, "coeffs": {"-1": "1"}}}}, "ladder"),
+        (["birkhoff", "{}"], {"kind": "character", "ring": "laurent",
+                              "values": {"t1": {"minExp": True, "coeffs": {"1": "1"}}}}, "ladder"),
+        (["exp", "{}", "--max-degree", "1"], {"kind": "infinitesimal", "values": {"t1": "1"}, "cutoff": True},
+         "ladder"),
+        (["coproduct", "--file", "{}"], {"terms": [{"coeff": "1", "monomial": [["t1", True]]}]}, "ladder"),
+        (["coproduct", "--expr", "x1"], {"generators": [{"name": "x1", "degree": True}]}, "custom:{}"),
+        (["coproduct", "--expr", "x2"],
+         {"generators": [{"name": "x1", "degree": 1}, {"name": "x2", "degree": 2}],
+          "reducedCoproduct": {"x2": [{"left": [["x1", True]], "right": "x1"}]}}, "custom:{}"),
     ],
     ids=["zero-denominator", "term-without-monomial", "unpaired-factor", "values-list", "laurent-key",
          "cutoff-string", "min-exp-string", "generators-string-verify", "generators-string-coproduct",
          "rational-birkhoff", "rational-rg-check", "rational-beta", "rational-table-beta",
          "laurent-build-loop", "non-json-coproduct", "non-json-antipode", "negative-degree-rg-check",
-         "negative-degree-log", "negative-degree-convolve"],
+         "negative-degree-log", "negative-degree-convolve", "truncation-true", "min-exp-true",
+         "cutoff-true", "monomial-exponent-true", "degree-true", "left-exponent-true"],
 )
 def test_malformed_input_exits_2_with_a_diagnostic(tmp_path, argv, payload, schema, monkeypatch, capsys):
     if payload is not None:
@@ -456,8 +492,11 @@ def test_malformed_input_exits_2_with_a_diagnostic(tmp_path, argv, payload, sche
     proc = run_cli(*argv, "--schema", schema, expect=2)
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["error"]
-    # In process the input is rejected before the engine does any work.
+    # In process the input is rejected before the engine does any work.  Every
+    # module that binds the name by import is patched, so that no import made
+    # under the patch keeps the stand-in after it.
     monkeypatch.setattr(birkhoff, "build_special_loop", no_work)
+    monkeypatch.setattr(suites, "build_special_loop", no_work)
     assert cli.main([*argv, "--schema", schema]) == 2
     assert not capsys.readouterr().out
 

@@ -79,7 +79,7 @@ def test_unit_functional_is_counit(ladder):
     one_star = counit_functional(ladder, QQ)
     assert one_star(ladder.unit_element()) == 1
     assert one_star.value_on(t(ladder, 3)) == 0
-    h = ladder.monomial_element(t(ladder, 1)).scale_rational(Fraction(7))
+    h = ladder.monomial_element(t(ladder, 1)).scale(Fraction(7))
     assert one_star(h) == 0
 
 

@@ -71,7 +71,7 @@ def test_rational_coefficients(ladder):
 
 def test_bare_number(ladder):
     e = parse_element(ladder, "5")
-    assert e == Element.unit(QQ).scale_rational(Fraction(5))
+    assert e == Element.unit(QQ).scale(Fraction(5))
 
 
 def test_tree_tokens(trees):

@@ -7,6 +7,7 @@ steps of the defining recursions and frozen here.
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -34,7 +35,8 @@ def tensor(*pairs):
 
 
 def test_coproduct_of_unit(ladder):
-    assert ladder.coproduct(ladder.unit_element()) == TensorElement.unit(QQ, 2)
+    one = Monomial.unit()
+    assert ladder.coproduct(ladder.unit_element()) == tensor(((one, one), 1))
 
 
 def test_coproduct_primitive_generator(ladder):
@@ -171,6 +173,60 @@ def test_ladder_antipode_composition_oracle(ladder):
         assert ladder.antipode_monomial(t(ladder, n)) == expected
 
 
+# Cancellation-free antipodes in closed form.  They never read a coproduct, so
+# a fault in the coproduct fill cannot pass them the way it can pass both the
+# right and the left recursion.  A monomial is the sorted tuple of its factors
+# (with repeats), and no two terms of either sum cancel.
+
+
+def ladder_antipode_closed_form(n):
+    """S(t_n) = sum over compositions (c_1..c_k) of n of (-1)^k t_c1...t_ck."""
+    out = {}
+    for comp in _compositions(n):
+        key = tuple(sorted(comp))
+        out[key] = out.get(key, 0) + (-1) ** len(comp)
+    return out
+
+
+def forest_formula(tree):
+    """S(t) = sum over every edge subset C of t of (-1)^(|C|+1) times the
+    product of the |C|+1 pieces that cutting C leaves (Connes-Kreimer)."""
+    from perfbench.oracles import _edges, _prune, _subtree, tree_encoding
+
+    edges = list(_edges(tree))
+    out = {}
+    for r in range(len(edges) + 1):
+        for cut in combinations(edges, r):
+            cut_set = set(cut)
+            pieces = [_prune(tree, cut_set)] + [_prune(_subtree(tree, p), cut_set, p) for p in cut]
+            key = tuple(sorted(tree_encoding(piece) for piece in pieces))
+            out[key] = out.get(key, 0) + (-1) ** (r + 1)
+    return out
+
+
+def factors(element, name):
+    """The terms of ``element`` in the closed forms' shape: each monomial as
+    the sorted tuple of ``name(g)`` over its factors g, with repeats."""
+    return {tuple(sorted(name(g) for g, e in m.powers for _ in range(e))): c for m, c in element.terms.items()}
+
+
+def test_ladder_antipode_matches_the_composition_formula_to_degree_12(ladder):
+    for n in range(1, 13):
+        got = factors(ladder.antipode_monomial(t(ladder, n)), lambda g: g.degree)
+        assert got == ladder_antipode_closed_form(n), n
+
+
+def test_tree_antipode_matches_the_forest_formula_on_every_tree_to_8_vertices():
+    from perfbench.oracles import trees_up_to, tree_encoding
+
+    trees = HopfAlgebra(rooted_tree_schema(8))
+    everything = trees_up_to(8)
+    assert len(everything) == 200
+    for tree in everything:
+        g = trees.schema.generator_by_name(tree_encoding(tree))
+        assert factors(trees.antipode_monomial(Monomial.of(g)), lambda h: h.name) == forest_formula(tree), g.name
+
+
 def test_antipode_is_involutive(ladder):
     # S^2 = id on commutative Hopf algebras; check both schemas.
     for m in ladder.basis_up_to(5):
@@ -251,9 +307,6 @@ def test_theta_commutes_with_coproduct(ladder):
     z = ring.monomial(1, trunc=4)
     for m in ladder.basis_up_to(4):
         h = ladder.monomial_element(m)
-        lhs = ladder.coproduct(h).map_coefficients(
-            lambda c: ring.from_rational(c), ring
-        )
         lhs = TensorElement.from_terms(
             ring,
             2,
@@ -261,21 +314,21 @@ def test_theta_commutes_with_coproduct(ladder):
                 (
                     key,
                     ring.mul(
-                        c,
+                        ring.from_rational(c),
                         ring.mul(
                             ring.exp(ring.scale(Fraction(key[0].y_degree), z)),
                             ring.exp(ring.scale(Fraction(key[1].y_degree), z)),
                         ),
                     ),
                 )
-                for key, c in lhs.terms.items()
+                for key, c in ladder.coproduct(h).terms.items()
             ],
         )
         rhs_elem = ladder.apply_theta(h, theta_factors(ring, z, 4), ring)
         rhs = TensorElement.zero(ring, 2)
         for mm, c in rhs_elem.terms.items():
-            rhs = rhs + ladder.coproduct_monomial(mm).map_coefficients(
-                lambda q, c=c: ring.scale(q, c), ring
+            rhs = rhs + TensorElement.from_terms(
+                ring, 2, [(key, ring.scale(q, c)) for key, q in ladder.coproduct_monomial(mm).terms.items()]
             )
         assert lhs == rhs
 

@@ -65,8 +65,8 @@ def test_ladder_reduced_coproduct():
 def test_ladder_is_cocommutative_to_degree_5():
     ctx = HopfAlgebra(ladder_schema(), validate_to=5)
     for m in ctx.basis_up_to(5):
-        d = ctx.coproduct_monomial(m)
-        assert d.swap() == d
+        d = ctx.coproduct_monomial(m).terms
+        assert {(b, a): c for (a, b), c in d.items()} == d
 
 
 def test_tree_counts():
@@ -181,8 +181,8 @@ def test_trees_not_cocommutative_from_three_vertices():
     ctx = HopfAlgebra(rooted_tree_schema(3))
     witnesses = []
     for g in ctx.schema.generators_of_degree(3):
-        d = ctx.coproduct_monomial(Monomial.of(g))
-        if d.swap() != d:
+        d = ctx.coproduct_monomial(Monomial.of(g)).terms
+        if {(b, a): c for (a, b), c in d.items()} != d:
             witnesses.append(g.name)
     assert "[[][]]" in witnesses
 
