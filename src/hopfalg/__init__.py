@@ -22,7 +22,8 @@ _EXPORTS = {
     "hopf": ("HopfAlgebra", "HopfSchema", "ReducedTerm", "TableSchema"),
     "instances": ("RootedTree", "admissible_cuts", "enumerate_trees", "ladder_schema", "load_schema",
                   "parse_tree", "rooted_tree_schema"),
-    "rings": ("QQ", "LaurentRing", "LaurentSeries", "PolynomialRing", "RationalField"),
+    "rationals": ("QQ", "RationalField"),
+    "rings": ("LaurentRing", "LaurentSeries", "PolynomialRing"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

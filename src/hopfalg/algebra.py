@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Tuple
 
 from .errors import HopfError, RankMismatchError, RingMismatchError
-from .rings import QQ, Frozen, Ring
+from .rationals import QQ, Frozen, Ring
 
 
 # The intern tables: one object per generator (degree, name) and per monomial

@@ -52,6 +52,30 @@ def resolve_schema(selector: str):
     )
 
 
+def check_generator_names(selector: str, paths) -> None:
+    """Reject a character or infinitesimal file that names a generator the
+    ladder or trees:N schema lacks, as the built schema would, but before the
+    coproducts are built.  Anything else wrong is left to ``load_functional``."""
+    from .hopf import TableSchema
+    from .instances import LadderSchema, check_tree_budget, enumerate_trees, tree_generator
+    from .serialize import read_json
+
+    if selector == "ladder":
+        schema = LadderSchema()
+    elif selector.startswith("trees:") and selector[6:].isdigit() and (n := int(selector[6:])) >= 1:
+        check_tree_budget(n)
+        generators = [tree_generator(t) for k in range(1, n + 1) for t in enumerate_trees(k)]
+        schema = TableSchema(f"trees:{n}", generators, {})
+    else:
+        return
+    for path in paths:
+        data = read_json(path, "functional")
+        if isinstance(data, dict) and data.get("kind") in ("character", "infinitesimal") \
+                and isinstance(data.get("values"), dict):
+            for name in data["values"]:
+                schema.generator_by_name(name)
+
+
 def build_context(args):
     from .hopf import HopfAlgebra
 
@@ -86,6 +110,7 @@ def read_functionals(args) -> list:
     from .serialize import load_functional, ring_tag
 
     kind, ring, noun = COMMANDS[args.command][2]
+    check_generator_names(args.schema, args.functional)
     ctx = build_context(args)
     out = []
     for path in args.functional:

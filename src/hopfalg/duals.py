@@ -32,7 +32,7 @@ from .errors import (
     VerificationError,
 )
 from .hopf import HopfAlgebra, theta_factors
-from .rings import QQ, Ring
+from .rationals import QQ, Ring
 
 
 class Functional:

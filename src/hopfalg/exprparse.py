@@ -17,7 +17,7 @@ from typing import List, Tuple
 from .algebra import Element, Monomial
 from .errors import HopfError
 from .hopf import HopfAlgebra
-from .rings import QQ, parse_rational
+from .rationals import QQ, parse_rational
 
 # The largest N accepted in ``atom^N``, which is expanded by N - 1
 # multiplications before anything else can bound the work.

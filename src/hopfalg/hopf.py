@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .algebra import Element, Generator, Monomial, TensorElement
 from .errors import CutoffExceededError, DomainError, SchemaError, UnsupportedRingError
-from .rings import QQ, LaurentRing, Ring
+from .rationals import QQ, Ring
 
 DEFAULT_VALIDATE_DEGREE = 8
 
@@ -47,6 +47,10 @@ class HopfSchema:
 
     def generator_by_name(self, name: str) -> Generator:
         raise NotImplementedError
+
+    def reduced_term_count(self, gen: Generator) -> int:
+        """At least the number of terms of D(gen) - gen (x) 1 - 1 (x) gen."""
+        return len(self.reduced_terms(gen))
 
     def generators_up_to(self, degree: int) -> Tuple[Generator, ...]:
         out: List[Generator] = []
@@ -137,7 +141,7 @@ def validate_schema_structure(schema: HopfSchema, up_to: int) -> None:
                 schema.generator_by_name(lg.name)
 
 
-def theta_factors(ring: LaurentRing, z, max_degree: int) -> list:
+def theta_factors(ring: Ring, z, max_degree: int) -> list:
     """exp(n z) for n = 0 .. max_degree, the factors of theta_z by degree; z is
     a positive-valuation series in ``ring``, so each is exact to its truncation."""
     if not hasattr(ring, "exp"):
@@ -193,16 +197,15 @@ class HopfAlgebra:
         the whole algebra.
         """
         for g in self.schema.generators_up_to(up_to):
-            left: dict = {}
-            right: dict = {}
+            diff: dict = {}  # (D (x) id) D g - (id (x) D) D g
             for (a, b), c in self.coproduct_monomial(Monomial.of(g)).terms.items():
                 for (a1, a2), c1 in self.coproduct_monomial(a).terms.items():
                     key = (a1, a2, b)
-                    left[key] = left.get(key, 0) + c * c1
+                    diff[key] = diff.get(key, 0) + c * c1
                 for (b1, b2), c2 in self.coproduct_monomial(b).terms.items():
                     key = (a, b1, b2)
-                    right[key] = right.get(key, 0) + c * c2
-            if {k: c for k, c in left.items() if c} != {k: c for k, c in right.items() if c}:
+                    diff[key] = diff.get(key, 0) - c * c2
+            if any(diff.values()):
                 return g
         return None
 
@@ -321,55 +324,61 @@ class HopfAlgebra:
         return fill + 1 if h.terms else 0  # every chain ends at D(1) = 1 (x) 1
 
     def antipode_term_bound(self, h: Element) -> int:
-        """An upper bound on the terms the right antipode memo fills for S(h),
-        from the generator counts G(n) per degree, before anything is expanded.
+        """An upper bound on the terms the right antipode fill for S(h) adds to
+        either memo it fills, its S values and the coproducts it reads, from
+        the generator counts G(n) per degree, before anything is expanded.
 
         The right legs of D(g) are 1, g and generators of lower degree, so each
-        monomial whose S the fill builds for a term prod g^e of h is a product,
-        over its factors g^e, of at most e generators of degree <= deg g.  S is
-        a graded algebra map, so S(prod k^f) has at most prod C(b(deg k) + f - 1, f)
-        terms, b(n) being the basis count of degree n (the Euler transform of
-        G).  Summed over those products, these weights are the coefficients of
-        prod over g^e of [y^0 .. y^e] prod_(n <= deg g) (1 - y q^n)^(-G(n) b(n));
-        degree k holds at most b(k) monomials of at most b(k) terms each.
+        monomial the fill visits for a term prod g^e of h, and each on the
+        chain that fills its D, is a product, over its factors g^e, of at most
+        e generators of degree <= deg g.  S(prod k^f) has at most
+        prod C(b(deg k) + f - 1, f) terms, b(n) the basis count of degree n
+        (the Euler transform of G), and D(prod k^f) at most
+        prod C(|D(k)| + f - 1, f), |D(k)| <= 2 + ``reduced_term_count(k)``.
+        Summed over those products, these weights are the coefficients of
+        prod over g^e of [y^0 .. y^e] prod_(n <= deg g) (1 - y q^n)^(-s(n)), s(n)
+        the weights summed over degree n; degree k holds at most b(k) S values,
+        of at most b(k) terms each.
         """
         if not h.terms:
             return 0
         top = max(m.y_degree for m in h.terms)
         gen_top = max((g.degree for m in h.terms for g, _ in m.powers), default=0)
-        gens = [0] + [len(self.schema.generators_of_degree(n)) for n in range(1, gen_top + 1)]
+        gens = [()] + [self.schema.generators_of_degree(n) for n in range(1, gen_top + 1)]
         # Monomials per degree in the generators of degree <= gen_top, which
-        # are all the generators any of these S values involve.
+        # are all the generators any of these S and D values involve.
         basis = [1] + [0] * top
         for n in range(1, gen_top + 1):
-            for _ in range(gens[n]):
+            for _ in gens[n]:
                 for k in range(n, top + 1):
                     basis[k] += basis[k - n]
-        total = [0] * (top + 1)
-        for m in h.terms:
-            d = m.y_degree
-            poly = [1] + [0] * d
-            for g, e in m.powers:
-                weights = {(0, 0): 1}  # (generators, degree) -> summed weight
-                for n in range(1, g.degree + 1):
-                    s = gens[n] * basis[n]
-                    if not s:
-                        continue
-                    grown = dict(weights)
-                    for (j, k), w in weights.items():
-                        f = 1
-                        while j + f <= e and k + n * f <= d:
-                            key = (j + f, k + n * f)
-                            grown[key] = grown.get(key, 0) + w * comb(s + f - 1, f)
-                            f += 1
-                    weights = grown
-                factor = [0] * (d + 1)
-                for (_, k), w in weights.items():
-                    factor[k] += w
-                poly = [sum(poly[i] * factor[k - i] for i in range(k + 1)) for k in range(d + 1)]
-            for k in range(d + 1):
-                total[k] += poly[k]
-        return sum(min(t, b * b) for t, b in zip(total, basis))
+        antipode, coproduct = totals = [[0] * (top + 1), [0] * (top + 1)]
+        sizes = ([len(gs) * b for gs, b in zip(gens, basis)],
+                 [sum(self.schema.reduced_term_count(g) + 2 for g in gs) for gs in gens])
+        for s, total in zip(sizes, totals):
+            for m in h.terms:
+                d = m.y_degree
+                poly = [1] + [0] * d
+                for g, e in m.powers:
+                    weights = {(0, 0): 1}  # (generators, degree) -> summed weight
+                    for n in range(1, g.degree + 1):
+                        if not s[n]:
+                            continue
+                        grown = dict(weights)
+                        for (j, k), w in weights.items():
+                            f = 1
+                            while j + f <= e and k + n * f <= d:
+                                key = (j + f, k + n * f)
+                                grown[key] = grown.get(key, 0) + w * comb(s[n] + f - 1, f)
+                                f += 1
+                        weights = grown
+                    factor = [0] * (d + 1)
+                    for (_, k), w in weights.items():
+                        factor[k] += w
+                    poly = [sum(poly[i] * factor[k - i] for i in range(k + 1)) for k in range(d + 1)]
+                for k in range(d + 1):
+                    total[k] += poly[k]
+        return max(sum(min(t, b * b) for t, b in zip(antipode, basis)), sum(coproduct))
 
     def counit(self, h: Element):
         return h.coefficient(Monomial.unit())
@@ -513,7 +522,7 @@ class HopfAlgebra:
         ring = self.ring
         return Element(ring, {m: v for m, c in h.terms.items() if not ring.is_zero(v := ring.scale(m.y_degree, c))})
 
-    def apply_theta(self, h: Element, factors, ring: LaurentRing) -> Element:
+    def apply_theta(self, h: Element, factors, ring: Ring) -> Element:
         """Scale each homogeneous component of degree n by ``factors[n]``,
         the list exp(n z) from ``theta_factors``."""
         return Element(ring, {m: v for m, c in h.terms.items()

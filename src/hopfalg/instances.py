@@ -1,9 +1,8 @@
 """Built-in schemas: the ladder algebra, rooted trees, and a JSON loader.
 
-Rooted trees carry the admissible-cut coproduct (prune a set of edges with
-at most one cut per root-to-leaf path; the pruned forest goes left, the
-trunk right).  The construction is validated against the schema invariants
-rather than trusted.
+Rooted trees carry the admissible-cut coproduct (the pruned forest goes
+left, the trunk right), built by the B+ cocycle.  The construction is
+validated against the schema invariants rather than trusted.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .algebra import Generator, Monomial
 from .errors import DomainError, HopfError, SchemaError
 from .hopf import HopfSchema, ReducedTerm, TableSchema, validate_schema_structure
-from .rings import QQ, Frozen, is_json_int
+from .rationals import QQ, Frozen, is_json_int
 
 # -- the ladder schema --------------------------------------------------------
 
@@ -51,6 +50,9 @@ class LadderSchema(HopfSchema):
             )
             for k in range(1, n)
         )
+
+    def reduced_term_count(self, gen: Generator) -> int:
+        return gen.degree - 1
 
     def generator_by_name(self, name: str) -> Generator:
         if name.startswith("t") and name[1:].isdigit() and int(name[1:]) >= 1:
@@ -217,26 +219,12 @@ class AdmissibleCut(NamedTuple):
 def _cuts_with_empty(tree: RootedTree) -> Tuple[Tuple[Tuple[RootedTree, ...], RootedTree], ...]:
     # Per child, either cut its edge (prune the whole subtree), or keep the
     # edge and apply any cut (possibly empty) inside the child.
-    options_per_child = []
+    combos: List[Tuple[Tuple[RootedTree, ...], List[RootedTree]]] = [((), [])]
     for child in tree.children:
-        opts = [((child,), None)]  # cut the edge above this child
-        for pruned, trunk in _cuts_with_empty(child):
-            opts.append((pruned, trunk))
-        options_per_child.append(opts)
-    results: List[Tuple[Tuple[RootedTree, ...], RootedTree]] = [((), tree)]
-    if options_per_child:
-        combos: List[Tuple[Tuple[RootedTree, ...], List[RootedTree]]] = [((), [])]
-        for opts in options_per_child:
-            new_combos = []
-            for pruned_acc, kept in combos:
-                for pruned, trunk in opts:
-                    kept_next = kept if trunk is None else kept + [trunk]
-                    new_combos.append((pruned_acc + pruned, kept_next))
-            combos = new_combos
-        results = [
-            (pruned, RootedTree(kept)) for pruned, kept in combos
-        ]
-    return tuple(results)
+        options = (((child,), None),) + _cuts_with_empty(child)
+        combos = [(pruned_acc + pruned, kept if trunk is None else kept + [trunk])
+                  for pruned_acc, kept in combos for pruned, trunk in options]
+    return tuple((pruned, RootedTree(kept)) for pruned, kept in combos)
 
 
 def admissible_cuts(tree: RootedTree) -> Tuple[AdmissibleCut, ...]:
@@ -254,35 +242,46 @@ def tree_generator(tree: RootedTree) -> Generator:
     return Generator(tree.vertex_count, tree._encoding)
 
 
-def forest_monomial(forest: Tuple[RootedTree, ...]) -> Monomial:
-    return Monomial.from_powers((tree_generator(t), 1) for t in forest)
-
-
 def rooted_tree_schema(max_vertices: int) -> TableSchema:
-    """The rooted-tree schema with generators up to the given vertex count.
-
-    Computations that would need larger trees fail with an explicit
-    cutoff-exceeded error; nothing is silently truncated.
+    """The rooted-tree schema with generators up to the given vertex count,
+    built by the Hochschild 1-cocycle B+ (Connes-Kreimer): t = B+(f) has
+    D(t) = t (x) 1 + (id (x) B+) D(f), and D of its forest f is D of the
+    forest of all but its last child times D of that child, so no cut is
+    enumerated (``admissible_cuts`` is the tests' reference).  Computations
+    that would need larger trees fail with an explicit cutoff-exceeded error.
     """
     if max_vertices < 1:
         raise DomainError("max_vertices must be >= 1")
     check_tree_budget(max_vertices)
-    generators: List[Generator] = []
-    reduced: Dict[Generator, Tuple[ReducedTerm, ...]] = {}
+    one = Monomial.unit()
+    # {(left, right): count}: D of each forest, keyed by its trees, with the
+    # monomial of the kept trunks on the right; D of each tree, a trunk or 1.
+    forest_terms, tree_terms = {(): {(one, one): 1}}, {}
+    trees, grafts = {}, {}  # generator -> its tree; trunk monomial r -> B+(r)
+    generators, reduced = [], {}
     for n in range(1, max_vertices + 1):
         for tree in enumerate_trees(n):
             g = tree_generator(tree)
             generators.append(g)
-            # Repeated cuts are equal (forest, trunk) pairs of interned trees:
-            # count them in ints, then build each term's legs once.
-            counts: Dict[Tuple[Tuple[RootedTree, ...], RootedTree], int] = {}
-            for cut in admissible_cuts(tree):
-                key = (cut.pruned, cut.trunk)
-                counts[key] = counts.get(key, 0) + 1
-            terms = [
-                ReducedTerm(left=forest_monomial(pruned), right=tree_generator(trunk), coeff=c)
-                for (pruned, trunk), c in counts.items()
-            ]
+            trees[g] = tree
+            kids = tree.children
+            f = forest_terms.get(kids)
+            if f is None:
+                f = forest_terms[kids] = {}
+                for (l1, r1), c1 in forest_terms[kids[:-1]].items():
+                    for (l2, r2), c2 in tree_terms[kids[-1]].items():
+                        key = (l1 * l2, r1 * r2)
+                        f[key] = f.get(key, 0) + c1 * c2
+            d = tree_terms[tree] = {(Monomial.of(g), one): 1}
+            terms = []
+            for (left, r), c in f.items():
+                right = grafts.get(r)
+                if right is None:
+                    b = RootedTree([trees[h] for h, e in r.powers for _ in range(e)])
+                    right = grafts[r] = Monomial.of(tree_generator(b))
+                d[left, right] = c
+                if left is not one:  # 1 (x) t is not in the reduced coproduct
+                    terms.append(ReducedTerm(left=left, right=right.single_generator(), coeff=c))
             reduced[g] = tuple(sorted(terms, key=lambda t: (t.left.sort_key(), t.right)))
     return TableSchema(
         name=f"trees:{max_vertices}",

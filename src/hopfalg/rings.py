@@ -1,12 +1,8 @@
-"""Exact coefficient rings: rationals, formal polynomials, truncated Laurent series.
+"""Series rings over Q: formal polynomials, truncated Laurent series.
 
-Every ring is a commutative unital Q-algebra with decidable, canonical
-equality.  Values are plain immutable data (int or Fraction, tuples,
-slotted ``Frozen`` objects); the ring object knows how to combine them.  No
-floating point anywhere: division is exact.  Exact sums of products run in
-integers over one common denominator; a result is a plain int when it is
-integral and a Fraction only when its denominator is above 1.  Over Q,
-``dot`` is that sum directly.
+Each is a commutative unital Q-algebra with decidable, canonical equality,
+on the ring interface of ``rationals`` (whose names this module re-exports);
+values are immutable tuples and slotted series.
 """
 
 from __future__ import annotations
@@ -17,262 +13,8 @@ from math import lcm
 from operator import itemgetter
 from typing import Optional
 
-from .errors import (
-    DomainError,
-    HopfError,
-    SingularInputError,
-    TruncationError,
-    UnsupportedRingError,
-)
-
-
-class Frozen:
-    """Slotted objects whose attributes are set once, at construction."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
-
-
-def is_json_int(value) -> bool:
-    """Whether a decoded JSON value is an integer; ``true`` is a ``bool``, not 1."""
-    return value.__class__ is int
-
-
-def parse_rational(text: str):
-    """Parse a rational from its decimal-string form "p" or "p/q": an int
-    when the value is integral, else a Fraction."""
-    try:
-        q = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise HopfError(f"not a rational number: {text!r}") from exc
-    return q.numerator if q.denominator == 1 else q
-
-
-def _over(v: int, d: int):
-    """v / d in canonical form: an int when d divides v, else a Fraction."""
-    return v // d if not v % d else Fraction(v, d)
-
-
-def format_rational(q: Fraction) -> str:
-    """Canonical string form: "p" for integers, "p/q" otherwise."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-class Ring:
-    """Commutative unital ring interface. Subclasses supply exact operations."""
-
-    tag = "ring"
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def eq(self, a, b) -> bool:
-        raise NotImplementedError
-
-    def is_zero(self, a) -> bool:
-        return self.eq(a, self.zero())
-
-    def is_exact_zero(self, a) -> bool:
-        """Whether a is the exact zero ``zero()``, which tables leave out.  A
-        truncated Laurent zero is not: it still narrows the sound window of
-        every sum it enters."""
-        return a == self.zero()
-
-    def from_rational(self, q: Fraction):
-        raise NotImplementedError
-
-    def scale(self, q: Fraction, a):
-        """Multiply by a rational scalar (every ring here is a Q-algebra)."""
-        return self.mul(self.from_rational(q), a)
-
-    def operand(self, xs):
-        """A sparse (exponent, coefficient) list in the form ``convolve_operands``
-        reads: the list itself here.  Rings with an integer kernel convert it,
-        and a value that enters many products keeps its form (see
-        ``LaurentSeries.operand``), so it is converted once."""
-        return xs
-
-    def convolve(self, terms, n: int) -> dict:
-        """The ring's one product kernel: the sum of c xs ys over the (c, xs, ys)
-        triples of ``terms`` below exponent n, c a rational scalar and xs, ys
-        sparse (exponent, coefficient) lists with increasing exponents.
-
-        The result maps every exponent below n that a product reaches to its
-        coefficient, which may be zero; work and memory follow the stored
-        terms, not the exponent range.
-        """
-        out = {}
-        for c, xs, ys in terms:
-            for i, x in xs:
-                x = x if c == 1 else self.scale(c, x)
-                if self.is_zero(x):
-                    continue
-                for j, y in ys:
-                    k = i + j
-                    if k >= n:
-                        break
-                    cur = out.get(k)
-                    out[k] = self.mul(x, y) if cur is None else self.add(cur, self.mul(x, y))
-        return out
-
-    def convolve_operands(self, terms, n: int) -> dict:
-        """``convolve`` on triples whose lists are already in ``operand`` form."""
-        return self.convolve(terms, n)
-
-    def dot(self, terms):
-        """The sum of c x y over (c, x, y) triples: the kernel at exponent 0."""
-        out = self.convolve([(c, ((0, x),), ((0, y),)) for c, x, y in terms], 1)
-        return out.get(0, self.zero())
-
-    def value_to_json(self, a):
-        raise NotImplementedError
-
-    def value_from_json(self, data):
-        raise NotImplementedError
-
-    def format_value(self, a) -> str:
-        raise NotImplementedError
-
-
-# Fractions are immutable, so zero() and one() share these two.
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-class RationalField(Ring):
-    """The field of exact rationals; values are int or fractions.Fraction.
-
-    The sum-of-products kernels (``convolve``, ``dot``) return an integral
-    value as a plain int and a Fraction only for a denominator above 1, so
-    integral data (structure constants, seeded characters, integral JSON
-    values) stays in C-level int arithmetic.  ``add`` and ``mul`` are
-    Python's own operators, ``from_rational`` returns an int or a Fraction
-    argument itself, ``invert`` returns a Fraction, and ``zero()`` and
-    ``one()`` are shared Fraction constants.  Mixed int/Fraction arithmetic
-    is exact, and equal values compare and hash equal whatever their type.
-    """
-
-    tag = "rational"
-
-    def zero(self):
-        return _ZERO
-
-    def one(self):
-        return _ONE
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def eq(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return not a
-
-    is_exact_zero = is_zero
-
-    def from_rational(self, q):
-        return q if q.__class__ is int or q.__class__ is Fraction else Fraction(q)
-
-    def scale(self, q, a):
-        return q * a
-
-    def operand(self, xs):
-        """xs over one common denominator: (d, ((exponent, integer numerator), ...)),
-        which is (1, xs) itself when every value is an int."""
-        if all(x.__class__ is int for _, x in xs):
-            return 1, xs
-        d = lcm(*(x.denominator for _, x in xs))
-        return d, tuple((i, x.numerator * (d // x.denominator)) for i, x in xs)
-
-    def convolve(self, terms, n):
-        """Ring.convolve in integers, on the operand form of each list."""
-        return self.convolve_operands([(c, self.operand(xs), self.operand(ys)) for c, xs, ys in terms], n)
-
-    def convolve_operands(self, terms, n):
-        """The integer loop: all triples over the lcm of their denominators,
-        one canonical value (int, or Fraction off the integers) per output exponent."""
-        for c, (dx, _), (dy, _) in terms:
-            if c.__class__ is not int or dx != 1 or dy != 1:
-                d = lcm(*(c.denominator * dx * dy for c, (dx, _), (dy, _) in terms))
-                break
-        else:
-            d = 1  # every scalar and operand integral: no lcm to take
-        out = {}
-        get = out.get
-        for c, (dx, xs), (dy, ys) in terms:
-            f = c.numerator * (d // (c.denominator * dx * dy))
-            for i, x in xs:
-                x *= f
-                if x:
-                    for j, y in ys:
-                        k = i + j
-                        if k >= n:
-                            break
-                        out[k] = get(k, 0) + x * y
-        if d == 1:
-            return out
-        return {k: _over(v, d) for k, v in out.items()}
-
-    def dot(self, terms):
-        """Ring.dot in integers: each c x y over the lcm of the triples'
-        denominators, summed as a plain int, and the sum in canonical form.
-        c, x and y may each be an int or a Fraction."""
-        if all(c.__class__ is int and x.__class__ is int and y.__class__ is int for c, x, y in terms):
-            return sum(c * x * y for c, x, y in terms)
-        dens = [c.denominator * x.denominator * y.denominator for c, x, y in terms]
-        d = lcm(*dens)
-        total = 0
-        for (c, x, y), e in zip(terms, dens):
-            total += c.numerator * x.numerator * y.numerator * (d // e)
-        return total if d == 1 else _over(total, d)
-
-    def invert(self, a):
-        if a == 0:
-            raise SingularInputError("division by zero in the rational field")
-        return _ONE / a
-
-    def value_to_json(self, a):
-        return format_rational(a)
-
-    def value_from_json(self, data):
-        if not isinstance(data, str):
-            raise HopfError(f"rational values are encoded as strings, got {data!r}")
-        return parse_rational(data)
-
-    def format_value(self, a):
-        return format_rational(a)
-
-
-QQ = RationalField()
+from .errors import DomainError, HopfError, SingularInputError, TruncationError, UnsupportedRingError
+from .rationals import QQ, Frozen, RationalField, Ring, _over, format_rational, is_json_int, parse_rational  # noqa: F401
 
 
 def _strip(coeffs, base: Ring):
@@ -796,3 +538,7 @@ class LaurentRing(Ring):
                 pow_s = self.var if k == 1 else f"{self.var}^{k}"
                 parts.append(f"{vs}*{pow_s}" if vs != "1" else pow_s)
         return " + ".join(parts)
+
+
+# The ring of Laurent-valued JSON functionals, tagged "laurent".
+EPS_RING = LaurentRing(QQ, "eps")

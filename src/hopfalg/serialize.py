@@ -14,32 +14,28 @@ from typing import TYPE_CHECKING
 from .algebra import Element, Monomial, TensorElement
 from .errors import HopfError
 from .hopf import HopfAlgebra
-from .rings import QQ, LaurentRing, Ring, is_json_int
+from .rationals import QQ, Ring, is_json_int
 
 if TYPE_CHECKING:  # element and tensor I/O runs without the dual calculus
     from .duals import Functional
 
-EPS_RING = LaurentRing(QQ, "eps")
-
-_RINGS = {
-    "rational": QQ,
-    "laurent": EPS_RING,
-}
+# The ring tags of JSON functionals; only a "laurent" one loads the series rings.
+RING_TAGS = ("laurent", "rational")
 
 
-def ring_by_tag(tag: str) -> Ring:
-    try:
-        return _RINGS[tag]
-    except KeyError:
-        raise HopfError(
-            f"unknown ring tag {tag!r}; expected one of {sorted(_RINGS)}"
-        ) from None
+def ring_by_tag(tag) -> Ring:
+    if tag == "rational":
+        return QQ
+    if tag == "laurent":
+        from .rings import EPS_RING
+
+        return EPS_RING
+    raise HopfError(f"unknown ring tag {tag!r}; expected one of {list(RING_TAGS)}")
 
 
 def ring_tag(ring: Ring) -> str:
-    for tag, r in _RINGS.items():
-        if r is ring or r.tag == ring.tag:
-            return tag
+    if ring.tag in RING_TAGS:
+        return ring.tag
     raise HopfError(f"ring {ring.tag!r} has no JSON tag")
 
 

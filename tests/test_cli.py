@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from hopfalg import birkhoff, cli, suites
+from hopfalg import birkhoff, cli, instances, suites
 from hopfalg.exprparse import MAX_EXPONENT
 from hopfalg.instances import rooted_tree_schema
 
@@ -274,11 +274,14 @@ def test_verify_corrupted_schema_fails(tmp_path):
         # Rejected before the (here missing) file is read.
         (["rg-check", "no-such-loop.json", "--schema", "ladder", "--eps-order", "101"],
          "--eps-order 101 is above the limit MAX_EPS_ORDER = 100"),
+        # S(t2^64) has 65 terms, but the fill reads D(t1^a t2^b) for a + b <= 64.
+        (["antipode", "--schema", "ladder", "--expr", "t2^64"],
+         "the antipode of this element may fill 11238513 terms, above the limit MAX_COPRODUCT_TERMS = 100000"),
     ],
     ids=["trees-18", "trees-huge", "schema-trees-40", "power-of-a-sum", "coproduct-of-a-power",
          "coproduct-just-past-the-limit", "antipode-of-sixteen-generators", "antipode-of-sixteen-factors-of-t1",
          "antipode-of-t45",
-         "eps-order-past-the-limit"],
+         "eps-order-past-the-limit", "antipode-of-t2-to-the-64"],
 )
 def test_explosive_requests_are_priced_before_any_work(argv, limit, capsys):
     assert cli.main(argv) == 2
@@ -475,13 +478,18 @@ LAURENT_ONE = {"minExp": -1, "truncation": None, "coeffs": {"-1": "1", "0": "1/2
         (["coproduct", "--expr", "x2"],
          {"generators": [{"name": "x1", "degree": 1}, {"name": "x2", "degree": 2}],
           "reducedCoproduct": {"x2": [{"left": [["x1", True]], "right": "x1"}]}}, "custom:{}"),
+        # Generator names are checked before the schema is built.
+        (["exp", "{}"], {"kind": "infinitesimal", "values": {"t1": "1"}}, "trees:10"),
+        (["log", "{}"], {"kind": "character", "values": {"[]": "1", "[[[]]]": "1"}}, "trees:2"),
+        (["exp", "{}"], {"kind": "infinitesimal", "values": {"[[][[]]]": "1"}}, "trees:4"),
     ],
     ids=["zero-denominator", "term-without-monomial", "unpaired-factor", "values-list", "laurent-key",
          "cutoff-string", "min-exp-string", "generators-string-verify", "generators-string-coproduct",
          "rational-birkhoff", "rational-rg-check", "rational-beta", "rational-table-beta",
          "laurent-build-loop", "non-json-coproduct", "non-json-antipode", "negative-degree-rg-check",
          "negative-degree-log", "negative-degree-convolve", "truncation-true", "min-exp-true",
-         "cutoff-true", "monomial-exponent-true", "degree-true", "left-exponent-true"],
+         "cutoff-true", "monomial-exponent-true", "degree-true", "left-exponent-true",
+         "ladder-name-on-trees-10", "tree-past-the-cutoff", "non-canonical-tree-name"],
 )
 def test_malformed_input_exits_2_with_a_diagnostic(tmp_path, argv, payload, schema, monkeypatch, capsys):
     if payload is not None:
@@ -497,12 +505,34 @@ def test_malformed_input_exits_2_with_a_diagnostic(tmp_path, argv, payload, sche
     # under the patch keeps the stand-in after it.
     monkeypatch.setattr(birkhoff, "build_special_loop", no_work)
     monkeypatch.setattr(suites, "build_special_loop", no_work)
+    monkeypatch.setattr(instances, "rooted_tree_schema", no_work)
     assert cli.main([*argv, "--schema", schema]) == 2
     assert not capsys.readouterr().out
 
 
 def no_work(*args, **kwargs):
     raise AssertionError("the engine ran on an input it should have rejected")
+
+
+@pytest.mark.parametrize("selector", ["ladder", "trees:2", "trees:4"])
+def test_names_checked_before_the_build_fail_as_the_built_schema_does(selector, tmp_path):
+    from hopfalg.errors import SchemaError
+
+    schema = cli.resolve_schema(selector)
+    names = ["t1", "t01", "t0", "x", "", "[]", "[[]]", "[[[]]]", "[[[]][]]", "[[][[]]]", " []", "[]x", "[" * 40]
+    for name in names:
+        path = write(tmp_path, "f.json", {"kind": "character", "values": {name: "1"}})
+        try:
+            schema.generator_by_name(name)
+            expected = None
+        except SchemaError as exc:
+            expected = str(exc)
+        try:
+            cli.check_generator_names(selector, [path])
+            got = None
+        except SchemaError as exc:
+            got = str(exc)
+        assert got == expected, name
 
 
 

@@ -405,6 +405,34 @@ def test_corrupted_schema_rejected():
         HopfAlgebra(bad)
 
 
+def mutated(schema, name, index):
+    """``schema`` with the coefficient of one reduced term of ``name`` raised by 1."""
+    from hopfalg.hopf import TableSchema
+
+    generators = schema.generators_up_to(schema.max_degree)
+    reduced = {g: schema.reduced_terms(g) for g in generators}
+    g = schema.generator_by_name(name)
+    terms = list(reduced[g])
+    terms[index] = terms[index]._replace(coeff=terms[index].coeff + 1)
+    reduced[g] = tuple(terms)
+    return TableSchema(schema.name, generators, reduced, schema.max_degree, schema.complete)
+
+
+@pytest.mark.parametrize("schema, name, index, witness", [
+    # D([[]]) = [[]] (x) 1 + 1 (x) [[]] + c [] (x) [] is coassociative for
+    # every c, so the first generator that fails reads D([[]]) on a leg.
+    (lambda: rooted_tree_schema(6), "[[]]", 0, "[[][]]"),
+    (lambda: rooted_tree_schema(6), "[[[]][]]", 0, "[[[]][]]"),
+    (lambda: rooted_tree_schema(6), "[[][][][][]]", 2, "[[][][][][]]"),
+    (lambda: binomial_schema(6), "x4", 1, "x4"),
+    (lambda: binomial_schema(6), "x6", 4, "x6"),
+], ids=["trees-two-vertices", "trees-four-vertices", "trees-six-vertices", "binomial-x4", "binomial-x6"])
+def test_a_one_coefficient_mutation_is_rejected_at_the_first_failing_generator(schema, name, index, witness):
+    with pytest.raises(SchemaError) as exc:
+        HopfAlgebra(mutated(schema(), name, index))
+    assert str(exc.value) == f"coproduct of {witness!r} is not coassociative: (D(x)id)D and (id(x)D)D disagree"
+
+
 def test_building_a_context_never_reaches_the_iterated_coproduct(monkeypatch):
     def forbidden(*args):
         raise AssertionError("schema validation must not fill the iterated memo")
@@ -492,7 +520,7 @@ def partitions(n):
 
 def test_the_antipode_price_bounds_the_memo_fill():
     # Each element in a fresh context: the bound is at least the terms the
-    # right antipode memo holds once S of it is filled.
+    # right antipode memo and the coproduct memo hold once S of it is filled.
     ladder = ladder_schema()
     gens = [Monomial.of(ladder.generator(n)) for n in range(1, 21)]
     g = ladder.generator
@@ -507,12 +535,15 @@ def test_the_antipode_price_bounds_the_memo_fill():
         bound = ctx.antipode_term_bound(h)
         ctx.antipode(h)
         assert sum(len(s.terms) for s in ctx._antipode_r.values()) <= bound, str(m)
+        assert sum(len(d.terms) for d in ctx._coproduct.values()) <= bound, str(m)
     # On the ladder S(t_n) fills S(t_1), ..., S(t_n), of p(k) terms each, and
-    # the bound counts them and S(1): t36 is inside MAX_COPRODUCT_TERMS, t37 is not.
+    # D(t_1), ..., D(t_n), of k + 1 terms each; the bound counts them, S(1)
+    # and D(1), and is the larger memo: t36 is inside MAX_COPRODUCT_TERMS, t37 is not.
     ctx = HopfAlgebra(ladder, validate_to=0)
     p = partitions(37)
     for n in (1, 20, 36, 37):
-        assert ctx.antipode_term_bound(ctx.monomial_element(Monomial.of(ladder.generator(n)))) == sum(p[:n + 1])
+        bound = max(sum(p[:n + 1]), 1 + sum(k + 1 for k in range(1, n + 1)))
+        assert ctx.antipode_term_bound(ctx.monomial_element(Monomial.of(ladder.generator(n)))) == bound
     assert sum(p[:37]) <= 100_000 < sum(p[:38])
     assert ctx.antipode_term_bound(Element.zero(QQ)) == 0
 

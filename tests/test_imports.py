@@ -17,12 +17,17 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 # Every command loads these: the package, the CLI and its error types.
 BASE = {"hopfalg", "hopfalg.cli", "hopfalg.errors"}
-# A schema context: what ``cli.build_context`` loads.
-CONTEXT = BASE | {"hopfalg.instances", "hopfalg.hopf", "hopfalg.algebra", "hopfalg.rings"}
+# A schema context: what ``cli.build_context`` loads, the exact-rational core
+# and no series ring.
+CONTEXT = BASE | {"hopfalg.instances", "hopfalg.hopf", "hopfalg.algebra", "hopfalg.rationals"}
 DUAL = CONTEXT | {"hopfalg.duals", "hopfalg.serialize"}
+# The polynomial and Laurent rings, which only series-valued commands load.
+SERIES = {"hopfalg.rings"}
 
 INFINITESIMAL = {"kind": "infinitesimal", "ring": "rational", "values": {"t1": "1", "t2": "1/2"}}
 CHARACTER = {"kind": "character", "ring": "rational", "values": {"t1": "1", "t2": "-2"}}
+LAURENT_INFINITESIMAL = {"kind": "infinitesimal", "ring": "laurent",
+                         "values": {"t1": {"minExp": 1, "truncation": 4, "coeffs": {"1": "1"}}}}
 LOOP = {"kind": "character", "ring": "laurent",
         "values": {"t1": {"minExp": -1, "truncation": None, "coeffs": {"-1": "1", "0": "1/2"}}}}
 # The special loop that build-loop assembles from INFINITESIMAL at degree 3.
@@ -31,7 +36,7 @@ SPECIAL = {"kind": "character", "ring": "laurent", "cutoff": 3, "values": {
     "t2": {"minExp": -2, "truncation": None, "coeffs": {"-2": "1/2", "-1": "1/4"}},
     "t3": {"minExp": -3, "truncation": None, "coeffs": {"-3": "1/6", "-2": "1/4"}}}}
 # The layers of the renormalization commands, and what verify adds to them.
-RENORM = DUAL | {"hopfalg.birkhoff"}
+RENORM = DUAL | SERIES | {"hopfalg.birkhoff"}
 
 
 def loaded_after(code):
@@ -68,12 +73,14 @@ def test_build_context_loads_only_the_schema_layers():
         ("exp", INFINITESIMAL, DUAL),
         ("log", CHARACTER, DUAL),
         ("convolve", CHARACTER, DUAL),
-        ("birkhoff", LOOP, DUAL | {"hopfalg.birkhoff"}),
+        ("birkhoff", LOOP, DUAL | SERIES | {"hopfalg.birkhoff"}),
         ("build-loop", INFINITESIMAL, RENORM),
         ("rg-check", SPECIAL, RENORM),
         ("beta", SPECIAL, RENORM),
         ("scattering", INFINITESIMAL, RENORM | {"hopfalg.exp_integrals"}),
         ("verify", None, RENORM | {"hopfalg.exp_integrals", "hopfalg.axioms", "hopfalg.suites"}),
+        # A Laurent file loads the series rings; a rational one (above) does not.
+        ("exp", LAURENT_INFINITESIMAL, DUAL | SERIES),
     ],
 )
 def test_functional_commands_load_only_what_they_run(command, payload, loads, tmp_path):

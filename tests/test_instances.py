@@ -17,13 +17,13 @@ from hopfalg.instances import (
     admissible_cuts,
     check_tree_budget,
     enumerate_trees,
-    forest_monomial,
     ladder_schema,
     load_schema,
     parse_tree,
     rooted_tree_count,
     rooted_tree_schema,
     schema_from_dict,
+    tree_generator,
 )
 from hopfalg.rings import QQ
 
@@ -177,6 +177,30 @@ def test_tree_schema_reduced_coproduct_cherry():
     assert terms == {("[]", "[[]]"): Fraction(2), ("[]^2", "[]"): Fraction(1)}
 
 
+def test_cocycle_coproducts_match_the_cuts_and_a_brute_force_count_to_8_vertices():
+    # Two references: this module's admissible cuts, and perfbench's count
+    # over every edge subset (used read-only; it imports nothing from hopfalg).
+    from perfbench.oracles import admissible_cuts as edge_subset_cuts, tree_encoding, trees_up_to
+
+    schema = rooted_tree_schema(8)
+    everything = trees_up_to(8)
+    assert len(everything) == 200
+    for tree in everything:
+        g = schema.generator_by_name(tree_encoding(tree))
+        terms = schema.reduced_terms(g)
+        assert list(terms) == sorted(terms, key=lambda t: (t.left.sort_key(), t.right)), g.name
+        built = {(tuple(sorted(h.name for h, e in t.left.powers for _ in range(e))), t.right.name): t.coeff
+                 for t in terms}
+        by_cuts, by_subsets = {}, {}
+        for cut in admissible_cuts(parse_tree(g.name)):
+            key = (tuple(f.encoding() for f in cut.pruned), cut.trunk.encoding())
+            by_cuts[key] = by_cuts.get(key, 0) + 1
+        for pruned, trunk in edge_subset_cuts(tree):
+            key = (tuple(sorted(tree_encoding(f) for f in pruned)), tree_encoding(trunk))
+            by_subsets[key] = by_subsets.get(key, 0) + 1
+        assert built == by_cuts == by_subsets, g.name
+
+
 def test_trees_not_cocommutative_from_three_vertices():
     ctx = HopfAlgebra(rooted_tree_schema(3))
     witnesses = []
@@ -194,7 +218,7 @@ def test_enumerate_rejects_zero():
 
 def test_forest_parsing():
     forest = parse_forest("[] [[]]")
-    m = forest_monomial(forest)
+    m = Monomial.from_powers((tree_generator(t), 1) for t in forest)
     assert m.y_degree == 3 and m.poly_degree == 2
 
 

@@ -10,9 +10,8 @@ from hopfalg.errors import HopfError
 from hopfalg.exprparse import parse_element
 from hopfalg.hopf import HopfAlgebra
 from hopfalg.instances import ladder_schema
-from hopfalg.rings import QQ
+from hopfalg.rings import EPS_RING, QQ
 from hopfalg.serialize import (
-    EPS_RING,
     canonical_dumps,
     element_from_json,
     element_to_json,
