@@ -10,20 +10,22 @@ from importlib import import_module
 _EXPORTS = {
     "algebra": ("Element", "Generator", "Monomial", "TensorElement"),
     "axioms": ("AxiomReport", "verify_axioms"),
-    "birkhoff": ("BetaData", "BirkhoffPair", "beta_data", "beta_functional", "birkhoff_decompose",
-                 "build_special_loop", "dn_recursive", "dn_simplex", "residue", "rg_limit_check",
-                 "rota_baxter_T", "scattering_check"),
-    "duals": ("Character", "ConvolutionProduct", "InfinitesimalCharacter", "TableFunctional",
-              "character_inverse", "convolve", "counit_functional", "exp_star", "lie_bracket",
-              "log_star", "metric_distance", "theta_star", "y_star", "y_star_inverse"),
+    "birkhoff": ("BirkhoffPair", "birkhoff_decompose", "rota_baxter_T"),
+    "duals": ("Character", "InfinitesimalCharacter", "TableFunctional", "counit_functional", "exp_star",
+              "log_star"),
     "errors": ("CutoffExceededError", "DomainError", "HopfError", "RankMismatchError",
                "RingMismatchError", "SchemaError", "SingularInputError", "TruncationError",
                "UnsupportedRingError", "VerificationError"),
     "hopf": ("HopfAlgebra", "HopfSchema", "ReducedTerm", "TableSchema"),
-    "instances": ("RootedTree", "admissible_cuts", "enumerate_trees", "ladder_schema", "load_schema",
-                  "parse_tree", "rooted_tree_schema"),
+    "functionals": ("ConvolutionProduct", "character_inverse", "convolve", "lie_bracket", "metric_distance",
+                    "theta_star", "y_star", "y_star_inverse"),
+    "instances": ("ladder_schema", "load_schema"),
+    "polynomials": ("PolynomialRing",),
     "rationals": ("QQ", "RationalField"),
-    "rings": ("LaurentRing", "LaurentSeries", "PolynomialRing"),
+    "rg": ("BetaData", "beta_data", "beta_functional", "build_special_loop", "dn_recursive", "dn_simplex",
+           "residue", "rg_limit_check", "scattering_check"),
+    "rings": ("LaurentRing", "LaurentSeries"),
+    "trees": ("RootedTree", "admissible_cuts", "enumerate_trees", "parse_tree", "rooted_tree_schema"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
@@ -42,3 +44,14 @@ def __getattr__(name):
 
 def __dir__():
     return sorted(set(globals()) | set(__all__))
+
+
+def _forwarder(module: str, home: str, names):
+    """The ``__getattr__`` of ``module`` that reads each of ``names`` off ``home`` on every access."""
+
+    def __getattr__(name):
+        if name not in names:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        return getattr(import_module(f"{__name__}.{home}"), name)
+
+    return __getattr__

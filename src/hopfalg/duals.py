@@ -3,36 +3,33 @@
 Functionals are closed-form evaluation rules rather than infinite tables:
 characters are determined by generator values (multiplicativity), and
 infinitesimal characters vanish on the unit and on every product of two
-augmentation-ideal elements.  The convolution calculus (powers, exp, log,
-brackets) runs on tables keyed by basis monomial: (a * b)(m) is the sum over
+augmentation-ideal elements.  The convolution calculus (powers, exp, log)
+runs on tables keyed by basis monomial: (a * b)(m) is the sum over
 the coproduct of m of c a(m') b(m''), the transposes f o S, Y_*, Y_*^-1 and
 theta_* are table maps, and each such sum is one call per monomial of the
 ring's one sum-of-products kernel, ``ring.dot``.  A character tabulates with
 one ring product per monomial.  One helper reads a table back into closed
 form on the generators, verifying it on the whole basis where the caller
-asks.  The flat ``ConvolutionProduct`` over iterated coproducts is an
-independent oracle for the tests and the suites: it evaluates each factor
-once per distinct leg over the life of the product, drops a term at its
-first exact-zero leg, and multiplies out and adds the other terms one at a
-time, never through ``ring.dot`` or the tables.
+asks.  The flat ``ConvolutionProduct`` oracle and the functional-level
+operations that only the suites and the library API call live in
+``functionals``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
+from . import _forwarder
 from .algebra import Generator, Monomial
-from .errors import (
-    CutoffExceededError,
-    DomainError,
-    RingMismatchError,
-    UnsupportedRingError,
-    VerificationError,
-)
-from .hopf import HopfAlgebra, theta_factors
+from .errors import CutoffExceededError, DomainError, RingMismatchError, VerificationError
+from .hopf import HopfAlgebra
 from .rationals import QQ, Ring
+
+# These moved to ``functionals``; their names still resolve here.
+__getattr__ = _forwarder(__name__, "functionals", ("ConvolutionProduct", "materialize_character",
+                                                   "character_inverse"))
 
 
 class Functional:
@@ -189,71 +186,6 @@ class InfinitesimalCharacter(Functional):
         return self.gen_values.get(g, self.ring.zero())
 
 
-_UNSEEN = object()  # a leg not yet evaluated, in ConvolutionProduct.value_on
-
-
-class ConvolutionProduct(Functional):
-    """Lazy convolution of finitely many functionals.
-
-    Evaluation goes through the flat iterated coproduct, so it is
-    independent of any association order by construction.
-    """
-
-    def __init__(self, factors: Sequence[Functional]):
-        if not factors:
-            raise DomainError("convolution needs at least one factor")
-        first = factors[0]
-        flat = []
-        for f in factors:
-            first._check_compatible(f)
-            if isinstance(f, ConvolutionProduct):
-                flat.extend(f.factors)
-            else:
-                flat.append(f)
-        super().__init__(first.ctx, first.ring)
-        self.factors: Tuple[Functional, ...] = tuple(flat)
-        # Leg values per distinct factor, kept for the life of the product.
-        by_factor = {id(f): {} for f in flat}
-        self._memos = [(f, by_factor[id(f)]) for f in flat]
-
-    def value_on(self, m: Monomial):
-        """The sum over the iterated coproduct of m of c f1(m1) ... fn(mn),
-        each term multiplied out and added one at a time.  Each factor is
-        evaluated once per distinct leg over all calls, in the order the terms
-        reach it; a term ends at its first exact-zero leg, before any product,
-        since an exact zero times anything is the exact zero and adds nothing."""
-        n = len(self.factors)
-        if n == 1:
-            return self.factors[0].value_on(m)
-        tensor = self.ctx.iterated_coproduct_monomial(m, n - 1)
-        ring = self.ring
-        zero = ring.zero()
-        total = zero
-        for key, c in tensor.terms.items():
-            values = []
-            for (f, memo), leg in zip(self._memos, key):
-                v = memo.get(leg, _UNSEEN)
-                if v is _UNSEEN:
-                    # None marks an exact zero.  Only an exact zero ends the
-                    # term: a truncated zero times a pole of a later factor
-                    # loses precision, so it multiplies through.
-                    v = f.value_on(leg)
-                    v = memo[leg] = None if v == zero else v
-                if v is None:
-                    break
-                values.append(v)
-            else:
-                prod = ring.from_rational(c)
-                for v in values:
-                    prod = ring.mul(prod, v)
-                total = ring.add(total, prod)
-        return total
-
-
-def convolve(*factors: Functional) -> ConvolutionProduct:
-    return ConvolutionProduct(factors)
-
-
 # -- the table kernel ------------------------------------------------------------
 #
 # A table maps basis monomials to ring values.  An exact zero
@@ -324,51 +256,6 @@ def materialize(ctx: HopfAlgebra, ring: Ring, table: dict, max_degree: int, kind
 
 
 NOT_MULTIPLICATIVE = "functional is not multiplicative; materialization as a character fails on {}"
-
-
-def character_inverse(chi: Character, max_degree: Optional[int] = None) -> Character:
-    """The convolution inverse chi o S, materialized on generators.
-
-    The inverse of a finitely-supported character is generally supported in
-    every degree, so the materialization bound must come from somewhere: an
-    explicit ``max_degree``, or the character's own cutoff.
-    """
-    ctx, ring = chi.ctx, chi.ring
-    bound = max_degree if max_degree is not None else chi.cutoff
-    if bound is None:
-        if not chi.gen_values:
-            return Character(ctx, ring, {}, cutoff=None)  # the counit
-        raise DomainError(
-            "character_inverse needs a materialization bound (max_degree) for "
-            "characters without a cutoff"
-        )
-    gens = [Monomial.of(g) for g in ctx.schema.generators_up_to(bound)]
-    support = {m1 for m in gens for m1 in ctx.antipode_monomial(m).terms}
-    table = compose_antipode(ctx, ring, tabulate(chi, support), gens)
-    return materialize(ctx, ring, table, bound)
-
-
-def materialize_character(ctx: HopfAlgebra, f: Functional, max_degree: int, verify: bool = False) -> Character:
-    """Read a known-multiplicative functional back into character closed form."""
-    if verify:
-        return materialize(ctx, f.ring, tabulate(f, ctx.basis_up_to(max_degree)), max_degree,
-                           failure=NOT_MULTIPLICATIVE)
-    gens = [Monomial.of(g) for g in ctx.schema.generators_up_to(max_degree)]
-    return materialize(ctx, f.ring, tabulate(f, gens), max_degree)
-
-
-def lie_bracket(z1: InfinitesimalCharacter, z2: InfinitesimalCharacter, max_degree: int) -> InfinitesimalCharacter:
-    """[Z1, Z2] = Z1 * Z2 - Z2 * Z1, materialized on generators."""
-    z1._check_compatible(z2)
-    ctx, ring = z1.ctx, z1.ring
-    basis = ctx.basis_up_to(max_degree)
-    a, b = tabulate(z1, basis), tabulate(z2, basis)
-    gens = [Monomial.of(g) for g in ctx.schema.generators_up_to(max_degree)]
-    forward = convolve_tables(ctx, ring, a, b, gens)
-    backward = convolve_tables(ctx, ring, b, a, gens)
-    zero = ring.zero()
-    bracket = {m: ring.sub(forward.get(m, zero), backward.get(m, zero)) for m in gens}
-    return materialize(ctx, ring, bracket, max_degree, InfinitesimalCharacter)
 
 
 def exp_star(z: InfinitesimalCharacter, max_degree: int) -> Character:
@@ -452,76 +339,3 @@ def grading_transpose(ring: Ring, table: dict, inverse: bool = False) -> Dict[Mo
     top = max((m.y_degree for m in table), default=0)
     factors = [ring.from_rational(Fraction(1, n) if inverse else n) for n in range(1, top + 1)]
     return scale_by_degree(ring, table, [ring.zero()] + factors)
-
-
-def y_star(f: Functional) -> Functional:
-    """<Y_* f, h> = <f, Y h>, on an infinitesimal character or a table."""
-    return _grading(f, inverse=False)
-
-
-def y_star_inverse(f: Functional) -> Functional:
-    """Y_*^-1, on an infinitesimal character or a table vanishing at the unit."""
-    return _grading(f, inverse=True)
-
-
-def _grading(f: Functional, inverse: bool) -> Functional:
-    ring = f.ring
-    if isinstance(f, InfinitesimalCharacter):
-        values = {g: ring.scale(Fraction(1, g.degree) if inverse else g.degree, v)
-                  for g, v in f.gen_values.items()}
-        return InfinitesimalCharacter(f.ctx, ring, values, cutoff=f.cutoff)
-    if isinstance(f, TableFunctional):
-        return TableFunctional(f.ctx, ring, grading_transpose(ring, f.table, inverse))
-    raise DomainError(f"the grading transpose takes an infinitesimal character or a table, "
-                      f"not a {type(f).__name__}; tabulate it first")
-
-
-def theta_star(f: Functional, z) -> Functional:
-    """<theta_*z f, h> = <f, theta_z h>: degree-n values times exp(n z), z a
-    positive-valuation series in f's ring.  theta_z is a Hopf automorphism, so
-    (infinitesimal) characters keep their kind, with generator values scaled."""
-    ring = f.ring
-    if isinstance(f, (Character, InfinitesimalCharacter)):
-        factors = theta_factors(ring, z, max((g.degree for g in f.gen_values), default=0))
-        values = {g: ring.mul(factors[g.degree], v) for g, v in f.gen_values.items()}
-        return type(f)(f.ctx, ring, values, cutoff=f.cutoff)
-    if isinstance(f, TableFunctional):
-        factors = theta_factors(ring, z, max((m.y_degree for m in f.table), default=0))
-        return TableFunctional(f.ctx, ring, scale_by_degree(ring, f.table, factors))
-    raise DomainError(f"the scaling transpose takes a character, an infinitesimal character "
-                      f"or a table, not a {type(f).__name__}; tabulate it first")
-
-
-def metric_distance(f1: Functional, f2: Functional, basis_cutoff: int) -> Tuple[Fraction, Fraction]:
-    """Truncated dual-space distance plus its exact tail bound.
-
-    Sums 2^(-i) min(|<f1 - f2, x_i>|, 1) over the first ``basis_cutoff``
-    monomials, enumerated in non-decreasing degree (canonical order within a
-    degree); the discarded tail is bounded by 2^(1 - basis_cutoff).
-    """
-    f1._check_compatible(f2)
-    if f1.ring is not QQ and f1.ring.tag != QQ.tag:
-        raise UnsupportedRingError(
-            "the dual metric needs rational values (absolute values are "
-            "not defined over this ring)"
-        )
-    if basis_cutoff < 1:
-        raise DomainError("basis_cutoff must be >= 1")
-    ctx = f1.ctx
-    schema = ctx.schema
-    # A generator of degree k yields monomials in every multiple of k, so the
-    # scan ends; without generators the unit is the whole basis.
-    has_generators = schema.max_degree is None or bool(schema.generators_up_to(schema.max_degree))
-    total = Fraction(0)
-    index = 0
-    degree = 0
-    while index < basis_cutoff and (degree == 0 or has_generators):
-        for m in ctx.monomials_of_degree(degree):
-            if index >= basis_cutoff:
-                break
-            diff = abs(f1.value_on(m) - f2.value_on(m))
-            total += Fraction(1, 2**index) * min(diff, Fraction(1))
-            index += 1
-        degree += 1
-    tail = Fraction(2) / Fraction(2**basis_cutoff)
-    return total, tail

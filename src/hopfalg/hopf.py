@@ -9,7 +9,6 @@ on the augmentation ideal and memoized per monomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .algebra import Element, Generator, Monomial, TensorElement
@@ -295,90 +294,6 @@ class HopfAlgebra:
             for m, c in h.terms.items()
             for key, c2 in self.coproduct_monomial(m).terms.items()
         ))
-
-    def coproduct_term_bound(self, h: Element) -> int:
-        """An upper bound on the terms the coproduct memo fills for D(h), read
-        off the exponents before anything is expanded.
-
-        When D(g) has k terms, D(g)^e has at most C(e + k - 1, e): one per
-        multiset of e of them, the count ``exprparse.MAX_POWER_TERMS`` prices.
-        D is multiplicative, so a monomial is bounded by the product over its
-        generators.  ``coproduct_monomial`` fills D(g^e r) from D(g^(e-1) r),
-        down to the unit, so each distinct (g, r) of h adds the sum over
-        j = 1..e of C(j + k - 1, j) times the bound of r, which is
-        C(e + k, e) - 1.  The bound is at least the number of terms of D(h).
-        """
-        sizes: Dict[Generator, int] = {}
-        tops: Dict[tuple, list] = {}  # (g, powers after g) -> [highest e, k, bound of the rest]
-        for m in h.terms:
-            rest_bound = 1
-            for i in range(len(m.powers) - 1, -1, -1):
-                g, e = m.powers[i]
-                k = sizes.get(g)
-                if k is None:
-                    k = sizes[g] = len(self.coproduct_generator(g).terms)
-                top = tops.setdefault((g, m.powers[i + 1:]), [e, k, rest_bound])
-                top[0] = max(top[0], e)
-                rest_bound *= comb(e + k - 1, e)
-        fill = sum(r * (comb(e + k, e) - 1) for e, k, r in tops.values())
-        return fill + 1 if h.terms else 0  # every chain ends at D(1) = 1 (x) 1
-
-    def antipode_term_bound(self, h: Element) -> int:
-        """An upper bound on the terms the right antipode fill for S(h) adds to
-        either memo it fills, its S values and the coproducts it reads, from
-        the generator counts G(n) per degree, before anything is expanded.
-
-        The right legs of D(g) are 1, g and generators of lower degree, so each
-        monomial the fill visits for a term prod g^e of h, and each on the
-        chain that fills its D, is a product, over its factors g^e, of at most
-        e generators of degree <= deg g.  S(prod k^f) has at most
-        prod C(b(deg k) + f - 1, f) terms, b(n) the basis count of degree n
-        (the Euler transform of G), and D(prod k^f) at most
-        prod C(|D(k)| + f - 1, f), |D(k)| <= 2 + ``reduced_term_count(k)``.
-        Summed over those products, these weights are the coefficients of
-        prod over g^e of [y^0 .. y^e] prod_(n <= deg g) (1 - y q^n)^(-s(n)), s(n)
-        the weights summed over degree n; degree k holds at most b(k) S values,
-        of at most b(k) terms each.
-        """
-        if not h.terms:
-            return 0
-        top = max(m.y_degree for m in h.terms)
-        gen_top = max((g.degree for m in h.terms for g, _ in m.powers), default=0)
-        gens = [()] + [self.schema.generators_of_degree(n) for n in range(1, gen_top + 1)]
-        # Monomials per degree in the generators of degree <= gen_top, which
-        # are all the generators any of these S and D values involve.
-        basis = [1] + [0] * top
-        for n in range(1, gen_top + 1):
-            for _ in gens[n]:
-                for k in range(n, top + 1):
-                    basis[k] += basis[k - n]
-        antipode, coproduct = totals = [[0] * (top + 1), [0] * (top + 1)]
-        sizes = ([len(gs) * b for gs, b in zip(gens, basis)],
-                 [sum(self.schema.reduced_term_count(g) + 2 for g in gs) for gs in gens])
-        for s, total in zip(sizes, totals):
-            for m in h.terms:
-                d = m.y_degree
-                poly = [1] + [0] * d
-                for g, e in m.powers:
-                    weights = {(0, 0): 1}  # (generators, degree) -> summed weight
-                    for n in range(1, g.degree + 1):
-                        if not s[n]:
-                            continue
-                        grown = dict(weights)
-                        for (j, k), w in weights.items():
-                            f = 1
-                            while j + f <= e and k + n * f <= d:
-                                key = (j + f, k + n * f)
-                                grown[key] = grown.get(key, 0) + w * comb(s[n] + f - 1, f)
-                                f += 1
-                        weights = grown
-                    factor = [0] * (d + 1)
-                    for (_, k), w in weights.items():
-                        factor[k] += w
-                    poly = [sum(poly[i] * factor[k - i] for i in range(k + 1)) for k in range(d + 1)]
-                for k in range(d + 1):
-                    total[k] += poly[k]
-        return max(sum(min(t, b * b) for t, b in zip(antipode, basis)), sum(coproduct))
 
     def counit(self, h: Element):
         return h.coefficient(Monomial.unit())

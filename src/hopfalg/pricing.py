@@ -1,0 +1,132 @@
+"""Prices of the structure maps of an element, read off its exponents and the
+generator counts per degree before anything is expanded.  ``coproduct`` and
+``antipode`` check them against their limit; no other command loads this.
+"""
+
+from __future__ import annotations
+
+from math import comb
+from typing import Dict
+
+from .algebra import Element, Generator
+from .errors import DomainError
+from .hopf import HopfAlgebra
+
+# The most terms the coproduct memo may fill for the element of ``coproduct``
+# or ``antipode``, priced by ``coproduct_term_bound`` before any coproduct is
+# expanded, and the most the antipode memo may fill for the element of
+# ``antipode``, priced by ``antipode_term_bound``.
+MAX_COPRODUCT_TERMS = 100_000
+
+
+def check_price(bound: int, what: str) -> None:
+    if bound > MAX_COPRODUCT_TERMS:
+        raise DomainError(f"the {what} of this element may fill {bound} terms, "
+                          f"above the limit MAX_COPRODUCT_TERMS = {MAX_COPRODUCT_TERMS}")
+
+
+def coproduct_term_bound(ctx: HopfAlgebra, h: Element) -> int:
+    """An upper bound on the terms the coproduct memo fills for D(h), read
+    off the exponents before anything is expanded.
+
+    D(g) has at most k = 2 + ``reduced_term_count(g)`` terms, read off the
+    schema without building D(g), and D(g)^e at most C(e + k - 1, e): one per
+    multiset of e of them, the count ``exprparse.MAX_POWER_TERMS`` prices.
+    D is multiplicative, so a monomial is bounded by the product over its
+    generators.  ``coproduct_monomial`` fills D(g^e r) from D(g^(e-1) r),
+    down to the unit, so each distinct (g, r) of h adds the sum over
+    j = 1..e of C(j + k - 1, j) times the bound of r, which is
+    C(e + k, e) - 1.  The bound is at least the number of terms of D(h).
+    """
+    sizes: Dict[Generator, int] = {}
+    tops: Dict[tuple, list] = {}  # (g, powers after g) -> [highest e, k, bound of the rest]
+    for m in h.terms:
+        rest_bound = 1
+        for i in range(len(m.powers) - 1, -1, -1):
+            g, e = m.powers[i]
+            k = sizes.get(g)
+            if k is None:
+                k = sizes[g] = ctx.schema.reduced_term_count(g) + 2
+            top = tops.setdefault((g, m.powers[i + 1:]), [e, k, rest_bound])
+            top[0] = max(top[0], e)
+            rest_bound *= comb(e + k - 1, e)
+    fill = sum(r * (comb(e + k, e) - 1) for e, k, r in tops.values())
+    return fill + 1 if h.terms else 0  # every chain ends at D(1) = 1 (x) 1
+
+
+def antipode_term_bound(ctx: HopfAlgebra, h: Element) -> int:
+    """An upper bound on the terms the right antipode fill for S(h) adds to
+    either memo it fills, its S values and the coproducts it reads, from
+    the generator counts G(n) per degree, before anything is expanded.
+
+    The right legs of D(g) are 1, g and generators of lower degree, so each
+    monomial the fill visits for a term prod g^e of h, and each on the
+    chain that fills its D, is a product, over its factors g^e, of at most
+    e generators of degree <= deg g.  S(prod k^f) has at most
+    prod C(b(deg k) + f - 1, f) terms, b(n) the basis count of degree n
+    (the Euler transform of G), and D(prod k^f) at most
+    prod C(|D(k)| + f - 1, f), |D(k)| <= 2 + ``reduced_term_count(k)``.
+    Summed over those products, these weights are the coefficients of
+    prod over g^e of [y^0 .. y^e] prod_(n <= deg g) (1 - y q^n)^(-s(n)), s(n)
+    the weights summed over degree n; degree k holds at most b(k) S values,
+    of at most b(k) terms each.
+
+    Every count is built once, degree by degree from the unit up, and each
+    degree adds to the two sums.  They stop at the first degree where either
+    passes MAX_COPRODUCT_TERMS: the larger is then at most the full bound and
+    above the limit, so it is returned with the full bound's verdict.
+    """
+    if not h.terms:
+        return 0
+    schema = ctx.schema
+    monomials = [(m.y_degree, [(g.degree, e) for g, e in m.powers]) for m in h.terms]
+    top = max(d for d, _ in monomials)
+    gen_top = max((n for _, fs in monomials for n, _ in fs), default=0)
+    # G(n), b(n), and the sum of j G(j) over the divisors j <= gen_top of n,
+    # in the generators of degree <= gen_top, which are all the generators
+    # any of these S and D values involve; s(n) of the antipode and of D.
+    counts, basis, euler, sizes = [0], [1], [0], ([0], [0])
+    # Per factor (deg g, e) and weight: the layers of each degree k, the
+    # product over n <= min(deg g, k) truncated at y^e, as {j: coefficient
+    # of y^j q^k}, and the series summed over j.
+    rows = {(f, w): [] for _, fs in monomials for f in fs for w in (0, 1)}
+    series = {key: [] for key in rows}
+    partial = [([[] for _ in fs], [[] for _ in fs]) for _, fs in monomials]  # products of a prefix of factors
+    antipode = coproduct = 0
+    for k in range(top + 1):
+        if k:
+            gens = schema.generators_of_degree(k) if k <= gen_top else ()
+            counts.append(len(gens))
+            euler.append(sum(j * counts[j] for j in range(1, k + 1) if k % j == 0))
+            basis.append(sum(euler[i] * basis[k - i] for i in range(1, k + 1)) // k)
+            sizes[0].append(len(gens) * basis[k])
+            sizes[1].append(sum(schema.reduced_term_count(g) + 2 for g in gens))
+        for ((degree, e), w), layers in rows.items():
+            row = [{0: 1} if k == 0 else {}]
+            for n in range(1, min(degree, k) + 1):
+                acc, s = dict(row[-1]), sizes[w][n]
+                for f in range(1, min(e, k // n) + 1) if s else ():
+                    below = layers[k - n * f]
+                    c = comb(s + f - 1, f)
+                    for j, v in below[min(n - 1, len(below) - 1)].items():
+                        if j + f <= e:
+                            acc[j + f] = acc.get(j + f, 0) + c * v
+                row.append(acc)
+            layers.append(row)
+            series[(degree, e), w].append(sum(row[-1].values()))
+        totals = [0, 0]
+        for (d, fs), prods in zip(monomials, partial):
+            if k > d:
+                continue
+            for w in (0, 1):
+                q = 1 if k == 0 else 0  # the unit monomial
+                for i, f in enumerate(fs):
+                    now = series[f, w]
+                    q = now[k] if i == 0 else sum(v * now[k - l] for l, v in enumerate(prods[w][i - 1]))
+                    prods[w][i].append(q)
+                totals[w] += q
+        antipode += min(totals[0], basis[k] ** 2)
+        coproduct += totals[1]
+        if max(antipode, coproduct) > MAX_COPRODUCT_TERMS:
+            break
+    return max(antipode, coproduct)

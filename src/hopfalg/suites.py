@@ -12,32 +12,22 @@ from itertools import permutations
 from typing import List, NamedTuple, Optional
 
 from .algebra import Monomial
-from .birkhoff import (
-    birkhoff_decompose,
-    build_special_loop,
-    dn_recursive,
-    dn_simplex,
-    rg_limit_check,
-    rota_baxter_T,
-    scattering_check,
-)
+from .birkhoff import birkhoff_decompose, rota_baxter_T
 from .duals import (
     Character,
-    ConvolutionProduct,
     InfinitesimalCharacter,
     TableFunctional,
-    character_inverse,
-    convolve,
     convolve_tables,
     counit_functional,
     exp_star,
     grading_transpose,
     log_star,
-    metric_distance,
     tabulate,
 )
 from .errors import HopfError
+from .functionals import ConvolutionProduct, character_inverse, convolve, metric_distance
 from .hopf import HopfAlgebra
+from .rg import build_special_loop, dn_recursive, dn_simplex, rg_limit_check, scattering_check
 from .rings import QQ, LaurentRing
 
 

@@ -17,26 +17,14 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 
 from hopfalg.algebra import Monomial
-from hopfalg.birkhoff import (
-    BirkhoffPair,
-    birkhoff_decompose,
-    birkhoff_verification_report,
-    build_special_loop,
-    dn_recursive,
-    dn_simplex,
-    rg_limit_check,
-    scattering_check,
-)
-from hopfalg.duals import (
-    Character,
-    ConvolutionProduct,
-    InfinitesimalCharacter,
-    exp_star,
-    log_star,
-)
+from hopfalg.birkhoff import BirkhoffPair, birkhoff_decompose, birkhoff_verification_report
+from hopfalg.duals import Character, InfinitesimalCharacter, exp_star, log_star
+from hopfalg.functionals import ConvolutionProduct
 from hopfalg.hopf import HopfAlgebra
-from hopfalg.instances import ladder_schema, rooted_tree_schema
+from hopfalg.instances import ladder_schema
+from hopfalg.rg import build_special_loop, dn_recursive, dn_simplex, rg_limit_check, scattering_check
 from hopfalg.rings import QQ, LaurentRing
+from hopfalg.trees import rooted_tree_schema
 
 CLI = [sys.executable, "-m", "hopfalg.cli"]
 L = LaurentRing(QQ, "eps")

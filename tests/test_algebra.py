@@ -16,8 +16,9 @@ from hopfalg.algebra import (
     TensorElement,
 )
 from hopfalg.errors import RankMismatchError, RingMismatchError
-from hopfalg.instances import ladder_schema, rooted_tree_schema
+from hopfalg.instances import ladder_schema
 from hopfalg.rings import QQ, LaurentRing
+from hopfalg.trees import rooted_tree_schema
 
 T1 = Generator(1, "t1")
 T2 = Generator(2, "t2")

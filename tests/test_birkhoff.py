@@ -8,21 +8,7 @@ from itertools import product as iproduct
 import pytest
 
 from hopfalg.algebra import Monomial
-from hopfalg.birkhoff import (
-    BirkhoffPair,
-    beta_functional,
-    birkhoff_decompose,
-    birkhoff_verification_report,
-    build_special_loop,
-    counterterm_tower,
-    dn_recursive,
-    dn_simplex,
-    residue,
-    rg_limit_check,
-    rota_baxter_T,
-    scattering_check,
-    simplex_weight,
-)
+from hopfalg.birkhoff import BirkhoffPair, birkhoff_decompose, birkhoff_verification_report, rota_baxter_T
 from hopfalg.duals import (
     Character,
     InfinitesimalCharacter,
@@ -34,8 +20,20 @@ from hopfalg.duals import (
 from hopfalg.errors import DomainError, TruncationError
 from hopfalg.exp_integrals import ExpSum, finite_simplex_integral, simplex_integral
 from hopfalg.hopf import HopfAlgebra
-from hopfalg.instances import ladder_schema, rooted_tree_schema
+from hopfalg.instances import ladder_schema
+from hopfalg.rg import (
+    beta_functional,
+    build_special_loop,
+    counterterm_tower,
+    dn_recursive,
+    dn_simplex,
+    residue,
+    rg_limit_check,
+    scattering_check,
+    simplex_weight,
+)
 from hopfalg.rings import QQ, LaurentRing, RationalField
+from hopfalg.trees import rooted_tree_schema
 
 L = LaurentRing(QQ, "eps")
 
@@ -280,7 +278,7 @@ def test_beta_reports_violations_on_products(ladder):
 
 
 def test_beta_data_on_built_loop(ladder):
-    from hopfalg.birkhoff import beta_data
+    from hopfalg.rg import beta_data
 
     beta = ladder_beta(ladder, {1: 3, 2: -2}, cutoff=4)
     loop = build_special_loop(ladder, beta, 4, 4)
@@ -296,7 +294,7 @@ def test_beta_data_on_built_loop(ladder):
 
 
 def test_beta_data_vs_rg_division_of_labor(ladder):
-    from hopfalg.birkhoff import beta_data
+    from hopfalg.rg import beta_data
 
     # A loop whose eps^-2 data disagrees with the square of its residue:
     # the residue tower itself is well-defined (beta reads only the
@@ -311,7 +309,7 @@ def test_beta_data_vs_rg_division_of_labor(ladder):
 
 
 def test_beta_data_violations_from_product_residue(ladder, monkeypatch):
-    from hopfalg import birkhoff
+    from hopfalg import rg
 
     residues = []
 
@@ -319,9 +317,9 @@ def test_beta_data_violations_from_product_residue(ladder, monkeypatch):
         residues.append(residue(*args))
         return residues[-1]
 
-    monkeypatch.setattr(birkhoff, "residue", recorded)
+    monkeypatch.setattr(rg, "residue", recorded)
     bad = Character(ladder, L, {gen(ladder, 1): lau({-1: 1, 0: 1})})
-    data = birkhoff.beta_data(ladder, bad, 2, 3)
+    data = rg.beta_data(ladder, bad, 2, 3)
     assert not data.passed
     assert "t1^2" in data.violations
     # d_1 is read off the loop once and seeds both beta and the tower
@@ -397,7 +395,7 @@ def test_counterterm_tower_against_simplex(ladder, trees):
 
 
 def test_renormalization_never_reaches_the_iterated_coproduct(monkeypatch):
-    from hopfalg.birkhoff import beta_data
+    from hopfalg.rg import beta_data
 
     def forbidden(*args):
         raise AssertionError("the flat iterated coproduct is for the oracle only")

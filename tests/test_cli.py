@@ -11,9 +11,9 @@ import time
 
 import pytest
 
-from hopfalg import birkhoff, cli, instances, suites
+from hopfalg import cli, rg, suites, trees
 from hopfalg.exprparse import MAX_EXPONENT
-from hopfalg.instances import rooted_tree_schema
+from hopfalg.trees import rooted_tree_schema
 
 CLI = [sys.executable, "-m", "hopfalg.cli"]
 
@@ -269,14 +269,17 @@ def test_verify_corrupted_schema_fails(tmp_path):
         (["antipode", "--schema", "ladder", "--expr", "*".join(["t1^64"] * 16)],
          "525825 terms, above the limit MAX_COPRODUCT_TERMS = 100000"),
         # S(t45) would fill p(1) + ... + p(45) terms; priced before any of them.
+        # The price stops at the first degree where its sum passes the limit:
+        # p(0) + ... + p(37).
         (["antipode", "--schema", "ladder", "--expr", "t45"],
-         "the antipode of this element may fill 540635 terms, above the limit MAX_COPRODUCT_TERMS = 100000"),
+         "the antipode of this element may fill 120770 terms, above the limit MAX_COPRODUCT_TERMS = 100000"),
         # Rejected before the (here missing) file is read.
         (["rg-check", "no-such-loop.json", "--schema", "ladder", "--eps-order", "101"],
          "--eps-order 101 is above the limit MAX_EPS_ORDER = 100"),
-        # S(t2^64) has 65 terms, but the fill reads D(t1^a t2^b) for a + b <= 64.
+        # S(t2^64) has 65 terms, but the fill reads D(t1^a t2^b) for a + b <= 64
+        # (11238513 terms in all; the price stops once its sum passes the limit).
         (["antipode", "--schema", "ladder", "--expr", "t2^64"],
-         "the antipode of this element may fill 11238513 terms, above the limit MAX_COPRODUCT_TERMS = 100000"),
+         "the antipode of this element may fill 112651 terms, above the limit MAX_COPRODUCT_TERMS = 100000"),
     ],
     ids=["trees-18", "trees-huge", "schema-trees-40", "power-of-a-sum", "coproduct-of-a-power",
          "coproduct-just-past-the-limit", "antipode-of-sixteen-generators", "antipode-of-sixteen-factors-of-t1",
@@ -295,6 +298,15 @@ def test_a_large_exponent_from_a_file_is_priced(command, tmp_path, capsys):
     assert cli.main([command, "--schema", "ladder", "--file", path, "--max-degree", "2"]) == 2
     message = json.loads(capsys.readouterr().err)["message"]
     assert "4504501 terms, above the limit MAX_COPRODUCT_TERMS = 100000" in message
+
+
+def test_the_antipode_price_stops_at_its_limit(capsys):
+    # The price is counted degree by degree and stops at the first degree
+    # where it passes the limit, so S(t99998) is rejected as fast as S(t37).
+    start = time.perf_counter()
+    assert cli.main(["antipode", "--schema", "ladder", "--expr", "t99998"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "may fill 120770 terms" in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_the_largest_priced_power_fills_without_deep_recursion(tmp_path, capsys):
@@ -503,9 +515,9 @@ def test_malformed_input_exits_2_with_a_diagnostic(tmp_path, argv, payload, sche
     # In process the input is rejected before the engine does any work.  Every
     # module that binds the name by import is patched, so that no import made
     # under the patch keeps the stand-in after it.
-    monkeypatch.setattr(birkhoff, "build_special_loop", no_work)
+    monkeypatch.setattr(rg, "build_special_loop", no_work)
     monkeypatch.setattr(suites, "build_special_loop", no_work)
-    monkeypatch.setattr(instances, "rooted_tree_schema", no_work)
+    monkeypatch.setattr(trees, "rooted_tree_schema", no_work)
     assert cli.main([*argv, "--schema", schema]) == 2
     assert not capsys.readouterr().out
 
@@ -534,6 +546,38 @@ def test_names_checked_before_the_build_fail_as_the_built_schema_does(selector, 
             got = str(exc)
         assert got == expected, name
 
+
+def error_of(call):
+    """The message of the HopfError ``call()`` raises, or None."""
+    from hopfalg.errors import HopfError
+
+    try:
+        call()
+    except HopfError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("selector", ["ladder", "trees:2", "trees:4"])
+def test_table_keys_checked_before_the_build_fail_as_the_built_schema_does(selector, tmp_path):
+    from hopfalg.exprparse import parse_element
+    from hopfalg.hopf import HopfAlgebra
+
+    ctx = HopfAlgebra(cli.resolve_schema(selector))
+    keys = ["t1", "t2*t1^2", "t0", "x", "[]", "[]*[[]]", "[[]]^2", "[[[]]]", "[[][[]]]", "t1 +", "[]x", "2*[]"]
+    for key in keys:
+        path = write(tmp_path, "f.json", {"kind": "table", "values": {key: "1"}})
+        expected = error_of(lambda: parse_element(ctx, key))
+        assert error_of(lambda: cli.check_generator_names(selector, [path])) == expected, key
+
+
+def test_a_table_file_is_name_checked_before_the_build(tmp_path, monkeypatch, capsys):
+    path = write(tmp_path, "f.json", {"kind": "table", "ring": "laurent",
+                                      "values": {"t1": {"minExp": -1, "truncation": None, "coeffs": {"-1": "1"}}}})
+    monkeypatch.setattr(trees, "rooted_tree_schema", no_work)
+    assert cli.main(["beta", path, "--schema", "trees:10"]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "SchemaError", "message": "unknown generator 't1' in schema 'trees:10'"}
 
 
 def _laurent_loop(names, pole, top, trunc):

@@ -15,28 +15,31 @@ from hopfalg import cli, duals
 from hopfalg.algebra import Generator, Monomial
 from hopfalg.duals import (
     Character,
-    ConvolutionProduct,
     Functional,
     InfinitesimalCharacter,
     TableFunctional,
-    character_inverse,
-    convolve,
     convolve_tables,
     counit_functional,
     exp_star,
-    lie_bracket,
     log_star,
+    tabulate,
+)
+from hopfalg.errors import CutoffExceededError, DomainError, UnsupportedRingError
+from hopfalg.functionals import (
+    ConvolutionProduct,
+    character_inverse,
+    convolve,
+    lie_bracket,
     materialize_character,
     metric_distance,
-    tabulate,
     theta_star,
     y_star,
     y_star_inverse,
 )
-from hopfalg.errors import CutoffExceededError, DomainError, UnsupportedRingError
 from hopfalg.hopf import HopfAlgebra, TableSchema
-from hopfalg.instances import ladder_schema, rooted_tree_schema
+from hopfalg.instances import ladder_schema
 from hopfalg.rings import QQ, LaurentRing, RationalField, Ring
+from hopfalg.trees import rooted_tree_schema
 
 
 @pytest.fixture(scope="module")

@@ -8,8 +8,9 @@ from hopfalg.algebra import Element, Monomial
 from hopfalg.errors import HopfError
 from hopfalg.exprparse import parse_element
 from hopfalg.hopf import HopfAlgebra
-from hopfalg.instances import ladder_schema, rooted_tree_schema
+from hopfalg.instances import ladder_schema
 from hopfalg.rings import QQ
+from hopfalg.trees import rooted_tree_schema
 
 
 @pytest.fixture(scope="module")

@@ -17,8 +17,10 @@ from hopfalg.algebra import Element, Monomial, TensorElement
 from hopfalg.axioms import verify_axioms
 from hopfalg.errors import DomainError, SchemaError
 from hopfalg.hopf import HopfAlgebra, theta_factors
-from hopfalg.instances import ladder_schema, rooted_tree_schema, schema_from_dict
+from hopfalg.instances import ladder_schema, schema_from_dict
+from hopfalg.pricing import antipode_term_bound
 from hopfalg.rings import QQ, LaurentRing
+from hopfalg.trees import rooted_tree_schema
 
 
 @pytest.fixture(scope="module")
@@ -377,6 +379,26 @@ def test_verify_builds_each_theta_factor_once(monkeypatch, schema, degree):
     assert 0 < len(calls) <= degree + 1
 
 
+@pytest.mark.parametrize("schema, degree", [(ladder_schema, 6), (lambda: rooted_tree_schema(5), 5)],
+                         ids=["ladder-6", "trees-5"])
+def test_the_theta_checks_run_in_integers(monkeypatch, schema, degree):
+    # The formal variable of the theta checks is scaled so that every
+    # coefficient of every factor exp(n z) is an int, not a Fraction.
+    from hopfalg import axioms
+
+    built = []
+
+    def recorded(*args):
+        built.append(theta_factors(*args))
+        return built[-1]
+
+    monkeypatch.setattr(axioms, "theta_factors", recorded)
+    assert verify_axioms(HopfAlgebra(schema(), validate_to=0), degree).passed
+    factors, = built
+    assert len(factors) == degree + 1
+    assert all(type(c) is int for factor in factors for _, c in factor.coeffs)
+
+
 def test_trees_antipode_and_validation():
     trees = HopfAlgebra(rooted_tree_schema(4))
     schema = trees.schema
@@ -532,7 +554,7 @@ def test_the_antipode_price_bounds_the_memo_fill():
     for schema, m in cases:
         ctx = HopfAlgebra(schema, validate_to=0)
         h = ctx.monomial_element(m)
-        bound = ctx.antipode_term_bound(h)
+        bound = antipode_term_bound(ctx, h)
         ctx.antipode(h)
         assert sum(len(s.terms) for s in ctx._antipode_r.values()) <= bound, str(m)
         assert sum(len(d.terms) for d in ctx._coproduct.values()) <= bound, str(m)
@@ -543,9 +565,9 @@ def test_the_antipode_price_bounds_the_memo_fill():
     p = partitions(37)
     for n in (1, 20, 36, 37):
         bound = max(sum(p[:n + 1]), 1 + sum(k + 1 for k in range(1, n + 1)))
-        assert ctx.antipode_term_bound(ctx.monomial_element(Monomial.of(ladder.generator(n)))) == bound
+        assert antipode_term_bound(ctx, ctx.monomial_element(Monomial.of(ladder.generator(n)))) == bound
     assert sum(p[:37]) <= 100_000 < sum(p[:38])
-    assert ctx.antipode_term_bound(Element.zero(QQ)) == 0
+    assert antipode_term_bound(ctx, Element.zero(QQ)) == 0
 
 
 def binomial_schema(top):

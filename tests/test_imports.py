@@ -4,6 +4,7 @@ Each case runs in a fresh interpreter, so nothing the test process imported
 earlier can hide a module that the command pulls in.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -12,16 +13,18 @@ import sys
 import pytest
 
 import hopfalg
+from perfbench import trace
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # Every command loads these: the package, the CLI and its error types.
 BASE = {"hopfalg", "hopfalg.cli", "hopfalg.errors"}
-# A schema context: what ``cli.build_context`` loads, the exact-rational core
-# and no series ring.
-CONTEXT = BASE | {"hopfalg.instances", "hopfalg.hopf", "hopfalg.algebra", "hopfalg.rationals"}
+# A schema context: what ``cli.build_context`` loads, the exact-rational core,
+# the module of its selector's schema, and no series ring.
+CORE = BASE | {"hopfalg.hopf", "hopfalg.algebra", "hopfalg.rationals"}
+CONTEXT = CORE | {"hopfalg.instances"}
 DUAL = CONTEXT | {"hopfalg.duals", "hopfalg.serialize"}
-# The polynomial and Laurent rings, which only series-valued commands load.
+# The Laurent rings, which only series-valued commands load.
 SERIES = {"hopfalg.rings"}
 
 INFINITESIMAL = {"kind": "infinitesimal", "ring": "rational", "values": {"t1": "1", "t2": "1/2"}}
@@ -35,8 +38,19 @@ SPECIAL = {"kind": "character", "ring": "laurent", "cutoff": 3, "values": {
     "t1": {"minExp": -1, "truncation": None, "coeffs": {"-1": "1"}},
     "t2": {"minExp": -2, "truncation": None, "coeffs": {"-2": "1/2", "-1": "1/4"}},
     "t3": {"minExp": -3, "truncation": None, "coeffs": {"-3": "1/6", "-2": "1/4"}}}}
-# The layers of the renormalization commands, and what verify adds to them.
-RENORM = DUAL | SERIES | {"hopfalg.birkhoff"}
+# The layers of the renormalization-group commands, and what verify adds to them.
+RENORM = DUAL | SERIES | {"hopfalg.rg", "hopfalg.polynomials"}
+CHECKS = {"hopfalg.exp_integrals", "hopfalg.axioms", "hopfalg.suites", "hopfalg.birkhoff", "hopfalg.functionals"}
+# The names the benchmark tracer reads through their old modules, by the
+# module each moved to.
+FORWARDED = {
+    "birkhoff": ("rg", ("dn_recursive", "dn_simplex", "build_special_loop", "beta_data", "rg_limit_check",
+                        "_flow_is_additive", "_flow_matches_exponential", "_residue_identity_holds",
+                        "scattering_check")),
+    "duals": ("functionals", ("ConvolutionProduct", "materialize_character", "character_inverse")),
+    "rings": ("polynomials", ("PolynomialRing",)),
+    "instances": ("trees", ("rooted_tree_schema",)),
+}
 
 
 def loaded_after(code):
@@ -61,10 +75,20 @@ def test_importing_the_package_loads_no_submodule():
     assert loaded_after("from hopfalg import cli") == (BASE, False)
 
 
+def build_context(selector):
+    return ("from types import SimpleNamespace\nfrom hopfalg import cli\n"
+            f"cli.build_context(SimpleNamespace(schema={selector!r}, max_degree=4))")
+
+
 def test_build_context_loads_only_the_schema_layers():
-    code = ("from types import SimpleNamespace\nfrom hopfalg import cli\n"
-            "cli.build_context(SimpleNamespace(schema='trees:4', max_degree=4))")
-    assert loaded_after(code) == (CONTEXT, False)
+    assert loaded_after(build_context("trees:4")) == (CORE | {"hopfalg.trees"}, False)
+
+
+@pytest.mark.parametrize("selector", ["ladder", "custom:{}"])
+def test_a_ladder_or_custom_selector_loads_no_tree(selector, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"generators": [{"name": "x1", "degree": 1}]}))
+    assert loaded_after(build_context(selector.format(path))) == (CONTEXT, False)
 
 
 @pytest.mark.parametrize(
@@ -78,7 +102,7 @@ def test_build_context_loads_only_the_schema_layers():
         ("rg-check", SPECIAL, RENORM),
         ("beta", SPECIAL, RENORM),
         ("scattering", INFINITESIMAL, RENORM | {"hopfalg.exp_integrals"}),
-        ("verify", None, RENORM | {"hopfalg.exp_integrals", "hopfalg.axioms", "hopfalg.suites"}),
+        ("verify", None, RENORM | CHECKS),
         # A Laurent file loads the series rings; a rational one (above) does not.
         ("exp", LAURENT_INFINITESIMAL, DUAL | SERIES),
     ],
@@ -87,16 +111,46 @@ def test_functional_commands_load_only_what_they_run(command, payload, loads, tm
     path = tmp_path / "f.json"
     path.write_text(json.dumps(payload))
     files = [str(path)] * {"convolve": 2, "verify": 0}.get(command, 1)
-    assert loaded_after(run_command([command, *files, "--max-degree", "3"])) == (loads, False)
+    loaded = loaded_after(run_command([command, *files, "--max-degree", "3"]))
+    assert loaded == (loads, False)
+    # Only verify runs the flat oracle; birkhoff runs none of the RG layer; a
+    # ladder selector builds no tree.
+    assert ("hopfalg.functionals" in loaded[0]) == (command == "verify")
+    if command == "birkhoff":
+        assert not loaded[0] & {"hopfalg.rg", "hopfalg.polynomials"}
+    assert "hopfalg.trees" not in loaded[0]
 
 
 @pytest.mark.parametrize("command", ["coproduct", "antipode"])
 def test_structure_maps_load_neither_the_dual_calculus_nor_the_checks(command, tmp_path):
-    expr = CONTEXT | {"hopfalg.exprparse", "hopfalg.serialize"}
-    assert loaded_after(run_command([command, "--expr", "t1^2*t3"])) == (expr, False)
+    priced = CONTEXT | {"hopfalg.serialize", "hopfalg.pricing"}
+    assert loaded_after(run_command([command, "--expr", "t1^2*t3"])) == (priced | {"hopfalg.exprparse"}, False)
     path = tmp_path / "e.json"
     path.write_text(json.dumps({"terms": [{"coeff": "1", "monomial": [["t2", 2]]}]}))
-    assert loaded_after(run_command([command, "--file", str(path)])) == (CONTEXT | {"hopfalg.serialize"}, False)
+    assert loaded_after(run_command([command, "--file", str(path)])) == (priced, False)
+
+
+def test_the_birkhoff_module_loads_no_renormalization_group():
+    loaded, _ = loaded_after("import hopfalg.birkhoff")
+    assert "hopfalg.birkhoff" in loaded
+    assert not loaded & {"hopfalg.rg", "hopfalg.polynomials", "hopfalg.functionals", "hopfalg.trees"}
+
+
+def test_each_moved_name_still_resolves_in_its_old_module():
+    for old, (home, names) in FORWARDED.items():
+        module, moved = (importlib.import_module(f"hopfalg.{m}") for m in (old, home))
+        for name in names:
+            assert getattr(module, name) is getattr(moved, name)
+        # No other name of the new home reads through the old module.
+        for name in {n for n in vars(moved) if not n.startswith("__")} - set(vars(module)) - set(names):
+            assert not hasattr(module, name), f"{old}.{name}"
+    # The tracer's targets are among them: each resolves where it looks.
+    for _, owner, attrs, _ in trace.TARGETS:
+        module_name, _, class_name = owner.partition(":")
+        holder = importlib.import_module(f"hopfalg.{module_name}")
+        holder = getattr(holder, class_name) if class_name else holder
+        for attr in attrs:
+            assert callable(getattr(holder, attr)), f"{owner}.{attr}"
 
 
 # The public API, by name: a change to it shows here in review.

@@ -12,20 +12,18 @@ import pytest
 from hopfalg.algebra import Monomial, TensorElement
 from hopfalg.errors import CutoffExceededError, DomainError, HopfError, SchemaError
 from hopfalg.hopf import HopfAlgebra
-from hopfalg.instances import (
+from hopfalg.instances import ladder_schema, load_schema, schema_from_dict
+from hopfalg.rings import QQ
+from hopfalg.trees import (
     MAX_TREES,
     admissible_cuts,
     check_tree_budget,
     enumerate_trees,
-    ladder_schema,
-    load_schema,
     parse_tree,
     rooted_tree_count,
     rooted_tree_schema,
-    schema_from_dict,
     tree_generator,
 )
-from hopfalg.rings import QQ
 
 
 def parse_forest(text):
@@ -101,15 +99,15 @@ def test_building_trees_8_encodes_each_tree_once():
     # A fresh process, so that no tree is interned before the count starts.
     code = textwrap.dedent("""
         import collections
-        from hopfalg import instances
+        from hopfalg import trees
         calls = collections.Counter()
-        encode = instances._encode
+        encode = trees._encode
         def counting(children):
             enc = encode(children)
             calls[enc] += 1
             return enc
-        instances._encode = counting
-        instances.rooted_tree_schema(8)
+        trees._encode = counting
+        trees.rooted_tree_schema(8)
         print(len(calls), max(calls.values()))
     """)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)

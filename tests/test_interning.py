@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from hopfalg.algebra import Generator, Monomial
 from hopfalg.hopf import HopfAlgebra
-from hopfalg.instances import RootedTree, ladder_schema, parse_tree, rooted_tree_schema
+from hopfalg.instances import ladder_schema
+from hopfalg.trees import RootedTree, parse_tree, rooted_tree_schema
 from test_hopf import binomial_schema
 
 SCHEMAS = {

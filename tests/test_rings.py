@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from hopfalg.errors import SingularInputError, TruncationError
 from hopfalg.exp_integrals import ExpSum
+from hopfalg.polynomials import PolynomialRing
 from hopfalg.rings import (
     QQ,
     LaurentRing,
     LaurentSeries,
-    PolynomialRing,
     RationalField,
     Ring,
     format_rational,
