@@ -50,62 +50,39 @@ def resolve_schema(selector: str):
     )
 
 
-def check_generator_names(selector: str, paths) -> None:
-    """Reject a character or infinitesimal file that names a generator the
-    ladder or trees:N schema lacks, or a table file with a key that names one,
-    as the built schema would, but before the coproducts are built.  Anything
-    else wrong is left to ``load_functional``."""
-    from .hopf import HopfAlgebra, TableSchema
-    from .serialize import read_json
+def read_inputs(args, read):
+    """The command's schema context and ``read(ctx)``, its inputs read on
+    that context before the context is validated as ``HopfAlgebra(schema)``
+    validates one, so that a bad input fails before any coproduct is built."""
+    from .hopf import HopfAlgebra
 
-    if selector == "ladder":
-        from .instances import LadderSchema
-
-        schema = LadderSchema()
-    elif selector.startswith("trees:") and selector[6:].isdigit() and (n := int(selector[6:])) >= 1:
-        from .trees import check_tree_budget, enumerate_trees, tree_generator
-
-        check_tree_budget(n)
-        generators = [tree_generator(t) for k in range(1, n + 1) for t in enumerate_trees(k)]
-        schema = TableSchema(f"trees:{n}", generators, {})
-    else:
-        return
-    for path in paths:
-        data = read_json(path, "functional")
-        values = data.get("values") if isinstance(data, dict) else None
-        if isinstance(values, dict) and data.get("kind") in ("character", "infinitesimal"):
-            for name in values:
-                schema.generator_by_name(name)
-        elif isinstance(values, dict) and data.get("kind") == "table":
-            from .exprparse import parse_element
-
-            ctx = HopfAlgebra(schema, validate_to=0)  # the names alone: no coproduct is built
-            for key in values:
-                parse_element(ctx, key)
+    ctx = HopfAlgebra(resolve_schema(args.schema), validate_to=0)
+    inputs = read(ctx)
+    ctx.validate(None if ctx.schema.max_degree is not None else max(args.max_degree, 1))
+    return ctx, inputs
 
 
 def build_context(args):
-    from .hopf import HopfAlgebra
-
-    schema = resolve_schema(args.schema)
-    validate_to = None if schema.max_degree is not None else max(args.max_degree, 1)
-    return HopfAlgebra(schema, validate_to=validate_to)
+    return read_inputs(args, lambda ctx: None)[0]
 
 
-def read_expression(ctx, args):
-    """The element of --expr or --file, priced before any coproduct is filled."""
-    if args.expr is not None:
-        from .exprparse import parse_element
+def read_expression(args):
+    """The context and the element of --expr or --file, priced before its coproduct is filled."""
 
-        h = parse_element(ctx, args.expr)
-    else:
+    def parse(ctx):
+        if args.expr is not None:
+            from .exprparse import parse_element
+
+            return parse_element(ctx, args.expr)
         from .serialize import element_from_json, read_json
 
-        h = element_from_json(ctx, read_json(args.file, "element"))
+        return element_from_json(ctx, read_json(args.file, "element"))
+
+    ctx, h = read_inputs(args, parse)
     from .pricing import check_price, coproduct_term_bound
 
     check_price(coproduct_term_bound(ctx, h), "coproducts")
-    return h
+    return ctx, h
 
 
 def read_functionals(args) -> list:
@@ -114,18 +91,17 @@ def read_functionals(args) -> list:
     from .serialize import load_functional, ring_tag
 
     kind, ring, noun = COMMANDS[args.command][2]
-    check_generator_names(args.schema, args.functional)
-    ctx = build_context(args)
-    out = []
-    for path in args.functional:
+
+    def load(ctx, path):
         f = load_functional(ctx, path)
         if kind not in (ANY, f.kind):
             raise HopfError(f"{args.command} expects {noun} file")
         tag = ring_tag(f.ring)
         if ring not in (ANY, tag):
             raise HopfError(f"{args.command} expects {noun} file with ring {ring!r}, got {tag!r}")
-        out.append(f)
-    return out
+        return f
+
+    return read_inputs(args, lambda ctx: [load(ctx, path) for path in args.functional])[1]
 
 
 # -- commands -------------------------------------------------------------------
@@ -135,8 +111,8 @@ def read_functionals(args) -> list:
 def cmd_coproduct(args):
     from .serialize import tensor_to_json
 
-    ctx = build_context(args)
-    result = ctx.coproduct(read_expression(ctx, args))
+    ctx, h = read_expression(args)
+    result = ctx.coproduct(h)
     return tensor_to_json(result), str(result)
 
 
@@ -144,8 +120,7 @@ def cmd_antipode(args):
     from .pricing import antipode_term_bound, check_price
     from .serialize import element_to_json
 
-    ctx = build_context(args)
-    h = read_expression(ctx, args)
+    ctx, h = read_expression(args)
     check_price(antipode_term_bound(ctx, h), "antipode")
     result = ctx.antipode(h)
     return element_to_json(result), str(result)
@@ -408,6 +383,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "max_degree", 0) < 0:
             raise DomainError(f"--max-degree must be >= 0, got {args.max_degree}")
+        if getattr(args, "max_order", 0) < 0:
+            raise DomainError("max_order must be >= 1")
         out = args.fn(args)
         payload, text = out if isinstance(out, tuple) else (out, None)
         if text is not None and args.output == "text":

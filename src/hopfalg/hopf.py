@@ -174,14 +174,16 @@ class HopfAlgebra:
         self._iterated: Dict[Tuple[Monomial, int], TensorElement] = {}
         self._plus_iterated: Dict[Tuple[Monomial, int], TensorElement] = {}
         self._basis: Dict[int, Tuple[Monomial, ...]] = {}
-        if validate_to is None:
-            validate_to = (
-                schema.max_degree
-                if schema.max_degree is not None
-                else DEFAULT_VALIDATE_DEGREE
-            )
-        validate_schema_structure(schema, validate_to)
-        witness = self.coassociativity_witness(validate_to)
+        self.validate(validate_to)
+
+    def validate(self, up_to: Optional[int] = None) -> None:
+        """Check the schema structure and coassociativity on the generators of
+        degree <= up_to, by default the schema's top degree, or
+        DEFAULT_VALIDATE_DEGREE on an unbounded schema."""
+        if up_to is None:
+            up_to = self.schema.max_degree if self.schema.max_degree is not None else DEFAULT_VALIDATE_DEGREE
+        validate_schema_structure(self.schema, up_to)
+        witness = self.coassociativity_witness(up_to)
         if witness is not None:
             raise SchemaError(
                 f"coproduct of {witness.name!r} is not coassociative: "

@@ -354,6 +354,7 @@ def scattering_check(ctx: HopfAlgebra, beta: InfinitesimalCharacter, max_order: 
     base = beta.ring
     orders: List[dict] = []
     towers = counterterm_tower(ctx, beta, max_order, max_degree)
+    integrals: Dict[tuple, dict] = {}  # leg degrees -> the simplex integral's {rate: coefficient}
     for n in range(1, max_order + 1):
         expected = towers[n - 1]
         mismatches: List[str] = []
@@ -363,7 +364,9 @@ def scattering_check(ctx: HopfAlgebra, beta: InfinitesimalCharacter, max_order: 
                 continue
             combo: Dict[int, object] = {}
             for degrees, prod in _beta_pairings(ctx, beta, m, n):
-                for rate, q in finite_simplex_integral(degrees).coeffs.items():
+                if degrees not in integrals:
+                    integrals[degrees] = finite_simplex_integral(degrees).coeffs
+                for rate, q in integrals[degrees].items():
                     cur = combo.get(rate, base.zero())
                     combo[rate] = base.add(cur, base.scale(q, prod))
             if any(rate < 0 for rate in combo):

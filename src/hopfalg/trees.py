@@ -2,8 +2,8 @@
 
 Trees are interned and enumerated up to isomorphism; the trees:N coproducts
 carry the admissible-cut coproduct (the pruned forest goes left, the trunk
-right), built by the B+ cocycle.  ``admissible_cuts`` lists the cuts
-themselves, as the reference the tests compare with.
+right), built by the B+ cocycle when first read.  ``admissible_cuts`` lists
+the cuts themselves, as the reference the tests compare with.
 """
 
 from __future__ import annotations
@@ -192,27 +192,45 @@ def tree_generator(tree: RootedTree) -> Generator:
     return Generator(tree.vertex_count, tree._encoding)
 
 
-def rooted_tree_schema(max_vertices: int) -> TableSchema:
-    """The rooted-tree schema with generators up to the given vertex count,
-    built by the Hochschild 1-cocycle B+ (Connes-Kreimer): t = B+(f) has
-    D(t) = t (x) 1 + (id (x) B+) D(f), and D of its forest f is D of the
-    forest of all but its last child times D of that child, so no cut is
-    enumerated (``admissible_cuts`` is the tests' reference).  Computations
-    that would need larger trees fail with an explicit cutoff-exceeded error.
-    """
+class TreeSchema(TableSchema):
+    """The schema trees:N.  Its generators, name lookup and cutoff come from
+    the enumeration; ``cocycle_coproducts`` fills its reduced coproducts the
+    first time one is asked for."""
+
+    def __init__(self, max_vertices: int):
+        generators = [tree_generator(t) for n in range(1, max_vertices + 1) for t in enumerate_trees(n)]
+        super().__init__(f"trees:{max_vertices}", generators, {}, max_degree=max_vertices, complete=False)
+
+    def reduced_terms(self, gen: Generator) -> Tuple[ReducedTerm, ...]:
+        if not self._reduced:
+            self._reduced = cocycle_coproducts(self.max_degree)
+        return super().reduced_terms(gen)
+
+
+def rooted_tree_schema(max_vertices: int) -> TreeSchema:
+    """The rooted trees with at most max_vertices vertices as a schema; asking
+    for a larger degree raises CutoffExceededError."""
     if max_vertices < 1:
         raise DomainError("max_vertices must be >= 1")
     check_tree_budget(max_vertices)
+    return TreeSchema(max_vertices)
+
+
+def cocycle_coproducts(max_vertices: int) -> Dict[Generator, Tuple[ReducedTerm, ...]]:
+    """The reduced coproduct of every tree with at most max_vertices vertices,
+    built by the Hochschild 1-cocycle B+ (Connes-Kreimer): t = B+(f) has
+    D(t) = t (x) 1 + (id (x) B+) D(f), and D of its forest f is D of the
+    forest of all but its last child times D of that child, so no cut is
+    enumerated (``admissible_cuts`` is the tests' reference)."""
     one = Monomial.unit()
     # {(left, right): count}: D of each forest, keyed by its trees, with the
     # monomial of the kept trunks on the right; D of each tree, a trunk or 1.
     forest_terms, tree_terms = {(): {(one, one): 1}}, {}
-    trees, grafts = {}, {}  # generator -> its tree; trunk monomial r -> B+(r)
-    generators, reduced = [], {}
+    # generator -> its tree; trunk monomial r -> B+(r); generator -> its reduced coproduct
+    trees, grafts, reduced = {}, {}, {}
     for n in range(1, max_vertices + 1):
         for tree in enumerate_trees(n):
             g = tree_generator(tree)
-            generators.append(g)
             trees[g] = tree
             kids = tree.children
             f = forest_terms.get(kids)
@@ -233,5 +251,4 @@ def rooted_tree_schema(max_vertices: int) -> TableSchema:
                 if left is not one:  # 1 (x) t is not in the reduced coproduct
                     terms.append(ReducedTerm(left=left, right=right.single_generator(), coeff=c))
             reduced[g] = tuple(sorted(terms, key=lambda t: (t.left.sort_key(), t.right)))
-    return TableSchema(name=f"trees:{max_vertices}", generators=generators, reduced=reduced,
-                       max_degree=max_vertices, complete=False)
+    return reduced

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -494,6 +495,8 @@ LAURENT_ONE = {"minExp": -1, "truncation": None, "coeffs": {"-1": "1", "0": "1/2
         (["exp", "{}"], {"kind": "infinitesimal", "values": {"t1": "1"}}, "trees:10"),
         (["log", "{}"], {"kind": "character", "values": {"[]": "1", "[[[]]]": "1"}}, "trees:2"),
         (["exp", "{}"], {"kind": "infinitesimal", "values": {"[[][[]]]": "1"}}, "trees:4"),
+        (["build-loop", "{}", "--max-order", "-5"], {"kind": "infinitesimal", "ring": "rational",
+                                                     "values": {"t1": "1"}}, "ladder"),
     ],
     ids=["zero-denominator", "term-without-monomial", "unpaired-factor", "values-list", "laurent-key",
          "cutoff-string", "min-exp-string", "generators-string-verify", "generators-string-coproduct",
@@ -501,7 +504,8 @@ LAURENT_ONE = {"minExp": -1, "truncation": None, "coeffs": {"-1": "1", "0": "1/2
          "laurent-build-loop", "non-json-coproduct", "non-json-antipode", "negative-degree-rg-check",
          "negative-degree-log", "negative-degree-convolve", "truncation-true", "min-exp-true",
          "cutoff-true", "monomial-exponent-true", "degree-true", "left-exponent-true",
-         "ladder-name-on-trees-10", "tree-past-the-cutoff", "non-canonical-tree-name"],
+         "ladder-name-on-trees-10", "tree-past-the-cutoff", "non-canonical-tree-name",
+         "negative-order-build-loop"],
 )
 def test_malformed_input_exits_2_with_a_diagnostic(tmp_path, argv, payload, schema, monkeypatch, capsys):
     if payload is not None:
@@ -517,7 +521,7 @@ def test_malformed_input_exits_2_with_a_diagnostic(tmp_path, argv, payload, sche
     # under the patch keeps the stand-in after it.
     monkeypatch.setattr(rg, "build_special_loop", no_work)
     monkeypatch.setattr(suites, "build_special_loop", no_work)
-    monkeypatch.setattr(trees, "rooted_tree_schema", no_work)
+    monkeypatch.setattr(trees, "cocycle_coproducts", no_work)
     assert cli.main([*argv, "--schema", schema]) == 2
     assert not capsys.readouterr().out
 
@@ -540,11 +544,16 @@ def test_names_checked_before_the_build_fail_as_the_built_schema_does(selector, 
         except SchemaError as exc:
             expected = str(exc)
         try:
-            cli.check_generator_names(selector, [path])
+            cli.read_functionals(functional_args("log", selector, path))
             got = None
         except SchemaError as exc:
             got = str(exc)
         assert got == expected, name
+
+
+def functional_args(command, selector, *paths):
+    """The parsed arguments of ``command`` on these functional files."""
+    return SimpleNamespace(command=command, schema=selector, max_degree=4, functional=list(paths))
 
 
 def error_of(call):
@@ -560,24 +569,50 @@ def error_of(call):
 
 @pytest.mark.parametrize("selector", ["ladder", "trees:2", "trees:4"])
 def test_table_keys_checked_before_the_build_fail_as_the_built_schema_does(selector, tmp_path):
-    from hopfalg.exprparse import parse_element
     from hopfalg.hopf import HopfAlgebra
+    from hopfalg.serialize import load_functional
 
     ctx = HopfAlgebra(cli.resolve_schema(selector))
     keys = ["t1", "t2*t1^2", "t0", "x", "[]", "[]*[[]]", "[[]]^2", "[[[]]]", "[[][[]]]", "t1 +", "[]x", "2*[]"]
     for key in keys:
         path = write(tmp_path, "f.json", {"kind": "table", "values": {key: "1"}})
-        expected = error_of(lambda: parse_element(ctx, key))
-        assert error_of(lambda: cli.check_generator_names(selector, [path])) == expected, key
+        expected = error_of(lambda: load_functional(ctx, path))
+        assert error_of(lambda: cli.read_functionals(functional_args("convolve", selector, path))) == expected, key
 
 
 def test_a_table_file_is_name_checked_before_the_build(tmp_path, monkeypatch, capsys):
     path = write(tmp_path, "f.json", {"kind": "table", "ring": "laurent",
                                       "values": {"t1": {"minExp": -1, "truncation": None, "coeffs": {"-1": "1"}}}})
-    monkeypatch.setattr(trees, "rooted_tree_schema", no_work)
+    monkeypatch.setattr(trees, "cocycle_coproducts", no_work)
     assert cli.main(["beta", path, "--schema", "trees:10"]) == 2
     assert json.loads(capsys.readouterr().err) == {
         "error": "SchemaError", "message": "unknown generator 't1' in schema 'trees:10'"}
+
+
+@pytest.mark.parametrize("command, selector", [("coproduct", "trees:10"), ("antipode", "trees:11")])
+def test_an_expression_is_read_before_the_tree_coproducts_are_built(command, selector, monkeypatch, capsys):
+    monkeypatch.setattr(trees, "cocycle_coproducts", no_work)
+    assert cli.main([command, "--expr", "t1", "--schema", selector]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "SchemaError", "message": f"unknown generator 't1' in schema {selector!r}"}
+
+
+@pytest.mark.parametrize("command, files", [
+    ("convolve", [RATIONAL_CHARACTER, RATIONAL_CHARACTER]),
+    ("exp", [{"kind": "infinitesimal", "values": {"t1": "1", "t2": "1/2"}}]),
+    ("beta", [{"kind": "table", "ring": "laurent",
+               "values": {"t1": {"minExp": -1, "truncation": None, "coeffs": {"-1": "1"}}}}]),
+])
+def test_each_functional_file_is_read_once(command, files, tmp_path, monkeypatch, capsys):
+    from hopfalg import serialize
+
+    paths = [write(tmp_path, f"f{i}.json", data) for i, data in enumerate(files)]
+    reads = []
+    read_json = serialize.read_json
+    monkeypatch.setattr(serialize, "read_json", lambda path, what: reads.append(path) or read_json(path, what))
+    assert cli.main([command, *paths, "--schema", "ladder", "--max-degree", "3"]) in (0, 1)
+    assert capsys.readouterr().out
+    assert sorted(reads) == sorted(paths)
 
 
 def _laurent_loop(names, pole, top, trunc):

@@ -229,28 +229,16 @@ def test_exp_star_against_flat_power_series(ladder, trees):
             assert chi.value_on(m) == series, str(m)
 
 
-def tree_factorial(encoding):
-    """gamma(t) = |t| * prod gamma(children), read off the bracket encoding."""
-
-    def parse(i):
-        # encoding[i] opens a vertex; its children are the bracket groups inside.
-        size, gamma, i = 1, 1, i + 1
-        while encoding[i] == "[":
-            child_size, child_gamma, i = parse(i)
-            size, gamma = size + child_size, gamma * child_gamma
-        return size, gamma * size, i + 1
-
-    return parse(0)[1]
-
-
 def test_exp_of_one_vertex_indicator_is_inverse_tree_factorial():
     # Butcher group: exp of the one-vertex indicator is the exact flow 1/gamma.
+    from perfbench.oracles import parse_tree as oracle_tree, tree_factorial
+
     ctx = HopfAlgebra(rooted_tree_schema(6))
     dot = ctx.schema.generator_by_name("[]")
     chi = exp_star(InfinitesimalCharacter(ctx, QQ, {dot: Fraction(1)}), 6)
-    assert tree_factorial("[[][[]]]") == 8
+    assert tree_factorial(oracle_tree("[[][[]]]")) == 8
     for g in ctx.schema.generators_up_to(6):
-        assert chi.value_on(Monomial.of(g)) == Fraction(1, tree_factorial(g.name)), g.name
+        assert chi.value_on(Monomial.of(g)) == Fraction(1, tree_factorial(oracle_tree(g.name))), g.name
 
 
 def test_calculus_never_reaches_the_iterated_coproduct(monkeypatch, tmp_path):
