@@ -59,7 +59,7 @@ class BirkhoffPair:
         return materialize(self.ctx, self.ring, self.plus_table, self.max_degree)
 
 
-def check_truncation_budget(ctx: HopfAlgebra, phi: Character, max_degree: int) -> int:
+def check_truncation_budget(phi: Character, max_degree: int) -> int:
     """Reject under-resolved inputs before any computation starts.
 
     The recursion multiplies up to max_degree generator values, each with a
@@ -68,7 +68,7 @@ def check_truncation_budget(ctx: HopfAlgebra, phi: Character, max_degree: int) -
     reads to be sound.  Returns p.
     """
     ring: LaurentRing = phi.ring
-    values = [(g, phi.value_on(Monomial.of(g))) for g in ctx.schema.generators_up_to(max_degree)]
+    values = [(g, phi.value_on(Monomial.of(g))) for g in phi.ctx.schema.generators_up_to(max_degree)]
     pole = max((ring.pole_order(v) for _, v in values), default=0)
     required = max(0, (max_degree - 1) * pole)
     for g, v in values:
@@ -81,7 +81,7 @@ def check_truncation_budget(ctx: HopfAlgebra, phi: Character, max_degree: int) -
     return pole
 
 
-def birkhoff_decompose(ctx: HopfAlgebra, phi: Character, max_degree: int) -> BirkhoffPair:
+def birkhoff_decompose(phi: Character, max_degree: int) -> BirkhoffPair:
     """Split phi into counterterm and renormalized parts, verified.
 
     The minus part is built by the degree recursion on every basis monomial;
@@ -91,8 +91,8 @@ def birkhoff_decompose(ctx: HopfAlgebra, phi: Character, max_degree: int) -> Bir
     """
     if max_degree < 1:
         raise DomainError("max_degree must be >= 1")
-    ring: LaurentRing = phi.ring
-    check_truncation_budget(ctx, phi, max_degree)
+    ctx, ring = phi.ctx, phi.ring
+    check_truncation_budget(phi, max_degree)
 
     phi_table = tabulate(phi, ctx.basis_up_to(max_degree))
     one, zero = ring.one(), ring.zero()
@@ -109,7 +109,7 @@ def birkhoff_decompose(ctx: HopfAlgebra, phi: Character, max_degree: int) -> Bir
             plus[m] = ring.regular_part(bracket)
 
     pair = BirkhoffPair(ctx, ring, max_degree, minus, plus)
-    report = birkhoff_verification_report(ctx, phi, pair, phi_table)
+    report = birkhoff_verification_report(phi, pair, phi_table)
     pair.report = report
     failed = [name for name, entry in report["checks"].items() if not entry["passed"]]
     if failed:
@@ -120,15 +120,16 @@ def birkhoff_decompose(ctx: HopfAlgebra, phi: Character, max_degree: int) -> Bir
     return pair
 
 
-def birkhoff_verification_report(ctx: HopfAlgebra, phi: Character, pair: BirkhoffPair,
-                                 phi_table: Optional[dict] = None) -> dict:
+def birkhoff_verification_report(phi: Character, pair: BirkhoffPair, phi_table: Optional[dict] = None) -> dict:
     """Range, multiplicativity and reconstruction checks on a candidate pair.
 
     Exposed separately so a deliberately perturbed pair can be shown to break
     the reconstruction identity.  ``phi_table`` is phi tabulated on the basis
     up to the pair's degree, when the caller has it.
     """
-    ring = pair.ring
+    ctx, ring = pair.ctx, pair.ring
+    if phi.ctx is not ctx:
+        raise DomainError("the pair and phi belong to different Hopf algebra contexts")
     basis = ctx.basis_up_to(pair.max_degree)
     if phi_table is None:
         phi_table = tabulate(phi, basis)

@@ -58,7 +58,7 @@ def read_inputs(args, read):
 
     ctx = HopfAlgebra(resolve_schema(args.schema), validate_to=0)
     inputs = read(ctx)
-    ctx.validate(None if ctx.schema.max_degree is not None else max(args.max_degree, 1))
+    ctx.validate(max(args.max_degree, 1) if ctx.schema.max_degree is None and hasattr(args, "max_degree") else None)
     return ctx, inputs
 
 
@@ -67,22 +67,22 @@ def build_context(args):
 
 
 def read_expression(args):
-    """The context and the element of --expr or --file, priced before its coproduct is filled."""
+    """The context and the element of --expr or --file, priced as it is read, before any coproduct is filled."""
+    from .pricing import check_price, coproduct_term_bound
 
     def parse(ctx):
         if args.expr is not None:
             from .exprparse import parse_element
 
-            return parse_element(ctx, args.expr)
-        from .serialize import element_from_json, read_json
+            h = parse_element(ctx, args.expr)
+        else:
+            from .serialize import element_from_json, read_json
 
-        return element_from_json(ctx, read_json(args.file, "element"))
+            h = element_from_json(ctx, read_json(args.file, "element"))
+        check_price(coproduct_term_bound(ctx, h), "coproducts")
+        return h
 
-    ctx, h = read_inputs(args, parse)
-    from .pricing import check_price, coproduct_term_bound
-
-    check_price(coproduct_term_bound(ctx, h), "coproducts")
-    return ctx, h
+    return read_inputs(args, parse)
 
 
 def read_functionals(args) -> list:
@@ -165,7 +165,7 @@ def cmd_birkhoff(args):
 
     phi, = read_functionals(args)
     try:
-        pair = birkhoff_decompose(phi.ctx, phi, args.max_degree)
+        pair = birkhoff_decompose(phi, args.max_degree)
     except VerificationError as exc:
         return {"passed": False, "error": str(exc), "witness": exc.witness}
     return {
@@ -183,7 +183,7 @@ def cmd_beta(args):
 
     phi, = read_functionals(args)
     max_order = args.max_order or args.max_degree
-    data = beta_data(phi.ctx, phi, max_order, args.max_degree)
+    data = beta_data(phi, max_order, args.max_degree)
     return {
         "beta": functional_to_json(data.beta),
         "d": {str(n): functional_to_json(data.d(n)) for n in range(1, max_order + 1)},
@@ -199,8 +199,7 @@ def cmd_build_loop(args):
     from .serialize import functional_to_json
 
     beta, = read_functionals(args)
-    max_order = max(args.max_order or args.max_degree, args.max_degree)
-    return functional_to_json(build_special_loop(beta.ctx, beta, max_order, args.max_degree))
+    return functional_to_json(build_special_loop(beta, args.max_degree))
 
 
 def cmd_rg_check(args):
@@ -212,7 +211,7 @@ def cmd_rg_check(args):
     if args.eps_order > MAX_EPS_ORDER:
         raise DomainError(f"--eps-order {args.eps_order} is above the limit MAX_EPS_ORDER = {MAX_EPS_ORDER}")
     phi, = read_functionals(args)
-    report = rg_limit_check(phi.ctx, phi, args.max_degree, eps_margin=args.eps_order)
+    report = rg_limit_check(phi, args.max_degree, eps_margin=args.eps_order)
     poly_t = PolynomialRing(QQ, "t")
     flow = {
         str(m): poly_t.value_to_json(p)
@@ -240,7 +239,7 @@ def cmd_scattering(args):
 
     beta, = read_functionals(args)
     max_order = args.max_order or min(args.max_degree, 3)
-    report = scattering_check(beta.ctx, beta, max_order, args.max_degree)
+    report = scattering_check(beta, max_order, args.max_degree)
     return {"maxOrder": report.max_order, "maxDegree": report.max_degree, "orders": report.orders,
             "passed": report.passed}
 
@@ -289,7 +288,7 @@ def add_expression_args(parser: argparse.ArgumentParser) -> None:
 # runs cmd_<name with - as _>.
 ELEMENT = "element"
 ANY = "any"
-# The two options of every command that builds a schema context.
+# The two options of every command that builds a schema context; coproduct and antipode take only the first.
 _SCHEMA = [("--schema", {"default": "ladder",
                          "help": "ladder | trees:<maxVertices> | custom:<path> (default: ladder)"}),
            ("--max-degree", {"type": int, "default": 4, "metavar": "N"})]
@@ -305,8 +304,8 @@ def _functional(metavar: str, nargs: int = 1) -> tuple:
 
 
 COMMANDS = {
-    "coproduct": ("coproduct of an element", [*_SCHEMA, _OUTPUT, ELEMENT], None),
-    "antipode": ("antipode of an element", [*_SCHEMA, _OUTPUT, ELEMENT], None),
+    "coproduct": ("coproduct of an element", [_SCHEMA[0], _OUTPUT, ELEMENT], None),
+    "antipode": ("antipode of an element", [_SCHEMA[0], _OUTPUT, ELEMENT], None),
     "convolve": ("convolution of two functionals", [*_SCHEMA, _functional("FUNCTIONAL_JSON", 2)],
                  (ANY, ANY, "a functional")),
     "exp": ("convolution exponential of an infinitesimal", [*_SCHEMA, _functional("Z_JSON")],
@@ -320,7 +319,7 @@ COMMANDS = {
              [*_SCHEMA, _functional("PHI_JSON"), _MAX_ORDER],
              (ANY, "laurent", "a Laurent-valued functional")),
     "build-loop": ("assemble the loop with a given beta-function",
-                   [*_SCHEMA, _functional("BETA_JSON"), _MAX_ORDER],
+                   [*_SCHEMA, _functional("BETA_JSON")],
                    ("infinitesimal", "rational", "an infinitesimal-character")),
     "rg-check": ("specialness and scale-flow limit of a loop",
                  [*_SCHEMA, _EPS_ORDER, _OUTPUT, _functional("PHI_JSON")],
@@ -384,7 +383,7 @@ def main(argv=None) -> int:
         if getattr(args, "max_degree", 0) < 0:
             raise DomainError(f"--max-degree must be >= 0, got {args.max_degree}")
         if getattr(args, "max_order", 0) < 0:
-            raise DomainError("max_order must be >= 1")
+            raise DomainError(f"--max-order must be >= 0, got {args.max_order}")
         out = args.fn(args)
         payload, text = out if isinstance(out, tuple) else (out, None)
         if text is not None and args.output == "text":

@@ -16,7 +16,7 @@ from .algebra import Monomial
 from .duals import (NOT_MULTIPLICATIVE, Character, Functional, InfinitesimalCharacter, TableFunctional,
                     compose_antipode, convolve_tables, grading_transpose, materialize, scale_by_degree, tabulate)
 from .errors import DomainError, UnsupportedRingError
-from .hopf import HopfAlgebra, theta_factors
+from .hopf import theta_factors
 from .rationals import QQ
 
 
@@ -105,13 +105,13 @@ def character_inverse(chi: Character, max_degree: Optional[int] = None) -> Chara
     return materialize(ctx, ring, table, bound)
 
 
-def materialize_character(ctx: HopfAlgebra, f: Functional, max_degree: int, verify: bool = False) -> Character:
+def materialize_character(f: Functional, max_degree: int, verify: bool = False) -> Character:
     """Read a known-multiplicative functional back into character closed form."""
     if verify:
-        return materialize(ctx, f.ring, tabulate(f, ctx.basis_up_to(max_degree)), max_degree,
+        return materialize(f.ctx, f.ring, tabulate(f, f.ctx.basis_up_to(max_degree)), max_degree,
                            failure=NOT_MULTIPLICATIVE)
-    gens = [Monomial.of(g) for g in ctx.schema.generators_up_to(max_degree)]
-    return materialize(ctx, f.ring, tabulate(f, gens), max_degree)
+    gens = [Monomial.of(g) for g in f.ctx.schema.generators_up_to(max_degree)]
+    return materialize(f.ctx, f.ring, tabulate(f, gens), max_degree)
 
 
 def lie_bracket(z1: InfinitesimalCharacter, z2: InfinitesimalCharacter, max_degree: int) -> InfinitesimalCharacter:

@@ -72,7 +72,6 @@ class TableSchema(HopfSchema):
         name: str,
         generators: Iterable[Generator],
         reduced: Dict[Generator, Tuple[ReducedTerm, ...]],
-        max_degree: Optional[int] = None,
         complete: bool = True,
     ):
         self.name = name
@@ -87,8 +86,7 @@ class TableSchema(HopfSchema):
         for d in self._by_degree:
             self._by_degree[d].sort()
         self._reduced = dict(reduced)
-        declared_max = max(self._by_degree) if self._by_degree else 0
-        self.max_degree = max_degree if max_degree is not None else declared_max
+        self.max_degree = max(self._by_degree, default=0)
 
     def generators_of_degree(self, degree: int) -> Tuple[Generator, ...]:
         if degree > self.max_degree and not self.complete:

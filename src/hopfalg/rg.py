@@ -18,7 +18,7 @@ from .algebra import Monomial
 from .duals import (Character, InfinitesimalCharacter, TableFunctional, compose_antipode, convolution_powers,
                     grading_transpose, materialize, scale_by_degree, tabulate)
 from .errors import DomainError, VerificationError
-from .hopf import HopfAlgebra, theta_factors
+from .hopf import theta_factors
 from .polynomials import PolynomialRing
 from .rings import LaurentRing, LaurentSeries
 
@@ -47,7 +47,7 @@ class BetaData(NamedTuple):
         return self.towers[n - 1]
 
 
-def beta_data(ctx: HopfAlgebra, f, max_order: int, max_degree: int) -> BetaData:
+def beta_data(f, max_order: int, max_degree: int) -> BetaData:
     """Extract the full beta-function data from a Laurent-valued functional.
 
     d_1 is read literally off the eps^(-1) coefficients; the rest of the
@@ -55,10 +55,10 @@ def beta_data(ctx: HopfAlgebra, f, max_order: int, max_degree: int) -> BetaData:
     """
     if max_order < 1:
         raise DomainError("max_order must be >= 1")
-    d1 = residue(ctx, f, max_degree)
-    beta, violations = _beta_of_residue(ctx, d1, max_degree)
+    d1 = residue(f, max_degree)
+    beta, violations = _beta_of_residue(d1, max_degree)
     base = beta.ring
-    towers = [d1] + counterterm_tower(ctx, beta, max_order, max_degree)[1:]
+    towers = [d1] + counterterm_tower(beta, max_order, max_degree)[1:]
     for d in towers:
         if not base.is_zero(d.value_on(Monomial.unit())):
             raise VerificationError("a tower entry fails to kill the unit")
@@ -70,29 +70,29 @@ def beta_data(ctx: HopfAlgebra, f, max_order: int, max_degree: int) -> BetaData:
     return BetaData(beta=beta, towers=towers, max_order=max_order, max_degree=max_degree, violations=violations)
 
 
-def residue(ctx: HopfAlgebra, f, max_degree: int) -> TableFunctional:
+def residue(f, max_degree: int) -> TableFunctional:
     """First-order pole coefficient of a Laurent-valued functional, read
     literally off the expansion and extended linearly."""
     ring: LaurentRing = f.ring
     base = ring.base
     table = {}
-    for m, value in tabulate(f, ctx.basis_up_to(max_degree)).items():
+    for m, value in tabulate(f, f.ctx.basis_up_to(max_degree)).items():
         v = ring.coefficient(value, -1)
         if not base.is_zero(v):
             table[m] = v
-    return TableFunctional(ctx, base, table)
+    return TableFunctional(f.ctx, base, table)
 
 
-def beta_functional(ctx: HopfAlgebra, f, max_degree: int) -> Tuple[InfinitesimalCharacter, List[str]]:
+def beta_functional(f, max_degree: int) -> Tuple[InfinitesimalCharacter, List[str]]:
     """beta = Y_* (residue), with its infinitesimality checked, not assumed.
 
     Returns the generator-table form plus the list of basis products where
     the scaled residue fails to vanish (empty for genuinely special data).
     """
-    return _beta_of_residue(ctx, residue(ctx, f, max_degree), max_degree)
+    return _beta_of_residue(residue(f, max_degree), max_degree)
 
 
-def _beta_of_residue(ctx: HopfAlgebra, d1: TableFunctional, max_degree: int):
+def _beta_of_residue(d1: TableFunctional, max_degree: int):
     base = d1.ring
     scaled = grading_transpose(base, d1.table)
     violations = [
@@ -100,15 +100,15 @@ def _beta_of_residue(ctx: HopfAlgebra, d1: TableFunctional, max_degree: int):
         for m, v in d1.table.items()
         if m.single_generator() is None and not m.is_unit
     ]
-    return materialize(ctx, base, scaled, max_degree, InfinitesimalCharacter), violations
+    return materialize(d1.ctx, base, scaled, max_degree, InfinitesimalCharacter), violations
 
 
-def counterterm_tower(ctx: HopfAlgebra, beta: InfinitesimalCharacter, max_order: int, max_degree: int) -> List[TableFunctional]:
+def counterterm_tower(beta: InfinitesimalCharacter, max_order: int, max_degree: int) -> List[TableFunctional]:
     """d_1, ..., d_max_order by the grading recursion, each built from the last:
     d_1 divides beta by the degree; d_(k+1) = Y_*^(-1) (d_k * beta)."""
     if max_order < 1:
         raise DomainError("the tower is indexed by n >= 1")
-    base = beta.ring
+    ctx, base = beta.ctx, beta.ring
     basis = [m for m in ctx.basis_up_to(max_degree) if not m.is_unit]
     beta_table = tabulate(beta, basis)
     tables = [grading_transpose(base, beta_table, inverse=True)]
@@ -118,9 +118,9 @@ def counterterm_tower(ctx: HopfAlgebra, beta: InfinitesimalCharacter, max_order:
     return [TableFunctional(ctx, base, table) for table in tables]
 
 
-def dn_recursive(ctx: HopfAlgebra, beta: InfinitesimalCharacter, n: int, max_degree: int) -> TableFunctional:
+def dn_recursive(beta: InfinitesimalCharacter, n: int, max_degree: int) -> TableFunctional:
     """d_n of the counterterm tower built by the grading recursion."""
-    return counterterm_tower(ctx, beta, n, max_degree)[n - 1]
+    return counterterm_tower(beta, n, max_degree)[n - 1]
 
 
 def simplex_weight(leg_degrees: Tuple[int, ...]) -> Fraction:
@@ -134,11 +134,11 @@ def simplex_weight(leg_degrees: Tuple[int, ...]) -> Fraction:
     return weight
 
 
-def _beta_pairings(ctx: HopfAlgebra, beta: InfinitesimalCharacter, m: Monomial, n: int):
+def _beta_pairings(beta: InfinitesimalCharacter, m: Monomial, n: int):
     """The nonzero terms of beta tensor n paired with the augmentation-restricted
     iterated coproduct of m, as (leg degrees, value) pairs."""
     base = beta.ring
-    for legs, c in ctx.plus_iterated_monomial(m, n).terms.items():
+    for legs, c in beta.ctx.plus_iterated_monomial(m, n).terms.items():
         prod = base.from_rational(c)
         for leg in legs:
             if base.is_zero(prod):
@@ -148,39 +148,34 @@ def _beta_pairings(ctx: HopfAlgebra, beta: InfinitesimalCharacter, m: Monomial, 
             yield tuple(leg.y_degree for leg in legs), prod
 
 
-def dn_simplex(ctx: HopfAlgebra, beta: InfinitesimalCharacter, n: int, max_degree: int) -> TableFunctional:
+def dn_simplex(beta: InfinitesimalCharacter, n: int, max_degree: int) -> TableFunctional:
     """The same tower in closed form: pair beta tensor powers against the
     augmentation-restricted iterated coproduct with the simplex weights."""
     if n < 1:
         raise DomainError("the tower is indexed by n >= 1")
-    base = beta.ring
+    ctx, base = beta.ctx, beta.ring
     table: Dict[Monomial, object] = {}
     for m in ctx.basis_up_to(max_degree):
         if m.is_unit:
             continue
         total = base.zero()
-        for degrees, prod in _beta_pairings(ctx, beta, m, n):
+        for degrees, prod in _beta_pairings(beta, m, n):
             total = base.add(total, base.scale(simplex_weight(degrees), prod))
         if not base.is_zero(total):
             table[m] = total
     return TableFunctional(ctx, base, table)
 
 
-def build_special_loop(ctx: HopfAlgebra, beta: InfinitesimalCharacter, max_order: int, max_degree: int) -> Character:
+def build_special_loop(beta: InfinitesimalCharacter, max_degree: int) -> Character:
     """Assemble the loop 1_* + sum_n d_n / eps^n from its beta-function.
 
-    The tower must cover every degree in range (max_order >= max_degree, and
-    d_n vanishes below degree n anyway); the materialized character is
-    checked against the raw expansion on the whole basis.
+    d_n vanishes below degree n, so the tower d_1 .. d_max_degree is the whole
+    loop in range; the materialized character is checked against the raw
+    expansion on the whole basis.
     """
-    if max_order < 1:
-        raise DomainError("max_order must be >= 1")
-    if max_order < max_degree:
-        raise DomainError("the pole tower must cover every degree in range: need "
-                          f"max_order >= max_degree, got {max_order} < {max_degree}")
-    base = beta.ring
+    ctx, base = beta.ctx, beta.ring
     ring = LaurentRing(base, "eps")
-    towers = counterterm_tower(ctx, beta, max_order, max_degree)
+    towers = counterterm_tower(beta, max_degree, max_degree)
     expansion = {}
     for m in ctx.basis_up_to(max_degree):
         coeffs = {}
@@ -218,7 +213,7 @@ class RgReport(NamedTuple):
                 and self.beta_matches_residue)
 
 
-def rg_limit_check(ctx: HopfAlgebra, phi: Character, max_degree: int, eps_margin: int = 1) -> RgReport:
+def rg_limit_check(phi: Character, max_degree: int, eps_margin: int = 1) -> RgReport:
     """Compute phi^(-1) * theta_(t eps)(phi) per basis monomial and take eps -> 0.
 
     The loop is special when every negative-eps coefficient cancels
@@ -229,7 +224,7 @@ def rg_limit_check(ctx: HopfAlgebra, phi: Character, max_degree: int, eps_margin
     """
     if eps_margin < 0:
         raise DomainError("eps_margin must be >= 0")
-    ring: LaurentRing = phi.ring
+    ctx, ring = phi.ctx, phi.ring
     base = ring.base
     poly_t = PolynomialRing(base, "t")
     work = LaurentRing(poly_t, ring.var)
@@ -340,7 +335,7 @@ class ScatteringReport(NamedTuple):
         return all(entry["passed"] for entry in self.orders)
 
 
-def scattering_check(ctx: HopfAlgebra, beta: InfinitesimalCharacter, max_order: int, max_degree: int) -> ScatteringReport:
+def scattering_check(beta: InfinitesimalCharacter, max_order: int, max_degree: int) -> ScatteringReport:
     """Certify that the finite-time ordered products converge to the tower.
 
     For each order n, every basis monomial's finite-time value is an
@@ -351,9 +346,9 @@ def scattering_check(ctx: HopfAlgebra, beta: InfinitesimalCharacter, max_order: 
 
     if max_order < 1:
         raise DomainError("max_order must be >= 1")
-    base = beta.ring
+    ctx, base = beta.ctx, beta.ring
     orders: List[dict] = []
-    towers = counterterm_tower(ctx, beta, max_order, max_degree)
+    towers = counterterm_tower(beta, max_order, max_degree)
     integrals: Dict[tuple, dict] = {}  # leg degrees -> the simplex integral's {rate: coefficient}
     for n in range(1, max_order + 1):
         expected = towers[n - 1]
@@ -363,7 +358,7 @@ def scattering_check(ctx: HopfAlgebra, beta: InfinitesimalCharacter, max_order: 
             if m.is_unit:
                 continue
             combo: Dict[int, object] = {}
-            for degrees, prod in _beta_pairings(ctx, beta, m, n):
+            for degrees, prod in _beta_pairings(beta, m, n):
                 if degrees not in integrals:
                     integrals[degrees] = finite_simplex_integral(degrees).coeffs
                 for rate, q in integrals[degrees].items():

@@ -269,7 +269,7 @@ def birkhoff_suite(ctx: HopfAlgebra, max_degree: int, seed: int) -> SuiteReport:
                 coeffs = {k: rng.randint(-3, 3) for k in range(-1, 2)}
                 values[g] = L.make(coeffs, None)
             try:
-                pair = birkhoff_decompose(ctx, Character(ctx, L, values), degree)
+                pair = birkhoff_decompose(Character(ctx, L, values), degree)
             except HopfError as exc:
                 yield f"loop {i}: {exc}"
             else:
@@ -286,8 +286,8 @@ def birkhoff_suite(ctx: HopfAlgebra, max_degree: int, seed: int) -> SuiteReport:
         for i in range(2):
             beta = _random_infinitesimal(ctx, rng, degree)
             for n in range(1, 4):
-                rec = dn_recursive(ctx, beta, n, degree)
-                simp = dn_simplex(ctx, beta, n, degree)
+                rec = dn_recursive(beta, n, degree)
+                simp = dn_simplex(beta, n, degree)
                 for m in ctx.basis_up_to(degree):
                     if rec.value_on(m) != simp.value_on(m):
                         yield f"n={n}, {m}"
@@ -297,8 +297,8 @@ def birkhoff_suite(ctx: HopfAlgebra, max_degree: int, seed: int) -> SuiteReport:
     def closed_loop():
         for i in range(2):
             beta = _random_infinitesimal(ctx, rng, degree)
-            loop = build_special_loop(ctx, beta, degree, degree)
-            rg = rg_limit_check(ctx, loop, degree)
+            loop = build_special_loop(beta, degree)
+            rg = rg_limit_check(loop, degree)
             if not rg.passed:
                 yield f"loop {i}"
             for g in ctx.schema.generators_up_to(degree):
@@ -313,7 +313,7 @@ def birkhoff_suite(ctx: HopfAlgebra, max_degree: int, seed: int) -> SuiteReport:
 
     def scattering():
         beta = _random_infinitesimal(ctx, rng, degree)
-        scat = scattering_check(ctx, beta, min(3, degree), degree)
+        scat = scattering_check(beta, min(3, degree), degree)
         for entry in scat.orders:
             if not entry["passed"]:
                 yield f"order {entry['order']}: {entry['mismatches']}"
@@ -323,7 +323,7 @@ def birkhoff_suite(ctx: HopfAlgebra, max_degree: int, seed: int) -> SuiteReport:
     def non_special():
         bad = Character(ctx, L, {g: L.make({-2: 1}, None)
                                  for g in ctx.schema.generators_of_degree(1)})
-        if ctx.schema.generators_of_degree(1) and rg_limit_check(ctx, bad, 1).special:
+        if ctx.schema.generators_of_degree(1) and rg_limit_check(bad, 1).special:
             yield "expected non-special loop was reported special"
 
     add(

@@ -8,7 +8,9 @@ the cuts themselves, as the reference the tests compare with.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
+from math import comb, prod
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .algebra import Generator, Monomial
@@ -194,17 +196,28 @@ def tree_generator(tree: RootedTree) -> Generator:
 
 class TreeSchema(TableSchema):
     """The schema trees:N.  Its generators, name lookup and cutoff come from
-    the enumeration; ``cocycle_coproducts`` fills its reduced coproducts the
-    first time one is asked for."""
+    the enumeration, and its term counts from each tree's shape;
+    ``cocycle_coproducts`` fills its reduced coproducts the first time one is
+    asked for."""
 
     def __init__(self, max_vertices: int):
         generators = [tree_generator(t) for n in range(1, max_vertices + 1) for t in enumerate_trees(n)]
-        super().__init__(f"trees:{max_vertices}", generators, {}, max_degree=max_vertices, complete=False)
+        super().__init__(f"trees:{max_vertices}", generators, {}, complete=False)
 
     def reduced_terms(self, gen: Generator) -> Tuple[ReducedTerm, ...]:
         if not self._reduced:
             self._reduced = cocycle_coproducts(self.max_degree)
         return super().reduced_terms(gen)
+
+    def reduced_term_count(self, gen: Generator) -> int:
+        return _cut_choices(parse_tree(gen.name)) - 1
+
+
+def _cut_choices(tree: RootedTree) -> int:
+    """At least the distinct (pruned, trunk) pairs of tree's cuts, the empty
+    cut included, read off its shape: each of the m copies of a child c is
+    pruned or kept under one of its own choices, a multiset of m of them."""
+    return prod(comb(m + _cut_choices(c), m) for c, m in Counter(tree.children).items())
 
 
 def rooted_tree_schema(max_vertices: int) -> TreeSchema:

@@ -161,7 +161,7 @@ def test_criterion_6_birkhoff(ladder):
                 }
                 values[ladder.schema.generator(n)] = L.make(coeffs, None)
             phi = Character(ladder, L, values)
-            pair = birkhoff_decompose(ladder, phi, 5)
+            pair = birkhoff_decompose(phi, 5)
             checks = pair.report["checks"]
             assert checks["reconstruction"]["passed"], i
             assert checks["minus_range"]["passed"], i
@@ -177,7 +177,7 @@ def test_criterion_6_birkhoff(ladder):
                 ladder.schema.generator(2): L.make({-2: Fraction(1)}, None),
             },
         )
-        pair = birkhoff_decompose(ladder, phi, 2)
+        pair = birkhoff_decompose(phi, 2)
         assert pair.minus_table[t(1)].as_dict() == {-1: Fraction(-1)}
         assert pair.minus_table[t(2)].as_dict() == {}
         assert pair.plus_table[t(2)].as_dict() == {}
@@ -192,8 +192,8 @@ def test_criterion_7_beta_closed_loop(ladder):
         for i in range(10):
             ctx = contexts[i % 2]
             beta = random_infinitesimal(ctx, rng, 4)
-            loop = build_special_loop(ctx, beta, 4, 4)
-            report = rg_limit_check(ctx, loop, 4)
+            loop = build_special_loop(beta, 4)
+            report = rg_limit_check(loop, 4)
             assert report.special, i
             assert report.flow_additive, i
             assert report.flow_is_exponential, i
@@ -207,14 +207,14 @@ def test_criterion_7_beta_closed_loop(ladder):
         for ctx, degree in ((ladder, 5), (trees4, 4)):
             beta = random_infinitesimal(ctx, rng, degree)
             for n in range(1, 5):
-                rec = dn_recursive(ctx, beta, n, degree)
-                simp = dn_simplex(ctx, beta, n, degree)
+                rec = dn_recursive(beta, n, degree)
+                simp = dn_simplex(beta, n, degree)
                 for m in ctx.basis_up_to(degree):
                     assert rec.value_on(m) == simp.value_on(m), (n, str(m))
         # scattering limits for n <= 3
         for ctx in contexts:
             beta = random_infinitesimal(ctx, rng, 4)
-            report = scattering_check(ctx, beta, 3, 4)
+            report = scattering_check(beta, 3, 4)
             assert report.passed
         elapsed = time.monotonic() - start
         assert elapsed < 300, f"took {elapsed:.1f}s"
@@ -261,7 +261,7 @@ def test_criterion_8_negative_tests(ladder, tmp_path):
             L,
             {ladder.schema.generator(1): L.make({-2: Fraction(1)}, None)},
         )
-        rg = rg_limit_check(ladder, phi, 1)
+        rg = rg_limit_check(phi, 1)
         assert not rg.special
         assert rg.witnesses[0]["monomial"] == "t1"
 
@@ -274,12 +274,12 @@ def test_criterion_8_negative_tests(ladder, tmp_path):
                 ladder.schema.generator(2): L.make({-2: Fraction(1)}, None),
             },
         )
-        pair = birkhoff_decompose(ladder, base_phi, 3)
+        pair = birkhoff_decompose(base_phi, 3)
         corrupted = dict(pair.minus_table)
         t2 = Monomial.of(ladder.schema.generator(2))
         corrupted[t2] = L.add(corrupted[t2], L.make({-1: Fraction(1)}, None))
         bad = BirkhoffPair(ladder, L, 3, corrupted, dict(pair.plus_table))
-        report = birkhoff_verification_report(ladder, base_phi, bad)
+        report = birkhoff_verification_report(base_phi, bad)
         assert not report["checks"]["reconstruction"]["passed"]
 
 

@@ -1,5 +1,7 @@
 """Minimal subtraction, Birkhoff factorization, beta-function machinery."""
 
+import importlib
+import inspect
 import random
 from collections import Counter
 from fractions import Fraction
@@ -124,7 +126,7 @@ def test_rota_baxter_identity_randomized():
 
 def test_birkhoff_primitive_pole(ladder):
     phi = laurent_char(ladder, {1: lau({-1: 1})})
-    pair = birkhoff_decompose(ladder, phi, 3)
+    pair = birkhoff_decompose(phi, 3)
     assert pair.minus_table[t(ladder, 1)].as_dict() == {-1: -1}
     assert pair.plus_table[t(ladder, 1)].as_dict() == {}
     assert pair.report["passed"]
@@ -132,7 +134,7 @@ def test_birkhoff_primitive_pole(ladder):
 
 def test_birkhoff_splits_constant(ladder):
     phi = laurent_char(ladder, {1: lau({-1: 1, 0: 5})})
-    pair = birkhoff_decompose(ladder, phi, 2)
+    pair = birkhoff_decompose(phi, 2)
     assert pair.minus_table[t(ladder, 1)].as_dict() == {-1: -1}
     assert pair.plus_table[t(ladder, 1)].as_dict() == {0: 5}
 
@@ -142,7 +144,7 @@ def test_birkhoff_worked_t2_example(ladder):
     # 1/eps^2 + (-1/eps)(1/eps) = 0, so both parts vanish, and the
     # reconstruction on t2 returns exactly 1/eps^2.
     phi = laurent_char(ladder, {1: lau({-1: 1}), 2: lau({-2: 1})})
-    pair = birkhoff_decompose(ladder, phi, 3)
+    pair = birkhoff_decompose(phi, 3)
     assert pair.minus_table[t(ladder, 2)].as_dict() == {}
     assert pair.plus_table[t(ladder, 2)].as_dict() == {}
     report = pair.report
@@ -163,7 +165,7 @@ def test_birkhoff_seeded_random_loops(ladder):
             coeffs = {k: Fraction(rng.randint(-3, 3)) for k in range(-2, 2)}
             values[n] = lau(coeffs)
         phi = laurent_char(ladder, values)
-        pair = birkhoff_decompose(ladder, phi, 4)
+        pair = birkhoff_decompose(phi, 4)
         assert pair.report["passed"]
 
 
@@ -175,7 +177,7 @@ def test_birkhoff_on_trees(trees):
             {k: Fraction(rng.randint(-2, 2)) for k in range(-1, 2)}, None
         )
     phi = Character(trees, L, values)
-    pair = birkhoff_decompose(trees, phi, 3)
+    pair = birkhoff_decompose(phi, 3)
     assert pair.report["passed"]
 
 
@@ -186,7 +188,7 @@ def test_birkhoff_budget_rejects_underresolved(ladder):
         ladder, {n: lau({-2: 1}, trunc=3) for n in range(1, 5)}
     )
     with pytest.raises(TruncationError) as err:
-        birkhoff_decompose(ladder, phi, 4)
+        birkhoff_decompose(phi, 4)
     assert err.value.required_order == 6
 
 
@@ -194,22 +196,46 @@ def test_birkhoff_accepts_adequate_truncation(ladder):
     phi = laurent_char(
         ladder, {n: lau({-1: 1, 0: 2}, trunc=8) for n in range(1, 5)}
     )
-    pair = birkhoff_decompose(ladder, phi, 4)
+    pair = birkhoff_decompose(phi, 4)
     assert pair.report["passed"]
 
 
 def test_perturbed_minus_breaks_reconstruction(ladder):
     phi = laurent_char(ladder, {1: lau({-1: 1}), 2: lau({-2: 1})})
-    pair = birkhoff_decompose(ladder, phi, 3)
+    pair = birkhoff_decompose(phi, 3)
     corrupted = dict(pair.minus_table)
     corrupted[t(ladder, 2)] = L.add(
         corrupted[t(ladder, 2)], lau({-1: 1})
     )
     bad = BirkhoffPair(ladder, L, 3, corrupted, dict(pair.plus_table))
-    report = birkhoff_verification_report(ladder, phi, bad)
+    report = birkhoff_verification_report(phi, bad)
     assert not report["checks"]["reconstruction"]["passed"]
     assert not report["passed"]
 
+
+
+# Functions of functionals read the Hopf algebra off their inputs (f.ctx);
+# only functions of tables take a context.
+READ_CONTEXT_FROM_INPUT = {
+    "birkhoff": ("check_truncation_budget", "birkhoff_decompose", "birkhoff_verification_report"),
+    "functionals": ("materialize_character",),
+    "rg": ("beta_data", "residue", "beta_functional", "counterterm_tower", "dn_recursive", "dn_simplex",
+           "build_special_loop", "rg_limit_check", "scattering_check", "_beta_of_residue", "_beta_pairings"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(READ_CONTEXT_FROM_INPUT))
+def test_functions_of_functionals_take_no_context(module):
+    owner = importlib.import_module(f"hopfalg.{module}")
+    for name in READ_CONTEXT_FROM_INPUT[module]:
+        assert "ctx" not in inspect.signature(getattr(owner, name)).parameters, name
+
+
+def test_verification_report_refuses_a_pair_of_another_context(ladder, trees):
+    pair = birkhoff_decompose(laurent_char(ladder, {1: lau({-1: 1})}), 2)
+    other = Character(trees, L, {trees.schema.generator_by_name("[]"): lau({-1: 1})})
+    with pytest.raises(DomainError):
+        birkhoff_verification_report(other, pair)
 
 
 def test_birkhoff_converts_each_series_to_integers_once(ladder, monkeypatch):
@@ -232,7 +258,7 @@ def test_birkhoff_converts_each_series_to_integers_once(ladder, monkeypatch):
 
     monkeypatch.setattr(RationalField, "operand", operand)
     monkeypatch.setattr(RationalField, "convolve_operands", loop)
-    assert birkhoff_decompose(ladder, phi, 6).report["passed"]
+    assert birkhoff_decompose(phi, 6).report["passed"]
     # Every zero series shares the empty tuple, so only nonzero ones are told apart.
     builds = Counter(id(xs) for xs in built if xs)
     assert builds and max(builds.values()) == 1
@@ -244,7 +270,7 @@ def test_birkhoff_converts_each_series_to_integers_once(ladder, monkeypatch):
 
 def test_residue_reads_pole_coefficient(ladder):
     phi = laurent_char(ladder, {1: lau({-1: -1}), 2: lau({-1: 4, -2: 9})})
-    d1 = residue(ladder, phi, 3)
+    d1 = residue(phi, 3)
     assert d1.value_on(t(ladder, 1)) == -1
     assert d1.value_on(t(ladder, 2)) == 4
     assert d1.value_on(Monomial.unit()) == 0
@@ -255,15 +281,15 @@ def test_residue_reads_pole_coefficient(ladder):
 
 def test_residue_of_counit_loop_vanishes(ladder):
     phi = Character(ladder, L, {})
-    d1 = residue(ladder, phi, 3)
+    d1 = residue(phi, 3)
     assert d1.table == {}
-    beta, violations = beta_functional(ladder, phi, 3)
+    beta, violations = beta_functional(phi, 3)
     assert beta.gen_values == {} and violations == []
 
 
 def test_beta_scales_by_degree(ladder):
     phi = laurent_char(ladder, {1: lau({-1: 3}), 2: lau({-1: 5})})
-    beta, violations = beta_functional(ladder, phi, 3)
+    beta, violations = beta_functional(phi, 3)
     assert beta.value_on(t(ladder, 1)) == 3
     assert beta.value_on(t(ladder, 2)) == 10
     assert violations == []
@@ -273,7 +299,7 @@ def test_beta_reports_violations_on_products(ladder):
     # A residue supported on t1^2 is not an infinitesimal character:
     # (1/eps + 1)^2 has a first-order pole on the product monomial.
     bad = Character(ladder, L, {gen(ladder, 1): lau({-1: 1, 0: 1})})
-    _, violations = beta_functional(ladder, bad, 3)
+    _, violations = beta_functional(bad, 3)
     assert "t1^2" in violations
 
 
@@ -281,14 +307,14 @@ def test_beta_data_on_built_loop(ladder):
     from hopfalg.rg import beta_data
 
     beta = ladder_beta(ladder, {1: 3, 2: -2}, cutoff=4)
-    loop = build_special_loop(ladder, beta, 4, 4)
-    data = beta_data(ladder, loop, 4, 4)
+    loop = build_special_loop(beta, 4)
+    data = beta_data(loop, 4, 4)
     assert data.passed
     for n in (1, 2):
         m = t(ladder, n)
         assert data.beta.value_on(m) == beta.value_on(m)
     # the literal residue seed matches the canonical tower
-    d2 = dn_recursive(ladder, beta, 2, 4)
+    d2 = dn_recursive(beta, 2, 4)
     for m in ladder.basis_up_to(4):
         assert data.d(2).value_on(m) == d2.value_on(m)
 
@@ -300,10 +326,10 @@ def test_beta_data_vs_rg_division_of_labor(ladder):
     # the residue tower itself is well-defined (beta reads only the
     # first-order pole), but the scale-flow check flags non-specialness.
     bad = laurent_char(ladder, {1: lau({-1: 1}), 2: lau({-2: 5})})
-    data = beta_data(ladder, bad, 3, 3)
+    data = beta_data(bad, 3, 3)
     assert data.passed
     assert data.beta.value_on(t(ladder, 1)) == 1
-    rg = rg_limit_check(ladder, bad, 2)
+    rg = rg_limit_check(bad, 2)
     assert not rg.special
     assert any(w["monomial"] == "t2" for w in rg.witnesses)
 
@@ -319,7 +345,7 @@ def test_beta_data_violations_from_product_residue(ladder, monkeypatch):
 
     monkeypatch.setattr(rg, "residue", recorded)
     bad = Character(ladder, L, {gen(ladder, 1): lau({-1: 1, 0: 1})})
-    data = rg.beta_data(ladder, bad, 2, 3)
+    data = rg.beta_data(bad, 2, 3)
     assert not data.passed
     assert "t1^2" in data.violations
     # d_1 is read off the loop once and seeds both beta and the tower
@@ -329,9 +355,9 @@ def test_beta_data_violations_from_product_residue(ladder, monkeypatch):
 def test_dn_recursive_hand_example(ladder):
     b = Fraction(3)
     beta = ladder_beta(ladder, {1: b})
-    d1 = dn_recursive(ladder, beta, 1, 4)
+    d1 = dn_recursive(beta, 1, 4)
     assert d1.value_on(t(ladder, 1)) == b
-    d2 = dn_recursive(ladder, beta, 2, 4)
+    d2 = dn_recursive(beta, 2, 4)
     # <d2, t2> = (1/2) <d1 * beta, t2> = b^2/2 via the t1 (x) t1 term.
     assert d2.value_on(t(ladder, 2)) == b * b / 2
     assert d2.value_on(t(ladder, 1)) == 0
@@ -359,8 +385,8 @@ def test_dn_simplex_equals_recursive(ladder):
     for _ in range(4):
         beta = ladder_beta(ladder, {n: rng.randint(-4, 4) for n in range(1, 6)})
         for n in range(1, 5):
-            rec = dn_recursive(ladder, beta, n, 5)
-            simp = dn_simplex(ladder, beta, n, 5)
+            rec = dn_recursive(beta, n, 5)
+            simp = dn_simplex(beta, n, 5)
             for m in ladder.basis_up_to(5):
                 assert rec.value_on(m) == simp.value_on(m), (n, str(m))
 
@@ -372,8 +398,8 @@ def test_dn_simplex_equals_recursive_trees(trees):
         trees, QQ, {g: Fraction(rng.randint(-3, 3)) for g in gens}, cutoff=4
     )
     for n in range(1, 4):
-        rec = dn_recursive(trees, beta, n, 4)
-        simp = dn_simplex(trees, beta, n, 4)
+        rec = dn_recursive(beta, n, 4)
+        simp = dn_simplex(beta, n, 4)
         for m in trees.basis_up_to(4):
             assert rec.value_on(m) == simp.value_on(m)
 
@@ -386,10 +412,10 @@ def test_counterterm_tower_against_simplex(ladder, trees):
         beta = InfinitesimalCharacter(
             ctx, QQ, {g: Fraction(rng.randint(-3, 3)) for g in gens}, cutoff=degree
         )
-        towers = counterterm_tower(ctx, beta, 4, degree)
+        towers = counterterm_tower(beta, 4, degree)
         assert len(towers) == 4
         for n, d in enumerate(towers, 1):
-            simp = dn_simplex(ctx, beta, n, degree)
+            simp = dn_simplex(beta, n, degree)
             for m in ctx.basis_up_to(degree):
                 assert d.value_on(m) == simp.value_on(m), (n, str(m))
 
@@ -403,17 +429,17 @@ def test_renormalization_never_reaches_the_iterated_coproduct(monkeypatch):
     ctx = HopfAlgebra(ladder_schema(), validate_to=4)
     monkeypatch.setattr(ctx, "iterated_coproduct_monomial", forbidden)
     beta = ladder_beta(ctx, {1: 2, 2: -1}, cutoff=4)
-    loop = build_special_loop(ctx, beta, 4, 4)
-    assert rg_limit_check(ctx, loop, 4).passed
-    assert beta_data(ctx, loop, 4, 4).passed
-    assert scattering_check(ctx, beta, 3, 4).passed
+    loop = build_special_loop(beta, 4)
+    assert rg_limit_check(loop, 4).passed
+    assert beta_data(loop, 4, 4).passed
+    assert scattering_check(beta, 3, 4).passed
     phi = Character(ctx, L, {gen(ctx, 1): lau({-1: 1, 0: 2}), gen(ctx, 2): lau({-2: 1, 1: 3})})
-    assert birkhoff_decompose(ctx, phi, 4).report["passed"]
+    assert birkhoff_decompose(phi, 4).report["passed"]
 
 
 def test_dn_on_low_degree_vanishes(ladder):
     beta = ladder_beta(ladder, {1: 7})
-    d2 = dn_simplex(ladder, beta, 2, 3)
+    d2 = dn_simplex(beta, 2, 3)
     assert d2.value_on(t(ladder, 1)) == 0
 
 
@@ -422,7 +448,7 @@ def test_dn_on_low_degree_vanishes(ladder):
 
 def test_build_loop_trivial_beta(ladder):
     beta = ladder_beta(ladder, {})
-    loop = build_special_loop(ladder, beta, 4, 4)
+    loop = build_special_loop(beta, 4)
     assert loop.gen_values == {}
     for m in ladder.basis_up_to(4):
         expect = L.one() if m.is_unit else L.zero()
@@ -432,24 +458,18 @@ def test_build_loop_trivial_beta(ladder):
 def test_build_loop_values(ladder):
     b = Fraction(2)
     beta = ladder_beta(ladder, {1: b})
-    loop = build_special_loop(ladder, beta, 4, 4)
+    loop = build_special_loop(beta, 4)
     assert loop.value_on(t(ladder, 1)).as_dict() == {-1: b}
     # d1(t2) = 0 and d2(t2) = b^2/2.
     assert loop.value_on(t(ladder, 2)).as_dict() == {-2: b * b / 2}
-
-
-def test_build_loop_requires_full_tower(ladder):
-    beta = ladder_beta(ladder, {1: 1})
-    with pytest.raises(DomainError):
-        build_special_loop(ladder, beta, 2, 4)
 
 
 def test_rg_closed_loop(ladder):
     rng = random.Random(123)
     for _ in range(3):
         beta = ladder_beta(ladder, {n: rng.randint(-3, 3) for n in range(1, 5)}, cutoff=4)
-        loop = build_special_loop(ladder, beta, 4, 4)
-        report = rg_limit_check(ladder, loop, 4)
+        loop = build_special_loop(beta, 4)
+        report = rg_limit_check(loop, 4)
         assert report.special
         assert report.flow_additive
         assert report.flow_is_exponential
@@ -466,8 +486,8 @@ def test_rg_closed_loop_trees(trees):
     beta = InfinitesimalCharacter(
         trees, QQ, {g: Fraction(rng.randint(-2, 2)) for g in gens}, cutoff=3
     )
-    loop = build_special_loop(trees, beta, 3, 3)
-    report = rg_limit_check(trees, loop, 3)
+    loop = build_special_loop(beta, 3)
+    report = rg_limit_check(loop, 3)
     assert report.passed
     for g in gens:
         assert report.beta.value_on(Monomial.of(g)) == beta.value_on(Monomial.of(g))
@@ -478,7 +498,7 @@ def test_rg_detects_non_special_loop(ladder):
     # phi^-1 * theta_(t eps) phi  on t1 is (e^(t eps) - 1)/eps^2
     # = t/eps + t^2/2 + O(eps).
     phi = laurent_char(ladder, {1: lau({-2: 1})})
-    report = rg_limit_check(ladder, phi, 2)
+    report = rg_limit_check(phi, 2)
     assert not report.special
     assert any(
         w["monomial"] == "t1" and w["exponent"] == -1 for w in report.witnesses
@@ -494,7 +514,7 @@ def dynkin_mismatches(ctx, loop, max_degree):
     phi = tabulate(loop, basis)
     lhs = convolve_tables(ctx, ring, compose_antipode(ctx, ring, phi, basis),
                           grading_transpose(ring, phi), basis)
-    beta, _ = beta_functional(ctx, loop, max_degree)
+    beta, _ = beta_functional(loop, max_degree)
     zero = ring.zero()
     return [
         str(m) for m in basis
@@ -509,7 +529,7 @@ def test_dynkin_relation_recovers_beta(ladder, trees):
         beta = InfinitesimalCharacter(
             ctx, QQ, {g: Fraction(rng.randint(-3, 3)) for g in gens}, cutoff=degree
         )
-        loop = build_special_loop(ctx, beta, degree, degree)
+        loop = build_special_loop(beta, degree)
         assert dynkin_mismatches(ctx, loop, degree) == []
     # An eps^-2 pole on t1 is not special: nothing of first order explains it.
     bad = laurent_char(ladder, {1: lau({-2: 1})})
@@ -518,7 +538,7 @@ def test_dynkin_relation_recovers_beta(ladder, trees):
 
 def test_rg_trivial_loop(ladder):
     phi = Character(ladder, L, {})
-    report = rg_limit_check(ladder, phi, 3)
+    report = rg_limit_check(phi, 3)
     assert report.special
     for m in ladder.basis_up_to(3):
         expect = (Fraction(1),) if m.is_unit else ()
@@ -531,16 +551,16 @@ def test_rg_trivial_loop(ladder):
 def test_scattering_limits_match_tower(ladder):
     rng = random.Random(7)
     beta = ladder_beta(ladder, {n: rng.randint(-3, 3) for n in range(1, 5)})
-    report = scattering_check(ladder, beta, 3, 4)
+    report = scattering_check(beta, 3, 4)
     assert report.passed
 
 
 def test_scattering_zero_beta(ladder):
     beta = ladder_beta(ladder, {})
-    report = scattering_check(ladder, beta, 3, 3)
+    report = scattering_check(beta, 3, 3)
     assert report.passed
     # all orders produce the zero functional
-    d2 = dn_recursive(ladder, beta, 2, 3)
+    d2 = dn_recursive(beta, 2, 3)
     assert d2.table == {}
 
 
@@ -560,4 +580,4 @@ def test_scattering_finite_time_value(ladder):
         for rate, q in integral.coeffs.items():
             combo[rate] = combo.get(rate, Fraction(0)) + q * prod
     assert combo == {0: b * b / 2, 1: -b * b, 2: b * b / 2}
-    assert combo[0] == dn_recursive(ladder, beta, 2, 2).value_on(t(ladder, 2))
+    assert combo[0] == dn_recursive(beta, 2, 2).value_on(t(ladder, 2))

@@ -59,7 +59,7 @@ def test_coproduct_tree_expression():
 
 
 def test_huge_exponent_is_rejected_before_any_multiplication(capsys):
-    argv = ["coproduct", "--schema", "ladder", "--expr", "t1^99999999", "--max-degree", "2"]
+    argv = ["coproduct", "--schema", "ladder", "--expr", "t1^99999999"]
     start = time.perf_counter()
     assert cli.main(argv) == 2
     assert time.perf_counter() - start < 1.0
@@ -259,11 +259,11 @@ def test_verify_corrupted_schema_fails(tmp_path):
         (["enumerate-trees", "18"], "MAX_TREES = 5000"),
         (["enumerate-trees", "99999999"], "MAX_TREES = 5000"),
         (["coproduct", "--schema", "trees:40", "--expr", "[]"], "MAX_TREES = 5000"),
-        (["coproduct", "--schema", "ladder", "--expr", "(t1+t2+t3+1)^64", "--max-degree", "2"],
+        (["coproduct", "--schema", "ladder", "--expr", "(t1+t2+t3+1)^64"],
          "47905 terms, above the limit MAX_POWER_TERMS = 10000"),
-        (["coproduct", "--schema", "ladder", "--expr", "(t1+t2+t3+1)^35", "--max-degree", "2"],
+        (["coproduct", "--schema", "ladder", "--expr", "(t1+t2+t3+1)^35"],
          "708930508 terms, above the limit MAX_COPRODUCT_TERMS = 100000"),
-        (["coproduct", "--schema", "ladder", "--expr", "(t1+t2+t3+1)^11", "--max-degree", "2"],
+        (["coproduct", "--schema", "ladder", "--expr", "(t1+t2+t3+1)^11"],
          "167960 terms, above the limit MAX_COPRODUCT_TERMS = 100000"),
         (["antipode", "--schema", "ladder", "--expr", "*".join(f"t{n}^64" for n in range(1, 17))],
          "terms, above the limit MAX_COPRODUCT_TERMS = 100000"),
@@ -296,7 +296,7 @@ def test_a_large_exponent_from_a_file_is_priced(command, tmp_path, capsys):
     # Filling D(t1^3000) recursed once per unit of exponent; the fill is now
     # priced first: sum over j <= 3000 of (j + 1) terms, plus D(1).
     path = write(tmp_path, "e.json", {"terms": [{"coeff": "1", "monomial": [["t1", 3000]]}]})
-    assert cli.main([command, "--schema", "ladder", "--file", path, "--max-degree", "2"]) == 2
+    assert cli.main([command, "--schema", "ladder", "--file", path]) == 2
     message = json.loads(capsys.readouterr().err)["message"]
     assert "4504501 terms, above the limit MAX_COPRODUCT_TERMS = 100000" in message
 
@@ -347,12 +347,12 @@ def test_custom_schema_is_named_by_its_path(tmp_path, monkeypatch, capsys):
 
 
 # The five common options, each with a value that parses, and the ones each
-# command reads (29 in all); a command rejects every other one.
+# command reads (27 in all); a command rejects every other one.
 SHARED_FLAGS = {"--schema": "trees:3", "--max-degree": "3", "--eps-order": "2", "--seed": "1", "--output": "text"}
 SCHEMA_FLAGS = {"--schema", "--max-degree"}
 DECLARED_FLAGS = {
-    "coproduct": SCHEMA_FLAGS | {"--output"},
-    "antipode": SCHEMA_FLAGS | {"--output"},
+    "coproduct": {"--schema", "--output"},
+    "antipode": {"--schema", "--output"},
     "convolve": SCHEMA_FLAGS,
     "exp": SCHEMA_FLAGS,
     "log": SCHEMA_FLAGS,
@@ -392,9 +392,10 @@ def test_each_command_parses_exactly_the_shared_flags_it_reads(command, capsys):
         ("coproduct --schema ladder", "one of the arguments --expr --file is required"),
         ("verify --max-degree x", "argument --max-degree: invalid int value: 'x'"),
         ("", "the following arguments are required: command"),
+        ("build-loop b.json --max-order 3", "unrecognized arguments: --max-order 3"),
     ],
     ids=["undeclared-flag", "undeclared-flag-enumerate-trees", "missing-argument", "missing-element",
-         "non-integer-degree", "no-command"],
+         "non-integer-degree", "no-command", "build-loop-max-order"],
 )
 def test_usage_errors_exit_2_with_a_json_diagnostic(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -495,8 +496,8 @@ LAURENT_ONE = {"minExp": -1, "truncation": None, "coeffs": {"-1": "1", "0": "1/2
         (["exp", "{}"], {"kind": "infinitesimal", "values": {"t1": "1"}}, "trees:10"),
         (["log", "{}"], {"kind": "character", "values": {"[]": "1", "[[[]]]": "1"}}, "trees:2"),
         (["exp", "{}"], {"kind": "infinitesimal", "values": {"[[][[]]]": "1"}}, "trees:4"),
-        (["build-loop", "{}", "--max-order", "-5"], {"kind": "infinitesimal", "ring": "rational",
-                                                     "values": {"t1": "1"}}, "ladder"),
+        (["beta", "{}", "--max-order", "-5"], {"kind": "character", "ring": "laurent",
+                                               "values": {"t1": LAURENT_ONE}}, "ladder"),
     ],
     ids=["zero-denominator", "term-without-monomial", "unpaired-factor", "values-list", "laurent-key",
          "cutoff-string", "min-exp-string", "generators-string-verify", "generators-string-coproduct",
@@ -505,7 +506,7 @@ LAURENT_ONE = {"minExp": -1, "truncation": None, "coeffs": {"-1": "1", "0": "1/2
          "negative-degree-log", "negative-degree-convolve", "truncation-true", "min-exp-true",
          "cutoff-true", "monomial-exponent-true", "degree-true", "left-exponent-true",
          "ladder-name-on-trees-10", "tree-past-the-cutoff", "non-canonical-tree-name",
-         "negative-order-build-loop"],
+         "negative-order-beta"],
 )
 def test_malformed_input_exits_2_with_a_diagnostic(tmp_path, argv, payload, schema, monkeypatch, capsys):
     if payload is not None:
@@ -524,6 +525,12 @@ def test_malformed_input_exits_2_with_a_diagnostic(tmp_path, argv, payload, sche
     monkeypatch.setattr(trees, "cocycle_coproducts", no_work)
     assert cli.main([*argv, "--schema", schema]) == 2
     assert not capsys.readouterr().out
+
+
+def test_a_negative_order_is_named_by_its_flag(capsys):
+    assert cli.main(["beta", "loop.json", "--max-order", "-5"]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "DomainError",
+                                                   "message": "--max-order must be >= 0, got -5"}
 
 
 def no_work(*args, **kwargs):
@@ -589,12 +596,20 @@ def test_a_table_file_is_name_checked_before_the_build(tmp_path, monkeypatch, ca
         "error": "SchemaError", "message": "unknown generator 't1' in schema 'trees:10'"}
 
 
-@pytest.mark.parametrize("command, selector", [("coproduct", "trees:10"), ("antipode", "trees:11")])
-def test_an_expression_is_read_before_the_tree_coproducts_are_built(command, selector, monkeypatch, capsys):
+@pytest.mark.parametrize("command, selector, expr, error", [
+    ("coproduct", "trees:10", "t1", {"error": "SchemaError", "message": "unknown generator 't1' in schema 'trees:10'"}),
+    ("antipode", "trees:11", "t1", {"error": "SchemaError", "message": "unknown generator 't1' in schema 'trees:11'"}),
+    # A 9-leaf corolla has 9 reduced terms, priced from its shape; its 40th
+    # power is priced at C(40 + 11, 40) = 47626016970.
+    ("antipode", "trees:11", "[[][][][][][][][][]]^40",
+     {"error": "DomainError", "message": "the coproducts of this element may fill 47626016970 terms, "
+                                         "above the limit MAX_COPRODUCT_TERMS = 100000"}),
+], ids=["coproduct-trees:10", "antipode-trees:11", "antipode-trees:11-corolla-power"])
+def test_an_expression_is_read_before_the_tree_coproducts_are_built(command, selector, expr, error, monkeypatch,
+                                                                    capsys):
     monkeypatch.setattr(trees, "cocycle_coproducts", no_work)
-    assert cli.main([command, "--expr", "t1", "--schema", selector]) == 2
-    assert json.loads(capsys.readouterr().err) == {
-        "error": "SchemaError", "message": f"unknown generator 't1' in schema {selector!r}"}
+    assert cli.main([command, "--expr", expr, "--schema", selector]) == 2
+    assert json.loads(capsys.readouterr().err) == error
 
 
 @pytest.mark.parametrize("command, files", [

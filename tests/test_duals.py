@@ -40,6 +40,7 @@ from hopfalg.hopf import HopfAlgebra, TableSchema
 from hopfalg.instances import ladder_schema
 from hopfalg.rings import QQ, LaurentRing, RationalField, Ring
 from hopfalg.trees import rooted_tree_schema
+from perfbench.oracles import canonical, parse_tree, tree_factorial, vertex_count
 
 
 @pytest.fixture(scope="module")
@@ -231,14 +232,12 @@ def test_exp_star_against_flat_power_series(ladder, trees):
 
 def test_exp_of_one_vertex_indicator_is_inverse_tree_factorial():
     # Butcher group: exp of the one-vertex indicator is the exact flow 1/gamma.
-    from perfbench.oracles import parse_tree as oracle_tree, tree_factorial
-
     ctx = HopfAlgebra(rooted_tree_schema(6))
     dot = ctx.schema.generator_by_name("[]")
     chi = exp_star(InfinitesimalCharacter(ctx, QQ, {dot: Fraction(1)}), 6)
-    assert tree_factorial(oracle_tree("[[][[]]]")) == 8
+    assert tree_factorial(parse_tree("[[][[]]]")) == 8
     for g in ctx.schema.generators_up_to(6):
-        assert chi.value_on(Monomial.of(g)) == Fraction(1, tree_factorial(oracle_tree(g.name))), g.name
+        assert chi.value_on(Monomial.of(g)) == Fraction(1, tree_factorial(parse_tree(g.name))), g.name
 
 
 def test_calculus_never_reaches_the_iterated_coproduct(monkeypatch, tmp_path):
@@ -256,7 +255,7 @@ def test_calculus_never_reaches_the_iterated_coproduct(monkeypatch, tmp_path):
     log_star(chi, 4)
     lie_bracket(z1, z2, 4)
     character_inverse(chi)
-    materialize_character(ctx, chi, 4, verify=True)
+    materialize_character(chi, 4, verify=True)
 
     files = []
     for name, kind in (("a", "character"), ("b", "infinitesimal")):
@@ -291,7 +290,7 @@ def test_character_inverse_is_convolution_inverse(ladder):
 def test_character_convolution_is_character(ladder):
     chi1 = ladder_char(ladder, {1: 2, 2: 1})
     chi2 = ladder_char(ladder, {1: -1, 2: 4})
-    prod = materialize_character(ladder, convolve(chi1, chi2), 5, verify=True)
+    prod = materialize_character(convolve(chi1, chi2), 5, verify=True)
     assert isinstance(prod, Character)
 
 
@@ -342,31 +341,9 @@ def test_lie_bracket_jacobi(trees):
     assert all(v == 0 for v in jacobi.values())
 
 
-# Dual Milnor-Moore on trees, as a closed form on plain nested tuples: a tree
-# is the tuple of its child trees, sorted by bracket encoding.
-
-
-def _encoding(tree):
-    return "[" + "".join(_encoding(c) for c in tree) + "]"
-
-
-def _tree(children):
-    return tuple(sorted(children, key=_encoding))
-
-
-def _parse(encoding):
-    stack = [[]]
-    for ch in encoding:
-        if ch == "[":
-            stack.append([])
-        else:
-            done = _tree(stack.pop())
-            stack[-1].append(done)
-    return stack[0][0]
-
-
-def _size(tree):
-    return 1 + sum(_size(c) for c in tree)
+# Dual Milnor-Moore on trees, as a closed form on the plain nested tuples of
+# ``perfbench.oracles``: a tree is the tuple of its child trees, sorted by
+# bracket encoding.
 
 
 def _symmetry(tree):
@@ -380,10 +357,10 @@ def _symmetry(tree):
 
 def _graftings(s, u):
     """The tree made by grafting s onto each vertex of u, one per vertex."""
-    yield _tree(u + (s,))
+    yield canonical(u + (s,))
     for i, child in enumerate(u):
         for grafted in _graftings(s, child):
-            yield _tree(u[:i] + (grafted,) + u[i + 1:])
+            yield canonical(u[:i] + (grafted,) + u[i + 1:])
 
 
 def _pre_lie(s, u, t):
@@ -394,11 +371,11 @@ def _pre_lie(s, u, t):
 
 
 def test_lie_bracket_is_the_antisymmetrized_grafting_product():
-    assert _pre_lie(_parse("[]"), _parse("[[]]"), _parse("[[][]]")) == 2
+    assert _pre_lie(parse_tree("[]"), parse_tree("[[]]"), parse_tree("[[][]]")) == 2
     ctx = HopfAlgebra(rooted_tree_schema(6))
     gens = ctx.schema.generators_up_to(6)
-    tree = {g: _parse(g.name) for g in gens}
-    assert [sum(_size(tree[g]) == n for g in gens) for n in range(1, 7)] == [1, 1, 2, 4, 9, 20]
+    tree = {g: parse_tree(g.name) for g in gens}
+    assert [sum(vertex_count(tree[g]) == n for g in gens) for n in range(1, 7)] == [1, 1, 2, 4, 9, 20]
     checked = 0
     for gs in gens:
         for gu in gens:

@@ -437,7 +437,7 @@ def mutated(schema, name, index):
     terms = list(reduced[g])
     terms[index] = terms[index]._replace(coeff=terms[index].coeff + 1)
     reduced[g] = tuple(terms)
-    return TableSchema(schema.name, generators, reduced, schema.max_degree, schema.complete)
+    return TableSchema(schema.name, generators, reduced, schema.complete)
 
 
 @pytest.mark.parametrize("schema, name, index, witness", [

@@ -107,7 +107,8 @@ def test_building_trees_8_encodes_each_tree_once():
             calls[enc] += 1
             return enc
         trees._encode = counting
-        trees.rooted_tree_schema(8)
+        schema = trees.rooted_tree_schema(8)
+        schema.reduced_terms(schema.generators_of_degree(8)[0])  # runs the B+ cocycle
         print(len(calls), max(calls.values()))
     """)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
