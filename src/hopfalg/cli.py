@@ -21,6 +21,11 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 
+# The commands that run at no --max-degree below 1, checked in ``main`` before
+# any input is read.  beta and scattering read their default --max-order off
+# --max-degree, so for them the floor holds while --max-order is not set.
+DEGREE_ONE_COMMANDS = frozenset({"exp", "birkhoff", "beta", "build-loop", "scattering", "verify"})
+
 # The highest ``rg-check --eps-order``, checked before the file is read.  The
 # time grows about cubically in the order; at this one, a ladder loop runs in
 # about 0.2 s at --max-degree 3 and under 1 s at --max-degree 6 (one core of
@@ -380,8 +385,10 @@ def main(argv=None) -> int:
     from .serialize import canonical_dumps
 
     try:
-        if getattr(args, "max_degree", 0) < 0:
-            raise DomainError(f"--max-degree must be >= 0, got {args.max_degree}")
+        floor = int(args.command in DEGREE_ONE_COMMANDS and not getattr(args, "max_order", 0))
+        if getattr(args, "max_degree", 0) < floor:
+            unset = " when --max-order is not set" if floor and hasattr(args, "max_order") else ""
+            raise DomainError(f"--max-degree must be >= {floor}{unset}, got {args.max_degree}")
         if getattr(args, "max_order", 0) < 0:
             raise DomainError(f"--max-order must be >= 0, got {args.max_order}")
         out = args.fn(args)

@@ -19,8 +19,8 @@ from .errors import HopfError
 from .hopf import HopfAlgebra
 from .rationals import QQ, parse_rational
 
-# The largest N accepted in ``atom^N``, which is expanded by N - 1
-# multiplications before anything else can bound the work.
+# The largest N accepted in ``atom^N``, which is expanded before anything
+# else can bound the work.
 MAX_EXPONENT = 64
 # The most terms a power may expand to: a k-term base to the power N has at
 # most C(k + N - 1, N) of them, one per monomial of degree N in k letters.
@@ -137,10 +137,7 @@ class _Parser:
             if bound > MAX_POWER_TERMS:
                 raise HopfError(f"a {k}-term base to the power {n} may expand to {bound} terms, "
                                 f"above the limit MAX_POWER_TERMS = {MAX_POWER_TERMS} in {self.text!r}")
-            acc = base
-            for _ in range(n - 1):
-                acc = acc * base
-            return acc
+            return _power(base, n)
         return base
 
     def atom(self) -> Element:
@@ -155,6 +152,28 @@ class _Parser:
             self.expect_op(")")
             return inner
         raise HopfError(f"unexpected token {value!r} in {self.text!r}")
+
+
+def _power(base: Element, n: int) -> Element:
+    """base^n by the multinomial theorem: the sum over e_1 + ... + e_k = n of
+    n! / (e_1! ... e_k!) prod c_i^e_i m_i^e_i over the terms c_i m_i of base,
+    with e_i chosen one term at a time.  Partial products that reach the same
+    monomial with the same number of factors taken are summed as they meet."""
+    if not base.terms:
+        return base
+    terms = list(base.terms.items())
+    last = len(terms) - 1
+    partial = {(0, Monomial.unit()): 1}  # (factors taken, monomial) -> coefficient
+    for i, (m, c) in enumerate(terms):
+        powers = [Monomial(tuple((g, f * e) for g, f in m.powers)) if e else m.unit() for e in range(n + 1)]
+        grown = {}
+        for (taken, acc), a in partial.items():
+            # The last term takes every factor left.
+            for e in range(n - taken if i == last else 0, n - taken + 1):
+                key = (taken + e, acc.merge(powers[e]))
+                grown[key] = grown.get(key, 0) + (a * comb(n - taken, e) * c ** e if e else a)
+        partial = grown
+    return Element.from_terms(QQ, ((acc, a) for (_, acc), a in partial.items()))
 
 
 def parse_element(ctx: HopfAlgebra, text: str) -> Element:

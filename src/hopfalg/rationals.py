@@ -35,6 +35,11 @@ def parse_rational(text: str):
         q = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise HopfError(f"not a rational number: {text!r}") from exc
+    return _canonical(q)
+
+
+def _canonical(q):
+    """A rational as an int when it is integral."""
     return q.numerator if q.denominator == 1 else q
 
 
@@ -92,13 +97,6 @@ class Ring:
         """Multiply by a rational scalar (every ring here is a Q-algebra)."""
         return self.mul(self.from_rational(q), a)
 
-    def operand(self, xs):
-        """A sparse (exponent, coefficient) list in the form ``convolve_operands``
-        reads: the list itself here.  Rings with an integer kernel convert it,
-        and a value that enters many products keeps its form (see
-        ``LaurentSeries.operand``), so it is converted once."""
-        return xs
-
     def convolve(self, terms, n: int) -> dict:
         """The ring's one product kernel: the sum of c xs ys over the (c, xs, ys)
         triples of ``terms`` below exponent n, c a rational scalar and xs, ys
@@ -121,10 +119,6 @@ class Ring:
                     cur = out.get(k)
                     out[k] = self.mul(x, y) if cur is None else self.add(cur, self.mul(x, y))
         return out
-
-    def convolve_operands(self, terms, n: int) -> dict:
-        """``convolve`` on triples whose lists are already in ``operand`` form."""
-        return self.convolve(terms, n)
 
     def dot(self, terms):
         """The sum of c x y over (c, x, y) triples: the kernel at exponent 0."""

@@ -218,8 +218,10 @@ def rg_limit_check(phi: Character, max_degree: int, eps_margin: int = 1) -> RgRe
 
     The loop is special when every negative-eps coefficient cancels
     identically as a polynomial in t (to the certified order); the limit is
-    then a flow, checked additive in t (two formal variables), exponential
-    with the extracted beta, and consistent with the residue identity
+    then a flow F_t = sum_k F_k t^k, checked on its coefficient tables F_k
+    over Q: additive (F_i * F_j = C(i+j, i) F_(i+j), that is
+    F_(t+s) = F_t * F_s), exponential with the extracted beta
+    (F_n = beta^(*n) / n!), and consistent with the residue identity
     Y_* phi = phi * (beta / eps), order by order.
     """
     if eps_margin < 0:
@@ -257,8 +259,8 @@ def rg_limit_check(phi: Character, max_degree: int, eps_margin: int = 1) -> RgRe
     linear = {m: poly_t.coefficient(p, 1) for m, p in flow.items()}
     beta = materialize(ctx, base, linear, max_degree, InfinitesimalCharacter)
 
-    flow_additive = _flow_is_additive(ctx, poly_t, base, flow, basis)
-    flow_is_exponential = _flow_matches_exponential(ctx, poly_t, base, flow, beta, basis)
+    flow_additive = _flow_is_additive(ctx, base, flow, basis)
+    flow_is_exponential = _flow_matches_exponential(ctx, base, flow, beta, basis)
     residue_identity = _residue_identity_holds(ctx, ring, phi_vals, beta, basis)
 
     gens = [Monomial.of(g) for g in ctx.schema.generators_up_to(max_degree)]
@@ -270,41 +272,34 @@ def rg_limit_check(phi: Character, max_degree: int, eps_margin: int = 1) -> RgRe
                     residue_identity=residue_identity, beta_matches_residue=beta_matches_residue)
 
 
-def _flow_is_additive(ctx, poly_t, base, flow, basis) -> bool:
-    # F_(t+s) = F_t * F_s as an identity of polynomials in two variables.
-    poly_s = PolynomialRing(poly_t, "s")
-    in_s = {m: poly_s.constant(p) for m, p in flow.items()}
-    in_t = {m: tuple(poly_t.constant(c) for c in p) for m, p in flow.items()}
-    rhs = duals.convolve_tables(ctx, poly_s, in_s, in_t, basis)
-    for m in basis:
-        # F_(t+s)(m): its s^j coefficient is sum_k C(k, j) p_k t^(k-j); the top
-        # entry C(k, k) p_k of each is the leading p_k != 0, so all are stripped.
-        p = flow[m]
-        lhs = tuple(tuple(base.scale(comb(k, j), p[k]) for k in range(j, len(p)))
-                    for j in range(len(p)))
-        if not poly_s.eq(lhs, rhs.get(m, poly_s.zero())):
-            return False
+def _flow_tables(flow) -> List[dict]:
+    """The t-coefficient tables F_0, F_1, ... of the flow, over Q."""
+    top = max((len(p) for p in flow.values()), default=0)
+    return [{m: p[k] for m, p in flow.items() if k < len(p) and p[k]} for k in range(top)]
+
+
+def _flow_is_additive(ctx, base, flow, basis) -> bool:
+    # F_(t+s) = F_t * F_s: its t^i s^j coefficient is F_i * F_j = C(i+j, i) F_(i+j).
+    tables = _flow_tables(flow)
+    for i, fi in enumerate(tables):
+        for j, fj in enumerate(tables):
+            product = duals.convolve_tables(ctx, base, fi, fj, basis)
+            expected = tables[i + j] if i + j < len(tables) else {}
+            if product != {m: comb(i + j, i) * v for m, v in expected.items()}:
+                return False
     return True
 
 
-def _flow_matches_exponential(ctx, poly_t, base, flow, beta, basis) -> bool:
-    # F_t(m) = sum_n t^n beta^(*n)(m) / n! with the series stopping at the degree.
+def _flow_matches_exponential(ctx, base, flow, beta, basis) -> bool:
+    # F_t = exp(t beta): F_0 is the counit and F_n = beta^(*n) / n!, which
+    # vanishes above the top degree.
     top = max(m.y_degree for m in basis)
     powers = convolution_powers(ctx, base, tabulate(beta, basis), top, basis)
-    for m in basis:
-        expected = poly_t.zero()
-        if m.is_unit:
-            expected = poly_t.one()
-        for n in range(1, m.y_degree + 1):
-            v = powers[n - 1].get(m)
-            if v is None or base.is_zero(v):
-                continue
-            expected = poly_t.add(
-                expected, poly_t.monomial(n, base.scale(Fraction(1, factorial(n)), v))
-            )
-        if not poly_t.eq(flow[m], expected):
-            return False
-    return True
+    expected = [{Monomial.unit(): 1}] + [{m: Fraction(v, factorial(n)) for m, v in p.items()}
+                                         for n, p in enumerate(powers, 1)]
+    while not expected[-1]:
+        expected.pop()
+    return _flow_tables(flow) == expected
 
 
 def _residue_identity_holds(ctx, ring, phi_vals, beta, basis) -> bool:

@@ -14,7 +14,8 @@ from typing import Optional
 
 from .errors import DomainError, HopfError, SingularInputError, TruncationError, UnsupportedRingError
 from . import _forwarder
-from .rationals import QQ, Frozen, RationalField, Ring, format_rational, is_json_int, parse_rational  # noqa: F401
+from .rationals import (QQ, Frozen, RationalField, Ring, _canonical, format_rational, is_json_int,  # noqa: F401
+                        parse_rational)
 
 # The polynomial ring moved to ``polynomials``; its name still resolves here.
 __getattr__ = _forwarder(__name__, "polynomials", ("PolynomialRing",))
@@ -77,12 +78,7 @@ _set_operand = LaurentSeries._operand.__set__
 
 
 _exponent = itemgetter(0)
-_value = itemgetter(1)  # over Q, an (exponent, value) pair is kept exactly when this is truthy
-
-
-def _canonical(q):
-    """A rational as an int when it is integral."""
-    return q.numerator if q.denominator == 1 else q
+_value = itemgetter(1)  # an (exponent, value) pair is kept exactly when this is truthy
 
 
 def _min_trunc(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -98,6 +94,8 @@ class LaurentRing(Ring):
 
     Arithmetic propagates the tightest sound truncation bound: no operation
     ever reports a coefficient that discarded high-order terms could pollute.
+    The base is Q or Q[t]: products run in the base's integer kernel
+    (``operand`` and ``convolve_operands``).
     """
 
     def __init__(self, base: Ring, var: str = "eps"):
@@ -107,9 +105,9 @@ class LaurentRing(Ring):
             self.tag = "laurent"
         else:
             self.tag = f"laurent[{var}]:{base.tag}"
-        # Over Q a value is an int or a Fraction: zero is exactly the falsy
-        # value and + and * are the field's operations, so the hot paths skip
-        # the base-ring method calls.
+        # Over Q and Q[t] zero is exactly the falsy value.  Over Q a value is
+        # an int or a Fraction, and + and * are the field's operations, so the
+        # hot paths skip the base-ring method calls.
         self.rational = isinstance(base, RationalField)
         self._one = LaurentSeries(((0, base.one()),), None)  # one(), shared: series are immutable
 
@@ -117,11 +115,7 @@ class LaurentRing(Ring):
 
     def make(self, coeffs: dict, trunc: Optional[int]) -> LaurentSeries:
         """Canonicalize: drop zero values and anything beyond the truncation."""
-        if self.rational:
-            items = [(k, v) for k, v in coeffs.items() if v and (trunc is None or k <= trunc)]
-        else:
-            is_zero = self.base.is_zero
-            items = [(k, v) for k, v in coeffs.items() if not is_zero(v) and (trunc is None or k <= trunc)]
+        items = [(k, v) for k, v in coeffs.items() if v and (trunc is None or k <= trunc)]
         items.sort()
         return LaurentSeries(tuple(items), trunc)
 
@@ -211,10 +205,7 @@ class LaurentRing(Ring):
         if not operands:
             return LaurentSeries((), trunc)
         out = base.convolve_operands(operands, (top if trunc is None else trunc) + 1)
-        if self.rational:
-            return LaurentSeries(tuple(filter(_value, sorted(out.items()))), trunc)
-        is_zero = base.is_zero
-        return LaurentSeries(tuple(sorted((k, v) for k, v in out.items() if not is_zero(v))), trunc)
+        return LaurentSeries(tuple(filter(_value, sorted(out.items()))), trunc)
 
     def mul(self, a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
         return self.dot([(1, a, b)])

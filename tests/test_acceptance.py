@@ -6,6 +6,7 @@ rational arithmetic), and the two runtime budgets are asserted.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from hopfalg.rings import QQ, LaurentRing
 from hopfalg.trees import rooted_tree_schema
 
 CLI = [sys.executable, "-m", "hopfalg.cli"]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 L = LaurentRing(QQ, "eps")
 
 
@@ -68,6 +70,7 @@ def test_criterion_1_axiom_suite():
                 capture_output=True,
                 text=True,
                 timeout=120,
+                env=dict(os.environ, PYTHONPATH=SRC),
             )
             elapsed = time.monotonic() - start
             assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -246,6 +249,7 @@ def test_criterion_8_negative_tests(ladder, tmp_path):
             capture_output=True,
             text=True,
             timeout=120,
+            env=dict(os.environ, PYTHONPATH=SRC),
         )
         assert proc.returncode == 1
         report = json.loads(proc.stdout)
@@ -302,6 +306,7 @@ def test_criterion_9_determinism():
                     capture_output=True,
                     text=True,
                     timeout=120,
+                    env=dict(os.environ, PYTHONPATH=SRC),
                 )
                 assert proc.returncode == 0
                 outputs.append(proc.stdout)

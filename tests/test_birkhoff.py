@@ -24,6 +24,8 @@ from hopfalg.exp_integrals import ExpSum, finite_simplex_integral, simplex_integ
 from hopfalg.hopf import HopfAlgebra
 from hopfalg.instances import ladder_schema
 from hopfalg.rg import (
+    _flow_is_additive,
+    _flow_matches_exponential,
     beta_functional,
     build_special_loop,
     counterterm_tower,
@@ -491,6 +493,26 @@ def test_rg_closed_loop_trees(trees):
     assert report.passed
     for g in gens:
         assert report.beta.value_on(Monomial.of(g)) == beta.value_on(Monomial.of(g))
+
+
+@pytest.mark.parametrize("schema", [ladder_schema, lambda: rooted_tree_schema(5)], ids=["ladder", "trees:5"])
+def test_the_flow_checks_fail_on_one_changed_t2_coefficient(schema):
+    ctx = HopfAlgebra(schema(), validate_to=5)
+    rng = random.Random(5)
+    beta = InfinitesimalCharacter(
+        ctx, QQ, {g: Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3)) for g in ctx.schema.generators_up_to(5)},
+        cutoff=5)
+    report = rg_limit_check(build_special_loop(beta, 5), 5)
+    basis = ctx.basis_up_to(5)
+    flow = dict(report.flow_table)
+    assert _flow_is_additive(ctx, QQ, flow, basis)
+    assert _flow_matches_exponential(ctx, QQ, flow, report.beta, basis)
+    m = next(m for m in basis if m.y_degree >= 2)
+    p = list(flow[m]) + [0] * (3 - len(flow[m]))
+    p[2] += 1
+    flow[m] = tuple(p)
+    assert not _flow_is_additive(ctx, QQ, flow, basis)
+    assert not _flow_matches_exponential(ctx, QQ, flow, report.beta, basis)
 
 
 def test_rg_detects_non_special_loop(ladder):

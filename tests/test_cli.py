@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import pathlib
 import re
 import subprocess
@@ -17,11 +18,12 @@ from hopfalg.exprparse import MAX_EXPONENT
 from hopfalg.trees import rooted_tree_schema
 
 CLI = [sys.executable, "-m", "hopfalg.cli"]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(*argv, expect=0):
     proc = subprocess.run(
-        CLI + list(argv), capture_output=True, text=True, timeout=300
+        CLI + list(argv), capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=SRC)
     )
     assert proc.returncode == expect, (proc.returncode, proc.stdout, proc.stderr)
     return proc
@@ -531,6 +533,36 @@ def test_a_negative_order_is_named_by_its_flag(capsys):
     assert cli.main(["beta", "loop.json", "--max-order", "-5"]) == 2
     assert json.loads(capsys.readouterr().err) == {"error": "DomainError",
                                                    "message": "--max-order must be >= 0, got -5"}
+
+
+DEGREE_FLOOR_CASES = {
+    "exp": (["exp", "z.json"], "--max-degree must be >= 1, got 0"),
+    "birkhoff": (["birkhoff", "phi.json"], "--max-degree must be >= 1, got 0"),
+    "verify": (["verify"], "--max-degree must be >= 1, got 0"),
+    "build-loop": (["build-loop", "beta.json"], "--max-degree must be >= 1, got 0"),
+    "beta": (["beta", "phi.json"], "--max-degree must be >= 1 when --max-order is not set, got 0"),
+    "scattering": (["scattering", "beta.json"], "--max-degree must be >= 1 when --max-order is not set, got 0"),
+}
+
+
+@pytest.mark.parametrize("command", list(DEGREE_FLOOR_CASES))
+def test_a_degree_below_the_floor_is_named_by_its_flag(command, capsys):
+    # Checked before any file is read: none of these files exists.
+    argv, message = DEGREE_FLOOR_CASES[command]
+    assert cli.main([*argv, "--max-degree", "0"]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "DomainError", "message": message}
+
+
+@pytest.mark.parametrize("argv", [
+    ["log", "{chi}"], ["convolve", "{chi}", "{chi}"], ["rg-check", "{phi}"],
+    ["beta", "{phi}", "--max-order", "2"], ["scattering", "{z}", "--max-order", "2"],
+], ids=["log", "convolve", "rg-check", "beta-max-order", "scattering-max-order"])
+def test_commands_without_a_degree_floor_run_at_degree_0(argv, tmp_path, capsys):
+    paths = {"chi": write(tmp_path, "chi.json", RATIONAL_CHARACTER),
+             "phi": write(tmp_path, "phi.json", {"kind": "character", "ring": "laurent", "values": {"t1": LAURENT_ONE}}),
+             "z": write(tmp_path, "z.json", {"kind": "infinitesimal", "values": {"t1": "1"}})}
+    assert cli.main([a.format(**paths) for a in argv] + ["--max-degree", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)
 
 
 def no_work(*args, **kwargs):

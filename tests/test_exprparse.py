@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfalg.algebra import Element, Monomial
 from hopfalg.errors import HopfError
@@ -117,3 +119,22 @@ def test_powers_are_priced_before_expanding(ladder):
     with pytest.raises(HopfError, match=f"a 4-term base to the power 64 may expand to 47905 terms, "
                                         f"above the limit MAX_POWER_TERMS = {MAX_POWER_TERMS}"):
         parse_element(ladder, "(t1+t2+t3+1)^64")
+
+
+# Monomials that collide under products (t1 and t1^2, t1*t2 and t1 and t2)
+# and the unit, with negative and fractional coefficients.
+power_terms = st.lists(
+    st.tuples(st.sampled_from(["1", "t1", "t1^2", "t2", "t1*t2", "t3"]),
+              st.fractions(min_value=-3, max_value=3, max_denominator=5)),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=power_terms, n=st.integers(min_value=1, max_value=12))
+def test_a_power_is_the_repeated_product(ladder, terms, n):
+    text = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*{m}" for m, c in terms).lstrip("+ ")
+    base = parse_element(ladder, text)
+    expected = base
+    for _ in range(n - 1):
+        expected = expected * base
+    assert parse_element(ladder, f"({text})^{n}") == expected

@@ -1,6 +1,7 @@
 """Built-in schemas: ladder, rooted trees, loader."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -24,6 +25,8 @@ from hopfalg.trees import (
     rooted_tree_schema,
     tree_generator,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def parse_forest(text):
@@ -111,7 +114,8 @@ def test_building_trees_8_encodes_each_tree_once():
         schema.reduced_terms(schema.generators_of_degree(8)[0])  # runs the B+ cocycle
         print(len(calls), max(calls.values()))
     """)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [str(sum(rooted_tree_count(n) for n in range(1, 9))), "1"]
 

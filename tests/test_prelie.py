@@ -1,0 +1,70 @@
+"""The pre-Lie product on the dual Milnor-Moore side.
+
+Infinitesimal characters vanish on the unit and on products, so their
+convolution on a generator x reads only the generator (x) generator terms of
+D(x): (f |> g)(x) = sum c f(a) g(b) over those terms c a (x) b.  Every schema
+here is right-sided (each right leg of a reduced coproduct is one
+generator), which makes |> left pre-Lie: the associator
+(f |> g) |> h - f |> (g |> h) is symmetric in f and g.  Its commutator is the
+Lie bracket Z1 * Z2 - Z2 * Z1 of infinitesimal characters.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from hopfalg.algebra import Monomial
+from hopfalg.duals import InfinitesimalCharacter
+from hopfalg.functionals import lie_bracket
+from hopfalg.hopf import HopfAlgebra
+from hopfalg.instances import ladder_schema, schema_from_dict
+from hopfalg.rings import QQ
+from hopfalg.trees import rooted_tree_schema
+from perfbench.workloads import BINOMIAL_DEGREE, binomial_schema
+
+SCHEMAS = {
+    "ladder": (ladder_schema, 8),
+    "trees:7": (lambda: rooted_tree_schema(7), 7),
+    "binomial": (lambda: schema_from_dict(binomial_schema(), name="binomial"), BINOMIAL_DEGREE),
+}
+
+
+def pre_lie(ctx, f, g, gens):
+    """f |> g on each generator of ``gens``; f and g map generators to values."""
+    out = {}
+    for x in gens:
+        total = 0
+        for (a, b), c in ctx.coproduct_monomial(Monomial.of(x)).terms.items():
+            ga, gb = a.single_generator(), b.single_generator()
+            if ga is not None and gb is not None:
+                total += c * f.get(ga, 0) * g.get(gb, 0)
+        out[x] = total
+    return out
+
+
+def associator(ctx, f, g, h, gens):
+    left, right = pre_lie(ctx, pre_lie(ctx, f, g, gens), h, gens), pre_lie(ctx, f, pre_lie(ctx, g, h, gens), gens)
+    return {x: left[x] - right[x] for x in gens}
+
+
+def random_infinitesimals(gens, rng, count):
+    return [{g: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for g in gens} for _ in range(count)]
+
+
+def check_pre_lie(ctx, degree, seed):
+    gens = ctx.schema.generators_up_to(degree)
+    rng = random.Random(seed)
+    for _ in range(3):
+        f, g, h = random_infinitesimals(gens, rng, 3)
+        assert associator(ctx, f, g, h, gens) == associator(ctx, g, f, h, gens)
+        z1, z2 = (InfinitesimalCharacter(ctx, QQ, v, cutoff=degree) for v in (f, g))
+        bracket = lie_bracket(z1, z2, degree)
+        forward, backward = pre_lie(ctx, f, g, gens), pre_lie(ctx, g, f, gens)
+        assert all(bracket.value_on(Monomial.of(x)) == forward[x] - backward[x] for x in gens)
+
+
+@pytest.mark.parametrize("name", list(SCHEMAS))
+def test_the_pre_lie_associator_is_symmetric_and_its_commutator_is_the_bracket(name):
+    schema, degree = SCHEMAS[name]
+    check_pre_lie(HopfAlgebra(schema(), validate_to=degree), degree, seed=7)

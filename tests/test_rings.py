@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfalg.errors import SingularInputError, TruncationError
+from hopfalg.errors import SingularInputError, TruncationError, UnsupportedRingError
 from hopfalg.exp_integrals import ExpSum
 from hopfalg.polynomials import PolynomialRing
 from hopfalg.rings import (
@@ -62,6 +62,13 @@ def test_polynomial_basics():
     assert PT.eq(PT.mul(p, PT.zero()), PT.zero())
     # trailing zeros are stripped
     assert PT.add(t, PT.neg(t)) == ()
+
+
+def test_polynomials_are_over_q_only():
+    with pytest.raises(UnsupportedRingError, match="polynomials are over Q only"):
+        PolynomialRing(PT, "s")
+    with pytest.raises(UnsupportedRingError):
+        PolynomialRing(L, "t")
 
 
 @given(a=rationals, b=rationals, c=rationals)
@@ -281,38 +288,6 @@ def test_polynomial_kernel_matches_the_generic_kernel_and_a_2d_schoolbook(terms,
     assert got == Ring.convolve(PT, terms, n)  # same reached exponents, zeros included
     assert all(k < n and (not p or p[-1]) and all(canonical(v) for v in p) for k, p in got.items())
     assert {(k, j): v for k, p in got.items() for j, v in enumerate(p) if v} == expect
-
-
-PS = PolynomialRing(PT, "s")
-
-
-@st.composite
-def nested_poly_values(draw):
-    """A value of Q[t][s] with its exact (s-exponent, t-exponent) table."""
-    value = _strip_poly(tuple(draw(st.lists(st.lists(rationals, max_size=3).map(_strip_poly), max_size=3))))
-    return value, {(j, k): c for j, p in enumerate(value) for k, c in enumerate(p) if c}
-
-
-@settings(max_examples=60)
-@given(terms=st.lists(st.tuples(scalars, nested_poly_values(), nested_poly_values()), max_size=4))
-def test_nested_polynomial_dot_matches_the_unfused_loop(terms):
-    got = PS.dot([(c, a, b) for c, (a, _), (b, _) in terms])
-    total = PS.zero()
-    for c, (a, _), (b, _) in terms:
-        product = PS.zero()
-        for j, p in enumerate(a):
-            for k, q in enumerate(b):
-                product = PS.add(product, PS.monomial(j + k, PT.mul(p, q)))
-        total = PS.add(total, PS.scale(c, product))
-    assert PS.eq(got, total) and got == total
-    expect = {}
-    for c, (_, ta), (_, tb) in terms:
-        for (ja, ka), va in ta.items():
-            for (jb, kb), vb in tb.items():
-                key = (ja + jb, ka + kb)
-                expect[key] = expect.get(key, Fraction(0)) + c * va * vb
-    assert {(j, k): v for j, p in enumerate(got) for k, v in enumerate(p) if v} == \
-        {key: v for key, v in expect.items() if v}
 
 
 def test_laurent_over_polynomials_product_makes_no_polynomial_mul_or_add(monkeypatch):
