@@ -1,7 +1,7 @@
 """Sparse exact multilinear algebra: monomials, elements, tensor powers.
 
-Elements of the symmetric algebra are finite maps monomial -> coefficient
-over a pluggable ring; tensors of any rank are keyed by monomial tuples.
+Elements of the symmetric algebra are finite maps monomial -> rational
+coefficient; tensors of any rank are keyed by monomial tuples.
 All values are immutable after construction and all operations are pure.
 """
 
@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Tuple
 
-from .errors import HopfError, RankMismatchError, RingMismatchError
-from .rationals import QQ, Frozen, Ring
+from .errors import HopfError, RankMismatchError
+from .rationals import Frozen, format_rational
 
 
 # The intern tables: one object per generator (degree, name) and per monomial
@@ -175,71 +175,52 @@ class Monomial(Frozen):
 _UNIT = Monomial(())
 
 
-def _summed(ring: Ring, acc: dict, pairs) -> dict:
-    """Add each (key, value) of ``pairs`` into ``acc`` and return its nonzero
-    entries: the one accumulator behind every sparse sum and product.  Over Q
-    it adds with ``+`` and drops zeros by truthiness.  ``acc`` keeps the keys
-    whose values cancelled, for callers that check every key seen."""
-    if ring is QQ:
-        get = acc.get
-        for key, c in pairs:
-            acc[key] = get(key, 0) + c
-        return {k: c for k, c in acc.items() if c}
-    add = ring.add
+def _summed(acc: dict, pairs) -> dict:
+    """Add each (key, coefficient) of ``pairs`` into ``acc`` and return its
+    nonzero entries: the one accumulator behind every sparse sum and product.
+    ``acc`` keeps the keys whose coefficients cancelled, for callers that
+    check every key seen."""
+    get = acc.get
     for key, c in pairs:
-        cur = acc.get(key)
-        acc[key] = c if cur is None else add(cur, c)
-    is_zero = ring.is_zero
-    return {k: c for k, c in acc.items() if not is_zero(c)}
+        acc[key] = get(key, 0) + c
+    return {k: c for k, c in acc.items() if c}
 
 
 class SparseSum:
-    """A finite sum key -> ring value: no zero values, never mutated.
+    """A finite sum key -> rational coefficient: no zero values, never mutated.
 
     The arithmetic here never looks inside a key, so elements (keyed by
     monomials) and tensors (keyed by monomial tuples) share it.  A subclass
-    supplies ``_like``, ``rank``, the ``_noun`` its errors name, and all
-    that reads its keys.
+    supplies ``_like``, ``rank`` and all that reads its keys.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("terms",)
 
-    def _like(self, ring: Ring, terms: dict):
+    def _like(self, terms: dict):
         """A sum of this class and rank with the given terms."""
         raise NotImplementedError
 
     def _check(self, other: "SparseSum"):
         if self.rank != other.rank:
             raise RankMismatchError(f"rank mismatch: {self.rank} vs {other.rank}")
-        if self.ring is not other.ring and self.ring.tag != other.ring.tag:
-            raise RingMismatchError(
-                f"{self._noun} over different rings: {self.ring.tag} vs {other.ring.tag}"
-            )
 
     def __add__(self, other):
         self._check(other)
-        return self._like(self.ring, _summed(self.ring, dict(self.terms), other.terms.items()))
+        return self._like(_summed(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
-        neg = self.ring.neg
-        return self._like(self.ring, {k: neg(c) for k, c in self.terms.items()})
+        return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, coeff):
-        mul, is_zero = self.ring.mul, self.ring.is_zero
-        return self._like(self.ring, {k: v for k, c in self.terms.items() if not is_zero(v := mul(coeff, c))})
+        return self._like({k: v for k, c in self.terms.items() if (v := coeff * c)})
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self.ring is not other.ring and self.ring.tag != other.ring.tag:
-            return False
-        if self.rank != other.rank or self.terms.keys() != other.terms.keys():
-            return False
-        eq, theirs = self.ring.eq, other.terms
-        return all(eq(c, theirs[k]) for k, c in self.terms.items())
+        return self.rank == other.rank and self.terms == other.terms
 
     def __hash__(self):
         raise TypeError(f"{type(self).__name__} is not hashable")
@@ -250,50 +231,46 @@ class SparseSum:
 
 
 class Element(SparseSum):
-    """A finite linear combination of monomials over a coefficient ring."""
+    """A finite linear combination of monomials with rational coefficients
+    (``int``, or ``Fraction`` off the integers)."""
 
     __slots__ = ()
     rank = None  # not a tensor: an element has no legs
-    _noun = "elements"
 
-    def __init__(self, ring: Ring, terms: dict):
-        self.ring = ring
-        self.terms = terms  # Monomial -> ring value, no zeros; never mutated
+    def __init__(self, terms: dict):
+        self.terms = terms  # Monomial -> coefficient, no zeros; never mutated
 
-    def _like(self, ring: Ring, terms: dict) -> "Element":
-        return Element(ring, terms)
+    def _like(self, terms: dict) -> "Element":
+        return Element(terms)
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(ring: Ring) -> "Element":
-        return Element(ring, {})
+    def zero() -> "Element":
+        return Element({})
 
     @staticmethod
-    def unit(ring: Ring) -> "Element":
-        return Element(ring, {Monomial.unit(): ring.one()})
+    def unit() -> "Element":
+        return Element({Monomial.unit(): 1})
 
     @staticmethod
-    def from_terms(ring: Ring, pairs: Iterable[Tuple[Monomial, object]]) -> "Element":
-        return Element(ring, _summed(ring, {}, pairs))
+    def from_terms(pairs: Iterable[Tuple[Monomial, object]]) -> "Element":
+        return Element(_summed({}, pairs))
 
     @staticmethod
-    def of_monomial(ring: Ring, m: Monomial, coeff=None) -> "Element":
-        c = ring.one() if coeff is None else coeff
-        if ring.is_zero(c):
-            return Element(ring, {})
-        return Element(ring, {m: c})
+    def of_monomial(m: Monomial, coeff=1) -> "Element":
+        return Element({m: coeff} if coeff else {})
 
     # -- what reads the monomial keys -----------------------------------------
 
     def __mul__(self, other: "Element") -> "Element":
         self._check(other)
-        mul, theirs = self.ring.mul, other.terms.items()
-        return Element(self.ring, _summed(self.ring, {}, (
-            (m1 * m2, mul(c1, c2)) for m1, c1 in self.terms.items() for m2, c2 in theirs)))
+        theirs = other.terms.items()
+        return Element(_summed({}, (
+            (m1 * m2, c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in theirs)))
 
     def coefficient(self, m: Monomial):
-        return self.terms.get(m, self.ring.zero())
+        return self.terms.get(m, 0)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
@@ -303,7 +280,7 @@ class Element(SparseSum):
             return "0"
         parts = []
         for m, c in self.sorted_terms():
-            cs = self.ring.format_value(c)
+            cs = format_rational(c)
             ms = str(m)
             if ms == "1":
                 parts.append(cs)
@@ -322,37 +299,35 @@ class TensorElement(SparseSum):
     """A finite linear combination of rank-n monomial tensors."""
 
     __slots__ = ("rank",)
-    _noun = "tensors"
 
-    def __init__(self, ring: Ring, rank: int, terms: dict):
-        self.ring = ring
+    def __init__(self, rank: int, terms: dict):
         self.rank = rank
-        self.terms = terms  # tuple[Monomial,...] -> value, no zeros
+        self.terms = terms  # tuple[Monomial,...] -> coefficient, no zeros
 
-    def _like(self, ring: Ring, terms: dict) -> "TensorElement":
-        return TensorElement(ring, self.rank, terms)
-
-    @staticmethod
-    def zero(ring: Ring, rank: int) -> "TensorElement":
-        return TensorElement(ring, rank, {})
+    def _like(self, terms: dict) -> "TensorElement":
+        return TensorElement(self.rank, terms)
 
     @staticmethod
-    def from_terms(ring: Ring, rank: int, pairs) -> "TensorElement":
+    def zero(rank: int) -> "TensorElement":
+        return TensorElement(rank, {})
+
+    @staticmethod
+    def from_terms(rank: int, pairs) -> "TensorElement":
         acc: dict = {}
-        terms = _summed(ring, acc, pairs)
+        terms = _summed(acc, pairs)
         for key in acc:
             if len(key) != rank:
                 raise RankMismatchError(f"expected rank-{rank} keys, got {key}")
-        return TensorElement(ring, rank, terms)
+        return TensorElement(rank, terms)
 
     # -- what reads the legs --------------------------------------------------
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         """Componentwise product: legs multiply leg by leg."""
         self._check(other)
-        mul, theirs = self.ring.mul, other.terms.items()
-        return TensorElement(self.ring, self.rank, _summed(self.ring, {}, (
-            (tuple(a * b for a, b in zip(k1, k2)), mul(c1, c2))
+        theirs = other.terms.items()
+        return TensorElement(self.rank, _summed({}, (
+            (tuple(a * b for a, b in zip(k1, k2)), c1 * c2)
             for k1, c1 in self.terms.items() for k2, c2 in theirs)))
 
     def apply_to_leg(self, index: int, fn: Callable[[Monomial], "TensorElement"], rank_delta: int) -> "TensorElement":
@@ -361,9 +336,8 @@ class TensorElement(SparseSum):
         ``fn`` maps a monomial to a rank-(1+rank_delta) tensor; coefficients
         distribute multilinearly.
         """
-        mul = self.ring.mul
-        return TensorElement(self.ring, self.rank + rank_delta, _summed(self.ring, {}, (
-            (key[:index] + ekey + key[index + 1:], mul(c, ec))
+        return TensorElement(self.rank + rank_delta, _summed({}, (
+            (key[:index] + ekey + key[index + 1:], c * ec)
             for key, c in self.terms.items() for ekey, ec in fn(key[index]).terms.items())))
 
     def sorted_terms(self):
@@ -376,7 +350,7 @@ class TensorElement(SparseSum):
             return "0"
         parts = []
         for key, c in self.sorted_terms():
-            cs = self.ring.format_value(c)
+            cs = format_rational(c)
             ks = " (x) ".join(str(m) for m in key)
             parts.append(ks if cs == "1" else f"{cs}*[{ks}]")
         return " + ".join(parts)

@@ -9,12 +9,13 @@ Each predicate calls the map it checks and compares plain coefficients.  The
 maps are ``coproduct_monomial``/``coproduct``, ``antipode_monomial``/
 ``antipode``, ``apply_Y``, ``apply_theta`` and ``counit``, called by those
 names on every tuple of the check's domain.  Both sides of a law are
-``{key: coefficient}`` dicts built from the ``.terms`` of what the maps return,
-so no predicate multiplies, sums or compares ``Element`` or ``TensorElement``
-objects, and a map that goes wrong on one input shows in every check that
-reads it there.  The product laws read the basis product, ``Monomial.__mul__``.
-Sums over Q are plain ``+``; the theta sides hold Laurent series, and each of
-their sums is one ``zring.dot`` call per output key.
+``{key: coefficient}`` dicts: the ``.terms`` of what the maps return, or the
+dict ``apply_theta`` returns, so no predicate multiplies, sums or compares
+``Element`` or ``TensorElement`` objects, and a map that goes wrong on one
+input shows in every check that reads it there.  The product laws read the
+basis product, ``Monomial.__mul__``.  Sums over Q are plain ``+``; the theta
+sides hold Laurent series, and each of their sums is one ``zring.dot`` call
+per output key.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional
 
 from .algebra import Element, Monomial
-from .errors import HopfError, SchemaError
+from .errors import DomainError, SchemaError
 from .hopf import HopfAlgebra, theta_factors, validate_schema_structure
 from .rings import QQ, LaurentRing
 
@@ -83,7 +84,7 @@ def verify_axioms(ctx: HopfAlgebra, max_degree: int) -> AxiomReport:
     order, on which it holds.
     """
     if max_degree < 1:
-        raise HopfError("max_degree must be >= 1")
+        raise DomainError("max_degree must be >= 1")
     schema = ctx.schema
     report = AxiomReport(schema.name, max_degree, [])
 
@@ -225,7 +226,7 @@ def verify_axioms(ctx: HopfAlgebra, max_degree: int) -> AxiomReport:
 
     def projection_moves(m):
         p = on_unit(eps(m))
-        return ctx.antipode(Element(ctx.ring, p)).terms != p or on_unit(ctx.counit(S(m))) != p
+        return ctx.antipode(Element(p)).terms != p or on_unit(ctx.counit(S(m))) != p
 
     run("Hp", "S p = p S = p for the counit projection", basis, projection_moves)
 
@@ -255,7 +256,7 @@ def verify_axioms(ctx: HopfAlgebra, max_degree: int) -> AxiomReport:
 
     run("Y-coderivation", "(Y (x) id + id (x) Y) D = D Y", basis, not_coderivation)
 
-    # Laurent sides compare as Elements do: nonzero values, by zring.eq.  Each
+    # Laurent sides are dicts of nonzero series, compared by zring.eq.  Each
     # law is an identity of series in z, and z = 24 w is an invertible
     # substitution of the formal variable, so checking it in w to the same
     # order checks the same identity; with 24 = 4!, every coefficient
@@ -265,7 +266,7 @@ def verify_axioms(ctx: HopfAlgebra, max_degree: int) -> AxiomReport:
     z_one = zring.one()
 
     def theta(h: Element) -> dict:
-        return ctx.apply_theta(h, factors, zring).terms
+        return ctx.apply_theta(h, factors, zring)
 
     def sums(triples: dict) -> dict:
         """One zring.dot per key over its (scalar, series, series) triples."""

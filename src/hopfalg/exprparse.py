@@ -17,7 +17,7 @@ from typing import List, Tuple
 from .algebra import Element, Monomial
 from .errors import HopfError
 from .hopf import HopfAlgebra
-from .rationals import QQ, parse_rational
+from .rationals import parse_rational
 
 # The largest N accepted in ``atom^N``, which is expanded before anything
 # else can bound the work.
@@ -143,7 +143,7 @@ class _Parser:
     def atom(self) -> Element:
         kind, value = self.take()
         if kind == "number":
-            return Element.unit(QQ).scale(parse_rational(value))
+            return Element.unit().scale(parse_rational(value))
         if kind in ("name", "tree"):
             gen = self.ctx.schema.generator_by_name("".join(value.split()))
             return self.ctx.monomial_element(Monomial.of(gen))
@@ -173,11 +173,14 @@ def _power(base: Element, n: int) -> Element:
                 key = (taken + e, acc.merge(powers[e]))
                 grown[key] = grown.get(key, 0) + (a * comb(n - taken, e) * c ** e if e else a)
         partial = grown
-    return Element.from_terms(QQ, ((acc, a) for (_, acc), a in partial.items()))
+    return Element.from_terms((acc, a) for (_, acc), a in partial.items())
 
 
 def parse_element(ctx: HopfAlgebra, text: str) -> Element:
     """Parse expressions like "t1^2*t2 + 3*t3" or "[[][]] - 2*[]^2"."""
     if not text.strip():
         raise HopfError("empty expression")
-    return _Parser(ctx, text).parse()
+    try:
+        return _Parser(ctx, text).parse()
+    except RecursionError:
+        raise HopfError("expression nests too deeply to parse") from None

@@ -146,4 +146,6 @@ def load_schema(path: str) -> TableSchema:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"cannot parse schema file {path}: {exc}") from exc
+        except RecursionError:
+            raise SchemaError(f"cannot parse schema file {path}: its JSON nests too deeply") from None
     return schema_from_dict(data, name=f"custom:{path}")

@@ -131,9 +131,6 @@ class Ring:
     def value_from_json(self, data):
         raise NotImplementedError
 
-    def format_value(self, a) -> str:
-        raise NotImplementedError
-
 
 # Fractions are immutable, so zero() and one() share these two.
 _ZERO = Fraction(0)
@@ -246,9 +243,6 @@ class RationalField(Ring):
         if not isinstance(data, str):
             raise HopfError(f"rational values are encoded as strings, got {data!r}")
         return parse_rational(data)
-
-    def format_value(self, a):
-        return format_rational(a)
 
 
 QQ = RationalField()

@@ -367,19 +367,6 @@ class LaurentRing(Ring):
             coeffs[k] = self.base.value_from_json(val)
         return self.make(coeffs, trunc)
 
-    def format_value(self, a: LaurentSeries) -> str:
-        if not a.coeffs:
-            return "0"
-        parts = []
-        for k, v in a.coeffs:
-            vs = self.base.format_value(v)
-            if k == 0:
-                parts.append(vs)
-            else:
-                pow_s = self.var if k == 1 else f"{self.var}^{k}"
-                parts.append(f"{vs}*{pow_s}" if vs != "1" else pow_s)
-        return " + ".join(parts)
-
 
 # The ring of Laurent-valued JSON functionals, tagged "laurent".
 EPS_RING = LaurentRing(QQ, "eps")

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 from .algebra import Element, Monomial, TensorElement
 from .errors import HopfError
 from .hopf import HopfAlgebra
-from .rationals import QQ, Ring, is_json_int
+from .rationals import QQ, Ring, format_rational, is_json_int
 
 if TYPE_CHECKING:  # element and tensor I/O runs without the dual calculus
     from .duals import Functional
@@ -63,7 +63,7 @@ def monomial_from_json(ctx: HopfAlgebra, data) -> Monomial:
 def element_to_json(e: Element) -> dict:
     terms = []
     for m, c in e.sorted_terms():
-        terms.append({"coeff": e.ring.value_to_json(c), "monomial": monomial_to_json(m)})
+        terms.append({"coeff": format_rational(c), "monomial": monomial_to_json(m)})
     return {"terms": terms}
 
 
@@ -77,7 +77,7 @@ def element_from_json(ctx: HopfAlgebra, data) -> Element:
         coeff = QQ.value_from_json(term["coeff"])
         m = monomial_from_json(ctx, term["monomial"])
         pairs.append((m, coeff))
-    return Element.from_terms(QQ, pairs)
+    return Element.from_terms(pairs)
 
 
 def tensor_to_json(t: TensorElement) -> dict:
@@ -85,7 +85,7 @@ def tensor_to_json(t: TensorElement) -> dict:
     for key, c in t.sorted_terms():
         terms.append(
             {
-                "coeff": t.ring.value_to_json(c),
+                "coeff": format_rational(c),
                 "legs": [monomial_to_json(m) for m in key],
             }
         )
@@ -160,6 +160,8 @@ def read_json(path: str, what: str):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise HopfError(f"cannot parse {what} file {path}: {exc}") from exc
+        except RecursionError:
+            raise HopfError(f"cannot parse {what} file {path}: its JSON nests too deeply") from None
 
 
 def load_functional(ctx: HopfAlgebra, path: str) -> Functional:

@@ -529,6 +529,31 @@ def test_malformed_input_exits_2_with_a_diagnostic(tmp_path, argv, payload, sche
     assert not capsys.readouterr().out
 
 
+NESTED_KEY = "(" * 400 + "t1" + ")" * 400
+DEEP_NESTING_CASES = {
+    "expr-parentheses": (["coproduct", "--expr", "(" * 300 + "t1" + ")" * 300], None,
+                         "HopfError", "expression nests too deeply to parse"),
+    "table-key": (["convolve", "{}", "{}"], json.dumps({"kind": "table", "ring": "rational", "values": {NESTED_KEY: "1"}}),
+                  "HopfError", "expression nests too deeply to parse"),
+    "functional-file": (["exp", "{}"], "[" * 200_000, "HopfError",
+                        "cannot parse functional file {}: its JSON nests too deeply"),
+    "schema-file": (["verify", "--schema", "custom:{}"], "[" * 100_000, "SchemaError",
+                    "cannot parse schema file {}: its JSON nests too deeply"),
+}
+
+
+@pytest.mark.parametrize("case", list(DEEP_NESTING_CASES))
+def test_deeply_nested_input_exits_2_naming_the_nesting(case, tmp_path, capsys):
+    argv, text, error, message = DEEP_NESTING_CASES[case]
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main([a.format(path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert json.loads(captured.err) == {"error": error, "message": message.format(path)}
+
+
 def test_a_negative_order_is_named_by_its_flag(capsys):
     assert cli.main(["beta", "loop.json", "--max-order", "-5"]) == 2
     assert json.loads(capsys.readouterr().err) == {"error": "DomainError",

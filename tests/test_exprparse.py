@@ -1,17 +1,20 @@
 """The element expression mini-syntax."""
 
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfalg import cli
 from hopfalg.algebra import Element, Monomial
 from hopfalg.errors import HopfError
 from hopfalg.exprparse import parse_element
 from hopfalg.hopf import HopfAlgebra
 from hopfalg.instances import ladder_schema
-from hopfalg.rings import QQ
 from hopfalg.trees import rooted_tree_schema
 
 
@@ -35,14 +38,13 @@ def term(ladder, spec, coeff=1):
 def test_basic_expression(ladder):
     e = parse_element(ladder, "t1^2*t2 + 3*t3")
     assert e == Element.from_terms(
-        QQ, [term(ladder, [("t1", 2), ("t2", 1)]), term(ladder, [("t3", 1)], 3)]
+        [term(ladder, [("t1", 2), ("t2", 1)]), term(ladder, [("t3", 1)], 3)]
     )
 
 
 def test_unary_minus_and_subtraction(ladder):
     e = parse_element(ladder, "-t2 + t1^2 - 2*t1")
     assert e == Element.from_terms(
-        QQ,
         [
             term(ladder, [("t2", 1)], -1),
             term(ladder, [("t1", 2)]),
@@ -54,11 +56,11 @@ def test_unary_minus_and_subtraction(ladder):
 def test_parentheses_expand(ladder):
     e = parse_element(ladder, "(t1 + t2) * t1")
     assert e == Element.from_terms(
-        QQ, [term(ladder, [("t1", 2)]), term(ladder, [("t1", 1), ("t2", 1)])]
+        [term(ladder, [("t1", 2)]), term(ladder, [("t1", 1), ("t2", 1)])]
     )
+    assert parse_element(ladder, "(" * 100 + "t1" + ")" * 100) == parse_element(ladder, "t1")
     sq = parse_element(ladder, "(t1 + 1)^2")
     assert sq == Element.from_terms(
-        QQ,
         [
             term(ladder, [("t1", 2)]),
             term(ladder, [("t1", 1)], 2),
@@ -74,7 +76,7 @@ def test_rational_coefficients(ladder):
 
 def test_bare_number(ladder):
     e = parse_element(ladder, "5")
-    assert e == Element.unit(QQ).scale(Fraction(5))
+    assert e == Element.unit().scale(Fraction(5))
 
 
 def test_tree_tokens(trees):
@@ -106,7 +108,7 @@ def test_exponents_are_capped(ladder):
 
     t1 = ladder.schema.generator_by_name("t1")
     assert parse_element(ladder, f"t1^{MAX_EXPONENT}") == Element.from_terms(
-        QQ, [(Monomial.of(t1, MAX_EXPONENT), Fraction(1))])
+        [(Monomial.of(t1, MAX_EXPONENT), Fraction(1))])
     with pytest.raises(HopfError, match=f"exponent {MAX_EXPONENT + 1} exceeds the limit MAX_EXPONENT"):
         parse_element(ladder, f"(t1 + 1)^{MAX_EXPONENT + 1}")
 
@@ -138,3 +140,43 @@ def test_a_power_is_the_repeated_product(ladder, terms, n):
     for _ in range(n - 1):
         expected = expected * base
     assert parse_element(ladder, f"({text})^{n}") == expected
+
+
+# The grammar's tokens, some of them malformed on purpose: unknown and
+# zero-index names, trees on the ladder, an unbalanced bracket, a zero
+# denominator, exponents at and past MAX_EXPONENT, a character outside it.
+TOKENS = ["t1", "t2", "t3", "t0", "x", "[]", "[[]]", "[[][]]", "[[[]]]", "[", "]", "0", "1", "2", "3/2", "1/0",
+          "64", "65", "+", "-", "*", "^", "(", ")", " ", "$"]
+NAMES = {"ladder": ["t1", "t2", "t3"], "trees:4": ["[]", "[[]]", "[[][]]", "[[[]]]"]}
+
+
+def expressions(names):
+    """Token strings, and well-formed expressions over ``names`` that reach the
+    structure maps; their powers stay small or pass the cap, so that no
+    example expands for long.  Either may be nested 1000 deep, past the
+    recursion limit even as Hypothesis raises it while a test runs."""
+    grammatical = st.recursive(
+        st.sampled_from(names + ["0", "1", "3/2"]),
+        lambda inner: st.one_of(st.builds("{}{}{}".format, inner, st.sampled_from(["+", "-", "*"]), inner),
+                                st.builds("({})^{}".format, inner, st.sampled_from(["2", "3", "65"]))),
+        max_leaves=6)
+    tokens = st.lists(st.sampled_from(TOKENS), max_size=12).map("".join)
+    return st.builds(lambda depth, body: "(" * depth + body + ")" * depth, st.sampled_from([0, 1, 1000]),
+                     st.one_of(grammatical, tokens))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_expression_exits_0_or_2_with_a_json_diagnostic(data):
+    command = data.draw(st.sampled_from(["coproduct", "antipode"]))
+    schema = data.draw(st.sampled_from(list(NAMES)))
+    expr = data.draw(expressions(NAMES[schema]))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([command, "--schema", schema, f"--expr={expr}"])
+    if code == 0:
+        assert out.getvalue() and not err.getvalue()
+    else:
+        assert code == 2 and not out.getvalue()
+        diagnostic = json.loads(err.getvalue())
+        assert isinstance(diagnostic, dict) and {"error", "message"} <= diagnostic.keys()

@@ -33,7 +33,7 @@ def t(ladder, n, exp=1):
 
 
 def tensor(*pairs):
-    return TensorElement.from_terms(QQ, 2, [(k, Fraction(c)) for k, c in pairs])
+    return TensorElement.from_terms(2, [(k, Fraction(c)) for k, c in pairs])
 
 
 def test_coproduct_of_unit(ladder):
@@ -68,7 +68,6 @@ def test_counit(ladder):
     assert ladder.counit(ladder.unit_element()) == 1
     assert ladder.counit(ladder.monomial_element(t(ladder, 3))) == 0
     h = Element.from_terms(
-        QQ,
         [
             (Monomial.unit(), Fraction(5)),
             (t(ladder, 1) * t(ladder, 2), Fraction(2)),
@@ -108,11 +107,10 @@ def test_iterated_coproduct(ladder):
     one = Monomial.unit()
     m1 = t(ladder, 1)
     assert ladder.iterated_coproduct_monomial(m1, 0) == TensorElement(
-        QQ, 1, {(m1,): Fraction(1)}
+        1, {(m1,): Fraction(1)}
     )
     d2 = ladder.iterated_coproduct_monomial(m1, 2)
     assert d2 == TensorElement.from_terms(
-        QQ,
         3,
         [
             ((m1, one, one), Fraction(1)),
@@ -138,10 +136,10 @@ def test_antipode_examples(ladder):
     m1, m2 = t(ladder, 1), t(ladder, 2)
     assert ladder.antipode(ladder.unit_element()) == ladder.unit_element()
     # primitive generators flip sign
-    assert ladder.antipode_monomial(m1) == Element.from_terms(QQ, [(m1, Fraction(-1))])
+    assert ladder.antipode_monomial(m1) == Element.from_terms([(m1, Fraction(-1))])
     # one recursion step by hand: S t2 = -t2 + t1^2
     assert ladder.antipode_monomial(m2) == Element.from_terms(
-        QQ, [(m2, Fraction(-1)), (t(ladder, 1, 2), Fraction(1))]
+        [(m2, Fraction(-1)), (t(ladder, 1, 2), Fraction(1))]
     )
     assert ladder.antipode_left_monomial(m2) == ladder.antipode_monomial(m2)
 
@@ -165,13 +163,13 @@ def test_ladder_antipode_composition_oracle(ladder):
     # sum over compositions (a1,...,ak) of n of (-1)^k t_a1 ... t_ak
     # (unfold the recursion on paper; each step picks off a first part).
     for n in range(1, 7):
-        expected = Element.zero(QQ)
+        expected = Element.zero()
         for comp in _compositions(n):
             m = Monomial.from_powers(
                 (ladder.schema.generator(a), 1) for a in comp
             )
             sign = Fraction(-1) if len(comp) % 2 else Fraction(1)
-            expected = expected + Element.of_monomial(QQ, m, sign)
+            expected = expected + Element.of_monomial(m, sign)
         assert ladder.antipode_monomial(t(ladder, n)) == expected
 
 
@@ -246,7 +244,6 @@ def test_tree_antipode_three_chain():
     ell3 = trees.schema.generator_by_name("[[[]]]")
     got = trees.antipode_monomial(Monomial.of(ell3))
     expected = Element.from_terms(
-        QQ,
         [
             (Monomial.of(ell3), Fraction(-1)),
             (Monomial.from_powers([(dot, 1), (ell2, 1)]), Fraction(2)),
@@ -261,8 +258,8 @@ def test_antipode_convolution_identity(ladder):
     for m in ladder.basis_up_to(6):
         h = ladder.monomial_element(m)
         expected = ladder.unit_element().scale(ladder.counit(h))
-        left = Element.zero(QQ)
-        right = Element.zero(QQ)
+        left = Element.zero()
+        right = Element.zero()
         for (a, b), c in ladder.coproduct(h).terms.items():
             left = left + (ladder.monomial_element(a) * ladder.antipode_monomial(b)).scale(c)
             right = right + (ladder.antipode_monomial(a) * ladder.monomial_element(b)).scale(c)
@@ -274,7 +271,7 @@ def test_grading_operator(ladder):
     assert ladder.apply_Y(ladder.unit_element()).is_zero
     m = t(ladder, 1) * t(ladder, 2)
     assert ladder.apply_Y(ladder.monomial_element(m)) == Element.from_terms(
-        QQ, [(m, Fraction(3))]
+        [(m, Fraction(3))]
     )
 
 
@@ -285,7 +282,7 @@ def test_Y_commutes_with_antipode(ladder):
     lhs = ladder.apply_Y(ladder.antipode(h))
     rhs = ladder.antipode(ladder.apply_Y(h))
     expected = Element.from_terms(
-        QQ, [(m2, Fraction(-2)), (t(ladder, 1, 2), Fraction(2))]
+        [(m2, Fraction(-2)), (t(ladder, 1, 2), Fraction(2))]
     )
     assert lhs == rhs == expected
 
@@ -297,11 +294,11 @@ def test_theta_is_algebra_map(ladder):
     b = ladder.monomial_element(t(ladder, 2))
     factors = theta_factors(ring, z, 3)
     lhs = ladder.apply_theta(a * b, factors, ring)
-    rhs = ladder.apply_theta(a, factors, ring) * ladder.apply_theta(b, factors, ring)
-    assert lhs == rhs
+    (ka, va), = ladder.apply_theta(a, factors, ring).items()
+    (kb, vb), = ladder.apply_theta(b, factors, ring).items()
+    assert lhs.keys() == {ka * kb} and ring.eq(lhs[ka * kb], ring.mul(va, vb))
     # theta_z scales degree-n pieces by exp(n z)
-    coeff = lhs.coefficient(t(ladder, 1) * t(ladder, 2))
-    assert ring.eq(coeff, ring.exp(ring.scale(Fraction(3), z)))
+    assert ring.eq(lhs[t(ladder, 1) * t(ladder, 2)], ring.exp(ring.scale(Fraction(3), z)))
 
 
 def test_theta_commutes_with_coproduct(ladder):
@@ -309,30 +306,23 @@ def test_theta_commutes_with_coproduct(ladder):
     z = ring.monomial(1, trunc=4)
     for m in ladder.basis_up_to(4):
         h = ladder.monomial_element(m)
-        lhs = TensorElement.from_terms(
-            ring,
-            2,
-            [
-                (
-                    key,
-                    ring.mul(
-                        ring.from_rational(c),
-                        ring.mul(
-                            ring.exp(ring.scale(Fraction(key[0].y_degree), z)),
-                            ring.exp(ring.scale(Fraction(key[1].y_degree), z)),
-                        ),
-                    ),
-                )
-                for key, c in ladder.coproduct(h).terms.items()
-            ],
-        )
-        rhs_elem = ladder.apply_theta(h, theta_factors(ring, z, 4), ring)
-        rhs = TensorElement.zero(ring, 2)
-        for mm, c in rhs_elem.terms.items():
-            rhs = rhs + TensorElement.from_terms(
-                ring, 2, [(key, ring.scale(q, c)) for key, q in ladder.coproduct_monomial(mm).terms.items()]
+        lhs = {
+            key: ring.mul(
+                ring.from_rational(c),
+                ring.mul(
+                    ring.exp(ring.scale(Fraction(key[0].y_degree), z)),
+                    ring.exp(ring.scale(Fraction(key[1].y_degree), z)),
+                ),
             )
-        assert lhs == rhs
+            for key, c in ladder.coproduct(h).terms.items()
+        }
+        rhs = {}
+        for mm, c in ladder.apply_theta(h, theta_factors(ring, z, 4), ring).items():
+            for key, q in ladder.coproduct_monomial(mm).terms.items():
+                v = ring.scale(q, c)
+                rhs[key] = ring.add(rhs[key], v) if key in rhs else v
+        rhs = {k: v for k, v in rhs.items() if not ring.is_zero(v)}
+        assert lhs.keys() == rhs.keys() and all(ring.eq(v, rhs[k]) for k, v in lhs.items())
 
 
 def test_linear_maps_build_each_sum_in_one_pass(ladder, monkeypatch):
@@ -343,25 +333,24 @@ def test_linear_maps_build_each_sum_in_one_pass(ladder, monkeypatch):
     monkeypatch.setattr(TensorElement, "__add__", forbidden)
     t1 = t(ladder, 1)
     # h = t1^2 - 2 t2: the t1 (x) t1 terms of D(t1^2) and -2 D(t2) cancel
-    h = Element.from_terms(QQ, [(t(ladder, 1, 2), 1), (t(ladder, 2), -2)])
+    h = Element.from_terms([(t(ladder, 1, 2), 1), (t(ladder, 2), -2)])
     assert (t1, t1) in ladder.coproduct_monomial(t(ladder, 2)).terms
     zring = LaurentRing(QQ, "z")
     factors = theta_factors(zring, zring.monomial(1, trunc=4), 2)
     cases = [
-        (ladder.coproduct(h), ladder.coproduct_monomial, QQ.mul),
-        (ladder.antipode(h), ladder.antipode_monomial, QQ.mul),
-        (ladder.apply_theta(h, factors, zring), lambda m: Element(zring, {m: factors[m.y_degree]}), zring.scale),
+        (ladder.coproduct(h).terms, lambda m: ladder.coproduct_monomial(m).terms, QQ, QQ.mul),
+        (ladder.antipode(h).terms, lambda m: ladder.antipode_monomial(m).terms, QQ, QQ.mul),
+        (ladder.apply_theta(h, factors, zring), lambda m: {m: factors[m.y_degree]}, zring, zring.scale),
     ]
-    for got, per_monomial, scale in cases:
-        ring = got.ring
-        assert not any(ring.is_zero(c) for c in got.terms.values())
+    for got, per_monomial, ring, scale in cases:
+        assert not any(ring.is_zero(c) for c in got.values())
         expected = {}
         for m, c in h.terms.items():
-            for key, v in per_monomial(m).terms.items():
+            for key, v in per_monomial(m).items():
                 expected[key] = ring.add(expected[key], scale(c, v)) if key in expected else scale(c, v)
-        assert got.terms.keys() == {k for k, v in expected.items() if not ring.is_zero(v)}
-        assert all(ring.eq(c, expected[k]) for k, c in got.terms.items())
-    assert (t1, t1) not in cases[0][0].terms
+        assert got.keys() == {k for k, v in expected.items() if not ring.is_zero(v)}
+        assert all(ring.eq(c, expected[k]) for k, c in got.items())
+    assert (t1, t1) not in cases[0][0]
 
 
 @pytest.mark.parametrize("schema, degree", [(ladder_schema, 6), (lambda: rooted_tree_schema(5), 5)],
@@ -406,7 +395,6 @@ def test_trees_antipode_and_validation():
     chain2 = schema.generator_by_name("[[]]")
     s = trees.antipode_monomial(Monomial.of(chain2))
     expected = Element.from_terms(
-        QQ,
         [(Monomial.of(chain2), Fraction(-1)), (Monomial.of(leaf, 2), Fraction(1))],
     )
     assert s == expected
@@ -567,7 +555,7 @@ def test_the_antipode_price_bounds_the_memo_fill():
         bound = max(sum(p[:n + 1]), 1 + sum(k + 1 for k in range(1, n + 1)))
         assert antipode_term_bound(ctx, ctx.monomial_element(Monomial.of(ladder.generator(n)))) == bound
     assert sum(p[:37]) <= 100_000 < sum(p[:38])
-    assert antipode_term_bound(ctx, Element.zero(QQ)) == 0
+    assert antipode_term_bound(ctx, Element.zero()) == 0
 
 
 def binomial_schema(top):

@@ -4,6 +4,7 @@ Each case runs in a fresh interpreter, so nothing the test process imported
 earlier can hide a module that the command pulls in.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -181,3 +182,35 @@ def test_an_unknown_name_raises_attribute_error():
         hopfalg.no_such_name
     with pytest.raises(ImportError):
         from hopfalg import no_such_name  # noqa: F401
+
+
+def unused_imports(path):
+    """The names the module at ``path`` imports and never reads, by line; an
+    import statement marked ``# noqa: F401`` is a re-export and counts as read."""
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):  # quoted annotations hold names too
+        if isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
+            note = node.returns if isinstance(node, ast.FunctionDef) else node.annotation
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                read |= {n.id for n in ast.walk(ast.parse(note.value, mode="eval")) if isinstance(n, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.partition(".")[0]
+            if name not in read:
+                unused.append(f"{node.lineno}: {name}")
+    return unused
+
+
+def test_every_imported_name_is_used():
+    package = os.path.join(SRC, "hopfalg")
+    found = {f: unused_imports(os.path.join(package, f)) for f in sorted(os.listdir(package)) if f.endswith(".py")}
+    assert {f: names for f, names in found.items() if names} == {}

@@ -14,7 +14,6 @@ from hopfalg.algebra import Monomial, TensorElement
 from hopfalg.errors import CutoffExceededError, DomainError, HopfError, SchemaError
 from hopfalg.hopf import HopfAlgebra
 from hopfalg.instances import ladder_schema, load_schema, schema_from_dict
-from hopfalg.rings import QQ
 from hopfalg.trees import (
     MAX_TREES,
     admissible_cuts,
@@ -243,7 +242,6 @@ def test_schema_round_trip(tmp_path):
         expect_cop = ladder.coproduct_monomial(m)
         got_cop = reloaded.coproduct_monomial(rename(m))
         assert got_cop == TensorElement.from_terms(
-            QQ,
             2,
             [((rename(a), rename(b)), c) for (a, b), c in expect_cop.terms.items()],
         )
@@ -344,3 +342,68 @@ def test_tree_requests_above_the_cap_are_rejected_before_enumerating():
         check_tree_budget(12)
     with pytest.raises(DomainError, match="at least 7813"):
         rooted_tree_schema(10**6)
+
+
+# -- the Connes-Moscovici algebra: the delta_n, generated in plain ints ---------------
+
+
+def connes_moscovici_schema(n):
+    """The schema JSON of delta_1 .. delta_n, named d1 .. dn, generated without
+    the engine from delta_(k+1) = [X, delta_k] and D X = X (x) 1 + 1 (x) X +
+    delta_1 (x) Y:
+
+        D delta_(k+1) = (N (x) id + id (x) N) D delta_k + sum deg(b) (delta_1 a) (x) b
+
+    over the terms a (x) b of D delta_k, where N is the derivation
+    delta_j -> delta_(j+1).  A monomial is the sorted tuple of its generator
+    indices, repeated by exponent, so its degree is its sum."""
+
+    def grown(m):  # N(m), one monomial per factor raised
+        return [tuple(sorted(m[:i] + (m[i] + 1,) + m[i + 1:])) for i in range(len(m))]
+
+    coproducts = [{((1,), ()): 1, ((), (1,)): 1}]
+    for _ in range(1, n):
+        nxt = {}
+        for (a, b), c in coproducts[-1].items():
+            for key in [(x, b) for x in grown(a)] + [(a, y) for y in grown(b)]:
+                nxt[key] = nxt.get(key, 0) + c
+            key = (tuple(sorted(a + (1,))), b)
+            nxt[key] = nxt.get(key, 0) + sum(b) * c
+        coproducts.append(nxt)
+    reduced = {}
+    for k, cop in enumerate(coproducts, 1):
+        terms = [(a, b, c) for (a, b), c in sorted(cop.items()) if a and b and c]
+        assert all(len(b) == 1 for _, b, _ in terms)  # right legs are single generators
+        if terms:
+            reduced[f"d{k}"] = [{"left": [[f"d{i}", a.count(i)] for i in sorted(set(a))], "right": f"d{b[0]}",
+                                 "coeff": str(c)} for a, b, c in terms]
+    return {"generators": [{"name": f"d{k}", "degree": k} for k in range(1, n + 1)], "reducedCoproduct": reduced}
+
+
+def test_connes_moscovici_coproduct_of_delta_3():
+    # D d3 = d3 (x) 1 + 1 (x) d3 + 3 d1 (x) d2 + d2 (x) d1 + d1^2 (x) d1
+    data = connes_moscovici_schema(3)
+    assert data["reducedCoproduct"]["d3"] == [
+        {"left": [["d1", 1]], "right": "d2", "coeff": "3"},
+        {"left": [["d1", 2]], "right": "d1", "coeff": "1"},
+        {"left": [["d2", 1]], "right": "d1", "coeff": "1"},
+    ]
+    ctx = HopfAlgebra(schema_from_dict(data))
+    d3 = Monomial.of(ctx.schema.generator_by_name("d3"))
+    assert {(str(a), str(b)): c for (a, b), c in ctx.coproduct_monomial(d3).terms.items()} == {
+        ("d3", "1"): 1, ("1", "d3"): 1, ("d1", "d2"): 3, ("d2", "d1"): 1, ("d1^2", "d1"): 1}
+
+
+def test_connes_moscovici_passes_verify_and_one_flipped_coefficient_fails(tmp_path, capsys):
+    from hopfalg import cli
+
+    data = connes_moscovici_schema(8)
+    path = tmp_path / "cm.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["verify", "--schema", f"custom:{path}", "--max-degree", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    data["reducedCoproduct"]["d3"][0]["coeff"] = "-3"
+    path.write_text(json.dumps(data))
+    assert cli.main(["verify", "--schema", f"custom:{path}", "--max-degree", "8"]) == 1
+    checks = json.loads(capsys.readouterr().out)["axioms"]["checks"]
+    assert [(c["axiom"], c["counterexample"]) for c in checks if not c["passed"]] == [("CDelta", "d3")]

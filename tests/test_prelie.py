@@ -22,11 +22,13 @@ from hopfalg.instances import ladder_schema, schema_from_dict
 from hopfalg.rings import QQ
 from hopfalg.trees import rooted_tree_schema
 from perfbench.workloads import BINOMIAL_DEGREE, binomial_schema
+from test_instances import connes_moscovici_schema
 
 SCHEMAS = {
     "ladder": (ladder_schema, 8),
     "trees:7": (lambda: rooted_tree_schema(7), 7),
     "binomial": (lambda: schema_from_dict(binomial_schema(), name="binomial"), BINOMIAL_DEGREE),
+    "connes-moscovici": (lambda: schema_from_dict(connes_moscovici_schema(8), name="connes-moscovici"), 8),
 }
 
 
