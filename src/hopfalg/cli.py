@@ -10,6 +10,9 @@ command returns its payload, and ``main`` alone writes it: a payload with
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
+import gc
 import sys
 
 from .errors import DomainError, HopfError, TruncationError, VerificationError
@@ -284,6 +287,20 @@ def add_expression_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--file", help="element JSON file")
 
 
+def join_dash_expressions(argv: list) -> list:
+    """argv with each word after ``--expr`` that starts with one '-' joined
+    to it, as ``--expr=-t2``: argparse would read ``-t2`` as an unknown flag.
+    A word argparse reads as a flag still does: one that starts with '--',
+    or with '-h', the one flag with a single dash."""
+    out = []
+    for word in argv:
+        if out and out[-1] == "--expr" and word.startswith("-") and not word.startswith(("--", "-h")):
+            out[-1] = "--expr=" + word
+        else:
+            out.append(word)
+    return out
+
+
 # The command table: name -> (help, every argument the command declares, the
 # input contract of its functional files or None).  An argument is a (flag,
 # add_argument keywords) pair, or ELEMENT for the --expr | --file group of an
@@ -376,10 +393,25 @@ def make_parser(command: str = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def freeze_heap_at_exit() -> None:
+    """Register ``gc.freeze`` to run at exit, once per process."""
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
     """Run one command: its payload goes to stdout (exit 1 when it reports
-    ``"passed": false``), a diagnostic to stderr."""
-    argv = sys.argv[1:] if argv is None else argv
+    ``"passed": false``), a diagnostic to stderr.
+
+    The process that runs a command ends with its verdict, so ``main`` has
+    the interpreter freeze every object alive at exit: the full collection
+    of the interpreter's shutdown then skips them, where it would only free
+    memory the operating system takes back anyway.  The collector runs as
+    usual while the command runs, every stream is still flushed, and a
+    process that only imports ``hopfalg`` keeps the default shutdown.
+    """
+    freeze_heap_at_exit()
+    argv = join_dash_expressions(sys.argv[1:] if argv is None else argv)
     parser = make_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     from .serialize import canonical_dumps

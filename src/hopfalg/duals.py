@@ -134,20 +134,24 @@ class Character(Functional):
         values = {Monomial.unit(): ring.one()}
 
         def value(m):
+            # Down the chain of cofactors to a known value, then back up it.
+            chain = []
             v = values.get(m)
-            if v is None:
+            while v is None:
                 (g, e), rest = m.powers[0], m.powers[1:]
                 x = self.gen_values.get(g)
                 if x is None:
-                    v = zero
-                else:
-                    cofactor = Monomial(((g, e - 1),) + rest if e > 1 else rest)
-                    if cofactor.is_unit:
-                        v = x
-                    else:
-                        y = value(cofactor)
-                        v = zero if exact_zero(y) else ring.mul(y, x)
-                values[m] = v
+                    v = values[m] = zero
+                    break
+                cofactor = Monomial(((g, e - 1),) + rest if e > 1 else rest)
+                if cofactor.is_unit:
+                    v = values[m] = x
+                    break
+                chain.append((m, x))
+                m = cofactor
+                v = values.get(m)
+            for m, x in reversed(chain):
+                v = values[m] = zero if exact_zero(v) else ring.mul(v, x)
             return v
 
         table = {}

@@ -3,8 +3,8 @@
 Grammar:  expr := ['-'] term (('+'|'-') term)* ;  term := factor ('*' factor)*
 factor := atom ('^' nat)? ;  atom := rational | generator | tree | '(' expr ')'
 Generator names are identifiers; rooted trees are balanced bracket strings;
-exponents are at most MAX_EXPONENT, and a power may expand to at most
-MAX_POWER_TERMS terms.
+exponents are at most MAX_EXPONENT, and a power or a product may expand to
+at most MAX_POWER_TERMS terms.
 JSON stays the canonical interchange form, this syntax is for humans.
 """
 
@@ -24,6 +24,8 @@ from .rationals import parse_rational
 MAX_EXPONENT = 64
 # The most terms a power may expand to: a k-term base to the power N has at
 # most C(k + N - 1, N) of them, one per monomial of degree N in k letters.
+# A product of an a-term and a b-term factor, with at most a * b terms, has
+# the same limit, checked before each multiplication.
 MAX_POWER_TERMS = 10_000
 
 _TOKEN = re.compile(
@@ -114,7 +116,13 @@ class _Parser:
             kind, value = self.peek()
             if kind == "op" and value == "*":
                 self.take()
-                acc = acc * self.factor()
+                factor = self.factor()
+                bound = len(acc.terms) * len(factor.terms)
+                if bound > MAX_POWER_TERMS:
+                    raise HopfError(f"a product of a {len(acc.terms)}-term and a {len(factor.terms)}-term factor "
+                                    f"may expand to {bound} terms, above the limit MAX_POWER_TERMS = "
+                                    f"{MAX_POWER_TERMS} in {self.text!r}")
+                acc = acc * factor
             else:
                 return acc
 
@@ -126,12 +134,15 @@ class _Parser:
             kind, value = self.take()
             if kind != "number" or "/" in value:
                 raise HopfError(f"exponent must be a natural number in {self.text!r}")
-            n = int(value)
-            if n < 1:
+            # str(int(value)), compared by its length first, since Python
+            # limits the digits of an int it reads.
+            digits = value.lstrip("0") or "0"
+            if digits == "0":
                 raise HopfError("exponents must be >= 1")
-            if n > MAX_EXPONENT:
-                raise HopfError(f"exponent {n} exceeds the limit MAX_EXPONENT = {MAX_EXPONENT} "
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise HopfError(f"exponent {digits} exceeds the limit MAX_EXPONENT = {MAX_EXPONENT} "
                                 f"in {self.text!r}")
+            n = int(digits)
             k = len(base.terms)
             bound = comb(k + n - 1, n)
             if bound > MAX_POWER_TERMS:

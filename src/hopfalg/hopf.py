@@ -226,20 +226,19 @@ class HopfAlgebra:
         else:
             gens = sorted(self.schema.generators_up_to(degree))
             out: List[Monomial] = []
-
-            def extend(prefix: List[Tuple[Generator, int]], remaining: int, start: int):
+            # Nondecreasing runs of generators, depth first from an explicit
+            # stack: (prefix, degree still to fill, first generator allowed).
+            stack = [((), degree, 0)]
+            while stack:
+                prefix, remaining, start = stack.pop()
                 if remaining == 0:
                     out.append(Monomial.from_powers(prefix))
-                    return
-                for i in range(start, len(gens)):
-                    g = gens[i]
-                    if g.degree > remaining:
-                        break
-                    prefix.append((g, 1))
-                    extend(prefix, remaining - g.degree, i)
-                    prefix.pop()
-
-            extend([], degree, 0)
+                    continue
+                end = start
+                while end < len(gens) and gens[end].degree <= remaining:
+                    end += 1
+                stack.extend((prefix + ((gens[i], 1),), remaining - gens[i].degree, i)
+                             for i in range(end - 1, start - 1, -1))
             result = tuple(sorted(out, key=lambda m: m.sort_key()))
         self._basis[degree] = result
         return result

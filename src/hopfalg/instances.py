@@ -57,8 +57,15 @@ class LadderSchema(HopfSchema):
         return gen.degree - 1
 
     def generator_by_name(self, name: str) -> Generator:
-        if name.startswith("t") and name[1:].isdigit() and int(name[1:]) >= 1:
-            return self.generator(int(name[1:]))
+        index = name[1:]
+        if name.startswith("t") and index.isascii() and index.isdigit():
+            try:
+                n = int(index)
+            except ValueError:  # past the interpreter's limit on the digits of an int
+                raise SchemaError(f"a ladder generator index of {len(index)} digits is past what "
+                                  "Python reads") from None
+            if n >= 1:
+                return self.generator(n)
         raise SchemaError(f"unknown generator {name!r} in the ladder schema")
 
 
@@ -67,6 +74,10 @@ def ladder_schema() -> LadderSchema:
 
 
 # -- custom schema loading ------------------------------------------------------
+
+# The highest generator degree of a custom schema.  It bounds the exponents of
+# the left legs, and so the coproducts that checking coassociativity fills.
+MAX_SCHEMA_DEGREE = 100
 
 
 def schema_from_dict(data: dict, name: str = "custom") -> TableSchema:
@@ -89,6 +100,9 @@ def schema_from_dict(data: dict, name: str = "custom") -> TableSchema:
                 f"generator {gname!r} has degree {degree!r}; generators must be "
                 "homogeneous of degree >= 1"
             )
+        if degree > MAX_SCHEMA_DEGREE:
+            raise SchemaError(f"generator {gname!r} has degree {degree}, above the limit "
+                              f"MAX_SCHEMA_DEGREE = {MAX_SCHEMA_DEGREE}")
         if gname in gens:
             raise SchemaError(f"duplicate generator name {gname!r}")
         gens[gname] = Generator(degree=degree, name=gname)
@@ -144,7 +158,7 @@ def load_schema(path: str) -> TableSchema:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or an integer past the interpreter's digit limit
             raise SchemaError(f"cannot parse schema file {path}: {exc}") from exc
         except RecursionError:
             raise SchemaError(f"cannot parse schema file {path}: its JSON nests too deeply") from None

@@ -5,7 +5,7 @@ generator counts per degree before anything is expanded.  ``coproduct`` and
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, log10
 from typing import Dict
 
 from .algebra import Element, Generator
@@ -17,11 +17,19 @@ from .hopf import HopfAlgebra
 # expanded, and the most the antipode memo may fill for the element of
 # ``antipode``, priced by ``antipode_term_bound``.
 MAX_COPRODUCT_TERMS = 100_000
+# The highest degree the antipode price sums to.  Its work grows about as the
+# square of the degree; a price that passes MAX_COPRODUCT_TERMS first is
+# refused on that count, as every element on the ladder of degree 37 or more is.
+MAX_PRICED_DEGREE = 500
 
 
 def check_price(bound: int, what: str) -> None:
     if bound > MAX_COPRODUCT_TERMS:
-        raise DomainError(f"the {what} of this element may fill {bound} terms, "
+        try:
+            count = str(bound)
+        except ValueError:  # more digits than Python writes: name the power of ten it passes
+            count = f"more than 10^{int((bound.bit_length() - 1) * log10(2))}"
+        raise DomainError(f"the {what} of this element may fill {count} terms, "
                           f"above the limit MAX_COPRODUCT_TERMS = {MAX_COPRODUCT_TERMS}")
 
 
@@ -94,6 +102,9 @@ def antipode_term_bound(ctx: HopfAlgebra, h: Element) -> int:
     partial = [([[] for _ in fs], [[] for _ in fs]) for _, fs in monomials]  # products of a prefix of factors
     antipode = coproduct = 0
     for k in range(top + 1):
+        if k > MAX_PRICED_DEGREE:
+            raise DomainError(f"the antipode price of this element sums to its degree {top}, "
+                              f"above the limit MAX_PRICED_DEGREE = {MAX_PRICED_DEGREE}")
         if k:
             gens = schema.generators_of_degree(k) if k <= gen_top else ()
             counts.append(len(gens))

@@ -5,10 +5,11 @@ result is an int when it is integral.  The series rings are in ``rings``."""
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm
 
-from .errors import HopfError, SingularInputError
+from .errors import DomainError, HopfError, SingularInputError
 
 
 class Frozen:
@@ -49,10 +50,16 @@ def _over(v: int, d: int):
 
 
 def format_rational(q: Fraction) -> str:
-    """Canonical string form: "p" for integers, "p/q" otherwise."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Canonical string form: "p" for integers, "p/q" otherwise.  A value
+    past the interpreter's limit on the digits of an int it writes in
+    decimal raises DomainError."""
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise DomainError(f"a value has more than {sys.get_int_max_str_digits()} decimal digits, "
+                          "past the interpreter's limit on the digits of an int it writes") from None
 
 
 class Ring:

@@ -213,6 +213,11 @@ class RgReport(NamedTuple):
                 and self.beta_matches_residue)
 
 
+# The highest pole order of phi that ``rg_limit_check`` takes: theta is
+# carried to the pole order plus the eps margin, at a cost about cubic in it.
+MAX_POLE_ORDER = 100
+
+
 def rg_limit_check(phi: Character, max_degree: int, eps_margin: int = 1) -> RgReport:
     """Compute phi^(-1) * theta_(t eps)(phi) per basis monomial and take eps -> 0.
 
@@ -239,6 +244,9 @@ def rg_limit_check(phi: Character, max_degree: int, eps_margin: int = 1) -> RgRe
     basis = ctx.basis_up_to(max_degree)
     phi_vals = tabulate(phi, basis)
     pole = max(ring.pole_order(v) for v in phi_vals.values())
+    if pole > MAX_POLE_ORDER:
+        raise DomainError(f"phi has a pole of order {pole} through degree {max_degree}, above the limit "
+                          f"MAX_POLE_ORDER = {MAX_POLE_ORDER}")
     # theta_(t eps), with t eps carried as far as the poles of phi need.
     thetas = theta_factors(work, work.make({1: poly_t.variable()}, pole + eps_margin), max_degree)
     phi_inverse = {m: lift(v) for m, v in compose_antipode(ctx, ring, phi_vals, basis).items()}

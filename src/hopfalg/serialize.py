@@ -158,7 +158,7 @@ def read_json(path: str, what: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or an integer past the interpreter's digit limit
             raise HopfError(f"cannot parse {what} file {path}: {exc}") from exc
         except RecursionError:
             raise HopfError(f"cannot parse {what} file {path}: its JSON nests too deeply") from None

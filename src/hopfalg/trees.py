@@ -72,22 +72,20 @@ def _encode(children: Tuple[RootedTree, ...]) -> str:
 def parse_tree(text: str) -> RootedTree:
     """Parse a balanced-bracket tree encoding such as "[[][]]"."""
     text = text.strip()
-    pos = 0
-
-    def node() -> RootedTree:
-        nonlocal pos
-        if pos >= len(text) or text[pos] != "[":
-            raise HopfError(f"bad tree encoding {text!r}: expected '[' at {pos}")
-        pos += 1
-        children = []
-        while pos < len(text) and text[pos] == "[":
-            children.append(node())
-        if pos >= len(text) or text[pos] != "]":
+    if not text.startswith("["):
+        raise HopfError(f"bad tree encoding {text!r}: expected '[' at 0")
+    open_children: List[List[RootedTree]] = [[]]  # the children read so far of each open vertex
+    pos = 1
+    while open_children:
+        if pos < len(text) and text[pos] == "[":
+            open_children.append([])
+        elif pos < len(text) and text[pos] == "]":
+            t = RootedTree(open_children.pop())
+            if open_children:
+                open_children[-1].append(t)
+        else:
             raise HopfError(f"bad tree encoding {text!r}: expected ']' at {pos}")
         pos += 1
-        return RootedTree(children)
-
-    t = node()
     if pos != len(text):
         raise HopfError(f"bad tree encoding {text!r}: trailing characters")
     return t

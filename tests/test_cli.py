@@ -900,3 +900,40 @@ def test_input_contracts_name_exactly_the_functional_commands():
     takes = {name for name, (_, arguments, _) in cli.COMMANDS.items()
              if any(argument[0] == "functional" for argument in arguments if argument != cli.ELEMENT)}
     assert reads == takes == {"convolve", "exp", "log", "birkhoff", "beta", "build-loop", "rg-check", "scattering"}
+
+
+def test_a_product_is_priced_before_it_is_multiplied(capsys):
+    # Each power passes MAX_POWER_TERMS with 2145 terms; their product would
+    # take 2145 * 2145 term products before the coproduct price ran.
+    start = time.perf_counter()
+    assert cli.main(["coproduct", "--expr", "(t1+t2+t3)^64*(t1+t2+t3)^64"]) == 2
+    assert time.perf_counter() - start < 1
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert "a product of a 2145-term and a 2145-term factor may expand to 4601025 terms" in message
+    assert "MAX_POWER_TERMS = 10000" in message
+
+
+@pytest.mark.parametrize("rest", [[], ["--output", "text"]], ids=["json", "text"])
+def test_an_expression_may_start_with_a_minus(rest, capsys):
+    assert cli.main(["antipode", "--expr=-t2", *rest]) == 0
+    joined = capsys.readouterr().out
+    assert cli.main(["antipode", "--expr", "-t2", *rest]) == 0
+    assert capsys.readouterr().out == joined
+    assert run_cli("antipode", "--expr", "-t2", *rest).stdout == joined
+    assert joined.strip() in ("-t1^2 + t2", json.dumps(
+        {"terms": [{"coeff": "-1", "monomial": [["t1", 2]]}, {"coeff": "1", "monomial": [["t2", 1]]}]},
+        separators=(",", ":")))
+
+
+@pytest.mark.parametrize("argv", [
+    ["antipode", "--expr", "--output", "text"],
+    ["antipode", "--expr"],
+    ["coproduct", "--expr", "-h"],
+], ids=["flag-after-expr", "missing-value", "help-flag-after-expr"])
+def test_a_flag_after_expr_still_reads_as_a_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert json.loads(err) == {"error": "UsageError", "message": "argument --expr: expected one argument"}

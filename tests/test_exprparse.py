@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hopfalg import cli
 from hopfalg.algebra import Element, Monomial
 from hopfalg.errors import HopfError
-from hopfalg.exprparse import parse_element
+from hopfalg.exprparse import MAX_POWER_TERMS, parse_element
 from hopfalg.hopf import HopfAlgebra
 from hopfalg.instances import ladder_schema
 from hopfalg.trees import rooted_tree_schema
@@ -180,3 +180,15 @@ def test_any_expression_exits_0_or_2_with_a_json_diagnostic(data):
         assert code == 2 and not out.getvalue()
         diagnostic = json.loads(err.getvalue())
         assert isinstance(diagnostic, dict) and {"error", "message"} <= diagnostic.keys()
+
+
+def test_a_product_past_the_cap_is_refused_before_it_is_multiplied(ladder):
+    with pytest.raises(HopfError, match="a product of a 101-term and a 100-term factor may expand to 10100 terms, "
+                                        f"above the limit MAX_POWER_TERMS = {MAX_POWER_TERMS}"):
+        parse_element(ladder, "(" + "+".join(f"t{n}" for n in range(1, 102)) + ")*("
+                      + "+".join(f"t{n}" for n in range(1, 101)) + ")")
+    # At the cap a product is expanded, and a product of many small factors
+    # is bounded one multiplication at a time.
+    hundred = "(" + "+".join(f"t{n}" for n in range(1, 101)) + ")"
+    assert len(parse_element(ladder, f"{hundred}*{hundred}").terms) == 5050
+    assert len(parse_element(ladder, "(t1+t2)*" * 12 + "1").terms) == 13

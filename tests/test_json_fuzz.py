@@ -1,0 +1,201 @@
+"""Hypothesis fuzz of the JSON input files: functional files of every kind and
+ring, and custom schema files, mutated and run through ``cli.main``.
+
+Whatever the file holds, a command exits 0 or 1 with its payload on stdout,
+or 2 with one JSON diagnostic on stderr and nothing on stdout, and never
+raises; each example finishes within a fixed time.
+"""
+
+import copy
+import io
+import json
+import time
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hopfalg import cli
+
+# Seconds one example may take, far above what any of them takes when the
+# input is priced or refused before the work.
+EXAMPLE_LIMIT_S = 3.0
+
+
+def laurent(*pairs, trunc=None):
+    coeffs = dict(pairs)
+    return {"minExp": min(int(k) for k in coeffs), "truncation": trunc, "coeffs": coeffs}
+
+
+# Well-formed files of each kind and ring, with the commands that read them.
+FUNCTIONALS = {
+    "character-rational": ({"kind": "character", "ring": "rational", "values": {"t1": "1", "t2": "-1/2"}},
+                           ["log", "convolve"]),
+    "infinitesimal-rational": ({"kind": "infinitesimal", "ring": "rational", "cutoff": 3,
+                                "values": {"t1": "2", "t3": "1/3"}}, ["exp", "build-loop", "scattering"]),
+    "table-rational": ({"kind": "table", "ring": "rational", "values": {"1": "1", "t1": "1/2", "t1^2": "3", "t2": "-1"}},
+                       ["convolve"]),
+    "character-laurent": ({"kind": "character", "ring": "laurent", "values": {
+        "t1": laurent(("-1", "1"), ("0", "1/2"), trunc=4), "t2": laurent(("-2", "1"))}},
+        ["birkhoff", "rg-check", "beta", "log"]),
+    "infinitesimal-laurent": ({"kind": "infinitesimal", "ring": "laurent", "values": {
+        "t1": laurent(("-1", "1")), "t2": laurent(("0", "3"), trunc=2)}}, ["exp", "beta", "convolve"]),
+    "table-laurent": ({"kind": "table", "ring": "laurent", "values": {
+        "t1": laurent(("-1", "1")), "t1*t2": laurent(("1", "-1/3"), trunc=3)}}, ["beta", "convolve"]),
+}
+# A ladder-like schema to degree 3, and the commands that read one.
+SCHEMA = {"generators": [{"name": "x1", "degree": 1}, {"name": "x2", "degree": 2}, {"name": "x3", "degree": 3}],
+          "reducedCoproduct": {"x2": [{"left": [["x1", 1]], "right": "x1", "coeff": "1"}],
+                               "x3": [{"left": [["x1", 1]], "right": "x2", "coeff": "1"},
+                                      {"left": [["x2", 1]], "right": "x1", "coeff": "1"}]}}
+SCHEMA_CHARACTER = {"kind": "character", "ring": "rational", "values": {"x1": "1", "x2": "1/2"}}
+SCHEMA_COMMANDS = [["verify", "--max-degree", "3"], ["coproduct", "--expr", "x1*x3"], ["antipode", "--expr", "x3"],
+                   ["log", "{character}", "--max-degree", "3"]]
+
+# A JSON integer past the interpreter's limit on the digits of an int it reads.
+TOO_LONG = "9" * 5000
+NEST = "@@nest@@"
+WRONG_TYPES = [None, True, False, 0, -1, 1.5, "", "x", "1/0", [], {}, [[]], {"": None}]
+HUGE = [10 ** 30, -(10 ** 30), 10 ** 4000, 2 ** 63, "1" + "0" * 4000, "1/" + "7" * 4000]
+# Around the recursion limit (1000, raised to about 2000 while Hypothesis
+# runs a test) and far past it.
+DEPTHS = [50, 900, 1100, 2500, 50_000]
+UNKNOWN_NAMES = ["t0", "q9", "x9", "[]", "t1 t2", "(t1", "t" + "9" * 30, "t" + "9" * 5000, "t²",
+                 *("(" * depth + "t1" + ")" * depth for depth in DEPTHS)]
+
+
+def paths(doc, prefix=()):
+    """Every (container path, key) in a JSON document, the root included as ((), None)."""
+    out = [(prefix, None)] if not prefix else []
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        out.append((prefix, key))
+        out.extend(paths(value, prefix + (key,)))
+    return out
+
+
+def container(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated(draw, doc):
+    """A copy of ``doc`` with one to three mutations, as JSON text."""
+    doc = copy.deepcopy(doc)
+    nested = None
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        path, key = draw(st.sampled_from(paths(doc)))
+        if key is None:
+            continue
+        parent = container(doc, path)
+        kind = draw(st.sampled_from(["type", "huge", "rename", "stray", "nest", "delete"]))
+        if kind == "type":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(WRONG_TYPES)))
+        elif kind == "huge":
+            parent[key] = draw(st.sampled_from(HUGE))
+        elif kind == "rename" and isinstance(parent, dict):
+            parent[draw(st.sampled_from(UNKNOWN_NAMES))] = parent.pop(key)
+        elif kind == "stray" and isinstance(parent, dict):
+            parent[draw(st.sampled_from(["zzz", "kind", "ring", "cutoff", "values", "minExp"]))] = \
+                copy.deepcopy(draw(st.sampled_from(WRONG_TYPES + HUGE)))
+        elif kind == "nest":
+            nested = draw(st.sampled_from(DEPTHS)), draw(st.sampled_from(["[", "{\"a\":", "(expr"]))
+            parent[key] = NEST
+        elif kind == "delete" and isinstance(parent, dict):
+            del parent[key]
+    text = json.dumps(doc)
+    if draw(st.booleans()):
+        text = text.replace(str(10 ** 4000), TOO_LONG)
+    if nested is not None:
+        depth, opener = nested
+        if opener == "(expr":  # a table key or value string in parentheses
+            body = json.dumps("(" * depth + "t1" + ")" * depth)
+        else:
+            body = opener * depth + "1" + ("]" if opener == "[" else "}") * depth
+        text = text.replace(json.dumps(NEST), body)
+    return text
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
+
+
+def check(code, out, err, elapsed):
+    assert elapsed < EXAMPLE_LIMIT_S
+    if code == 2:
+        assert not out
+        assert err.endswith("\n") and err.count("\n") == 1
+        diagnostic = json.loads(err)
+        assert isinstance(diagnostic, dict) and {"error", "message"} <= diagnostic.keys()
+    else:
+        assert code in (0, 1)
+        assert out or err
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("json-fuzz")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_functional_file_exits_0_1_or_2_with_a_json_diagnostic(workdir, data):
+    name = data.draw(st.sampled_from(sorted(FUNCTIONALS)))
+    doc, commands = FUNCTIONALS[name]
+    command = data.draw(st.sampled_from(commands))
+    path = workdir / "functional.json"
+    path.write_text(data.draw(mutated(doc)))
+    files = [str(path)] * (2 if command == "convolve" else 1)
+    check(*run([command, *files, "--schema", "ladder", "--max-degree", "3"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_schema_file_exits_0_1_or_2_with_a_json_diagnostic(workdir, data):
+    schema = workdir / "schema.json"
+    schema.write_text(data.draw(mutated(SCHEMA)))
+    character = workdir / "character.json"
+    character.write_text(json.dumps(SCHEMA_CHARACTER))
+    argv = [a.format(character=character) for a in data.draw(st.sampled_from(SCHEMA_COMMANDS))]
+    check(*run([*argv, "--schema", f"custom:{schema}"]))
+
+
+@pytest.mark.parametrize("argv, payload, message", [
+    # Integers past the interpreter's digit limit, in a file and in --expr.
+    (["log", "{}"], '{"kind": "character", "cutoff": ' + TOO_LONG + ', "values": {}}',
+     "cannot parse functional file {}: Exceeds the limit (4300 digits) for integer string conversion"),
+    (["antipode", "--expr", "t" + TOO_LONG], None, "a ladder generator index of 5000 digits is past what Python reads"),
+    (["antipode", "--expr", "t1^" + TOO_LONG], None, f"exponent {TOO_LONG} exceeds the limit MAX_EXPONENT = 64"),
+    # A value of more digits than Python writes.
+    (["log", "{}", "--max-degree", "3"], json.dumps({"kind": "character", "values": {"t1": "9" * 3000}}),
+     "a value has more than 4300 decimal digits"),
+    (["log", "{}"], json.dumps({"kind": "character", "values": {"t²": "1"}}),
+     "unknown generator 't²' in the ladder schema"),
+    # Costs that grow with a degree or a pole order read from the file.
+    (["rg-check", "{}"], json.dumps({"kind": "character", "ring": "laurent", "values": {
+        "t1": {"minExp": -10 ** 9, "truncation": None, "coeffs": {str(-10 ** 9): "1"}}}}),
+     "phi has a pole of order 4000000000 through degree 4, above the limit MAX_POLE_ORDER = 100"),
+    (["verify", "--schema", "custom:{}"], json.dumps({"generators": [{"name": "x", "degree": 10 ** 9}]}),
+     "generator 'x' has degree 1000000000, above the limit MAX_SCHEMA_DEGREE = 100"),
+    (["antipode", "--schema", "custom:{}", "--expr", "y^6"],
+     json.dumps({"generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 100}]}),
+     "the antipode price of this element sums to its degree 600, above the limit MAX_PRICED_DEGREE = 500"),
+    # A price of more digits than Python writes.
+    (["coproduct", "--file", "{}"], json.dumps({"terms": [{"coeff": "1", "monomial": [["t3", 10 ** 4000]]}]}),
+     "the coproducts of this element may fill more than 10^15998 terms, above the limit MAX_COPRODUCT_TERMS"),
+], ids=["long-integer-in-a-file", "long-ladder-index", "long-exponent", "long-output-value", "unicode-digit-name",
+        "pole-order", "schema-degree", "priced-degree", "long-price"])
+def test_inputs_the_fuzz_found_exit_2_naming_the_limit(argv, payload, message, tmp_path):
+    path = tmp_path / "input.json"
+    if payload is not None:
+        path.write_text(payload)
+    code, out, err, elapsed = run([a.format(path) for a in argv])
+    assert (code, out) == (2, "") and elapsed < EXAMPLE_LIMIT_S
+    assert message.format(path) in json.loads(err)["message"]
