@@ -15,7 +15,7 @@ import functools
 import gc
 import sys
 
-from .errors import DomainError, HopfError, TruncationError, VerificationError
+from .errors import DomainError, HopfError, TruncationError, VerificationError, quoted
 
 # Each command imports the engine modules it runs inside its own body, so a
 # process loads only the code of the command it was started for.
@@ -30,9 +30,10 @@ EXIT_INPUT = 2
 DEGREE_ONE_COMMANDS = frozenset({"exp", "birkhoff", "beta", "build-loop", "scattering", "verify"})
 
 # The highest ``rg-check --eps-order``, checked before the file is read.  The
-# time grows about cubically in the order; at this one, a ladder loop runs in
-# about 0.2 s at --max-degree 3 and under 1 s at --max-degree 6 (one core of
-# a 2-core x86 machine).
+# flow reads only the coefficients at eps^0 and below, so the time hardly
+# grows with the order: a ladder loop of degree 6 runs in 0.09-0.12 s at
+# --max-degree 3 and 0.11-0.14 s at --max-degree 6, at this order as at 0
+# (whole process, one core of a 2-core x86 machine).
 MAX_EPS_ORDER = 100
 
 
@@ -47,14 +48,14 @@ def resolve_schema(selector: str):
         try:
             n = int(selector.split(":", 1)[1])
         except ValueError:
-            raise HopfError(f"bad tree cutoff in schema selector {selector!r}") from None
+            raise HopfError(f"bad tree cutoff in schema selector {quoted(selector)}") from None
         return rooted_tree_schema(n)
     if selector.startswith("custom:"):
         from .instances import load_schema
 
         return load_schema(selector.split(":", 1)[1])
     raise HopfError(
-        f"unknown schema selector {selector!r}; expected ladder, trees:<n> or custom:<path>"
+        f"unknown schema selector {quoted(selector)}; expected ladder, trees:<n> or custom:<path>"
     )
 
 
@@ -414,6 +415,13 @@ def main(argv=None) -> int:
     argv = join_dash_expressions(sys.argv[1:] if argv is None else argv)
     parser = make_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
+    # argparse drops the value of --flag=-- and leaves []: --expr reads it back
+    # as the expression "--", and any other flag is refused without its value.
+    for name, value in vars(args).items():
+        if value == []:
+            if name != "expr":
+                parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
+            args.expr = "--"
     from .serialize import canonical_dumps
 
     try:

@@ -1,6 +1,16 @@
 """Exception hierarchy shared by every layer of the package."""
 
 
+def quoted(value) -> str:
+    """An input as a diagnostic echoes it: its repr up to 40 characters, else
+    the first 40 and the length of the whole.  A string is cut before its
+    repr is taken, any other value after."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 40 else f"{value[:40]!r}... ({len(value)} characters)"
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 class HopfError(Exception):
     """Base class; every error raised by this package derives from it."""
 

@@ -15,7 +15,7 @@ from math import comb
 from typing import List, Tuple
 
 from .algebra import Element, Monomial
-from .errors import HopfError
+from .errors import HopfError, quoted
 from .hopf import HopfAlgebra
 from .rationals import parse_rational
 
@@ -39,7 +39,7 @@ def _tokenize(text: str) -> List[Tuple[str, str]]:
     while pos <= len(text):
         match = _TOKEN.match(text, pos)
         if match is None:
-            raise HopfError(f"cannot tokenize expression at: {text[pos:]!r}")
+            raise HopfError(f"cannot tokenize expression at: {quoted(text[pos:])}")
         if match.lastgroup == "end":
             break
         if match.lastgroup == "lbrack":
@@ -56,7 +56,7 @@ def _tokenize(text: str) -> List[Tuple[str, str]]:
                         break
                 i += 1
             if depth != 0:
-                raise HopfError(f"unbalanced tree brackets in {text!r}")
+                raise HopfError(f"unbalanced tree brackets in {quoted(text)}")
             tokens.append(("tree", text[start : i + 1]))
             pos = i + 1
             continue
@@ -83,13 +83,13 @@ class _Parser:
     def expect_op(self, op: str):
         kind, value = self.take()
         if kind != "op" or value != op:
-            raise HopfError(f"expected {op!r} in {self.text!r}, got {value!r}")
+            raise HopfError(f"expected {op!r} in {quoted(self.text)}, got {quoted(value)}")
 
     def parse(self) -> Element:
         e = self.expr()
         kind, value = self.peek()
         if kind is not None:
-            raise HopfError(f"unexpected trailing {value!r} in {self.text!r}")
+            raise HopfError(f"unexpected trailing {quoted(value)} in {quoted(self.text)}")
         return e
 
     def expr(self) -> Element:
@@ -121,7 +121,7 @@ class _Parser:
                 if bound > MAX_POWER_TERMS:
                     raise HopfError(f"a product of a {len(acc.terms)}-term and a {len(factor.terms)}-term factor "
                                     f"may expand to {bound} terms, above the limit MAX_POWER_TERMS = "
-                                    f"{MAX_POWER_TERMS} in {self.text!r}")
+                                    f"{MAX_POWER_TERMS} in {quoted(self.text)}")
                 acc = acc * factor
             else:
                 return acc
@@ -133,21 +133,21 @@ class _Parser:
             self.take()
             kind, value = self.take()
             if kind != "number" or "/" in value:
-                raise HopfError(f"exponent must be a natural number in {self.text!r}")
+                raise HopfError(f"exponent must be a natural number in {quoted(self.text)}")
             # str(int(value)), compared by its length first, since Python
             # limits the digits of an int it reads.
             digits = value.lstrip("0") or "0"
             if digits == "0":
                 raise HopfError("exponents must be >= 1")
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-                raise HopfError(f"exponent {digits} exceeds the limit MAX_EXPONENT = {MAX_EXPONENT} "
-                                f"in {self.text!r}")
+                raise HopfError(f"exponent {digits if len(digits) <= 40 else quoted(digits)} exceeds the limit "
+                                f"MAX_EXPONENT = {MAX_EXPONENT} in {quoted(self.text)}")
             n = int(digits)
             k = len(base.terms)
             bound = comb(k + n - 1, n)
             if bound > MAX_POWER_TERMS:
                 raise HopfError(f"a {k}-term base to the power {n} may expand to {bound} terms, "
-                                f"above the limit MAX_POWER_TERMS = {MAX_POWER_TERMS} in {self.text!r}")
+                                f"above the limit MAX_POWER_TERMS = {MAX_POWER_TERMS} in {quoted(self.text)}")
             return _power(base, n)
         return base
 
@@ -162,7 +162,7 @@ class _Parser:
             inner = self.expr()
             self.expect_op(")")
             return inner
-        raise HopfError(f"unexpected token {value!r} in {self.text!r}")
+        raise HopfError(f"unexpected token {quoted(value)} in {quoted(self.text)}")
 
 
 def _power(base: Element, n: int) -> Element:

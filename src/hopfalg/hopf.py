@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .algebra import Element, Generator, Monomial, TensorElement
-from .errors import CutoffExceededError, DomainError, SchemaError, UnsupportedRingError
+from .errors import CutoffExceededError, DomainError, SchemaError, UnsupportedRingError, quoted
 from .rationals import Ring
 
 DEFAULT_VALIDATE_DEGREE = 8
@@ -105,7 +105,7 @@ class TableSchema(HopfSchema):
         try:
             return self._by_name[name]
         except KeyError:
-            raise SchemaError(f"unknown generator {name!r} in schema {self.name!r}") from None
+            raise SchemaError(f"unknown generator {quoted(name)} in schema {self.name!r}") from None
 
 
 def validate_schema_structure(schema: HopfSchema, up_to: int) -> None:

@@ -11,7 +11,7 @@ from typing import Dict, List, Tuple
 
 from . import _forwarder
 from .algebra import Generator, Monomial
-from .errors import SchemaError
+from .errors import SchemaError, quoted
 from .hopf import HopfSchema, ReducedTerm, TableSchema, validate_schema_structure
 from .rationals import QQ, is_json_int
 
@@ -66,7 +66,7 @@ class LadderSchema(HopfSchema):
                                   "Python reads") from None
             if n >= 1:
                 return self.generator(n)
-        raise SchemaError(f"unknown generator {name!r} in the ladder schema")
+        raise SchemaError(f"unknown generator {quoted(name)} in the ladder schema")
 
 
 def ladder_schema() -> LadderSchema:
@@ -94,50 +94,50 @@ def schema_from_dict(data: dict, name: str = "custom") -> TableSchema:
         gname = entry.get("name")
         degree = entry.get("degree")
         if not isinstance(gname, str) or not gname:
-            raise SchemaError(f"generator entry {entry!r} needs a non-empty 'name'")
+            raise SchemaError(f"generator entry {quoted(entry)} needs a non-empty 'name'")
         if not is_json_int(degree) or degree < 1:
             raise SchemaError(
-                f"generator {gname!r} has degree {degree!r}; generators must be "
+                f"generator {quoted(gname)} has degree {quoted(degree)}; generators must be "
                 "homogeneous of degree >= 1"
             )
         if degree > MAX_SCHEMA_DEGREE:
-            raise SchemaError(f"generator {gname!r} has degree {degree}, above the limit "
+            raise SchemaError(f"generator {quoted(gname)} has degree {degree}, above the limit "
                               f"MAX_SCHEMA_DEGREE = {MAX_SCHEMA_DEGREE}")
         if gname in gens:
-            raise SchemaError(f"duplicate generator name {gname!r}")
+            raise SchemaError(f"duplicate generator name {quoted(gname)}")
         gens[gname] = Generator(degree=degree, name=gname)
 
     reduced: Dict[Generator, Tuple[ReducedTerm, ...]] = {}
     table = data.get("reducedCoproduct", {})
     if not isinstance(table, dict):
-        raise SchemaError(f"'reducedCoproduct' must be an object, got {table!r}")
+        raise SchemaError(f"'reducedCoproduct' must be an object, got {quoted(table)}")
     for gname, terms in table.items():
         if gname not in gens:
-            raise SchemaError(f"reducedCoproduct mentions unknown generator {gname!r}")
+            raise SchemaError(f"reducedCoproduct mentions unknown generator {quoted(gname)}")
         if not _is_list_of(terms, dict):
-            raise SchemaError(f"reduced coproduct of {gname!r} must be a list of term objects")
+            raise SchemaError(f"reduced coproduct of {quoted(gname)} must be a list of term objects")
         g = gens[gname]
         built: List[ReducedTerm] = []
         for term in terms:
             right_name = term.get("right")
             if not isinstance(right_name, str) or right_name not in gens:
                 raise SchemaError(
-                    f"reduced coproduct of {gname!r}: right leg {right_name!r} "
+                    f"reduced coproduct of {quoted(gname)}: right leg {quoted(right_name)} "
                     "must be a single declared generator"
                 )
             powers = []
             pairs = term.get("left", [])
             if not _is_list_of(pairs, list) or any(len(pair) != 2 for pair in pairs):
-                raise SchemaError(f"reduced coproduct of {gname!r}: left legs are lists of [name, exp] pairs")
+                raise SchemaError(f"reduced coproduct of {quoted(gname)}: left legs are lists of [name, exp] pairs")
             for lname, exp in pairs:
                 if not isinstance(lname, str) or lname not in gens:
                     raise SchemaError(
-                        f"reduced coproduct of {gname!r}: left factor {lname!r} "
+                        f"reduced coproduct of {quoted(gname)}: left factor {quoted(lname)} "
                         "is not a declared generator"
                     )
                 if not is_json_int(exp) or exp < 1:
                     raise SchemaError(
-                        f"reduced coproduct of {gname!r}: exponents must be >= 1"
+                        f"reduced coproduct of {quoted(gname)}: exponents must be >= 1"
                     )
                 powers.append((gens[lname], exp))
             coeff = QQ.value_from_json(term.get("coeff", "1"))

@@ -1,17 +1,16 @@
 """Q[t]: dense polynomials over the rationals in one formal variable.
 
-The scale flow of ``rg.rg_limit_check`` (run by ``rg-check`` and ``verify``)
-is a Laurent series in eps over Q[t]; nothing else computes in it.  The
-flow's checks read its t-coefficient tables over Q, so no polynomial ring
-is ever built over another base.
+The value type of the scale flow of ``rg.rg_limit_check`` (run by
+``rg-check`` and ``verify``): its witnesses and flow entries are
+polynomials in t, written by ``format_value`` and ``value_to_json``.  The
+flow itself is computed over Q, and the flow's checks read its
+t-coefficient tables over Q, so no series is ever built over Q[t].
 """
 
 from __future__ import annotations
 
-from math import lcm
-
 from .errors import HopfError, UnsupportedRingError
-from .rationals import QQ, RationalField, Ring, _canonical, _over, format_rational
+from .rationals import QQ, RationalField, Ring, _canonical, format_rational
 
 
 def _strip(coeffs):
@@ -24,8 +23,8 @@ class PolynomialRing(Ring):
     """Q[t] in the variable ``var``; any base other than Q raises.
 
     Values are tuples of int or Fraction coefficients indexed by exponent,
-    with trailing zeros stripped (canonical form); () is the zero polynomial.
-    Products run in the integer kernel of ``convolve_operands``.
+    each an int when it is integral, with trailing zeros stripped (canonical
+    form); () is the zero polynomial.
     """
 
     def __init__(self, base: Ring, var: str):
@@ -62,7 +61,7 @@ class PolynomialRing(Ring):
             a, b = b, a
         out = list(a)
         for k, c in enumerate(b):
-            out[k] += c
+            out[k] = _canonical(out[k] + c)
         return _strip(out)
 
     def neg(self, a):
@@ -71,52 +70,14 @@ class PolynomialRing(Ring):
     def scale(self, q, a):
         return tuple(_canonical(q * c) for c in a) if q else ()
 
-    def operand(self, ps):
-        """ps over one common denominator: (d, ((exponent, length,
-        ((t-exponent, integer numerator), ...)), ...)) without the zero
-        coefficients."""
-        d = lcm(*(v.denominator for _, p in ps for v in p))
-        return d, tuple((i, len(p), tuple((a, v.numerator * (d // v.denominator)) for a, v in enumerate(p) if v))
-                        for i, p in ps)
-
-    def convolve(self, terms, n):
-        """Ring.convolve in integers, on the operand form of each list."""
-        return self.convolve_operands([(c, self.operand(xs), self.operand(ys)) for c, xs, ys in terms], n)
-
-    def convolve_operands(self, terms, n):
-        """The integer loop: all triples over the lcm of their denominators,
-        plain-int sums in one row per series exponent indexed by t-exponent,
-        and one canonical value per output coefficient."""
-        d = lcm(*(c.denominator * dx * dy for c, (dx, _), (dy, _) in terms))
-        rows = {}
-        for c, (dx, xs), (dy, ys) in terms:
-            f = c.numerator * (d // (c.denominator * dx * dy))
-            if not f:
-                continue
-            for i, lx, px in xs:
-                if not px:
-                    continue
-                if f != 1:
-                    px = [(a, f * x) for a, x in px]
-                for j, ly, py in ys:
-                    k = i + j
-                    if k >= n:
-                        break
-                    row = rows.get(k)
-                    if row is None:
-                        row = rows[k] = []
-                    top = lx + ly - 1
-                    if len(row) < top:
-                        row.extend([0] * (top - len(row)))
-                    for a, x in px:
-                        for b, y in py:
-                            row[a + b] += x * y
-        if d == 1:
-            return {k: _strip(row) for k, row in rows.items()}
-        return {k: _strip([_over(v, d) for v in row]) for k, row in rows.items()}
-
     def mul(self, a, b):
-        return self.dot([(1, a, b)])
+        if not a or not b:
+            return ()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return _strip([_canonical(v) for v in out])
 
     def eq(self, a, b):
         return a == b

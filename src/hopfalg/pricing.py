@@ -17,10 +17,6 @@ from .hopf import HopfAlgebra
 # expanded, and the most the antipode memo may fill for the element of
 # ``antipode``, priced by ``antipode_term_bound``.
 MAX_COPRODUCT_TERMS = 100_000
-# The highest degree the antipode price sums to.  Its work grows about as the
-# square of the degree; a price that passes MAX_COPRODUCT_TERMS first is
-# refused on that count, as every element on the ladder of degree 37 or more is.
-MAX_PRICED_DEGREE = 500
 
 
 def check_price(bound: int, what: str) -> None:
@@ -79,10 +75,11 @@ def antipode_term_bound(ctx: HopfAlgebra, h: Element) -> int:
     the weights summed over degree n; degree k holds at most b(k) S values,
     of at most b(k) terms each.
 
-    Every count is built once, degree by degree from the unit up, and each
-    degree adds to the two sums.  They stop at the first degree where either
-    passes MAX_COPRODUCT_TERMS: the larger is then at most the full bound and
-    above the limit, so it is returned with the full bound's verdict.
+    Every count is built once, degree by degree from the unit up, over the
+    degrees that hold generators only, and each degree adds to the two sums.
+    They stop at the first degree where either passes MAX_COPRODUCT_TERMS:
+    the larger is then at most the full bound and above the limit, so it is
+    returned with the full bound's verdict.
     """
     if not h.terms:
         return 0
@@ -90,41 +87,61 @@ def antipode_term_bound(ctx: HopfAlgebra, h: Element) -> int:
     monomials = [(m.y_degree, [(g.degree, e) for g, e in m.powers]) for m in h.terms]
     top = max(d for d, _ in monomials)
     gen_top = max((n for _, fs in monomials for n, _ in fs), default=0)
-    # G(n), b(n), and the sum of j G(j) over the divisors j <= gen_top of n,
-    # in the generators of degree <= gen_top, which are all the generators
-    # any of these S and D values involve; s(n) of the antipode and of D.
-    counts, basis, euler, sizes = [0], [1], [0], ([0], [0])
-    # Per factor (deg g, e) and weight: the layers of each degree k, the
-    # product over n <= min(deg g, k) truncated at y^e, as {j: coefficient
-    # of y^j q^k}, and the series summed over j.
-    rows = {(f, w): [] for _, fs in monomials for f in fs for w in (0, 1)}
-    series = {key: [] for key in rows}
-    partial = [([[] for _ in fs], [[] for _ in fs]) for _, fs in monomials]  # products of a prefix of factors
+    # The degrees n <= gen_top that hold generators, in the generators of
+    # degree <= gen_top, which are all the generators any of these S and D
+    # values involve: (n, s(n) of the antipode and of D).
+    active = []
+    # b(k) is the q^k coefficient of the product over those degrees of
+    # (1 - q^n)^(-G(n)), kept as its partial products P_1, P_2, ... after
+    # P_0 = 1, each coefficient read off (1 - q^n)^G(n) P_i = P_(i-1) in
+    # min(G(n), k / n) steps: (n, the signed C(G(n), f) for f >= 1) per degree.
+    products, factors = [[1]], []
+    # Per factor degree d and weight: the layers of each degree k, the
+    # products over the first i active degrees <= min(d, k) truncated at y^e,
+    # e the highest exponent of a factor of degree d, as {j: coefficient of
+    # y^j q^k}.  Per factor (d, e) and weight: the series summed over j <= e,
+    # as its coefficients by degree and its nonzero (degree, coefficient) pairs.
+    tops: Dict[int, int] = {}
+    for _, fs in monomials:
+        for n, e in fs:
+            tops[n] = max(tops.get(n, 0), e)
+    rows = {(n, w): [] for n in tops for w in (0, 1)}
+    series = {(f, w): ([], []) for _, fs in monomials for f in fs for w in (0, 1)}
+    # Per monomial and weight, the products of a prefix of its factors, in the same form.
+    partial = [([([], []) for _ in fs], [([], []) for _ in fs]) for _, fs in monomials]
     antipode = coproduct = 0
     for k in range(top + 1):
-        if k > MAX_PRICED_DEGREE:
-            raise DomainError(f"the antipode price of this element sums to its degree {top}, "
-                              f"above the limit MAX_PRICED_DEGREE = {MAX_PRICED_DEGREE}")
+        gens = schema.generators_of_degree(k) if 0 < k <= gen_top else ()
+        if gens:
+            factors.append((k, [(-1) ** (f + 1) * comb(len(gens), f) for f in range(1, len(gens) + 1)]))
+            products.append(products[-1][:k])
         if k:
-            gens = schema.generators_of_degree(k) if k <= gen_top else ()
-            counts.append(len(gens))
-            euler.append(sum(j * counts[j] for j in range(1, k + 1) if k % j == 0))
-            basis.append(sum(euler[i] * basis[k - i] for i in range(1, k + 1)) // k)
-            sizes[0].append(len(gens) * basis[k])
-            sizes[1].append(sum(schema.reduced_term_count(g) + 2 for g in gens))
-        for ((degree, e), w), layers in rows.items():
+            products[0].append(0)
+            for (n, signed), prev, p in zip(factors, products, products[1:]):
+                p.append(prev[k] + sum(c * p[k - n * f] for f, c in enumerate(signed[:k // n], 1)))
+        b = products[-1][k]
+        if gens:
+            active.append((k, (len(gens) * b, sum(schema.reduced_term_count(g) + 2 for g in gens))))
+        for (degree, w), layers in rows.items():
+            e = tops[degree]
             row = [{0: 1} if k == 0 else {}]
-            for n in range(1, min(degree, k) + 1):
-                acc, s = dict(row[-1]), sizes[w][n]
-                for f in range(1, min(e, k // n) + 1) if s else ():
+            for i, (n, sizes) in enumerate(active):
+                if n > degree or n > k:
+                    break
+                acc, s = dict(row[-1]), sizes[w]
+                # Before the first active degree the product is empty: 1 at degree 0 only.
+                for f in range(1 if i else k // n, min(e, k // n) + 1):
                     below = layers[k - n * f]
                     c = comb(s + f - 1, f)
-                    for j, v in below[min(n - 1, len(below) - 1)].items():
+                    for j, v in below[min(i, len(below) - 1)].items():
                         if j + f <= e:
                             acc[j + f] = acc.get(j + f, 0) + c * v
                 row.append(acc)
             layers.append(row)
-            series[(degree, e), w].append(sum(row[-1].values()))
+        for ((degree, e), w), (values, support) in series.items():
+            values.append(sum(v for j, v in rows[degree, w][k][-1].items() if j <= e))
+            if values[k]:
+                support.append((k, values[k]))
         totals = [0, 0]
         for (d, fs), prods in zip(monomials, partial):
             if k > d:
@@ -132,11 +149,19 @@ def antipode_term_bound(ctx: HopfAlgebra, h: Element) -> int:
             for w in (0, 1):
                 q = 1 if k == 0 else 0  # the unit monomial
                 for i, f in enumerate(fs):
-                    now = series[f, w]
-                    q = now[k] if i == 0 else sum(v * now[k - l] for l, v in enumerate(prods[w][i - 1]))
-                    prods[w][i].append(q)
+                    if i == 0:
+                        q = series[f, w][0][k]
+                    else:  # the degree-k convolution, over the sparser of the two supports
+                        (xs, x_support), (ys, y_support) = prods[w][i - 1], series[f, w]
+                        if len(x_support) > len(y_support):
+                            xs, y_support = ys, x_support
+                        q = sum(v * xs[k - l] for l, v in y_support)
+                    values, support = prods[w][i]
+                    values.append(q)
+                    if q:
+                        support.append((k, q))
                 totals[w] += q
-        antipode += min(totals[0], basis[k] ** 2)
+        antipode += min(totals[0], b ** 2)
         coproduct += totals[1]
         if max(antipode, coproduct) > MAX_COPRODUCT_TERMS:
             break

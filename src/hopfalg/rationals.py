@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 from math import lcm
 
-from .errors import DomainError, HopfError, SingularInputError
+from .errors import DomainError, HopfError, SingularInputError, quoted
 
 
 class Frozen:
@@ -35,7 +35,7 @@ def parse_rational(text: str):
     try:
         q = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise HopfError(f"not a rational number: {text!r}") from exc
+        raise HopfError(f"not a rational number: {quoted(text)}") from exc
     return _canonical(q)
 
 
@@ -248,7 +248,7 @@ class RationalField(Ring):
 
     def value_from_json(self, data):
         if not isinstance(data, str):
-            raise HopfError(f"rational values are encoded as strings, got {data!r}")
+            raise HopfError(f"rational values are encoded as strings, got {quoted(data)}")
         return parse_rational(data)
 
 

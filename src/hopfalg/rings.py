@@ -1,4 +1,4 @@
-"""Truncated Laurent series over a base ring (Q, or Q[t] from ``polynomials``).
+"""Truncated Laurent series over Q.
 
 A commutative unital Q-algebra with decidable, canonical equality, on the
 ring interface of ``rationals`` (whose names this module re-exports); values
@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Optional
 
-from .errors import DomainError, HopfError, SingularInputError, TruncationError, UnsupportedRingError
+from .errors import DomainError, HopfError, SingularInputError, TruncationError, UnsupportedRingError, quoted
 from . import _forwarder
 from .rationals import (QQ, Frozen, RationalField, Ring, _canonical, format_rational, is_json_int,  # noqa: F401
                         parse_rational)
@@ -32,8 +32,8 @@ class LaurentSeries(Frozen):
     Equality and hash are on (coeffs, trunc) only.
     """
 
-    # _operand: (base ring, coeffs in its operand form), built by the first
-    # product the series enters: table values enter hundreds of them.
+    # _operand: the coeffs in QQ's operand form, built by the first product
+    # the series enters: table values enter hundreds of them.
     __slots__ = ("coeffs", "trunc", "_operand")
 
     def __init__(self, coeffs: tuple, trunc: Optional[int]):
@@ -58,13 +58,13 @@ class LaurentSeries(Frozen):
     def min_exp(self) -> Optional[int]:
         return self.coeffs[0][0] if self.coeffs else None
 
-    def operand(self, base: Ring):
-        """The coefficients in ``base.operand`` form, built once per series and base ring."""
+    def operand(self, base: RationalField):
+        """The coefficients in ``base.operand`` form, built once per series."""
         memo = self._operand
-        if memo is None or memo[0] is not base:
-            memo = (base, base.operand(self.coeffs))
+        if memo is None:
+            memo = base.operand(self.coeffs)
             _set_operand(self, memo)
-        return memo[1]
+        return memo
 
     def as_dict(self) -> dict:
         return dict(self.coeffs)
@@ -94,21 +94,18 @@ class LaurentRing(Ring):
 
     Arithmetic propagates the tightest sound truncation bound: no operation
     ever reports a coefficient that discarded high-order terms could pollute.
-    The base is Q or Q[t]: products run in the base's integer kernel
-    (``operand`` and ``convolve_operands``).
+    The base is Q, whose values are int or Fraction: zero is exactly the
+    falsy value, + and * are the field's operations, and products run in its
+    integer kernel (``operand`` and ``convolve_operands``).  Any other base
+    raises.
     """
 
     def __init__(self, base: Ring, var: str = "eps"):
+        if not isinstance(base, RationalField):
+            raise UnsupportedRingError(f"Laurent series are over Q only, not over {base.tag}")
         self.base = base
         self.var = var
-        if base is QQ and var == "eps":
-            self.tag = "laurent"
-        else:
-            self.tag = f"laurent[{var}]:{base.tag}"
-        # Over Q and Q[t] zero is exactly the falsy value.  Over Q a value is
-        # an int or a Fraction, and + and * are the field's operations, so the
-        # hot paths skip the base-ring method calls.
-        self.rational = isinstance(base, RationalField)
+        self.tag = "laurent" if base is QQ and var == "eps" else f"laurent[{var}]:{base.tag}"
         self._one = LaurentSeries(((0, base.one()),), None)  # one(), shared: series are immutable
 
     # -- construction ------------------------------------------------------
@@ -159,24 +156,18 @@ class LaurentRing(Ring):
 
     def add(self, a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
         out = dict(a.coeffs)
-        if self.rational:
-            for k, v in b.coeffs:
-                out[k] = out.get(k, 0) + v
-        else:
-            add = self.base.add
-            for k, v in b.coeffs:
-                cur = out.get(k)
-                out[k] = v if cur is None else add(cur, v)
+        for k, v in b.coeffs:
+            out[k] = out.get(k, 0) + v
         return self.make(out, _min_trunc(a.trunc, b.trunc))
 
     def neg(self, a: LaurentSeries) -> LaurentSeries:
-        return LaurentSeries(tuple((k, self.base.neg(v)) for k, v in a.coeffs), a.trunc)
+        return LaurentSeries(tuple((k, -v) for k, v in a.coeffs), a.trunc)
 
     def dot(self, terms) -> LaurentSeries:
         """Sum of c a b over (c, a, b) triples, in one base-ring convolve, on
         the narrowest sound window of any one product (empty and zero operands
         included): exactly as sound as adding the products one at a time."""
-        if self.rational and len(terms) == 1 and terms[0][2] is self._one:
+        if len(terms) == 1 and terms[0][2] is self._one:
             # c a one() is c a: no kernel pass, and with c = 1 each
             # coefficient keeps its object.
             c, a, _ = terms[0]
@@ -218,14 +209,7 @@ class LaurentRing(Ring):
             return a.coeffs == b.coeffs
         w = _min_trunc(a.trunc, b.trunc)
         da, db = a.as_dict(), b.as_dict()
-        for k in set(da) | set(db):
-            if w is not None and k > w:
-                continue
-            va = da.get(k, self.base.zero())
-            vb = db.get(k, self.base.zero())
-            if not self.base.eq(va, vb):
-                return False
-        return True
+        return all(da.get(k, 0) == db.get(k, 0) for k in da.keys() | db.keys() if w is None or k <= w)
 
     def is_zero(self, a: LaurentSeries) -> bool:
         return not a.coeffs
@@ -243,18 +227,9 @@ class LaurentRing(Ring):
         if not a.coeffs:
             raise SingularInputError("cannot invert the zero series")
         v = a.min_exp()
-        lead = a.coeffs[0][1]
-        try:
-            lead_inv = self.base.invert(lead)
-        except AttributeError:
-            raise UnsupportedRingError(
-                "series inversion needs an invertible leading coefficient; "
-                f"the base ring {self.base.tag} does not support inversion"
-            ) from None
+        lead_inv = self.base.invert(a.coeffs[0][1])
         # a = lead * x^v * (1 + u) with u of strictly positive valuation.
-        u = {}
-        for k, c in a.coeffs[1:]:
-            u[k - v] = self.base.mul(lead_inv, c)
+        u = {k - v: lead_inv * c for k, c in a.coeffs[1:]}
         if not u:
             out_trunc = None if a.trunc is None else a.trunc - 2 * v
             return self.make({-v: lead_inv}, out_trunc)
@@ -278,7 +253,7 @@ class LaurentRing(Ring):
             if self.is_zero(term):
                 break
             acc = self.add(acc, term)
-        shifted = {k - v: self.base.mul(lead_inv, c) for k, c in acc.coeffs}
+        shifted = {k - v: lead_inv * c for k, c in acc.coeffs}
         return self.make(shifted, out_trunc)
 
     def exp(self, a: LaurentSeries) -> LaurentSeries:
@@ -314,10 +289,7 @@ class LaurentRing(Ring):
             return LaurentSeries((), a.trunc)
         if q == 1:
             return a
-        if self.rational:
-            return LaurentSeries(tuple((k, q * v) for k, v in a.coeffs), a.trunc)
-        scale = self.base.scale
-        return LaurentSeries(tuple((k, scale(q, v)) for k, v in a.coeffs), a.trunc)
+        return LaurentSeries(tuple((k, q * v) for k, v in a.coeffs), a.trunc)
 
     # -- the minimal-subtraction split --------------------------------------
 
@@ -347,19 +319,19 @@ class LaurentRing(Ring):
 
     def value_from_json(self, data):
         if not isinstance(data, dict) or not isinstance(data.get("coeffs"), dict):
-            raise HopfError(f"not a Laurent series encoding: {data!r}")
+            raise HopfError(f"not a Laurent series encoding: {quoted(data)}")
         trunc = data.get("truncation")
         if trunc is not None and not is_json_int(trunc):
-            raise HopfError(f"truncation must be an integer or null, got {trunc!r}")
+            raise HopfError(f"truncation must be an integer or null, got {quoted(trunc)}")
         min_exp = data.get("minExp")
         if min_exp is not None and not is_json_int(min_exp):
-            raise HopfError(f"minExp must be an integer or null, got {min_exp!r}")
+            raise HopfError(f"minExp must be an integer or null, got {quoted(min_exp)}")
         coeffs = {}
         for key, val in data["coeffs"].items():
             try:
                 k = int(key)
             except ValueError:
-                raise HopfError(f"Laurent exponents must be integers, got {key!r}") from None
+                raise HopfError(f"Laurent exponents must be integers, got {quoted(key)}") from None
             if min_exp is not None and k < min_exp:
                 raise HopfError(f"stored exponent {k} below declared minExp {min_exp}")
             if trunc is not None and k > trunc:

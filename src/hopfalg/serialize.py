@@ -12,7 +12,7 @@ import json
 from typing import TYPE_CHECKING
 
 from .algebra import Element, Monomial, TensorElement
-from .errors import HopfError
+from .errors import HopfError, quoted
 from .hopf import HopfAlgebra
 from .rationals import QQ, Ring, format_rational, is_json_int
 
@@ -30,7 +30,7 @@ def ring_by_tag(tag) -> Ring:
         from .rings import EPS_RING
 
         return EPS_RING
-    raise HopfError(f"unknown ring tag {tag!r}; expected one of {list(RING_TAGS)}")
+    raise HopfError(f"unknown ring tag {quoted(tag)}; expected one of {list(RING_TAGS)}")
 
 
 def ring_tag(ring: Ring) -> str:
@@ -48,14 +48,14 @@ def monomial_to_json(m: Monomial) -> list:
 
 def monomial_from_json(ctx: HopfAlgebra, data) -> Monomial:
     if not isinstance(data, list):
-        raise HopfError(f"monomial encoding must be a list of [name, exp]: {data!r}")
+        raise HopfError(f"monomial encoding must be a list of [name, exp]: {quoted(data)}")
     powers = []
     for entry in data:
         if not isinstance(entry, list) or len(entry) != 2 or not isinstance(entry[0], str):
-            raise HopfError(f"monomial factors are [name, exp] pairs, got {entry!r}")
+            raise HopfError(f"monomial factors are [name, exp] pairs, got {quoted(entry)}")
         name, exp = entry
         if not is_json_int(exp) or exp < 1:
-            raise HopfError(f"monomial exponents must be integers >= 1, got {exp!r}")
+            raise HopfError(f"monomial exponents must be integers >= 1, got {quoted(exp)}")
         powers.append((ctx.schema.generator_by_name(name), exp))
     return Monomial.from_powers(powers)
 
@@ -73,7 +73,7 @@ def element_from_json(ctx: HopfAlgebra, data) -> Element:
     pairs = []
     for term in data["terms"]:
         if not isinstance(term, dict) or not {"coeff", "monomial"} <= term.keys():
-            raise HopfError(f"element terms are objects with 'coeff' and 'monomial', got {term!r}")
+            raise HopfError(f"element terms are objects with 'coeff' and 'monomial', got {quoted(term)}")
         coeff = QQ.value_from_json(term["coeff"])
         m = monomial_from_json(ctx, term["monomial"])
         pairs.append((m, coeff))
@@ -127,10 +127,10 @@ def functional_from_json(ctx: HopfAlgebra, data: dict) -> Functional:
     ring = ring_by_tag(data.get("ring", "rational"))
     cutoff = data.get("cutoff")
     if cutoff is not None and (not is_json_int(cutoff) or cutoff < 0):
-        raise HopfError(f"functional 'cutoff' must be an integer >= 0, got {cutoff!r}")
+        raise HopfError(f"functional 'cutoff' must be an integer >= 0, got {quoted(cutoff)}")
     values = data.get("values", {})
     if not isinstance(values, dict):
-        raise HopfError(f"functional 'values' must be an object, got {values!r}")
+        raise HopfError(f"functional 'values' must be an object, got {quoted(values)}")
     if kind == TableFunctional.kind:
         from .exprparse import parse_element
 
@@ -138,10 +138,10 @@ def functional_from_json(ctx: HopfAlgebra, data: dict) -> Functional:
         for expr, raw in values.items():
             e = parse_element(ctx, expr)
             if len(e.terms) != 1:
-                raise HopfError(f"table keys must be single monomials, got {expr!r}")
+                raise HopfError(f"table keys must be single monomials, got {quoted(expr)}")
             (m, c), = e.terms.items()
             if c != 1:
-                raise HopfError(f"table keys must be bare monomials, got {expr!r}")
+                raise HopfError(f"table keys must be bare monomials, got {quoted(expr)}")
             table[m] = ring.value_from_json(raw)
         return TableFunctional(ctx, ring, table)
     for cls in (Character, InfinitesimalCharacter):
@@ -149,7 +149,7 @@ def functional_from_json(ctx: HopfAlgebra, data: dict) -> Functional:
             gen_values = {ctx.schema.generator_by_name(name): ring.value_from_json(raw)
                           for name, raw in values.items()}
             return cls(ctx, ring, gen_values, cutoff=cutoff)
-    raise HopfError(f"unknown functional kind {kind!r}")
+    raise HopfError(f"unknown functional kind {quoted(kind)}")
 
 
 def read_json(path: str, what: str):

@@ -937,3 +937,19 @@ def test_a_flag_after_expr_still_reads_as_a_flag(argv, capsys):
     out, err = capsys.readouterr()
     assert not out
     assert json.loads(err) == {"error": "UsageError", "message": "argument --expr: expected one argument"}
+
+
+def test_a_flag_given_as_flag_equals_dash_dash_keeps_its_value(capsys):
+    # argparse drops a value "--" given as --flag=--: --expr reads it back as
+    # the expression "--", and any other flag is refused without its value.
+    assert cli.main(["coproduct", "--expr=--"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and json.loads(err) == {"error": "HopfError", "message": "unexpected token '-' in '--'"}
+    for argv, flag in ([["coproduct", "--file=--"], "--file"], [["verify", "--max-degree=--"], "--max-degree"],
+                       [["rg-check", "loop.json", "--eps-order=--"], "--eps-order"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert json.loads(err) == {"error": "UsageError", "message": f"argument {flag}: expected one argument"}

@@ -53,6 +53,17 @@ SCHEMA_CHARACTER = {"kind": "character", "ring": "rational", "values": {"x1": "1
 SCHEMA_COMMANDS = [["verify", "--max-degree", "3"], ["coproduct", "--expr", "x1*x3"], ["antipode", "--expr", "x3"],
                    ["log", "{character}", "--max-degree", "3"]]
 
+# Element files of ``coproduct --file`` and ``antipode --file``, on each schema
+# that reads them; "custom" is SCHEMA, written to a file.
+ELEMENTS = {
+    "ladder": {"terms": [{"coeff": "1", "monomial": [["t1", 2], ["t3", 1]]},
+                         {"coeff": "-1/2", "monomial": [["t2", 1]]}]},
+    "trees:5": {"terms": [{"coeff": "3", "monomial": [["[[]]", 1], ["[]", 2]]},
+                          {"coeff": "1/3", "monomial": [["[[][[]]]", 1]]}]},
+    "custom": {"terms": [{"coeff": "2", "monomial": [["x1", 1], ["x2", 1]]}, {"coeff": "-1", "monomial": [["x3", 1]]},
+                         {"coeff": "1", "monomial": []}]},
+}
+
 # A JSON integer past the interpreter's limit on the digits of an int it reads.
 TOO_LONG = "9" * 5000
 NEST = "@@nest@@"
@@ -98,6 +109,8 @@ def mutated(draw, doc):
             parent[key] = draw(st.sampled_from(HUGE))
         elif kind == "rename" and isinstance(parent, dict):
             parent[draw(st.sampled_from(UNKNOWN_NAMES))] = parent.pop(key)
+        elif kind == "rename" and isinstance(parent[key], str):  # a generator name in a monomial's list
+            parent[key] = draw(st.sampled_from(UNKNOWN_NAMES))
         elif kind == "stray" and isinstance(parent, dict):
             parent[draw(st.sampled_from(["zzz", "kind", "ring", "cutoff", "values", "minExp"]))] = \
                 copy.deepcopy(draw(st.sampled_from(WRONG_TYPES + HUGE)))
@@ -167,12 +180,29 @@ def test_any_schema_file_exits_0_1_or_2_with_a_json_diagnostic(workdir, data):
     check(*run([*argv, "--schema", f"custom:{schema}"]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_element_file_exits_0_or_2_with_a_json_diagnostic(workdir, data):
+    schema = key = data.draw(st.sampled_from(sorted(ELEMENTS)))
+    if key == "custom":
+        path = workdir / "element-schema.json"
+        path.write_text(json.dumps(SCHEMA))
+        schema = f"custom:{path}"
+    element = workdir / "element.json"
+    element.write_text(data.draw(mutated(ELEMENTS[key])))
+    code, out, err, elapsed = run([data.draw(st.sampled_from(["coproduct", "antipode"])), "--file", str(element),
+                                   "--schema", schema])
+    check(code, out, err, elapsed)
+    assert code in (0, 2)
+
+
 @pytest.mark.parametrize("argv, payload, message", [
     # Integers past the interpreter's digit limit, in a file and in --expr.
     (["log", "{}"], '{"kind": "character", "cutoff": ' + TOO_LONG + ', "values": {}}',
      "cannot parse functional file {}: Exceeds the limit (4300 digits) for integer string conversion"),
     (["antipode", "--expr", "t" + TOO_LONG], None, "a ladder generator index of 5000 digits is past what Python reads"),
-    (["antipode", "--expr", "t1^" + TOO_LONG], None, f"exponent {TOO_LONG} exceeds the limit MAX_EXPONENT = 64"),
+    (["antipode", "--expr", "t1^" + TOO_LONG], None,
+     f"exponent {TOO_LONG[:40]!r}... (5000 characters) exceeds the limit MAX_EXPONENT = 64"),
     # A value of more digits than Python writes.
     (["log", "{}", "--max-degree", "3"], json.dumps({"kind": "character", "values": {"t1": "9" * 3000}}),
      "a value has more than 4300 decimal digits"),
@@ -184,14 +214,11 @@ def test_any_schema_file_exits_0_1_or_2_with_a_json_diagnostic(workdir, data):
      "phi has a pole of order 4000000000 through degree 4, above the limit MAX_POLE_ORDER = 100"),
     (["verify", "--schema", "custom:{}"], json.dumps({"generators": [{"name": "x", "degree": 10 ** 9}]}),
      "generator 'x' has degree 1000000000, above the limit MAX_SCHEMA_DEGREE = 100"),
-    (["antipode", "--schema", "custom:{}", "--expr", "y^6"],
-     json.dumps({"generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 100}]}),
-     "the antipode price of this element sums to its degree 600, above the limit MAX_PRICED_DEGREE = 500"),
     # A price of more digits than Python writes.
     (["coproduct", "--file", "{}"], json.dumps({"terms": [{"coeff": "1", "monomial": [["t3", 10 ** 4000]]}]}),
      "the coproducts of this element may fill more than 10^15998 terms, above the limit MAX_COPRODUCT_TERMS"),
 ], ids=["long-integer-in-a-file", "long-ladder-index", "long-exponent", "long-output-value", "unicode-digit-name",
-        "pole-order", "schema-degree", "priced-degree", "long-price"])
+        "pole-order", "schema-degree", "long-price"])
 def test_inputs_the_fuzz_found_exit_2_naming_the_limit(argv, payload, message, tmp_path):
     path = tmp_path / "input.json"
     if payload is not None:
@@ -199,3 +226,64 @@ def test_inputs_the_fuzz_found_exit_2_naming_the_limit(argv, payload, message, t
     code, out, err, elapsed = run([a.format(path) for a in argv])
     assert (code, out) == (2, "") and elapsed < EXAMPLE_LIMIT_S
     assert message.format(path) in json.loads(err)["message"]
+
+
+def test_diagnostics_quote_at_most_40_characters_of_an_input(tmp_path):
+    character = tmp_path / "character.json"
+    character.write_text(json.dumps({"kind": "character", "values": {"t1": "9" * 5000}}))
+    element = tmp_path / "element.json"
+    element.write_text(json.dumps({"terms": [{"coeff": "1", "monomial": [["t1", -(10 ** 4000)]]}]}))
+    values = tmp_path / "values.json"
+    values.write_text(json.dumps({"kind": "character", "values": [["t1", "1"]] * 2000}))
+    listed = repr([["t1", "1"]] * 2000)
+    unclosed = "(" + "t1+" * 2000 + "t1"
+    cases = [
+        (["log", str(values)], f"functional 'values' must be an object, got {listed[:40]}... ({len(listed)} characters)"),
+        (["log", str(values), "--schema", "x" * 5000],
+         f"unknown schema selector {'x' * 40!r}... (5000 characters); expected ladder, trees:<n> or custom:<path>"),
+        (["log", str(character)], f"not a rational number: {'9' * 40!r}... (5000 characters)"),
+        (["coproduct", "--file", str(element)],
+         f"monomial exponents must be integers >= 1, got -{'1' + '0' * 38}... (4002 characters)"),
+        (["antipode", "--expr", "t1+" * 2000 + "q" * 5000],
+         f"unknown generator {'q' * 40!r}... (5000 characters) in the ladder schema"),
+        (["antipode", "--expr", unclosed], f"expected ')' in {unclosed[:40]!r}... (6003 characters), got None"),
+        # Up to 40 characters an input is quoted whole, as before.
+        (["antipode", "--expr", "t1 + 1/0"], "not a rational number: '1/0'"),
+        (["antipode", "--expr", "t1 + (t2"], "expected ')' in 't1 + (t2', got None"),
+    ]
+    for argv, message in cases:
+        code, out, err, _ = run(argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"] == message
+        assert len(err) < 200
+
+
+# A custom schema whose generators sit at degrees 1 and 100, and y primitive.
+SPARSE_SCHEMA = {"generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 100}]}
+
+
+def test_a_sparse_schema_prices_the_antipode_at_any_degree(tmp_path):
+    from hopfalg.exprparse import parse_element
+    from hopfalg.hopf import HopfAlgebra
+    from hopfalg.instances import load_schema
+    from hopfalg.pricing import antipode_term_bound
+
+    schema = tmp_path / "sparse.json"
+    schema.write_text(json.dumps(SPARSE_SCHEMA))
+    for powers in ([6], range(1, 11)):
+        expr = "+".join(f"y^{k}" for k in powers)
+        code, out, err, elapsed = run(["antipode", "--schema", f"custom:{schema}", "--expr", expr])
+        assert (code, err) == (0, "") and elapsed < EXAMPLE_LIMIT_S
+        # S(y^k) = (-1)^k y^k for a primitive y.
+        assert json.loads(out)["terms"] == [{"coeff": str((-1) ** k), "monomial": [["y", k]]} for k in powers]
+        ctx = HopfAlgebra(load_schema(str(schema)), validate_to=0)
+        h = parse_element(ctx, expr)
+        bound = antipode_term_bound(ctx, h)
+        ctx.antipode(h)
+        assert sum(len(s.terms) for s in ctx._antipode_r.values()) <= bound
+        assert sum(len(d.terms) for d in ctx._coproduct.values()) <= bound
+    # Sums that grow slowly over sparse degrees still reach the limit in time.
+    schema.write_text(json.dumps({"generators": [{"name": "a", "degree": 99}, {"name": "y", "degree": 100}]}))
+    code, out, err, elapsed = run(["antipode", "--schema", f"custom:{schema}", "--expr", "a^64*a^64*a^64*a^64*y"])
+    assert (code, out) == (2, "") and elapsed < EXAMPLE_LIMIT_S
+    assert "above the limit MAX_COPRODUCT_TERMS = 100000" in json.loads(err)["message"]

@@ -1,5 +1,6 @@
 """Ring tower tests: exact rationals, polynomials, truncated Laurent series."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,15 @@ def test_polynomials_are_over_q_only():
         PolynomialRing(PT, "s")
     with pytest.raises(UnsupportedRingError):
         PolynomialRing(L, "t")
+
+
+def test_laurent_series_are_over_q_only():
+    for base in (PT, L):
+        message = f"Laurent series are over Q only, not over {base.tag}"
+        with pytest.raises(UnsupportedRingError, match=re.escape(message)):
+            LaurentRing(base, "eps")
+    for name in ("operand", "convolve", "convolve_operands"):
+        assert name not in vars(PolynomialRing)
 
 
 @given(a=rationals, b=rationals, c=rationals)
@@ -173,47 +183,6 @@ def test_rational_dot_is_the_exponent_zero_kernel(terms):
     assert got == sum((c * x * y for c, x, y in terms), Fraction(0)) == Ring.dot(QQ, terms)
 
 
-LT = LaurentRing(PT, "eps")
-
-
-@st.composite
-def laurent_poly_values(draw):
-    """Laurent series over Q[t] with their exact 2-d coefficient table."""
-    table = {}
-    for _ in range(draw(st.integers(min_value=0, max_value=4))):
-        k = draw(st.integers(min_value=-3, max_value=3))
-        for j, c in enumerate(draw(st.lists(rationals, max_size=3))):
-            table[(k, j)] = c
-    trunc = draw(st.one_of(st.none(), st.integers(min_value=3, max_value=5)))
-    polys = {}
-    for (k, j), c in table.items():
-        polys[k] = PT.add(polys.get(k, PT.zero()), PT.monomial(j, c))
-    return LT.make(polys, trunc), {key: c for key, c in table.items() if c}
-
-
-def as_table(series):
-    return {(k, j): c for k, p in series.coeffs for j, c in enumerate(p) if c}
-
-
-@settings(max_examples=80)
-@given(a=laurent_poly_values(), b=laurent_poly_values())
-def test_laurent_over_polynomials_mul_matches_naive_convolution(a, b):
-    (a, ta), (b, tb) = a, b
-    expect = {}
-    for (ka, ja), va in ta.items():
-        for (kb, jb), vb in tb.items():
-            key = (ka + kb, ja + jb)
-            expect[key] = expect.get(key, Fraction(0)) + va * vb
-    expect = {key: c for key, c in expect.items() if c}
-    exact = LT.mul(type(a)(a.coeffs, None), type(b)(b.coeffs, None))
-    assert exact.trunc is None
-    assert as_table(exact) == expect
-    got = LT.mul(a, b)
-    sound = {key: c for key, c in expect.items() if got.trunc is None or key[0] <= got.trunc}
-    assert as_table(got) == sound
-
-
-
 def schoolbook_mul(ring, a, b):
     """a b term by term, sound below the lowest exponent that an unknown
     coefficient of one factor reaches against the other factor."""
@@ -243,14 +212,6 @@ scalars = st.one_of(st.just(Fraction(0)), st.just(Fraction(1)), st.fractions(max
 @given(terms=st.lists(st.tuples(scalars, laurent_values(), laurent_values()), max_size=4))
 def test_laurent_dot_matches_the_unfused_loop(terms):
     got, want = L.dot(terms), unfused_dot(L, terms)
-    assert got.coeffs == want.coeffs and got.trunc == want.trunc
-
-
-@settings(max_examples=80)
-@given(terms=st.lists(st.tuples(scalars, laurent_poly_values(), laurent_poly_values()), max_size=3))
-def test_laurent_over_polynomials_dot_matches_the_unfused_loop(terms):
-    terms = [(c, a, b) for c, (a, _), (b, _) in terms]
-    got, want = LT.dot(terms), unfused_dot(LT, terms)
     assert got.coeffs == want.coeffs and got.trunc == want.trunc
 
 
@@ -288,27 +249,6 @@ def test_polynomial_kernel_matches_the_generic_kernel_and_a_2d_schoolbook(terms,
     assert got == Ring.convolve(PT, terms, n)  # same reached exponents, zeros included
     assert all(k < n and (not p or p[-1]) and all(canonical(v) for v in p) for k, p in got.items())
     assert {(k, j): v for k, p in got.items() for j, v in enumerate(p) if v} == expect
-
-
-def test_laurent_over_polynomials_product_makes_no_polynomial_mul_or_add(monkeypatch):
-    calls = []
-
-    def forbidden(name):
-        def record(self, a, b):
-            calls.append(name)
-            raise AssertionError(f"PolynomialRing.{name} called")
-        return record
-
-    a = LT.make({k: tuple(Fraction(k + j, 3) for j in range(1, 4)) for k in range(-2, 3)}, 4)
-    b = LT.make({k: tuple(Fraction(2 * j - k, 7) for j in range(1, 3)) for k in range(-1, 4)}, None)
-    with monkeypatch.context() as patch:
-        patch.setattr(PolynomialRing, "mul", forbidden("mul"))
-        patch.setattr(PolynomialRing, "add", forbidden("add"))
-        product = LT.mul(a, b)
-        fused = LT.dot([(Fraction(1, 2), a, b), (3, b, b)])
-    assert calls == []
-    assert product.coeffs == schoolbook_mul(LT, a, b).coeffs
-    assert fused.coeffs == unfused_dot(LT, [(Fraction(1, 2), a, b), (3, b, b)]).coeffs
 
 
 def test_laurent_mul_over_rationals_never_calls_the_field_mul(monkeypatch):
@@ -490,15 +430,14 @@ def test_exact_operations_never_return_a_float():
                         L.invert_unit(L.make({-2: a, 0: Fraction(1, 3), 1: 2}, trunc), to_order=3)]
         results += [ExpSum({2: a}).integrate_to_infinity(), ExpSum({1: 1, 3: a}).integrate_to_infinity(),
                     ExpSum({2: a, 3: 1}).integrate_to_variable()]
-    # Int-valued operands through the Laurent-over-Q and Q[t] kernels.
+    # Int-valued operands through the Laurent-over-Q kernel and the Q[t] products.
     ints = [a for a in inputs if type(a) is int]
     for a in ints:
         for b in ints:
             x, y = L.make({-1: a, 0: b}, None), L.make({0: b, 2: a}, 3)
             results += [L.mul(x, y), L.dot([(a, x, y), (b, y, y)]), L.scale(a, y), L.invert_unit(y),
                         PT.mul((a, b), (b, 0, a)), PT.dot([(a, (b,), (a, b)), (b, (a, a), (b,))]),
-                        PT.convolve([(a, [(0, (a, b))], [(1, (b,)), (2, (a,))])], 3),
-                        LT.mul(LT.make({-1: (a, b)}, None), LT.make({0: (b,), 1: (0, a)}, 2))]
+                        PT.convolve([(a, [(0, (a, b))], [(1, (b,)), (2, (a,))])], 3)]
     results += [parse_rational(text) for text in ("3", "-4/2", " 7 ", "1/2", "-6/4")]
     results += [QQ.invert(a) for a in ints]
     assert not [r for r in results if _floats_in(r)]
@@ -525,15 +464,13 @@ def test_kernel_results_are_canonical():
         rational = QQ.convolve([(c, [(0, x)], [(0, y)]) for c, x, y in terms], 1)
         series = L.dot([(c, L.make({0: x}, None), L.make({0: y}, None)) for c, x, y in terms])
         poly = PT.dot([(c, (x,), (y,)) for c, x, y in terms])
-        # The Q[t] row kernel, directly and under a Laurent series over Q[t].
+        # The Q[t] kernel on a row of polynomials.
         rows = PT.convolve([(c, [(0, (0, x))], [(0, (y,))]) for c, x, y in terms], 1)
-        poly_series = LT.dot([(c, LT.make({0: (0, x)}, None), LT.make({0: (y,)}, None)) for c, x, y in terms])
-        values = [QQ.dot(terms), *rational.values(), *(v for _, v in series.coeffs), *poly, *rows[0],
-                  *(v for _, p in poly_series.coeffs for v in p)]
+        values = [QQ.dot(terms), *rational.values(), *(v for _, v in series.coeffs), *poly, *rows[0]]
         assert all(canonical(v) for v in values), (name, [type(v) for v in values])
         assert QQ.dot(terms) == rational[0] == want, name
         assert series == L.from_rational(want) and poly == PT.constant(want), name
-        assert rows[0] == PT.monomial(1, want) and poly_series == LT.monomial(0, PT.monomial(1, want)), name
+        assert rows[0] == PT.monomial(1, want), name
     assert parse_rational("6/3") == 2 and type(parse_rational("6/3")) is int
     assert type(parse_rational("-5")) is int and type(parse_rational("5/3")) is Fraction
 
@@ -567,9 +504,7 @@ def window_eq(ring, a, b):
 
 
 def _as_ints(value):
-    """The same value with every integral Fraction replaced by an int."""
-    if isinstance(value, tuple):
-        return tuple(_as_ints(v) for v in value)
+    """The same value with an integral Fraction replaced by an int."""
     return value.numerator if value.denominator == 1 else value
 
 
@@ -578,11 +513,10 @@ small_coefficients = st.sampled_from(sorted({Fraction(n, d) for n in range(-3, 4
 
 @st.composite
 def series_pairs(draw):
-    """Two series over Q or Q[t]: the second is the first's coefficients,
-    possibly with integral Fractions as ints, one entry changed, dropped or
-    added, and an equal or a different truncation."""
-    ring = draw(st.sampled_from([L, LT]))
-    value = small_coefficients if ring is L else st.lists(small_coefficients, max_size=3).map(_strip_poly)
+    """Two series over Q: the second is the first's coefficients, possibly
+    with integral Fractions as ints, one entry changed, dropped or added, and
+    an equal or a different truncation."""
+    ring, value = L, small_coefficients
     exps = st.integers(min_value=-3, max_value=4)
     coeffs = draw(st.dictionaries(exps, value, max_size=4))
     truncs = st.one_of(st.none(), st.integers(min_value=-3, max_value=5))

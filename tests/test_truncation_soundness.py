@@ -6,9 +6,18 @@ of hidden tail can change any reported coefficient; these tests extend the
 operands with random tails and demand bit-equality on the claimed window.
 """
 
+import io
+import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from hopfalg import cli
+from hopfalg.hopf import HopfAlgebra
 from hopfalg.rings import QQ, LaurentRing, LaurentSeries
 
 L = LaurentRing(QQ, "eps")
@@ -118,3 +127,103 @@ def test_pole_part_of_truncated_input_is_exact():
         assert pole.trunc is None
         full_pole = L.pole_part(extend_with_tail(a_exact, ta))
         assert pole.as_dict() == full_pole.as_dict()
+
+
+# -- windows sound by completion, through the CLI ------------------------------------
+#
+# A truncated loop stands for each of its exact completions.  Every coefficient
+# that ``birkhoff`` or ``rg-check`` reports for it inside a window must be the one
+# it reports for every completion.  At or above the Birkhoff budget every
+# rg-check window reaches eps^0, so the loops are also drawn up to two orders
+# under it, where ``birkhoff`` refuses them and a window of ``rg-check`` may end
+# at or below eps^0.
+
+COMPLETION_SCHEMAS = {"ladder": 5, "trees:4": 4}
+completion_coefficients = st.sampled_from([-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def completed_loops(draw):
+    """(schema, degree, budget, truncated loop, three exact completions), the
+    loops as JSON functional documents.  The loop has a pole of order 1 or 2
+    and each value is truncated within two orders of the Birkhoff budget
+    (degree - 1) * pole; each completion adds a random tail above every
+    truncation."""
+    schema = draw(st.sampled_from(sorted(COMPLETION_SCHEMAS)))
+    degree = draw(st.integers(min_value=1, max_value=COMPLETION_SCHEMAS[schema]))
+    pole = draw(st.integers(min_value=1, max_value=2))
+    budget = (degree - 1) * pole
+    gens = HopfAlgebra(cli.resolve_schema(schema), validate_to=0).schema.generators_up_to(degree)
+    truncated, completions = {}, [{}, {}, {}]
+    for i, g in enumerate(gens):
+        trunc = draw(st.integers(min_value=max(budget - 2, -pole), max_value=budget + 2))
+        coeffs = draw(st.dictionaries(st.integers(min_value=-pole, max_value=trunc), completion_coefficients,
+                                      max_size=4))
+        if i == 0:
+            coeffs[-pole] = 1
+        truncated[g.name] = {"truncation": trunc, "coeffs": {str(k): str(v) for k, v in coeffs.items()}}
+        for completion in completions:
+            tail = draw(st.dictionaries(st.integers(min_value=trunc + 1, max_value=trunc + 3),
+                                        completion_coefficients, max_size=3))
+            completion[g.name] = {"truncation": None,
+                                  "coeffs": {str(k): str(v) for k, v in {**coeffs, **tail}.items()}}
+    loops = [{"kind": "character", "ring": "laurent", "values": values} for values in [truncated] + completions]
+    return schema, degree, budget, loops
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, json.loads(out.getvalue()) if out.getvalue() else None
+
+
+def series_coefficient(value, k):
+    return value["coeffs"].get(str(k), "0")
+
+
+@pytest.fixture(scope="module")
+def loop_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("completions")
+
+
+@settings(max_examples=60, deadline=None)
+@given(loop=completed_loops(), eps_order=st.integers(min_value=0, max_value=2))
+def test_reported_windows_hold_for_every_completion(loop_dir, loop, eps_order):
+    schema, degree, budget, loops = loop
+    paths = []
+    for i, doc in enumerate(loops):
+        path = loop_dir / f"loop-{i}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    common = ["--schema", schema, "--max-degree", str(degree)]
+
+    code, pair = run_cli(["birkhoff", paths[0], *common])
+    completed = [run_cli(["birkhoff", path, *common]) for path in paths[1:]]
+    assert all(c == 0 for c, _ in completed)
+    under = min(value["truncation"] for value in loops[0]["values"].values()) < budget
+    assert (code, pair) == ((2, None) if under else (0, pair))
+    exact = {"coeffs": {}, "truncation": None}
+    for side in ("phiMinus", "phiPlus") if pair else ():
+        for name, value in pair[side]["values"].items():
+            others = [other[side]["values"].get(name, exact) for _, other in completed]
+            window = value["truncation"]
+            exponents = {int(k) for v in [value, *others] for k in v["coeffs"]}
+            for k in exponents:
+                if window is None or k <= window:
+                    want = series_coefficient(value, k)
+                    assert all(series_coefficient(v, k) == want for v in others), (side, name, k)
+            if window is not None:
+                past = {series_coefficient(v, window + 1) for v in others}
+                event(f"{side} past the window: {'differs' if len(past) > 1 else 'agrees'}")
+
+    code, report = run_cli(["rg-check", paths[0], *common, "--eps-order", str(eps_order)])
+    completed = [run_cli(["rg-check", path, *common, "--eps-order", str(eps_order)]) for path in paths[1:]]
+    assert all(c in (0, 1) for c, _ in completed)
+    if code == 2:  # a window below eps^0: nothing is reported
+        event("rg-check: window below 0")
+        return
+    # Every monomial's window reaches eps^0, so every witness and flow entry is inside it.
+    for _, other in completed:
+        assert (other["witnesses"], other["flow"]) == (report["witnesses"], report["flow"])
+    event("rg-check: compared")
