@@ -25,7 +25,7 @@ from typing import List, NamedTuple, Optional
 from .algebra import Element, Monomial
 from .errors import DomainError, SchemaError
 from .hopf import HopfAlgebra, theta_factors, validate_schema_structure
-from .rings import QQ, LaurentRing
+from .rings import EPS_RING
 
 # Truncation order of the formal scale variable z in the theta checks.
 THETA_ORDER = 4
@@ -261,7 +261,7 @@ def verify_axioms(ctx: HopfAlgebra, max_degree: int) -> AxiomReport:
     # substitution of the formal variable, so checking it in w to the same
     # order checks the same identity; with 24 = 4!, every coefficient
     # (24 n)^k / k! of exp(n z) to order 4 is an integer.
-    zring = LaurentRing(QQ, "z")
+    zring = EPS_RING  # series in the formal z, in the one Laurent ring
     factors = theta_factors(zring, zring.monomial(1, 24, trunc=THETA_ORDER), max_degree)
     z_one = zring.one()
 

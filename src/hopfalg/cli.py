@@ -97,7 +97,7 @@ def read_expression(args):
 def read_functionals(args) -> list:
     """The functionals of the command's files on one schema context, each
     checked against the command's input contract before any engine call."""
-    from .serialize import load_functional, ring_tag
+    from .serialize import load_functional
 
     kind, ring, noun = COMMANDS[args.command][2]
 
@@ -105,7 +105,7 @@ def read_functionals(args) -> list:
         f = load_functional(ctx, path)
         if kind not in (ANY, f.kind):
             raise HopfError(f"{args.command} expects {noun} file")
-        tag = ring_tag(f.ring)
+        tag = f.ring.tag
         if ring not in (ANY, tag):
             raise HopfError(f"{args.command} expects {noun} file with ring {ring!r}, got {tag!r}")
         return f
@@ -212,8 +212,7 @@ def cmd_build_loop(args):
 
 
 def cmd_rg_check(args):
-    from .polynomials import PolynomialRing
-    from .rationals import QQ
+    from .polynomials import POLY_T
     from .rg import rg_limit_check
     from .serialize import functional_to_json
 
@@ -221,9 +220,8 @@ def cmd_rg_check(args):
         raise DomainError(f"--eps-order {args.eps_order} is above the limit MAX_EPS_ORDER = {MAX_EPS_ORDER}")
     phi, = read_functionals(args)
     report = rg_limit_check(phi, args.max_degree, eps_margin=args.eps_order)
-    poly_t = PolynomialRing(QQ, "t")
     flow = {
-        str(m): poly_t.value_to_json(p)
+        str(m): POLY_T.value_to_json(p)
         for m, p in sorted(report.flow_table.items(), key=lambda kv: kv[0].sort_key())
     }
     payload = {
@@ -429,8 +427,9 @@ def main(argv=None) -> int:
         if getattr(args, "max_degree", 0) < floor:
             unset = " when --max-order is not set" if floor and hasattr(args, "max_order") else ""
             raise DomainError(f"--max-degree must be >= {floor}{unset}, got {args.max_degree}")
-        if getattr(args, "max_order", 0) < 0:
-            raise DomainError(f"--max-order must be >= 0, got {args.max_order}")
+        for name in ("max_order", "eps_order"):
+            if getattr(args, name, 0) < 0:
+                raise DomainError(f"--{name.replace('_', '-')} must be >= 0, got {getattr(args, name)}")
         out = args.fn(args)
         payload, text = out if isinstance(out, tuple) else (out, None)
         if text is not None and args.output == "text":

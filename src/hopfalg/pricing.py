@@ -5,6 +5,7 @@ generator counts per degree before anything is expanded.  ``coproduct`` and
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from math import comb, log10
 from typing import Dict
 
@@ -75,11 +76,14 @@ def antipode_term_bound(ctx: HopfAlgebra, h: Element) -> int:
     the weights summed over degree n; degree k holds at most b(k) S values,
     of at most b(k) terms each.
 
-    Every count is built once, degree by degree from the unit up, over the
-    degrees that hold generators only, and each degree adds to the two sums.
-    They stop at the first degree where either passes MAX_COPRODUCT_TERMS:
-    the larger is then at most the full bound and above the limit, so it is
-    returned with the full bound's verdict.
+    Every count is built once, from the unit up, over the degrees that hold
+    generators only.  The weights are positive, so a layer is nonzero at
+    k > 0 only where it is at k - n for a degree n it holds, and a product
+    of two series only at a sum of degrees where both are: only those
+    degrees are visited, in increasing order, each adding to the two sums,
+    and only the basis counts are dense.  The sums stop at the first degree
+    where either passes MAX_COPRODUCT_TERMS: the larger is then at most the
+    full bound and above the limit, so it is returned with its verdict.
     """
     if not h.terms:
         return 0
@@ -89,40 +93,58 @@ def antipode_term_bound(ctx: HopfAlgebra, h: Element) -> int:
     gen_top = max((n for _, fs in monomials for n, _ in fs), default=0)
     # The degrees n <= gen_top that hold generators, in the generators of
     # degree <= gen_top, which are all the generators any of these S and D
-    # values involve: (n, s(n) of the antipode and of D).
+    # values involve: (n, s(n) of the antipode and of D), as far as counted.
     active = []
     # b(k) is the q^k coefficient of the product over those degrees of
     # (1 - q^n)^(-G(n)), kept as its partial products P_1, P_2, ... after
     # P_0 = 1, each coefficient read off (1 - q^n)^G(n) P_i = P_(i-1) in
     # min(G(n), k / n) steps: (n, the signed C(G(n), f) for f >= 1) per degree.
     products, factors = [[1]], []
-    # Per factor degree d and weight: the layers of each degree k, the
-    # products over the first i active degrees <= min(d, k) truncated at y^e,
-    # e the highest exponent of a factor of degree d, as {j: coefficient of
-    # y^j q^k}.  Per factor (d, e) and weight: the series summed over j <= e,
-    # as its coefficients by degree and its nonzero (degree, coefficient) pairs.
+    # Per factor degree d and weight: the layers of each degree k they reach,
+    # the products over the first i active degrees <= min(d, k) truncated at
+    # y^e, e the highest exponent of a factor of degree d, as {j: coefficient
+    # of y^j q^k}.  Per factor (d, e) and weight: the series summed over j <= e.
     tops: Dict[int, int] = {}
     for _, fs in monomials:
         for n, e in fs:
             tops[n] = max(tops.get(n, 0), e)
-    rows = {(n, w): [] for n in tops for w in (0, 1)}
-    series = {(f, w): ([], []) for _, fs in monomials for f in fs for w in (0, 1)}
+    rows = {(n, w): {} for n in tops for w in (0, 1)}
+    series = {(f, w): {} for _, fs in monomials for f in fs for w in (0, 1)}
     # Per monomial and weight, the products of a prefix of its factors, in the same form.
-    partial = [([([], []) for _ in fs], [([], []) for _ in fs]) for _, fs in monomials]
+    partial = [([{} for _ in fs], [{} for _ in fs]) for _, fs in monomials]
+    queue, queued = [0], {0}  # the degrees to visit: a heap and its set
+
+    def reach(k):
+        if k <= top and k not in queued:
+            queued.add(k)
+            heappush(queue, k)
+
     antipode = coproduct = 0
-    for k in range(top + 1):
-        gens = schema.generators_of_degree(k) if 0 < k <= gen_top else ()
-        if gens:
-            factors.append((k, [(-1) ** (f + 1) * comb(len(gens), f) for f in range(1, len(gens) + 1)]))
-            products.append(products[-1][:k])
-        if k:
+    while True:
+        # The basis counts, degree by degree through the next degree to visit;
+        # a degree that holds generators is reached from every layer that holds it.
+        while len(products[0]) <= (queue[0] if queue else gen_top):
+            n = len(products[0])
+            gens = schema.generators_of_degree(n) if n <= gen_top else ()
+            if gens:
+                factors.append((n, [(-1) ** (f + 1) * comb(len(gens), f) for f in range(1, len(gens) + 1)]))
+                products.append(products[-1][:n])
             products[0].append(0)
-            for (n, signed), prev, p in zip(factors, products, products[1:]):
-                p.append(prev[k] + sum(c * p[k - n * f] for f, c in enumerate(signed[:k // n], 1)))
+            for (d, signed), prev, p in zip(factors, products, products[1:]):
+                p.append(prev[n] + sum(c * p[n - d * f] for f, c in enumerate(signed[:n // d], 1)))
+            if gens:
+                active.append((n, (len(gens) * products[-1][n], sum(schema.reduced_term_count(g) + 2 for g in gens))))
+                for (degree, _), layers in rows.items():
+                    if n <= degree:
+                        for l in layers:
+                            reach(l + n)
+        if not queue:
+            break
+        k = heappop(queue)
         b = products[-1][k]
-        if gens:
-            active.append((k, (len(gens) * b, sum(schema.reduced_term_count(g) + 2 for g in gens))))
         for (degree, w), layers in rows.items():
+            if k and not any(k - n in layers for n, _ in active if n <= degree):
+                continue
             e = tops[degree]
             row = [{0: 1} if k == 0 else {}]
             for i, (n, sizes) in enumerate(active):
@@ -131,17 +153,24 @@ def antipode_term_bound(ctx: HopfAlgebra, h: Element) -> int:
                 acc, s = dict(row[-1]), sizes[w]
                 # Before the first active degree the product is empty: 1 at degree 0 only.
                 for f in range(1 if i else k // n, min(e, k // n) + 1):
-                    below = layers[k - n * f]
+                    below = layers.get(k - n * f)
+                    if below is None:
+                        continue
                     c = comb(s + f - 1, f)
                     for j, v in below[min(i, len(below) - 1)].items():
                         if j + f <= e:
                             acc[j + f] = acc.get(j + f, 0) + c * v
                 row.append(acc)
-            layers.append(row)
-        for ((degree, e), w), (values, support) in series.items():
-            values.append(sum(v for j, v in rows[degree, w][k][-1].items() if j <= e))
-            if values[k]:
-                support.append((k, values[k]))
+            if row[-1]:
+                layers[k] = row
+                for n, _ in active:
+                    if n <= degree:
+                        reach(k + n)
+        for ((degree, e), w), values in series.items():
+            row = rows[degree, w].get(k)
+            total = row and sum(v for j, v in row[-1].items() if j <= e)
+            if total:
+                values[k] = total
         totals = [0, 0]
         for (d, fs), prods in zip(monomials, partial):
             if k > d:
@@ -149,17 +178,22 @@ def antipode_term_bound(ctx: HopfAlgebra, h: Element) -> int:
             for w in (0, 1):
                 q = 1 if k == 0 else 0  # the unit monomial
                 for i, f in enumerate(fs):
+                    ys = series[f, w]
                     if i == 0:
-                        q = series[f, w][0][k]
-                    else:  # the degree-k convolution, over the sparser of the two supports
-                        (xs, x_support), (ys, y_support) = prods[w][i - 1], series[f, w]
-                        if len(x_support) > len(y_support):
-                            xs, y_support = ys, x_support
-                        q = sum(v * xs[k - l] for l, v in y_support)
-                    values, support = prods[w][i]
-                    values.append(q)
+                        q = ys.get(k, 0)
+                    else:  # the degree-k convolution, over the sparser of the two series
+                        xs = prods[w][i - 1]
+                        if k in ys:  # a new degree of this factor: with every degree of the prefix
+                            for l in xs:
+                                reach(l + k)
+                        if len(xs) > len(ys):
+                            xs, ys = ys, xs
+                        q = sum(v * ys.get(k - l, 0) for l, v in xs.items())
                     if q:
-                        support.append((k, q))
+                        prods[w][i][k] = q
+                        if i + 1 < len(fs):  # a new degree of the prefix: with every degree of the next factor
+                            for l in series[fs[i + 1], w]:
+                                reach(k + l)
                 totals[w] += q
         antipode += min(totals[0], b ** 2)
         coproduct += totals[1]

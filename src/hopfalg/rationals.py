@@ -102,35 +102,11 @@ class Ring:
 
     def scale(self, q: Fraction, a):
         """Multiply by a rational scalar (every ring here is a Q-algebra)."""
-        return self.mul(self.from_rational(q), a)
-
-    def convolve(self, terms, n: int) -> dict:
-        """The ring's one product kernel: the sum of c xs ys over the (c, xs, ys)
-        triples of ``terms`` below exponent n, c a rational scalar and xs, ys
-        sparse (exponent, coefficient) lists with increasing exponents.
-
-        The result maps every exponent below n that a product reaches to its
-        coefficient, which may be zero; work and memory follow the stored
-        terms, not the exponent range.
-        """
-        out = {}
-        for c, xs, ys in terms:
-            for i, x in xs:
-                x = x if c == 1 else self.scale(c, x)
-                if self.is_zero(x):
-                    continue
-                for j, y in ys:
-                    k = i + j
-                    if k >= n:
-                        break
-                    cur = out.get(k)
-                    out[k] = self.mul(x, y) if cur is None else self.add(cur, self.mul(x, y))
-        return out
+        raise NotImplementedError
 
     def dot(self, terms):
-        """The sum of c x y over (c, x, y) triples: the kernel at exponent 0."""
-        out = self.convolve([(c, ((0, x),), ((0, y),)) for c, x, y in terms], 1)
-        return out.get(0, self.zero())
+        """The sum of c x y over (c, x, y) triples, c a rational scalar."""
+        raise NotImplementedError
 
     def value_to_json(self, a):
         raise NotImplementedError
@@ -197,7 +173,9 @@ class RationalField(Ring):
         return d, tuple((i, x.numerator * (d // x.denominator)) for i, x in xs)
 
     def convolve(self, terms, n):
-        """Ring.convolve in integers, on the operand form of each list."""
+        """The sum of c xs ys below exponent n over the (c, xs, ys) triples, xs and ys
+        sparse (exponent, value) lists by increasing exponent, in integers: every
+        exponent below n that a product reaches, with its coefficient (maybe zero)."""
         return self.convolve_operands([(c, self.operand(xs), self.operand(ys)) for c, xs, ys in terms], n)
 
     def convolve_operands(self, terms, n):
@@ -226,7 +204,7 @@ class RationalField(Ring):
         return {k: _over(v, d) for k, v in out.items()}
 
     def dot(self, terms):
-        """Ring.dot in integers: each c x y over the lcm of the triples'
+        """The sum of c x y in integers: each c x y over the lcm of the triples'
         denominators, summed as a plain int, and the sum in canonical form.
         c, x and y may each be an int or a Fraction."""
         if all(c.__class__ is int and x.__class__ is int and y.__class__ is int for c, x, y in terms):

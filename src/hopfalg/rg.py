@@ -17,9 +17,10 @@ from . import duals
 from .algebra import Monomial
 from .duals import (Character, InfinitesimalCharacter, TableFunctional, compose_antipode, convolution_powers,
                     grading_transpose, materialize, tabulate)
-from .errors import DomainError, VerificationError
-from .polynomials import PolynomialRing
-from .rings import LaurentRing
+from .errors import DomainError, UnsupportedRingError, VerificationError
+from .polynomials import POLY_T
+from .rationals import RationalField
+from .rings import EPS_RING, LaurentRing
 
 
 class BetaData(NamedTuple):
@@ -173,7 +174,9 @@ def build_special_loop(beta: InfinitesimalCharacter, max_degree: int) -> Charact
     expansion on the whole basis.
     """
     ctx, base = beta.ctx, beta.ring
-    ring = LaurentRing(base, "eps")
+    if not isinstance(base, RationalField):
+        raise UnsupportedRingError(f"Laurent series are over Q only, not over {base.tag}")
+    ring = EPS_RING
     towers = counterterm_tower(beta, max_degree, max_degree)
     expansion = {}
     for m in ctx.basis_up_to(max_degree):
@@ -239,7 +242,6 @@ def rg_limit_check(phi: Character, max_degree: int, eps_margin: int = 1) -> RgRe
         raise DomainError("eps_margin must be >= 0")
     ctx, ring = phi.ctx, phi.ring
     base = ring.base
-    poly_t = PolynomialRing(base, "t")
 
     basis = ctx.basis_up_to(max_degree)
     phi_vals = tabulate(phi, basis)
@@ -274,13 +276,13 @@ def rg_limit_check(phi: Character, max_degree: int, eps_margin: int = 1) -> RgRe
         for e in sorted(t_coeffs):
             if e < 0:
                 witnesses.append({"monomial": str(m), "exponent": e,
-                                  "coefficient": poly_t.format_value(_polynomial(t_coeffs[e]))})
+                                  "coefficient": POLY_T.format_value(_polynomial(t_coeffs[e]))})
         ring.coefficient(total, 0)  # a window below eps^0 leaves the limit unknown
         flow[m] = _polynomial(t_coeffs.get(0, {}))
 
     special = not witnesses
 
-    linear = {m: poly_t.coefficient(p, 1) for m, p in flow.items()}
+    linear = {m: POLY_T.coefficient(p, 1) for m, p in flow.items()}
     beta = materialize(ctx, base, linear, max_degree, InfinitesimalCharacter)
 
     flow_additive = _flow_is_additive(ctx, base, flow, basis)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Optional
 
-from .errors import DomainError, HopfError, SingularInputError, TruncationError, UnsupportedRingError, quoted
+from .errors import DomainError, HopfError, SingularInputError, TruncationError, quoted
 from . import _forwarder
 from .rationals import (QQ, Frozen, RationalField, Ring, _canonical, format_rational, is_json_int,  # noqa: F401
                         parse_rational)
@@ -24,7 +24,7 @@ __getattr__ = _forwarder(__name__, "polynomials", ("PolynomialRing",))
 class LaurentSeries(Frozen):
     """A truncated Laurent series value.
 
-    ``coeffs`` maps exponent -> base-ring value, with no zero entries and no
+    ``coeffs`` maps exponent -> rational value, with no zero entries and no
     entries above ``trunc``.  ``trunc`` is the last exponent whose coefficient
     is known (inclusive); ``None`` means the series is exactly known (a
     Laurent polynomial). Coefficients below the smallest stored exponent are
@@ -58,11 +58,11 @@ class LaurentSeries(Frozen):
     def min_exp(self) -> Optional[int]:
         return self.coeffs[0][0] if self.coeffs else None
 
-    def operand(self, base: RationalField):
-        """The coefficients in ``base.operand`` form, built once per series."""
+    def operand(self):
+        """The coefficients in ``QQ.operand`` form, built once per series."""
         memo = self._operand
         if memo is None:
-            memo = base.operand(self.coeffs)
+            memo = QQ.operand(self.coeffs)
             _set_operand(self, memo)
         return memo
 
@@ -90,23 +90,19 @@ def _min_trunc(a: Optional[int], b: Optional[int]) -> Optional[int]:
 
 
 class LaurentRing(Ring):
-    """Truncated Laurent series in one variable, with a pole of finite order.
+    """Truncated Laurent series over Q in eps, with a pole of finite order.
 
     Arithmetic propagates the tightest sound truncation bound: no operation
     ever reports a coefficient that discarded high-order terms could pollute.
-    The base is Q, whose values are int or Fraction: zero is exactly the
-    falsy value, + and * are the field's operations, and products run in its
-    integer kernel (``operand`` and ``convolve_operands``).  Any other base
-    raises.
+    Coefficients are int or Fraction: zero is exactly the falsy value, + and
+    * are Python's, and products run in the integer kernel of Q
+    (``operand`` and ``convolve_operands``).  ``EPS_RING`` is the one instance.
     """
 
-    def __init__(self, base: Ring, var: str = "eps"):
-        if not isinstance(base, RationalField):
-            raise UnsupportedRingError(f"Laurent series are over Q only, not over {base.tag}")
-        self.base = base
-        self.var = var
-        self.tag = "laurent" if base is QQ and var == "eps" else f"laurent[{var}]:{base.tag}"
-        self._one = LaurentSeries(((0, base.one()),), None)  # one(), shared: series are immutable
+    base = QQ
+    var = "eps"
+    tag = "laurent"
+    _one = LaurentSeries(((0, QQ.one()),), None)  # one(), shared: series are immutable
 
     # -- construction ------------------------------------------------------
 
@@ -118,7 +114,7 @@ class LaurentRing(Ring):
 
     def monomial(self, exp: int, coeff=None, trunc: Optional[int] = None) -> LaurentSeries:
         if coeff is None:
-            coeff = self.base.one()
+            coeff = QQ.one()
         return self.make({exp: coeff}, trunc)
 
     def zero(self):
@@ -130,7 +126,7 @@ class LaurentRing(Ring):
     def from_rational(self, q):
         if q == 0:
             return self.zero()
-        return self.monomial(0, self.base.from_rational(q))
+        return self.monomial(0, QQ.from_rational(q))
 
     # -- queries -----------------------------------------------------------
 
@@ -145,7 +141,7 @@ class LaurentRing(Ring):
         for exp, v in a.coeffs:
             if exp == k:
                 return v
-        return self.base.zero()
+        return QQ.zero()
 
     def pole_order(self, a: LaurentSeries) -> int:
         """max(0, -valuation): 0 for series with no negative exponents."""
@@ -164,7 +160,7 @@ class LaurentRing(Ring):
         return LaurentSeries(tuple((k, -v) for k, v in a.coeffs), a.trunc)
 
     def dot(self, terms) -> LaurentSeries:
-        """Sum of c a b over (c, a, b) triples, in one base-ring convolve, on
+        """Sum of c a b over (c, a, b) triples, in one integer convolve, on
         the narrowest sound window of any one product (empty and zero operands
         included): exactly as sound as adding the products one at a time."""
         if len(terms) == 1 and terms[0][2] is self._one:
@@ -174,7 +170,6 @@ class LaurentRing(Ring):
             if not c:
                 return LaurentSeries((), a.trunc)
             return LaurentSeries(tuple((k, _canonical(v if c == 1 else c * v)) for k, v in a.coeffs), a.trunc)
-        base = self.base
         trunc = top = None
         operands = []
         for c, a, b in terms:
@@ -192,10 +187,10 @@ class LaurentRing(Ring):
             if ac and bc:
                 if top is None or ac[-1][0] + bc[-1][0] > top:
                     top = ac[-1][0] + bc[-1][0]
-                operands.append((c, a.operand(base), b.operand(base)))
+                operands.append((c, a.operand(), b.operand()))
         if not operands:
             return LaurentSeries((), trunc)
-        out = base.convolve_operands(operands, (top if trunc is None else trunc) + 1)
+        out = QQ.convolve_operands(operands, (top if trunc is None else trunc) + 1)
         return LaurentSeries(tuple(filter(_value, sorted(out.items()))), trunc)
 
     def mul(self, a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -227,7 +222,7 @@ class LaurentRing(Ring):
         if not a.coeffs:
             raise SingularInputError("cannot invert the zero series")
         v = a.min_exp()
-        lead_inv = self.base.invert(a.coeffs[0][1])
+        lead_inv = QQ.invert(a.coeffs[0][1])
         # a = lead * x^v * (1 + u) with u of strictly positive valuation.
         u = {k - v: lead_inv * c for k, c in a.coeffs[1:]}
         if not u:
@@ -246,8 +241,8 @@ class LaurentRing(Ring):
             out_trunc = to_order
         # Geometric series sum_{j} (-u)^j through relative order rel.
         u_series = self.make(u, rel)
-        acc = self.make({0: self.base.one()}, rel)
-        term = self.make({0: self.base.one()}, rel)
+        acc = self.make({0: QQ.one()}, rel)
+        term = self.make({0: QQ.one()}, rel)
         for _ in range(rel):
             term = self.mul(term, self.neg(u_series))
             if self.is_zero(term):
@@ -270,7 +265,7 @@ class LaurentRing(Ring):
             raise TruncationError("exp of an exact series needs a finite truncation order")
         order = a.trunc
         # 1 and each term a^k / k! in the kernel's canonical form.
-        acc = term = self.make({0: self.base.from_rational(1)}, order)
+        acc = term = self.make({0: QQ.from_rational(1)}, order)
         k = 0
         while True:
             k += 1
@@ -314,7 +309,7 @@ class LaurentRing(Ring):
         return {
             "minExp": m if m is not None else 0,
             "truncation": a.trunc,
-            "coeffs": {str(k): self.base.value_to_json(v) for k, v in a.coeffs},
+            "coeffs": {str(k): QQ.value_to_json(v) for k, v in a.coeffs},
         }
 
     def value_from_json(self, data):
@@ -336,9 +331,9 @@ class LaurentRing(Ring):
                 raise HopfError(f"stored exponent {k} below declared minExp {min_exp}")
             if trunc is not None and k > trunc:
                 raise HopfError(f"stored exponent {k} above truncation order {trunc}")
-            coeffs[k] = self.base.value_from_json(val)
+            coeffs[k] = QQ.value_from_json(val)
         return self.make(coeffs, trunc)
 
 
-# The ring of Laurent-valued JSON functionals, tagged "laurent".
-EPS_RING = LaurentRing(QQ, "eps")
+# The one Laurent ring: loops, JSON functionals tagged "laurent" and the theta checks.
+EPS_RING = LaurentRing()

@@ -33,12 +33,6 @@ def ring_by_tag(tag) -> Ring:
     raise HopfError(f"unknown ring tag {quoted(tag)}; expected one of {list(RING_TAGS)}")
 
 
-def ring_tag(ring: Ring) -> str:
-    if ring.tag in RING_TAGS:
-        return ring.tag
-    raise HopfError(f"ring {ring.tag!r} has no JSON tag")
-
-
 # -- monomials and elements ------------------------------------------------------
 
 
@@ -99,7 +93,7 @@ def functional_to_json(f: Functional) -> dict:
     from .duals import TableFunctional
 
     ring = f.ring
-    tag = ring_tag(ring)
+    tag = ring.tag  # QQ's and EPS_RING's, the two rings a functional is over
     if f.kind == TableFunctional.kind:
         values = {
             str(m): ring.value_to_json(v)

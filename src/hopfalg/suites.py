@@ -28,7 +28,7 @@ from .errors import HopfError
 from .functionals import ConvolutionProduct, character_inverse, convolve, metric_distance
 from .hopf import HopfAlgebra
 from .rg import build_special_loop, dn_recursive, dn_simplex, rg_limit_check, scattering_check
-from .rings import QQ, LaurentRing
+from .rings import EPS_RING, QQ
 
 
 class CheckResult(NamedTuple):
@@ -244,7 +244,7 @@ def birkhoff_suite(ctx: HopfAlgebra, max_degree: int, seed: int) -> SuiteReport:
     degree = min(max_degree, 4)
     report = SuiteReport("birkhoff-renorm", seed, degree, [])
     add = report.add
-    L = LaurentRing(QQ, "eps")
+    L = EPS_RING
 
     def rota_baxter():
         for i in range(100):

@@ -24,12 +24,12 @@ from hopfalg.functionals import ConvolutionProduct
 from hopfalg.hopf import HopfAlgebra
 from hopfalg.instances import ladder_schema
 from hopfalg.rg import build_special_loop, dn_recursive, dn_simplex, rg_limit_check, scattering_check
-from hopfalg.rings import QQ, LaurentRing
+from hopfalg.rings import EPS_RING, QQ
 from hopfalg.trees import rooted_tree_schema
 
 CLI = [sys.executable, "-m", "hopfalg.cli"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-L = LaurentRing(QQ, "eps")
+L = EPS_RING
 
 
 @contextmanager

@@ -19,7 +19,7 @@ from hopfalg.duals import (
     grading_transpose,
     tabulate,
 )
-from hopfalg.errors import DomainError, TruncationError
+from hopfalg.errors import DomainError, TruncationError, UnsupportedRingError
 from hopfalg.exp_integrals import ExpSum, finite_simplex_integral, simplex_integral
 from hopfalg.hopf import HopfAlgebra
 from hopfalg.instances import ladder_schema
@@ -36,10 +36,10 @@ from hopfalg.rg import (
     scattering_check,
     simplex_weight,
 )
-from hopfalg.rings import QQ, LaurentRing, RationalField
+from hopfalg.rings import EPS_RING, QQ, RationalField
 from hopfalg.trees import rooted_tree_schema
 
-L = LaurentRing(QQ, "eps")
+L = EPS_RING
 
 
 @pytest.fixture(scope="module")
@@ -303,6 +303,12 @@ def test_beta_reports_violations_on_products(ladder):
     bad = Character(ladder, L, {gen(ladder, 1): lau({-1: 1, 0: 1})})
     _, violations = beta_functional(bad, 3)
     assert "t1^2" in violations
+
+
+def test_a_loop_is_built_from_a_rational_beta_only(ladder):
+    beta = InfinitesimalCharacter(ladder, L, {gen(ladder, 1): L.one()})
+    with pytest.raises(UnsupportedRingError, match="^Laurent series are over Q only, not over laurent$"):
+        build_special_loop(beta, 2)
 
 
 def test_beta_data_on_built_loop(ladder):

@@ -560,6 +560,14 @@ def test_a_negative_order_is_named_by_its_flag(capsys):
                                                    "message": "--max-order must be >= 0, got -5"}
 
 
+def test_a_negative_eps_order_is_named_by_its_flag_before_the_file_is_read(tmp_path, capsys):
+    loop = write(tmp_path, "loop.json", {"kind": "character", "ring": "laurent", "values": {"t1": LAURENT_ONE}})
+    for path in (loop, "no-such-loop.json"):
+        assert cli.main(["rg-check", path, "--eps-order", "-1"]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "DomainError",
+                                                       "message": "--eps-order must be >= 0, got -1"}
+
+
 DEGREE_FLOOR_CASES = {
     "exp": (["exp", "z.json"], "--max-degree must be >= 1, got 0"),
     "birkhoff": (["birkhoff", "phi.json"], "--max-degree must be >= 1, got 0"),

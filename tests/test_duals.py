@@ -38,7 +38,7 @@ from hopfalg.functionals import (
 )
 from hopfalg.hopf import HopfAlgebra, TableSchema
 from hopfalg.instances import ladder_schema
-from hopfalg.rings import QQ, LaurentRing, RationalField, Ring
+from hopfalg.rings import EPS_RING, QQ, LaurentRing, RationalField, Ring
 from hopfalg.trees import rooted_tree_schema
 from perfbench.oracles import canonical, parse_tree, tree_factorial, vertex_count
 
@@ -143,7 +143,7 @@ def test_convolution_associativity(ladder, trees):
 def test_kernel_matches_flat_product(which, ladder, trees):
     ctx, degree = (ladder, 5) if which == "ladder" else (trees, 4)
     rng = random.Random(23)
-    L = LaurentRing(QQ, "eps")
+    L = EPS_RING
     gens = ctx.schema.generators_up_to(degree)
     basis = ctx.basis_up_to(degree)
 
@@ -178,7 +178,7 @@ def test_kernel_matches_flat_product(which, ladder, trees):
 def test_truncated_zero_narrows_the_window(ladder):
     # f(t1) = O(eps) only; the t1 (x) t1 term of D(t1^2) meets the eps^-3
     # pole of g(t1), so nothing above eps^-3 is sound.
-    L = LaurentRing(QQ, "eps")
+    L = EPS_RING
     f = Character(ladder, L, {gen(ladder, 1): L.make({}, 0)})
     g = Character(ladder, L, {gen(ladder, 1): L.make({-3: Fraction(1)}, None)})
     basis = ladder.basis_up_to(2)
@@ -191,7 +191,7 @@ def test_truncated_zero_narrows_the_window(ladder):
 def test_truncated_zeros_stay_in_every_table(ladder):
     # A truncated zero is not the exact zero: tabulate, the binary kernel and
     # f o S keep it, on generators and on products, with its truncation.
-    L = LaurentRing(QQ, "eps")
+    L = EPS_RING
     zero = L.make({}, 2)
     square = L.mul(zero, zero)
     assert square == L.make({}, 5)
@@ -454,7 +454,7 @@ def test_y_star_derivation_property(ladder):
 
 
 def test_theta_star(ladder):
-    ring = LaurentRing(QQ, "z")
+    ring = EPS_RING
     z = ring.monomial(1, trunc=4)
     chi = Character(
         ladder,
@@ -487,7 +487,7 @@ def test_transposes_on_tables_and_closed_forms(ladder):
         theta_star(convolve(chi, chi), Fraction(0))
     # theta_* keeps the kind of an infinitesimal character and agrees with
     # the scaled table of its values.
-    ring = LaurentRing(QQ, "z")
+    ring = EPS_RING
     z = ring.monomial(1, trunc=4)
     zinf = InfinitesimalCharacter(ladder, ring, {gen(ladder, n): ring.from_rational(Fraction(n + 1))
                                                  for n in (1, 2, 4)})
@@ -542,7 +542,7 @@ def test_the_degree_floor_is_a_domain_error_in_every_entry_point(ladder):
     from hopfalg.axioms import verify_axioms
     from hopfalg.birkhoff import birkhoff_decompose
 
-    eps = LaurentRing(QQ, "eps")
+    eps = EPS_RING
     z = InfinitesimalCharacter(ladder, QQ, {ladder.schema.generator(1): 1})
     phi = Character(ladder, eps, {ladder.schema.generator(1): eps.monomial(-1)})
     for call in (lambda: exp_star(z, 0), lambda: birkhoff_decompose(phi, 0), lambda: verify_axioms(ladder, 0)):
@@ -551,7 +551,7 @@ def test_the_degree_floor_is_a_domain_error_in_every_entry_point(ladder):
 
 
 def test_metric_needs_rationals(ladder):
-    ring = LaurentRing(QQ, "eps")
+    ring = EPS_RING
     f = Character(ladder, ring, {})
     with pytest.raises(UnsupportedRingError):
         metric_distance(f, f, 3)
@@ -666,7 +666,7 @@ def tabulation_context(name):
     return HopfAlgebra(schema(), validate_to=degree), degree
 
 
-LQ = LaurentRing(QQ, "eps")
+LQ = EPS_RING
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 
 

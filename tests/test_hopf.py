@@ -19,7 +19,7 @@ from hopfalg.errors import DomainError, SchemaError
 from hopfalg.hopf import HopfAlgebra, theta_factors
 from hopfalg.instances import ladder_schema, schema_from_dict
 from hopfalg.pricing import antipode_term_bound
-from hopfalg.rings import QQ, LaurentRing
+from hopfalg.rings import EPS_RING, QQ, LaurentRing
 from hopfalg.trees import rooted_tree_schema
 
 
@@ -288,7 +288,7 @@ def test_Y_commutes_with_antipode(ladder):
 
 
 def test_theta_is_algebra_map(ladder):
-    ring = LaurentRing(QQ, "z")
+    ring = EPS_RING
     z = ring.monomial(1, trunc=4)
     a = ladder.monomial_element(t(ladder, 1))
     b = ladder.monomial_element(t(ladder, 2))
@@ -302,7 +302,7 @@ def test_theta_is_algebra_map(ladder):
 
 
 def test_theta_commutes_with_coproduct(ladder):
-    ring = LaurentRing(QQ, "z")
+    ring = EPS_RING
     z = ring.monomial(1, trunc=4)
     for m in ladder.basis_up_to(4):
         h = ladder.monomial_element(m)
@@ -335,7 +335,7 @@ def test_linear_maps_build_each_sum_in_one_pass(ladder, monkeypatch):
     # h = t1^2 - 2 t2: the t1 (x) t1 terms of D(t1^2) and -2 D(t2) cancel
     h = Element.from_terms([(t(ladder, 1, 2), 1), (t(ladder, 2), -2)])
     assert (t1, t1) in ladder.coproduct_monomial(t(ladder, 2)).terms
-    zring = LaurentRing(QQ, "z")
+    zring = EPS_RING
     factors = theta_factors(zring, zring.monomial(1, trunc=4), 2)
     cases = [
         (ladder.coproduct(h).terms, lambda m: ladder.coproduct_monomial(m).terms, QQ, QQ.mul),

@@ -214,3 +214,22 @@ def test_every_imported_name_is_used():
     package = os.path.join(SRC, "hopfalg")
     found = {f: unused_imports(os.path.join(package, f)) for f in sorted(os.listdir(package)) if f.endswith(".py")}
     assert {f: names for f, names in found.items() if names} == {}
+
+
+def test_each_ring_is_built_once_as_its_module_instance():
+    # One Laurent ring over Q and one Q[t] value type: every other module
+    # uses EPS_RING and POLY_T, so no call site builds a ring of its own.
+    package = os.path.join(SRC, "hopfalg")
+    calls = []
+    for f in sorted(os.listdir(package)):
+        if not f.endswith(".py"):
+            continue
+        with open(os.path.join(package, f), encoding="utf-8") as fh:
+            source = fh.read()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("LaurentRing", "PolynomialRing"):
+                    calls.append((f, source.splitlines()[node.lineno - 1]))
+    assert calls == [("polynomials.py", "POLY_T = PolynomialRing()"), ("rings.py", "EPS_RING = LaurentRing()")]

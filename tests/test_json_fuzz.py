@@ -287,3 +287,32 @@ def test_a_sparse_schema_prices_the_antipode_at_any_degree(tmp_path):
     code, out, err, elapsed = run(["antipode", "--schema", f"custom:{schema}", "--expr", "a^64*a^64*a^64*a^64*y"])
     assert (code, out) == (2, "") and elapsed < EXAMPLE_LIMIT_S
     assert "above the limit MAX_COPRODUCT_TERMS = 100000" in json.loads(err)["message"]
+
+
+def test_a_price_over_sparse_degrees_builds_only_the_degrees_it_reaches(tmp_path):
+    """a^256 y on generators of degrees 99 and 100: the price passes the limit
+    at degree 19,800, and its sums are nonzero on about 3 of every 99 degrees
+    below that, so the price holds only those."""
+    import tracemalloc
+
+    from hopfalg.exprparse import parse_element
+    from hopfalg.hopf import HopfAlgebra
+    from hopfalg.instances import load_schema
+    from hopfalg.pricing import antipode_term_bound
+
+    schema = tmp_path / "sparse.json"
+    schema.write_text(json.dumps({"generators": [{"name": "a", "degree": 99}, {"name": "y", "degree": 100}]}))
+    expr = "a^64*a^64*a^64*a^64*y"
+    ctx = HopfAlgebra(load_schema(str(schema)), validate_to=0)
+    h = parse_element(ctx, expr)
+    tracemalloc.start()
+    try:
+        bound = antipode_term_bound(ctx, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bound == 100_301 and peak < 2_000_000
+    code, out, err, elapsed = run(["antipode", "--schema", f"custom:{schema}", "--expr", expr])
+    assert (code, out) == (2, "") and elapsed < EXAMPLE_LIMIT_S
+    assert json.loads(err)["message"] == ("the antipode of this element may fill 100301 terms, "
+                                          "above the limit MAX_COPRODUCT_TERMS = 100000")

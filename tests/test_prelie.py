@@ -7,15 +7,22 @@ here is right-sided (each right leg of a reduced coproduct is one
 generator), which makes |> left pre-Lie: the associator
 (f |> g) |> h - f |> (g |> h) is symmetric in f and g.  Its commutator is the
 Lie bracket Z1 * Z2 - Z2 * Z1 of infinitesimal characters.
+
+The dual is U(g), g the infinitesimal characters: the ordered words
+Z_g1 * ... * Z_gk (g1 <= ... <= gk, Z_g dual to the generator g) pair
+triangularly with the monomials, which the PBW test reads off
+``convolve_tables`` and checks entry by entry against the iterated coproduct.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
 from hopfalg.algebra import Monomial
-from hopfalg.duals import InfinitesimalCharacter
+from hopfalg.duals import InfinitesimalCharacter, convolve_tables
 from hopfalg.functionals import lie_bracket
 from hopfalg.hopf import HopfAlgebra
 from hopfalg.instances import ladder_schema, schema_from_dict
@@ -70,3 +77,53 @@ def check_pre_lie(ctx, degree, seed):
 def test_the_pre_lie_associator_is_symmetric_and_its_commutator_is_the_bracket(name):
     schema, degree = SCHEMAS[name]
     check_pre_lie(HopfAlgebra(schema(), validate_to=degree), degree, seed=7)
+
+
+PBW_SCHEMAS = {
+    "ladder": (ladder_schema, 8),
+    "trees:5": (lambda: rooted_tree_schema(5), 5),
+    "binomial": SCHEMAS["binomial"],
+    "connes-moscovici": (lambda: schema_from_dict(connes_moscovici_schema(6), name="connes-moscovici"), 6),
+}
+
+
+def pbw_words(ctx, degree):
+    """Each ordered word (g1, ..., gk) of degree <= ``degree``, generators
+    ordered as the schema lists them, with the table of Z_g1 * ... * Z_gk on the
+    monomials of its degree, each word one convolve_tables step from its prefix."""
+    gens = ctx.schema.generators_up_to(degree)
+    by_degree = {n: ctx.monomials_of_degree(n) for n in range(degree + 1)}
+    stack = [((), 0, 0, {Monomial.unit(): 1})]  # word, its degree, first generator index it may extend with, table
+    while stack:
+        word, n, start, table = stack.pop()
+        if word:
+            yield word, n, table
+        for i in range(start, len(gens)):
+            g = gens[i]
+            if n + g.degree <= degree:
+                step = convolve_tables(ctx, QQ, table, {Monomial.of(g): 1}, by_degree[n + g.degree])
+                stack.append((word + (g,), n + g.degree, i, step))
+
+
+@pytest.mark.parametrize("name", list(PBW_SCHEMAS))
+def test_ordered_words_pair_triangularly_with_the_monomials(name):
+    schema, degree = PBW_SCHEMAS[name]
+    ctx = HopfAlgebra(schema(), validate_to=degree)
+    words = 0
+    for word, n, table in pbw_words(ctx, degree):
+        words += 1
+        k, spelled = len(word), Counter(word)
+        legs = tuple(Monomial.of(g) for g in word)
+        for m in ctx.monomials_of_degree(n):
+            factors = sum(e for _, e in m.powers)
+            value = table.get(m, 0)
+            # The word on m is the coefficient of g1 (x) ... (x) gk in the
+            # k-fold coproduct of m with every leg off the unit.
+            assert value == ctx.plus_iterated_monomial(m, k).terms.get(legs, 0), (word, m)
+            if factors > k:
+                assert value == 0, (word, m)
+            elif factors == k:
+                want = prod(factorial(e) for e in spelled.values()) if dict(m.powers) == spelled else 0
+                assert value == want, (word, m)
+    # One word per monomial of positive degree: the words are a basis of the dual.
+    assert words == len(ctx.basis_up_to(degree)) - 1

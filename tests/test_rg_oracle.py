@@ -3,8 +3,9 @@
 ``reference_rg_limit_check`` is the flow as it was computed before the flow
 moved to Q: theta_(t eps) applied to phi as a Laurent series in eps over
 Q[t], carried to order K = pole + eps_margin, and phi^(-1) * theta_(t eps)(phi)
-convolved in that ring, here a schoolbook ring of this file.  Its witnesses,
-flow table, certified order and truncation error must be the engine's.
+convolved in that ring, here a schoolbook ring of this file over Q[t]
+tuples of its own.  Its witnesses, flow table, certified order and truncation
+error must be the engine's.
 """
 
 from fractions import Fraction
@@ -20,14 +21,41 @@ from hopfalg.duals import Character, InfinitesimalCharacter, compose_antipode, s
 from hopfalg.errors import TruncationError
 from hopfalg.hopf import HopfAlgebra
 from hopfalg.instances import ladder_schema
-from hopfalg.polynomials import PolynomialRing
 from hopfalg.rg import build_special_loop, rg_limit_check
-from hopfalg.rings import QQ, LaurentRing, LaurentSeries
+from hopfalg.rings import EPS_RING, QQ, LaurentSeries
 from hopfalg.trees import rooted_tree_schema
 from test_hopf import binomial_schema
 
-L = LaurentRing(QQ, "eps")
-PT = PolynomialRing(QQ, "t")
+L = EPS_RING
+
+
+def poly_add(p, q):
+    """p + q on coefficient tuples indexed by t exponent, trailing zeros stripped."""
+    out = [0] * max(len(p), len(q))
+    for k, c in [*enumerate(p), *enumerate(q)]:
+        out[k] += c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(Fraction(c).numerator if Fraction(c).denominator == 1 else c for c in out)
+
+
+def poly_mul(c, p, q):
+    """c p q, term by term."""
+    out = ()
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out = poly_add(out, (0,) * (i + j) + (c * x * y,))
+    return out
+
+
+def poly_format(p):
+    """p as rg-check writes a witness: nonzero terms "c*t^k" joined by " + "."""
+    terms = []
+    for k, c in enumerate(p):
+        if c:
+            text = str(c)
+            terms.append(text if k == 0 else ("" if text == "1" else f"{text}*") + ("t" if k == 1 else f"t^{k}"))
+    return " + ".join(terms) or "0"
 
 
 class SeriesOverPolynomials:
@@ -42,7 +70,7 @@ class SeriesOverPolynomials:
         return LaurentSeries((), None)
 
     def one(self):
-        return LaurentSeries(((0, PT.one()),), None)
+        return LaurentSeries(((0, (1,)),), None)
 
     def is_exact_zero(self, a):
         return not a.coeffs and a.trunc is None
@@ -52,7 +80,7 @@ class SeriesOverPolynomials:
                              trunc)
 
     def lift(self, v):
-        return LaurentSeries(tuple((k, PT.constant(c)) for k, c in v.coeffs), v.trunc)
+        return LaurentSeries(tuple((k, (c,)) for k, c in v.coeffs), v.trunc)
 
     def dot(self, terms):
         out, trunc = {}, None
@@ -63,7 +91,7 @@ class SeriesOverPolynomials:
                     trunc = x.trunc + low_y
             for i, x in a.coeffs:
                 for j, y in b.coeffs:
-                    out[i + j] = PT.add(out.get(i + j, PT.zero()), PT.scale(c, PT.mul(x, y)))
+                    out[i + j] = poly_add(out.get(i + j, ()), poly_mul(c, x, y))
         return self.make(out, trunc)
 
     def mul(self, a, b):
@@ -73,7 +101,7 @@ class SeriesOverPolynomials:
         if a.trunc is not None and k > a.trunc:
             raise TruncationError(f"coefficient of {self.var}^{k} requested but the series is only sound through "
                                   f"order {a.trunc}", required_order=k)
-        return dict(a.coeffs).get(k, PT.zero())
+        return dict(a.coeffs).get(k, ())
 
 
 def reference_rg_limit_check(phi, max_degree, eps_margin):
@@ -85,7 +113,7 @@ def reference_rg_limit_check(phi, max_degree, eps_margin):
     phi_vals = tabulate(phi, basis)
     order = max(ring.pole_order(v) for v in phi_vals.values()) + eps_margin
     # theta_(t eps) by degree: exp(j t eps) = sum_k (j t)^k / k! eps^k, to eps^order.
-    thetas = [work.make({k: PT.monomial(k, Fraction(j ** k, factorial(k))) for k in range(order + 1)}, order)
+    thetas = [work.make({k: poly_add((0,) * k + (Fraction(j ** k, factorial(k)),), ()) for k in range(order + 1)}, order)
               for j in range(max_degree + 1)]
     phi_inverse = {m: work.lift(v) for m, v in compose_antipode(ctx, ring, phi_vals, basis).items()}
     phi_scaled = scale_by_degree(work, {m: work.lift(v) for m, v in phi_vals.items()}, thetas)
@@ -96,7 +124,7 @@ def reference_rg_limit_check(phi, max_degree, eps_margin):
         value = values.get(m, work.zero())
         for k, coeff in value.coeffs:
             if k < 0:
-                witnesses.append({"monomial": str(m), "exponent": k, "coefficient": PT.format_value(coeff)})
+                witnesses.append({"monomial": str(m), "exponent": k, "coefficient": poly_format(coeff)})
         flow[m] = work.coefficient(value, 0)
     return witnesses, flow, eps_margin
 

@@ -1,16 +1,16 @@
-"""Ring tower tests: exact rationals, polynomials, truncated Laurent series."""
+"""Ring tower tests: exact rationals, truncated Laurent series, and Q[t] values."""
 
-import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfalg.errors import SingularInputError, TruncationError, UnsupportedRingError
+from hopfalg.errors import SingularInputError, TruncationError
 from hopfalg.exp_integrals import ExpSum
-from hopfalg.polynomials import PolynomialRing
+from hopfalg.polynomials import POLY_T, PolynomialRing
 from hopfalg.rings import (
+    EPS_RING,
     QQ,
     LaurentRing,
     LaurentSeries,
@@ -20,8 +20,8 @@ from hopfalg.rings import (
     parse_rational,
 )
 
-L = LaurentRing(QQ, "eps")
-PT = PolynomialRing(QQ, "t")
+L = EPS_RING
+PT = POLY_T
 
 
 def canonical(c) -> bool:
@@ -56,29 +56,25 @@ def test_rational_string_round_trip():
 
 
 def test_polynomial_basics():
-    t = PT.variable()
-    p = PT.add(PT.mul(t, t), PT.from_rational(Fraction(1)))  # t^2 + 1
-    assert PT.coefficient(p, 2) == Fraction(1)
-    assert PT.coefficient(p, 1) == Fraction(0)
-    assert PT.eq(PT.mul(p, PT.zero()), PT.zero())
-    # trailing zeros are stripped
-    assert PT.add(t, PT.neg(t)) == ()
-
-
-def test_polynomials_are_over_q_only():
-    with pytest.raises(UnsupportedRingError, match="polynomials are over Q only"):
-        PolynomialRing(PT, "s")
-    with pytest.raises(UnsupportedRingError):
-        PolynomialRing(L, "t")
+    p = PT.mul((1, 1), (-1, 1))  # (1 + t)(t - 1) = t^2 - 1
+    assert p == (-1, 0, 1)
+    assert PT.coefficient(p, 2) == 1 and PT.coefficient(p, 1) == 0 and PT.coefficient(p, 5) == 0
+    assert PT.format_value(p) == "-1 + t^2" and PT.value_to_json(p) == ["-1", "0", "1"]
+    assert PT.format_value((0, Fraction(1, 2), -3)) == "1/2*t + -3*t^2"
+    assert PT.format_value(()) == "0" and PT.value_to_json(()) == []
+    # the zero polynomial is (), and trailing zeros are stripped
+    assert PT.mul(p, ()) == () and PT.mul((Fraction(1, 2),), (2, 0)) == (1,)
 
 
 def test_laurent_series_are_over_q_only():
-    for base in (PT, L):
-        message = f"Laurent series are over Q only, not over {base.tag}"
-        with pytest.raises(UnsupportedRingError, match=re.escape(message)):
-            LaurentRing(base, "eps")
-    for name in ("operand", "convolve", "convolve_operands"):
-        assert name not in vars(PolynomialRing)
+    assert (L.base, L.var, L.tag) == (QQ, "eps", "laurent") and type(L) is LaurentRing
+    for ring in (LaurentRing, PolynomialRing):
+        with pytest.raises(TypeError):
+            ring(QQ)
+    # Q[t] is a value type, not a ring: only the flow's reads and the product remain.
+    assert not issubclass(PolynomialRing, Ring)
+    for name in ("add", "neg", "scale", "eq", "from_rational", "operand", "convolve", "convolve_operands", "dot"):
+        assert not hasattr(PolynomialRing, name)
 
 
 @given(a=rationals, b=rationals, c=rationals)
@@ -132,6 +128,28 @@ def test_laurent_mul_truncated_agrees_with_exact_on_sound_window(a, b):
 kernel_entries = st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=10**6))
 
 
+def generic_convolve(terms, n):
+    """The generic sum-of-products kernel over Q, term by term in Fraction
+    arithmetic: every exponent below n that a product c x y reaches, with its
+    coefficient, which may be zero."""
+    out = {}
+    for c, xs, ys in terms:
+        for i, x in xs:
+            x = c * x
+            if not x:
+                continue
+            for j, y in ys:
+                if i + j >= n:
+                    break
+                out[i + j] = out.get(i + j, Fraction(0)) + x * y
+    return out
+
+
+def generic_dot(terms):
+    """The generic kernel at exponent 0: the sum of c x y."""
+    return generic_convolve([(c, ((0, x),), ((0, y),)) for c, x, y in terms], 1).get(0, Fraction(0))
+
+
 @st.composite
 def kernel_lists(draw, min_size=1):
     exps = sorted(draw(st.lists(st.integers(min_value=-4, max_value=6), min_size=min_size, max_size=6, unique=True)))
@@ -151,7 +169,7 @@ def test_rational_convolve_matches_generic_kernel_and_schoolbook(xs, ys, data):
     expect = {k: c for k, c in expect.items() if c}
     fast = QQ.convolve([(1, xs, ys)], n)
     assert all(canonical(c) for c in fast.values())
-    for got in (fast, Ring.convolve(QQ, [(1, xs, ys)], n)):
+    for got in (fast, generic_convolve([(1, xs, ys)], n)):
         assert all(k < n for k in got)
         assert {k: c for k, c in got.items() if c} == expect
 
@@ -171,7 +189,7 @@ def test_rational_kernel_sums_triples_like_the_generic_kernel_and_schoolbook(ter
     expect = {k: c for k, c in expect.items() if c}
     fast = QQ.convolve(terms, n)
     assert all(canonical(c) for c in fast.values())
-    for got in (fast, Ring.convolve(QQ, terms, n)):
+    for got in (fast, generic_convolve(terms, n)):
         assert all(k < n for k in got)
         assert {k: c for k, c in got.items() if c} == expect
 
@@ -180,7 +198,7 @@ def test_rational_kernel_sums_triples_like_the_generic_kernel_and_schoolbook(ter
 def test_rational_dot_is_the_exponent_zero_kernel(terms):
     got = QQ.dot(terms)
     assert canonical(got)
-    assert got == sum((c * x * y for c, x, y in terms), Fraction(0)) == Ring.dot(QQ, terms)
+    assert got == sum((c * x * y for c, x, y in terms), Fraction(0)) == generic_dot(terms)
 
 
 def schoolbook_mul(ring, a, b):
@@ -213,42 +231,6 @@ scalars = st.one_of(st.just(Fraction(0)), st.just(Fraction(1)), st.fractions(max
 def test_laurent_dot_matches_the_unfused_loop(terms):
     got, want = L.dot(terms), unfused_dot(L, terms)
     assert got.coeffs == want.coeffs and got.trunc == want.trunc
-
-
-def _strip_poly(cs):
-    while cs and not cs[-1]:
-        cs = cs[:-1]
-    return tuple(cs)
-
-
-poly_entries = st.lists(kernel_entries, max_size=4).map(_strip_poly)
-
-
-@st.composite
-def poly_kernel_lists(draw):
-    exps = sorted(draw(st.lists(st.integers(min_value=-4, max_value=6), max_size=5, unique=True)))
-    return [(k, draw(poly_entries)) for k in exps]
-
-
-@settings(max_examples=100)
-@given(terms=st.lists(st.tuples(scalars, poly_kernel_lists(), poly_kernel_lists()), max_size=4), data=st.data())
-def test_polynomial_kernel_matches_the_generic_kernel_and_a_2d_schoolbook(terms, data):
-    full = max((xs[-1][0] + ys[-1][0] + 1 for _, xs, ys in terms if xs and ys), default=0)
-    n = data.draw(st.integers(min_value=-8, max_value=full))
-    expect = {}
-    for c, xs, ys in terms:
-        for i, x in xs:
-            for j, y in ys:
-                for a, xa in enumerate(x):
-                    for b, yb in enumerate(y):
-                        if i + j < n:
-                            key = (i + j, a + b)
-                            expect[key] = expect.get(key, Fraction(0)) + c * xa * yb
-    expect = {key: c for key, c in expect.items() if c}
-    got = PT.convolve(terms, n)
-    assert got == Ring.convolve(PT, terms, n)  # same reached exponents, zeros included
-    assert all(k < n and (not p or p[-1]) and all(canonical(v) for v in p) for k, p in got.items())
-    assert {(k, j): v for k, p in got.items() for j, v in enumerate(p) if v} == expect
 
 
 def test_laurent_mul_over_rationals_never_calls_the_field_mul(monkeypatch):
@@ -362,7 +344,7 @@ def test_laurent_json_round_trip():
 def test_laurent_series_identity_ignores_the_operand_memo():
     a = laurent({-1: Fraction(1, 2), 0: 3}, trunc=4)
     b = laurent({-1: Fraction(1, 2), 0: 3}, trunc=4)
-    a.operand(QQ)
+    a.operand()
     assert a._operand is not None and b._operand is None
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != laurent({-1: Fraction(1, 2), 0: 3}) and a != laurent({-1: Fraction(1, 2)}, trunc=4)
@@ -385,10 +367,10 @@ def test_laurent_series_copies_and_pickles_equal():
     import pickle
 
     a = laurent({-2: Fraction(-1, 3), 1: 5}, trunc=3)
-    a.operand(QQ)
+    a.operand()
     for clone in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert clone == a and hash(clone) == hash(a) and type(clone) is type(a)
-        assert clone.operand(QQ) == a.operand(QQ)
+        assert clone.operand() == a.operand()
 
 
 def test_rational_zero_and_one_are_shared_constants():
@@ -430,14 +412,13 @@ def test_exact_operations_never_return_a_float():
                         L.invert_unit(L.make({-2: a, 0: Fraction(1, 3), 1: 2}, trunc), to_order=3)]
         results += [ExpSum({2: a}).integrate_to_infinity(), ExpSum({1: 1, 3: a}).integrate_to_infinity(),
                     ExpSum({2: a, 3: 1}).integrate_to_variable()]
-    # Int-valued operands through the Laurent-over-Q kernel and the Q[t] products.
+    # Int-valued operands through the Laurent-over-Q kernel and the Q[t] product.
     ints = [a for a in inputs if type(a) is int]
     for a in ints:
         for b in ints:
             x, y = L.make({-1: a, 0: b}, None), L.make({0: b, 2: a}, 3)
             results += [L.mul(x, y), L.dot([(a, x, y), (b, y, y)]), L.scale(a, y), L.invert_unit(y),
-                        PT.mul((a, b), (b, 0, a)), PT.dot([(a, (b,), (a, b)), (b, (a, a), (b,))]),
-                        PT.convolve([(a, [(0, (a, b))], [(1, (b,)), (2, (a,))])], 3)]
+                        PT.mul((a, b), (b, 0, a))]
     results += [parse_rational(text) for text in ("3", "-4/2", " 7 ", "1/2", "-6/4")]
     results += [QQ.invert(a) for a in ints]
     assert not [r for r in results if _floats_in(r)]
@@ -463,14 +444,10 @@ def test_kernel_results_are_canonical():
     for name, (terms, want) in cases.items():
         rational = QQ.convolve([(c, [(0, x)], [(0, y)]) for c, x, y in terms], 1)
         series = L.dot([(c, L.make({0: x}, None), L.make({0: y}, None)) for c, x, y in terms])
-        poly = PT.dot([(c, (x,), (y,)) for c, x, y in terms])
-        # The Q[t] kernel on a row of polynomials.
-        rows = PT.convolve([(c, [(0, (0, x))], [(0, (y,))]) for c, x, y in terms], 1)
-        values = [QQ.dot(terms), *rational.values(), *(v for _, v in series.coeffs), *poly, *rows[0]]
+        values = [QQ.dot(terms), *rational.values(), *(v for _, v in series.coeffs)]
         assert all(canonical(v) for v in values), (name, [type(v) for v in values])
         assert QQ.dot(terms) == rational[0] == want, name
-        assert series == L.from_rational(want) and poly == PT.constant(want), name
-        assert rows[0] == PT.monomial(1, want), name
+        assert series == L.from_rational(want), name
     assert parse_rational("6/3") == 2 and type(parse_rational("6/3")) is int
     assert type(parse_rational("-5")) is int and type(parse_rational("5/3")) is Fraction
 
@@ -486,7 +463,7 @@ def test_rational_dot_sums_mixed_int_and_fraction_triples_exactly(terms):
     for c, x, y in terms:
         want += Fraction(c) * Fraction(x) * Fraction(y)
     assert canonical(QQ.dot(terms))
-    for got in (QQ.dot(terms), Ring.dot(QQ, terms)):
+    for got in (QQ.dot(terms), generic_dot(terms)):
         assert got == want
 
 
@@ -583,7 +560,7 @@ def lowest(x):
 
 def products_one_at_a_time(terms):
     """The sum of c a b as (coefficients, truncation): each product by the
-    generic Ring.convolve body over Q, sound below the lowest exponent an
+    generic kernel over Q, sound below the lowest exponent an
     unknown coefficient of one factor reaches against the other, the products
     added one at a time in a plain dict."""
     total, trunc = {}, None
@@ -591,7 +568,7 @@ def products_one_at_a_time(terms):
         reach = [x.trunc + lowest(y) for x, y in ((a, b), (b, a)) if x.trunc is not None and lowest(y) is not None]
         window = min(reach) if reach else None
         top = a.coeffs[-1][0] + b.coeffs[-1][0] if a.coeffs and b.coeffs else 0
-        product = Ring.convolve(QQ, [(c, a.coeffs, b.coeffs)], (top if window is None else window) + 1)
+        product = generic_convolve([(c, a.coeffs, b.coeffs)], (top if window is None else window) + 1)
         for k, v in product.items():
             total[k] = total.get(k, 0) + v
         if window is not None and (trunc is None or window < trunc):

@@ -10,12 +10,12 @@ from fractions import Fraction
 import pytest
 
 from hopfalg.hopf import theta_factors
-from hopfalg.rings import QQ, LaurentRing
+from hopfalg.rings import EPS_RING
 
 sympy = pytest.importorskip("sympy")
 
 Z = sympy.Symbol("z")
-L = LaurentRing(QQ, "z")
+L = EPS_RING
 
 
 def as_sympy(a):

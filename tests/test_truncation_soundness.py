@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from hopfalg import cli
 from hopfalg.hopf import HopfAlgebra
-from hopfalg.rings import QQ, LaurentRing, LaurentSeries
+from hopfalg.rings import EPS_RING, LaurentSeries
 
-L = LaurentRing(QQ, "eps")
+L = EPS_RING
 rng = random.Random(20240517)
 
 
@@ -227,3 +227,74 @@ def test_reported_windows_hold_for_every_completion(loop_dir, loop, eps_order):
     for _, other in completed:
         assert (other["witnesses"], other["flow"]) == (report["witnesses"], report["flow"])
     event("rg-check: compared")
+
+
+# The same for the commands that print values built on products of the input:
+# ``convolve`` of two characters, ``exp`` and ``log``.  Each input value has a
+# pole of order up to 2 and is truncated at -2..3; every printed coefficient
+# inside a window must be the one printed for every completion, and a run that
+# every completion passes is not refused as failed verification.  ``convolve``
+# is drawn half the time besides its share: its two inputs have independent
+# windows, so there the window of a product of values can be the one that binds.
+
+VALUE_COMMANDS = {"convolve": ("character", 2), "exp": ("infinitesimal", 1), "log": ("character", 1)}
+
+
+@st.composite
+def completed_functionals(draw):
+    """(command, schema, degree, [truncated input, three completions]), each
+    entry the list of the command's input documents."""
+    command = draw(st.one_of(st.just("convolve"), st.sampled_from(sorted(VALUE_COMMANDS))))
+    kind, count = VALUE_COMMANDS[command]
+    schema = draw(st.sampled_from(sorted(COMPLETION_SCHEMAS)))
+    degree = draw(st.integers(min_value=1, max_value=COMPLETION_SCHEMAS[schema]))
+    gens = HopfAlgebra(cli.resolve_schema(schema), validate_to=0).schema.generators_up_to(degree)
+    runs = [[], [], [], []]
+    for _ in range(count):
+        values = [{}, {}, {}, {}]
+        for g in gens:
+            trunc = draw(st.integers(min_value=-2, max_value=3))
+            coeffs = draw(st.dictionaries(st.integers(min_value=-2, max_value=trunc), completion_coefficients,
+                                          max_size=3))
+            values[0][g.name] = {"truncation": trunc, "coeffs": {str(k): str(v) for k, v in coeffs.items()}}
+            for completion in values[1:]:
+                tail = draw(st.dictionaries(st.integers(min_value=trunc + 1, max_value=trunc + 3),
+                                            completion_coefficients, max_size=3))
+                completion[g.name] = {"truncation": None,
+                                      "coeffs": {str(k): str(v) for k, v in {**coeffs, **tail}.items()}}
+        for docs, v in zip(runs, values):
+            docs.append({"kind": kind, "ring": "laurent", "values": v})
+    return command, schema, degree, runs
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=completed_functionals())
+def test_printed_values_hold_for_every_completion(loop_dir, case):
+    command, schema, degree, runs = case
+    outputs = []
+    for i, docs in enumerate(runs):
+        paths = []
+        for j, doc in enumerate(docs):
+            path = loop_dir / f"{command}-{i}-{j}.json"
+            path.write_text(json.dumps(doc))
+            paths.append(str(path))
+        outputs.append(run_cli([command, *paths, "--schema", schema, "--max-degree", str(degree)]))
+    (code, printed), completed = outputs[0], outputs[1:]
+    assert all(c == 0 for c, _ in completed)
+    if code != 0:  # refused: nothing is printed
+        assert (code, printed) == (2, None)
+        event(f"{command}: refused")
+        return
+    exact = {"coeffs": {}, "truncation": None}
+    for name, value in printed["values"].items():
+        others = [other["values"].get(name, exact) for _, other in completed]
+        window = value["truncation"]
+        for k in {int(k) for v in [value, *others] for k in v["coeffs"]}:
+            if window is None or k <= window:
+                want = series_coefficient(value, k)
+                assert all(series_coefficient(v, k) == want for v in others), (command, name, k)
+        if window is not None:
+            past = {series_coefficient(v, window + 1) for v in others}
+            event(f"{command} past the window: {'differs' if len(past) > 1 else 'agrees'}")
+    for _, other in completed:  # a completion prints no value the truncated run leaves out
+        assert other["values"].keys() <= printed["values"].keys()
