@@ -17,12 +17,11 @@ _EXPORTS = {
                "RingMismatchError", "SchemaError", "SingularInputError", "TruncationError",
                "UnsupportedRingError", "VerificationError"),
     "hopf": ("HopfAlgebra", "HopfSchema", "ReducedTerm", "TableSchema"),
-    "functionals": ("ConvolutionProduct", "character_inverse", "convolve", "lie_bracket", "metric_distance",
-                    "theta_star", "y_star", "y_star_inverse"),
+    "functionals": ("ConvolutionProduct", "character_inverse", "convolve", "lie_bracket", "metric_distance"),
     "instances": ("ladder_schema", "load_schema"),
     "polynomials": ("PolynomialRing",),
     "rationals": ("QQ", "RationalField"),
-    "rg": ("BetaData", "beta_data", "beta_functional", "build_special_loop", "dn_recursive", "dn_simplex",
+    "rg": ("BetaData", "beta_data", "build_special_loop", "dn_recursive", "dn_simplex",
            "residue", "rg_limit_check", "scattering_check"),
     "rings": ("LaurentRing", "LaurentSeries"),
     "trees": ("RootedTree", "admissible_cuts", "enumerate_trees", "parse_tree", "rooted_tree_schema"),

@@ -257,10 +257,6 @@ class Element(SparseSum):
     def from_terms(pairs: Iterable[Tuple[Monomial, object]]) -> "Element":
         return Element(_summed({}, pairs))
 
-    @staticmethod
-    def of_monomial(m: Monomial, coeff=1) -> "Element":
-        return Element({m: coeff} if coeff else {})
-
     # -- what reads the monomial keys -----------------------------------------
 
     def __mul__(self, other: "Element") -> "Element":

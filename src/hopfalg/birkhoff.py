@@ -12,7 +12,7 @@ from typing import Dict, Optional
 
 from . import _forwarder
 from .algebra import Monomial
-from .duals import Character, compose_antipode, convolve_tables, materialize, tabulate
+from .duals import Character, compose_antipode, convolve_tables, materialize
 from .errors import DomainError, TruncationError, VerificationError
 from .hopf import HopfAlgebra
 from .rings import LaurentRing, LaurentSeries
@@ -94,7 +94,7 @@ def birkhoff_decompose(phi: Character, max_degree: int) -> BirkhoffPair:
     ctx, ring = phi.ctx, phi.ring
     check_truncation_budget(phi, max_degree)
 
-    phi_table = tabulate(phi, ctx.basis_up_to(max_degree))
+    phi_table = phi.tabulate(ctx.basis_up_to(max_degree))
     one, zero = ring.one(), ring.zero()
     minus: Dict[Monomial, LaurentSeries] = {Monomial.unit(): one}
     plus: Dict[Monomial, LaurentSeries] = {Monomial.unit(): one}
@@ -132,7 +132,7 @@ def birkhoff_verification_report(phi: Character, pair: BirkhoffPair, phi_table: 
         raise DomainError("the pair and phi belong to different Hopf algebra contexts")
     basis = ctx.basis_up_to(pair.max_degree)
     if phi_table is None:
-        phi_table = tabulate(phi, basis)
+        phi_table = phi.tabulate(basis)
     checks: Dict[str, dict] = {}
 
     def check(name, witnesses, detail):

@@ -136,15 +136,14 @@ def cmd_antipode(args):
 
 
 def cmd_convolve(args):
-    from .duals import (NOT_MULTIPLICATIVE, Character, TableFunctional, convolve_tables,
-                        materialize, tabulate)
+    from .duals import NOT_MULTIPLICATIVE, Character, TableFunctional, convolve_tables, materialize
     from .serialize import functional_to_json
 
     f, g = read_functionals(args)
     f._check_compatible(g)
     ctx = f.ctx
     basis = ctx.basis_up_to(args.max_degree)
-    table = convolve_tables(ctx, f.ring, tabulate(f, basis), tabulate(g, basis), basis)
+    table = convolve_tables(ctx, f.ring, f.tabulate(basis), g.tabulate(basis), basis)
     if f.kind == g.kind == Character.kind:
         result = materialize(ctx, f.ring, table, args.max_degree, failure=NOT_MULTIPLICATIVE)
     else:

@@ -54,13 +54,6 @@ class Functional:
                 table[m] = v
         return table
 
-    def __call__(self, h):
-        """Evaluate on an Element or a single Monomial."""
-        if isinstance(h, Monomial):
-            return self.value_on(h)
-        one = self.ring.one()
-        return self.ring.dot([(c, self.value_on(m), one) for m, c in h.terms.items()])
-
     def _check_compatible(self, other: "Functional"):
         if self.ctx is not other.ctx:
             raise DomainError("functionals live on different Hopf algebras")
@@ -88,15 +81,13 @@ class TableFunctional(Functional):
         return self.table.get(m, self.ring.zero())
 
 
-class Character(Functional):
-    """Multiplicative unital functional, stored by its generator values.
-
-    Generators missing from the table take the value zero.  When ``cutoff``
-    is set, the character was only materialized up to that degree and
-    evaluating beyond it is an error rather than a silent zero.
+class GeneratorFunctional(Functional):
+    """A functional stored by its generator values; missing generators take
+    the value zero.  When ``cutoff`` is set, it was only materialized up to
+    that degree and evaluating beyond it is an error rather than a silent zero.
     """
 
-    kind = "character"
+    noun = ""  # what the cutoff message calls it
 
     def __init__(self, ctx, ring, gen_values: Dict[Generator, object], cutoff: Optional[int] = None):
         super().__init__(ctx, ring)
@@ -105,10 +96,15 @@ class Character(Functional):
 
     def _check_cutoff(self, m: Monomial):
         if self.cutoff is not None and m.y_degree > self.cutoff:
-            raise CutoffExceededError(
-                f"character materialized to degree {self.cutoff}; "
-                f"value on degree-{m.y_degree} monomial requested"
-            )
+            raise CutoffExceededError(f"{self.noun} materialized to degree {self.cutoff}; "
+                                      f"value on degree-{m.y_degree} monomial requested")
+
+
+class Character(GeneratorFunctional):
+    """Multiplicative unital functional, determined by its generator values."""
+
+    kind = "character"
+    noun = "character"
 
     def value_on(self, m: Monomial):
         self._check_cutoff(m)
@@ -163,22 +159,14 @@ class Character(Functional):
         return table
 
 
-class InfinitesimalCharacter(Functional):
+class InfinitesimalCharacter(GeneratorFunctional):
     """A derivation-like functional: zero on 1 and on products."""
 
     kind = "infinitesimal"
-
-    def __init__(self, ctx, ring, gen_values: Dict[Generator, object], cutoff: Optional[int] = None):
-        super().__init__(ctx, ring)
-        self.gen_values = dict(gen_values)
-        self.cutoff = cutoff
+    noun = "infinitesimal character"
 
     def value_on(self, m: Monomial):
-        if self.cutoff is not None and m.y_degree > self.cutoff:
-            raise CutoffExceededError(
-                f"infinitesimal character materialized to degree {self.cutoff}; "
-                f"value on degree-{m.y_degree} monomial requested"
-            )
+        self._check_cutoff(m)
         g = m.single_generator()
         if g is None:
             return self.ring.zero()
@@ -190,11 +178,6 @@ class InfinitesimalCharacter(Functional):
 # A table maps basis monomials to ring values.  An exact zero
 # (``ring.is_exact_zero``) is left out; a truncated Laurent zero is not exact
 # and stays, because it still narrows the sound window of every sum it enters.
-
-
-def tabulate(f: Functional, monomials) -> Dict[Monomial, object]:
-    """f on the given monomials as a table (exact zeros left out)."""
-    return f.tabulate(monomials)
 
 
 def convolve_tables(ctx: HopfAlgebra, ring: Ring, a: dict, b: dict, monomials) -> Dict[Monomial, object]:
@@ -247,7 +230,7 @@ def materialize(ctx: HopfAlgebra, ring: Ring, table: dict, max_degree: int, kind
     if failure is not None:
         zero = ring.zero()
         basis = ctx.basis_up_to(max_degree)
-        closed = tabulate(result, basis)
+        closed = result.tabulate(basis)
         for m in basis:
             if not ring.eq(closed.get(m, zero), table.get(m, zero)):
                 raise VerificationError(failure.format(m), witness=str(m))
@@ -269,7 +252,7 @@ def exp_star(z: InfinitesimalCharacter, max_degree: int) -> Character:
         raise DomainError("max_degree must be >= 1")
     ctx, ring = z.ctx, z.ring
     basis = ctx.basis_up_to(max_degree)
-    powers = convolution_powers(ctx, ring, tabulate(z, basis), max_degree, basis)
+    powers = convolution_powers(ctx, ring, z.tabulate(basis), max_degree, basis)
     series = {m: ring.one() if m.is_unit else power_series(ring, powers, m, lambda n: Fraction(1, factorial(n)))
               for m in basis}
     return materialize(ctx, ring, series, max_degree,
@@ -286,7 +269,7 @@ def log_star(chi: Character, max_degree: int) -> InfinitesimalCharacter:
     ctx, ring = chi.ctx, chi.ring
     basis = ctx.basis_up_to(max_degree)
     # chi - 1_* is chi off the unit, where a character takes the value 1.
-    delta = tabulate(chi, [m for m in basis if not m.is_unit])
+    delta = chi.tabulate([m for m in basis if not m.is_unit])
     powers = convolution_powers(ctx, ring, delta, max_degree + 1, basis)
     series = {}
     for m in basis:

@@ -13,10 +13,9 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .algebra import Monomial
-from .duals import (NOT_MULTIPLICATIVE, Character, Functional, InfinitesimalCharacter, TableFunctional,
-                    compose_antipode, convolve_tables, grading_transpose, materialize, scale_by_degree, tabulate)
+from .duals import (NOT_MULTIPLICATIVE, Character, Functional, InfinitesimalCharacter, compose_antipode, convolve_tables,
+                    materialize)
 from .errors import DomainError, UnsupportedRingError
-from .hopf import theta_factors
 from .rationals import QQ
 
 
@@ -101,17 +100,17 @@ def character_inverse(chi: Character, max_degree: Optional[int] = None) -> Chara
                           "characters without a cutoff")
     gens = [Monomial.of(g) for g in ctx.schema.generators_up_to(bound)]
     support = {m1 for m in gens for m1 in ctx.antipode_monomial(m).terms}
-    table = compose_antipode(ctx, ring, tabulate(chi, support), gens)
+    table = compose_antipode(ctx, ring, chi.tabulate(support), gens)
     return materialize(ctx, ring, table, bound)
 
 
 def materialize_character(f: Functional, max_degree: int, verify: bool = False) -> Character:
     """Read a known-multiplicative functional back into character closed form."""
     if verify:
-        return materialize(f.ctx, f.ring, tabulate(f, f.ctx.basis_up_to(max_degree)), max_degree,
+        return materialize(f.ctx, f.ring, f.tabulate(f.ctx.basis_up_to(max_degree)), max_degree,
                            failure=NOT_MULTIPLICATIVE)
     gens = [Monomial.of(g) for g in f.ctx.schema.generators_up_to(max_degree)]
-    return materialize(f.ctx, f.ring, tabulate(f, gens), max_degree)
+    return materialize(f.ctx, f.ring, f.tabulate(gens), max_degree)
 
 
 def lie_bracket(z1: InfinitesimalCharacter, z2: InfinitesimalCharacter, max_degree: int) -> InfinitesimalCharacter:
@@ -119,7 +118,7 @@ def lie_bracket(z1: InfinitesimalCharacter, z2: InfinitesimalCharacter, max_degr
     z1._check_compatible(z2)
     ctx, ring = z1.ctx, z1.ring
     basis = ctx.basis_up_to(max_degree)
-    a, b = tabulate(z1, basis), tabulate(z2, basis)
+    a, b = z1.tabulate(basis), z2.tabulate(basis)
     gens = [Monomial.of(g) for g in ctx.schema.generators_up_to(max_degree)]
     forward = convolve_tables(ctx, ring, a, b, gens)
     backward = convolve_tables(ctx, ring, b, a, gens)
@@ -128,50 +127,15 @@ def lie_bracket(z1: InfinitesimalCharacter, z2: InfinitesimalCharacter, max_degr
     return materialize(ctx, ring, bracket, max_degree, InfinitesimalCharacter)
 
 
-def y_star(f: Functional) -> Functional:
-    """<Y_* f, h> = <f, Y h>, on an infinitesimal character or a table."""
-    return _grading(f, inverse=False)
-
-
-def y_star_inverse(f: Functional) -> Functional:
-    """Y_*^-1, on an infinitesimal character or a table vanishing at the unit."""
-    return _grading(f, inverse=True)
-
-
-def _grading(f: Functional, inverse: bool) -> Functional:
-    ring = f.ring
-    if isinstance(f, InfinitesimalCharacter):
-        values = {g: ring.scale(Fraction(1, g.degree) if inverse else g.degree, v)
-                  for g, v in f.gen_values.items()}
-        return InfinitesimalCharacter(f.ctx, ring, values, cutoff=f.cutoff)
-    if isinstance(f, TableFunctional):
-        return TableFunctional(f.ctx, ring, grading_transpose(ring, f.table, inverse))
-    raise DomainError(f"the grading transpose takes an infinitesimal character or a table, "
-                      f"not a {type(f).__name__}; tabulate it first")
-
-
-def theta_star(f: Functional, z) -> Functional:
-    """<theta_*z f, h> = <f, theta_z h>: degree-n values times exp(n z), z a
-    positive-valuation series in f's ring.  theta_z is a Hopf automorphism, so
-    (infinitesimal) characters keep their kind, with generator values scaled."""
-    ring = f.ring
-    if isinstance(f, (Character, InfinitesimalCharacter)):
-        factors = theta_factors(ring, z, max((g.degree for g in f.gen_values), default=0))
-        values = {g: ring.mul(factors[g.degree], v) for g, v in f.gen_values.items()}
-        return type(f)(f.ctx, ring, values, cutoff=f.cutoff)
-    if isinstance(f, TableFunctional):
-        factors = theta_factors(ring, z, max((m.y_degree for m in f.table), default=0))
-        return TableFunctional(f.ctx, ring, scale_by_degree(ring, f.table, factors))
-    raise DomainError(f"the scaling transpose takes a character, an infinitesimal character "
-                      f"or a table, not a {type(f).__name__}; tabulate it first")
-
-
 def metric_distance(f1: Functional, f2: Functional, basis_cutoff: int) -> Tuple[Fraction, Fraction]:
     """Truncated dual-space distance plus its exact tail bound.
 
     Sums 2^(-i) min(|<f1 - f2, x_i>|, 1) over the first ``basis_cutoff``
     monomials, enumerated in non-decreasing degree (canonical order within a
-    degree); the discarded tail is bounded by 2^(1 - basis_cutoff).
+    degree); the discarded tail is bounded by 2^(1 - basis_cutoff).  A
+    truncated schema ends the scan at its top degree, where its monomials are
+    still the first of the whole algebra, and bounds the tail by 2^(1 - n) for
+    the n monomials summed.
     """
     f1._check_compatible(f2)
     if f1.ring is not QQ and f1.ring.tag != QQ.tag:
@@ -184,10 +148,11 @@ def metric_distance(f1: Functional, f2: Functional, basis_cutoff: int) -> Tuple[
     # A generator of degree k yields monomials in every multiple of k, so the
     # scan ends; without generators the unit is the whole basis.
     has_generators = schema.max_degree is None or bool(schema.generators_up_to(schema.max_degree))
+    top = None if schema.complete else schema.max_degree
     total = Fraction(0)
     index = 0
     degree = 0
-    while index < basis_cutoff and (degree == 0 or has_generators):
+    while index < basis_cutoff and (degree == 0 or has_generators) and (top is None or degree <= top):
         for m in ctx.monomials_of_degree(degree):
             if index >= basis_cutoff:
                 break
@@ -195,5 +160,4 @@ def metric_distance(f1: Functional, f2: Functional, basis_cutoff: int) -> Tuple[
             total += Fraction(1, 2**index) * min(diff, Fraction(1))
             index += 1
         degree += 1
-    tail = Fraction(2) / Fraction(2**basis_cutoff)
-    return total, tail
+    return total, Fraction(2, 2 ** (basis_cutoff if top is None else index))

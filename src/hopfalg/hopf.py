@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .algebra import Element, Generator, Monomial, TensorElement
-from .errors import CutoffExceededError, DomainError, SchemaError, UnsupportedRingError, quoted
+from .errors import CutoffExceededError, DomainError, SchemaError, quoted
 from .rationals import Ring
 
 DEFAULT_VALIDATE_DEGREE = 8
@@ -32,11 +32,13 @@ class HopfSchema:
 
     Subclasses provide the generator enumeration per degree, the lookup by
     name and the reduced coproduct table.  ``max_degree`` is None for schemas
-    with generators in every degree.
+    with generators in every degree; ``complete`` is False for a cutoff slice
+    of an infinite family.
     """
 
     name = "schema"
     max_degree: Optional[int] = None
+    complete = True
 
     def generators_of_degree(self, degree: int) -> Tuple[Generator, ...]:
         raise NotImplementedError
@@ -141,8 +143,6 @@ def validate_schema_structure(schema: HopfSchema, up_to: int) -> None:
 def theta_factors(ring: Ring, z, max_degree: int) -> list:
     """exp(n z) for n = 0 .. max_degree, the factors of theta_z by degree; z is
     a positive-valuation series in ``ring``, so each is exact to its truncation."""
-    if not hasattr(ring, "exp"):
-        raise UnsupportedRingError(f"theta_z needs a series ring with an exponential; {ring.tag} has none")
     return [ring.exp(ring.scale(n, z)) for n in range(max_degree + 1)]
 
 
@@ -409,7 +409,7 @@ class HopfAlgebra:
         else:
             result = -self.monomial_element(m)
             for (left, right), c in self.reduced_coproduct_monomial(m).terms.items():
-                piece = self.antipode_left_monomial(left) * Element.of_monomial(right, c)
+                piece = self.antipode_left_monomial(left) * Element({right: c})
                 result = result - piece
         self._antipode_l[m] = result
         return result

@@ -123,7 +123,7 @@ _ONE = Fraction(1)
 class RationalField(Ring):
     """The field of exact rationals; values are int or fractions.Fraction.
 
-    The sum-of-products kernels (``convolve``, ``dot``) return an integral
+    The sum-of-products kernels (``convolve_operands``, ``dot``) return an integral
     value as a plain int and a Fraction only for a denominator above 1, so
     integral data (structure constants, seeded characters, integral JSON
     values) stays in C-level int arithmetic.  ``add`` and ``mul`` are
@@ -172,15 +172,12 @@ class RationalField(Ring):
         d = lcm(*(x.denominator for _, x in xs))
         return d, tuple((i, x.numerator * (d // x.denominator)) for i, x in xs)
 
-    def convolve(self, terms, n):
-        """The sum of c xs ys below exponent n over the (c, xs, ys) triples, xs and ys
-        sparse (exponent, value) lists by increasing exponent, in integers: every
-        exponent below n that a product reaches, with its coefficient (maybe zero)."""
-        return self.convolve_operands([(c, self.operand(xs), self.operand(ys)) for c, xs, ys in terms], n)
-
     def convolve_operands(self, terms, n):
-        """The integer loop: all triples over the lcm of their denominators,
-        one canonical value (int, or Fraction off the integers) per output exponent."""
+        """The sum of c xs ys below exponent n over the (c, xs, ys) triples, xs and ys
+        ``operand`` forms of sparse (exponent, value) lists by increasing exponent,
+        in integers: all triples over the lcm of their denominators, and every
+        exponent below n that a product reaches, with its canonical coefficient
+        (int, or Fraction off the integers; maybe zero)."""
         for c, (dx, _), (dy, _) in terms:
             if c.__class__ is not int or dx != 1 or dy != 1:
                 d = lcm(*(c.denominator * dx * dy for c, (dx, _), (dy, _) in terms))

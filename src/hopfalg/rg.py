@@ -16,7 +16,7 @@ from typing import Dict, List, NamedTuple, Tuple
 from . import duals
 from .algebra import Monomial
 from .duals import (Character, InfinitesimalCharacter, TableFunctional, compose_antipode, convolution_powers,
-                    grading_transpose, materialize, tabulate)
+                    grading_transpose, materialize)
 from .errors import DomainError, UnsupportedRingError, VerificationError
 from .polynomials import POLY_T
 from .rationals import RationalField
@@ -56,8 +56,11 @@ def beta_data(f, max_order: int, max_degree: int) -> BetaData:
     if max_order < 1:
         raise DomainError("max_order must be >= 1")
     d1 = residue(f, max_degree)
-    beta, violations = _beta_of_residue(d1, max_degree)
-    base = beta.ring
+    base = d1.ring
+    # beta = Y_* (residue), its infinitesimality checked, not assumed: the
+    # violations are the products where the residue fails to vanish.
+    beta = materialize(f.ctx, base, grading_transpose(base, d1.table), max_degree, InfinitesimalCharacter)
+    violations = [str(m) for m in d1.table if m.single_generator() is None and not m.is_unit]
     towers = [d1] + counterterm_tower(beta, max_order, max_degree)[1:]
     for d in towers:
         if not base.is_zero(d.value_on(Monomial.unit())):
@@ -76,31 +79,11 @@ def residue(f, max_degree: int) -> TableFunctional:
     ring: LaurentRing = f.ring
     base = ring.base
     table = {}
-    for m, value in tabulate(f, f.ctx.basis_up_to(max_degree)).items():
+    for m, value in f.tabulate(f.ctx.basis_up_to(max_degree)).items():
         v = ring.coefficient(value, -1)
         if not base.is_zero(v):
             table[m] = v
     return TableFunctional(f.ctx, base, table)
-
-
-def beta_functional(f, max_degree: int) -> Tuple[InfinitesimalCharacter, List[str]]:
-    """beta = Y_* (residue), with its infinitesimality checked, not assumed.
-
-    Returns the generator-table form plus the list of basis products where
-    the scaled residue fails to vanish (empty for genuinely special data).
-    """
-    return _beta_of_residue(residue(f, max_degree), max_degree)
-
-
-def _beta_of_residue(d1: TableFunctional, max_degree: int):
-    base = d1.ring
-    scaled = grading_transpose(base, d1.table)
-    violations = [
-        str(m)
-        for m, v in d1.table.items()
-        if m.single_generator() is None and not m.is_unit
-    ]
-    return materialize(d1.ctx, base, scaled, max_degree, InfinitesimalCharacter), violations
 
 
 def counterterm_tower(beta: InfinitesimalCharacter, max_order: int, max_degree: int) -> List[TableFunctional]:
@@ -110,7 +93,7 @@ def counterterm_tower(beta: InfinitesimalCharacter, max_order: int, max_degree: 
         raise DomainError("the tower is indexed by n >= 1")
     ctx, base = beta.ctx, beta.ring
     basis = [m for m in ctx.basis_up_to(max_degree) if not m.is_unit]
-    beta_table = tabulate(beta, basis)
+    beta_table = beta.tabulate(basis)
     tables = [grading_transpose(base, beta_table, inverse=True)]
     while len(tables) < max_order:
         product = duals.convolve_tables(ctx, base, tables[-1], beta_table, basis)
@@ -244,7 +227,7 @@ def rg_limit_check(phi: Character, max_degree: int, eps_margin: int = 1) -> RgRe
     base = ring.base
 
     basis = ctx.basis_up_to(max_degree)
-    phi_vals = tabulate(phi, basis)
+    phi_vals = phi.tabulate(basis)
     pole = max(ring.pole_order(v) for v in phi_vals.values())
     if pole > MAX_POLE_ORDER:
         raise DomainError(f"phi has a pole of order {pole} through degree {max_degree}, above the limit "
@@ -325,7 +308,7 @@ def _flow_matches_exponential(ctx, base, flow, beta, basis) -> bool:
     # F_t = exp(t beta): F_0 is the counit and F_n = beta^(*n) / n!, which
     # vanishes above the top degree.
     top = max(m.y_degree for m in basis)
-    powers = convolution_powers(ctx, base, tabulate(beta, basis), top, basis)
+    powers = convolution_powers(ctx, base, beta.tabulate(basis), top, basis)
     expected = [{Monomial.unit(): 1}] + [{m: Fraction(v, factorial(n)) for m, v in p.items()}
                                          for n, p in enumerate(powers, 1)]
     while not expected[-1]:

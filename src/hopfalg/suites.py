@@ -22,7 +22,6 @@ from .duals import (
     exp_star,
     grading_transpose,
     log_star,
-    tabulate,
 )
 from .errors import HopfError
 from .functionals import ConvolutionProduct, character_inverse, convolve, metric_distance
@@ -111,7 +110,7 @@ def dual_convolution_suite(ctx: HopfAlgebra, max_degree: int, seed: int) -> Suit
             g = _random_infinitesimal(ctx, rng, degree)
             h = _random_character(ctx, rng, degree)
             # Two bracketings through the kernel, and the flat product as oracle.
-            tf, tg, th = tabulate(f, basis), tabulate(g, basis), tabulate(h, basis)
+            tf, tg, th = f.tabulate(basis), g.tabulate(basis), h.tabulate(basis)
             left, right = kernel(kernel(tf, tg), th), kernel(tf, kernel(tg, th))
             flat = convolve(f, g, h)
             for m in basis:
@@ -173,10 +172,12 @@ def dual_convolution_suite(ctx: HopfAlgebra, max_degree: int, seed: int) -> Suit
 
     add("nilpotence", nilpotence(), "n+1 infinitesimals kill degree <= n")
 
-    low_gens = [g for g in ctx.schema.generators_up_to(min(3, degree))]
+    # Without a generator of degree <= min(3, degree) the next two checks
+    # have nothing to draw, and pass.
+    low_gens = ctx.schema.generators_up_to(min(3, degree))
 
     def permanent():
-        for _ in range(6):
+        for _ in range(6 if low_gens else 0):
             n = rng.randint(2, 3)
             zs = [_random_infinitesimal(ctx, rng, degree) for _ in range(n)]
             picks = [rng.choice(low_gens) for _ in range(n)]
@@ -195,7 +196,7 @@ def dual_convolution_suite(ctx: HopfAlgebra, max_degree: int, seed: int) -> Suit
 
     def long_products():
         # Draws for both n, so it yields every failure; the report keeps the last.
-        for n in (1, 2):
+        for n in (1, 2) if low_gens else ():
             zs = [_random_infinitesimal(ctx, rng, degree) for _ in range(n)]
             m = Monomial.of(low_gens[0], n + 1)
             if ConvolutionProduct(zs).value_on(m) != 0:
@@ -214,8 +215,8 @@ def dual_convolution_suite(ctx: HopfAlgebra, max_degree: int, seed: int) -> Suit
     add("exp-log-round-trip", round_trip(), "log recovers the infinitesimal generatorwise")
 
     def derivation():
-        t1 = tabulate(_random_infinitesimal(ctx, rng, degree), basis)
-        t2 = tabulate(_random_infinitesimal(ctx, rng, degree), basis)
+        t1 = _random_infinitesimal(ctx, rng, degree).tabulate(basis)
+        t2 = _random_infinitesimal(ctx, rng, degree).tabulate(basis)
         product = grading_transpose(QQ, kernel(t1, t2))
         first = kernel(grading_transpose(QQ, t1), t2)
         second = kernel(t1, grading_transpose(QQ, t2))

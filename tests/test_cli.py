@@ -224,6 +224,25 @@ def test_verify_passes_on_builtin_schemas():
     run_cli("verify", "--schema", "trees:3", "--max-degree", "3")
 
 
+# Schemas with few monomials up to their top degree, or no generator of
+# degree <= 3 to draw: every verify check must pass on them, as on the ladder.
+SMALL_SCHEMAS = {"empty": {"generators": []}, "degree-2-only": {"generators": [{"name": "y", "degree": 2}]}}
+
+
+def test_verify_passes_every_check_on_small_and_sparse_schemas(tmp_path, capsys):
+    runs = [("ladder", d) for d in (1, 2, 3)]
+    runs += [(f"trees:{n}", d) for n in (1, 2, 3, 4) for d in range(1, min(n, 3) + 1)]
+    runs += [(f"custom:{write(tmp_path, f'{name}.json', payload)}", d) for name, payload in SMALL_SCHEMAS.items()
+             for d in (1, 2, 3)]
+    for schema, degree in runs:
+        code = cli.main(["verify", "--schema", schema, "--max-degree", str(degree)])
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        failed = [c for part in ("axioms", "dualConvolution", "birkhoff") for c in report[part]["checks"]
+                  if not c["passed"]]
+        assert (code, err, failed, report["passed"]) == (0, "", [], True), (schema, degree)
+
+
 def test_verify_corrupted_schema_fails(tmp_path):
     schema = {
         "generators": [

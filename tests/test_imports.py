@@ -161,16 +161,16 @@ PUBLIC = [
     "LaurentRing", "LaurentSeries", "Monomial", "PolynomialRing", "QQ", "RankMismatchError", "RationalField",
     "ReducedTerm", "RingMismatchError", "RootedTree", "SchemaError", "SingularInputError", "TableFunctional",
     "TableSchema", "TensorElement", "TruncationError", "UnsupportedRingError", "VerificationError",
-    "admissible_cuts", "beta_data", "beta_functional", "birkhoff_decompose", "build_special_loop",
+    "admissible_cuts", "beta_data", "birkhoff_decompose", "build_special_loop",
     "character_inverse", "convolve", "counit_functional", "dn_recursive", "dn_simplex", "enumerate_trees",
     "exp_star", "ladder_schema", "lie_bracket", "load_schema", "log_star", "metric_distance", "parse_tree",
-    "residue", "rg_limit_check", "rooted_tree_schema", "rota_baxter_T", "scattering_check", "theta_star",
-    "verify_axioms", "y_star", "y_star_inverse",
+    "residue", "rg_limit_check", "rooted_tree_schema", "rota_baxter_T", "scattering_check",
+    "verify_axioms",
 ]
 
 
 def test_every_public_name_is_its_submodule_object():
-    assert hopfalg.__all__ == PUBLIC and len(set(PUBLIC)) == 58
+    assert hopfalg.__all__ == PUBLIC and len(set(PUBLIC)) == 54
     for name in hopfalg.__all__:
         value = getattr(hopfalg, name)
         assert getattr(sys.modules[value.__module__], name) is value

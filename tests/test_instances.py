@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfalg.algebra import Monomial, TensorElement
+from hopfalg.algebra import Element, Monomial, TensorElement
 from hopfalg.errors import CutoffExceededError, DomainError, HopfError, SchemaError
 from hopfalg.hopf import HopfAlgebra
 from hopfalg.instances import ladder_schema, load_schema, schema_from_dict
@@ -24,6 +24,7 @@ from hopfalg.trees import (
     rooted_tree_schema,
     tree_generator,
 )
+from perfbench import oracles
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -407,3 +408,87 @@ def test_connes_moscovici_passes_verify_and_one_flipped_coefficient_fails(tmp_pa
     assert cli.main(["verify", "--schema", f"custom:{path}", "--max-degree", "8"]) == 1
     checks = json.loads(capsys.readouterr().out)["axioms"]["checks"]
     assert [(c["axiom"], c["counterexample"]) for c in checks if not c["passed"]] == [("CDelta", "d3")]
+
+
+# -- the Connes-Kreimer morphism H_CM -> H_R: delta_n -> N^(n-1)(.) -------------------
+#
+# N grafts one new leaf onto each vertex of a tree in turn and sums the results,
+# with multiplicity.  delta_n -> N^(n-1) of the one-vertex tree, extended
+# multiplicatively, is a Hopf morphism into rooted trees (hep-th/9808042).
+# Trees are the canonical tuples of ``perfbench.oracles``; a forest is a tuple of
+# trees sorted by encoding, the empty forest the unit.
+
+
+def natural_growth(combination):
+    """N on a {tree: coefficient} combination."""
+
+    def grafted(tree):  # one tree per vertex, a leaf grafted there
+        yield oracles.canonical(tree + ((),))
+        for i, child in enumerate(tree):
+            for grown in grafted(child):
+                yield oracles.canonical(tree[:i] + (grown,) + tree[i + 1:])
+
+    out = {}
+    for tree, c in combination.items():
+        for grown in grafted(tree):
+            out[grown] = out.get(grown, 0) + c
+    return out
+
+
+def forest_product(a, b):
+    """The product of two {forest: coefficient} combinations."""
+    out = {}
+    for f, c in a.items():
+        for g, d in b.items():
+            key = tuple(sorted(f + g, key=oracles.tree_encoding))
+            out[key] = out.get(key, 0) + c * d
+    return out
+
+
+def cm_image_of_coproduct(data, k, phi):
+    """(phi (x) phi)(D delta_k) from the generated schema JSON, as {(forest, forest): coefficient}."""
+
+    def image(powers):  # phi of a monomial given as [[name, exponent], ...]
+        out = {(): 1}
+        for name, e in powers:
+            for _ in range(e):
+                out = forest_product(out, phi[name])
+        return out
+
+    name = f"d{k}"
+    terms = [([[name, 1]], [], 1), ([], [[name, 1]], 1)]
+    terms += [(t["left"], [[t["right"], 1]], int(t["coeff"])) for t in data["reducedCoproduct"].get(name, [])]
+    out = {}
+    for left, right, c in terms:
+        for f, x in image(left).items():
+            for g, y in image(right).items():
+                out[f, g] = out.get((f, g), 0) + c * x * y
+    return {key: c for key, c in out.items() if c}
+
+
+def test_connes_moscovici_maps_into_rooted_trees_by_natural_growth():
+    top = 7
+    data = connes_moscovici_schema(top)
+    phi, tree = {}, {(): 1}
+    for k in range(1, top + 1):
+        phi[f"d{k}"] = {(t,): c for t, c in tree.items()}
+        tree = natural_growth(tree)
+    assert phi["d3"] == {(oracles.parse_tree("[[[]]]"),): 1, (oracles.parse_tree("[[][]]"),): 1}
+    ctx = HopfAlgebra(rooted_tree_schema(top))
+
+    def forest(m):
+        return tuple(sorted((oracles.parse_tree(g.name) for g, e in m.powers for _ in range(e)),
+                            key=oracles.tree_encoding))
+
+    for k in range(1, top + 1):
+        h = Element.from_terms((Monomial.of(ctx.schema.generator_by_name(oracles.tree_encoding(t))), c)
+                               for (t,), c in phi[f"d{k}"].items())
+        trees_side = {(forest(a), forest(b)): c for (a, b), c in ctx.coproduct(h).terms.items()}
+        assert trees_side == cm_image_of_coproduct(data, k, phi), k
+        if k == top:
+            assert len(trees_side) == 236
+        # Each coefficient of D delta_k, flipped on its own, breaks the identity.
+        for term in data["reducedCoproduct"].get(f"d{k}", []):
+            term["coeff"] = str(-int(term["coeff"]))
+            assert trees_side != cm_image_of_coproduct(data, k, phi), (k, term)
+            term["coeff"] = str(-int(term["coeff"]))

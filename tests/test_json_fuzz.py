@@ -50,8 +50,10 @@ SCHEMA = {"generators": [{"name": "x1", "degree": 1}, {"name": "x2", "degree": 2
                                "x3": [{"left": [["x1", 1]], "right": "x2", "coeff": "1"},
                                       {"left": [["x2", 1]], "right": "x1", "coeff": "1"}]}}
 SCHEMA_CHARACTER = {"kind": "character", "ring": "rational", "values": {"x1": "1", "x2": "1/2"}}
-SCHEMA_COMMANDS = [["verify", "--max-degree", "3"], ["coproduct", "--expr", "x1*x3"], ["antipode", "--expr", "x3"],
-                   ["log", "{character}", "--max-degree", "3"]]
+# The schema files mutated: SCHEMA, and two without a generator of degree 1.
+SCHEMA_BASES = [SCHEMA, {"generators": []}, {"generators": [{"name": "y", "degree": 2}]}]
+SCHEMA_COMMANDS = [["verify", "--max-degree", "{degree}"], ["coproduct", "--expr", "x1*x3"],
+                   ["antipode", "--expr", "x3"], ["log", "{character}", "--max-degree", "3"]]
 
 # Element files of ``coproduct --file`` and ``antipode --file``, on each schema
 # that reads them; "custom" is SCHEMA, written to a file.
@@ -173,10 +175,11 @@ def test_any_functional_file_exits_0_1_or_2_with_a_json_diagnostic(workdir, data
 @given(data=st.data())
 def test_any_schema_file_exits_0_1_or_2_with_a_json_diagnostic(workdir, data):
     schema = workdir / "schema.json"
-    schema.write_text(data.draw(mutated(SCHEMA)))
+    schema.write_text(data.draw(mutated(data.draw(st.sampled_from(SCHEMA_BASES)))))
     character = workdir / "character.json"
     character.write_text(json.dumps(SCHEMA_CHARACTER))
-    argv = [a.format(character=character) for a in data.draw(st.sampled_from(SCHEMA_COMMANDS))]
+    degree = data.draw(st.integers(min_value=1, max_value=3))
+    argv = [a.format(character=character, degree=degree) for a in data.draw(st.sampled_from(SCHEMA_COMMANDS))]
     check(*run([*argv, "--schema", f"custom:{schema}"]))
 
 

@@ -298,3 +298,63 @@ def test_printed_values_hold_for_every_completion(loop_dir, case):
             event(f"{command} past the window: {'differs' if len(past) > 1 else 'agrees'}")
     for _, other in completed:  # a completion prints no value the truncated run leaves out
         assert other["values"].keys() <= printed["values"].keys()
+
+
+# ``beta`` of a loop and ``scattering`` of a beta-function print only exact
+# rationals and verdicts: the residues d_n and beta, read off the eps^-1
+# coefficients, and the orders whose finite-time limits match the tower.  So
+# on a truncated input a run either prints exactly what every completion
+# prints, or is refused (exit 2) for a window that does not reach eps^-1; it
+# never fails verification (exit 1) where every completion passes.  The values
+# are truncated at -1..1, where the window of a product of two of them can end
+# just below eps^-1, and every completion has a nonzero coefficient just past
+# each truncation.  The degree is at least 2, so that products are read.
+
+RG_INPUTS = [("beta", "character"), ("beta", "infinitesimal"), ("scattering", "infinitesimal")]
+
+
+@st.composite
+def completed_rg_inputs(draw):
+    """(argv, [truncated input, three completions]) of ``beta`` or ``scattering``;
+    the first generator's value has a pole."""
+    command, kind = draw(st.one_of(st.just(("beta", "character")), st.sampled_from(RG_INPUTS)))
+    schema = draw(st.sampled_from(sorted(COMPLETION_SCHEMAS)))
+    degree = draw(st.integers(min_value=2, max_value=COMPLETION_SCHEMAS[schema]))
+    order = draw(st.integers(min_value=1, max_value=degree))
+    gens = HopfAlgebra(cli.resolve_schema(schema), validate_to=0).schema.generators_up_to(degree)
+    values = [{}, {}, {}, {}]
+    for i, g in enumerate(gens):
+        trunc = draw(st.integers(min_value=-1, max_value=1))
+        coeffs = draw(st.dictionaries(st.integers(min_value=-2, max_value=trunc), completion_coefficients,
+                                      max_size=3))
+        if i == 0:
+            coeffs[draw(st.sampled_from([-2, -1]))] = 1
+        values[0][g.name] = {"truncation": trunc, "coeffs": {str(k): str(v) for k, v in coeffs.items()}}
+        for completion in values[1:]:
+            tail = draw(st.dictionaries(st.integers(min_value=trunc + 2, max_value=trunc + 3),
+                                        completion_coefficients, max_size=2))
+            tail[trunc + 1] = draw(completion_coefficients)
+            completion[g.name] = {"truncation": None,
+                                  "coeffs": {str(k): str(v) for k, v in {**coeffs, **tail}.items()}}
+    docs = [{"kind": kind, "ring": "laurent", "values": v} for v in values]
+    return [command, "--schema", schema, "--max-degree", str(degree), "--max-order", str(order)], docs
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=completed_rg_inputs())
+def test_beta_and_scattering_print_what_every_completion_prints(loop_dir, case):
+    argv, docs = case
+    outputs = []
+    for i, doc in enumerate(docs):
+        path = loop_dir / f"{argv[0]}-{i}.json"
+        path.write_text(json.dumps(doc))
+        outputs.append(run_cli([argv[0], str(path), *argv[1:]]))
+    (code, printed), completed = outputs[0], outputs[1:]
+    what = f"{argv[0]} ({docs[0]['kind']})"
+    if code == 2:  # refused: nothing is printed
+        assert printed is None
+        agree = len({json.dumps(p) for _, p in completed}) == 1
+        event(f"{what}: refused, the completions {'agree' if agree else 'differ'}")
+        return
+    assert all(other == (code, printed) for other in completed)
+    event(f"{what}: exit {code}")
