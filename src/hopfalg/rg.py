@@ -108,7 +108,7 @@ def dn_recursive(beta: InfinitesimalCharacter, n: int, max_degree: int) -> Table
 
 def simplex_weight(leg_degrees: Tuple[int, ...]) -> Fraction:
     """prod_j 1/(k_1 + ... + k_j): the closed form of the ordered-simplex
-    integral of prod_i e^(-k_i s_i).  Re-derived symbolically in the tests."""
+    integral of prod_i e^(-k_i s_i).  tests/test_sympy_oracle.py integrates it in sympy."""
     weight = Fraction(1)
     partial = 0
     for k in leg_degrees:
@@ -369,7 +369,7 @@ def scattering_check(beta: InfinitesimalCharacter, max_order: int, max_degree: i
             combo: Dict[int, object] = {}
             for degrees, prod in _beta_pairings(beta, m, n):
                 if degrees not in integrals:
-                    integrals[degrees] = finite_simplex_integral(degrees).coeffs
+                    integrals[degrees] = finite_simplex_integral(degrees)
                 for rate, q in integrals[degrees].items():
                     cur = combo.get(rate, base.zero())
                     combo[rate] = base.add(cur, base.scale(q, prod))

@@ -128,7 +128,7 @@ def functional_from_json(ctx: HopfAlgebra, data: dict) -> Functional:
     if kind == TableFunctional.kind:
         from .exprparse import parse_element
 
-        table = {}
+        table, keys = {}, {}
         for expr, raw in values.items():
             e = parse_element(ctx, expr)
             if len(e.terms) != 1:
@@ -136,14 +136,26 @@ def functional_from_json(ctx: HopfAlgebra, data: dict) -> Functional:
             (m, c), = e.terms.items()
             if c != 1:
                 raise HopfError(f"table keys must be bare monomials, got {quoted(expr)}")
+            _claim(keys, m, expr)
             table[m] = ring.value_from_json(raw)
         return TableFunctional(ctx, ring, table)
     for cls in (Character, InfinitesimalCharacter):
         if kind == cls.kind:
-            gen_values = {ctx.schema.generator_by_name(name): ring.value_from_json(raw)
-                          for name, raw in values.items()}
+            gen_values, keys = {}, {}
+            for name, raw in values.items():
+                g = ctx.schema.generator_by_name(name)
+                _claim(keys, g.name, name)
+                gen_values[g] = ring.value_from_json(raw)
             return cls(ctx, ring, gen_values, cutoff=cutoff)
     raise HopfError(f"unknown functional kind {quoted(kind)}")
+
+
+def _claim(keys: dict, target, key: str) -> None:
+    """Record that the values key ``key`` reads as ``target``, a generator name
+    or a monomial; two keys that read as one would give it two values."""
+    if target in keys:
+        raise HopfError(f"functional keys {quoted(keys[target])} and {quoted(key)} both name {target}")
+    keys[target] = key
 
 
 def read_json(path: str, what: str):

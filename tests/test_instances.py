@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -492,3 +493,55 @@ def test_connes_moscovici_maps_into_rooted_trees_by_natural_growth():
             term["coeff"] = str(-int(term["coeff"]))
             assert trees_side != cm_image_of_coproduct(data, k, phi), (k, term)
             term["coeff"] = str(-int(term["coeff"]))
+
+
+# -- birkhoff on custom schemas against the Bogoliubov recursion of perfbench.oracles ---
+
+
+def oracle_structure(data):
+    """(cuts, degree) of ``perfbench.oracles`` for a schema JSON: cuts[g] lists
+    (left factors repeated by exponent, right generator, coefficient)."""
+    degree = {g["name"]: g["degree"] for g in data["generators"]}
+    reduced = data.get("reducedCoproduct", {})
+    cuts = {g: [(tuple(x for x, e in t["left"] for _ in range(e)), t["right"], Fraction(t["coeff"]))
+                for t in reduced.get(g, [])] for g in degree}
+    return cuts, degree
+
+
+def rescaled_binomial_schema(n):
+    """The binomial ladder D x_m = sum_k C(m, k) x_k (x) x_(m-k) in the basis
+    y_m = m x_m: D y_m = sum_k C(m, k) m / (k (m - k)) y_k (x) y_(m-k)."""
+    cuts, degree = oracles.ladder_structure(n, binomial=True, prefix="y")
+    return {"generators": [{"name": g, "degree": degree[g]} for g in oracles.generators_in_order(degree)],
+            "reducedCoproduct": {g: [{"left": [[x, 1] for x in left], "right": right,
+                                      "coeff": str(c * degree[g] / (degree[left[0]] * degree[right]))}
+                                     for left, right, c in terms]
+                                 for g, terms in cuts.items() if terms}}
+
+
+@pytest.mark.parametrize("data", [connes_moscovici_schema(6), rescaled_binomial_schema(6)],
+                         ids=["connes-moscovici-6", "rescaled-binomial-6"])
+def test_birkhoff_on_custom_schemas_matches_the_bogoliubov_recursion(data, tmp_path, capsys):
+    from hopfalg import cli
+
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(data))
+    cuts, degree = oracle_structure(data)
+    rng = random.Random(6)
+    for draw in range(5):
+        phi = {g: {k: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for k in range(-2, 2)} for g in degree}
+        for g in phi:
+            phi[g][-2] = phi[g][-2] or Fraction(1)  # a pole of order 2 on every generator
+        path = tmp_path / f"phi-{draw}.json"
+        path.write_text(json.dumps({"kind": "character", "ring": "laurent", "values": {
+            g: {"truncation": None, "coeffs": {str(k): str(c) for k, c in v.items()}} for g, v in phi.items()}}))
+        argv = ["birkhoff", str(path), "--schema", f"custom:{schema}", "--max-degree", str(max(degree.values()))]
+        assert cli.main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["report"]["passed"]
+        minus, plus = oracles.birkhoff_recursion(cuts, degree, {g: oracles.Poly(v) for g, v in phi.items()})
+        for got, want in ((out["phiMinus"]["values"], minus), (out["phiPlus"]["values"], plus)):
+            for g in degree:
+                raw = got.get(g, {"coeffs": {}, "truncation": None})
+                assert raw["truncation"] is None
+                assert oracles.Poly({int(k): Fraction(c) for k, c in raw["coeffs"].items()}) == want[g], (draw, g)

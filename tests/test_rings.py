@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfalg.errors import SingularInputError, TruncationError
-from hopfalg.exp_integrals import ExpSum
+from hopfalg.exp_integrals import finite_simplex_integral
 from hopfalg.polynomials import POLY_T, PolynomialRing
 from hopfalg.rings import (
     EPS_RING,
@@ -395,8 +395,6 @@ def _floats_in(value):
         return [value]
     if isinstance(value, LaurentSeries):
         return [f for _, v in value.coeffs for f in _floats_in(v)]
-    if isinstance(value, ExpSum):
-        return [f for v in value.coeffs.values() for f in _floats_in(v)]
     if isinstance(value, (tuple, list)):
         return [f for v in value for f in _floats_in(v)]
     if isinstance(value, dict):
@@ -417,8 +415,6 @@ def test_exact_operations_never_return_a_float():
             results += [L.invert_unit(L.make({0: a, 1: 1}, trunc), to_order=3),
                         L.invert_unit(L.make({-1: a}, trunc)),
                         L.invert_unit(L.make({-2: a, 0: Fraction(1, 3), 1: 2}, trunc), to_order=3)]
-        results += [ExpSum({2: a}).integrate_to_infinity(), ExpSum({1: 1, 3: a}).integrate_to_infinity(),
-                    ExpSum({2: a, 3: 1}).integrate_to_variable()]
     # Int-valued operands through the Laurent-over-Q kernel and the Q[t] product.
     ints = [a for a in inputs if type(a) is int]
     for a in ints:
@@ -428,10 +424,10 @@ def test_exact_operations_never_return_a_float():
                         PT.mul((a, b), (b, 0, a))]
     results += [parse_rational(text) for text in ("3", "-4/2", " 7 ", "1/2", "-6/4")]
     results += [QQ.invert(a) for a in ints]
+    results += [finite_simplex_integral(rates) for rates in ((2,), (1, 3), (2, 3, 1), (1, 1, 2))]
     assert not [r for r in results if _floats_in(r)]
     assert QQ.invert(3) == Fraction(1, 3) and type(QQ.invert(3)) is Fraction
-    assert ExpSum({2: 1}).integrate_to_infinity() == Fraction(1, 2)
-    assert ExpSum({2: 1}).integrate_to_variable().coeffs == {0: Fraction(1, 2), 2: Fraction(-1, 2)}
+    assert finite_simplex_integral((2,)) == {0: Fraction(1, 2), 2: Fraction(-1, 2)}
     a = L.make({0: 2, 1: 1}, 3)
     inv = L.invert_unit(a)
     assert inv == L.make({0: Fraction(1, 2), 1: Fraction(-1, 4), 2: Fraction(1, 8), 3: Fraction(-1, 16)}, 3)

@@ -1,9 +1,11 @@
 """JSON interchange round trips."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from hopfalg import cli
 from hopfalg.algebra import Monomial
 from hopfalg.duals import Character, InfinitesimalCharacter, TableFunctional
 from hopfalg.errors import HopfError
@@ -99,6 +101,31 @@ def test_unknown_kind_rejected(ladder):
 def test_unknown_ring_rejected(ladder):
     with pytest.raises(HopfError):
         functional_from_json(ladder, {"kind": "character", "ring": "float", "values": {}})
+
+
+@pytest.mark.parametrize("kind, values, first, second, target", [
+    ("character", {"t1": "2", "t01": "3"}, "t1", "t01", "t1"),
+    ("infinitesimal", {"t02": "2", "t3": "1", "t2": "3"}, "t02", "t2", "t2"),
+    ("table", {"t1^2": "3", "t1*t1": "4"}, "t1^2", "t1*t1", "t1^2"),
+    ("table", {"t2*t1": "1", "t1 * t2": "1"}, "t2*t1", "t1 * t2", "t1*t2"),
+])
+def test_two_keys_for_one_generator_or_monomial_are_rejected(ladder, kind, values, first, second, target,
+                                                             tmp_path, capsys):
+    # The last key would otherwise win silently, dropping the first value.
+    with pytest.raises(HopfError) as err:
+        functional_from_json(ladder, {"kind": kind, "values": values})
+    assert str(err.value) == f"functional keys {first!r} and {second!r} both name {target}"
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"kind": kind, "values": values}))
+    command = {"character": "log", "infinitesimal": "exp", "table": "convolve"}[kind]
+    paths = [str(path)] * (2 if command == "convolve" else 1)
+    assert cli.main([command, *paths, "--schema", "ladder", "--max-degree", "3"]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "HopfError", "message": str(err.value)}
+
+
+def test_a_lone_padded_ladder_name_is_read():
+    f = functional_from_json(HopfAlgebra(ladder_schema()), {"kind": "character", "values": {"t01": "3"}})
+    assert f.value_on(Monomial.of(f.ctx.schema.generator_by_name("t1"))) == 3
 
 
 def test_canonical_dumps_sorts_keys():
