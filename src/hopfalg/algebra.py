@@ -304,10 +304,6 @@ class TensorElement(SparseSum):
         return TensorElement(self.rank, terms)
 
     @staticmethod
-    def zero(rank: int) -> "TensorElement":
-        return TensorElement(rank, {})
-
-    @staticmethod
     def from_terms(rank: int, pairs) -> "TensorElement":
         acc: dict = {}
         terms = _summed(acc, pairs)

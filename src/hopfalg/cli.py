@@ -29,11 +29,15 @@ EXIT_INPUT = 2
 # --max-degree, so for them the floor holds while --max-order is not set.
 DEGREE_ONE_COMMANDS = frozenset({"exp", "birkhoff", "beta", "build-loop", "scattering", "verify"})
 
-# The highest ``rg-check --eps-order``, checked before the file is read.  The
-# flow reads only the coefficients at eps^0 and below, so the time hardly
-# grows with the order: a ladder loop of degree 6 runs in 0.09-0.12 s at
-# --max-degree 3 and 0.11-0.14 s at --max-degree 6, at this order as at 0
-# (whole process, one core of a 2-core x86 machine).
+# The highest ``beta``/``scattering --max-order`` and ``rg-check --eps-order``,
+# checked in ``main`` before any input is read (whole process, one core of a
+# 2-core x86 machine).  Tower orders above --max-degree are zero, yet each
+# builds a table over the basis: at this order, scattering of a ladder beta
+# runs in 0.09 s at --max-degree 2 and 0.31 s at --max-degree 8.  The flow
+# reads only the coefficients at eps^0 and below, so its time hardly grows with
+# the order: a ladder loop of degree 6 runs in 0.09-0.12 s at --max-degree 3
+# and 0.11-0.14 s at --max-degree 6, at this order as at 0.
+MAX_ORDER = 100
 MAX_EPS_ORDER = 100
 
 
@@ -215,8 +219,6 @@ def cmd_rg_check(args):
     from .rg import rg_limit_check
     from .serialize import functional_to_json
 
-    if args.eps_order > MAX_EPS_ORDER:
-        raise DomainError(f"--eps-order {args.eps_order} is above the limit MAX_EPS_ORDER = {MAX_EPS_ORDER}")
     phi, = read_functionals(args)
     report = rg_limit_check(phi, args.max_degree, eps_margin=args.eps_order)
     flow = {
@@ -426,9 +428,12 @@ def main(argv=None) -> int:
         if getattr(args, "max_degree", 0) < floor:
             unset = " when --max-order is not set" if floor and hasattr(args, "max_order") else ""
             raise DomainError(f"--max-degree must be >= {floor}{unset}, got {args.max_degree}")
-        for name in ("max_order", "eps_order"):
-            if getattr(args, name, 0) < 0:
-                raise DomainError(f"--{name.replace('_', '-')} must be >= 0, got {getattr(args, name)}")
+        for name, limit, top in (("max_order", "MAX_ORDER", MAX_ORDER), ("eps_order", "MAX_EPS_ORDER", MAX_EPS_ORDER)):
+            value, flag = getattr(args, name, 0), "--" + name.replace("_", "-")
+            if value < 0:
+                raise DomainError(f"{flag} must be >= 0, got {value}")
+            if value > top:
+                raise DomainError(f"{flag} {value} is above the limit {limit} = {top}")
         out = args.fn(args)
         payload, text = out if isinstance(out, tuple) else (out, None)
         if text is not None and args.output == "text":

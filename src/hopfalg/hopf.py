@@ -341,22 +341,22 @@ class HopfAlgebra:
         return result
 
     def plus_iterated_monomial(self, m: Monomial, n: int) -> TensorElement:
-        """Projection of D^(n-1) to tensors with every leg in the augmentation
-        ideal: rank n, n >= 1.  Vanishes when n exceeds the degree of m."""
+        """The terms of D^(n-1)(m), n >= 1, whose n legs are all generators: P_n(m) sums
+        c P_(n-1)(x) (x) g over the terms c x (x) g of D(m) with g a generator, so P_n(1) = 0.
+        It descends in degree, so it is at most deg m deep and vanishes for n > deg m."""
         if n < 1:
             raise DomainError("positive-part iterated coproduct needs n >= 1")
         if n == 1:
-            if m.is_unit:
-                return TensorElement.zero(1)
-            return TensorElement(1, {(m,): 1})
+            return TensorElement(1, {(m,): 1} if m.single_generator() is not None else {})
         key = (m, n)
         cached = self._plus_iterated.get(key)
         if cached is not None:
             return cached
-        prev = self.plus_iterated_monomial(m, n - 1)
-        result = prev.apply_to_leg(
-            0, lambda leg: self.reduced_coproduct_monomial(leg), 1
-        )
+        result = TensorElement.from_terms(n, (
+            (legs + (g,), c * c1)
+            for (x, g), c in self.coproduct_monomial(m).terms.items()
+            if g.single_generator() is not None
+            for legs, c1 in self.plus_iterated_monomial(x, n - 1).terms.items()))
         self._plus_iterated[key] = result
         return result
 

@@ -118,8 +118,8 @@ def simplex_weight(leg_degrees: Tuple[int, ...]) -> Fraction:
 
 
 def _beta_pairings(beta: InfinitesimalCharacter, m: Monomial, n: int):
-    """The nonzero terms of beta tensor n paired with the augmentation-restricted
-    iterated coproduct of m, as (leg degrees, value) pairs."""
+    """The nonzero terms of beta tensor n paired with the generator legs of the
+    iterated coproduct of m (beta kills the rest), as (leg degrees, value) pairs."""
     base = beta.ring
     for legs, c in beta.ctx.plus_iterated_monomial(m, n).terms.items():
         prod = base.from_rational(c)
@@ -133,14 +133,12 @@ def _beta_pairings(beta: InfinitesimalCharacter, m: Monomial, n: int):
 
 def dn_simplex(beta: InfinitesimalCharacter, n: int, max_degree: int) -> TableFunctional:
     """The same tower in closed form: pair beta tensor powers against the
-    augmentation-restricted iterated coproduct with the simplex weights."""
+    generator legs of the iterated coproduct with the simplex weights."""
     if n < 1:
         raise DomainError("the tower is indexed by n >= 1")
     ctx, base = beta.ctx, beta.ring
     table: Dict[Monomial, object] = {}
     for m in ctx.basis_up_to(max_degree):
-        if m.is_unit:
-            continue
         total = base.zero()
         for degrees, prod in _beta_pairings(beta, m, n):
             total = base.add(total, base.scale(simplex_weight(degrees), prod))
@@ -347,9 +345,9 @@ class ScatteringReport(NamedTuple):
 def scattering_check(beta: InfinitesimalCharacter, max_order: int, max_degree: int) -> ScatteringReport:
     """Certify that the finite-time ordered products converge to the tower.
 
-    For each order n, every basis monomial's finite-time value is an
-    exponential sum in t whose decaying part dies at large time and whose
-    constant term must equal the recursive d_n exactly.
+    For each order n, every basis monomial's finite-time value, over the
+    generator legs of its iterated coproduct, is an exponential sum in t whose
+    decaying part dies at large time and whose constant term is exactly d_n.
     """
     from .exp_integrals import finite_simplex_integral
 
@@ -364,8 +362,6 @@ def scattering_check(beta: InfinitesimalCharacter, max_order: int, max_degree: i
         mismatches: List[str] = []
         rates_ok = True
         for m in ctx.basis_up_to(max_degree):
-            if m.is_unit:
-                continue
             combo: Dict[int, object] = {}
             for degrees, prod in _beta_pairings(beta, m, n):
                 if degrees not in integrals:

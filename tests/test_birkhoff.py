@@ -21,7 +21,7 @@ from hopfalg.duals import (
 from hopfalg.errors import DomainError, TruncationError, UnsupportedRingError
 from hopfalg.exp_integrals import finite_simplex_integral
 from hopfalg.hopf import HopfAlgebra
-from hopfalg.instances import ladder_schema
+from hopfalg.instances import ladder_schema, schema_from_dict
 from hopfalg.rg import (
     _flow_is_additive,
     _flow_matches_exponential,
@@ -37,6 +37,7 @@ from hopfalg.rg import (
 )
 from hopfalg.rings import EPS_RING, QQ, RationalField
 from hopfalg.trees import rooted_tree_schema
+from test_instances import connes_moscovici_schema, rescaled_binomial_schema
 
 L = EPS_RING
 
@@ -408,19 +409,46 @@ def test_dn_simplex_equals_recursive_trees(trees):
 
 
 def test_counterterm_tower_against_simplex(ladder, trees):
-    # The incremental tower against the closed form, order by order.
+    # The incremental tower against the closed form, order by order: to order 4
+    # on the small schemas, and to every order up to the degree on larger ones,
+    # where the generator legs are a small share of the terms of D^(n-1)(m).
     rng = random.Random(101)
-    for ctx, degree in ((ladder, 5), (trees, 4)):
+    larger = [(HopfAlgebra(schema, validate_to=degree), degree, degree) for schema, degree in (
+        (ladder_schema(), 8), (rooted_tree_schema(6), 6), (schema_from_dict(connes_moscovici_schema(7)), 7),
+        (schema_from_dict(rescaled_binomial_schema(6)), 6))]
+    for ctx, degree, orders in ((ladder, 5, 4), (trees, 4, 4), *larger):
         gens = ctx.schema.generators_up_to(degree)
         beta = InfinitesimalCharacter(
             ctx, QQ, {g: Fraction(rng.randint(-3, 3)) for g in gens}, cutoff=degree
         )
-        towers = counterterm_tower(beta, 4, degree)
-        assert len(towers) == 4
+        towers = counterterm_tower(beta, orders, degree)
+        assert len(towers) == orders
         for n, d in enumerate(towers, 1):
             simp = dn_simplex(beta, n, degree)
             for m in ctx.basis_up_to(degree):
                 assert d.value_on(m) == simp.value_on(m), (n, str(m))
+
+
+def test_tower_identity_on_a_truncated_laurent_beta():
+    # A truncated beta value stands for all its completions, so the closed form
+    # and the recursion are compared on their common window: where a value is a
+    # truncated zero, the recursion keeps its window and the closed form
+    # reports an exact zero.
+    ctx = HopfAlgebra(rooted_tree_schema(5))
+    rng = random.Random(102)
+    beta = InfinitesimalCharacter(ctx, L, {g: lau({k: rng.randint(-3, 3) for k in range(-2, 2)}, rng.randint(-1, 1))
+                                           for g in ctx.schema.generators_up_to(5)}, cutoff=5)
+    for n, d in enumerate(counterterm_tower(beta, 5, 5), 1):
+        simp = dn_simplex(beta, n, 5)
+        for m in ctx.basis_up_to(5):
+            assert L.eq(d.value_on(m), simp.value_on(m)), (n, str(m))
+
+
+def test_an_order_far_above_the_degree_is_zero_without_deep_recursion(ladder):
+    # The generator-leg part of D^(n-1)(m) recurses on the degree of m, not on
+    # n, so an order of 5000 is a zero table rather than a RecursionError.
+    beta = ladder_beta(ladder, {1: 7, 2: -1, 3: 2})
+    assert dn_simplex(beta, 5000, 3).table == {}
 
 
 def test_renormalization_never_reaches_the_iterated_coproduct(monkeypatch):

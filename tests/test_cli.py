@@ -579,6 +579,23 @@ def test_a_negative_order_is_named_by_its_flag(capsys):
                                                    "message": "--max-order must be >= 0, got -5"}
 
 
+@pytest.mark.parametrize("command", ["beta", "scattering"])
+def test_an_order_above_the_limit_is_refused_before_any_input_is_read(command, tmp_path, capsys):
+    # Orders above --max-degree are zero, yet each built a tower table over the
+    # basis: unlimited, scattering --max-order 10000 at --max-degree 2 printed 609 KB.
+    for order in (101, 10**9):
+        start = time.perf_counter()
+        assert cli.main([command, "no-such-file.json", "--max-degree", "2", "--max-order", str(order)]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert json.loads(captured.err) == {"error": "DomainError",
+                                            "message": f"--max-order {order} is above the limit MAX_ORDER = 100"}
+    path = write(tmp_path, "in.json", {"kind": "infinitesimal", "ring": "laurent", "values": {"t1": LAURENT_ONE}})
+    assert cli.main([command, path, "--max-degree", "2", "--max-order", "100"]) == 0
+    assert json.loads(capsys.readouterr().out)["maxOrder"] == 100
+
+
 def test_a_negative_eps_order_is_named_by_its_flag_before_the_file_is_read(tmp_path, capsys):
     loop = write(tmp_path, "loop.json", {"kind": "character", "ring": "laurent", "values": {"t1": LAURENT_ONE}})
     for path in (loop, "no-such-loop.json"):

@@ -12,6 +12,8 @@ The dual is U(g), g the infinitesimal characters: the ordered words
 Z_g1 * ... * Z_gk (g1 <= ... <= gk, Z_g dual to the generator g) pair
 triangularly with the monomials, which the PBW test reads off
 ``convolve_tables`` and checks entry by entry against the iterated coproduct.
+On Connes-Moscovici, g is the Lie algebra of formal vector fields: the
+bracket of the Z dual to the delta_n is the Witt law, in closed form.
 """
 
 import random
@@ -127,3 +129,38 @@ def test_ordered_words_pair_triangularly_with_the_monomials(name):
                 assert value == want, (word, m)
     # One word per monomial of positive degree: the words are a basis of the dual.
     assert words == len(ctx.basis_up_to(degree)) - 1
+
+
+# -- the Witt bracket: Connes-Moscovici's g is the Lie algebra of formal vector fields --
+
+
+def witt_constant(a, b):
+    """c with [Z_a, Z_b] = c Z_(a+b) on Connes-Moscovici, Z_n dual to delta_n:
+    the Witt law [X_a, X_b] = (b - a) X_(a+b) (math/9806109) in the basis
+    Z_n = 2^n / (n+1)! X_n."""
+    return Fraction((b - a) * factorial(a + b + 1), factorial(a + 1) * factorial(b + 1))
+
+
+WITT_SCHEMAS = {
+    "connes-moscovici": (lambda: schema_from_dict(connes_moscovici_schema(12), name="connes-moscovici"),
+                         witt_constant),
+    "ladder": (ladder_schema, lambda a, b: 0),  # cocommutative, so its bracket vanishes
+}
+
+
+@pytest.mark.parametrize("name", list(WITT_SCHEMAS))
+def test_the_bracket_of_the_dual_generators_is_the_witt_law(name):
+    schema, constant = WITT_SCHEMAS[name]
+    degree = 12
+    ctx = HopfAlgebra(schema(), validate_to=degree)
+    gens = {g.degree: g for g in ctx.schema.generators_up_to(degree)}  # one generator per degree
+    pairs = 0
+    for a in range(1, degree):
+        for b in range(1, degree - a + 1):
+            za, zb = (InfinitesimalCharacter(ctx, QQ, {gens[k]: 1}, cutoff=degree) for k in (a, b))
+            bracket = lie_bracket(za, zb, degree)
+            got = {k: v for k, g in gens.items() if (v := bracket.value_on(Monomial.of(g)))}
+            want = {a + b: c} if (c := constant(a, b)) else {}
+            assert got == want, (a, b)
+            pairs += 1
+    assert pairs == 66

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from hopfalg import cli
 from hopfalg.hopf import HopfAlgebra
 from hopfalg.rings import EPS_RING, LaurentSeries
+from perfbench.workloads import binomial_schema
+from test_instances import rescaled_binomial_schema
 
 L = EPS_RING
 rng = random.Random(20240517)
@@ -143,14 +145,14 @@ completion_coefficients = st.sampled_from([-2, -1, 1, 2, 3, Fraction(1, 2), Frac
 
 
 @st.composite
-def completed_loops(draw):
+def completed_loops(draw, schemas=COMPLETION_SCHEMAS):
     """(schema, degree, budget, truncated loop, three exact completions), the
     loops as JSON functional documents.  The loop has a pole of order 1 or 2
     and each value is truncated within two orders of the Birkhoff budget
     (degree - 1) * pole; each completion adds a random tail above every
     truncation."""
-    schema = draw(st.sampled_from(sorted(COMPLETION_SCHEMAS)))
-    degree = draw(st.integers(min_value=1, max_value=COMPLETION_SCHEMAS[schema]))
+    schema = draw(st.sampled_from(sorted(schemas)))
+    degree = draw(st.integers(min_value=1, max_value=schemas[schema]))
     pole = draw(st.integers(min_value=1, max_value=2))
     budget = (degree - 1) * pole
     gens = HopfAlgebra(cli.resolve_schema(schema), validate_to=0).schema.generators_up_to(degree)
@@ -241,13 +243,13 @@ VALUE_COMMANDS = {"convolve": ("character", 2), "exp": ("infinitesimal", 1), "lo
 
 
 @st.composite
-def completed_functionals(draw):
+def completed_functionals(draw, schemas=COMPLETION_SCHEMAS):
     """(command, schema, degree, [truncated input, three completions]), each
     entry the list of the command's input documents."""
     command = draw(st.one_of(st.just("convolve"), st.sampled_from(sorted(VALUE_COMMANDS))))
     kind, count = VALUE_COMMANDS[command]
-    schema = draw(st.sampled_from(sorted(COMPLETION_SCHEMAS)))
-    degree = draw(st.integers(min_value=1, max_value=COMPLETION_SCHEMAS[schema]))
+    schema = draw(st.sampled_from(sorted(schemas)))
+    degree = draw(st.integers(min_value=1, max_value=schemas[schema]))
     gens = HopfAlgebra(cli.resolve_schema(schema), validate_to=0).schema.generators_up_to(degree)
     runs = [[], [], [], []]
     for _ in range(count):
@@ -317,12 +319,12 @@ RG_COMPLETION_SCHEMAS = {"ladder": 6, "trees:5": 5}
 
 
 @st.composite
-def completed_rg_inputs(draw):
+def completed_rg_inputs(draw, schemas=RG_COMPLETION_SCHEMAS):
     """(argv, [truncated input, three completions]) of ``beta`` or ``scattering``;
     the first generator's value has a pole."""
     command, kind = draw(st.one_of(st.just(("beta", "character")), st.sampled_from(RG_INPUTS)))
-    schema = draw(st.sampled_from(sorted(RG_COMPLETION_SCHEMAS)))
-    degree = draw(st.integers(min_value=2, max_value=RG_COMPLETION_SCHEMAS[schema]))
+    schema = draw(st.sampled_from(sorted(schemas)))
+    degree = draw(st.integers(min_value=2, max_value=schemas[schema]))
     order = draw(st.integers(min_value=1, max_value=degree))
     gens = HopfAlgebra(cli.resolve_schema(schema), validate_to=0).schema.generators_up_to(degree)
     values = [{}, {}, {}, {}]
@@ -361,3 +363,43 @@ def test_beta_and_scattering_print_what_every_completion_prints(loop_dir, case):
         return
     assert all(other == (code, printed) for other in completed)
     event(f"{what}: exit {code}")
+
+
+# The binomial draw: the three tests above on two custom schemas, the binomial
+# ladder D x_m = sum_k C(m, k) x_k (x) x_(m-k) and its rescaling y_m = m x_m,
+# whose structure constants are Fractions (9/2 at m = 3, k = 1).  The built-in
+# schemas have int coefficients only, so here the Fraction paths of the Laurent
+# kernel meet truncated inputs.
+
+
+@pytest.fixture(scope="module")
+def binomial_selectors(tmp_path_factory):
+    root = tmp_path_factory.mktemp("binomial")
+    selectors = []
+    for name, data in (("binomial", binomial_schema()), ("rescaled", rescaled_binomial_schema(6))):
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(data))
+        selectors.append(f"custom:{path}")
+    return selectors
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_binomial_windows_hold_for_every_completion(loop_dir, binomial_selectors, data):
+    loop = data.draw(completed_loops(dict.fromkeys(binomial_selectors, 5)))
+    eps_order = data.draw(st.integers(min_value=0, max_value=2))
+    test_reported_windows_hold_for_every_completion.hypothesis.inner_test(loop_dir, loop, eps_order)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_binomial_values_hold_for_every_completion(loop_dir, binomial_selectors, data):
+    case = data.draw(completed_functionals(dict.fromkeys(binomial_selectors, 5)))
+    test_printed_values_hold_for_every_completion.hypothesis.inner_test(loop_dir, case)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_binomial_beta_and_scattering_print_what_every_completion_prints(loop_dir, binomial_selectors, data):
+    case = data.draw(completed_rg_inputs(dict.fromkeys(binomial_selectors, 6)))
+    test_beta_and_scattering_print_what_every_completion_prints.hypothesis.inner_test(loop_dir, case)
