@@ -17,9 +17,8 @@ from .rationals import Frozen, format_rational
 # powers tuple, kept for the life of the process.  Equality is identity and
 # the hash is object.__hash__; inserting with dict.setdefault means threads
 # racing on one value still end up sharing one object.  _PRODUCTS memoizes
-# Monomial.__mul__ by the pair of interned factors, which live as long; the
-# right antipode fill keeps its products in its context instead and forms
-# them with Monomial.merge, which bypasses this memo.
+# Monomial.__mul__ as {left factor: {right factor: product}}, over interned
+# factors, which live as long.
 _GENERATORS: dict = {}
 _MONOMIALS: dict = {}
 _PRODUCTS: dict = {}
@@ -128,14 +127,14 @@ class Monomial(Frozen):
             return other
         if not other.powers:
             return self
-        m = _PRODUCTS.get((self, other))
-        if m is None:
-            m = _PRODUCTS.setdefault((self, other), self.merge(other))
-        return m
-
-    def merge(self, other: "Monomial") -> "Monomial":
-        """The product without the process-lifetime memo: merge the two
-        sorted power tuples, adding exponents of shared generators."""
+        by_right = _PRODUCTS.get(self)
+        if by_right is None:
+            by_right = _PRODUCTS.setdefault(self, {})
+        m = by_right.get(other)
+        if m is not None:
+            return m
+        # A miss: merge the two sorted power tuples, adding exponents of
+        # shared generators.
         a, b = self.powers, other.powers
         out = []
         i = j = 0
@@ -152,7 +151,7 @@ class Monomial(Frozen):
             else:
                 out.append(b[j])
                 j += 1
-        return Monomial(tuple(out) + a[i:] + b[j:])
+        return by_right.setdefault(other, Monomial(tuple(out) + a[i:] + b[j:]))
 
     def sort_key(self):
         return (self.y_degree, self.powers)

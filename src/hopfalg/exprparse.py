@@ -181,7 +181,7 @@ def _power(base: Element, n: int) -> Element:
         for (taken, acc), a in partial.items():
             # The last term takes every factor left.
             for e in range(n - taken if i == last else 0, n - taken + 1):
-                key = (taken + e, acc.merge(powers[e]))
+                key = (taken + e, acc * powers[e])
                 grown[key] = grown.get(key, 0) + (a * comb(n - taken, e) * c ** e if e else a)
         partial = grown
     return Element.from_terms((acc, a) for (_, acc), a in partial.items())

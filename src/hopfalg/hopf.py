@@ -167,7 +167,6 @@ class HopfAlgebra:
         self._coproduct: Dict[Monomial, TensorElement] = {}
         self._antipode_r: Dict[Monomial, Element] = {}
         self._antipode_l: Dict[Monomial, Element] = {}
-        self._fill_products: Dict[Monomial, Dict[Monomial, Monomial]] = {}
         self._iterated: Dict[Tuple[Monomial, int], TensorElement] = {}
         self._plus_iterated: Dict[Tuple[Monomial, int], TensorElement] = {}
         self._basis: Dict[int, Tuple[Monomial, ...]] = {}
@@ -369,12 +368,8 @@ class HopfAlgebra:
             return cached
         # S(h) = -h - sum h' * S(h'') over the reduced coproduct.  The right
         # legs have strictly smaller degree, so filling the missing ones first,
-        # from a stack rather than the call stack, ends at any degree.  The
-        # products h' * m2 go through this context's own memo, keyed by h':
-        # on trees they repeat across the monomials filled, on the ladder they
-        # do not, and they leave the process-lifetime one untouched.
+        # from a stack rather than the call stack, ends at any degree.
         stack = [m]
-        products = self._fill_products
         while stack:
             top = stack[-1]
             if top in memo:
@@ -389,13 +384,8 @@ class HopfAlgebra:
                     continue
                 acc = {top: -1}
                 for (left, right), c in terms.items():
-                    by_left = products.get(left)
-                    if by_left is None:
-                        by_left = products[left] = {}
                     for m2, c2 in memo[right].terms.items():
-                        key = by_left.get(m2)
-                        if key is None:
-                            key = by_left[m2] = left.merge(m2)
+                        key = left * m2
                         acc[key] = acc.get(key, 0) - c * c2
                 memo[top] = Element({k: v for k, v in acc.items() if v})
         return memo[m]

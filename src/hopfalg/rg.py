@@ -118,16 +118,18 @@ def simplex_weight(leg_degrees: Tuple[int, ...]) -> Fraction:
 
 
 def _beta_pairings(beta: InfinitesimalCharacter, m: Monomial, n: int):
-    """The nonzero terms of beta tensor n paired with the generator legs of the
-    iterated coproduct of m (beta kills the rest), as (leg degrees, value) pairs."""
+    """The terms of beta tensor n paired with the generator legs of the
+    iterated coproduct of m (beta kills the rest) that are not exact zeros, as
+    (leg degrees, value) pairs.  A truncated zero is kept: it narrows the
+    sound window of the sum it enters."""
     base = beta.ring
     for legs, c in beta.ctx.plus_iterated_monomial(m, n).terms.items():
         prod = base.from_rational(c)
         for leg in legs:
-            if base.is_zero(prod):
+            if base.is_exact_zero(prod):
                 break
             prod = base.mul(prod, beta.value_on(leg))
-        if not base.is_zero(prod):
+        if not base.is_exact_zero(prod):
             yield tuple(leg.y_degree for leg in legs), prod
 
 
@@ -142,8 +144,7 @@ def dn_simplex(beta: InfinitesimalCharacter, n: int, max_degree: int) -> TableFu
         total = base.zero()
         for degrees, prod in _beta_pairings(beta, m, n):
             total = base.add(total, base.scale(simplex_weight(degrees), prod))
-        if not base.is_zero(total):
-            table[m] = total
+        table[m] = total
     return TableFunctional(ctx, base, table)
 
 

@@ -105,7 +105,7 @@ def test_memoized_monomial_products_are_the_merge_and_commute():
             assert got is Monomial.from_powers(a.powers + b.powers)
             assert got is b * a and got is a * b
             if not (a.is_unit or b.is_unit):
-                assert algebra._PRODUCTS[a, b] is got
+                assert algebra._PRODUCTS[a][b] is got
 
 
 def test_symmetric_power():

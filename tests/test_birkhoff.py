@@ -431,9 +431,8 @@ def test_counterterm_tower_against_simplex(ladder, trees):
 
 def test_tower_identity_on_a_truncated_laurent_beta():
     # A truncated beta value stands for all its completions, so the closed form
-    # and the recursion are compared on their common window: where a value is a
-    # truncated zero, the recursion keeps its window and the closed form
-    # reports an exact zero.
+    # and the recursion are compared on their common window.  The next test
+    # checks that the windows are the same too.
     ctx = HopfAlgebra(rooted_tree_schema(5))
     rng = random.Random(102)
     beta = InfinitesimalCharacter(ctx, L, {g: lau({k: rng.randint(-3, 3) for k in range(-2, 2)}, rng.randint(-1, 1))
@@ -442,6 +441,21 @@ def test_tower_identity_on_a_truncated_laurent_beta():
         simp = dn_simplex(beta, n, 5)
         for m in ctx.basis_up_to(5):
             assert L.eq(d.value_on(m), simp.value_on(m)), (n, str(m))
+
+
+@pytest.mark.parametrize("seed", [15, 20, 29, 31])
+def test_the_closed_form_tower_keeps_the_window_of_a_truncated_zero(seed):
+    # A product of beta values that is a truncated zero is known only up to its
+    # window, so the closed form adds it like any other value and reports the
+    # recursion's value and window exactly, not an exact zero.  At each seed
+    # here some d_n on trees:5 is such a zero: seed 15 at n = 1 on [[[[]][]]],
+    # seed 20 at n = 2 on []*[[][]].
+    ctx = HopfAlgebra(rooted_tree_schema(5))
+    rng = random.Random(seed)
+    beta = InfinitesimalCharacter(ctx, L, {g: lau({k: rng.randint(-3, 3) for k in range(-2, 2)}, rng.randint(-1, 1))
+                                           for g in ctx.schema.generators_up_to(5)}, cutoff=5)
+    for n, d in enumerate(counterterm_tower(beta, 5, 5), 1):
+        assert dn_simplex(beta, n, 5).table == d.table, n
 
 
 def test_an_order_far_above_the_degree_is_zero_without_deep_recursion(ladder):

@@ -12,9 +12,12 @@ from fractions import Fraction
 import pytest
 
 from hopfalg.algebra import Element, Monomial, TensorElement
+from hopfalg.duals import Character, InfinitesimalCharacter, convolve_tables, exp_star
 from hopfalg.errors import CutoffExceededError, DomainError, HopfError, SchemaError
+from hopfalg.functionals import character_inverse
 from hopfalg.hopf import HopfAlgebra
 from hopfalg.instances import ladder_schema, load_schema, schema_from_dict
+from hopfalg.rings import QQ
 from hopfalg.trees import (
     MAX_TREES,
     admissible_cuts,
@@ -545,3 +548,116 @@ def test_birkhoff_on_custom_schemas_matches_the_bogoliubov_recursion(data, tmp_p
                 raw = got.get(g, {"coeffs": {}, "truncation": None})
                 assert raw["truncation"] is None
                 assert oracles.Poly({int(k): Fraction(c) for k, c in raw["coeffs"].items()}) == want[g], (draw, g)
+
+
+# -- Faa di Bruno: characters are series x + sum c_j x^(j+1) under composition ------
+
+
+def faa_di_bruno_schema(n):
+    """The schema JSON of a_1 .. a_n (a_m of degree m), generated without the
+    engine: D a_m = sum_k [x^(m+1)] g^(k+1) (x) a_k over k = 0 .. m, with
+    g = x + sum_j a_j x^(j+1) and a_0 = 1.  Since g = x (1 + A), A = sum_j a_j x^j,
+    the left leg of the k-th term is [x^(m-k)] (1 + A)^(k+1).  A polynomial in
+    the a_j is a {sorted index tuple: coefficient}; a series in x is a list of
+    them, kept to x^n."""
+
+    def times(s, t):
+        out = [{} for _ in range(n + 1)]
+        for i, p in enumerate(s):
+            for j, q in enumerate(t[:n + 1 - i]):
+                for a, c in p.items():
+                    for b, d in q.items():
+                        key = tuple(sorted(a + b))
+                        out[i + j][key] = out[i + j].get(key, 0) + c * d
+        return out
+
+    one_plus_a = [{(): 1}] + [{(j,): 1} for j in range(1, n + 1)]
+    power, reduced = one_plus_a, {}
+    for k in range(1, n):
+        power = times(power, one_plus_a)  # (1 + A)^(k+1)
+        for m in range(k + 1, n + 1):
+            reduced.setdefault(f"a{m}", []).extend(
+                {"left": [[f"a{i}", a.count(i)] for i in sorted(set(a))], "right": f"a{k}", "coeff": str(c)}
+                for a, c in sorted(power[m - k].items()))
+    return {"generators": [{"name": f"a{m}", "degree": m} for m in range(1, n + 1)], "reducedCoproduct": reduced}
+
+
+def series_product(s, t):
+    top = len(s) - 1
+    out = [Fraction(0)] * (top + 1)
+    for i, a in enumerate(s):
+        for j, b in enumerate(t[:top + 1 - i]):
+            out[i + j] += a * b
+    return out
+
+
+def composed(f, g):
+    """f(g(x)) for g without a constant term, to the length of f."""
+    out, power = [Fraction(0)] * len(f), [Fraction(1)] + [Fraction(0)] * (len(f) - 1)
+    for c in f:
+        out = [o + c * p for o, p in zip(out, power)]
+        power = series_product(power, g)
+    return out
+
+
+def compositional_inverse(g):
+    """h with g(h(x)) = x, by h -> h - (g(h) - x): each step fixes one more coefficient."""
+    x = [Fraction(0), Fraction(1)] + [Fraction(0)] * (len(g) - 2)
+    h = x
+    for _ in range(len(g)):
+        h = [a - (b - c) for a, b, c in zip(h, composed(g, h), x)]
+    return h
+
+
+def time_one_flow(v):
+    """The Lie series sum_k (v d/dx)^k x / k!, the flow of v d/dx at time 1."""
+    term = [Fraction(0), Fraction(1)] + [Fraction(0)] * (len(v) - 2)
+    out = term
+    for k in range(1, len(v)):
+        slope = [(i + 1) * c for i, c in enumerate(term[1:])] + [Fraction(0)]
+        term = [c / k for c in series_product(v, slope)]
+        out = [a + b for a, b in zip(out, term)]
+    return out
+
+
+def test_faa_di_bruno_passes_verify_and_one_flipped_coefficient_fails(tmp_path, capsys):
+    from hopfalg import cli
+
+    data = faa_di_bruno_schema(7)
+    # D a_3 = a_3 (x) 1 + 1 (x) a_3 + (2 a_1 (x) a_2) + (a_1^2 + 2 a_2) (x) a_1, read off g^2 and g^3.
+    assert data["reducedCoproduct"]["a3"] == [
+        {"left": [["a1", 2]], "right": "a1", "coeff": "1"},
+        {"left": [["a2", 1]], "right": "a1", "coeff": "2"},
+        {"left": [["a1", 1]], "right": "a2", "coeff": "3"},
+    ]
+    path = tmp_path / "fdb.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["verify", "--schema", f"custom:{path}", "--max-degree", "7"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    data["reducedCoproduct"]["a4"][0]["coeff"] = str(-int(data["reducedCoproduct"]["a4"][0]["coeff"]))
+    path.write_text(json.dumps(data))
+    assert cli.main(["verify", "--schema", f"custom:{path}", "--max-degree", "7"]) == 1
+    checks = json.loads(capsys.readouterr().out)["axioms"]["checks"]
+    assert [(c["axiom"], c["counterexample"]) for c in checks if not c["passed"]] == [("CDelta", "a4")]
+
+
+def test_faa_di_bruno_convolution_inverse_and_exp_are_composition_inversion_and_flow():
+    n = 8
+    ctx = HopfAlgebra(schema_from_dict(faa_di_bruno_schema(n), name="faa-di-bruno"))
+    gens = ctx.schema.generators_up_to(n)  # a_1 .. a_n
+    ones = [Monomial.of(g) for g in gens]
+
+    def series(table):  # x + sum_m table(a_m) x^(m+1)
+        return [Fraction(0), Fraction(1)] + [table.get(m, 0) for m in ones]
+
+    basis, rng = ctx.basis_up_to(n), random.Random(8)
+    for _ in range(3):
+        values = [{g: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for g in gens} for _ in range(3)]
+        chi1, chi2 = (Character(ctx, QQ, v, cutoff=n) for v in values[:2])
+        t1, t2 = chi1.tabulate(basis), chi2.tabulate(basis)
+        g1, g2 = series(t1), series(t2)
+        assert series(convolve_tables(ctx, QQ, t1, t2, ones)) == composed(g2, g1)  # chi1 * chi2 <-> g2 o g1
+        assert series(character_inverse(chi1, n).tabulate(ones)) == compositional_inverse(g1)
+        z = InfinitesimalCharacter(ctx, QQ, values[2], cutoff=n)
+        v = [Fraction(0), Fraction(0)] + [values[2][g] for g in gens]  # sum z_m x^(m+1)
+        assert series(exp_star(z, n).tabulate(ones)) == time_one_flow(v)

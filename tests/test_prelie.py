@@ -12,8 +12,10 @@ The dual is U(g), g the infinitesimal characters: the ordered words
 Z_g1 * ... * Z_gk (g1 <= ... <= gk, Z_g dual to the generator g) pair
 triangularly with the monomials, which the PBW test reads off
 ``convolve_tables`` and checks entry by entry against the iterated coproduct.
-On Connes-Moscovici, g is the Lie algebra of formal vector fields: the
-bracket of the Z dual to the delta_n is the Witt law, in closed form.
+On Connes-Moscovici and Faa di Bruno, g is the Lie algebra of formal vector
+fields: the bracket of the Z dual to the generators is the Witt law, in closed
+form.  On every schema the bracket's structure constants satisfy the Jacobi
+identity.
 """
 
 import random
@@ -31,13 +33,14 @@ from hopfalg.instances import ladder_schema, schema_from_dict
 from hopfalg.rings import QQ
 from hopfalg.trees import rooted_tree_schema
 from perfbench.workloads import BINOMIAL_DEGREE, binomial_schema
-from test_instances import connes_moscovici_schema
+from test_instances import connes_moscovici_schema, faa_di_bruno_schema
 
 SCHEMAS = {
     "ladder": (ladder_schema, 8),
     "trees:7": (lambda: rooted_tree_schema(7), 7),
     "binomial": (lambda: schema_from_dict(binomial_schema(), name="binomial"), BINOMIAL_DEGREE),
     "connes-moscovici": (lambda: schema_from_dict(connes_moscovici_schema(8), name="connes-moscovici"), 8),
+    "faa-di-bruno": (lambda: schema_from_dict(faa_di_bruno_schema(8), name="faa-di-bruno"), 8),
 }
 
 
@@ -81,11 +84,51 @@ def test_the_pre_lie_associator_is_symmetric_and_its_commutator_is_the_bracket(n
     check_pre_lie(HopfAlgebra(schema(), validate_to=degree), degree, seed=7)
 
 
+def bracket_constants(ctx, degree):
+    """{(x, y): {g: c}} with [Z_x, Z_y] = sum_g c Z_g, read off the
+    generator (x) generator terms of each D(g) and antisymmetrized."""
+    constants = {}
+    for g in ctx.schema.generators_up_to(degree):
+        for (a, b), c in ctx.coproduct_monomial(Monomial.of(g)).terms.items():
+            x, y = a.single_generator(), b.single_generator()
+            if x is not None and y is not None:
+                for key, sign in (((x, y), c), ((y, x), -c)):
+                    row = constants.setdefault(key, {})
+                    row[g] = row.get(g, 0) + sign
+    return constants
+
+
+@pytest.mark.parametrize("name", list(SCHEMAS))
+def test_the_bracket_constants_satisfy_the_jacobi_identity(name):
+    schema, degree = SCHEMAS[name]
+    ctx = HopfAlgebra(schema(), validate_to=degree)
+    constants = bracket_constants(ctx, degree)
+
+    def bracket(u, v):  # on {generator: coefficient} combinations
+        out = Counter()
+        for x, a in u.items():
+            for y, b in v.items():
+                for g, c in constants.get((x, y), {}).items():
+                    out[g] += a * b * c
+        return out
+
+    gens = ctx.schema.generators_up_to(degree)
+    for x in gens:
+        for y in gens:
+            for z in gens:
+                if x.degree + y.degree + z.degree <= degree:
+                    total = Counter()
+                    for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
+                        total.update(bracket(bracket({p: 1}, {q: 1}), {r: 1}))
+                    assert not any(total.values()), (x.name, y.name, z.name)
+
+
 PBW_SCHEMAS = {
     "ladder": (ladder_schema, 8),
     "trees:5": (lambda: rooted_tree_schema(5), 5),
     "binomial": SCHEMAS["binomial"],
     "connes-moscovici": (lambda: schema_from_dict(connes_moscovici_schema(6), name="connes-moscovici"), 6),
+    "faa-di-bruno": SCHEMAS["faa-di-bruno"],
 }
 
 
@@ -142,16 +185,17 @@ def witt_constant(a, b):
 
 
 WITT_SCHEMAS = {
-    "connes-moscovici": (lambda: schema_from_dict(connes_moscovici_schema(12), name="connes-moscovici"),
+    "connes-moscovici": (lambda: schema_from_dict(connes_moscovici_schema(12), name="connes-moscovici"), 12,
                          witt_constant),
-    "ladder": (ladder_schema, lambda a, b: 0),  # cocommutative, so its bracket vanishes
+    "ladder": (ladder_schema, 12, lambda a, b: 0),  # cocommutative, so its bracket vanishes
+    # Z_n dual to a_n is the vector field x^(n+1) d/dx itself, so no rescaling.
+    "faa-di-bruno": (SCHEMAS["faa-di-bruno"][0], 8, lambda a, b: b - a),
 }
 
 
 @pytest.mark.parametrize("name", list(WITT_SCHEMAS))
 def test_the_bracket_of_the_dual_generators_is_the_witt_law(name):
-    schema, constant = WITT_SCHEMAS[name]
-    degree = 12
+    schema, degree, constant = WITT_SCHEMAS[name]
     ctx = HopfAlgebra(schema(), validate_to=degree)
     gens = {g.degree: g for g in ctx.schema.generators_up_to(degree)}  # one generator per degree
     pairs = 0
@@ -163,4 +207,4 @@ def test_the_bracket_of_the_dual_generators_is_the_witt_law(name):
             want = {a + b: c} if (c := constant(a, b)) else {}
             assert got == want, (a, b)
             pairs += 1
-    assert pairs == 66
+    assert pairs == degree * (degree - 1) // 2
