@@ -36,27 +36,30 @@ def _nonzero(acc: dict) -> dict:
     return {k: c for k, c in acc.items() if c}
 
 
-class AxiomCheck(NamedTuple):
+class CheckResult(NamedTuple):
+    """The verdict of one ``verify`` check: it passed when it found no witness."""
+
     name: str
     passed: bool
-    max_degree: int
     counterexample: Optional[str] = None
     detail: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "axiom": self.name,
-            "passed": self.passed,
-            "maxDegree": self.max_degree,
-            "counterexample": self.counterexample,
-            "detail": self.detail,
-        }
+    @classmethod
+    def first(cls, name: str, witnesses, detail: str, catch=()) -> "CheckResult":
+        """The verdict from the first witness the iterator ``witnesses`` yields,
+        where the check's draws stop.  An exception of a type in ``catch`` raised
+        while drawing is the witness, by its message; any other propagates."""
+        try:
+            witness = next(witnesses, None)
+        except catch as exc:
+            witness = str(exc)
+        return cls(name, witness is None, witness, detail)
 
 
 class AxiomReport(NamedTuple):
     schema_name: str
     max_degree: int
-    checks: List[AxiomCheck]
+    checks: List[CheckResult]
 
     @property
     def passed(self) -> bool:
@@ -67,7 +70,8 @@ class AxiomReport(NamedTuple):
             "schema": self.schema_name,
             "maxDegree": self.max_degree,
             "passed": self.passed,
-            "checks": [c.to_json() for c in self.checks],
+            "checks": [{"axiom": c.name, "passed": c.passed, "maxDegree": self.max_degree,
+                        "counterexample": c.counterexample, "detail": c.detail} for c in self.checks],
         }
 
 
@@ -79,64 +83,43 @@ def verify_axioms(ctx: HopfAlgebra, max_degree: int) -> AxiomReport:
     a structurally broken schema short-circuits after the structure checks
     (the recursions would not terminate on it).
 
-    Every check after CDelta is a predicate ``broken`` over one domain of
-    tuples of basis monomials, and ``run`` reports the first tuple, in domain
-    order, on which it holds.
+    Every check records its verdict through ``CheckResult.first``.  Each after
+    CDelta is a predicate ``broken`` over a domain of tuples of basis monomials,
+    and ``run`` reports the first tuple, in domain order, on which it holds.
     """
     if max_degree < 1:
         raise DomainError("max_degree must be >= 1")
     schema = ctx.schema
     report = AxiomReport(schema.name, max_degree, [])
 
-    try:
-        validate_schema_structure(schema, max_degree)
-        structure_ok = True
-        structure_witness = None
-    except SchemaError as exc:
-        structure_ok = False
-        structure_witness = str(exc)
-    report.checks.append(
-        AxiomCheck(
-            "schema-structure",
-            structure_ok,
-            max_degree,
-            structure_witness,
-            "right legs are generators, graded, progressive on generators",
-        )
-    )
-    if not structure_ok:
-        return report
+    def record(name: str, detail: str, witnesses, catch=()) -> bool:
+        report.checks.append(CheckResult.first(name, witnesses, detail, catch))
+        return report.checks[-1].passed
 
-    coassoc_witness = ctx.coassociativity_witness(max_degree)
-    report.checks.append(
-        AxiomCheck(
-            "CDelta",
-            coassoc_witness is None,
-            max_degree,
-            None if coassoc_witness is None else coassoc_witness.name,
-            "coassociativity (D (x) id) D = (id (x) D) D",
-        )
-    )
-    if coassoc_witness is not None:
+    def run(name: str, detail: str, domain, broken) -> None:
+        record(name, detail, (" | ".join(map(str, x)) for x in domain if broken(*x)))
+
+    def structure_errors():  # a generator, so that it runs inside CheckResult.first
+        validate_schema_structure(schema, max_degree)
+        yield from ()
+
+    if not record("schema-structure", "right legs are generators, graded, progressive on generators",
+                  structure_errors(), SchemaError):
+        return report
+    if not record("CDelta", "coassociativity (D (x) id) D = (id (x) D) D",
+                  (g.name for g in (ctx.coassociativity_witness(max_degree),) if g is not None)):
         return report
 
     # The domains.  The basis is ordered by degree, so each prefix up_to[k]
-    # holds exactly the monomials of degree <= k, in basis order.
+    # holds exactly the monomials of degree <= k, in basis order.  Am alone
+    # reads the triples, so they stream: no list of them outlives Am.
     up_to = [ctx.basis_up_to(k) for k in range(max_degree + 1)]
     one = Monomial.unit()
     unit = [(one,)]
     basis = [(m,) for m in up_to[max_degree]]
     ideal = [(m,) for m in up_to[max_degree] if not m.is_unit]
     pairs = [(m1, m2) for m1 in up_to[max_degree] for m2 in up_to[max_degree - m1.y_degree]]
-    triples = [
-        (m1, m2, m3)
-        for m1, m2 in pairs
-        for m3 in up_to[max_degree - m1.y_degree - m2.y_degree]
-    ]
-
-    def run(name: str, detail: str, domain: list, broken) -> None:
-        witness = next((" | ".join(map(str, x)) for x in domain if broken(*x)), None)
-        report.checks.append(AxiomCheck(name, witness is None, max_degree, witness, detail))
+    triples = ((m1, m2, m3) for m1, m2 in pairs for m3 in up_to[max_degree - m1.y_degree - m2.y_degree])
 
     E, D, S = ctx.monomial_element, ctx.coproduct_monomial, ctx.antipode_monomial
 

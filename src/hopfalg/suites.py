@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import random
 from itertools import permutations
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple
 
 from .algebra import Monomial
+from .axioms import CheckResult
 from .birkhoff import birkhoff_decompose, rota_baxter_T
 from .duals import (
     Character,
@@ -30,21 +31,6 @@ from .rg import build_special_loop, dn_recursive, dn_simplex, rg_limit_check, sc
 from .rings import EPS_RING, QQ
 
 
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    counterexample: Optional[str] = None
-    detail: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "check": self.name,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-            "detail": self.detail,
-        }
-
-
 class SuiteReport(NamedTuple):
     suite: str
     seed: int
@@ -56,16 +42,9 @@ class SuiteReport(NamedTuple):
         return all(c.passed for c in self.checks)
 
     def add(self, name: str, witnesses, detail: str = "") -> None:
-        """Record the first witness a check yields; its draws stop there.
-
-        A ``HopfError`` raised by the code under check fails the check, with
-        its message as the witness, and the later checks still run.
-        """
-        try:
-            witness = next(witnesses, None)
-        except HopfError as exc:
-            witness = str(exc)
-        self.checks.append(CheckResult(name, witness is None, witness, detail))
+        """Record a check by ``CheckResult.first``: a ``HopfError`` that the code
+        under check raises is its witness, and the later checks still run."""
+        self.checks.append(CheckResult.first(name, witnesses, detail, HopfError))
 
     def to_json(self) -> dict:
         return {
@@ -73,7 +52,8 @@ class SuiteReport(NamedTuple):
             "seed": self.seed,
             "maxDegree": self.max_degree,
             "passed": self.passed,
-            "checks": [c.to_json() for c in self.checks],
+            "checks": [{"check": c.name, "passed": c.passed, "counterexample": c.counterexample,
+                        "detail": c.detail} for c in self.checks],
         }
 
 

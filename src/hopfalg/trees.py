@@ -207,6 +207,17 @@ class TreeSchema(TableSchema):
             self._reduced = cocycle_coproducts(self.max_degree)
         return super().reduced_terms(gen)
 
+    def generator_by_name(self, name: str) -> Generator:
+        """A tree's generator under any spelling: children in any order, spaces anywhere.
+        A tree here spells in at most 2 * max_vertices characters, so no longer name is parsed."""
+        text = "".join(name.split())
+        if name not in self._by_name and len(text) <= 2 * self.max_degree:
+            try:
+                name = parse_tree(text).encoding()
+            except HopfError:
+                pass
+        return super().generator_by_name(name)
+
     def reduced_term_count(self, gen: Generator) -> int:
         return _cut_choices(parse_tree(gen.name)) - 1
 

@@ -60,6 +60,32 @@ def test_coproduct_tree_expression():
     assert len(data["terms"]) == 4
 
 
+def test_an_expression_may_order_a_trees_children_either_way(capsys):
+    # [[[]][]] and [[][[]]] are one tree, with its two children in either order.
+    outs = []
+    for expr in ("[[[]][]]", "[[][[]]]"):
+        assert cli.main(["coproduct", "--schema", "trees:4", "--expr", expr]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_a_character_file_may_space_out_a_tree(tmp_path, capsys):
+    # As --expr and table files may.
+    outs = []
+    for key in ("[[]]", "[ [] ]"):
+        path = write(tmp_path, "chi.json", {"kind": "character", "values": {"[]": "1", key: "-2"}})
+        assert cli.main(["log", path, "--schema", "trees:3", "--max-degree", "3"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_two_spellings_of_one_tree_in_one_file_are_refused(tmp_path, capsys):
+    path = write(tmp_path, "chi.json", {"kind": "character", "values": {"[[[]][]]": "1", "[[][[]]]": "2"}})
+    assert cli.main(["log", path, "--schema", "trees:4", "--max-degree", "4"]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "HopfError", "message": "functional keys '[[[]][]]' and '[[][[]]]' both name [[[]][]]"}
+
+
 def test_huge_exponent_is_rejected_before_any_multiplication(capsys):
     argv = ["coproduct", "--schema", "ladder", "--expr", "t1^99999999"]
     start = time.perf_counter()
@@ -516,9 +542,13 @@ LAURENT_ONE = {"minExp": -1, "truncation": None, "coeffs": {"-1": "1", "0": "1/2
         # Generator names are checked before the schema is built.
         (["exp", "{}"], {"kind": "infinitesimal", "values": {"t1": "1"}}, "trees:10"),
         (["log", "{}"], {"kind": "character", "values": {"[]": "1", "[[[]]]": "1"}}, "trees:2"),
-        (["exp", "{}"], {"kind": "infinitesimal", "values": {"[[][[]]]": "1"}}, "trees:4"),
+        # A spelling of a tree past the cutoff, with its children out of order.
+        (["exp", "{}"], {"kind": "infinitesimal", "values": {"[[][[]]]": "1"}}, "trees:3"),
         (["beta", "{}", "--max-order", "-5"], {"kind": "character", "ring": "laurent",
                                                "values": {"t1": LAURENT_ONE}}, "ladder"),
+        # verify records only a SchemaError of the structure check as a failed
+        # check; asking trees:4 for degree 5 is a CutoffExceededError.
+        (["verify", "--max-degree", "6"], None, "trees:4"),
     ],
     ids=["zero-denominator", "term-without-monomial", "unpaired-factor", "values-list", "laurent-key",
          "cutoff-string", "min-exp-string", "generators-string-verify", "generators-string-coproduct",
@@ -526,8 +556,8 @@ LAURENT_ONE = {"minExp": -1, "truncation": None, "coeffs": {"-1": "1", "0": "1/2
          "laurent-build-loop", "non-json-coproduct", "non-json-antipode", "negative-degree-rg-check",
          "negative-degree-log", "negative-degree-convolve", "truncation-true", "min-exp-true",
          "cutoff-true", "monomial-exponent-true", "degree-true", "left-exponent-true",
-         "ladder-name-on-trees-10", "tree-past-the-cutoff", "non-canonical-tree-name",
-         "negative-order-beta"],
+         "ladder-name-on-trees-10", "tree-past-the-cutoff", "tree-spelling-past-the-cutoff",
+         "negative-order-beta", "verify-past-the-tree-cutoff"],
 )
 def test_malformed_input_exits_2_with_a_diagnostic(tmp_path, argv, payload, schema, monkeypatch, capsys):
     if payload is not None:

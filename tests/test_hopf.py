@@ -441,6 +441,22 @@ def test_corrupted_schema_rejected():
         HopfAlgebra(bad)
 
 
+def test_verify_records_a_broken_structure_as_its_only_check():
+    from hopfalg.algebra import Generator
+    from hopfalg.axioms import CheckResult
+    from hopfalg.hopf import ReducedTerm, TableSchema
+
+    # D x2 holds x1 (x) x2, of degree 3: not graded.  The structure check
+    # records the SchemaError and the run stops there, without raising.
+    x1, x2 = Generator(1, "x1"), Generator(2, "x2")
+    bad = TableSchema("bad-graded", [x1, x2], {x2: (ReducedTerm(Monomial.of(x1), x2, 1),)})
+    report = verify_axioms(HopfAlgebra(bad, validate_to=0), 2)
+    assert report.checks == [CheckResult(
+        "schema-structure", False, "reduced coproduct of 'x2' is not graded: left degree 1 + right degree 2 != 2",
+        "right legs are generators, graded, progressive on generators")]
+    assert not report.passed
+
+
 def mutated(schema, name, index):
     """``schema`` with the coefficient of one reduced term of ``name`` raised by 1."""
     from hopfalg.hopf import TableSchema

@@ -334,6 +334,26 @@ def test_bad_tree_encodings_rejected():
             parse_tree(bad)
 
 
+def test_a_tree_is_named_in_any_spelling_within_the_cutoff(monkeypatch):
+    schema = rooted_tree_schema(4)
+    g = schema.generator_by_name("[[[]][]]")
+    assert schema.generator_by_name("[[][[]]]") == g
+    assert schema.generator_by_name(" [ [ ]\n[[ ]] ] ") == g
+    # Not a tree, a forest, not brackets, and a tree past the cutoff.
+    for name in ("[[][[]]", "[][]", "x", "[[[[[]]]]]"):
+        with pytest.raises(SchemaError) as exc:
+            schema.generator_by_name(name)
+        assert str(exc.value) == f"unknown generator {name!r} in schema 'trees:4'"
+    # A name longer than 2 * 4 characters is no tree here, and is not parsed.
+    monkeypatch.setattr("hopfalg.trees.parse_tree", no_parse)
+    with pytest.raises(SchemaError):
+        schema.generator_by_name("[" * 10**6 + "]" * 10**6)
+
+
+def no_parse(text):
+    raise AssertionError("a name past the cutoff was parsed")
+
+
 def test_tree_counts_follow_the_a000081_recurrence():
     assert [rooted_tree_count(n) for n in range(1, 19)] == [
         1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973, 87811, 235381, 634847, 1721159]
@@ -553,6 +573,28 @@ def test_birkhoff_on_custom_schemas_matches_the_bogoliubov_recursion(data, tmp_p
 # -- Faa di Bruno: characters are series x + sum c_j x^(j+1) under composition ------
 
 
+def polynomial_times(p, q):
+    """The product of two polynomials in commuting symbols, each a {sorted
+    tuple of symbols: coefficient}."""
+    out = {}
+    for a, c in p.items():
+        for b, d in q.items():
+            key = tuple(sorted(a + b))
+            out[key] = out.get(key, 0) + c * d
+    return out
+
+
+def series_times(s, t):
+    """The product of two series whose coefficients are polynomials, each a
+    list of them by degree, kept to the length of s."""
+    out = [{} for _ in s]
+    for i, p in enumerate(s):
+        for j, q in enumerate(t[:len(s) - i]):
+            for key, c in polynomial_times(p, q).items():
+                out[i + j][key] = out[i + j].get(key, 0) + c
+    return out
+
+
 def faa_di_bruno_schema(n):
     """The schema JSON of a_1 .. a_n (a_m of degree m), generated without the
     engine: D a_m = sum_k [x^(m+1)] g^(k+1) (x) a_k over k = 0 .. m, with
@@ -560,26 +602,116 @@ def faa_di_bruno_schema(n):
     the left leg of the k-th term is [x^(m-k)] (1 + A)^(k+1).  A polynomial in
     the a_j is a {sorted index tuple: coefficient}; a series in x is a list of
     them, kept to x^n."""
-
-    def times(s, t):
-        out = [{} for _ in range(n + 1)]
-        for i, p in enumerate(s):
-            for j, q in enumerate(t[:n + 1 - i]):
-                for a, c in p.items():
-                    for b, d in q.items():
-                        key = tuple(sorted(a + b))
-                        out[i + j][key] = out[i + j].get(key, 0) + c * d
-        return out
-
     one_plus_a = [{(): 1}] + [{(j,): 1} for j in range(1, n + 1)]
     power, reduced = one_plus_a, {}
     for k in range(1, n):
-        power = times(power, one_plus_a)  # (1 + A)^(k+1)
+        power = series_times(power, one_plus_a)  # (1 + A)^(k+1)
         for m in range(k + 1, n + 1):
             reduced.setdefault(f"a{m}", []).extend(
                 {"left": [[f"a{i}", a.count(i)] for i in sorted(set(a))], "right": f"a{k}", "coeff": str(c)}
                 for a, c in sorted(power[m - k].items()))
     return {"generators": [{"name": f"a{m}", "degree": m} for m in range(1, n + 1)], "reducedCoproduct": reduced}
+
+
+# -- Dyson-Schwinger: X = 1 + alpha B+(X^(1+s)) spans a Hopf subalgebra of trees ------
+#
+# Write X = 1 + sum_k c_k alpha^k.  Each c_k is a combination of trees with k
+# vertices, and Delta c_k = sum_(j=0..k) [X^(js+1)]_(k-j) (x) c_j, with [.]_m the
+# alpha^m part and c_0 = 1 (Bergbauer-Kreimer, hep-th/0506190).  For s = 0, c_k
+# is the ladder tree.  Neither side below imports the engine.
+
+
+def dyson_schwinger_trees(s, n):
+    """X to alpha^n, by its own B+ recursion c_k = B+([X^(1+s)]_(k-1)): a list
+    of polynomials in trees, each tree its canonical bracket string, so that
+    [k] is {(c_k's trees, one each): coefficient}.  B+ of a forest is the tree
+    with the forest's trees as the children of a new root."""
+    x = [{(): 1}]
+    for k in range(1, n + 1):
+        power = x
+        for _ in range(s):
+            power = series_times(power, x)
+        c = {}
+        for forest, coeff in power[k - 1].items():
+            tree = ("[" + "".join(forest) + "]",)
+            c[tree] = c.get(tree, 0) + coeff
+        x.append(c)
+    return x
+
+
+def dyson_schwinger_coproduct(s, n):
+    """The closed form, on the symbols c_1 .. c_n: {k: [(left, j)]} with
+    Delta c_k = sum left (x) c_j, each left a polynomial in the c's, as a
+    {sorted index tuple: coefficient}; j = 0 is the unit."""
+    x = [{(): 1}] + [{(k,): 1} for k in range(1, n + 1)]
+    powers = [[{(): 1}] + [{} for _ in range(n)]]  # X^e for e = 0, 1, ...
+    for _ in range(n * s + 1):
+        powers.append(series_times(powers[-1], x))
+    return {k: [(powers[j * s + 1][k - j], j) for j in range(k + 1)] for k in range(1, n + 1)}
+
+
+def dyson_schwinger_schema(s, n):
+    """The schema JSON of c_1 .. c_n, read off the closed form."""
+    reduced = {}
+    for k, terms in dyson_schwinger_coproduct(s, n).items():
+        entries = [{"left": [[f"c{i}", a.count(i)] for i in sorted(set(a))], "right": f"c{j}", "coeff": str(c)}
+                   for left, j in terms if 0 < j < k for a, c in sorted(left.items())]
+        if entries:
+            reduced[f"c{k}"] = entries
+    return {"generators": [{"name": f"c{k}", "degree": k} for k in range(1, n + 1)], "reducedCoproduct": reduced}
+
+
+@pytest.mark.parametrize("s", range(4))
+def test_the_dyson_schwinger_closed_form_is_the_tree_coproduct(s):
+    n = 6
+    x = dyson_schwinger_trees(s, n)
+    ctx = HopfAlgebra(rooted_tree_schema(n))
+
+    def forest(m):
+        return tuple(sorted(g.name for g, e in m.powers for _ in range(e)))
+
+    def in_trees(left):  # a polynomial in the c's, expanded into trees
+        out = {}
+        for a, coeff in left.items():
+            p = {(): coeff}
+            for i in a:
+                p = polynomial_times(p, x[i])
+            for key, c in p.items():
+                out[key] = out.get(key, 0) + c
+        return out
+
+    for k, terms in dyson_schwinger_coproduct(s, n).items():
+        want, got = {}, {}
+        for left, j in terms:
+            for a, c in in_trees(left).items():
+                for b, d in x[j].items():
+                    want[a, b] = want.get((a, b), 0) + c * d
+        for (tree,), coeff in x[k].items():
+            for (a, b), c in ctx.coproduct_monomial(Monomial.of(ctx.schema.generator_by_name(tree))).terms.items():
+                got[forest(a), forest(b)] = got.get((forest(a), forest(b)), 0) + coeff * c
+        assert {key: c for key, c in got.items() if c} == want, (s, k)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_dyson_schwinger_schemas_pass_verify_and_one_flipped_coefficient_fails(s, tmp_path, capsys):
+    from hopfalg import cli
+
+    data = dyson_schwinger_schema(s, 8)
+    if s == 1:  # D c_3 = c_3 (x) 1 + 1 (x) c_3 + 3 c_1 (x) c_2 + 2 c_2 (x) c_1 + c_1^2 (x) c_1
+        assert data["reducedCoproduct"]["c3"] == [
+            {"left": [["c1", 2]], "right": "c1", "coeff": "1"},
+            {"left": [["c2", 1]], "right": "c1", "coeff": "2"},
+            {"left": [["c1", 1]], "right": "c2", "coeff": "3"},
+        ]
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["verify", "--schema", f"custom:{path}", "--max-degree", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    data["reducedCoproduct"]["c4"][0]["coeff"] = str(-int(data["reducedCoproduct"]["c4"][0]["coeff"]))
+    path.write_text(json.dumps(data))
+    assert cli.main(["verify", "--schema", f"custom:{path}", "--max-degree", "8"]) == 1
+    checks = json.loads(capsys.readouterr().out)["axioms"]["checks"]
+    assert [(c["axiom"], c["counterexample"]) for c in checks if not c["passed"]] == [("CDelta", "c4")]
 
 
 def series_product(s, t):

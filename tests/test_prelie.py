@@ -33,7 +33,7 @@ from hopfalg.instances import ladder_schema, schema_from_dict
 from hopfalg.rings import QQ
 from hopfalg.trees import rooted_tree_schema
 from perfbench.workloads import BINOMIAL_DEGREE, binomial_schema
-from test_instances import connes_moscovici_schema, faa_di_bruno_schema
+from test_instances import connes_moscovici_schema, dyson_schwinger_schema, faa_di_bruno_schema
 
 SCHEMAS = {
     "ladder": (ladder_schema, 8),
@@ -41,6 +41,8 @@ SCHEMAS = {
     "binomial": (lambda: schema_from_dict(binomial_schema(), name="binomial"), BINOMIAL_DEGREE),
     "connes-moscovici": (lambda: schema_from_dict(connes_moscovici_schema(8), name="connes-moscovici"), 8),
     "faa-di-bruno": (lambda: schema_from_dict(faa_di_bruno_schema(8), name="faa-di-bruno"), 8),
+    "dyson-schwinger-1": (lambda: schema_from_dict(dyson_schwinger_schema(1, 8), name="dyson-schwinger-1"), 8),
+    "dyson-schwinger-2": (lambda: schema_from_dict(dyson_schwinger_schema(2, 8), name="dyson-schwinger-2"), 8),
 }
 
 
