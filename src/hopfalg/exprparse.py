@@ -1,10 +1,10 @@
 """Recursive-descent parser for the element mini-syntax.
 
 Grammar:  expr := ['-'] term (('+'|'-') term)* ;  term := factor ('*' factor)*
-factor := atom ('^' nat)? ;  atom := rational | generator | tree | '(' expr ')'
-Generator names are identifiers; rooted trees are balanced bracket strings;
-exponents are at most MAX_EXPONENT, and a power or a product may expand to
-at most MAX_POWER_TERMS terms.
+factor := atom ('^' nat)? ;  atom := rational | name | '(' expr ')'
+A name is an identifier or a run of brackets such as a rooted tree's encoding
+(``hopf.NAME_PATTERN``); exponents are at most MAX_EXPONENT, and a power or a
+product may expand to at most MAX_POWER_TERMS terms.
 JSON stays the canonical interchange form, this syntax is for humans.
 """
 
@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 from .algebra import Element, Monomial
 from .errors import HopfError, quoted
-from .hopf import HopfAlgebra
+from .hopf import NAME_PATTERN, HopfAlgebra
 from .rationals import parse_rational
 
 # The largest N accepted in ``atom^N``, which is expanded before anything
@@ -28,8 +28,10 @@ MAX_EXPONENT = 64
 # the same limit, checked before each multiplication.
 MAX_POWER_TERMS = 10_000
 
+# A name is the one atom a schema reads: ``hopf.NAME_PATTERN``, an identifier or
+# a run of brackets and whitespace, passed to the schema as written.
 _TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_]\w*)|(?P<lbrack>\[)|(?P<op>[-+*^()])|(?P<end>$))"
+    rf"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>{NAME_PATTERN})|(?P<op>[-+*^()])|(?P<end>$))"
 )
 
 
@@ -42,24 +44,6 @@ def _tokenize(text: str) -> List[Tuple[str, str]]:
             raise HopfError(f"cannot tokenize expression at: {quoted(text[pos:])}")
         if match.lastgroup == "end":
             break
-        if match.lastgroup == "lbrack":
-            # Lex a whole balanced-bracket tree encoding as one token.
-            depth = 0
-            start = match.start("lbrack")
-            i = start
-            while i < len(text):
-                if text[i] == "[":
-                    depth += 1
-                elif text[i] == "]":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                i += 1
-            if depth != 0:
-                raise HopfError(f"unbalanced tree brackets in {quoted(text)}")
-            tokens.append(("tree", text[start : i + 1]))
-            pos = i + 1
-            continue
         tokens.append((match.lastgroup, match.group(match.lastgroup)))
         pos = match.end()
     return tokens
@@ -155,8 +139,8 @@ class _Parser:
         kind, value = self.take()
         if kind == "number":
             return Element.unit().scale(parse_rational(value))
-        if kind in ("name", "tree"):
-            gen = self.ctx.schema.generator_by_name("".join(value.split()))
+        if kind == "name":
+            gen = self.ctx.schema.generator_by_name(value)
             return self.ctx.monomial_element(Monomial.of(gen))
         if kind == "op" and value == "(":
             inner = self.expr()

@@ -8,6 +8,7 @@ on the augmentation ideal and memoized per monomial.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
@@ -16,6 +17,12 @@ from .errors import CutoffExceededError, DomainError, SchemaError, quoted
 from .rationals import Ring
 
 DEFAULT_VALIDATE_DEGREE = 8
+
+# What names a generator: an identifier, or a run of brackets such as a rooted
+# tree's encoding.  These are the two atoms ``exprparse`` reads as a name, where
+# whitespace may stand between the brackets; every schema's ``generator_by_name``
+# drops whitespace, so a declared name holds none.
+NAME_PATTERN = r"[A-Za-z_]\w*|\[(?:\s*[][])*"
 
 
 class ReducedTerm(NamedTuple):
@@ -47,6 +54,7 @@ class HopfSchema:
         raise NotImplementedError
 
     def generator_by_name(self, name: str) -> Generator:
+        """The generator ``name`` names, whitespace in it dropped."""
         raise NotImplementedError
 
     def reduced_term_count(self, gen: Generator) -> int:
@@ -81,6 +89,9 @@ class TableSchema(HopfSchema):
         self._by_degree: Dict[int, List[Generator]] = {}
         self._by_name: Dict[str, Generator] = {}
         for g in generators:
+            if not re.fullmatch(NAME_PATTERN, g.name) or any(c.isspace() for c in g.name):
+                raise SchemaError(f"generator name {quoted(g.name)} is neither an identifier (an ASCII letter "
+                                  "or _, then letters, digits or _) nor a run of brackets without whitespace")
             if g.name in self._by_name:
                 raise SchemaError(f"duplicate generator name {g.name!r}")
             self._by_name[g.name] = g
@@ -104,10 +115,10 @@ class TableSchema(HopfSchema):
         return self._reduced.get(gen, ())
 
     def generator_by_name(self, name: str) -> Generator:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise SchemaError(f"unknown generator {quoted(name)} in schema {self.name!r}") from None
+        g = self._by_name.get(name) or self._by_name.get("".join(name.split()))
+        if g is None:
+            raise SchemaError(f"unknown generator {quoted(name)} in schema {self.name!r}")
+        return g
 
 
 def validate_schema_structure(schema: HopfSchema, up_to: int) -> None:

@@ -57,8 +57,9 @@ class LadderSchema(HopfSchema):
         return gen.degree - 1
 
     def generator_by_name(self, name: str) -> Generator:
-        index = name[1:]
-        if name.startswith("t") and index.isascii() and index.isdigit():
+        text = "".join(name.split())
+        index = text[1:]
+        if text.startswith("t") and index.isascii() and index.isdigit():
             try:
                 n = int(index)
             except ValueError:  # past the interpreter's limit on the digits of an int

@@ -208,12 +208,12 @@ class TreeSchema(TableSchema):
         return super().reduced_terms(gen)
 
     def generator_by_name(self, name: str) -> Generator:
-        """A tree's generator under any spelling: children in any order, spaces anywhere.
-        A tree here spells in at most 2 * max_vertices characters, so no longer name is parsed."""
+        """A tree's generator with its children in any order.  A tree here spells
+        in at most 2 * max_vertices brackets, so no longer name is parsed."""
         text = "".join(name.split())
-        if name not in self._by_name and len(text) <= 2 * self.max_degree:
+        if text not in self._by_name and len(text) <= 2 * self.max_degree:
             try:
-                name = parse_tree(text).encoding()
+                return self._by_name[parse_tree(text).encoding()]
             except HopfError:
                 pass
         return super().generator_by_name(name)

@@ -86,6 +86,58 @@ def test_two_spellings_of_one_tree_in_one_file_are_refused(tmp_path, capsys):
         "error": "HopfError", "message": "functional keys '[[[]][]]' and '[[][[]]]' both name [[[]][]]"}
 
 
+GRAMMAR = ("is neither an identifier (an ASCII letter or _, then letters, digits or _) nor a run of brackets "
+           "without whitespace")
+
+
+@pytest.mark.parametrize("name", ["x*y", "b c", "1x", "δ1"])
+def test_a_custom_generator_outside_the_name_grammar_is_refused(name, tmp_path, capsys):
+    # Keys the engine writes with such a name do not read back: on a schema
+    # naming x*y this convolve would write the table key "x*y^2", which reads
+    # as x times y^2.
+    schema = write(tmp_path, "schema.json", {"generators": [{"name": name, "degree": 1}]})
+    chi = write(tmp_path, "chi.json", {"kind": "character", "values": {name: "1"}})
+    z = write(tmp_path, "z.json", {"kind": "infinitesimal", "values": {name: "1"}})
+    assert cli.main(["convolve", chi, z, "--schema", f"custom:{schema}", "--max-degree", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {"error": "SchemaError", "message": f"generator name {name!r} {GRAMMAR}"}
+
+
+def test_a_bracket_name_reads_in_any_spacing_in_every_input(tmp_path, capsys):
+    # A custom schema whose generators are named like trees; [ [] ] spells [[]]
+    # in an expression, a character key and a table key alike.
+    schema = "custom:" + write(tmp_path, "schema.json", {
+        "generators": [{"name": "[]", "degree": 1}, {"name": "[[]]", "degree": 2}],
+        "reducedCoproduct": {"[[]]": [{"left": [["[]", 1]], "right": "[]"}]}})
+
+    def outputs(argv_of):
+        outs = []
+        for spelling in ("[[]]", "[ [] ]"):
+            assert cli.main(argv_of(spelling)) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        return outs[0]
+
+    assert '"[[]]",2' in outputs(lambda s: ["coproduct", "--schema", schema, "--expr", f"{s}^2"])
+    outputs(lambda s: ["log", write(tmp_path, "chi.json", {"kind": "character", "values": {"[]": "1", s: "-2"}}),
+                       "--schema", schema, "--max-degree", "4"])
+    chi = write(tmp_path, "chi1.json", {"kind": "character", "values": {"[]": "1"}})
+    outputs(lambda s: ["convolve", chi, write(tmp_path, "t.json", {"kind": "table", "values": {f"{s}^2": "3"}}),
+                       "--schema", schema, "--max-degree", "4"])
+    both = write(tmp_path, "both.json", {"kind": "character", "values": {"[[]]": "1", "[ [] ]": "2"}})
+    assert cli.main(["log", both, "--schema", schema, "--max-degree", "2"]) == 2
+    assert json.loads(capsys.readouterr().err)["message"] == "functional keys '[[]]' and '[ [] ]' both name [[]]"
+
+
+def test_a_ladder_key_may_hold_whitespace(tmp_path, capsys):
+    outs = []
+    for key in ("t1", " t1 "):
+        assert cli.main(["log", write(tmp_path, "chi.json", {"kind": "character", "values": {key: "1"}}),
+                         "--max-degree", "3"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_huge_exponent_is_rejected_before_any_multiplication(capsys):
     argv = ["coproduct", "--schema", "ladder", "--expr", "t1^99999999"]
     start = time.perf_counter()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hopfalg import cli
 from hopfalg.algebra import Element, Monomial
-from hopfalg.errors import HopfError
+from hopfalg.errors import HopfError, SchemaError
 from hopfalg.exprparse import MAX_POWER_TERMS, parse_element
 from hopfalg.hopf import HopfAlgebra
 from hopfalg.instances import ladder_schema
@@ -90,6 +90,15 @@ def test_tree_tokens(trees):
 def test_tree_products(trees):
     e = parse_element(trees, "[]*[[]]")
     assert e.terms and all(m.poly_degree == 2 for m in e.terms)
+
+
+def test_a_run_of_brackets_is_one_name_up_to_the_next_operator(trees):
+    assert parse_element(trees, " [ [] ]*[]^2-([]+[[ ] ]) ") == parse_element(trees, "[[]]*[]^2-([]+[[]])")
+    # An unbalanced run and a run of two trees are each one name, and no tree's.
+    for text in ("[[]]]", "[[]] []"):
+        with pytest.raises(SchemaError) as exc:
+            parse_element(trees, f"2*{text}+[]")
+        assert str(exc.value) == f"unknown generator {text!r} in schema 'trees:3'"
 
 
 def test_errors(ladder):

@@ -11,7 +11,7 @@ from hopfalg.duals import Character, InfinitesimalCharacter, TableFunctional
 from hopfalg.errors import HopfError
 from hopfalg.exprparse import parse_element
 from hopfalg.hopf import HopfAlgebra
-from hopfalg.instances import ladder_schema
+from hopfalg.instances import ladder_schema, load_schema
 from hopfalg.rings import EPS_RING, QQ
 from hopfalg.serialize import (
     canonical_dumps,
@@ -19,8 +19,11 @@ from hopfalg.serialize import (
     element_to_json,
     functional_from_json,
     functional_to_json,
+    load_functional,
     tensor_to_json,
 )
+from hopfalg.trees import rooted_tree_schema
+from perfbench.workloads import binomial_schema
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +129,31 @@ def test_two_keys_for_one_generator_or_monomial_are_rejected(ladder, kind, value
 def test_a_lone_padded_ladder_name_is_read():
     f = functional_from_json(HopfAlgebra(ladder_schema()), {"kind": "character", "values": {"t01": "3"}})
     assert f.value_on(Monomial.of(f.ctx.schema.generator_by_name("t1"))) == 3
+
+
+@pytest.mark.parametrize("schema", ["ladder", "trees:4", "binomial"])
+def test_every_functional_the_cli_writes_reads_back(schema, tmp_path, capsys):
+    # Each key the engine writes, a generator name or a monomial joined by *
+    # and ^, must name on reading what it named on writing.
+    if schema == "binomial":
+        path = tmp_path / "binomial.json"
+        path.write_text(json.dumps(binomial_schema()))
+        schema, ctx = f"custom:{path}", HopfAlgebra(load_schema(str(path)))
+    else:
+        ctx = HopfAlgebra(ladder_schema() if schema == "ladder" else rooted_tree_schema(4))
+    names = [g.name for g in ctx.schema.generators_up_to(4)]
+    inputs = {}
+    for kind in ("character", "infinitesimal"):
+        inputs[kind] = tmp_path / f"{kind}.json"
+        inputs[kind].write_text(json.dumps({"kind": kind, "values": {n: f"{i + 1}/{i + 2}" for i, n in
+                                                                     enumerate(names)}}))
+    chi, z = str(inputs["character"]), str(inputs["infinitesimal"])
+    written = tmp_path / "written.json"
+    for argv in (["convolve", chi, z], ["exp", z], ["log", chi], ["build-loop", z]):
+        assert cli.main([*argv, "--schema", schema, "--max-degree", "4"]) == 0
+        out = capsys.readouterr().out
+        written.write_text(out)
+        assert functional_to_json(load_functional(ctx, str(written))) == json.loads(out)
 
 
 def test_canonical_dumps_sorts_keys():
