@@ -102,7 +102,7 @@ def birkhoff_decompose(phi: Character, max_degree: int) -> BirkhoffPair:
         for m in ctx.monomials_of_degree(degree):
             # phi(m) + sum c phi_-(m') phi(m'') over the reduced coproduct; an
             # exact zero phi(m'') adds nothing.
-            terms = [(c, minus[m1], y) for (m1, m2), c in ctx.reduced_coproduct_monomial(m).terms.items()
+            terms = [(c, minus[m1], y) for (m1, m2), c in ctx.reduced_coproduct_terms(m)
                      if (y := phi_table.get(m2)) is not None]
             bracket = ring.dot([(1, phi_table.get(m, zero), one)] + terms)
             minus[m] = ring.neg(rota_baxter_T(ring, bracket))

@@ -190,7 +190,7 @@ def convolve_tables(ctx: HopfAlgebra, ring: Ring, a: dict, b: dict, monomials) -
     exact_zero = ring.is_exact_zero
     out = {}
     for m in monomials:
-        total = ring.dot([(c, x, y) for (m1, m2), c in ctx.coproduct_monomial(m).terms.items()
+        total = ring.dot([(c, x, y) for (m1, m2), c in ctx.coproduct_terms(m)
                           if (x := a.get(m1)) is not None and (y := b.get(m2)) is not None])
         if not exact_zero(total):
             out[m] = total

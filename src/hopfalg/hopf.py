@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .algebra import Element, Generator, Monomial, TensorElement
-from .errors import CutoffExceededError, DomainError, SchemaError, quoted
+from .errors import CutoffExceededError, DomainError, SchemaError, VerificationError, quoted
 from .rationals import Ring
 
 DEFAULT_VALIDATE_DEGREE = 8
@@ -206,11 +206,11 @@ class HopfAlgebra:
         """
         for g in self.schema.generators_up_to(up_to):
             diff: dict = {}  # (D (x) id) D g - (id (x) D) D g
-            for (a, b), c in self.coproduct_monomial(Monomial.of(g)).terms.items():
-                for (a1, a2), c1 in self.coproduct_monomial(a).terms.items():
+            for (a, b), c in self.coproduct_terms(Monomial.of(g)):
+                for (a1, a2), c1 in self.coproduct_terms(a):
                     key = (a1, a2, b)
                     diff[key] = diff.get(key, 0) + c * c1
-                for (b1, b2), c2 in self.coproduct_monomial(b).terms.items():
+                for (b1, b2), c2 in self.coproduct_terms(b):
                     key = (a, b1, b2)
                     diff[key] = diff.get(key, 0) - c * c2
             if any(diff.values()):
@@ -295,45 +295,42 @@ class HopfAlgebra:
             memo[m] = TensorElement(2, {k: c for k, c in acc.items() if c})
         return memo[top]
 
+    def coproduct_terms(self, m: Monomial):
+        """The terms ((left, right), c) of D(m).  With ``reduced_coproduct_terms``
+        this is the one reader of the coproduct memo: no other module knows how
+        D(m) is stored, and each read goes through ``coproduct_monomial``."""
+        return self.coproduct_monomial(m).terms.items()
+
+    def reduced_coproduct_terms(self, m: Monomial):
+        """The terms of D(m) - m(x)1 - 1(x)m, read off D(m) in its order: one is
+        subtracted from each of the two unit terms, a term that cancels is left
+        out, and a unit term D(m) lacks comes last with coefficient -1."""
+        if m.is_unit:
+            raise DomainError("reduced coproduct is only defined on the augmentation ideal (counit must vanish)")
+        one = Monomial.unit()
+        owed = {(m, one): True, (one, m): True}
+        for key, c in self.coproduct_terms(m):
+            if one in key and owed.pop(key, False):
+                c -= 1
+                if not c:
+                    continue
+            yield key, c
+        for key in owed:
+            yield key, -1
+
     def coproduct(self, h: Element) -> TensorElement:
         return TensorElement.from_terms(2, (
             (key, c * c2)
             for m, c in h.terms.items()
-            for key, c2 in self.coproduct_monomial(m).terms.items()
+            for key, c2 in self.coproduct_terms(m)
         ))
 
     def counit(self, h: Element):
         return h.coefficient(Monomial.unit())
 
-    def reduced_coproduct(self, h: Element) -> TensorElement:
-        """D(h) - h(x)1 - 1(x)h for h in the augmentation ideal."""
-        if self.counit(h):
-            raise DomainError(
-                "reduced coproduct is only defined on the augmentation ideal "
-                "(counit must vanish)"
-            )
-        one = Monomial.unit()
-        full = self.coproduct(h)
-        correction = TensorElement.from_terms(
-            2,
-            [((m, one), c) for m, c in h.terms.items()]
-            + [((one, m), c) for m, c in h.terms.items()],
-        )
-        return full - correction
-
     def reduced_coproduct_monomial(self, m: Monomial) -> TensorElement:
-        """D(m) - m(x)1 - 1(x)m, from the memoized D(m) in one dict copy."""
-        if m.is_unit:
-            return self.reduced_coproduct(self.unit_element())  # raises DomainError
-        one = Monomial.unit()
-        terms = dict(self.coproduct_monomial(m).terms)
-        for key in ((m, one), (one, m)):
-            c = terms.get(key, 0) - 1
-            if c:
-                terms[key] = c
-            else:
-                del terms[key]
-        return TensorElement(2, terms)
+        """D(m) - m(x)1 - 1(x)m as a tensor."""
+        return TensorElement(2, dict(self.reduced_coproduct_terms(m)))
 
     def iterated_coproduct_monomial(self, m: Monomial, n: int) -> TensorElement:
         """D^(n): rank n+1, with D^(0) the identity."""
@@ -364,7 +361,7 @@ class HopfAlgebra:
             return cached
         result = TensorElement.from_terms(n, (
             (legs + (g,), c * c1)
-            for (x, g), c in self.coproduct_monomial(m).terms.items()
+            for (x, g), c in self.coproduct_terms(m)
             if g.single_generator() is not None
             for legs, c1 in self.plus_iterated_monomial(x, n - 1).terms.items()))
         self._plus_iterated[key] = result
@@ -388,13 +385,15 @@ class HopfAlgebra:
             elif top.is_unit:
                 memo[top] = self.unit_element()
             else:
-                terms = self.reduced_coproduct_monomial(top).terms
-                missing = [right for _, right in terms if right not in memo]
+                missing = [right for (_, right), _ in self.reduced_coproduct_terms(top) if right not in memo]
                 if missing:
+                    if any(right.y_degree >= top.y_degree for right in missing):
+                        raise VerificationError(f"a right leg of the reduced coproduct of {top} is not of "
+                                                "lower degree: the antipode recursion does not descend", witness=str(top))
                     stack.extend(missing)
                     continue
                 acc = {top: -1}
-                for (left, right), c in terms.items():
+                for (left, right), c in self.reduced_coproduct_terms(top):
                     for m2, c2 in memo[right].terms.items():
                         key = left * m2
                         acc[key] = acc.get(key, 0) - c * c2
@@ -409,7 +408,7 @@ class HopfAlgebra:
             result = self.unit_element()
         else:
             result = -self.monomial_element(m)
-            for (left, right), c in self.reduced_coproduct_monomial(m).terms.items():
+            for (left, right), c in self.reduced_coproduct_terms(m):
                 piece = self.antipode_left_monomial(left) * Element({right: c})
                 result = result - piece
         self._antipode_l[m] = result

@@ -4,14 +4,17 @@ Expected values marked "by hand" below were derived on paper from one or two
 steps of the defining recursions and frozen here.
 """
 
+import ast
 import json
 import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import hopfalg
 from hopfalg.algebra import Element, Monomial, TensorElement
 from hopfalg.axioms import verify_axioms
 from hopfalg.errors import DomainError, SchemaError
@@ -90,7 +93,20 @@ def test_reduced_coproduct_examples(ladder):
 
 def test_reduced_coproduct_rejects_nonzero_counit(ladder):
     with pytest.raises(DomainError):
-        ladder.reduced_coproduct(ladder.unit_element())
+        ladder.reduced_coproduct_monomial(Monomial.unit())
+
+
+def test_the_reduced_reader_subtracts_exactly_one_unit_term_each(ladder, monkeypatch):
+    one, m1, m2 = Monomial.unit(), t(ladder, 1), t(ladder, 2)
+    m = m1 * m2
+    reduced = ladder.reduced_coproduct_monomial(m).terms
+    # 1 (x) m doubled and m (x) 1 missing: one copy of 1 (x) m stays, and
+    # m (x) 1 comes last with coefficient -1.
+    broken = ladder.coproduct_monomial(m) + TensorElement(2, {(one, m): 1}) - TensorElement(2, {(m, one): 1})
+    monkeypatch.setattr(ladder, "coproduct_monomial", lambda x: broken)
+    terms = list(ladder.reduced_coproduct_terms(m))
+    assert terms[-1] == ((m, one), -1)
+    assert dict(terms) == {**reduced, (one, m): 1, (m, one): -1}
 
 
 def test_reduced_legs_strictly_positive(ladder):
@@ -503,7 +519,8 @@ def test_reduced_coproduct_monomial_matches_the_element_form(schema, degree):
             with pytest.raises(DomainError):
                 ctx.reduced_coproduct_monomial(m)
         else:
-            assert ctx.reduced_coproduct_monomial(m) == ctx.reduced_coproduct(ctx.monomial_element(m))
+            units = TensorElement(2, {(m, Monomial.unit()): 1, (Monomial.unit(), m): 1})
+            assert ctx.reduced_coproduct_monomial(m) == ctx.coproduct_monomial(m) - units
 
 
 @pytest.mark.parametrize("schema, degree", [(ladder_schema, 8), (lambda: rooted_tree_schema(7), 7)],
@@ -700,3 +717,20 @@ def test_a_rational_schema_stays_exact_and_passes_verify(tmp_path):
     for m in basis:
         assert ConvolutionProduct([chi, inverse]).value_on(m) == (1 if m.is_unit else 0)
         assert ConvolutionProduct([chi, psi]).value_on(m) == binary.get(m, 0)
+
+
+def test_only_hopf_knows_how_the_coproduct_memo_is_stored():
+    """Every other module reads D(m) through ``coproduct_terms`` or
+    ``reduced_coproduct_terms``: none names ``coproduct_monomial``,
+    ``reduced_coproduct_monomial`` or the memo ``_coproduct``, so a new layout
+    of the memo changes ``hopf`` alone."""
+    memo_names = {"coproduct_monomial", "reduced_coproduct_monomial", "_coproduct"}
+    package = Path(hopfalg.__file__).parent
+    found = sorted(
+        f"{path.stem}:{node.lineno} {node.attr}"
+        for path in package.glob("*.py") if path.stem != "hopf"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in memo_names
+    )
+    assert (package / "duals.py").exists()
+    assert found == []

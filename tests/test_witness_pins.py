@@ -7,11 +7,18 @@ an early stop are covered, not only the all-pass reports.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from hopfalg import birkhoff, cli, duals, suites
+from hopfalg.algebra import Monomial, TensorElement
 from hopfalg.hopf import HopfAlgebra
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 AXIOMS = [
     "schema-structure", "CDelta", "Am", "Ae", "Ceps", "Bm", "Be", "Beps", "Bepse", "H", "Hm", "HDelta",
@@ -30,6 +37,10 @@ def basis_monomial(schema, name):
 def faulty_map(name, target):
     """A ``HopfAlgebra`` method that is wrong exactly where ``target`` enters it."""
     original = getattr(HopfAlgebra, name)
+
+    def coproduct_monomial(self, m):
+        out = original(self, m)
+        return out + TensorElement(2, {(target, Monomial.unit()): 1}) if m is target else out
 
     def antipode_monomial(self, m):
         out = original(self, m)
@@ -59,11 +70,15 @@ AXIOM_FAULTS = [
     ("ladder", "apply_theta", "t1",
      {"theta-algebra-map": "t1 | t1", "theta-coalgebra-map": "t1", "S-commutes-theta": "t1"}),
     ("ladder", "counit", "1", {"Beps": "1 | 1", "Bepse": "1", "Heps": "1", "Hp": "1"}),
+    ("ladder", "coproduct_monomial", "t1*t2",
+     {"Ceps": "t1*t2", "Bm": "t1 | t2", "H": "t1*t2", "Hm": "t1 | t2", "HDelta": "t1*t2", "progressive": "t1*t2"}),
     ("trees:4", "antipode_monomial", "[[]]", {"H": "[[]]", "Hm": "[] | [[]]", "HDelta": "[[]]"}),
     ("trees:4", "apply_Y", "[]^2", {"Y-derivation": "[] | []", "Y-coderivation": "[]^2", "S-commutes-Y": "[[]]"}),
     ("trees:4", "apply_theta", "[]",
      {"theta-algebra-map": "[] | []", "theta-coalgebra-map": "[]", "S-commutes-theta": "[]"}),
     ("trees:4", "counit", "1", {"Beps": "1 | 1", "Bepse": "1", "Heps": "1", "Hp": "1"}),
+    ("trees:4", "coproduct_monomial", "[[]]^2", {"Ceps": "[[]]^2", "Bm": "[[]] | [[]]", "H": "[[]]^2",
+                                                  "Hm": "[[]] | [[]]", "HDelta": "[[]]^2", "progressive": "[[]]^2"}),
 ]
 
 
@@ -76,6 +91,30 @@ def test_axiom_witnesses_under_a_faulty_map(schema, method, target, failures, mo
     assert "dualConvolution" not in report and "birkhoff" not in report
     got = [(c["axiom"], c["passed"], c["counterexample"]) for c in report["axioms"]["checks"]]
     assert got == [(name, name not in failures, failures.get(name)) for name in AXIOMS]
+
+
+def test_an_antipode_fill_that_does_not_descend_fails_with_its_witness():
+    """With 1 (x) t1*t2 added to D(t1*t2), the reduced coproduct of t1*t2 names
+    t1*t2 itself as a right leg, so the right antipode fill cannot descend:
+    it raises with that witness instead of growing its stack for ever.  In a
+    subprocess, so that a fill that never ends is a timeout, not a hang."""
+    code = textwrap.dedent("""
+        import sys
+        from hopfalg import cli
+        from hopfalg.algebra import Monomial, TensorElement
+        from hopfalg.hopf import HopfAlgebra
+        original = HopfAlgebra.coproduct_monomial
+        def coproduct_monomial(self, m):
+            out = original(self, m)
+            return out + TensorElement(2, {(Monomial.unit(), m): 1}) if str(m) == "t1*t2" else out
+        HopfAlgebra.coproduct_monomial = coproduct_monomial
+        sys.exit(cli.main(["verify", "--schema", "ladder", "--max-degree", "4"]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    diagnostic = json.loads(proc.stderr)
+    assert (diagnostic["error"], diagnostic["witness"]) == ("VerificationError", "t1*t2")
 
 
 def faulty_convolve_tables(monkeypatch, target):
