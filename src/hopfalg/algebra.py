@@ -174,6 +174,21 @@ class Monomial(Frozen):
 _UNIT = Monomial(())
 
 
+def cofactor_chain(m: Monomial, known: dict) -> list:
+    """The steps (m', g, m'/g), g the first generator of m', from the first
+    cofactor of m that ``known`` holds up to m, lowest first.  Filling each m'
+    from m'/g and g in this order extends a multiplicative map from its
+    generators; ``known`` holds the unit, where every chain ends."""
+    steps = []
+    while m not in known:
+        (g, e), rest = m.powers[0], m.powers[1:]
+        cofactor = Monomial(((g, e - 1),) + rest if e > 1 else rest)
+        steps.append((m, g, cofactor))
+        m = cofactor
+    steps.reverse()
+    return steps
+
+
 def _summed(acc: dict, pairs) -> dict:
     """Add each (key, coefficient) of ``pairs`` into ``acc`` and return its
     nonzero entries: the one accumulator behind every sparse sum and product.

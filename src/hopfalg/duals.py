@@ -22,7 +22,7 @@ from math import factorial
 from typing import Dict, List, Optional, Sequence
 
 from . import _forwarder
-from .algebra import Generator, Monomial
+from .algebra import Generator, Monomial, cofactor_chain
 from .errors import CutoffExceededError, DomainError, RingMismatchError, VerificationError
 from .hopf import HopfAlgebra
 from .rationals import Ring
@@ -118,42 +118,23 @@ class Character(GeneratorFunctional):
         return self.ring.one() if acc is None else acc
 
     def tabulate(self, monomials) -> Dict[Monomial, object]:
-        """``value_on`` of each monomial, built as table[m / g] chi(g) with g the
-        first generator of m: one product per monomial that is not a
-        generator.  Cofactors outside ``monomials`` are computed once and kept
-        out of the table; an exact zero cofactor gives an exact zero without a
-        product, as a missing generator does in ``value_on``.  Values equal
-        ``value_on``'s: the truncation of a product of series does not depend
-        on the order of its factors."""
-        ring = self.ring
+        """``value_on`` of each monomial, built up its ``cofactor_chain`` as
+        chi(m / g) chi(g) with g the first generator of m: one product per
+        monomial that is not a generator.  Cofactors outside ``monomials`` are
+        computed once and kept out of the table; a missing generator or an
+        exact zero cofactor gives an exact zero without a product, as in
+        ``value_on``.  Values equal ``value_on``'s: the truncation of a
+        product of series does not depend on the order of its factors."""
+        ring, gen_values = self.ring, self.gen_values
         zero, exact_zero = ring.zero(), ring.is_exact_zero
         values = {Monomial.unit(): ring.one()}
-
-        def value(m):
-            # Down the chain of cofactors to a known value, then back up it.
-            chain = []
-            v = values.get(m)
-            while v is None:
-                (g, e), rest = m.powers[0], m.powers[1:]
-                x = self.gen_values.get(g)
-                if x is None:
-                    v = values[m] = zero
-                    break
-                cofactor = Monomial(((g, e - 1),) + rest if e > 1 else rest)
-                if cofactor.is_unit:
-                    v = values[m] = x
-                    break
-                chain.append((m, x))
-                m = cofactor
-                v = values.get(m)
-            for m, x in reversed(chain):
-                v = values[m] = zero if exact_zero(v) else ring.mul(v, x)
-            return v
-
         table = {}
         for m in monomials:
             self._check_cutoff(m)
-            v = value(m)
+            for top, g, rest in cofactor_chain(m, values):
+                v, x = values[rest], gen_values.get(g)
+                values[top] = zero if x is None or exact_zero(v) else x if rest.is_unit else ring.mul(v, x)
+            v = values[m]
             if not exact_zero(v):
                 table[m] = v
         return table

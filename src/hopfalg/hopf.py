@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .algebra import Element, Generator, Monomial, TensorElement
+from .algebra import Element, Generator, Monomial, TensorElement, cofactor_chain
 from .errors import CutoffExceededError, DomainError, SchemaError, VerificationError, quoted
 from .rationals import Ring
 
@@ -175,7 +175,8 @@ class HopfAlgebra:
 
     def __init__(self, schema: HopfSchema, validate_to: Optional[int] = None):
         self.schema = schema
-        self._coproduct: Dict[Monomial, TensorElement] = {}
+        one = Monomial.unit()
+        self._coproduct: Dict[Monomial, TensorElement] = {one: TensorElement(2, {(one, one): 1})}
         self._antipode_r: Dict[Monomial, Element] = {}
         self._antipode_l: Dict[Monomial, Element] = {}
         self._iterated: Dict[Tuple[Monomial, int], TensorElement] = {}
@@ -274,26 +275,16 @@ class HopfAlgebra:
         cached = memo.get(m)
         if cached is not None:
             return cached
-        # D(m) = D(g) D(m/g), g the first generator of m: walk that chain down
-        # to a memoized D, then fill it back up in one coefficient dict per step.
-        top, chain = m, []
-        while m not in memo:
-            if m.is_unit:
-                memo[m] = TensorElement(2, {(m, m): 1})
-                break
-            gen, exp = m.powers[0]
-            rest = Monomial(((gen, exp - 1),) + m.powers[1:] if exp > 1 else m.powers[1:])
-            chain.append((m, gen, rest))
-            m = rest
-        for m, gen, rest in reversed(chain):
+        # D(m') = D(g) D(m'/g) up the cofactor chain, one coefficient dict per step.
+        for top, gen, rest in cofactor_chain(m, memo):
             acc: dict = {}
             tail = memo[rest].terms.items()
             for (a1, b1), c1 in self.coproduct_generator(gen).terms.items():
                 for (a2, b2), c2 in tail:
                     key = (a1 * a2, b1 * b2)
                     acc[key] = acc.get(key, 0) + c1 * c2
-            memo[m] = TensorElement(2, {k: c for k, c in acc.items() if c})
-        return memo[top]
+            memo[top] = TensorElement(2, {k: c for k, c in acc.items() if c})
+        return memo[m]
 
     def coproduct_terms(self, m: Monomial):
         """The terms ((left, right), c) of D(m).  With ``reduced_coproduct_terms``
@@ -409,6 +400,9 @@ class HopfAlgebra:
         else:
             result = -self.monomial_element(m)
             for (left, right), c in self.reduced_coproduct_terms(m):
+                if left.y_degree >= m.y_degree:
+                    raise VerificationError(f"a left leg of the reduced coproduct of {m} is not of lower "
+                                            "degree: the left antipode recursion does not descend", witness=str(m))
                 piece = self.antipode_left_monomial(left) * Element({right: c})
                 result = result - piece
         self._antipode_l[m] = result

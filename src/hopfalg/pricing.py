@@ -38,10 +38,11 @@ def coproduct_term_bound(ctx: HopfAlgebra, h: Element) -> int:
     schema without building D(g), and D(g)^e at most C(e + k - 1, e): one per
     multiset of e of them, the count ``exprparse.MAX_POWER_TERMS`` prices.
     D is multiplicative, so a monomial is bounded by the product over its
-    generators.  ``coproduct_monomial`` fills D(g^e r) from D(g^(e-1) r),
-    down to the unit, so each distinct (g, r) of h adds the sum over
-    j = 1..e of C(j + k - 1, j) times the bound of r, which is
-    C(e + k, e) - 1.  The bound is at least the number of terms of D(h).
+    generators.  This prices the steps of ``algebra.cofactor_chain``, which
+    fills D(g^e r) from D(g^(e-1) r) down to the unit, so each distinct
+    (g, r) of h adds the sum over j = 1..e of C(j + k - 1, j) times the
+    bound of r, which is C(e + k, e) - 1.  The bound is at least the number
+    of terms of D(h).
     """
     sizes: Dict[Generator, int] = {}
     tops: Dict[tuple, list] = {}  # (g, powers after g) -> [highest e, k, bound of the rest]

@@ -1,19 +1,23 @@
 """Element and tensor arithmetic over the symmetric algebra."""
 
+import ast
 import functools
 import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hopfalg
 from hopfalg.algebra import (
     Element,
     Generator,
     Monomial,
     TensorElement,
+    cofactor_chain,
 )
 from hopfalg.errors import RankMismatchError
 from hopfalg.instances import ladder_schema
@@ -212,3 +216,37 @@ def test_shared_sum_arithmetic_matches_a_dict_oracle(kind, data):
             assert build(other, []) != build(kind, [])
     with pytest.raises(TypeError):
         hash(a)
+
+
+def test_the_cofactor_chain_runs_from_the_first_known_cofactor_up():
+    one, t3 = Monomial.unit(), Monomial.of(T3)
+    t1t3 = Monomial.from_powers([(T1, 1), (T3, 1)])
+    top = Monomial.from_powers([(T1, 2), (T3, 1)])
+    assert cofactor_chain(top, {one: 1}) == [(t3, T3, one), (t1t3, T1, t3), (top, T1, t1t3)]
+    assert cofactor_chain(top, {one: 1, t1t3: 1}) == [(top, T1, t1t3)]
+    assert cofactor_chain(top, {top: 1}) == []
+
+
+def test_only_algebra_splits_a_monomial():
+    """No module but ``algebra`` takes a monomial's first factor or the rest
+    after it (``.powers[0]``, ``.powers[1:]``): every fill that extends a map
+    from the first generator walks ``cofactor_chain``."""
+    def splits(node):
+        if not (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "powers"):
+            return False
+        index = node.slice
+        if isinstance(index, ast.Slice):
+            return (isinstance(index.lower, ast.Constant) and index.lower.value == 1
+                    and index.upper is None and index.step is None)
+        return isinstance(index, ast.Constant) and index.value == 0
+
+    package = Path(hopfalg.__file__).parent
+    found = sorted(
+        f"{path.stem}:{node.lineno}"
+        for path in package.glob("*.py") if path.stem != "algebra"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if splits(node)
+    )
+    assert (package / "hopf.py").exists()
+    assert found == []

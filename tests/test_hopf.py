@@ -568,6 +568,28 @@ def test_fills_are_iterative_and_match_the_left_recursion():
         assert value == ctx.antipode_left_monomial(m)
 
 
+@pytest.mark.parametrize("schema, degree, steps", [(ladder_schema, 8, 66), (lambda: rooted_tree_schema(6), 6, 84)],
+                         ids=["ladder-8", "trees-6"])
+def test_the_coproduct_fill_takes_one_step_per_monomial_it_adds(schema, degree, steps, monkeypatch):
+    # Asked top monomial first, the fill walks each cofactor chain once: one
+    # D(g) per D(m) it adds, never a step redone.  Each D, terms in order, is
+    # the one a fill in basis order builds.  D(1) takes no step, so it is in
+    # the memo before counting starts.
+    fresh = HopfAlgebra(schema(), validate_to=0)
+    ctx = HopfAlgebra(schema(), validate_to=0)
+    basis = ctx.basis_up_to(degree)
+    ctx.coproduct_monomial(Monomial.unit())
+    before = len(ctx._coproduct)
+    calls = []
+    generator = HopfAlgebra.coproduct_generator
+    monkeypatch.setattr(HopfAlgebra, "coproduct_generator", lambda self, g: calls.append(g) or generator(self, g))
+    for m in reversed(basis):
+        ctx.coproduct_monomial(m)
+    assert len(calls) == len(ctx._coproduct) - before == steps
+    for m in basis:
+        assert list(ctx.coproduct_terms(m)) == list(fresh.coproduct_terms(m)), str(m)
+
+
 def test_the_right_antipode_fill_of_t14_is_the_left_antipode():
     ctx = HopfAlgebra(ladder_schema(), validate_to=2)
     s = ctx.antipode_monomial(t(ctx, 14))

@@ -10,6 +10,8 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfalg.algebra import Element, Monomial, TensorElement
 from hopfalg.duals import Character, InfinitesimalCharacter, convolve_tables, exp_star
@@ -568,6 +570,57 @@ def test_birkhoff_on_custom_schemas_matches_the_bogoliubov_recursion(data, tmp_p
                 raw = got.get(g, {"coeffs": {}, "truncation": None})
                 assert raw["truncation"] is None
                 assert oracles.Poly({int(k): Fraction(c) for k, c in raw["coeffs"].items()}) == want[g], (draw, g)
+
+
+# -- generator rescalings are Hopf isomorphisms ------------------------------------
+
+NONZERO = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
+
+
+def weight(scale, m):
+    """scale(m): the product of scale[g]^e over the factors g^e of m."""
+    out = Fraction(1)
+    for g, e in m.powers:
+        out *= scale[g] ** e
+    return out
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("selector, degree", [("ladder", 6), ("trees:5", 5)])
+def test_random_generator_rescalings_are_hopf_isomorphisms(selector, degree, data):
+    # g -> g / lam_g maps H onto the custom schema whose reduced terms of g are
+    # c lam_g / (lam(L) lam_b) L (x) b, for each c L (x) b of g.  It carries D,
+    # S, a character chi and exp of an infinitesimal z to D~, S~, chi~ and
+    # exp(z~), with chi~(g) = lam_g chi(g) and z~(g) = lam_g z(g).  Generators
+    # are interned, so both algebras key their monomials by the same objects.
+    from hopfalg import cli
+    from hopfalg.rationals import format_rational
+
+    ctx = HopfAlgebra(cli.resolve_schema(selector), validate_to=0)
+    gens = ctx.schema.generators_up_to(degree)
+    lam = {g: data.draw(NONZERO) for g in gens}
+    chi = {g: v for g in gens if (v := data.draw(st.none() | NONZERO)) is not None}
+    z = {g: data.draw(NONZERO) for g in gens}
+    rescaled = HopfAlgebra(schema_from_dict({
+        "generators": [{"name": g.name, "degree": g.degree} for g in gens],
+        "reducedCoproduct": {g.name: [
+            {"left": [[h.name, e] for h, e in t.left.powers], "right": t.right.name,
+             "coeff": format_rational(t.coeff * lam[g] / (weight(lam, t.left) * lam[t.right]))}
+            for t in ctx.schema.reduced_terms(g)] for g in gens}}))
+    basis = ctx.basis_up_to(degree)
+    for m in basis:
+        w = weight(lam, m)
+        assert rescaled.coproduct_monomial(m).terms == {
+            (a, b): c * w / (weight(lam, a) * weight(lam, b)) for (a, b), c in ctx.coproduct_terms(m)}, str(m)
+        assert rescaled.antipode_monomial(m).terms == {
+            k: c * w / weight(lam, k) for k, c in ctx.antipode_monomial(m).terms.items()}, str(m)
+    chi_tilde = {g: lam[g] * v for g, v in chi.items()}
+    z_tilde = {g: lam[g] * v for g, v in z.items()}
+    for f, f_tilde in ((Character(ctx, QQ, chi), Character(rescaled, QQ, chi_tilde)),
+                       (exp_star(InfinitesimalCharacter(ctx, QQ, z), degree),
+                        exp_star(InfinitesimalCharacter(rescaled, QQ, z_tilde), degree))):
+        assert f_tilde.tabulate(basis) == {m: weight(lam, m) * v for m, v in f.tabulate(basis).items()}
 
 
 # -- Faa di Bruno: characters are series x + sum c_j x^(j+1) under composition ------

@@ -16,6 +16,7 @@ import pytest
 
 from hopfalg import birkhoff, cli, duals, suites
 from hopfalg.algebra import Monomial, TensorElement
+from hopfalg.errors import VerificationError
 from hopfalg.hopf import HopfAlgebra
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -115,6 +116,18 @@ def test_an_antipode_fill_that_does_not_descend_fails_with_its_witness():
     assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
     diagnostic = json.loads(proc.stderr)
     assert (diagnostic["error"], diagnostic["witness"]) == ("VerificationError", "t1*t2")
+
+
+def test_a_left_antipode_recursion_that_does_not_descend_fails_with_its_witness(monkeypatch):
+    """With 1 t3 (x) 1 added to D(t3), the reduced coproduct of t3 names t3
+    itself as a left leg, so the left antipode recursion cannot descend: it
+    raises with that witness instead of recursing to the interpreter's limit."""
+    target = basis_monomial("ladder", "t3")
+    monkeypatch.setattr(HopfAlgebra, "coproduct_monomial", faulty_map("coproduct_monomial", target))
+    ctx = HopfAlgebra(cli.resolve_schema("ladder"), validate_to=0)
+    with pytest.raises(VerificationError) as raised:
+        ctx.antipode_left_monomial(target)
+    assert raised.value.witness == "t3"
 
 
 def faulty_convolve_tables(monkeypatch, target):
