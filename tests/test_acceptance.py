@@ -22,7 +22,6 @@ from hopfalg.birkhoff import BirkhoffPair, birkhoff_decompose, birkhoff_verifica
 from hopfalg.duals import Character, InfinitesimalCharacter, exp_star, log_star
 from hopfalg.functionals import ConvolutionProduct
 from hopfalg.hopf import HopfAlgebra
-from hopfalg.instances import ladder_schema
 from hopfalg.rg import build_special_loop, dn_recursive, dn_simplex, rg_limit_check, scattering_check
 from hopfalg.rings import EPS_RING, QQ
 from hopfalg.trees import rooted_tree_schema
@@ -40,11 +39,6 @@ def criterion(number, name):
         print(f"ACCEPTANCE {number} ({name}): FAIL", flush=True)
         raise
     print(f"ACCEPTANCE {number} ({name}): PASS", flush=True)
-
-
-@pytest.fixture(scope="module")
-def ladder():
-    return HopfAlgebra(ladder_schema(), validate_to=6)
 
 
 @pytest.fixture(scope="module")

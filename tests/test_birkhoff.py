@@ -9,6 +9,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from closed_forms import connes_moscovici_schema, rescaled_binomial_schema
 from hopfalg.algebra import Monomial
 from hopfalg.birkhoff import BirkhoffPair, birkhoff_decompose, birkhoff_verification_report, rota_baxter_T
 from hopfalg.duals import (
@@ -37,14 +38,8 @@ from hopfalg.rg import (
 )
 from hopfalg.rings import EPS_RING, QQ, RationalField
 from hopfalg.trees import rooted_tree_schema
-from test_instances import connes_moscovici_schema, rescaled_binomial_schema
 
 L = EPS_RING
-
-
-@pytest.fixture(scope="module")
-def ladder():
-    return HopfAlgebra(ladder_schema(), validate_to=6)
 
 
 @pytest.fixture(scope="module")

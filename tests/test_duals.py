@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closed_forms import binomial_schema
 from hopfalg import cli, duals
 from hopfalg.algebra import Generator, Monomial
 from hopfalg.duals import (
@@ -36,15 +37,10 @@ from hopfalg.functionals import (
     metric_distance,
 )
 from hopfalg.hopf import HopfAlgebra, TableSchema, theta_factors
-from hopfalg.instances import ladder_schema
+from hopfalg.instances import ladder_schema, schema_from_dict
 from hopfalg.rings import EPS_RING, QQ, LaurentRing, RationalField, Ring
 from hopfalg.trees import rooted_tree_schema
 from perfbench.oracles import canonical, parse_tree, tree_factorial, vertex_count
-
-
-@pytest.fixture(scope="module")
-def ladder():
-    return HopfAlgebra(ladder_schema(), validate_to=6)
 
 
 @pytest.fixture(scope="module")
@@ -675,10 +671,8 @@ def test_group_like_and_primitive_characterizations(ladder):
 
 @lru_cache(maxsize=None)
 def tabulation_context(name):
-    from test_hopf import binomial_schema
-
     schema, degree = {"ladder": (ladder_schema, 8), "trees": (lambda: rooted_tree_schema(6), 6),
-                      "binomial": (lambda: binomial_schema(6), 6)}[name]
+                      "binomial": (lambda: schema_from_dict(binomial_schema(6), name="binomial"), 6)}[name]
     return HopfAlgebra(schema(), validate_to=degree), degree
 
 

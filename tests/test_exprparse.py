@@ -14,13 +14,7 @@ from hopfalg.algebra import Element, Monomial
 from hopfalg.errors import HopfError, SchemaError
 from hopfalg.exprparse import MAX_POWER_TERMS, parse_element
 from hopfalg.hopf import HopfAlgebra
-from hopfalg.instances import ladder_schema
 from hopfalg.trees import rooted_tree_schema
-
-
-@pytest.fixture(scope="module")
-def ladder():
-    return HopfAlgebra(ladder_schema(), validate_to=6)
 
 
 @pytest.fixture(scope="module")

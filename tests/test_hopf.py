@@ -8,13 +8,20 @@ import ast
 import json
 import sys
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from pathlib import Path
 
 import pytest
 
 import hopfalg
+from closed_forms import (
+    _compositions,
+    binomial_schema,
+    connes_moscovici_schema,
+    forest_formula,
+    ladder_antipode_closed_form,
+    rescaled_binomial_schema,
+)
 from hopfalg.algebra import Element, Monomial, TensorElement
 from hopfalg.axioms import verify_axioms
 from hopfalg.errors import DomainError, SchemaError
@@ -23,12 +30,6 @@ from hopfalg.instances import ladder_schema, schema_from_dict
 from hopfalg.pricing import antipode_term_bound
 from hopfalg.rings import EPS_RING, QQ, LaurentRing
 from hopfalg.trees import rooted_tree_schema
-from test_instances import connes_moscovici_schema, rescaled_binomial_schema
-
-
-@pytest.fixture(scope="module")
-def ladder():
-    return HopfAlgebra(ladder_schema(), validate_to=6)
 
 
 def t(ladder, n, exp=1):
@@ -191,15 +192,6 @@ def test_antipode_left_equals_right_to_degree_6(ladder):
         assert ladder.antipode_monomial(m) == ladder.antipode_left_monomial(m)
 
 
-def _compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for head in range(1, n + 1):
-        for rest in _compositions(n - head):
-            yield (head,) + rest
-
-
 def test_ladder_antipode_composition_oracle(ladder):
     # Independent oracle: on the ladder generators the antipode expands as
     # sum over compositions (a1,...,ak) of n of (-1)^k t_a1 ... t_ak
@@ -215,35 +207,7 @@ def test_ladder_antipode_composition_oracle(ladder):
         assert ladder.antipode_monomial(t(ladder, n)) == expected
 
 
-# Cancellation-free antipodes in closed form.  They never read a coproduct, so
-# a fault in the coproduct fill cannot pass them the way it can pass both the
-# right and the left recursion.  A monomial is the sorted tuple of its factors
-# (with repeats), and no two terms of either sum cancel.
-
-
-def ladder_antipode_closed_form(n):
-    """S(t_n) = sum over compositions (c_1..c_k) of n of (-1)^k t_c1...t_ck."""
-    out = {}
-    for comp in _compositions(n):
-        key = tuple(sorted(comp))
-        out[key] = out.get(key, 0) + (-1) ** len(comp)
-    return out
-
-
-def forest_formula(tree):
-    """S(t) = sum over every edge subset C of t of (-1)^(|C|+1) times the
-    product of the |C|+1 pieces that cutting C leaves (Connes-Kreimer)."""
-    from perfbench.oracles import _edges, _prune, _subtree, tree_encoding
-
-    edges = list(_edges(tree))
-    out = {}
-    for r in range(len(edges) + 1):
-        for cut in combinations(edges, r):
-            cut_set = set(cut)
-            pieces = [_prune(tree, cut_set)] + [_prune(_subtree(tree, p), cut_set, p) for p in cut]
-            key = tuple(sorted(tree_encoding(piece) for piece in pieces))
-            out[key] = out.get(key, 0) + (-1) ** (r + 1)
-    return out
+# Against the cancellation-free antipodes of ``closed_forms``.
 
 
 def factors(element, name):
@@ -492,8 +456,8 @@ def mutated(schema, name, index):
     (lambda: rooted_tree_schema(6), "[[]]", 0, "[[][]]"),
     (lambda: rooted_tree_schema(6), "[[[]][]]", 0, "[[[]][]]"),
     (lambda: rooted_tree_schema(6), "[[][][][][]]", 2, "[[][][][][]]"),
-    (lambda: binomial_schema(6), "x4", 1, "x4"),
-    (lambda: binomial_schema(6), "x6", 4, "x6"),
+    (lambda: schema_from_dict(binomial_schema(6), name="binomial"), "x4", 1, "x4"),
+    (lambda: schema_from_dict(binomial_schema(6), name="binomial"), "x6", 4, "x6"),
 ], ids=["trees-two-vertices", "trees-four-vertices", "trees-six-vertices", "binomial-x4", "binomial-x6"])
 def test_a_one_coefficient_mutation_is_rejected_at_the_first_failing_generator(schema, name, index, witness):
     with pytest.raises(SchemaError) as exc:
@@ -635,17 +599,6 @@ def test_the_antipode_price_bounds_the_memo_fill():
     assert antipode_term_bound(ctx, Element.zero()) == 0
 
 
-def binomial_schema(top):
-    """D x_n = sum_k C(n, k) x_k (x) x_(n-k), as a custom schema."""
-    return schema_from_dict({
-        "generators": [{"name": f"x{n}", "degree": n} for n in range(1, top + 1)],
-        "reducedCoproduct": {
-            f"x{n}": [{"left": [[f"x{k}", 1]], "right": f"x{n - k}", "coeff": str(comb(n, k))} for k in range(1, n)]
-            for n in range(2, top + 1)
-        },
-    }, name="binomial")
-
-
 # The ladder to degree 4 in the basis x1 = t1, y = t2 / 2, z = t3, w = t4: an
 # isomorphic Hopf algebra whose structure constants are 1/2, 1, 2 and 4.
 HALF_LADDER = {
@@ -662,7 +615,7 @@ HALF_LADDER = {
 
 
 @pytest.mark.parametrize("schema, degree", [(ladder_schema, 8), (lambda: rooted_tree_schema(6), 6),
-                                            (lambda: binomial_schema(7), 7)],
+                                            (lambda: schema_from_dict(binomial_schema(7), name="binomial"), 7)],
                          ids=["ladder-8", "trees-6", "binomial-7"])
 def test_integral_schemas_fill_their_memos_in_ints(schema, degree):
     ctx = HopfAlgebra(schema())

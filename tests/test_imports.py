@@ -233,3 +233,28 @@ def test_each_ring_is_built_once_as_its_module_instance():
                 if name in ("LaurentRing", "PolynomialRing"):
                     calls.append((f, source.splitlines()[node.lineno - 1]))
     assert calls == [("polynomials.py", "POLY_T = PolynomialRing()"), ("rings.py", "EPS_RING = LaurentRing()")]
+
+
+def test_no_test_module_imports_another_and_the_closed_forms_import_no_engine():
+    """Test modules share closed forms through ``closed_forms`` and fixtures
+    through ``conftest``, never by importing each other, and ``closed_forms``
+    stays independent of the engine it is compared with."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    stems = {f[:-3] for f in os.listdir(tests) if f.endswith(".py")}
+    local = {s for s in stems if s.startswith("test_")} | {"conftest"}
+    assert {"closed_forms", "conftest", "test_hopf"} <= stems
+    found = []
+    for stem in sorted(local) + ["closed_forms"]:
+        forbidden = local | {"hopfalg"} if stem == "closed_forms" else local
+        path = os.path.join(tests, f"{stem}.py")
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{stem}:{node.lineno} {name}" for name in names if name.partition(".")[0] in forbidden]
+    assert found == []

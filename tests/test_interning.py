@@ -11,16 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closed_forms import binomial_schema
 from hopfalg.algebra import Generator, Monomial
 from hopfalg.hopf import HopfAlgebra
-from hopfalg.instances import ladder_schema
+from hopfalg.instances import ladder_schema, schema_from_dict
 from hopfalg.trees import RootedTree, parse_tree, rooted_tree_schema
-from test_hopf import binomial_schema
 
 SCHEMAS = {
     "ladder-8": (ladder_schema, 8),
     "trees-6": (lambda: rooted_tree_schema(6), 6),
-    "binomial-7": (lambda: binomial_schema(7), 7),
+    "binomial-7": (lambda: schema_from_dict(binomial_schema(7), name="binomial"), 7),
 }
 
 

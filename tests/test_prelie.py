@@ -25,6 +25,7 @@ from math import factorial, prod
 
 import pytest
 
+from closed_forms import connes_moscovici_schema, dyson_schwinger_schema, faa_di_bruno_schema
 from hopfalg.algebra import Monomial
 from hopfalg.duals import InfinitesimalCharacter, convolve_tables
 from hopfalg.functionals import lie_bracket
@@ -33,7 +34,6 @@ from hopfalg.instances import ladder_schema, schema_from_dict
 from hopfalg.rings import QQ
 from hopfalg.trees import rooted_tree_schema
 from perfbench.workloads import BINOMIAL_DEGREE, binomial_schema
-from test_instances import connes_moscovici_schema, dyson_schwinger_schema, faa_di_bruno_schema
 
 SCHEMAS = {
     "ladder": (ladder_schema, 8),

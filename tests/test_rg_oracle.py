@@ -16,15 +16,15 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from closed_forms import binomial_schema
 from hopfalg import duals
 from hopfalg.duals import Character, InfinitesimalCharacter, compose_antipode, scale_by_degree
 from hopfalg.errors import TruncationError
 from hopfalg.hopf import HopfAlgebra
-from hopfalg.instances import ladder_schema
+from hopfalg.instances import ladder_schema, schema_from_dict
 from hopfalg.rg import build_special_loop, rg_limit_check
 from hopfalg.rings import EPS_RING, QQ, LaurentSeries
 from hopfalg.trees import rooted_tree_schema
-from test_hopf import binomial_schema
 
 L = EPS_RING
 
@@ -132,7 +132,7 @@ def reference_rg_limit_check(phi, max_degree, eps_margin):
 @lru_cache(maxsize=None)
 def context(name):
     schema, degree = {"ladder": (ladder_schema, 5), "trees:4": (lambda: rooted_tree_schema(4), 4),
-                      "binomial": (lambda: binomial_schema(4), 4)}[name]
+                      "binomial": (lambda: schema_from_dict(binomial_schema(4), name="binomial"), 4)}[name]
     return HopfAlgebra(schema(), validate_to=degree), degree
 
 

@@ -26,11 +26,6 @@ from hopfalg.trees import rooted_tree_schema
 from perfbench.workloads import binomial_schema
 
 
-@pytest.fixture(scope="module")
-def ladder():
-    return HopfAlgebra(ladder_schema(), validate_to=6)
-
-
 def test_element_round_trip(ladder):
     e = parse_element(ladder, "t1^2*t3 - 3/2*t2 + 1")
     data = element_to_json(e)

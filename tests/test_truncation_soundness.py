@@ -16,11 +16,11 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from closed_forms import rescaled_binomial_schema
 from hopfalg import cli
 from hopfalg.hopf import HopfAlgebra
 from hopfalg.rings import EPS_RING, LaurentSeries
 from perfbench.workloads import binomial_schema
-from test_instances import rescaled_binomial_schema
 
 L = EPS_RING
 rng = random.Random(20240517)
