@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from . import _forwarder
+from . import _forwarder, duals
 from .algebra import Monomial
-from .duals import Character, compose_antipode, convolve_tables, materialize
+from .duals import Character, compose_antipode, materialize
 from .errors import DomainError, TruncationError, VerificationError
 from .hopf import HopfAlgebra
 from .rings import LaurentRing, LaurentSeries
@@ -152,7 +152,7 @@ def birkhoff_verification_report(phi: Character, pair: BirkhoffPair, phi_table: 
            if not m2.is_unit and m2.sort_key() >= m1.sort_key()
            and not ring.eq(minus[m1 * m2], ring.mul(minus[m1], minus[m2]))),
           "counterterm character is multiplicative on products within budget")
-    got = convolve_tables(ctx, ring, compose_antipode(ctx, ring, minus, basis), pair.plus_table, basis)
+    got = duals.convolve_tables(ctx, ring, compose_antipode(ctx, ring, minus, basis), pair.plus_table, basis)
     zero = ring.zero()
     check("reconstruction", (str(m) for m in basis if not ring.eq(got.get(m, zero), phi_table.get(m, zero))),
           "phi equals (phi_minus inverse) * phi_plus on the whole basis")

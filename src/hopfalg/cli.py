@@ -140,18 +140,18 @@ def cmd_antipode(args):
 
 
 def cmd_convolve(args):
-    from .duals import NOT_MULTIPLICATIVE, Character, TableFunctional, convolve_tables, materialize
+    from . import duals
     from .serialize import functional_to_json
 
     f, g = read_functionals(args)
     f._check_compatible(g)
     ctx = f.ctx
     basis = ctx.basis_up_to(args.max_degree)
-    table = convolve_tables(ctx, f.ring, f.tabulate(basis), g.tabulate(basis), basis)
-    if f.kind == g.kind == Character.kind:
-        result = materialize(ctx, f.ring, table, args.max_degree, failure=NOT_MULTIPLICATIVE)
+    table = duals.convolve_tables(ctx, f.ring, f.tabulate(basis), g.tabulate(basis), basis)
+    if f.kind == g.kind == duals.Character.kind:
+        result = duals.materialize(ctx, f.ring, table, args.max_degree, failure=duals.NOT_MULTIPLICATIVE)
     else:
-        result = TableFunctional(ctx, f.ring, table)
+        result = duals.TableFunctional(ctx, f.ring, table)
     return functional_to_json(result)
 
 

@@ -12,7 +12,8 @@ one ring product per monomial.  One helper reads a table back into closed
 form on the generators, verifying it on the whole basis where the caller
 asks.  The flat ``ConvolutionProduct`` oracle and the functional-level
 operations that only the suites and the library API call live in
-``functionals``.
+``functionals``.  Every caller reads ``convolve_tables`` off this module at
+each call, so a stand-in installed here reaches every layer.
 """
 
 from __future__ import annotations
@@ -276,8 +277,7 @@ def compose_antipode(ctx: HopfAlgebra, ring: Ring, table: dict, monomials) -> Di
     exact_zero, one = ring.is_exact_zero, ring.one()
     out = {}
     for m in monomials:
-        total = ring.dot([(c, v, one) for m1, c in ctx.antipode_monomial(m).terms.items()
-                          if (v := table.get(m1)) is not None])
+        total = ring.dot([(c, v, one) for m1, c in ctx.antipode_terms(m) if (v := table.get(m1)) is not None])
         if not exact_zero(total):
             out[m] = total
     return out

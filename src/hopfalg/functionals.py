@@ -12,9 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
+from . import duals
 from .algebra import Monomial
-from .duals import (NOT_MULTIPLICATIVE, Character, Functional, InfinitesimalCharacter, compose_antipode, convolve_tables,
-                    materialize)
+from .duals import NOT_MULTIPLICATIVE, Character, Functional, InfinitesimalCharacter, compose_antipode, materialize
 from .errors import DomainError, UnsupportedRingError
 from .rationals import QQ
 
@@ -55,11 +55,10 @@ class ConvolutionProduct(Functional):
         n = len(self.factors)
         if n == 1:
             return self.factors[0].value_on(m)
-        tensor = self.ctx.iterated_coproduct_monomial(m, n - 1)
         ring = self.ring
         zero = ring.zero()
         total = zero
-        for key, c in tensor.terms.items():
+        for key, c in self.ctx.iterated_coproduct_terms(m, n - 1):
             values = []
             for (f, memo), leg in zip(self._memos, key):
                 v = memo.get(leg, _UNSEEN)
@@ -99,7 +98,7 @@ def character_inverse(chi: Character, max_degree: Optional[int] = None) -> Chara
         raise DomainError("character_inverse needs a materialization bound (max_degree) for "
                           "characters without a cutoff")
     gens = [Monomial.of(g) for g in ctx.schema.generators_up_to(bound)]
-    support = {m1 for m in gens for m1 in ctx.antipode_monomial(m).terms}
+    support = {m1 for m in gens for m1, _ in ctx.antipode_terms(m)}
     table = compose_antipode(ctx, ring, chi.tabulate(support), gens)
     return materialize(ctx, ring, table, bound)
 
@@ -120,8 +119,8 @@ def lie_bracket(z1: InfinitesimalCharacter, z2: InfinitesimalCharacter, max_degr
     basis = ctx.basis_up_to(max_degree)
     a, b = z1.tabulate(basis), z2.tabulate(basis)
     gens = [Monomial.of(g) for g in ctx.schema.generators_up_to(max_degree)]
-    forward = convolve_tables(ctx, ring, a, b, gens)
-    backward = convolve_tables(ctx, ring, b, a, gens)
+    forward = duals.convolve_tables(ctx, ring, a, b, gens)
+    backward = duals.convolve_tables(ctx, ring, b, a, gens)
     zero = ring.zero()
     bracket = {m: ring.sub(forward.get(m, zero), backward.get(m, zero)) for m in gens}
     return materialize(ctx, ring, bracket, max_degree, InfinitesimalCharacter)

@@ -287,9 +287,9 @@ class HopfAlgebra:
         return memo[m]
 
     def coproduct_terms(self, m: Monomial):
-        """The terms ((left, right), c) of D(m).  With ``reduced_coproduct_terms``
-        this is the one reader of the coproduct memo: no other module knows how
-        D(m) is stored, and each read goes through ``coproduct_monomial``."""
+        """The terms ((left, right), c) of D(m).  With ``reduced_coproduct_terms`` and the
+        readers of D^(n), P_n and S below, the one way to read a memo: no other module knows
+        how one is stored, and each read goes through the method that fills the memo."""
         return self.coproduct_monomial(m).terms.items()
 
     def reduced_coproduct_terms(self, m: Monomial):
@@ -308,6 +308,18 @@ class HopfAlgebra:
             yield key, c
         for key in owed:
             yield key, -1
+
+    def iterated_coproduct_terms(self, m: Monomial, n: int):
+        """The terms (legs, c) of D^(n)(m)."""
+        return self.iterated_coproduct_monomial(m, n).terms.items()
+
+    def plus_iterated_terms(self, m: Monomial, n: int):
+        """The terms (legs, c) of P_n(m)."""
+        return self.plus_iterated_monomial(m, n).terms.items()
+
+    def antipode_terms(self, m: Monomial):
+        """The terms (m', c) of S(m)."""
+        return self.antipode_monomial(m).terms.items()
 
     def coproduct(self, h: Element) -> TensorElement:
         return TensorElement.from_terms(2, (
@@ -354,7 +366,7 @@ class HopfAlgebra:
             (legs + (g,), c * c1)
             for (x, g), c in self.coproduct_terms(m)
             if g.single_generator() is not None
-            for legs, c1 in self.plus_iterated_monomial(x, n - 1).terms.items()))
+            for legs, c1 in self.plus_iterated_terms(x, n - 1)))
         self._plus_iterated[key] = result
         return result
 
@@ -412,7 +424,7 @@ class HopfAlgebra:
         return Element.from_terms((
             (m2, c * c2)
             for m, c in h.terms.items()
-            for m2, c2 in self.antipode_monomial(m).terms.items()
+            for m2, c2 in self.antipode_terms(m)
         ))
 
     # -- grading operators ---------------------------------------------------

@@ -3,8 +3,7 @@
 The residue of a loop and its beta-function, the counterterm tower (by the
 grading recursion and in closed form), loop building from a beta-function,
 the scale-flow limit with its three flow checks, and the finite-time limit
-certification of the tower.  ``convolve_tables`` is read off ``duals`` at
-each call, so a stand-in installed there reaches this layer too.
+certification of the tower.
 """
 
 from __future__ import annotations
@@ -123,7 +122,7 @@ def _beta_pairings(beta: InfinitesimalCharacter, m: Monomial, n: int):
     (leg degrees, value) pairs.  A truncated zero is kept: it narrows the
     sound window of the sum it enters."""
     base = beta.ring
-    for legs, c in beta.ctx.plus_iterated_monomial(m, n).terms.items():
+    for legs, c in beta.ctx.plus_iterated_terms(m, n):
         prod = base.from_rational(c)
         for leg in legs:
             if base.is_exact_zero(prod):

@@ -1,11 +1,13 @@
 """Characters, infinitesimal characters, convolution calculus, dual metric."""
 
+import ast
 import random
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -866,3 +868,18 @@ def test_flat_oracle_matches_the_per_term_loop(name, ring, data):
     if raised is None:
         assert got == want  # a series compares its truncation too
     assert all(n == 1 for per_leg in calls.values() for n in per_leg.values())
+
+
+def test_every_caller_reads_the_binary_kernel_off_duals():
+    """No module but ``duals`` imports ``convolve_tables`` by name: each calls
+    ``duals.convolve_tables``, so a stand-in set on ``duals`` reaches every layer."""
+    package = Path(duals.__file__).parent
+    found = sorted(
+        f"{path.stem}:{node.lineno}"
+        for path in package.glob("*.py") if path.stem != "duals"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "duals"
+        and any(alias.name == "convolve_tables" for alias in node.names)
+    )
+    assert (package / "rg.py").exists()
+    assert found == []

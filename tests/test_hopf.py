@@ -709,3 +709,21 @@ def test_only_hopf_knows_how_the_coproduct_memo_is_stored():
     )
     assert (package / "duals.py").exists()
     assert found == []
+
+
+def test_only_hopf_knows_how_the_antipode_and_iterated_memos_are_stored():
+    """Every other module reads S(m), D^(n)(m) and P_n(m) through
+    ``antipode_terms``, ``iterated_coproduct_terms`` and ``plus_iterated_terms``:
+    none names the methods that fill those memos or the memos themselves, so a
+    new layout of any memo changes ``hopf`` alone."""
+    memo_names = {"antipode_monomial", "antipode_left_monomial", "iterated_coproduct_monomial",
+                  "plus_iterated_monomial", "_antipode_r", "_antipode_l", "_iterated", "_plus_iterated"}
+    package = Path(hopfalg.__file__).parent
+    found = sorted(
+        f"{path.stem}:{node.lineno} {name}"
+        for path in package.glob("*.py") if path.stem != "hopf"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (name := node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)) in memo_names
+    )
+    assert (package / "axioms.py").exists()
+    assert found == []

@@ -127,6 +127,7 @@ def test_the_bracket_constants_satisfy_the_jacobi_identity(name):
 
 PBW_SCHEMAS = {
     "ladder": (ladder_schema, 8),
+    "ladder-10": (ladder_schema, 10),
     "trees:5": (lambda: rooted_tree_schema(5), 5),
     "binomial": SCHEMAS["binomial"],
     "connes-moscovici": (lambda: schema_from_dict(connes_moscovici_schema(6), name="connes-moscovici"), 6),
