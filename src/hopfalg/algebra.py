@@ -7,6 +7,7 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, Iterable, Tuple
 
 from .errors import HopfError, RankMismatchError
@@ -187,6 +188,25 @@ def cofactor_chain(m: Monomial, known: dict) -> list:
         m = cofactor
     steps.reverse()
     return steps
+
+
+def monomials_of_degree(gens, degree: int) -> Tuple[Monomial, ...]:
+    """Every monomial of Y-degree ``degree`` in the sorted generators ``gens``,
+    canonically ordered; at degree 0, the unit alone."""
+    out = []
+    # Depth first from an explicit stack of (powers, degree still to fill, first
+    # generator allowed), each step a power g^e of a later generator; smaller g,
+    # then smaller e, pops first, so the order is canonical with no sort.
+    stack = [((), degree, 0)]
+    while stack:
+        powers, remaining, start = stack.pop()
+        if remaining == 0:
+            out.append(Monomial(powers))
+            continue
+        end = bisect_right(gens, remaining, start, key=lambda g: g.degree)
+        stack.extend((powers + ((gens[i], e),), remaining - e * gens[i].degree, i + 1)
+                     for i in range(end - 1, start - 1, -1) for e in range(remaining // gens[i].degree, 0, -1))
+    return tuple(out)
 
 
 def _summed(acc: dict, pairs) -> dict:

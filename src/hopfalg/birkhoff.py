@@ -15,7 +15,7 @@ from .algebra import Monomial
 from .duals import Character, compose_antipode, materialize
 from .errors import DomainError, TruncationError, VerificationError
 from .hopf import HopfAlgebra
-from .rings import LaurentRing, LaurentSeries
+from .rings import LaurentRing, LaurentSeries, laurent_only
 
 # These moved to ``rg``; their names still resolve here.
 __getattr__ = _forwarder(__name__, "rg", (
@@ -67,7 +67,7 @@ def check_truncation_budget(phi: Character, max_degree: int) -> int:
     (max_degree - 1) * p for every pole part and constant term the recursion
     reads to be sound.  Returns p.
     """
-    ring: LaurentRing = phi.ring
+    ring = laurent_only(phi.ring, "the Birkhoff decomposition")
     values = [(g, phi.value_on(Monomial.of(g))) for g in phi.ctx.schema.generators_up_to(max_degree)]
     pole = max((ring.pole_order(v) for _, v in values), default=0)
     required = max(0, (max_degree - 1) * pole)

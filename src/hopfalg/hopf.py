@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .algebra import Element, Generator, Monomial, TensorElement, cofactor_chain
+from .algebra import Element, Generator, Monomial, TensorElement, cofactor_chain, monomials_of_degree
 from .errors import CutoffExceededError, DomainError, SchemaError, VerificationError, quoted
 from .rationals import Ring
 
@@ -230,29 +230,9 @@ class HopfAlgebra:
 
     def monomials_of_degree(self, degree: int) -> Tuple[Monomial, ...]:
         """All basis monomials of the given Y-degree, canonically ordered."""
-        if degree in self._basis:
-            return self._basis[degree]
-        if degree == 0:
-            result: Tuple[Monomial, ...] = (Monomial.unit(),)
-        else:
-            gens = sorted(self.schema.generators_up_to(degree))
-            out: List[Monomial] = []
-            # Nondecreasing runs of generators, depth first from an explicit
-            # stack: (prefix, degree still to fill, first generator allowed).
-            stack = [((), degree, 0)]
-            while stack:
-                prefix, remaining, start = stack.pop()
-                if remaining == 0:
-                    out.append(Monomial.from_powers(prefix))
-                    continue
-                end = start
-                while end < len(gens) and gens[end].degree <= remaining:
-                    end += 1
-                stack.extend((prefix + ((gens[i], 1),), remaining - gens[i].degree, i)
-                             for i in range(end - 1, start - 1, -1))
-            result = tuple(sorted(out, key=lambda m: m.sort_key()))
-        self._basis[degree] = result
-        return result
+        if degree not in self._basis:
+            self._basis[degree] = monomials_of_degree(sorted(self.schema.generators_up_to(degree)), degree)
+        return self._basis[degree]
 
     def basis_up_to(self, degree: int) -> Tuple[Monomial, ...]:
         out: List[Monomial] = []

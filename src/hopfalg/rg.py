@@ -19,7 +19,7 @@ from .duals import (Character, InfinitesimalCharacter, TableFunctional, compose_
 from .errors import DomainError, UnsupportedRingError, VerificationError
 from .polynomials import POLY_T
 from .rationals import RationalField
-from .rings import EPS_RING, LaurentRing
+from .rings import EPS_RING, laurent_only
 
 
 class BetaData(NamedTuple):
@@ -75,7 +75,7 @@ def beta_data(f, max_order: int, max_degree: int) -> BetaData:
 def residue(f, max_degree: int) -> TableFunctional:
     """First-order pole coefficient of a Laurent-valued functional, read
     literally off the expansion and extended linearly."""
-    ring: LaurentRing = f.ring
+    ring = laurent_only(f.ring, "the residue")
     base = ring.base
     table = {}
     for m, value in f.tabulate(f.ctx.basis_up_to(max_degree)).items():
@@ -221,12 +221,12 @@ def rg_limit_check(phi: Character, max_degree: int, eps_margin: int = 1) -> RgRe
     """
     if eps_margin < 0:
         raise DomainError("eps_margin must be >= 0")
-    ctx, ring = phi.ctx, phi.ring
+    ctx, ring = phi.ctx, laurent_only(phi.ring, "the scale-flow limit")
     base = ring.base
 
     basis = ctx.basis_up_to(max_degree)
     phi_vals = phi.tabulate(basis)
-    pole = max(ring.pole_order(v) for v in phi_vals.values())
+    pole = max((ring.pole_order(v) for v in phi_vals.values()), default=0)
     if pole > MAX_POLE_ORDER:
         raise DomainError(f"phi has a pole of order {pole} through degree {max_degree}, above the limit "
                           f"MAX_POLE_ORDER = {MAX_POLE_ORDER}")

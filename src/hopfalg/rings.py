@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Optional
 
-from .errors import DomainError, HopfError, SingularInputError, TruncationError, quoted
+from .errors import DomainError, HopfError, SingularInputError, TruncationError, UnsupportedRingError, quoted
 from . import _forwarder
 from .rationals import (QQ, Frozen, RationalField, Ring, _canonical, format_rational, is_json_int,  # noqa: F401
                         parse_rational)
@@ -337,3 +337,10 @@ class LaurentRing(Ring):
 
 # The one Laurent ring: loops, JSON functionals tagged "laurent" and the theta checks.
 EPS_RING = LaurentRing()
+
+
+def laurent_only(ring, operation: str) -> LaurentRing:
+    """``ring`` if it is Laurent, else UnsupportedRingError naming its tag."""
+    if not isinstance(ring, LaurentRing):
+        raise UnsupportedRingError(f"{operation} needs Laurent series values, not {ring.tag} ones")
+    return ring

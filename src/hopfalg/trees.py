@@ -1,9 +1,11 @@
 """Rooted trees and the Connes-Kreimer schema trees:N on them.
 
-Trees are interned and enumerated up to isomorphism; the trees:N coproducts
-carry the admissible-cut coproduct (the pruned forest goes left, the trunk
-right), built by the B+ cocycle when first read.  ``admissible_cuts`` lists
-the cuts themselves, as the reference the tests compare with.
+Trees are interned, and enumerated up to isomorphism as B+ of the basis
+monomials of the smaller trees (``algebra.monomials_of_degree``).  The trees:N
+coproducts carry the admissible-cut coproduct (the pruned forest goes left,
+the trunk right), built by the B+ cocycle over the engine's coproduct fill
+when first read.  ``admissible_cuts`` lists the cuts themselves, as the
+reference the tests compare with.
 """
 
 from __future__ import annotations
@@ -11,11 +13,11 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import comb, prod
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
-from .algebra import Generator, Monomial
+from .algebra import Generator, Monomial, monomials_of_degree
 from .errors import DomainError, HopfError
-from .hopf import ReducedTerm, TableSchema
+from .hopf import HopfAlgebra, ReducedTerm, TableSchema
 from .rationals import Frozen
 
 
@@ -124,6 +126,8 @@ def check_tree_budget(n: int) -> None:
 def enumerate_trees(n: int) -> Tuple[RootedTree, ...]:
     """All isomorphism classes of rooted trees with n vertices.
 
+    B+ maps the forests of n - 1 vertices one-to-one onto them, and those
+    forests are the basis monomials of degree n - 1 in the smaller trees.
     Canonical, deterministic order (sorted by encoding).  The counts follow
     the classical sequence 1, 1, 2, 4, 9, 20, ...; sizes whose trees exceed
     MAX_TREES are rejected first.
@@ -131,31 +135,14 @@ def enumerate_trees(n: int) -> Tuple[RootedTree, ...]:
     if n < 1:
         raise DomainError("trees have at least one vertex")
     check_tree_budget(n)
-    if n == 1:
-        return (RootedTree.leaf(),)
-    out = [RootedTree(forest) for forest in _forests(n - 1)]
-    uniq = {t.encoding(): t for t in out}
-    return tuple(uniq[k] for k in sorted(uniq))
+    smaller = {tree_generator(t): t for k in range(1, n) for t in enumerate_trees(k)}
+    return tuple(sorted((_graft(f, smaller) for f in monomials_of_degree(sorted(smaller), n - 1)),
+                        key=RootedTree.encoding))
 
 
-@lru_cache(maxsize=None)
-def _forests(n: int, max_rank: Optional[Tuple[int, str]] = None) -> Tuple[Tuple[RootedTree, ...], ...]:
-    """Multisets of trees with n total vertices.
-
-    ``max_rank`` bounds the (size, encoding) rank of every chosen tree, so
-    each multiset is produced exactly once, in non-increasing rank order.
-    """
-    if n == 0:
-        return ((),)
-    out: List[Tuple[RootedTree, ...]] = []
-    for size in range(n, 0, -1):
-        for tree in enumerate_trees(size):
-            rank = (size, tree.encoding())
-            if max_rank is not None and rank > max_rank:
-                continue
-            for rest in _forests(n - size, rank):
-                out.append((tree,) + rest)
-    return tuple(out)
+def _graft(forest: Monomial, trees: Dict[Generator, RootedTree]) -> RootedTree:
+    """B+ of a monomial in tree generators, each read as its tree in ``trees``."""
+    return RootedTree([trees[g] for g, e in forest.powers for _ in range(e)])
 
 
 class AdmissibleCut(NamedTuple):
@@ -201,10 +188,11 @@ class TreeSchema(TableSchema):
     def __init__(self, max_vertices: int):
         generators = [tree_generator(t) for n in range(1, max_vertices + 1) for t in enumerate_trees(n)]
         super().__init__(f"trees:{max_vertices}", generators, {}, complete=False)
+        self._reduced = None  # until first read; then the whole table at once, so no thread reads part of it
 
     def reduced_terms(self, gen: Generator) -> Tuple[ReducedTerm, ...]:
-        if not self._reduced:
-            self._reduced = cocycle_coproducts(self.max_degree)
+        if self._reduced is None:
+            self._reduced = cocycle_coproducts(self)
         return super().reduced_terms(gen)
 
     def generator_by_name(self, name: str) -> Generator:
@@ -238,39 +226,24 @@ def rooted_tree_schema(max_vertices: int) -> TreeSchema:
     return TreeSchema(max_vertices)
 
 
-def cocycle_coproducts(max_vertices: int) -> Dict[Generator, Tuple[ReducedTerm, ...]]:
-    """The reduced coproduct of every tree with at most max_vertices vertices,
-    built by the Hochschild 1-cocycle B+ (Connes-Kreimer): t = B+(f) has
-    D(t) = t (x) 1 + (id (x) B+) D(f), and D of its forest f is D of the
-    forest of all but its last child times D of that child, so no cut is
-    enumerated (``admissible_cuts`` is the tests' reference)."""
-    one = Monomial.unit()
-    # {(left, right): count}: D of each forest, keyed by its trees, with the
-    # monomial of the kept trunks on the right; D of each tree, a trunk or 1.
-    forest_terms, tree_terms = {(): {(one, one): 1}}, {}
-    # generator -> its tree; trunk monomial r -> B+(r); generator -> its reduced coproduct
-    trees, grafts, reduced = {}, {}, {}
-    for n in range(1, max_vertices + 1):
-        for tree in enumerate_trees(n):
-            g = tree_generator(tree)
-            trees[g] = tree
-            kids = tree.children
-            f = forest_terms.get(kids)
-            if f is None:
-                f = forest_terms[kids] = {}
-                for (l1, r1), c1 in forest_terms[kids[:-1]].items():
-                    for (l2, r2), c2 in tree_terms[kids[-1]].items():
-                        key = (l1 * l2, r1 * r2)
-                        f[key] = f.get(key, 0) + c1 * c2
-            d = tree_terms[tree] = {(Monomial.of(g), one): 1}
-            terms = []
-            for (left, r), c in f.items():
-                right = grafts.get(r)
-                if right is None:
-                    b = RootedTree([trees[h] for h, e in r.powers for _ in range(e)])
-                    right = grafts[r] = Monomial.of(tree_generator(b))
-                d[left, right] = c
-                if left is not one:  # 1 (x) t is not in the reduced coproduct
-                    terms.append(ReducedTerm(left=left, right=right.single_generator(), coeff=c))
-            reduced[g] = tuple(sorted(terms, key=lambda t: (t.left.sort_key(), t.right)))
-    return reduced
+def cocycle_coproducts(schema: TreeSchema) -> Dict[Generator, Tuple[ReducedTerm, ...]]:
+    """The reduced coproduct of every tree of ``schema`` by the Hochschild
+    1-cocycle B+ (Connes-Kreimer): t = B+(f) has D(t) = t (x) 1 + (id (x) B+) D(f),
+    where D of the forest f is the engine's multiplicative fill over a copy of
+    the table filled so far, fewest vertices first; no cut is enumerated
+    (``admissible_cuts`` is the tests' reference)."""
+    table = TableSchema(schema.name, schema.generators_up_to(schema.max_degree), {}, complete=False)
+    ctx = HopfAlgebra(table, validate_to=0)
+    trees = {tree_generator(t): t for n in range(1, schema.max_degree + 1) for t in enumerate_trees(n)}
+    grafts: Dict[Monomial, Generator] = {}  # right leg r of D(f) -> the generator of B+(r)
+    for g, tree in trees.items():  # fewest vertices first
+        terms = []
+        for (left, r), c in ctx.coproduct_terms(Monomial.from_powers((tree_generator(k), 1) for k in tree.children)):
+            if left.is_unit:  # 1 (x) t is not in the reduced coproduct
+                continue
+            right = grafts.get(r)
+            if right is None:
+                right = grafts[r] = tree_generator(_graft(r, trees))
+            terms.append(ReducedTerm(left=left, right=right, coeff=c))
+        table._reduced[g] = tuple(sorted(terms, key=lambda t: (t.left.sort_key(), t.right)))
+    return table._reduced

@@ -15,6 +15,7 @@ from hopfalg.birkhoff import BirkhoffPair, birkhoff_decompose, birkhoff_verifica
 from hopfalg.duals import (
     Character,
     InfinitesimalCharacter,
+    TableFunctional,
     compose_antipode,
     convolve_tables,
     grading_transpose,
@@ -303,6 +304,24 @@ def test_a_loop_is_built_from_a_rational_beta_only(ladder):
     beta = InfinitesimalCharacter(ladder, L, {gen(ladder, 1): L.one()})
     with pytest.raises(UnsupportedRingError, match="^Laurent series are over Q only, not over laurent$"):
         build_special_loop(beta, 2)
+
+
+@pytest.mark.parametrize("run, what", [
+    (lambda f: birkhoff_decompose(f, 3), "the Birkhoff decomposition"),
+    (lambda f: residue(f, 3), "the residue"),
+    (lambda f: beta_data(f, 2, 3), "the residue"),
+    (lambda f: rg_limit_check(f, 3), "the scale-flow limit"),
+    # A Laurent table with no stored value: its pole order is 0, and the zero
+    # functional is no loop.
+    (lambda f: rg_limit_check(TableFunctional(f.ctx, L, {}), 3), None),
+], ids=["birkhoff", "residue", "beta", "rg-limit", "rg-limit-of-no-value"])
+def test_a_laurent_only_entry_point_fails_as_a_hopf_error(run, what, ladder):
+    chi = Character(ladder, QQ, {gen(ladder, 1): 1, gen(ladder, 2): -2})
+    if what is None:
+        assert not run(chi).passed
+        return
+    with pytest.raises(UnsupportedRingError, match=f"^{what} needs Laurent series values, not rational ones$"):
+        run(chi)
 
 
 def test_beta_data_on_built_loop(ladder):

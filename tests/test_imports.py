@@ -131,6 +131,13 @@ def test_structure_maps_load_neither_the_dual_calculus_nor_the_checks(command, t
     assert loaded_after(run_command([command, "--file", str(path)])) == (priced, False)
 
 
+def test_enumerate_trees_loads_the_schema_core_and_no_dual_calculus():
+    # The trees are B+ of the engine's basis monomials, so the command loads
+    # hopf and algebra, but no functional, ring of series or check.
+    trees = CORE | {"hopfalg.trees", "hopfalg.serialize"}
+    assert loaded_after(run_command(["enumerate-trees", "6"])) == (trees, False)
+
+
 def test_the_birkhoff_module_loads_no_renormalization_group():
     loaded, _ = loaded_after("import hopfalg.birkhoff")
     assert "hopfalg.birkhoff" in loaded

@@ -35,6 +35,7 @@ from hopfalg.rationals import format_rational
 from hopfalg.rings import EPS_RING, QQ
 from hopfalg.trees import (
     MAX_TREES,
+    RootedTree,
     admissible_cuts,
     check_tree_budget,
     enumerate_trees,
@@ -375,6 +376,19 @@ def test_tree_counts_follow_the_a000081_recurrence():
     assert all(rooted_tree_count(n) == len(enumerate_trees(n)) for n in range(1, 9))
 
 
+def test_tree_enumeration_is_the_grafting_oracle_at_every_admitted_size():
+    # perfbench's oracle grows each tree by grafting a leaf anywhere, with no
+    # code in common with B+ over the basis monomials of the smaller trees.
+    top = max(n for n in range(1, 20) if sum(map(rooted_tree_count, range(1, n + 1))) <= MAX_TREES)
+    assert top == 11
+    by_size = {}
+    for tree in oracles.trees_up_to(top):
+        encoding = oracles.tree_encoding(tree)
+        by_size.setdefault(encoding.count("["), []).append(encoding)
+    for n in range(1, top + 1):
+        assert [t.encoding() for t in enumerate_trees(n)] == sorted(by_size[n]), n
+
+
 def test_tree_requests_above_the_cap_are_rejected_before_enumerating():
     assert sum(rooted_tree_count(n) for n in range(1, 12)) <= MAX_TREES
     check_tree_budget(11)
@@ -498,6 +512,55 @@ def test_connes_moscovici_maps_into_rooted_trees_by_natural_growth():
             term["coeff"] = str(-int(term["coeff"]))
             assert trees_side != cm_image_of_coproduct(data, k, phi), (k, term)
             term["coeff"] = str(-int(term["coeff"]))
+
+
+def test_the_ladder_embeds_in_the_trees_by_path_trees():
+    # t_n -> l_n, the path tree of n vertices, is a Hopf morphism.  The
+    # ladder's closed-form table shares no code with the trees' B+ cocycle,
+    # and maps term by term onto D and S of trees:8 on the whole ladder basis.
+    # exp and both Birkhoff factors of seeded trees:6 functionals with rational
+    # coefficients commute with restriction along the map.
+    ladder = HopfAlgebra(ladder_schema(), validate_to=0)
+
+    def path_trees(top):
+        """The trees:top context, and t_n -> the generator of l_n for n <= top."""
+        ctx, path, tree = HopfAlgebra(rooted_tree_schema(top), validate_to=0), {}, RootedTree.leaf()
+        for n in range(1, top + 1):
+            path[ladder.schema.generator(n)] = ctx.schema.generator_by_name(tree.encoding())
+            tree = RootedTree((tree,))
+        return ctx, lambda m: Monomial.from_powers((path[g], e) for g, e in m.powers)
+
+    trees, image = path_trees(8)
+    for m in ladder.basis_up_to(8):
+        want = {(image(a), image(b)): c for (a, b), c in ladder.coproduct_terms(m)}
+        assert dict(trees.coproduct_terms(image(m))) == want, str(m)
+        assert dict(trees.antipode_terms(image(m))) == {image(k): c for k, c in ladder.antipode_terms(m)}, str(m)
+
+    trees, image = path_trees(6)
+    basis = ladder.basis_up_to(6)
+    images = [image(m) for m in basis]
+    rng = random.Random(6)
+
+    def value():
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 5))
+
+    def restricted(kind, ring, draw):
+        """``kind`` on trees:6 with one drawn value per generator, and its restriction to the ladder."""
+        on_trees = kind(trees, ring, {g: draw() for g in trees.schema.generators_up_to(6)})
+        return on_trees, kind(ladder, ring, {g: on_trees.value_on(image(Monomial.of(g)))
+                                             for g in ladder.schema.generators_up_to(6)})
+
+    def first_difference(ring, on_trees, on_ladder):
+        zero = ring.zero()
+        return next((str(m) for m, i in zip(basis, images)
+                     if not ring.eq(on_trees.get(i, zero), on_ladder.get(m, zero))), None)
+
+    z, z_ladder = restricted(InfinitesimalCharacter, QQ, value)
+    assert first_difference(QQ, exp_star(z, 6).tabulate(images), exp_star(z_ladder, 6).tabulate(basis)) is None
+    phi, phi_ladder = restricted(Character, EPS_RING, lambda: EPS_RING.make({k: value() for k in range(-2, 2)}, None))
+    split, split_ladder = birkhoff_decompose(phi, 6), birkhoff_decompose(phi_ladder, 6)
+    assert first_difference(EPS_RING, split.minus_table, split_ladder.minus_table) is None
+    assert first_difference(EPS_RING, split.plus_table, split_ladder.plus_table) is None
 
 
 # -- birkhoff on custom schemas against the Bogoliubov recursion of perfbench.oracles ---

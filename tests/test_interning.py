@@ -95,6 +95,33 @@ def test_racing_threads_build_one_object():
         sys.setswitchinterval(interval)
 
 
+def test_threads_racing_on_the_first_read_of_a_tree_table_see_it_whole():
+    # The trees:N table is filled by the cocycle on first read; a thread that
+    # reads while another fills must get the whole table, never a part of it.
+    threads, rounds = 8, 10
+    top = rooted_tree_schema(6).generators_up_to(6)[-1]  # the last tree the cocycle fills
+    want = rooted_tree_schema(6).reduced_terms(top)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(rounds):
+            schema, barrier, read = rooted_tree_schema(6), threading.Barrier(threads), [None] * threads
+
+            def first_read(i, schema=schema, barrier=barrier, read=read):
+                barrier.wait(timeout=10)
+                read[i] = schema.reduced_terms(top)
+
+            workers = [threading.Thread(target=first_read, args=(i,)) for i in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=10)
+            assert not any(w.is_alive() for w in workers)
+            assert read == [want] * threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
                          ids=["copy", "deepcopy", "pickle"])
 def test_copies_and_pickles_return_the_interned_object(clone):
