@@ -1,14 +1,14 @@
 """The Birkhoff decomposition of a Laurent-valued character.
 
-The minimal-subtraction projector splits series at exponent zero, and the
-Birkhoff recursion peels the pole part of a character degree by degree.  The
-residue / beta-function / counterterm-tower calculus built on it, which
+The minimal-subtraction projector splits series at exponent zero, and
+Bogoliubov's subtraction on the generators peels off a character's pole part.
+The residue / beta-function / counterterm-tower calculus built on it, which
 reconstructs special loops from their first-order pole data, lives in ``rg``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from . import _forwarder, duals
 from .algebra import Monomial
@@ -38,9 +38,9 @@ def rota_baxter_T(ring: LaurentRing, x: LaurentSeries) -> LaurentSeries:
 class BirkhoffPair:
     """Pole/regular factorization of a Laurent-valued character.
 
-    ``minus_table`` and ``plus_table`` hold the recursion values on every
-    basis monomial up to ``max_degree``; the characters are the same data in
-    generator-table closed form (safe once multiplicativity is verified).
+    ``minus_table`` and ``plus_table`` hold the values on every basis
+    monomial up to ``max_degree``, exact zeros included; the characters read
+    them back on the generators (safe once multiplicativity is verified).
     ``report`` is the verification report, set once the pair is checked.
     """
 
@@ -84,55 +84,35 @@ def check_truncation_budget(phi: Character, max_degree: int) -> int:
 def birkhoff_decompose(phi: Character, max_degree: int) -> BirkhoffPair:
     """Split phi into counterterm and renormalized parts, verified.
 
-    The minus part is built by the degree recursion on every basis monomial;
-    its multiplicativity, the range conditions and the reconstruction of phi
-    from the pair are checked exactly rather than assumed, and a failure
-    raises with the witness.
+    Both parts are built on the generators by ``duals.bogoliubov`` and
+    tabulated on the whole basis, where multiplicativity, the ranges and the
+    reconstruction of phi are checked exactly; a failure raises with the witness.
     """
     if max_degree < 1:
         raise DomainError("max_degree must be >= 1")
     ctx, ring = phi.ctx, phi.ring
     check_truncation_budget(phi, max_degree)
-
-    phi_table = phi.tabulate(ctx.basis_up_to(max_degree))
-    one, zero = ring.one(), ring.zero()
-    minus: Dict[Monomial, LaurentSeries] = {Monomial.unit(): one}
-    plus: Dict[Monomial, LaurentSeries] = {Monomial.unit(): one}
-    for degree in range(1, max_degree + 1):
-        for m in ctx.monomials_of_degree(degree):
-            # phi(m) + sum c phi_-(m') phi(m'') over the reduced coproduct; an
-            # exact zero phi(m'') adds nothing.
-            terms = [(c, minus[m1], y) for (m1, m2), c in ctx.reduced_coproduct_terms(m)
-                     if (y := phi_table.get(m2)) is not None]
-            bracket = ring.dot([(1, phi_table.get(m, zero), one)] + terms)
-            minus[m] = ring.neg(rota_baxter_T(ring, bracket))
-            plus[m] = ring.regular_part(bracket)
-
+    basis, zero = ctx.basis_up_to(max_degree), ring.zero()
+    # Every basis key is kept, exact zeros included: callers index the tables.
+    minus, plus = ({m: t.get(m, zero) for m in basis}
+                   for t in (c.tabulate(basis) for c in duals.bogoliubov(phi, max_degree, ring.pole_part)))
     pair = BirkhoffPair(ctx, ring, max_degree, minus, plus)
-    report = birkhoff_verification_report(phi, pair, phi_table)
-    pair.report = report
+    pair.report = report = birkhoff_verification_report(phi, pair)
     failed = [name for name, entry in report["checks"].items() if not entry["passed"]]
     if failed:
         witness = report["checks"][failed[0]].get("witness")
-        raise VerificationError(
-            f"Birkhoff decomposition failed internal checks {failed}", witness=witness
-        )
+        raise VerificationError(f"Birkhoff decomposition failed internal checks {failed}", witness=witness)
     return pair
 
 
-def birkhoff_verification_report(phi: Character, pair: BirkhoffPair, phi_table: Optional[dict] = None) -> dict:
-    """Range, multiplicativity and reconstruction checks on a candidate pair.
-
-    Exposed separately so a deliberately perturbed pair can be shown to break
-    the reconstruction identity.  ``phi_table`` is phi tabulated on the basis
-    up to the pair's degree, when the caller has it.
-    """
+def birkhoff_verification_report(phi: Character, pair: BirkhoffPair) -> dict:
+    """Range, multiplicativity and reconstruction checks on a candidate pair,
+    exposed so that a perturbed pair can be shown to break the reconstruction."""
     ctx, ring = pair.ctx, pair.ring
     if phi.ctx is not ctx:
         raise DomainError("the pair and phi belong to different Hopf algebra contexts")
     basis = ctx.basis_up_to(pair.max_degree)
-    if phi_table is None:
-        phi_table = phi.tabulate(basis)
+    phi_table = phi.tabulate(basis)
     checks: Dict[str, dict] = {}
 
     def check(name, witnesses, detail):

@@ -3,24 +3,24 @@
 Functionals are closed-form evaluation rules rather than infinite tables:
 characters are determined by generator values (multiplicativity), and
 infinitesimal characters vanish on the unit and on every product of two
-augmentation-ideal elements.  The convolution calculus (powers, exp, log)
-runs on tables keyed by basis monomial: (a * b)(m) is the sum over
-the coproduct of m of c a(m') b(m''), the transposes f o S, Y_*, Y_*^-1 and
-theta_* are table maps, and each such sum is one call per monomial of the
-ring's one sum-of-products kernel, ``ring.dot``.  A character tabulates with
-one ring product per monomial.  One helper reads a table back into closed
-form on the generators, verifying it on the whole basis where the caller
-asks.  The flat ``ConvolutionProduct`` oracle and the functional-level
-operations that only the suites and the library API call live in
-``functionals``.  Every caller reads ``convolve_tables`` off this module at
-each call, so a stand-in installed here reaches every layer.
+augmentation-ideal elements.  The convolution calculus (powers, exp, log) runs
+on tables keyed by basis monomial: (a * b)(m) is the sum over the coproduct of
+m of c a(m') b(m''), the transposes f o S, Y_*, Y_*^-1 and theta_* are table
+maps, and each such sum is one call per monomial of the ring's one
+sum-of-products kernel, ``ring.dot``.  A character tabulates with one ring
+product per monomial; ``bogoliubov`` builds its Birkhoff factors and inverse on
+its generators, and ``materialize`` reads a table back on them, checked on the
+whole basis where the caller asks.  The flat ``ConvolutionProduct`` oracle and
+the functional-level operations that only the suites and the library API call
+live in ``functionals``.  Callers read ``convolve_tables`` and ``bogoliubov``
+off this module at each call, so a stand-in set here reaches every layer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _forwarder
 from .algebra import Generator, Monomial, cofactor_chain
@@ -139,6 +139,32 @@ class Character(GeneratorFunctional):
             if not exact_zero(v):
                 table[m] = v
         return table
+
+
+def bogoliubov(phi: Character, max_degree: int, project) -> Tuple[Character, Character]:
+    """Bogoliubov's subtraction on the generators g, lowest degree first:
+    b(g) = phi(g) + sum c phi_-(L) phi(g') over the reduced coproduct terms
+    c L (x) g', phi_-(g) = -project(b(g)) and phi_+(g) = b(g) + phi_-(g).  Each
+    g' is a generator and each L a product of values already set.  The pole
+    part gives the Birkhoff factors, the identity phi_- = phi o S.  Returns
+    phi_- and phi_+ with cutoff ``max_degree``, exact zeros left out of their
+    generator values as ``materialize`` leaves them out."""
+    ctx, ring = phi.ctx, phi.ring
+    gens = [Monomial.of(g) for g in ctx.schema.generators_up_to(max_degree)]
+    values = phi.tabulate(gens)
+    minus, plus = Character(ctx, ring, {}, max_degree), Character(ctx, ring, {}, max_degree)
+    for m in gens:
+        terms = list(ctx.reduced_coproduct_terms(m))
+        left = minus.tabulate(m1 for (m1, _), _ in terms)
+        # An exact zero phi_-(L) or phi(g') adds nothing.
+        b = ring.dot([(1, values.get(m, ring.zero()), ring.one())]
+                     + [(c, x, y) for (m1, m2), c in terms
+                        if (x := left.get(m1)) is not None and (y := values.get(m2)) is not None])
+        v = ring.neg(project(b))
+        for character, w in ((minus, v), (plus, ring.add(b, v))):
+            if not ring.is_exact_zero(w):
+                character.gen_values[m.single_generator()] = w
+    return minus, plus
 
 
 class InfinitesimalCharacter(GeneratorFunctional):

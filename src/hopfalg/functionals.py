@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import duals
 from .algebra import Monomial
-from .duals import NOT_MULTIPLICATIVE, Character, Functional, InfinitesimalCharacter, compose_antipode, materialize
+from .duals import NOT_MULTIPLICATIVE, Character, Functional, InfinitesimalCharacter, materialize
 from .errors import DomainError, UnsupportedRingError
 from .rationals import QQ
 
@@ -84,23 +84,17 @@ def convolve(*factors: Functional) -> ConvolutionProduct:
 
 
 def character_inverse(chi: Character, max_degree: Optional[int] = None) -> Character:
-    """The convolution inverse chi o S, materialized on generators.
-
-    The inverse of a finitely-supported character is generally supported in
-    every degree, so the materialization bound must come from somewhere: an
-    explicit ``max_degree``, or the character's own cutoff.
-    """
-    ctx, ring = chi.ctx, chi.ring
+    """The convolution inverse chi o S: ``duals.bogoliubov`` with the identity
+    as projector.  The inverse of a finitely-supported character is generally
+    supported in every degree, so the bound must come from somewhere: an
+    explicit ``max_degree``, or the character's own cutoff."""
     bound = max_degree if max_degree is not None else chi.cutoff
     if bound is None:
         if not chi.gen_values:
-            return Character(ctx, ring, {}, cutoff=None)  # the counit
+            return Character(chi.ctx, chi.ring, {}, cutoff=None)  # the counit
         raise DomainError("character_inverse needs a materialization bound (max_degree) for "
                           "characters without a cutoff")
-    gens = [Monomial.of(g) for g in ctx.schema.generators_up_to(bound)]
-    support = {m1 for m in gens for m1, _ in ctx.antipode_terms(m)}
-    table = compose_antipode(ctx, ring, chi.tabulate(support), gens)
-    return materialize(ctx, ring, table, bound)
+    return duals.bogoliubov(chi, bound, lambda x: x)[0]
 
 
 def materialize_character(f: Functional, max_degree: int, verify: bool = False) -> Character:

@@ -8,8 +8,10 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from closed_forms import connes_moscovici_schema, rescaled_binomial_schema
+from closed_forms import connes_moscovici_schema, dyson_schwinger_schema, rescaled_binomial_schema
 from hopfalg.algebra import Monomial
 from hopfalg.birkhoff import BirkhoffPair, birkhoff_decompose, birkhoff_verification_report, rota_baxter_T
 from hopfalg.duals import (
@@ -18,10 +20,14 @@ from hopfalg.duals import (
     TableFunctional,
     compose_antipode,
     convolve_tables,
+    exp_star,
     grading_transpose,
+    log_star,
+    materialize,
 )
 from hopfalg.errors import DomainError, TruncationError, UnsupportedRingError
 from hopfalg.exp_integrals import finite_simplex_integral
+from hopfalg.functionals import character_inverse
 from hopfalg.hopf import HopfAlgebra
 from hopfalg.instances import ladder_schema, schema_from_dict
 from hopfalg.rg import (
@@ -209,6 +215,96 @@ def test_perturbed_minus_breaks_reconstruction(ladder):
     report = birkhoff_verification_report(phi, bad)
     assert not report["checks"]["reconstruction"]["passed"]
     assert not report["passed"]
+
+
+def spitzer_birkhoff(phi, max_degree):
+    """(phi_-, phi_+) by the BCH recursion of Ebrahimi-Fard, Guo and Kreimer
+    (hep-th/0407082), a second algorithm: with u = log phi, R the pole part
+    and R~ = id - R, chi_0 = u and chi_(k+1) = chi_k + u - BCH(R chi_k, R~ chi_k),
+    where BCH(a, b) = log(exp a * exp b).  Each step makes chi exact one degree
+    higher, and phi_- = exp(-R chi), phi_+ = exp(R~ chi).  It runs on exp, log
+    and the binary convolution alone: no Bogoliubov subtraction, no antipode
+    and no Birkhoff report."""
+    ctx, ring, d = phi.ctx, phi.ring, max_degree
+    basis = ctx.basis_up_to(d)
+
+    def infinitesimal(values):
+        return InfinitesimalCharacter(ctx, ring, values, cutoff=d)
+
+    def mapped(z, f):
+        return infinitesimal({g: f(v) for g, v in z.gen_values.items()})
+
+    def bch(a, b):
+        product = convolve_tables(ctx, ring, exp_star(a, d).tabulate(basis), exp_star(b, d).tabulate(basis), basis)
+        return log_star(materialize(ctx, ring, product, d), d)
+
+    u = chi = log_star(phi, d)
+    zero = ring.zero()
+    for _ in range(d):
+        step = bch(mapped(chi, ring.pole_part), mapped(chi, ring.regular_part))
+        chi = infinitesimal({g: ring.sub(ring.add(chi.gen_values.get(g, zero), u.gen_values.get(g, zero)),
+                                         step.gen_values.get(g, zero))
+                             for g in ctx.schema.generators_up_to(d)})
+    return exp_star(mapped(chi, lambda v: ring.neg(ring.pole_part(v))), d), exp_star(mapped(chi, ring.regular_part), d)
+
+
+SPITZER_CASES = {
+    "trees:5": (lambda: rooted_tree_schema(5), 5),
+    "ladder-6": (ladder_schema, 6),
+    "dyson-schwinger-s1-5": (lambda: schema_from_dict(dyson_schwinger_schema(1, 5)), 5),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SPITZER_CASES))
+def spitzer_case(request):
+    schema, degree = SPITZER_CASES[request.param]
+    return HopfAlgebra(schema(), validate_to=degree), degree
+
+
+@settings(max_examples=2, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_the_bch_recursion_gives_the_engines_birkhoff_factors(spitzer_case, seed):
+    """By uniqueness, a pair that passes the engine's report is the Birkhoff
+    decomposition, so a second algorithm guards the report as well as the
+    construction.  Exact Laurent values with poles of order at most 2."""
+    ctx, degree = spitzer_case
+    rng = random.Random(seed)
+    gens = ctx.schema.generators_up_to(degree)
+    phi = Character(ctx, L, {g: lau({k: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for k in range(-2, 2)})
+                             for g in gens})
+    pair = birkhoff_decompose(phi, degree)
+    minus, plus = spitzer_birkhoff(phi, degree)
+    ones = [Monomial.of(g) for g in gens]
+    assert pair.phi_minus().tabulate(ones) == minus.tabulate(ones)
+    assert pair.phi_plus().tabulate(ones) == plus.tabulate(ones)
+
+
+@pytest.mark.parametrize("schema, degree", [(lambda: rooted_tree_schema(5), 5), (ladder_schema, 6)],
+                         ids=["trees:5", "ladder-6"])
+def test_the_factors_and_the_inverse_are_built_on_the_generators(schema, degree, monkeypatch):
+    """With the report stubbed, the Birkhoff construction reads the reduced
+    coproduct of the generators alone, and the convolution inverse reads no
+    antipode."""
+    from hopfalg import birkhoff
+
+    ctx = HopfAlgebra(schema(), validate_to=degree)
+    reduced, read = HopfAlgebra.reduced_coproduct_terms, []
+
+    def recorded(self, m):
+        read.append(m)
+        return reduced(self, m)
+
+    def forbidden(self, m):
+        raise AssertionError(f"S({m}) was read")
+
+    monkeypatch.setattr(birkhoff, "birkhoff_verification_report", lambda *args: {"checks": {}, "passed": True})
+    monkeypatch.setattr(HopfAlgebra, "reduced_coproduct_terms", recorded)
+    monkeypatch.setattr(HopfAlgebra, "antipode_monomial", forbidden)
+    rng = random.Random(12)
+    gens = ctx.schema.generators_up_to(degree)
+    birkhoff_decompose(Character(ctx, L, {g: lau({k: rng.randint(-3, 3) for k in range(-2, 2)}) for g in gens}), degree)
+    assert read and all(m.single_generator() is not None for m in read)
+    assert character_inverse(Character(ctx, QQ, {g: Fraction(rng.randint(1, 3)) for g in gens}), degree).gen_values
 
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closed_forms import binomial_schema
+from closed_forms import binomial_schema, faa_di_bruno_schema
 from hopfalg import cli, duals
 from hopfalg.algebra import Generator, Monomial
 from hopfalg.duals import (
@@ -287,6 +287,36 @@ def test_character_inverse_is_convolution_inverse(ladder):
     for m in ladder.basis_up_to(5):
         assert convolve(inv, chi).value_on(m) == one_star.value_on(m)
         assert convolve(chi, inv).value_on(m) == one_star.value_on(m)
+
+
+INVERSE_SCHEMAS = {
+    "ladder-8": (ladder_schema, 8),
+    "trees:6": (lambda: rooted_tree_schema(6), 6),
+    "binomial-7": (lambda: schema_from_dict(binomial_schema(7), name="binomial"), 7),
+    "faa-di-bruno-7": (lambda: schema_from_dict(faa_di_bruno_schema(7), name="faa-di-bruno"), 7),
+}
+
+
+@pytest.mark.parametrize("ring", [QQ, EPS_RING], ids=["qq", "laurent"])
+@pytest.mark.parametrize("case", sorted(INVERSE_SCHEMAS))
+def test_the_inverse_is_the_character_composed_with_the_antipode(case, ring):
+    """chi o S on every basis monomial, with S read off the antipode memo, for
+    all-ones characters (on the ladder their inverse vanishes from t2 on),
+    random ones with some zero values, and exact Laurent values with poles."""
+    schema, degree = INVERSE_SCHEMAS[case]
+    ctx = HopfAlgebra(schema(), validate_to=degree)
+    basis, gens = ctx.basis_up_to(degree), ctx.schema.generators_up_to(degree)
+    rng = random.Random(27)
+
+    def value():
+        q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return q if ring is QQ else ring.make({k: q * rng.randint(-2, 2) for k in range(-2, 2)}, None)
+
+    for values in ({g: ring.one() for g in gens}, {g: value() for g in gens}, {g: value() for g in gens[1:]}):
+        chi = Character(ctx, ring, values)
+        inverse = character_inverse(chi, degree)
+        assert not any(ring.is_exact_zero(v) for v in inverse.gen_values.values())
+        assert inverse.tabulate(basis) == duals.compose_antipode(ctx, ring, chi.tabulate(basis), basis)
 
 
 def test_character_convolution_is_character(ladder):
@@ -871,15 +901,16 @@ def test_flat_oracle_matches_the_per_term_loop(name, ring, data):
 
 
 def test_every_caller_reads_the_binary_kernel_off_duals():
-    """No module but ``duals`` imports ``convolve_tables`` by name: each calls
-    ``duals.convolve_tables``, so a stand-in set on ``duals`` reaches every layer."""
+    """No module but ``duals`` imports ``convolve_tables`` or ``bogoliubov`` by
+    name: each calls them off ``duals``, so a stand-in set on ``duals`` reaches
+    every layer."""
     package = Path(duals.__file__).parent
     found = sorted(
         f"{path.stem}:{node.lineno}"
         for path in package.glob("*.py") if path.stem != "duals"
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "duals"
-        and any(alias.name == "convolve_tables" for alias in node.names)
+        and any(alias.name in ("convolve_tables", "bogoliubov") for alias in node.names)
     )
     assert (package / "rg.py").exists()
     assert found == []

@@ -144,6 +144,20 @@ def faulty_convolve_tables(monkeypatch, target):
     monkeypatch.setattr(duals, "convolve_tables", faulty)
 
 
+def test_birkhoff_prints_the_failed_check_and_its_witness(monkeypatch, capsys, tmp_path):
+    """A Birkhoff pair that fails a check exits 1 with the check and its
+    witness on stdout, in place of the pair."""
+    faulty_convolve_tables(monkeypatch, basis_monomial("ladder", "t4"))
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"kind": "character", "ring": "laurent", "values": {
+        f"t{n}": {"truncation": None, "coeffs": {"-2": "1", "-1": str(n), "0": "1/2"}} for n in range(1, 5)}}))
+    assert cli.main(["birkhoff", str(path), "--schema", "ladder", "--max-degree", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {"passed": False, "error": "Birkhoff decomposition failed internal checks ['reconstruction']",
+                               "witness": "t4"}
+
+
 def faulty_character_value(monkeypatch, target):
     """``Character.value_on`` off by one on ``target``; ``tabulate`` stays right."""
     original = duals.Character.value_on
