@@ -2,8 +2,8 @@
 
 The residue of a loop and its beta-function, the counterterm tower (by the
 grading recursion and in closed form), loop building from a beta-function,
-the scale-flow limit with its three flow checks, and the finite-time limit
-certification of the tower.
+the scale-flow limit with its three flow checks (phi^(-1) by ``bogoliubov``
+on the generators: no antipode), and the tower's certified finite-time limits.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from typing import Dict, List, NamedTuple, Tuple
 
 from . import duals
 from .algebra import Monomial
-from .duals import (Character, InfinitesimalCharacter, TableFunctional, compose_antipode, convolution_powers,
-                    grading_transpose, materialize)
+from .duals import (Character, InfinitesimalCharacter, TableFunctional, convolution_powers, grading_transpose,
+                    materialize)
 from .errors import DomainError, UnsupportedRingError, VerificationError
 from .polynomials import POLY_T
 from .rationals import RationalField
@@ -232,7 +232,7 @@ def rg_limit_check(phi: Character, max_degree: int, eps_margin: int = 1) -> RgRe
                           f"MAX_POLE_ORDER = {MAX_POLE_ORDER}")
     order = pole + eps_margin
     unit = ring.make({0: 1}, order)
-    phi_inverse = compose_antipode(ctx, ring, phi_vals, basis)
+    phi_inverse = duals.bogoliubov(phi, max_degree, lambda x: x)[0].tabulate(basis)
     slices = []  # S_j, on the monomials of degree >= j
     for j in range(max_degree + 1):
         part = {m: ring.mul(v, unit) for m, v in phi_vals.items() if m.y_degree == j}

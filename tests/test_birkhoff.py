@@ -308,6 +308,98 @@ def test_the_factors_and_the_inverse_are_built_on_the_generators(schema, degree,
 
 
 
+@pytest.mark.parametrize("schema, degree", [(lambda: rooted_tree_schema(5), 5), (ladder_schema, 6)],
+                         ids=["trees:5", "ladder-6"])
+def test_the_birkhoff_and_rg_certificates_read_no_antipode(schema, degree, monkeypatch):
+    """The whole of ``birkhoff_decompose``, report included, and
+    ``rg_limit_check`` of a special loop give the same results with both
+    antipode fills patched to raise, and leave both antipode memos empty."""
+    ctx = HopfAlgebra(schema(), validate_to=degree)
+    rng = random.Random(42)
+    gens = ctx.schema.generators_up_to(degree)
+    phi = Character(ctx, L, {g: lau({k: rng.randint(-3, 3) for k in range(-2, 2)}) for g in gens})
+    loop = build_special_loop(InfinitesimalCharacter(ctx, QQ, {g: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                                               for g in gens}), degree)
+
+    def run():
+        pair, flow = birkhoff_decompose(phi, degree), rg_limit_check(loop, degree)
+        assert pair.report["passed"] and flow.passed
+        return pair.minus_table, pair.plus_table, pair.report, flow._replace(beta=flow.beta.gen_values)
+
+    def forbidden(self, m):
+        raise AssertionError(f"S({m}) was read")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(HopfAlgebra, "antipode_monomial", forbidden)
+        patched.setattr(HopfAlgebra, "antipode_left_monomial", forbidden)
+        got = run()
+    assert ctx._antipode_r == {} and ctx._antipode_l == {}
+    assert got == run()
+
+
+def test_the_report_reads_tables_that_leave_exact_zeros_out(ladder):
+    """Tables keyed only where the value is not an exact zero, the convention
+    of ``tabulate`` and ``convolve_tables``, get the report of the full tables."""
+    phi = laurent_char(ladder, {1: lau({-1: 1}), 2: lau({-2: 1, 0: 3})})
+    pair = birkhoff_decompose(phi, 3)
+    sparse = [{m: v for m, v in table.items() if not L.is_exact_zero(v)} for table in (pair.minus_table, pair.plus_table)]
+    assert len(sparse[0]) < len(pair.minus_table) and len(sparse[1]) < len(pair.plus_table)
+    report = birkhoff_verification_report(phi, BirkhoffPair(ladder, L, 3, *sparse))
+    assert report == pair.report and report["passed"]
+
+
+def seeded_pair(schema, degree, truncated, seed):
+    """A seeded Laurent character with poles of order 2, exact or truncated
+    at the budget (degree - 1) * 2, and its Birkhoff pair."""
+    ctx = HopfAlgebra(schema(), validate_to=degree)
+    budget, rng = (degree - 1) * 2, random.Random(seed)
+    top, trunc = (budget, budget) if truncated else (1, None)
+    phi = Character(ctx, L, {g: lau({k: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for k in range(-2, top + 1)},
+                                    trunc) for g in ctx.schema.generators_up_to(degree)})
+    return phi, birkhoff_decompose(phi, degree)
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["exact", "truncated"])
+@pytest.mark.parametrize("schema, degree", [(ladder_schema, 7), (lambda: rooted_tree_schema(6), 6)],
+                         ids=["ladder-7", "trees:6"])
+def test_the_reconstruction_witness_is_where_phi_leaves_the_antipode_form(schema, degree, truncated):
+    """Perturb phi_+ or phi on one basis monomial, or phi_- on one generator:
+    the first ``reconstruction`` witness, from phi_- * phi = phi_+, is the first
+    monomial where phi differs from (phi_- o S) * phi_+.  Two exceptions, both
+    kept here: phi_- perturbed on a product may move the witness, and then
+    ``minus_multiplicative`` fails, and phi_+ perturbed above the sound window
+    of phi_- * phi, which on a truncated pair can be narrower than phi_+'s, is
+    not seen by this check."""
+    phi, pair = seeded_pair(schema, degree, truncated, 7 * degree + truncated)
+    ctx, zero = phi.ctx, L.zero()
+    basis, rng = ctx.basis_up_to(degree), random.Random(degree)
+    products = [m for m in basis[1:] if m.single_generator() is None]
+    gens = [Monomial.of(g) for g in ctx.schema.generators_up_to(degree)]
+    phi_table, minus, plus = phi.tabulate(basis), pair.minus_table, pair.plus_table
+
+    def bumped(table, m, exponent):
+        return {**table, m: L.add(table.get(m, zero), lau({exponent: rng.choice([-2, -1, 1, 3])}))}
+
+    perturbed = ([("plus", m, e, (phi_table, minus, bumped(plus, m, e)))
+                  for m in rng.sample(basis[1:], 6) for e in (0, 1)]
+                 + [("phi", m, e, (bumped(phi_table, m, e), minus, plus)) for m in rng.sample(basis[1:], 4) for e in (-1, 0)]
+                 + [("minus", m, -1, (phi_table, bumped(minus, m, -1), plus)) for m in rng.sample(gens, 4)]
+                 + [("minus", m, -1, (phi_table, bumped(minus, m, -1), plus)) for m in rng.sample(products, 4)])
+    for kind, m, exponent, (phi_values, minus_values, plus_values) in perturbed:
+        antipode_form = convolve_tables(ctx, L, compose_antipode(ctx, L, minus_values, basis), plus_values, basis)
+        expected = next((str(n) for n in basis if not L.eq(antipode_form.get(n, zero), phi_values.get(n, zero))), None)
+        report = birkhoff_verification_report(TableFunctional(ctx, L, phi_values),
+                                              BirkhoffPair(ctx, L, degree, minus_values, plus_values))
+        witness = report["checks"]["reconstruction"]["witness"]
+        window = convolve_tables(ctx, L, minus_values, phi_values, [m]).get(m, zero).trunc
+        if kind == "plus" and window is not None and exponent > window:
+            assert truncated and witness is None
+        elif kind == "minus" and m in products and witness != expected:
+            assert not report["checks"]["minus_multiplicative"]["passed"]
+        else:
+            assert witness == expected
+
+
 # Functions of functionals read the Hopf algebra off their inputs (f.ctx);
 # only functions of tables take a context.
 READ_CONTEXT_FROM_INPUT = {

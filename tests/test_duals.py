@@ -297,12 +297,17 @@ INVERSE_SCHEMAS = {
 }
 
 
-@pytest.mark.parametrize("ring", [QQ, EPS_RING], ids=["qq", "laurent"])
+@pytest.mark.parametrize("ring, window", [(QQ, None), (EPS_RING, None), (EPS_RING, 2)],
+                         ids=["qq", "laurent", "laurent-truncated"])
 @pytest.mark.parametrize("case", sorted(INVERSE_SCHEMAS))
-def test_the_inverse_is_the_character_composed_with_the_antipode(case, ring):
+def test_the_inverse_is_the_character_composed_with_the_antipode(case, ring, window):
     """chi o S on every basis monomial, with S read off the antipode memo, for
     all-ones characters (on the ladder their inverse vanishes from t2 on),
-    random ones with some zero values, and exact Laurent values with poles."""
+    random ones with some zero values, and exact Laurent values with poles.
+    With a ``window``, the random Laurent values are truncated at or a little
+    above it, with poles up to order 3, and one more character takes a
+    truncated zero on its second generator; ``==`` compares the windows too.
+    The next test shows where truncated ones make the two windows differ."""
     schema, degree = INVERSE_SCHEMAS[case]
     ctx = HopfAlgebra(schema(), validate_to=degree)
     basis, gens = ctx.basis_up_to(degree), ctx.schema.generators_up_to(degree)
@@ -310,13 +315,39 @@ def test_the_inverse_is_the_character_composed_with_the_antipode(case, ring):
 
     def value():
         q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        return q if ring is QQ else ring.make({k: q * rng.randint(-2, 2) for k in range(-2, 2)}, None)
+        if ring is QQ:
+            return q
+        if window is None:
+            return ring.make({k: q * rng.randint(-2, 2) for k in range(-2, 2)}, None)
+        return ring.make({k: q * rng.randint(-2, 2) for k in range(-3, 2)}, window + rng.randint(0, 2))
 
-    for values in ({g: ring.one() for g in gens}, {g: value() for g in gens}, {g: value() for g in gens[1:]}):
+    cases = [{g: ring.one() for g in gens}, {g: value() for g in gens}, {g: value() for g in gens[1:]}]
+    if window is not None:
+        cases.append({**cases[1], gens[1]: ring.make({}, window)})
+    for values in cases:
         chi = Character(ctx, ring, values)
         inverse = character_inverse(chi, degree)
         assert not any(ring.is_exact_zero(v) for v in inverse.gen_values.values())
         assert inverse.tabulate(basis) == duals.compose_antipode(ctx, ring, chi.tabulate(basis), basis)
+
+
+def test_the_inverse_is_sound_further_on_a_product_of_truncated_zeros():
+    """chi^-1 of the all-ones ladder character known through eps^2 is -1 on t1
+    and O(eps^3) on every other generator, so on a monomial with k >= 1 factors
+    other than t1 the product of its generator values is O(eps^(3k)), while
+    the sum over S(m) of chi o S is sound only through eps^2.  Both windows
+    are sound and the coefficients agree; the inverse keeps the wider one."""
+    ctx, ring = HopfAlgebra(ladder_schema(), validate_to=6), EPS_RING
+    basis = ctx.basis_up_to(6)
+    chi = Character(ctx, ring, {g: ring.make({0: 1}, 2) for g in ctx.schema.generators_up_to(6)})
+    inverse = character_inverse(chi, 6).tabulate(basis)
+    antipode_form = duals.compose_antipode(ctx, ring, chi.tabulate(basis), basis)
+    assert inverse.keys() == antipode_form.keys() == set(basis)
+    assert inverse[Monomial.unit()] == antipode_form[Monomial.unit()] == ring.one()
+    for m in basis[1:]:
+        k = sum(e for g, e in m.powers if g.degree > 1)
+        assert inverse[m].coeffs == antipode_form[m].coeffs
+        assert (inverse[m].trunc, antipode_form[m].trunc) == (3 * k - 1 if k else 2, 2)
 
 
 def test_character_convolution_is_character(ladder):

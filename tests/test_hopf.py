@@ -729,3 +729,24 @@ def test_only_hopf_knows_how_the_antipode_and_iterated_memos_are_stored():
     )
     assert (package / "axioms.py").exists()
     assert found == []
+
+
+def test_only_verify_antipode_and_pricing_read_the_antipode():
+    """Outside ``hopf``, only ``axioms`` (verify), ``cli.cmd_antipode``,
+    ``pricing`` and the definition of ``duals.compose_antipode``, the library's
+    f o S, name the antipode's readers: every functional command reads D and
+    generator values alone."""
+    names = {"antipode", "antipode_terms", "antipode_monomial", "antipode_left_monomial", "compose_antipode"}
+    allowed = {("cli", "cmd_antipode"), ("duals", "compose_antipode")}
+    package = Path(hopfalg.__file__).parent
+    found = set()
+    for path in package.glob("*.py"):
+        if path.stem in ("hopf", "axioms", "pricing"):
+            continue
+        for top in ast.parse(path.read_text(), str(path)).body:
+            scope = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                # An import names it as an alias, a definition as its name.
+                named = {getattr(node, key, None) for key in ("attr", "id", "name", "arg")}
+                found |= {(path.stem, scope, name) for name in named & names}
+    assert {(module, scope) for module, scope, _ in found} == allowed, sorted(found, key=str)
