@@ -94,8 +94,8 @@ def birkhoff_decompose(phi: Character, max_degree: int) -> BirkhoffPair:
     check_truncation_budget(phi, max_degree)
     basis, zero = ctx.basis_up_to(max_degree), ring.zero()
     # Every basis key is kept, exact zeros included: callers index the tables.
-    minus, plus = ({m: t.get(m, zero) for m in basis}
-                   for t in (c.tabulate(basis) for c in duals.bogoliubov(phi, max_degree, ring.pole_part)))
+    factors = duals.bogoliubov(phi, max_degree, lambda m, b: ring.pole_part(b))
+    minus, plus = ({m: t.get(m, zero) for m in basis} for t in (c.tabulate(basis) for c in factors))
     pair = BirkhoffPair(ctx, ring, max_degree, minus, plus)
     pair.report = report = birkhoff_verification_report(phi, pair)
     failed = [name for name, entry in report["checks"].items() if not entry["passed"]]

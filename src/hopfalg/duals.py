@@ -8,12 +8,12 @@ on tables keyed by basis monomial: (a * b)(m) is the sum over the coproduct of
 m of c a(m') b(m''), the transposes f o S, Y_*, Y_*^-1 and theta_* are table
 maps, and each such sum is one call per monomial of the ring's one
 sum-of-products kernel, ``ring.dot``.  A character tabulates with one ring
-product per monomial; ``bogoliubov`` builds its Birkhoff factors and inverse on
-its generators, and ``materialize`` reads a table back on them, checked on the
-whole basis where the caller asks.  The flat ``ConvolutionProduct`` oracle and
-the functional-level operations that only the suites and the library API call
-live in ``functionals``.  Callers read ``convolve_tables`` and ``bogoliubov``
-off this module at each call, so a stand-in set here reaches every layer.
+product per monomial; ``bogoliubov`` builds the Birkhoff factors, the inverse
+and the special loop on the generators, and ``materialize`` reads a table back
+on them, checked on the whole basis where asked.  ``functionals`` holds the
+flat ``ConvolutionProduct`` oracle and the operations only the suites and the
+library API call.  Callers read ``convolve_tables`` and ``bogoliubov`` off
+this module at each call, so a stand-in set here reaches every layer.
 """
 
 from __future__ import annotations
@@ -144,26 +144,28 @@ class Character(GeneratorFunctional):
 def bogoliubov(phi: Character, max_degree: int, project) -> Tuple[Character, Character]:
     """Bogoliubov's subtraction on the generators g, lowest degree first:
     b(g) = phi(g) + sum c phi_-(L) phi(g') over the reduced coproduct terms
-    c L (x) g', phi_-(g) = -project(b(g)) and phi_+(g) = b(g) + phi_-(g).  Each
-    g' is a generator and each L a product of values already set.  The pole
-    part gives the Birkhoff factors, the identity phi_- = phi o S.  Returns
-    phi_- and phi_+ with cutoff ``max_degree``, exact zeros left out of their
-    generator values as ``materialize`` leaves them out."""
+    c L (x) g', phi_-(g) = -project(g, b(g)) and phi_+(g) = b(g) + phi_-(g).
+    Each g' is a generator and each L of lower degree, so phi_- is tabulated on
+    the left legs once per degree.  The pole part gives the Birkhoff factors,
+    the identity phi_- = phi o S, -b/|g| on phi = beta/eps the special loop.
+    Returns phi_- and phi_+ with cutoff ``max_degree``, exact zeros left out of
+    their generator values as ``materialize`` leaves them out."""
     ctx, ring = phi.ctx, phi.ring
-    gens = [Monomial.of(g) for g in ctx.schema.generators_up_to(max_degree)]
-    values = phi.tabulate(gens)
+    values = phi.tabulate([Monomial.of(g) for g in ctx.schema.generators_up_to(max_degree)])
     minus, plus = Character(ctx, ring, {}, max_degree), Character(ctx, ring, {}, max_degree)
-    for m in gens:
-        terms = list(ctx.reduced_coproduct_terms(m))
-        left = minus.tabulate(m1 for (m1, _), _ in terms)
-        # An exact zero phi_-(L) or phi(g') adds nothing.
-        b = ring.dot([(1, values.get(m, ring.zero()), ring.one())]
-                     + [(c, x, y) for (m1, m2), c in terms
-                        if (x := left.get(m1)) is not None and (y := values.get(m2)) is not None])
-        v = ring.neg(project(b))
-        for character, w in ((minus, v), (plus, ring.add(b, v))):
-            if not ring.is_exact_zero(w):
-                character.gen_values[m.single_generator()] = w
+    for degree in range(1, max_degree + 1):
+        gens = [Monomial.of(g) for g in ctx.schema.generators_of_degree(degree)]
+        terms = {m: list(ctx.reduced_coproduct_terms(m)) for m in gens}
+        left = minus.tabulate([m1 for ts in terms.values() for (m1, _), _ in ts])
+        for m, ts in terms.items():
+            # An exact zero phi_-(L) or phi(g') adds nothing.
+            b = ring.dot([(1, values.get(m, ring.zero()), ring.one())]
+                         + [(c, x, y) for (m1, m2), c in ts
+                            if (x := left.get(m1)) is not None and (y := values.get(m2)) is not None])
+            v = ring.neg(project(m, b))
+            for character, w in ((minus, v), (plus, ring.add(b, v))):
+                if not ring.is_exact_zero(w):
+                    character.gen_values[m.single_generator()] = w
     return minus, plus
 
 
@@ -325,6 +327,6 @@ def grading_transpose(ring: Ring, table: dict, inverse: bool = False) -> Dict[Mo
     is only defined on tables vanishing at the unit."""
     if inverse and not ring.is_zero(table.get(Monomial.unit(), ring.zero())):
         raise DomainError("inverse grading transpose is only defined on functionals vanishing at the unit")
-    top = max((m.y_degree for m in table), default=0)
-    factors = [ring.from_rational(Fraction(1, n) if inverse else n) for n in range(1, top + 1)]
-    return scale_by_degree(ring, table, [ring.zero()] + factors)
+    exact_zero = ring.is_exact_zero
+    return {m: w for m, v in table.items()
+            if m.y_degree and not exact_zero(w := ring.scale(Fraction(1, m.y_degree) if inverse else m.y_degree, v))}

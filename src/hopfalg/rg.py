@@ -1,9 +1,10 @@
 """The renormalization group on Laurent-valued loops (Connes-Kreimer II).
 
 The residue of a loop and its beta-function, the counterterm tower (by the
-grading recursion and in closed form), loop building from a beta-function,
-the scale-flow limit with its three flow checks (phi^(-1) by ``bogoliubov``
-on the generators: no antipode), and the tower's certified finite-time limits.
+grading recursion and in closed form), the special loop of a beta-function
+(by ``bogoliubov`` on the generators, certified by the residue identity), the
+scale-flow limit with its three flow checks (phi^(-1) by ``bogoliubov``: no
+antipode), and the tower's certified finite-time limits.
 """
 
 from __future__ import annotations
@@ -148,29 +149,23 @@ def dn_simplex(beta: InfinitesimalCharacter, n: int, max_degree: int) -> TableFu
 
 
 def build_special_loop(beta: InfinitesimalCharacter, max_degree: int) -> Character:
-    """Assemble the loop 1_* + sum_n d_n / eps^n from its beta-function.
-
-    d_n vanishes below degree n, so the tower d_1 .. d_max_degree is the whole
-    loop in range; the materialized character is checked against the raw
-    expansion on the whole basis.
-    """
-    ctx, base = beta.ctx, beta.ring
+    """The loop 1_* + sum_n d_n / eps^n of beta: the one character phi with
+    Y_* phi = phi * (beta / eps).  On a generator g that is |g| phi(g) =
+    (beta/eps)(g) + sum c phi(L) (beta/eps)(g') over the reduced coproduct
+    terms c L (x) g', which ``duals.bogoliubov`` solves.  On the whole basis
+    the identity fixes |m| phi(m) from lower degrees; it is checked there, and
+    the first monomial where it fails raises as the witness."""
+    ctx, base, ring = beta.ctx, beta.ring, EPS_RING
     if not isinstance(base, RationalField):
         raise UnsupportedRingError(f"Laurent series are over Q only, not over {base.tag}")
-    ring = EPS_RING
-    towers = counterterm_tower(beta, max_degree, max_degree)
-    expansion = {}
-    for m in ctx.basis_up_to(max_degree):
-        coeffs = {}
-        if m.is_unit:
-            coeffs[0] = base.one()
-        for idx, d in enumerate(towers):
-            v = d.value_on(m)
-            if not base.is_zero(v):
-                coeffs[-(idx + 1)] = v
-        expansion[m] = ring.make(coeffs, None)
-    return materialize(ctx, ring, expansion, max_degree,
-                       failure="assembled loop is not multiplicative on {}")
+    table = beta.tabulate([Monomial.of(g) for g in ctx.schema.generators_up_to(max_degree)])
+    over_eps = InfinitesimalCharacter(ctx, ring, {m.single_generator(): ring.monomial(-1, v) for m, v in table.items()})
+    loop = duals.bogoliubov(over_eps, max_degree, lambda m, b: ring.dot([(Fraction(-1, m.y_degree), b, ring.one())]))[0]
+    basis = ctx.basis_up_to(max_degree)
+    witness = _residue_identity_holds(ctx, ring, loop.tabulate(basis), beta, basis)
+    if witness is not None:
+        raise VerificationError(f"built loop fails the residue identity on {witness}", witness=str(witness))
+    return loop
 
 
 # -- the renormalization-group limit -------------------------------------------
@@ -232,7 +227,7 @@ def rg_limit_check(phi: Character, max_degree: int, eps_margin: int = 1) -> RgRe
                           f"MAX_POLE_ORDER = {MAX_POLE_ORDER}")
     order = pole + eps_margin
     unit = ring.make({0: 1}, order)
-    phi_inverse = duals.bogoliubov(phi, max_degree, lambda x: x)[0].tabulate(basis)
+    phi_inverse = duals.bogoliubov(phi, max_degree, lambda m, b: b)[0].tabulate(basis)
     slices = []  # S_j, on the monomials of degree >= j
     for j in range(max_degree + 1):
         part = {m: ring.mul(v, unit) for m, v in phi_vals.items() if m.y_degree == j}
@@ -268,7 +263,7 @@ def rg_limit_check(phi: Character, max_degree: int, eps_margin: int = 1) -> RgRe
 
     flow_additive = _flow_is_additive(ctx, base, flow, basis)
     flow_is_exponential = _flow_matches_exponential(ctx, base, flow, beta, basis)
-    residue_identity = _residue_identity_holds(ctx, ring, phi_vals, beta, basis)
+    residue_identity = _residue_identity_holds(ctx, ring, phi_vals, beta, basis) is None
 
     gens = [Monomial.of(g) for g in ctx.schema.generators_up_to(max_degree)]
     scaled = grading_transpose(base, {m: ring.coefficient(phi_vals.get(m, ring.zero()), -1) for m in gens})
@@ -314,17 +309,13 @@ def _flow_matches_exponential(ctx, base, flow, beta, basis) -> bool:
     return _flow_tables(flow) == expected
 
 
-def _residue_identity_holds(ctx, ring, phi_vals, beta, basis) -> bool:
-    # Y_* phi = phi * (beta / eps), coefficientwise on the basis.
-    over_eps = {}
-    for m in basis:
-        bv = beta.value_on(m)
-        if not ring.base.is_zero(bv):
-            over_eps[m] = ring.make({-1: bv}, None)
+def _residue_identity_holds(ctx, ring, phi_vals, beta, basis):
+    # The first monomial of the basis where Y_* phi = phi * (beta / eps) fails coefficientwise, or None.
+    over_eps = {m: ring.make({-1: v}, None) for m in basis if not ring.base.is_zero(v := beta.value_on(m))}
     rhs = duals.convolve_tables(ctx, ring, phi_vals, over_eps, basis)
     lhs = grading_transpose(ring, phi_vals)
     zero = ring.zero()
-    return all(ring.eq(lhs.get(m, zero), rhs.get(m, zero)) for m in basis)
+    return next((m for m in basis if not ring.eq(lhs.get(m, zero), rhs.get(m, zero))), None)
 
 
 # -- the scattering-type limit ---------------------------------------------------

@@ -3,6 +3,7 @@
 import importlib
 import inspect
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
@@ -25,7 +26,7 @@ from hopfalg.duals import (
     log_star,
     materialize,
 )
-from hopfalg.errors import DomainError, TruncationError, UnsupportedRingError
+from hopfalg.errors import CutoffExceededError, DomainError, TruncationError, UnsupportedRingError, VerificationError
 from hopfalg.exp_integrals import finite_simplex_integral
 from hopfalg.functionals import character_inverse
 from hopfalg.hopf import HopfAlgebra
@@ -282,10 +283,10 @@ def test_the_bch_recursion_gives_the_engines_birkhoff_factors(spitzer_case, seed
 @pytest.mark.parametrize("schema, degree", [(lambda: rooted_tree_schema(5), 5), (ladder_schema, 6)],
                          ids=["trees:5", "ladder-6"])
 def test_the_factors_and_the_inverse_are_built_on_the_generators(schema, degree, monkeypatch):
-    """With the report stubbed, the Birkhoff construction reads the reduced
-    coproduct of the generators alone, and the convolution inverse reads no
-    antipode."""
-    from hopfalg import birkhoff
+    """With the certificates stubbed, the Birkhoff construction and the special
+    loop read the reduced coproduct of the generators alone and no whole-basis
+    convolution or tower, and the convolution inverse reads no antipode."""
+    from hopfalg import birkhoff, duals, rg
 
     ctx = HopfAlgebra(schema(), validate_to=degree)
     reduced, read = HopfAlgebra.reduced_coproduct_terms, []
@@ -297,7 +298,13 @@ def test_the_factors_and_the_inverse_are_built_on_the_generators(schema, degree,
     def forbidden(self, m):
         raise AssertionError(f"S({m}) was read")
 
+    def whole_basis(*args):
+        raise AssertionError("a whole-basis convolution or tower was built")
+
     monkeypatch.setattr(birkhoff, "birkhoff_verification_report", lambda *args: {"checks": {}, "passed": True})
+    monkeypatch.setattr(rg, "_residue_identity_holds", lambda *args: None)
+    monkeypatch.setattr(rg, "counterterm_tower", whole_basis)
+    monkeypatch.setattr(duals, "convolve_tables", whole_basis)
     monkeypatch.setattr(HopfAlgebra, "reduced_coproduct_terms", recorded)
     monkeypatch.setattr(HopfAlgebra, "antipode_monomial", forbidden)
     rng = random.Random(12)
@@ -305,6 +312,10 @@ def test_the_factors_and_the_inverse_are_built_on_the_generators(schema, degree,
     birkhoff_decompose(Character(ctx, L, {g: lau({k: rng.randint(-3, 3) for k in range(-2, 2)}) for g in gens}), degree)
     assert read and all(m.single_generator() is not None for m in read)
     assert character_inverse(Character(ctx, QQ, {g: Fraction(rng.randint(1, 3)) for g in gens}), degree).gen_values
+    read.clear()
+    assert build_special_loop(InfinitesimalCharacter(ctx, QQ, {g: Fraction(rng.randint(1, 3)) for g in gens}),
+                              degree).gen_values
+    assert read and all(m.single_generator() is not None for m in read)
 
 
 
@@ -689,6 +700,75 @@ def test_dn_on_low_degree_vanishes(ladder):
 
 
 # -- special loops and the RG limit ------------------------------------------------
+
+
+def assembled_loop(beta, max_degree):
+    """The loop 1_* + sum_n d_n / eps^n assembled on the whole basis from the
+    counterterm tower d_1 .. d_max_degree (d_n vanishes below degree n): the
+    oracle of ``build_special_loop``, which builds the loop on its generators."""
+    towers = counterterm_tower(beta, max_degree, max_degree)
+    table = {}
+    for m in beta.ctx.basis_up_to(max_degree):
+        coeffs = {-n: v for n, d in enumerate(towers, 1) if (v := d.value_on(m))}
+        if m.is_unit:
+            coeffs[0] = Fraction(1)
+        table[m] = L.make(coeffs, None)
+    return table
+
+
+@pytest.mark.parametrize("schema, degree", [
+    (ladder_schema, 8), (lambda: rooted_tree_schema(6), 6),
+    (lambda: schema_from_dict(connes_moscovici_schema(7)), 7),
+    (lambda: schema_from_dict(rescaled_binomial_schema(6)), 6),
+], ids=["ladder-8", "trees:6", "connes-moscovici-7", "rescaled-binomial-6"])
+def test_the_built_loop_is_the_assembled_tower(schema, degree):
+    ctx = HopfAlgebra(schema(), validate_to=degree)
+    rng = random.Random(7)
+    beta = InfinitesimalCharacter(ctx, QQ, {g: Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                                            for g in ctx.schema.generators_up_to(degree)}, cutoff=degree)
+    assert 0 in beta.gen_values.values()
+    basis = ctx.basis_up_to(degree)
+    got, expected = build_special_loop(beta, degree).tabulate(basis), assembled_loop(beta, degree)
+    for m in basis:
+        assert L.eq(got.get(m, L.zero()), expected[m]), str(m)
+
+
+def test_a_beta_cutoff_below_the_degree_fails_before_the_loop_is_built(ladder, monkeypatch):
+    from hopfalg import duals
+
+    def forbidden(*args):
+        raise AssertionError("the loop was built")
+
+    monkeypatch.setattr(duals, "bogoliubov", forbidden)
+    with pytest.raises(CutoffExceededError, match="^infinitesimal character materialized to degree 2; "
+                                                  "value on degree-3 monomial requested$"):
+        build_special_loop(ladder_beta(ladder, {1: 1, 2: 3}, cutoff=2), 4)
+
+
+@pytest.mark.parametrize("schema, degree, target", [(ladder_schema, 6, "t3"),
+                                                    (lambda: rooted_tree_schema(5), 5, "[[[]]]")],
+                         ids=["ladder-6", "trees:5"])
+def test_a_wrong_loop_value_is_the_certificates_witness(schema, degree, target, monkeypatch):
+    """A loop off by 1/eps on one generator fails the residue identity there first."""
+    from hopfalg import duals
+
+    ctx = HopfAlgebra(schema(), validate_to=degree)
+    g = next(g for g in ctx.schema.generators_up_to(degree) if g.name == target)
+    original = duals.bogoliubov
+
+    def off(phi, max_degree, project):
+        minus, plus = original(phi, max_degree, project)
+        minus.gen_values[g] = L.add(minus.gen_values.get(g, L.zero()), lau({-1: 1}))
+        return minus, plus
+
+    monkeypatch.setattr(duals, "bogoliubov", off)
+    rng = random.Random(44)
+    beta = InfinitesimalCharacter(ctx, QQ, {h: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                            for h in ctx.schema.generators_up_to(degree)})
+    with pytest.raises(VerificationError, match=f"^built loop fails the residue identity on {re.escape(target)}$") \
+            as raised:
+        build_special_loop(beta, degree)
+    assert raised.value.witness == target
 
 
 def test_build_loop_trivial_beta(ladder):

@@ -178,9 +178,10 @@ SUITE_FAULTS = [
             [("convolution-associative", "t4"), ("exp-log-round-trip", "t4"), ("grading-transpose-derivation", "t4")],
             "1149d19f0f1cc6e7f20ad233b0f8170fe9710892a5469a7d10ae6ef0e930cf98"),
         "birkhoff-renorm": (
-            [("birkhoff-decomposition", LOOP_0), ("tower-consistency", "n=2, t4"), ("rg-closed-loop", "loop 0"),
+            [("birkhoff-decomposition", LOOP_0), ("tower-consistency", "n=2, t4"),
+             ("rg-closed-loop", "built loop fails the residue identity on t4"),
              ("scattering-limit", "order 2: ['t4']")],
-            "9a918e8baa537b976cfdeaffc37bb8210cffd9cb311627dcc254ece481c42121"),
+            "001fbcde89b4ef73b061c94767a40be45772e773afea1967720c478034821de5"),
     }),
     # Here the checked code itself raises: each check records the message as
     # its witness, and the later checks still run.
@@ -190,8 +191,8 @@ SUITE_FAULTS = [
             "83f50e7dd001d6b24ee077d580706a4f576768760c4f0c982ef7e78f70b24f3e"),
         "birkhoff-renorm": (
             [("birkhoff-decomposition", LOOP_0), ("tower-consistency", "n=2, t1^2"),
-             ("rg-closed-loop", "assembled loop is not multiplicative on t1^2"), ("scattering-limit", "order 2: ['t1^2']")],
-            "b73c39b0c87198669730525fcba742d07ea2d92096dc6b8707764de53289299c"),
+             ("rg-closed-loop", "built loop fails the residue identity on t1^2"), ("scattering-limit", "order 2: ['t1^2']")],
+            "13d2a37c090d424bcd2a88cf57d2b973b616c02d1f7f6234c6309747826ccb95"),
     }),
     (faulty_character_value, "ladder", "t1*t2", {
         "dual-convolution": (
@@ -206,9 +207,10 @@ SUITE_FAULTS = [
              ("grading-transpose-derivation", "[[][][]]")],
             "fb4aa5fcc966906ff2fec3c2da23b169f2b6184e3ed248a4b29c8782ca8affea"),
         "birkhoff-renorm": (
-            [("birkhoff-decomposition", LOOP_0), ("tower-consistency", "n=2, [[][][]]"), ("rg-closed-loop", "loop 0"),
+            [("birkhoff-decomposition", LOOP_0), ("tower-consistency", "n=2, [[][][]]"),
+             ("rg-closed-loop", "built loop fails the residue identity on [[][][]]"),
              ("scattering-limit", "order 2: ['[[][][]]']")],
-            "fd73bcb50742fa701d9104da938e355900e88130ecad87100e5ca010c383cf16"),
+            "5d324cf0ab731e4f005c8b6250e4e2debcc2b7e7c99250ceba4405a43756cb14"),
     }),
 ]
 
@@ -230,4 +232,4 @@ def test_verify_reports_a_check_that_raises(monkeypatch, capsys):
     assert cli.main(["verify", "--schema", "ladder", "--max-degree", "4"]) == 1
     out, err = capsys.readouterr()
     assert err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == "ef962d09c8323e377f46179a3f16eb926d6eb87c33951a559532bcb619fed4f5"
+    assert hashlib.sha256(out.encode()).hexdigest() == "6679751a406afe6ffd5fb23e007f6562cd88f79537c73c1d93209235713e35c0"
