@@ -340,7 +340,7 @@ COMMANDS = {
              "(pass the loop, or the counterterm part of a Birkhoff pair)",
              [*_SCHEMA, _functional("PHI_JSON"), _MAX_ORDER],
              (ANY, "laurent", "a Laurent-valued functional")),
-    "build-loop": ("assemble the loop with a given beta-function",
+    "build-loop": ("build the loop of a beta-function on its generators",
                    [*_SCHEMA, _functional("BETA_JSON")],
                    ("infinitesimal", "rational", "an infinitesimal-character")),
     "rg-check": ("specialness and scale-flow limit of a loop",

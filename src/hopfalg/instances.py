@@ -1,17 +1,16 @@
-"""Built-in schemas: the ladder algebra and a JSON loader for custom ones.
+"""Built-in schemas: the ladder algebra and custom ones read by ``serialize``.
 
-A loaded schema is validated against the schema invariants rather than
+A custom schema is validated against the schema invariants rather than
 trusted.  The rooted-tree schemas live in ``trees``.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Tuple
 
 from . import _forwarder
 from .algebra import Generator, Monomial
-from .errors import SchemaError, quoted
+from .errors import HopfError, SchemaError, quoted
 from .hopf import HopfSchema, ReducedTerm, TableSchema, validate_schema_structure
 from .rationals import QQ, is_json_int
 
@@ -84,70 +83,62 @@ MAX_SCHEMA_DEGREE = 100
 def schema_from_dict(data: dict, name: str = "custom") -> TableSchema:
     """Build and structurally validate a schema from its JSON dict form.
 
-    Violations are reported with the offending generator and the invariant
-    that failed (right leg a declared generator, gradedness, strictly
-    positive left degree).
+    Names resolve through the schema's own ``generator_by_name``, left legs
+    through ``serialize.monomial_from_json``.  Violations are reported with the
+    offending generator and the invariant that failed (right leg a declared
+    generator, gradedness, strictly positive left degree).
     """
+    from .serialize import claim_key, monomial_from_json
+
     if not isinstance(data, dict) or not _is_list_of(data.get("generators"), dict):
         raise SchemaError("schema JSON must be an object with a 'generators' list of objects")
-    gens: Dict[str, Generator] = {}
+    gens: List[Generator] = []
     for entry in data["generators"]:
         gname = entry.get("name")
         degree = entry.get("degree")
-        if not isinstance(gname, str) or not gname:
-            raise SchemaError(f"generator entry {quoted(entry)} needs a non-empty 'name'")
+        if not isinstance(gname, str):
+            raise SchemaError(f"generator entry {quoted(entry)} needs a string 'name'")
         if not is_json_int(degree) or degree < 1:
-            raise SchemaError(
-                f"generator {quoted(gname)} has degree {quoted(degree)}; generators must be "
-                "homogeneous of degree >= 1"
-            )
+            raise SchemaError(f"generator {quoted(gname)} has degree {quoted(degree)}; generators must be "
+                              "homogeneous of degree >= 1")
         if degree > MAX_SCHEMA_DEGREE:
             raise SchemaError(f"generator {quoted(gname)} has degree {degree}, above the limit "
                               f"MAX_SCHEMA_DEGREE = {MAX_SCHEMA_DEGREE}")
-        if gname in gens:
-            raise SchemaError(f"duplicate generator name {quoted(gname)}")
-        gens[gname] = Generator(degree=degree, name=gname)
+        gens.append(Generator(degree=degree, name=gname))
+    names = TableSchema(name=name, generators=gens, reduced={})
 
-    reduced: Dict[Generator, Tuple[ReducedTerm, ...]] = {}
     table = data.get("reducedCoproduct", {})
     if not isinstance(table, dict):
         raise SchemaError(f"'reducedCoproduct' must be an object, got {quoted(table)}")
-    for gname, terms in table.items():
-        if gname not in gens:
-            raise SchemaError(f"reducedCoproduct mentions unknown generator {quoted(gname)}")
+    reduced: Dict[Generator, Tuple[ReducedTerm, ...]] = {}
+    keys: Dict[str, str] = {}
+    for key, terms in table.items():
+        g = _read_at("reducedCoproduct", names.generator_by_name, key)
+        _read_at("reducedCoproduct", claim_key, keys, g.name, key, "keys")
+        where = f"reduced coproduct of {quoted(key)}"
         if not _is_list_of(terms, dict):
-            raise SchemaError(f"reduced coproduct of {quoted(gname)} must be a list of term objects")
-        g = gens[gname]
+            raise SchemaError(f"{where} must be a list of term objects")
         built: List[ReducedTerm] = []
         for term in terms:
-            right_name = term.get("right")
-            if not isinstance(right_name, str) or right_name not in gens:
-                raise SchemaError(
-                    f"reduced coproduct of {quoted(gname)}: right leg {quoted(right_name)} "
-                    "must be a single declared generator"
-                )
-            powers = []
-            pairs = term.get("left", [])
-            if not _is_list_of(pairs, list) or any(len(pair) != 2 for pair in pairs):
-                raise SchemaError(f"reduced coproduct of {quoted(gname)}: left legs are lists of [name, exp] pairs")
-            for lname, exp in pairs:
-                if not isinstance(lname, str) or lname not in gens:
-                    raise SchemaError(
-                        f"reduced coproduct of {quoted(gname)}: left factor {quoted(lname)} "
-                        "is not a declared generator"
-                    )
-                if not is_json_int(exp) or exp < 1:
-                    raise SchemaError(
-                        f"reduced coproduct of {quoted(gname)}: exponents must be >= 1"
-                    )
-                powers.append((gens[lname], exp))
-            coeff = QQ.value_from_json(term.get("coeff", "1"))
-            built.append(ReducedTerm(left=Monomial.from_powers(powers), right=gens[right_name], coeff=coeff))
+            right = term.get("right")
+            if not isinstance(right, str):
+                raise SchemaError(f"{where}: right leg {quoted(right)} must be a single generator name")
+            left = _read_at(f"{where}, left leg", monomial_from_json, names, term.get("left", []))
+            right = _read_at(f"{where}, right leg", names.generator_by_name, right)
+            built.append(ReducedTerm(left=left, right=right, coeff=QQ.value_from_json(term.get("coeff", "1"))))
         reduced[g] = tuple(built)
 
-    schema = TableSchema(name=name, generators=gens.values(), reduced=reduced)
+    schema = TableSchema(name=name, generators=gens, reduced=reduced)
     validate_schema_structure(schema, schema.max_degree)
     return schema
+
+
+def _read_at(where: str, read, *args):
+    """``read(*args)``; a HopfError it raises becomes a SchemaError that starts with ``where``."""
+    try:
+        return read(*args)
+    except HopfError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
 
 
 def _is_list_of(value, kind: type) -> bool:
@@ -156,11 +147,6 @@ def _is_list_of(value, kind: type) -> bool:
 
 def load_schema(path: str) -> TableSchema:
     """Load a schema from a JSON file; full validation happens at load."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # not JSON, or an integer past the interpreter's digit limit
-            raise SchemaError(f"cannot parse schema file {path}: {exc}") from exc
-        except RecursionError:
-            raise SchemaError(f"cannot parse schema file {path}: its JSON nests too deeply") from None
-    return schema_from_dict(data, name=f"custom:{path}")
+    from .serialize import read_json
+
+    return schema_from_dict(read_json(path, "schema", SchemaError), name=f"custom:{path}")

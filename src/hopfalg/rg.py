@@ -26,9 +26,9 @@ from .rings import EPS_RING, laurent_only
 class BetaData(NamedTuple):
     """Residue tower of a loop: d_1, ..., d_maxOrder plus the beta-function.
 
-    Built so that beta is the degree-scaled residue and each d_(n+1) is the
-    degree-unscaled convolution d_n * beta; the constructor re-checks the
-    tower relation and that every d_n kills the unit.
+    The tuple checks nothing: ``beta_data`` builds beta as the degree-scaled
+    residue and each d_(n+1) as the degree-unscaled d_n * beta, checks that
+    every d_n kills the unit, and lists where the residue fails to vanish.
     """
 
     beta: InfinitesimalCharacter

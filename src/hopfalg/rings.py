@@ -321,12 +321,15 @@ class LaurentRing(Ring):
         min_exp = data.get("minExp")
         if min_exp is not None and not is_json_int(min_exp):
             raise HopfError(f"minExp must be an integer or null, got {quoted(min_exp)}")
-        coeffs = {}
+        from .serialize import claim_key
+
+        coeffs, keys = {}, {}
         for key, val in data["coeffs"].items():
             try:
                 k = int(key)
             except ValueError:
                 raise HopfError(f"Laurent exponents must be integers, got {quoted(key)}") from None
+            claim_key(keys, k, key, "Laurent exponents")
             if min_exp is not None and k < min_exp:
                 raise HopfError(f"stored exponent {k} below declared minExp {min_exp}")
             if trunc is not None and k > trunc:

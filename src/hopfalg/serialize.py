@@ -9,11 +9,12 @@ separators), so identical inputs produce byte-identical documents.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import TYPE_CHECKING
 
 from .algebra import Element, Monomial, TensorElement
 from .errors import HopfError, quoted
-from .hopf import HopfAlgebra
+from .hopf import HopfAlgebra, HopfSchema
 from .rationals import QQ, Ring, format_rational, is_json_int
 
 if TYPE_CHECKING:  # element and tensor I/O runs without the dual calculus
@@ -40,7 +41,7 @@ def monomial_to_json(m: Monomial) -> list:
     return [[g.name, e] for g, e in m.powers]
 
 
-def monomial_from_json(ctx: HopfAlgebra, data) -> Monomial:
+def monomial_from_json(schema: HopfSchema, data) -> Monomial:
     if not isinstance(data, list):
         raise HopfError(f"monomial encoding must be a list of [name, exp]: {quoted(data)}")
     powers = []
@@ -50,7 +51,7 @@ def monomial_from_json(ctx: HopfAlgebra, data) -> Monomial:
         name, exp = entry
         if not is_json_int(exp) or exp < 1:
             raise HopfError(f"monomial exponents must be integers >= 1, got {quoted(exp)}")
-        powers.append((ctx.schema.generator_by_name(name), exp))
+        powers.append((schema.generator_by_name(name), exp))
     return Monomial.from_powers(powers)
 
 
@@ -69,7 +70,7 @@ def element_from_json(ctx: HopfAlgebra, data) -> Element:
         if not isinstance(term, dict) or not {"coeff", "monomial"} <= term.keys():
             raise HopfError(f"element terms are objects with 'coeff' and 'monomial', got {quoted(term)}")
         coeff = QQ.value_from_json(term["coeff"])
-        m = monomial_from_json(ctx, term["monomial"])
+        m = monomial_from_json(ctx.schema, term["monomial"])
         pairs.append((m, coeff))
     return Element.from_terms(pairs)
 
@@ -136,7 +137,7 @@ def functional_from_json(ctx: HopfAlgebra, data: dict) -> Functional:
             (m, c), = e.terms.items()
             if c != 1:
                 raise HopfError(f"table keys must be bare monomials, got {quoted(expr)}")
-            _claim(keys, m, expr)
+            claim_key(keys, m, expr)
             table[m] = ring.value_from_json(raw)
         return TableFunctional(ctx, ring, table)
     for cls in (Character, InfinitesimalCharacter):
@@ -144,30 +145,39 @@ def functional_from_json(ctx: HopfAlgebra, data: dict) -> Functional:
             gen_values, keys = {}, {}
             for name, raw in values.items():
                 g = ctx.schema.generator_by_name(name)
-                _claim(keys, g.name, name)
+                claim_key(keys, g.name, name)
                 gen_values[g] = ring.value_from_json(raw)
             return cls(ctx, ring, gen_values, cutoff=cutoff)
     raise HopfError(f"unknown functional kind {quoted(kind)}")
 
 
-def _claim(keys: dict, target, key: str) -> None:
-    """Record that the values key ``key`` reads as ``target``, a generator name
-    or a monomial; two keys that read as one would give it two values."""
+def claim_key(keys: dict, target, key: str, what: str = "functional keys") -> None:
+    """Record that the key ``key`` of one JSON object reads as ``target``; two keys
+    that read as one would give it two values, so the second is refused."""
     if target in keys:
-        raise HopfError(f"functional keys {quoted(keys[target])} and {quoted(key)} both name {target}")
+        raise HopfError(f"{what} {quoted(keys[target])} and {quoted(key)} both name {target}")
     keys[target] = key
 
 
-def read_json(path: str, what: str):
+def read_json(path: str, what: str, error: type = HopfError):
     """The JSON document in the file ``path``; ``what`` names its content in
-    the error raised when the file does not parse."""
+    the ``error`` raised when the file does not parse, or when one of its
+    objects gives a key twice, which ``json`` alone would read as its last."""
+
+    def unique(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+            raise error(f"{what} file {path} gives the key {quoted(key)} twice in one object")
+        return obj
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
         except ValueError as exc:  # not JSON, or an integer past the interpreter's digit limit
-            raise HopfError(f"cannot parse {what} file {path}: {exc}") from exc
+            raise error(f"cannot parse {what} file {path}: {exc}") from exc
         except RecursionError:
-            raise HopfError(f"cannot parse {what} file {path}: its JSON nests too deeply") from None
+            raise error(f"cannot parse {what} file {path}: its JSON nests too deeply") from None
 
 
 def load_functional(ctx: HopfAlgebra, path: str) -> Functional:

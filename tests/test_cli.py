@@ -129,6 +129,74 @@ def test_a_bracket_name_reads_in_any_spacing_in_every_input(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["message"] == "functional keys '[[]]' and '[ [] ]' both name [[]]"
 
 
+def test_a_schema_file_reads_a_bracket_name_in_any_spacing(tmp_path, capsys):
+    # Its reducedCoproduct key, right leg and left factor read by the one name
+    # grammar that expressions, character keys and table keys read.
+    outs = []
+    for spelling in ("[[]]", "[ [] ]"):
+        schema = write(tmp_path, "schema.json", {
+            "generators": [{"name": "[]", "degree": 1}, {"name": "[[]]", "degree": 2},
+                           {"name": "[[[]]]", "degree": 3}],
+            "reducedCoproduct": {spelling: [{"left": [["[]", 1]], "right": "[ ]"}],
+                                 "[[[]]]": [{"left": [["[]", 1]], "right": spelling},
+                                            {"left": [[spelling, 1]], "right": "[]"}]}})
+        assert cli.main(["coproduct", "--schema", f"custom:{schema}", "--expr", "[[[]]]*[[]]"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["terms"]
+
+
+def test_two_spellings_of_one_generator_in_a_reduced_coproduct_are_refused(tmp_path, capsys):
+    schema = write(tmp_path, "schema.json", {
+        "generators": [{"name": "[]", "degree": 1}, {"name": "[[]]", "degree": 2}],
+        "reducedCoproduct": {"[[]]": [{"left": [["[]", 1]], "right": "[]"}], "[ [] ]": []}})
+    assert cli.main(["coproduct", "--schema", f"custom:{schema}", "--expr", "[[]]"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert json.loads(captured.err) == {
+        "error": "SchemaError", "message": "reducedCoproduct: keys '[[]]' and '[ [] ]' both name [[]]"}
+
+
+def test_two_spellings_of_one_laurent_exponent_are_refused(tmp_path, capsys):
+    # json read "-1" and "-01" as two keys and int() as one exponent: the last
+    # value won, and birkhoff reported phi_-(t1) = -7/eps.
+    path = write(tmp_path, "phi.json", {"kind": "character", "ring": "laurent", "values": {
+        "t1": {"minExp": -1, "truncation": None, "coeffs": {"-1": "1", "-01": "7"}}}})
+    assert cli.main(["birkhoff", path, "--max-degree", "1"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert json.loads(captured.err) == {"error": "HopfError", "message": "Laurent exponents '-1' and '-01' both name -1"}
+
+
+# The text of a character that gives t1 twice, and of a schema that gives y a
+# reduced coproduct and then none: json kept the last value of each, so log
+# read t1 = 2 and the schema made y primitive.
+REPEATED_KEY_FILES = {
+    "functional": ('{"kind":"character","ring":"rational","values":{"t1":"1","t1":"2"}}', "t1",
+                   [["log", "{}", "--max-degree", "2"]], "HopfError"),
+    "schema": ('{"generators":[{"name":"x","degree":1},{"name":"y","degree":2}],"reducedCoproduct":'
+               '{"y":[{"left":[["x",1]],"right":"x","coeff":"2"}],"y":[]}}', "y",
+               [["coproduct", "--schema", "custom:{}", "--expr", "y", "--output", "text"],
+                ["verify", "--schema", "custom:{}", "--max-degree", "2"]], "SchemaError"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_KEY_FILES))
+def test_a_key_repeated_in_a_file_is_refused_naming_the_key_and_the_file(case, tmp_path, capsys):
+    text, key, commands, error = REPEATED_KEY_FILES[case]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    message = f"{case} file {path} gives the key {key!r} twice in one object"
+    for argv in commands:
+        assert cli.main([a.format(path) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert json.loads(captured.err) == {"error": error, "message": message}
+    proc = run_cli(*[a.format(path) for a in commands[0]], expect=2)
+    assert "Traceback" not in proc.stderr and not proc.stdout
+    assert json.loads(proc.stderr) == {"error": error, "message": message}
+
+
 def test_a_ladder_key_may_hold_whitespace(tmp_path, capsys):
     outs = []
     for key in ("t1", " t1 "):

@@ -199,6 +199,59 @@ def test_any_element_file_exits_0_or_2_with_a_json_diagnostic(workdir, data):
     assert code in (0, 2)
 
 
+# Respellings of a key, the key itself among them: a generator name padded or
+# split by whitespace (and a ladder index by a leading zero), a monomial spaced
+# out, reordered or parenthesized, and an exponent signed, zero-padded or spaced.
+def name_spellings(key):
+    return [key, f" {key}", f"{key}\t", f"{key[:1]} {key[1:]}", *([f"t0{key[1:]}"] if key.startswith("t") else [])]
+
+
+def monomial_spellings(key):
+    factors = key.split("*")
+    return [key, f" {key} ", " * ".join(factors), "*".join(reversed(factors)), "*".join(f"({f})" for f in factors)]
+
+
+def exponent_spellings(key):
+    sign, digits = ("-", key[1:]) if key.startswith("-") else ("+", key)
+    return [key, f"{sign}{digits}", f"{sign}0{digits}", f" {key} "]
+
+
+# Objects whose keys each name one value: (file, path to the object in it, the
+# respellings of a key, and a command reading the file).
+KEYED = {
+    "character-values": (FUNCTIONALS["character-rational"][0], ("values",), name_spellings,
+                         ["log", "{}", "--max-degree", "3"]),
+    "table-keys": (FUNCTIONALS["table-laurent"][0], ("values",), monomial_spellings,
+                   ["convolve", "{}", "{}", "--max-degree", "3"]),
+    "laurent-coeffs": (FUNCTIONALS["character-laurent"][0], ("values", "t1", "coeffs"), exponent_spellings,
+                       ["birkhoff", "{}", "--max-degree", "3"]),
+    "reduced-coproduct": (SCHEMA, ("reducedCoproduct",), name_spellings,
+                          ["coproduct", "--expr", "x1*x3", "--schema", "custom:{}"]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_key_repeated_or_respelled_exits_2_naming_both_spellings(workdir, data):
+    """json.load keeps the last value of a repeated key, and two spellings of
+    one key are two keys to it; either way one value would be dropped."""
+    doc, path, spellings, argv = KEYED[data.draw(st.sampled_from(sorted(KEYED)))]
+    pairs = list(container(doc, path).items())
+    key, value = data.draw(st.sampled_from(pairs))
+    other = data.draw(st.sampled_from(spellings(key)))
+    pairs.insert(data.draw(st.integers(min_value=0, max_value=len(pairs))), (other, value))
+    doc = copy.deepcopy(doc)
+    container(doc, path[:-1])[path[-1]] = NEST
+    body = "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
+    file = workdir / "keyed.json"
+    file.write_text(json.dumps(doc).replace(json.dumps(NEST), body))
+    code, out, err, elapsed = run([a.format(file) for a in argv])
+    check(code, out, err, elapsed)
+    assert code == 2 and "Traceback" not in err
+    message = json.loads(err)["message"]
+    assert repr(key) in message and repr(other) in message
+
+
 @pytest.mark.parametrize("argv, payload, message", [
     # Integers past the interpreter's digit limit, in a file and in --expr.
     (["log", "{}"], '{"kind": "character", "cutoff": ' + TOO_LONG + ', "values": {}}',
