@@ -21,10 +21,10 @@ is one ``zring.dot`` call per output key.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple
 
 from .algebra import Element, Monomial
-from .errors import DomainError, SchemaError
+from .errors import CheckResult, DomainError, SchemaError
 from .hopf import HopfAlgebra, theta_factors, validate_schema_structure
 from .rings import EPS_RING
 
@@ -35,26 +35,6 @@ THETA_ORDER = 4
 def _nonzero(acc: dict) -> dict:
     """A coefficient dict over Q without its zero values."""
     return {k: c for k, c in acc.items() if c}
-
-
-class CheckResult(NamedTuple):
-    """The verdict of one ``verify`` check: it passed when it found no witness."""
-
-    name: str
-    passed: bool
-    counterexample: Optional[str] = None
-    detail: str = ""
-
-    @classmethod
-    def first(cls, name: str, witnesses, detail: str, catch=()) -> "CheckResult":
-        """The verdict from the first witness the iterator ``witnesses`` yields,
-        where the check's draws stop.  An exception of a type in ``catch`` raised
-        while drawing is the witness, by its message; any other propagates."""
-        try:
-            witness = next(witnesses, None)
-        except catch as exc:
-            witness = str(exc)
-        return cls(name, witness is None, witness, detail)
 
 
 class AxiomReport(NamedTuple):

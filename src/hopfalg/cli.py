@@ -238,6 +238,8 @@ def cmd_rg_check(args):
         "betaMatchesResidue": report.beta_matches_residue,
         "passed": report.passed,
     }
+    if report.check_witnesses:
+        payload["checkWitnesses"] = report.check_witnesses
     return payload, f"special: {report.special}" + (
         "" if report.special else f", witness {report.witnesses[0]['monomial']}")
 

@@ -8,23 +8,24 @@ on tables keyed by basis monomial: (a * b)(m) is the sum over the coproduct of
 m of c a(m') b(m''), the transposes f o S, Y_*, Y_*^-1 and theta_* are table
 maps, and each such sum is one call per monomial of the ring's one
 sum-of-products kernel, ``ring.dot``.  A character tabulates with one ring
-product per monomial; ``bogoliubov`` builds the Birkhoff factors, the inverse
-and the special loop on the generators, and ``materialize`` reads a table back
-on them, checked on the whole basis where asked.  ``functionals`` holds the
-flat ``ConvolutionProduct`` oracle and the operations only the suites and the
-library API call.  Callers read ``convolve_tables`` and ``bogoliubov`` off
-this module at each call, so a stand-in set here reaches every layer.
+product per monomial; ``bogoliubov`` builds the Birkhoff counterterm, the
+inverse and the special loop on the generators, and ``materialize`` reads a
+table back on them, checked on the whole basis where asked.  ``functionals``
+holds the flat ``ConvolutionProduct`` oracle and the operations only the
+suites and the library API call.  Callers read ``convolve_tables`` and
+``bogoliubov`` off this module at each call, so a stand-in set here reaches
+every layer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from . import _forwarder
 from .algebra import Generator, Monomial, cofactor_chain
-from .errors import CutoffExceededError, DomainError, RingMismatchError, VerificationError
+from .errors import CheckResult, CutoffExceededError, DomainError, RingMismatchError
 from .hopf import HopfAlgebra
 from .rationals import Ring
 
@@ -141,18 +142,18 @@ class Character(GeneratorFunctional):
         return table
 
 
-def bogoliubov(phi: Character, max_degree: int, project) -> Tuple[Character, Character]:
+def bogoliubov(phi: Character, max_degree: int, project) -> Character:
     """Bogoliubov's subtraction on the generators g, lowest degree first:
     b(g) = phi(g) + sum c phi_-(L) phi(g') over the reduced coproduct terms
-    c L (x) g', phi_-(g) = -project(g, b(g)) and phi_+(g) = b(g) + phi_-(g).
-    Each g' is a generator and each L of lower degree, so phi_- is tabulated on
-    the left legs once per degree.  The pole part gives the Birkhoff factors,
-    the identity phi_- = phi o S, -b/|g| on phi = beta/eps the special loop.
-    Returns phi_- and phi_+ with cutoff ``max_degree``, exact zeros left out of
-    their generator values as ``materialize`` leaves them out."""
+    c L (x) g', and phi_-(g) = -project(g, b(g)).  Each g' is a generator and
+    each L of lower degree, so phi_- is tabulated on the left legs once per
+    degree.  The pole part gives the Birkhoff counterterm (whose caller records
+    phi_+ = b - T(b) as it projects), the identity phi_- = phi o S, -b/|g| on
+    phi = beta/eps the special loop.  Returns phi_- with cutoff ``max_degree``,
+    exact zeros left out of its generator values as ``materialize`` leaves them out."""
     ctx, ring = phi.ctx, phi.ring
     values = phi.tabulate([Monomial.of(g) for g in ctx.schema.generators_up_to(max_degree)])
-    minus, plus = Character(ctx, ring, {}, max_degree), Character(ctx, ring, {}, max_degree)
+    minus = Character(ctx, ring, {}, max_degree)
     for degree in range(1, max_degree + 1):
         gens = [Monomial.of(g) for g in ctx.schema.generators_of_degree(degree)]
         terms = {m: list(ctx.reduced_coproduct_terms(m)) for m in gens}
@@ -163,10 +164,9 @@ def bogoliubov(phi: Character, max_degree: int, project) -> Tuple[Character, Cha
                          + [(c, x, y) for (m1, m2), c in ts
                             if (x := left.get(m1)) is not None and (y := values.get(m2)) is not None])
             v = ring.neg(project(m, b))
-            for character, w in ((minus, v), (plus, ring.add(b, v))):
-                if not ring.is_exact_zero(w):
-                    character.gen_values[m.single_generator()] = w
-    return minus, plus
+            if not ring.is_exact_zero(v):
+                minus.gen_values[m.single_generator()] = v
+    return minus
 
 
 class InfinitesimalCharacter(GeneratorFunctional):
@@ -241,9 +241,7 @@ def materialize(ctx: HopfAlgebra, ring: Ring, table: dict, max_degree: int, kind
         zero = ring.zero()
         basis = ctx.basis_up_to(max_degree)
         closed = result.tabulate(basis)
-        for m in basis:
-            if not ring.eq(closed.get(m, zero), table.get(m, zero)):
-                raise VerificationError(failure.format(m), witness=str(m))
+        CheckResult.require((str(m) for m in basis if not ring.eq(closed.get(m, zero), table.get(m, zero))), failure)
     return result
 
 
@@ -281,17 +279,11 @@ def log_star(chi: Character, max_degree: int) -> InfinitesimalCharacter:
     # chi - 1_* is chi off the unit, where a character takes the value 1.
     delta = chi.tabulate([m for m in basis if not m.is_unit])
     powers = convolution_powers(ctx, ring, delta, max_degree + 1, basis)
-    series = {}
-    for m in basis:
-        if m.is_unit:
-            continue
-        # One step beyond the degree must vanish (the termination argument).
-        beyond = powers[m.y_degree].get(m)
-        if beyond is not None and not ring.is_zero(beyond):
-            raise VerificationError(
-                f"logarithm series failed to terminate on {m}", witness=str(m)
-            )
-        series[m] = power_series(ring, powers, m, lambda n: Fraction((-1) ** (n + 1), n))
+    # One step beyond the degree must vanish (the termination argument).
+    zero = ring.zero()
+    CheckResult.require((str(m) for m in basis if not ring.is_zero(powers[m.y_degree].get(m, zero))),
+                        "logarithm series failed to terminate on {}")
+    series = {m: power_series(ring, powers, m, lambda n: Fraction((-1) ** (n + 1), n)) for m in basis if not m.is_unit}
     return materialize(ctx, ring, series, max_degree, InfinitesimalCharacter,
                        failure="logarithm is not infinitesimal: nonzero on the product {}")
 

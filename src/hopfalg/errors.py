@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by every layer of the package."""
+"""Exception hierarchy shared by every layer of the package, and the one
+first-witness step of every whole-basis certificate, ``CheckResult.first``."""
+
+from typing import NamedTuple, Optional
 
 
 def quoted(value) -> str:
@@ -61,3 +64,31 @@ class VerificationError(HopfError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class CheckResult(NamedTuple):
+    """The verdict of one certificate: it passed when it found no witness."""
+
+    name: str
+    passed: bool
+    counterexample: Optional[str] = None
+    detail: str = ""
+
+    @classmethod
+    def first(cls, name: str, witnesses, detail: str = "", catch=()) -> "CheckResult":
+        """The verdict from the first witness the iterator ``witnesses`` yields,
+        where the check's draws stop.  An exception of a type in ``catch`` raised
+        while drawing is the witness, by its message; any other propagates."""
+        try:
+            witness = next(witnesses, None)
+        except catch as exc:
+            witness = str(exc)
+        return cls(name, witness is None, witness, detail)
+
+    @classmethod
+    def require(cls, witnesses, failure: str) -> None:
+        """``first`` for a certificate that raises: its first witness raises a
+        VerificationError whose message is ``failure`` formatted with it."""
+        witness = cls.first(failure, witnesses).counterexample
+        if witness is not None:
+            raise VerificationError(failure.format(witness), witness=witness)

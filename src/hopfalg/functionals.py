@@ -94,7 +94,7 @@ def character_inverse(chi: Character, max_degree: Optional[int] = None) -> Chara
             return Character(chi.ctx, chi.ring, {}, cutoff=None)  # the counit
         raise DomainError("character_inverse needs a materialization bound (max_degree) for "
                           "characters without a cutoff")
-    return duals.bogoliubov(chi, bound, lambda m, b: b)[0]
+    return duals.bogoliubov(chi, bound, lambda m, b: b)
 
 
 def materialize_character(f: Functional, max_degree: int, verify: bool = False) -> Character:

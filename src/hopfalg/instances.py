@@ -105,15 +105,14 @@ def schema_from_dict(data: dict, name: str = "custom") -> TableSchema:
             raise SchemaError(f"generator {quoted(gname)} has degree {degree}, above the limit "
                               f"MAX_SCHEMA_DEGREE = {MAX_SCHEMA_DEGREE}")
         gens.append(Generator(degree=degree, name=gname))
-    names = TableSchema(name=name, generators=gens, reduced={})
+    schema = TableSchema(name=name, generators=gens, reduced={})  # its table is filled below, as ``trees`` fills one
 
     table = data.get("reducedCoproduct", {})
     if not isinstance(table, dict):
         raise SchemaError(f"'reducedCoproduct' must be an object, got {quoted(table)}")
-    reduced: Dict[Generator, Tuple[ReducedTerm, ...]] = {}
     keys: Dict[str, str] = {}
     for key, terms in table.items():
-        g = _read_at("reducedCoproduct", names.generator_by_name, key)
+        g = _read_at("reducedCoproduct", schema.generator_by_name, key)
         _read_at("reducedCoproduct", claim_key, keys, g.name, key, "keys")
         where = f"reduced coproduct of {quoted(key)}"
         if not _is_list_of(terms, dict):
@@ -123,12 +122,10 @@ def schema_from_dict(data: dict, name: str = "custom") -> TableSchema:
             right = term.get("right")
             if not isinstance(right, str):
                 raise SchemaError(f"{where}: right leg {quoted(right)} must be a single generator name")
-            left = _read_at(f"{where}, left leg", monomial_from_json, names, term.get("left", []))
-            right = _read_at(f"{where}, right leg", names.generator_by_name, right)
+            left = _read_at(f"{where}, left leg", monomial_from_json, schema, term.get("left", []))
+            right = _read_at(f"{where}, right leg", schema.generator_by_name, right)
             built.append(ReducedTerm(left=left, right=right, coeff=QQ.value_from_json(term.get("coeff", "1"))))
-        reduced[g] = tuple(built)
-
-    schema = TableSchema(name=name, generators=gens, reduced=reduced)
+        schema._reduced[g] = tuple(built)
     validate_schema_structure(schema, schema.max_degree)
     return schema
 

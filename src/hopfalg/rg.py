@@ -3,13 +3,15 @@
 The residue of a loop and its beta-function, the counterterm tower (by the
 grading recursion and in closed form), the special loop of a beta-function
 (by ``bogoliubov`` on the generators, certified by the residue identity), the
-scale-flow limit with its three flow checks (phi^(-1) by ``bogoliubov``: no
+scale-flow limit with its four checks, each a generator of the monomials it
+fails on, run by ``CheckResult.first`` (phi^(-1) by ``bogoliubov``: no
 antipode), and the tower's certified finite-time limits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, factorial
 from typing import Dict, List, NamedTuple, Tuple
 
@@ -17,7 +19,7 @@ from . import duals
 from .algebra import Monomial
 from .duals import (Character, InfinitesimalCharacter, TableFunctional, convolution_powers, grading_transpose,
                     materialize)
-from .errors import DomainError, UnsupportedRingError, VerificationError
+from .errors import CheckResult, DomainError, UnsupportedRingError, VerificationError
 from .polynomials import POLY_T
 from .rationals import RationalField
 from .rings import EPS_RING, laurent_only
@@ -160,11 +162,10 @@ def build_special_loop(beta: InfinitesimalCharacter, max_degree: int) -> Charact
         raise UnsupportedRingError(f"Laurent series are over Q only, not over {base.tag}")
     table = beta.tabulate([Monomial.of(g) for g in ctx.schema.generators_up_to(max_degree)])
     over_eps = InfinitesimalCharacter(ctx, ring, {m.single_generator(): ring.monomial(-1, v) for m, v in table.items()})
-    loop = duals.bogoliubov(over_eps, max_degree, lambda m, b: ring.dot([(Fraction(-1, m.y_degree), b, ring.one())]))[0]
+    loop = duals.bogoliubov(over_eps, max_degree, lambda m, b: ring.dot([(Fraction(-1, m.y_degree), b, ring.one())]))
     basis = ctx.basis_up_to(max_degree)
-    witness = _residue_identity_holds(ctx, ring, loop.tabulate(basis), beta, basis)
-    if witness is not None:
-        raise VerificationError(f"built loop fails the residue identity on {witness}", witness=str(witness))
+    CheckResult.require(_residue_identity_holds(ctx, ring, loop.tabulate(basis), beta, basis),
+                        "built loop fails the residue identity on {}")
     return loop
 
 
@@ -180,15 +181,15 @@ class RgReport(NamedTuple):
     witnesses: List[dict]
     flow_table: Dict[Monomial, tuple]  # monomial -> polynomial in t
     beta: InfinitesimalCharacter
-    flow_additive: bool
+    flow_additive: bool  # the four verdicts, by ``CheckResult.first``
     flow_is_exponential: bool
     residue_identity: bool
     beta_matches_residue: bool
+    check_witnesses: Dict[str, str]  # rg-check's key of each failed check -> its first witness
 
     @property
     def passed(self) -> bool:
-        return (self.special and self.flow_additive and self.flow_is_exponential and self.residue_identity
-                and self.beta_matches_residue)
+        return self.special and not self.check_witnesses
 
 
 # The highest pole order of phi that ``rg_limit_check`` takes.  At it, with
@@ -227,7 +228,7 @@ def rg_limit_check(phi: Character, max_degree: int, eps_margin: int = 1) -> RgRe
                           f"MAX_POLE_ORDER = {MAX_POLE_ORDER}")
     order = pole + eps_margin
     unit = ring.make({0: 1}, order)
-    phi_inverse = duals.bogoliubov(phi, max_degree, lambda m, b: b)[0].tabulate(basis)
+    phi_inverse = duals.bogoliubov(phi, max_degree, lambda m, b: b).tabulate(basis)
     slices = []  # S_j, on the monomials of degree >= j
     for j in range(max_degree + 1):
         part = {m: ring.mul(v, unit) for m, v in phi_vals.items() if m.y_degree == j}
@@ -261,17 +262,14 @@ def rg_limit_check(phi: Character, max_degree: int, eps_margin: int = 1) -> RgRe
     linear = {m: POLY_T.coefficient(p, 1) for m, p in flow.items()}
     beta = materialize(ctx, base, linear, max_degree, InfinitesimalCharacter)
 
-    flow_additive = _flow_is_additive(ctx, base, flow, basis)
-    flow_is_exponential = _flow_matches_exponential(ctx, base, flow, beta, basis)
-    residue_identity = _residue_identity_holds(ctx, ring, phi_vals, beta, basis) is None
-
     gens = [Monomial.of(g) for g in ctx.schema.generators_up_to(max_degree)]
-    scaled = grading_transpose(base, {m: ring.coefficient(phi_vals.get(m, ring.zero()), -1) for m in gens})
-    beta_matches_residue = all(base.eq(scaled.get(m, base.zero()), beta.value_on(m)) for m in gens)
-
-    return RgReport(max_degree=max_degree, certified_order=eps_margin, special=special, witnesses=witnesses,
-                    flow_table=flow, beta=beta, flow_additive=flow_additive, flow_is_exponential=flow_is_exponential,
-                    residue_identity=residue_identity, beta_matches_residue=beta_matches_residue)
+    checks = [CheckResult.first(name, draws) for name, draws in (
+        ("flowAdditive", _flow_is_additive(ctx, base, flow, basis)),
+        ("flowIsExponential", _flow_matches_exponential(ctx, base, flow, beta, basis)),
+        ("residueIdentity", _residue_identity_holds(ctx, ring, phi_vals, beta, basis)),
+        ("betaMatchesResidue", _beta_matches_residue(ring, phi_vals, beta, gens)))]
+    return RgReport(max_degree, eps_margin, special, witnesses, flow, beta, *(c.passed for c in checks),
+                    {c.name: c.counterexample for c in checks if not c.passed})
 
 
 def _polynomial(coeffs: dict) -> tuple:
@@ -279,43 +277,47 @@ def _polynomial(coeffs: dict) -> tuple:
     return tuple(coeffs.get(k, 0) for k in range(max(coeffs, default=-1) + 1))
 
 
-def _flow_tables(flow) -> List[dict]:
-    """The t-coefficient tables F_0, F_1, ... of the flow, over Q."""
-    top = max((len(p) for p in flow.values()), default=0)
-    return [{m: p[k] for m, p in flow.items() if k < len(p) and p[k]} for k in range(top)]
-
-
-def _flow_is_additive(ctx, base, flow, basis) -> bool:
-    # F_(t+s) = F_t * F_s: its t^i s^j coefficient is F_i * F_j = C(i+j, i) F_(i+j).
-    tables = _flow_tables(flow)
+def _flow_is_additive(ctx, base, flow, basis):
+    """The monomials of the basis, in its order, where F_(t+s) = F_t * F_s fails:
+    its t^i s^j coefficient is F_i * F_j = C(i+j, i) F_(i+j), on the t-coefficient tables F_k."""
+    tables = [{m: p[k] for m, p in flow.items() if k < len(p) and p[k]}
+              for k in range(max((len(p) for p in flow.values()), default=0))]
+    failing = set()
     for i, fi in enumerate(tables):
         for j, fj in enumerate(tables):
             product = duals.convolve_tables(ctx, base, fi, fj, basis)
-            expected = tables[i + j] if i + j < len(tables) else {}
-            if product != {m: comb(i + j, i) * v for m, v in expected.items()}:
-                return False
-    return True
+            expected = {m: comb(i + j, i) * v for m, v in (tables[i + j] if i + j < len(tables) else {}).items()}
+            if product != expected:
+                failing.update(m for m in product.keys() | expected.keys() if product.get(m) != expected.get(m))
+    yield from (str(m) for m in basis if m in failing)
 
 
-def _flow_matches_exponential(ctx, base, flow, beta, basis) -> bool:
-    # F_t = exp(t beta): F_0 is the counit and F_n = beta^(*n) / n!, which
-    # vanishes above the top degree.
+def _flow_matches_exponential(ctx, base, flow, beta, basis):
+    """The monomials of the basis, in its order, where F_t = exp(t beta) fails:
+    F_0 is the counit and F_n = beta^(*n) / n!, which vanishes above the top degree."""
     top = max(m.y_degree for m in basis)
     powers = convolution_powers(ctx, base, beta.tabulate(basis), top, basis)
     expected = [{Monomial.unit(): 1}] + [{m: Fraction(v, factorial(n)) for m, v in p.items()}
                                          for n, p in enumerate(powers, 1)]
-    while not expected[-1]:
-        expected.pop()
-    return _flow_tables(flow) == expected
+    for m in basis:
+        if any(a != b for a, b in zip_longest(flow.get(m, ()), [e.get(m, 0) for e in expected], fillvalue=0)):
+            yield str(m)
 
 
 def _residue_identity_holds(ctx, ring, phi_vals, beta, basis):
-    # The first monomial of the basis where Y_* phi = phi * (beta / eps) fails coefficientwise, or None.
+    """The monomials of the basis, in its order, where Y_* phi = phi * (beta / eps) fails coefficientwise."""
     over_eps = {m: ring.make({-1: v}, None) for m in basis if not ring.base.is_zero(v := beta.value_on(m))}
     rhs = duals.convolve_tables(ctx, ring, phi_vals, over_eps, basis)
     lhs = grading_transpose(ring, phi_vals)
     zero = ring.zero()
-    return next((m for m in basis if not ring.eq(lhs.get(m, zero), rhs.get(m, zero))), None)
+    yield from (str(m) for m in basis if not ring.eq(lhs.get(m, zero), rhs.get(m, zero)))
+
+
+def _beta_matches_residue(ring, phi_vals, beta, gens):
+    """The generators, in the order given, where beta is not Y_* of phi's residue."""
+    base = ring.base
+    scaled = grading_transpose(base, {m: ring.coefficient(phi_vals.get(m, ring.zero()), -1) for m in gens})
+    yield from (str(m) for m in gens if not base.eq(scaled.get(m, base.zero()), beta.value_on(m)))
 
 
 # -- the scattering-type limit ---------------------------------------------------

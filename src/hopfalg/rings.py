@@ -7,6 +7,7 @@ are immutable slotted series.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter
@@ -325,7 +326,9 @@ class LaurentRing(Ring):
 
         coeffs, keys = {}, {}
         for key, val in data["coeffs"].items():
-            try:
+            try:  # one ASCII rule: int() alone also reads "1_0", " 1 " and the digits of other scripts
+                if not re.fullmatch("[+-]?[0-9]+", key):
+                    raise ValueError(key)
                 k = int(key)
             except ValueError:
                 raise HopfError(f"Laurent exponents must be integers, got {quoted(key)}") from None

@@ -13,7 +13,6 @@ from typing import List, NamedTuple
 
 from . import duals
 from .algebra import Monomial
-from .axioms import CheckResult
 from .birkhoff import birkhoff_decompose, rota_baxter_T
 from .duals import (
     Character,
@@ -24,7 +23,7 @@ from .duals import (
     grading_transpose,
     log_star,
 )
-from .errors import HopfError
+from .errors import CheckResult, HopfError
 from .functionals import ConvolutionProduct, character_inverse, convolve, metric_distance
 from .hopf import HopfAlgebra
 from .rg import build_special_loop, dn_recursive, dn_simplex, rg_limit_check, scattering_check

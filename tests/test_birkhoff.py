@@ -2,11 +2,13 @@
 
 import importlib
 import inspect
+import json
 import random
 import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
+from math import comb, factorial
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -20,6 +22,7 @@ from hopfalg.duals import (
     InfinitesimalCharacter,
     TableFunctional,
     compose_antipode,
+    convolution_powers,
     convolve_tables,
     exp_star,
     grading_transpose,
@@ -302,7 +305,7 @@ def test_the_factors_and_the_inverse_are_built_on_the_generators(schema, degree,
         raise AssertionError("a whole-basis convolution or tower was built")
 
     monkeypatch.setattr(birkhoff, "birkhoff_verification_report", lambda *args: {"checks": {}, "passed": True})
-    monkeypatch.setattr(rg, "_residue_identity_holds", lambda *args: None)
+    monkeypatch.setattr(rg, "_residue_identity_holds", lambda *args: iter(()))
     monkeypatch.setattr(rg, "counterterm_tower", whole_basis)
     monkeypatch.setattr(duals, "convolve_tables", whole_basis)
     monkeypatch.setattr(HopfAlgebra, "reduced_coproduct_terms", recorded)
@@ -757,9 +760,9 @@ def test_a_wrong_loop_value_is_the_certificates_witness(schema, degree, target, 
     original = duals.bogoliubov
 
     def off(phi, max_degree, project):
-        minus, plus = original(phi, max_degree, project)
+        minus = original(phi, max_degree, project)
         minus.gen_values[g] = L.add(minus.gen_values.get(g, L.zero()), lau({-1: 1}))
-        return minus, plus
+        return minus
 
     monkeypatch.setattr(duals, "bogoliubov", off)
     rng = random.Random(44)
@@ -818,8 +821,54 @@ def test_rg_closed_loop_trees(trees):
         assert report.beta.value_on(Monomial.of(g)) == beta.value_on(Monomial.of(g))
 
 
+# Own scans of the four rg-check checks, one monomial (or generator) at a time
+# and in order; each takes the arguments of the check it mirrors.
+def additivity_mismatches(ctx, base, flow, basis):
+    """Each monomial m, in basis order, where F_i * F_j = C(i+j, i) F_(i+j) fails
+    on m for some i, j, with F_k the t^k coefficients of the flow."""
+    top = max(map(len, flow.values()))
+    tables = [{x: p[k] if k < len(p) else 0 for x, p in flow.items()} for k in range(2 * top)]
+    return [str(m) for m in basis
+            if any(convolve_tables(ctx, base, tables[i], tables[j], [m]).get(m, 0) != comb(i + j, i) * tables[i + j][m]
+                   for i in range(top) for j in range(top))]
+
+
+def exponential_mismatches(ctx, base, flow, beta, basis):
+    """Each monomial m, in basis order, where flow[m] is not exp(t beta)(m) = sum_n beta^(*n)(m) t^n / n!."""
+    powers = convolution_powers(ctx, base, beta.tabulate(basis), max(m.y_degree for m in basis), basis)
+
+    def nonzero(coefficients):
+        return {k: c for k, c in enumerate(coefficients) if c}
+
+    return [str(m) for m in basis if nonzero(flow[m]) != nonzero(
+        [int(m.is_unit)] + [Fraction(p.get(m, 0), factorial(n)) for n, p in enumerate(powers, 1)])]
+
+
+def residue_identity_mismatches(ctx, ring, phi_vals, beta, basis):
+    """Each monomial m, in basis order, where |m| phi(m) is not (phi * beta/eps)(m)."""
+    over_eps = {m: ring.make({-1: beta.value_on(m)}, None) for m in basis}
+    zero = ring.zero()
+    return [str(m) for m in basis if not ring.eq(ring.scale(m.y_degree, phi_vals.get(m, zero)),
+                                                 convolve_tables(ctx, ring, phi_vals, over_eps, [m]).get(m, zero))]
+
+
+def residue_beta_mismatches(ring, phi_vals, beta, gens):
+    """Each generator g, in the order given, where |g| Res phi(g) is not beta(g)."""
+    return [str(g) for g in gens if g.y_degree * ring.coefficient(phi_vals.get(g, ring.zero()), -1) != beta.value_on(g)]
+
+
+def add_t2(flow, m):
+    """The flow with t^2 added to its value on m."""
+    p = list(flow[m]) + [0] * (3 - len(flow[m]))
+    p[2] += 1
+    return {**flow, m: tuple(p)}
+
+
 @pytest.mark.parametrize("schema", [ladder_schema, lambda: rooted_tree_schema(5)], ids=["ladder", "trees:5"])
 def test_the_flow_checks_fail_on_one_changed_t2_coefficient(schema):
+    """Each flow check yields where it fails, in basis order, as the own scan
+    finds it: nothing on the flow of a special loop, and the monomials that one
+    changed t^2 coefficient breaks."""
     ctx = HopfAlgebra(schema(), validate_to=5)
     rng = random.Random(5)
     beta = InfinitesimalCharacter(
@@ -828,14 +877,94 @@ def test_the_flow_checks_fail_on_one_changed_t2_coefficient(schema):
     report = rg_limit_check(build_special_loop(beta, 5), 5)
     basis = ctx.basis_up_to(5)
     flow = dict(report.flow_table)
-    assert _flow_is_additive(ctx, QQ, flow, basis)
-    assert _flow_matches_exponential(ctx, QQ, flow, report.beta, basis)
-    m = next(m for m in basis if m.y_degree >= 2)
-    p = list(flow[m]) + [0] * (3 - len(flow[m]))
-    p[2] += 1
-    flow[m] = tuple(p)
-    assert not _flow_is_additive(ctx, QQ, flow, basis)
-    assert not _flow_matches_exponential(ctx, QQ, flow, report.beta, basis)
+    assert next(_flow_is_additive(ctx, QQ, flow, basis), None) is None
+    assert next(_flow_matches_exponential(ctx, QQ, flow, report.beta, basis), None) is None
+    assert additivity_mismatches(ctx, QQ, flow, basis) == []
+    assert exponential_mismatches(ctx, QQ, flow, report.beta, basis) == []
+    flow = add_t2(flow, next(m for m in basis if m.y_degree >= 2))
+    assert next(_flow_is_additive(ctx, QQ, flow, basis), None) is not None
+    assert next(_flow_matches_exponential(ctx, QQ, flow, report.beta, basis), None) is not None
+    assert list(_flow_is_additive(ctx, QQ, flow, basis)) == additivity_mismatches(ctx, QQ, flow, basis)
+    assert list(_flow_matches_exponential(ctx, QQ, flow, report.beta, basis)) == \
+        exponential_mismatches(ctx, QQ, flow, report.beta, basis)
+
+
+def add_pole(phi_vals, m):
+    """The loop's table with 1/eps added to its value on m."""
+    return {**phi_vals, m: L.add(phi_vals.get(m, L.zero()), lau({-1: 1}))}
+
+
+def last_of_degree(table, degree, generator=False):
+    """The last key of ``table`` of that degree, a generator if asked."""
+    return [m for m in table if m.y_degree == degree and (not generator or m.single_generator())][-1]
+
+
+# rg-check's key -> the check in ``rg``, the position of the table it reads,
+# a perturbation of that table, and the own scan.  Each perturbation breaks
+# the check on more than one monomial, and touches a later one first where it
+# touches two, so the scan's order decides the first witness.
+RG_CHECKS = {
+    "flowAdditive": ("_flow_is_additive", 2, lambda flow: add_t2(flow, next(m for m in flow if m.y_degree >= 2)),
+                     additivity_mismatches),
+    "flowIsExponential": ("_flow_matches_exponential", 2,
+                          lambda flow: add_t2(add_t2(flow, last_of_degree(flow, 3)), last_of_degree(flow, 2)),
+                          exponential_mismatches),
+    "residueIdentity": ("_residue_identity_holds", 2,
+                        lambda phi: add_pole(phi, next(m for m in phi if m.y_degree == 2 and not m.single_generator())),
+                        residue_identity_mismatches),
+    "betaMatchesResidue": ("_beta_matches_residue", 1, lambda phi: add_pole(
+        add_pole(phi, last_of_degree(phi, 4, True)), last_of_degree(phi, 2, True)), residue_beta_mismatches),
+}
+
+
+@pytest.mark.parametrize("key", sorted(RG_CHECKS))
+@pytest.mark.parametrize("selector, values", [("ladder", {"t1": "2", "t2": "-1/3", "t4": "5/7"}),
+                                              ("trees:4", {"[]": "2", "[[]]": "-1/3", "[[][]]": "5/7"})],
+                         ids=["ladder", "trees:4"])
+def test_rg_check_names_the_first_monomial_a_perturbed_check_fails_on(key, selector, values, tmp_path, capsys,
+                                                                      monkeypatch):
+    """A check fed one perturbed table fails alone: rg-check exits 1, prints its
+    key false and, under checkWitnesses, the first monomial the own scan finds."""
+    from hopfalg import cli, rg
+
+    beta = tmp_path / "beta.json"
+    beta.write_text(json.dumps({"kind": "infinitesimal", "ring": "rational", "values": values}))
+    common = ["--schema", selector, "--max-degree", "4"]
+    assert cli.main(["build-loop", str(beta)] + common) == 0
+    loop = tmp_path / "loop.json"
+    loop.write_text(capsys.readouterr().out)
+    assert cli.main(["rg-check", str(loop)] + common) == 0
+    assert "checkWitnesses" not in json.loads(capsys.readouterr().out)
+
+    name, position, perturb, scan = RG_CHECKS[key]
+    original, read = getattr(rg, name), []
+
+    def perturbed(*args):
+        args = list(args)
+        args[position] = perturb(args[position])
+        read.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rg, name, perturbed)
+    assert cli.main(["rg-check", str(loop)] + common) == 1
+    data = json.loads(capsys.readouterr().out)
+    expected = scan(*read[0])
+    assert len(expected) > 1 and data["special"] is True
+    assert [k for k in RG_CHECKS if data[k] is not True] == [key]
+    assert data["checkWitnesses"] == {key: expected[0]}
+
+
+def test_the_rg_verdicts_are_bools_on_a_passing_and_a_failing_report(ladder):
+    """A verdict that were a witness tuple or a generator would pass ``assert``
+    on any value; each of the four is a bool, and the witnesses sit beside them."""
+    passing = rg_limit_check(build_special_loop(ladder_beta(ladder, {1: 2, 2: -1, 4: 5}, cutoff=4), 4), 4)
+    failing = rg_limit_check(laurent_char(ladder, {n: lau({-2: n, 0: 1}) for n in range(1, 5)}), 4)
+    for report, passed in ((passing, True), (failing, False)):
+        verdicts = dict(zip(RG_CHECKS, (report.flow_additive, report.flow_is_exponential, report.residue_identity,
+                                        report.beta_matches_residue)))
+        assert all(v.__class__ is bool for v in verdicts.values())
+        assert {k for k, v in verdicts.items() if v is False} == set(report.check_witnesses)
+        assert report.passed is passed and (report.check_witnesses == {}) is passed
 
 
 def test_rg_detects_non_special_loop(ladder):

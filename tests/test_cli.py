@@ -935,8 +935,9 @@ def test_birkhoff_output_is_pinned_at_scale(schema, degree, truncated, digest, t
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 # sha256 of rg-check stdout, recorded before the fused sum-of-products kernel
-# (special ladder d=6, non-special) and before the integer Q[t] kernel (special
-# ladder d=8, special trees:6 at d=5, where that kernel does most of the work).
+# (special ladder d=6; non-special, re-pinned when a failed check's first
+# witness was added under "checkWitnesses") and before the integer Q[t] kernel
+# (special ladder d=8, special trees:6 at d=5, where that kernel does most of the work).
 # Their flow values are Laurent series over Q[t] and the additivity check runs
 # over Q[t][s], so they pin the Q[t] kernel the way the birkhoff pins pin the
 # rational one.
@@ -948,7 +949,7 @@ TREES_BETA = {"[]": "2", "[[]]": "-1/3", "[[][]]": "5/7", "[[[]]]": "3/2"}
     "schema, degree, beta, code, digest",
     [
         ("ladder", 6, LADDER_BETA, 0, "cf5c10452828ad7f7bc75cd89415a109063fd1c9562947a3e7b5cd2555169541"),
-        ("ladder", 4, None, 1, "08af3f422880f11f37b7209b44b1d082bcfad21acef9eff5581c696b5973fef3"),
+        ("ladder", 4, None, 1, "6d546bbbe1f68c7dcee843b4e21e8c05d022e23188f61ce87d8d635faf4abe1f"),
         ("ladder", 8, LADDER_BETA, 0, "72b0926287562926bd74ed3386849091afadf1c233e26feeea731a57ec948dc6"),
         ("trees:6", 5, TREES_BETA, 0, "126768c798da083767a52a3893419bfddf74c89502710fe98a1b378c9acbe28a"),
     ],

@@ -201,7 +201,8 @@ def test_any_element_file_exits_0_or_2_with_a_json_diagnostic(workdir, data):
 
 # Respellings of a key, the key itself among them: a generator name padded or
 # split by whitespace (and a ladder index by a leading zero), a monomial spaced
-# out, reordered or parenthesized, and an exponent signed, zero-padded or spaced.
+# out, reordered or parenthesized, and an exponent signed or zero-padded (a
+# spaced one is no exponent: test_inputs_the_fuzz_found_exit_2_naming_the_limit).
 def name_spellings(key):
     return [key, f" {key}", f"{key}\t", f"{key[:1]} {key[1:]}", *([f"t0{key[1:]}"] if key.startswith("t") else [])]
 
@@ -213,7 +214,7 @@ def monomial_spellings(key):
 
 def exponent_spellings(key):
     sign, digits = ("-", key[1:]) if key.startswith("-") else ("+", key)
-    return [key, f"{sign}{digits}", f"{sign}0{digits}", f" {key} "]
+    return [key, f"{sign}{digits}", f"{sign}0{digits}"]
 
 
 # Objects whose keys each name one value: (file, path to the object in it, the
@@ -264,6 +265,11 @@ def test_a_key_repeated_or_respelled_exits_2_naming_both_spellings(workdir, data
      "a value has more than 4300 decimal digits"),
     (["log", "{}"], json.dumps({"kind": "character", "values": {"t²": "1"}}),
      "unknown generator 't²' in the ladder schema"),
+    # Laurent exponents read by the one ASCII rule [+-]?[0-9]+, where int() read
+    # "1_0" as 10, "-\u0661" (an Arabic-Indic one) as -1 and " -1 " as -1.
+    *[(["birkhoff", "{}", "--max-degree", "1"], json.dumps({"kind": "character", "ring": "laurent", "values": {
+        "t1": {"minExp": None, "truncation": None, "coeffs": coeffs}}}), f"Laurent exponents must be integers, got {key!r}")
+      for coeffs, key in [({"-1": "1", "1_0": "3"}, "1_0"), ({"-\u0661": "1"}, "-\u0661"), ({" -1 ": "1"}, " -1 ")]],
     # Costs that grow with a degree or a pole order read from the file.
     (["rg-check", "{}"], json.dumps({"kind": "character", "ring": "laurent", "values": {
         "t1": {"minExp": -10 ** 9, "truncation": None, "coeffs": {str(-10 ** 9): "1"}}}}),
@@ -274,6 +280,7 @@ def test_a_key_repeated_or_respelled_exits_2_naming_both_spellings(workdir, data
     (["coproduct", "--file", "{}"], json.dumps({"terms": [{"coeff": "1", "monomial": [["t3", 10 ** 4000]]}]}),
      "the coproducts of this element may fill more than 10^15998 terms, above the limit MAX_COPRODUCT_TERMS"),
 ], ids=["long-integer-in-a-file", "long-ladder-index", "long-exponent", "long-output-value", "unicode-digit-name",
+        "underscored-laurent-exponent", "unicode-digit-laurent-exponent", "spaced-laurent-exponent",
         "pole-order", "schema-degree", "long-price"])
 def test_inputs_the_fuzz_found_exit_2_naming_the_limit(argv, payload, message, tmp_path):
     path = tmp_path / "input.json"
