@@ -50,10 +50,9 @@ def resolve_schema(selector: str):
         from .trees import rooted_tree_schema
 
         try:
-            n = int(selector.split(":", 1)[1])
-        except ValueError:
+            return rooted_tree_schema(option_int(selector.split(":", 1)[1]))
+        except argparse.ArgumentTypeError:
             raise HopfError(f"bad tree cutoff in schema selector {quoted(selector)}") from None
-        return rooted_tree_schema(n)
     if selector.startswith("custom:"):
         from .instances import load_schema
 
@@ -61,6 +60,19 @@ def resolve_schema(selector: str):
     raise HopfError(
         f"unknown schema selector {quoted(selector)}; expected ladder, trees:<n> or custom:<path>"
     )
+
+
+def option_int(text: str) -> int:
+    """An integer option or tree cutoff, read by ``rationals`` (imported here, so ``cli`` loads alone)."""
+    from .rationals import parse_integer
+
+    try:
+        n = parse_integer(text)
+    except ValueError:  # past the interpreter's limit on the digits of an int
+        n = None
+    if n is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return n
 
 
 def read_inputs(args, read):
@@ -283,12 +295,6 @@ def cmd_enumerate_trees(args):
 # -- argument plumbing ---------------------------------------------------------------
 
 
-def add_expression_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--expr", help="element expression, e.g. 't1^2*t2 + 3*t3'")
-    group.add_argument("--file", help="element JSON file")
-
-
 def join_dash_expressions(argv: list) -> list:
     """argv with each word after ``--expr`` that starts with one '-' joined
     to it, as ``--expr=-t2``: argparse would read ``-t2`` as an unknown flag.
@@ -315,12 +321,12 @@ ANY = "any"
 # The two options of every command that builds a schema context; coproduct and antipode take only the first.
 _SCHEMA = [("--schema", {"default": "ladder",
                          "help": "ladder | trees:<maxVertices> | custom:<path> (default: ladder)"}),
-           ("--max-degree", {"type": int, "default": 4, "metavar": "N"})]
-_EPS_ORDER = ("--eps-order", {"type": int, "default": 1, "metavar": "N",
+           ("--max-degree", {"type": option_int, "default": 4, "metavar": "N"})]
+_EPS_ORDER = ("--eps-order", {"type": option_int, "default": 1, "metavar": "N",
                               "help": "extra positive series orders to certify"})
-_SEED = ("--seed", {"type": int, "default": 0, "metavar": "N"})
+_SEED = ("--seed", {"type": option_int, "default": 0, "metavar": "N"})
 _OUTPUT = ("--output", {"choices": ("json", "text"), "default": "json"})
-_MAX_ORDER = ("--max-order", {"type": int, "default": 0, "metavar": "N"})
+_MAX_ORDER = ("--max-order", {"type": option_int, "default": 0, "metavar": "N"})
 
 
 def _functional(metavar: str, nargs: int = 1) -> tuple:
@@ -353,7 +359,7 @@ COMMANDS = {
                    ("infinitesimal", ANY, "an infinitesimal-character")),
     "verify": ("run the axiom and property suites", [*_SCHEMA, _SEED, _OUTPUT], None),
     "enumerate-trees": ("rooted trees with n vertices",
-                        [_OUTPUT, ("vertices", {"type": int, "metavar": "N"})], None),
+                        [_OUTPUT, ("vertices", {"type": option_int, "metavar": "N"})], None),
 }
 
 
@@ -387,7 +393,9 @@ def make_parser(command: str = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for argument in arguments:
             if argument == ELEMENT:
-                add_expression_args(p)
+                group = p.add_mutually_exclusive_group(required=True)
+                group.add_argument("--expr", help="element expression, e.g. 't1^2*t2 + 3*t3'")
+                group.add_argument("--file", help="element JSON file")
             else:
                 flag, kwargs = argument
                 p.add_argument(flag, **kwargs)

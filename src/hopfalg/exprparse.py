@@ -2,6 +2,7 @@
 
 Grammar:  expr := ['-'] term (('+'|'-') term)* ;  term := factor ('*' factor)*
 factor := atom ('^' nat)? ;  atom := rational | name | '(' expr ')'
+nat := ASCII digits ;  rational := nat ('/' nat)?  (``rationals``' grammar, unsigned)
 A name is an identifier or a run of brackets such as a rooted tree's encoding
 (``hopf.NAME_PATTERN``); exponents are at most MAX_EXPONENT, and a power or a
 product may expand to at most MAX_POWER_TERMS terms.
@@ -17,7 +18,7 @@ from typing import List, Tuple
 from .algebra import Element, Monomial
 from .errors import HopfError, quoted
 from .hopf import NAME_PATTERN, HopfAlgebra
-from .rationals import parse_rational
+from .rationals import UNSIGNED_RATIONAL_PATTERN, parse_integer, parse_rational
 
 # The largest N accepted in ``atom^N``, which is expanded before anything
 # else can bound the work.
@@ -31,7 +32,7 @@ MAX_POWER_TERMS = 10_000
 # A name is the one atom a schema reads: ``hopf.NAME_PATTERN``, an identifier or
 # a run of brackets and whitespace, passed to the schema as written.
 _TOKEN = re.compile(
-    rf"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>{NAME_PATTERN})|(?P<op>[-+*^()])|(?P<end>$))"
+    rf"\s*(?:(?P<number>{UNSIGNED_RATIONAL_PATTERN})|(?P<name>{NAME_PATTERN})|(?P<op>[-+*^()])|(?P<end>$))"
 )
 
 
@@ -116,17 +117,15 @@ class _Parser:
         if kind == "op" and value == "^":
             self.take()
             kind, value = self.take()
-            if kind != "number" or "/" in value:
-                raise HopfError(f"exponent must be a natural number in {quoted(self.text)}")
-            # str(int(value)), compared by its length first, since Python
-            # limits the digits of an int it reads.
-            digits = value.lstrip("0") or "0"
-            if digits == "0":
-                raise HopfError("exponents must be >= 1")
-            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-                raise HopfError(f"exponent {digits if len(digits) <= 40 else quoted(digits)} exceeds the limit "
+            try:
+                n = parse_integer(value, signed=False) if kind == "number" else None
+            except ValueError:  # past the interpreter's limit on the digits of an int
+                n = MAX_EXPONENT + 1
+            if not n:  # no integer, or 0
+                raise HopfError(f"exponent must be an integer >= 1 in {quoted(self.text)}")
+            if n > MAX_EXPONENT:
+                raise HopfError(f"exponent {quoted(value) if len(value) > 40 else n} exceeds the limit "
                                 f"MAX_EXPONENT = {MAX_EXPONENT} in {quoted(self.text)}")
-            n = int(digits)
             k = len(base.terms)
             bound = comb(k + n - 1, n)
             if bound > MAX_POWER_TERMS:

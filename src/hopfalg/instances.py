@@ -12,7 +12,7 @@ from . import _forwarder
 from .algebra import Generator, Monomial
 from .errors import HopfError, SchemaError, quoted
 from .hopf import HopfSchema, ReducedTerm, TableSchema, validate_schema_structure
-from .rationals import QQ, is_json_int
+from .rationals import QQ, is_json_int, parse_integer
 
 # The tree schema moved to ``trees``; its name still resolves here.
 __getattr__ = _forwarder(__name__, "trees", ("rooted_tree_schema",))
@@ -58,14 +58,12 @@ class LadderSchema(HopfSchema):
     def generator_by_name(self, name: str) -> Generator:
         text = "".join(name.split())
         index = text[1:]
-        if text.startswith("t") and index.isascii() and index.isdigit():
-            try:
-                n = int(index)
-            except ValueError:  # past the interpreter's limit on the digits of an int
-                raise SchemaError(f"a ladder generator index of {len(index)} digits is past what "
-                                  "Python reads") from None
-            if n >= 1:
-                return self.generator(n)
+        try:
+            n = parse_integer(index, signed=False) if text.startswith("t") else None
+        except ValueError:  # past the interpreter's limit on the digits of an int
+            raise SchemaError(f"a ladder generator index of {len(index)} digits is past what Python reads") from None
+        if n:  # None, or the index 0
+            return self.generator(n)
         raise SchemaError(f"unknown generator {quoted(name)} in the ladder schema")
 
 

@@ -1,10 +1,12 @@
 """The exact-rational core, all that a schema context and a Q-valued command
-run on: the ring interface and the field Q of int and Fraction values, never
-floats.  Sums of products run in integers over one common denominator, and a
-result is an int when it is integral.  The series rings are in ``rings``."""
+run on: the ring interface, the field Q of int and Fraction values, never
+floats, and the one grammar of every number an input spells.  Sums of products
+run in integers over one common denominator, and a result is an int when it is
+integral.  The series rings are in ``rings``."""
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from math import lcm
@@ -29,14 +31,26 @@ def is_json_int(value) -> bool:
     return value.__class__ is int
 
 
+# The one grammar of every number an input spells: ASCII digits, with no
+# whitespace, '_', decimal point or exponent, so no spelling builds a number
+# larger than its digits; unsigned where the syntax has a sign of its own.
+UNSIGNED_RATIONAL_PATTERN = "[0-9]+(?:/[0-9]+)?"
+_INTEGER = {True: re.compile("[+-]?[0-9]+"), False: re.compile("[0-9]+")}
+_RATIONAL = re.compile("([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_integer(text: str, signed: bool = True):
+    """The int ``text`` spells (signed only if ``signed``) or None; past Python's digit limit, ValueError."""
+    return int(text) if _INTEGER[signed].fullmatch(text) else None
+
+
 def parse_rational(text: str):
-    """Parse a rational from its decimal-string form "p" or "p/q": an int
-    when the value is integral, else a Fraction."""
+    """The rational ``text`` spells, "p" or "p/q": an int when it is integral, else a Fraction."""
+    match = _RATIONAL.fullmatch(text)
     try:
-        q = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise HopfError(f"not a rational number: {quoted(text)}") from exc
-    return _canonical(q)
+        return _over(int(match[1]), int(match[2] or 1))
+    except (TypeError, ValueError, ZeroDivisionError):  # no match, more digits than Python reads, or q = 0
+        raise HopfError(f"not a rational number: {quoted(text)}") from None
 
 
 def _canonical(q):
@@ -54,9 +68,7 @@ def format_rational(q: Fraction) -> str:
     past the interpreter's limit on the digits of an int it writes in
     decimal raises DomainError."""
     try:
-        if q.denominator == 1:
-            return str(q.numerator)
-        return f"{q.numerator}/{q.denominator}"
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
     except ValueError:
         raise DomainError(f"a value has more than {sys.get_int_max_str_digits()} decimal digits, "
                           "past the interpreter's limit on the digits of an int it writes") from None

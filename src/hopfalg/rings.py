@@ -7,7 +7,6 @@ are immutable slotted series.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter
@@ -16,7 +15,7 @@ from typing import Optional
 from .errors import DomainError, HopfError, SingularInputError, TruncationError, UnsupportedRingError, quoted
 from . import _forwarder
 from .rationals import (QQ, Frozen, RationalField, Ring, _canonical, format_rational, is_json_int,  # noqa: F401
-                        parse_rational)
+                        parse_integer, parse_rational)
 
 # The polynomial ring moved to ``polynomials``; its name still resolves here.
 __getattr__ = _forwarder(__name__, "polynomials", ("PolynomialRing",))
@@ -114,9 +113,7 @@ class LaurentRing(Ring):
         return LaurentSeries(tuple(items), trunc)
 
     def monomial(self, exp: int, coeff=None, trunc: Optional[int] = None) -> LaurentSeries:
-        if coeff is None:
-            coeff = QQ.one()
-        return self.make({exp: coeff}, trunc)
+        return self.make({exp: QQ.one() if coeff is None else coeff}, trunc)
 
     def zero(self):
         return LaurentSeries((), None)
@@ -125,9 +122,7 @@ class LaurentRing(Ring):
         return self._one
 
     def from_rational(self, q):
-        if q == 0:
-            return self.zero()
-        return self.monomial(0, QQ.from_rational(q))
+        return self.make({0: QQ.from_rational(q)}, None)  # make drops a zero
 
     # -- queries -----------------------------------------------------------
 
@@ -307,11 +302,8 @@ class LaurentRing(Ring):
 
     def value_to_json(self, a: LaurentSeries):
         m = a.min_exp()
-        return {
-            "minExp": m if m is not None else 0,
-            "truncation": a.trunc,
-            "coeffs": {str(k): QQ.value_to_json(v) for k, v in a.coeffs},
-        }
+        return {"minExp": m if m is not None else 0, "truncation": a.trunc,
+                "coeffs": {str(k): QQ.value_to_json(v) for k, v in a.coeffs}}
 
     def value_from_json(self, data):
         if not isinstance(data, dict) or not isinstance(data.get("coeffs"), dict):
@@ -326,12 +318,12 @@ class LaurentRing(Ring):
 
         coeffs, keys = {}, {}
         for key, val in data["coeffs"].items():
-            try:  # one ASCII rule: int() alone also reads "1_0", " 1 " and the digits of other scripts
-                if not re.fullmatch("[+-]?[0-9]+", key):
-                    raise ValueError(key)
-                k = int(key)
-            except ValueError:
-                raise HopfError(f"Laurent exponents must be integers, got {quoted(key)}") from None
+            try:
+                k = parse_integer(key)
+            except ValueError:  # past the interpreter's limit on the digits of an int
+                k = None
+            if k is None:
+                raise HopfError(f"Laurent exponents must be integers, got {quoted(key)}")
             claim_key(keys, k, key, "Laurent exponents")
             if min_exp is not None and k < min_exp:
                 raise HopfError(f"stored exponent {k} below declared minExp {min_exp}")

@@ -56,10 +56,7 @@ def monomial_from_json(schema: HopfSchema, data) -> Monomial:
 
 
 def element_to_json(e: Element) -> dict:
-    terms = []
-    for m, c in e.sorted_terms():
-        terms.append({"coeff": format_rational(c), "monomial": monomial_to_json(m)})
-    return {"terms": terms}
+    return {"terms": [{"coeff": format_rational(c), "monomial": monomial_to_json(m)} for m, c in e.sorted_terms()]}
 
 
 def element_from_json(ctx: HopfAlgebra, data) -> Element:
@@ -76,14 +73,7 @@ def element_from_json(ctx: HopfAlgebra, data) -> Element:
 
 
 def tensor_to_json(t: TensorElement) -> dict:
-    terms = []
-    for key, c in t.sorted_terms():
-        terms.append(
-            {
-                "coeff": format_rational(c),
-                "legs": [monomial_to_json(m) for m in key],
-            }
-        )
+    terms = [{"coeff": format_rational(c), "legs": [monomial_to_json(m) for m in key]} for key, c in t.sorted_terms()]
     return {"rank": t.rank, "terms": terms}
 
 

@@ -9,12 +9,12 @@ import pytest
 
 from closed_forms import RK4, adjoint_tableau, elementary_weight
 from hopfalg.algebra import Monomial
-from hopfalg.duals import Character, InfinitesimalCharacter, exp_star
+from hopfalg.duals import Character, InfinitesimalCharacter, exp_star, log_star
 from hopfalg.functionals import character_inverse
 from hopfalg.hopf import HopfAlgebra
 from hopfalg.rings import QQ
 from hopfalg.trees import rooted_tree_schema
-from perfbench.oracles import parse_tree
+from perfbench.oracles import parse_tree, tree_factorial
 
 # Ralston's second-order method.  RK4 is of order 4, so its adjoint has its own
 # weights on every tree with at most 5 vertices; Ralston's adjoint does not.
@@ -46,3 +46,14 @@ def test_the_signed_convolution_inverse_of_a_method_is_its_adjoint(trees, tablea
     for g in trees.schema.generators_up_to(5):
         signed = (-1) ** g.degree * inverse.value_on(Monomial.of(g))
         assert signed == elementary_weight(adjoint, parse_tree(g.name)), g.name
+
+
+def test_the_log_of_the_exact_flow_is_the_one_vertex_indicator():
+    """log of 1/gamma, the exact flow's weights, is the indicator of the
+    one-vertex tree: a closed form of log_star on trees that is not the flow."""
+    ctx = HopfAlgebra(rooted_tree_schema(8))
+    gens = ctx.schema.generators_up_to(8)
+    flow = Character(ctx, QQ, {g: Fraction(1, tree_factorial(parse_tree(g.name))) for g in gens})
+    z = log_star(flow, 8)
+    assert {g.name: z.value_on(Monomial.of(g)) for g in gens} == {g.name: int(g.name == "[]") for g in gens}
+    assert len(gens) == 200

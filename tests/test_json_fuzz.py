@@ -9,6 +9,7 @@ raises; each example finishes within a fixed time.
 import copy
 import io
 import json
+import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -138,7 +139,10 @@ def run(argv):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # a usage error, which the argument parser raises
+            code = exc.code
     return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
 
 
@@ -253,6 +257,103 @@ def test_a_key_repeated_or_respelled_exits_2_naming_both_spellings(workdir, data
     assert repr(key) in message and repr(other) in message
 
 
+# The place of the number in a file or an argv.
+NUM = "@@num@@"
+
+
+def numbered(doc, path, key=False):
+    """A copy of ``doc`` with NUM at ``path``, in place of the value or, when
+    ``key``, of the key there."""
+    doc = copy.deepcopy(doc)
+    parent = container(doc, path[:-1])
+    if key:
+        parent[NUM] = parent.pop(path[-1])
+    else:
+        parent[path[-1]] = NUM
+    return doc
+
+
+# Every position of a number an input spells: (its canonical spellings, whether
+# its syntax lets the number carry a sign, whether the syntax around it skips
+# whitespace, the argv that reads it, with NUM in place of the number and "{}"
+# for the path of the file, and the file's document or None).  The --expr
+# numbers and exponents are unsigned and sit between tokens; every other one
+# is signed.
+CHARACTER_LAURENT = FUNCTIONALS["character-laurent"][0]
+NUMBER_POSITIONS = {
+    "character-value": (["1", "-3", "2/3", "0"], True, False, ["log", "{}", "--max-degree", "2"],
+                        numbered(FUNCTIONALS["character-rational"][0], ("values", "t1"))),
+    "element-coeff": (["1", "-1/2", "12"], True, False, ["antipode", "--file", "{}"],
+                      numbered(ELEMENTS["ladder"], ("terms", 1, "coeff"))),
+    "laurent-coeff": (["1", "-5/3", "0"], True, False, ["birkhoff", "{}", "--max-degree", "2"],
+                      numbered(CHARACTER_LAURENT, ("values", "t1", "coeffs", "-1"))),
+    "laurent-exponent": (["-1", "0", "10"], True, False, ["birkhoff", "{}", "--max-degree", "2"],
+                         numbered({"kind": "character", "ring": "laurent", "values": {"t1": {
+                             "minExp": None, "truncation": None, "coeffs": {"-2": "1", "-1": "1/2"}}}},
+                             ("values", "t1", "coeffs", "-1"), key=True)),
+    "reduced-coeff": (["1", "-2", "3/4"], True, False, ["coproduct", "--expr", "x1*x2", "--schema", "custom:{}"],
+                      numbered(SCHEMA, ("reducedCoproduct", "x2", 0, "coeff"))),
+    "expr-number": (["3", "1/2", "10"], False, True, ["antipode", "--expr", f"t1^2*t2 - {NUM}*t3 + 1"], None),
+    "expr-exponent": (["1", "2", "12"], False, True, ["coproduct", "--expr", f"(t1 + 2)^{NUM}*t2"], None),
+    "trees-cutoff": (["2", "3", "4"], True, False, ["coproduct", "--schema", f"trees:{NUM}", "--expr", "[[]]"], None),
+    "max-degree": (["1", "2", "3"], True, False, ["exp", "{}", "--max-degree", NUM],
+                   FUNCTIONALS["infinitesimal-rational"][0]),
+    "max-order": (["0", "1", "2"], True, False, ["scattering", "{}", "--max-degree", "2", "--max-order", NUM],
+                  FUNCTIONALS["infinitesimal-rational"][0]),
+    "eps-order": (["0", "1", "3"], True, False, ["rg-check", "{}", "--max-degree", "2", "--eps-order", NUM],
+                  CHARACTER_LAURENT),
+    "seed": (["0", "7"], True, False, ["verify", "--max-degree", "1", "--seed", NUM], None),
+    "vertices": (["1", "4"], True, False, ["enumerate-trees", NUM], None),
+}
+
+
+def first_digits(text, respell):
+    """``text`` with its first run of digits respelled."""
+    return re.sub("[0-9]+", lambda m: respell(m.group()), text, count=1)
+
+
+# Respellings of a canonical number: the grammar refuses the first four in
+# every position; padded zeros always read; a '+' reads where the number is
+# signed, and whitespace where the syntax skips it.
+def number_spellings(data, text):
+    script = data.draw(st.sampled_from([0x0660, 0x0966, 0xFF10]))  # Arabic-Indic, Devanagari, fullwidth
+    spellings = {
+        "underscore": first_digits(text, lambda d: f"{d[0]}_{d[1:]}" if len(d) > 1 else f"0_{d}"),
+        "unicode": first_digits(text, lambda d: d.translate({48 + i: script + i for i in range(10)})),
+        "decimal": first_digits(text, lambda d: d + data.draw(st.sampled_from([".0", ".5", "."]))),
+        "exponent": first_digits(text, lambda d: d + data.draw(st.sampled_from(["e0", "E1", "e10000000"]))),
+        "padded": re.sub("[0-9]+", lambda m: "0" * data.draw(st.integers(1, 3)) + m.group(), text),
+        "plus": "+" + text,
+        "whitespace": data.draw(st.sampled_from([" {}", "{} ", "\t{}\n", " {} "])).format(text),
+    }
+    kind = data.draw(st.sampled_from(sorted(spellings)))
+    return kind, spellings[kind]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_number_respelled_exits_2_or_reads_as_its_canonical_spelling(workdir, data):
+    position = data.draw(st.sampled_from(sorted(NUMBER_POSITIONS)))
+    canonicals, signed, spaced, argv, doc = NUMBER_POSITIONS[position]
+    canonical = data.draw(st.sampled_from(canonicals))
+    kind, spelling = number_spellings(data, canonical)
+    reads = kind == "padded" or (kind == "plus" and signed and not canonical.startswith("-")) or \
+        (kind == "whitespace" and spaced)
+
+    def outcome(number):
+        path = workdir / "numbered.json"
+        if doc is not None:
+            path.write_text(json.dumps(doc).replace(json.dumps(NUM), json.dumps(number)))
+        return run([a.format(path).replace(NUM, number) for a in argv])
+
+    code, out, err, elapsed = outcome(spelling)
+    check(code, out, err, elapsed)
+    if reads:
+        assert (code, out, err) == outcome(canonical)[:3], (position, spelling)
+    else:
+        assert code == 2 and "Traceback" not in err, (position, spelling)
+
+
 @pytest.mark.parametrize("argv, payload, message", [
     # Integers past the interpreter's digit limit, in a file and in --expr.
     (["log", "{}"], '{"kind": "character", "cutoff": ' + TOO_LONG + ', "values": {}}',
@@ -270,6 +371,11 @@ def test_a_key_repeated_or_respelled_exits_2_naming_both_spellings(workdir, data
     *[(["birkhoff", "{}", "--max-degree", "1"], json.dumps({"kind": "character", "ring": "laurent", "values": {
         "t1": {"minExp": None, "truncation": None, "coeffs": coeffs}}}), f"Laurent exponents must be integers, got {key!r}")
       for coeffs, key in [({"-1": "1", "1_0": "3"}, "1_0"), ({"-\u0661": "1"}, "-\u0661"), ({" -1 ": "1"}, " -1 ")]],
+    # A value in exponent notation, which Fraction built as 10^10000000 for
+    # seconds before its output was refused: no spelling of the one grammar
+    # builds a number larger than its digits.
+    (["log", "{}", "--max-degree", "1"], json.dumps({"kind": "character", "values": {"t1": "1e10000000"}}),
+     "not a rational number: '1e10000000'"),
     # Costs that grow with a degree or a pole order read from the file.
     (["rg-check", "{}"], json.dumps({"kind": "character", "ring": "laurent", "values": {
         "t1": {"minExp": -10 ** 9, "truncation": None, "coeffs": {str(-10 ** 9): "1"}}}}),
@@ -281,7 +387,7 @@ def test_a_key_repeated_or_respelled_exits_2_naming_both_spellings(workdir, data
      "the coproducts of this element may fill more than 10^15998 terms, above the limit MAX_COPRODUCT_TERMS"),
 ], ids=["long-integer-in-a-file", "long-ladder-index", "long-exponent", "long-output-value", "unicode-digit-name",
         "underscored-laurent-exponent", "unicode-digit-laurent-exponent", "spaced-laurent-exponent",
-        "pole-order", "schema-degree", "long-price"])
+        "exponent-notation-value", "pole-order", "schema-degree", "long-price"])
 def test_inputs_the_fuzz_found_exit_2_naming_the_limit(argv, payload, message, tmp_path):
     path = tmp_path / "input.json"
     if payload is not None:

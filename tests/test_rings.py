@@ -1,12 +1,17 @@
 """Ring tower tests: exact rationals, truncated Laurent series, and Q[t] values."""
 
+import ast
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfalg.errors import SingularInputError, TruncationError
+import hopfalg
+from hopfalg import cli
+from hopfalg.errors import HopfError, SingularInputError, TruncationError
 from hopfalg.exp_integrals import finite_simplex_integral
 from hopfalg.polynomials import POLY_T, PolynomialRing
 from hopfalg.rings import (
@@ -17,6 +22,7 @@ from hopfalg.rings import (
     RationalField,
     Ring,
     format_rational,
+    parse_integer,
     parse_rational,
 )
 
@@ -53,6 +59,51 @@ def test_rational_string_round_trip():
     assert parse_rational("7") == Fraction(7)
     assert format_rational(Fraction(-3, 2)) == "-3/2"
     assert format_rational(Fraction(4, 2)) == "2"
+
+
+# Spellings outside the one number grammar: whitespace, '_', a decimal point,
+# exponent notation, digits of other scripts, a doubled or misplaced sign, a
+# signed or zero denominator.
+NOT_NUMBERS = [" 7", "7 ", "1_0", "1.5", ".5", "1e3", "1E3", "\u0661", "\uff17", "1\u0660", "--1", "+-1", "1-",
+               "1/-2", "1/+2", "1/0", "1/", "/2", "1/2/3", "", "+", "inf", "nan", "0x10"]
+
+
+def test_the_number_grammar_reads_ascii_integers_and_p_over_q_only():
+    for text, value in [("7", 7), ("-3", -3), ("+3", 3), ("007", 7), ("-0", 0), ("-4/2", -2), ("+6/04", Fraction(3, 2)),
+                        ("0/5", 0)]:
+        assert parse_rational(text) == value and type(parse_rational(text)) is type(value)
+    for text in NOT_NUMBERS:
+        with pytest.raises(HopfError, match="not a rational number"):
+            parse_rational(text)
+        assert parse_integer(text) is None
+    assert [parse_integer(t) for t in ("12", "-012", "+0", "3/4")] == [12, -12, 0, None]
+    assert [parse_integer(t, signed=False) for t in ("012", "-1", "+1")] == [12, None, None]
+    # A numeral past the interpreter's digit limit: refused, never built.
+    with pytest.raises(HopfError, match="not a rational number"):
+        parse_rational("1/" + "7" * 5000)
+    with pytest.raises(ValueError):
+        parse_integer("9" * 5000)
+
+
+def test_only_rationals_reads_the_digits_of_a_number():
+    """Every number an input spells is read by the grammar of ``rationals``:
+    no other module holds a digit class in a string or calls a digit test of
+    ``str``, and no command option is typed by argparse's ``int``."""
+    package = Path(hopfalg.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "rationals":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and re.search(r"\[0-9\]|\\d", node.value):
+                found.append(f"{path.stem}:{node.lineno} {node.value!r}")
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("isdigit", "isdecimal", "isnumeric"):
+                found.append(f"{path.stem}:{node.lineno} {node.func.attr}()")
+    assert found == []
+    typed = [(name, arg[0]) for name, (_, args, _) in cli.COMMANDS.items()
+             for arg in args if arg != cli.ELEMENT and arg[1].get("type") is int]
+    assert typed == []
+    assert any(arg[1].get("type") is cli.option_int for arg in cli.COMMANDS["verify"][1] if arg != cli.ELEMENT)
 
 
 def test_polynomial_basics():
@@ -422,7 +473,9 @@ def test_exact_operations_never_return_a_float():
             x, y = L.make({-1: a, 0: b}, None), L.make({0: b, 2: a}, 3)
             results += [L.mul(x, y), L.dot([(a, x, y), (b, y, y)]), L.scale(a, y), L.invert_unit(y),
                         PT.mul((a, b), (b, 0, a))]
-    results += [parse_rational(text) for text in ("3", "-4/2", " 7 ", "1/2", "-6/4")]
+    results += [parse_rational(text) for text in ("3", "-4/2", "1/2", "-6/4")]
+    with pytest.raises(HopfError, match="not a rational number: ' 7 '"):
+        parse_rational(" 7 ")
     results += [QQ.invert(a) for a in ints]
     results += [finite_simplex_integral(rates) for rates in ((2,), (1, 3), (2, 3, 1), (1, 1, 2))]
     assert not [r for r in results if _floats_in(r)]
